@@ -160,6 +160,8 @@ pub struct SatSolver {
     activity: Vec<f64>,
     var_inc: f64,
     phase: Vec<bool>,
+    /// Scratch marks for [`SatSolver::analyze`]; all `false` between calls.
+    seen: Vec<bool>,
     ok: bool,
     /// Maximum conflicts before giving up (`None` = unlimited).
     pub max_conflicts: Option<u64>,
@@ -190,6 +192,7 @@ impl SatSolver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -275,11 +278,17 @@ impl SatSolver {
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = p.negated();
-            let watchers = std::mem::take(&mut self.watches[false_lit.index()]);
-            let mut kept = Vec::with_capacity(watchers.len());
+            // The watch list is compacted in place: `kept` trails `i`, and
+            // a watch that moves to another literal is simply not kept. A
+            // replacement watch is never `false_lit` itself (it is not
+            // false), so taking the list out of `self` is safe.
+            let mut watchers = std::mem::take(&mut self.watches[false_lit.index()]);
+            let mut kept = 0;
+            let mut i = 0;
             let mut conflict = None;
-            let mut it = watchers.into_iter();
-            for ci in it.by_ref() {
+            while i < watchers.len() {
+                let ci = watchers[i];
+                i += 1;
                 let clause = &mut self.clauses[ci as usize];
                 // Normalize: the falsified literal goes to position 1.
                 if clause[0] == false_lit {
@@ -291,7 +300,8 @@ impl SatSolver {
                 if self.assigns[first.var() as usize] != UNDEF
                     && (self.assigns[first.var() as usize] == 1) == first.is_positive()
                 {
-                    kept.push(ci);
+                    watchers[kept] = ci;
+                    kept += 1;
                     continue;
                 }
                 // Look for a replacement watch.
@@ -316,7 +326,8 @@ impl SatSolver {
                 if moved {
                     continue;
                 }
-                kept.push(ci);
+                watchers[kept] = ci;
+                kept += 1;
                 // Unit or conflict.
                 match self.value_lit(first) {
                     -1 => {
@@ -327,8 +338,10 @@ impl SatSolver {
                     _ => {}
                 }
             }
-            kept.extend(it);
-            self.watches[false_lit.index()] = kept;
+            // Keep the unvisited tail after a conflict.
+            watchers.copy_within(i.., kept);
+            watchers.truncate(kept + (watchers.len() - i));
+            self.watches[false_lit.index()] = watchers;
             if let Some(ci) = conflict {
                 self.qhead = self.trail.len();
                 return Some(ci);
@@ -349,23 +362,23 @@ impl SatSolver {
 
     /// First-UIP conflict analysis.
     fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
-        let mut seen = vec![false; self.num_vars()];
-        let mut learnt: Vec<Lit> = Vec::new();
+        // Slot 0 is filled with the asserting literal once it is found.
+        let mut learnt: Vec<Lit> = vec![Lit(0)];
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut confl = Some(confl);
         let current = self.decision_level();
         loop {
-            let ci = confl.expect("reason must exist on the conflict path");
-            let clause = self.clauses[ci as usize].clone();
-            for &q in &clause {
+            let ci = confl.expect("reason must exist on the conflict path") as usize;
+            for k in 0..self.clauses[ci].len() {
+                let q = self.clauses[ci][k];
                 if Some(q) == p {
                     continue;
                 }
                 let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(q.var());
                     if self.level[v] >= current {
                         path_count += 1;
@@ -376,19 +389,22 @@ impl SatSolver {
             }
             loop {
                 index -= 1;
-                if seen[self.trail[index].var() as usize] {
+                if self.seen[self.trail[index].var() as usize] {
                     break;
                 }
             }
             let pl = self.trail[index];
-            seen[pl.var() as usize] = false;
+            self.seen[pl.var() as usize] = false;
             path_count -= 1;
             if path_count == 0 {
-                learnt.insert(0, pl.negated());
+                learnt[0] = pl.negated();
                 break;
             }
             confl = self.reason[pl.var() as usize];
             p = Some(pl);
+        }
+        for l in &learnt[1..] {
+            self.seen[l.var() as usize] = false;
         }
         let backjump = learnt[1..]
             .iter()
@@ -451,6 +467,7 @@ impl SatSolver {
         self.reason.truncate(mark.nvars);
         self.activity.truncate(mark.nvars);
         self.phase.truncate(mark.nvars);
+        self.seen.truncate(mark.nvars);
         self.watches.truncate(mark.nvars * 2);
         for w in &mut self.watches {
             w.retain(|&ci| (ci as usize) < mark.nclauses);
@@ -549,9 +566,9 @@ impl SatSolver {
             } else if self.trail.len() == self.num_vars() {
                 // Complete assignment: consult the theory.
                 self.stats.theory_checks += 1;
-                let assigns = self.assigns.clone();
-                let value = move |v: BVar| assigns[v as usize] == 1;
-                match theory.final_check(&value) {
+                let assigns = &self.assigns;
+                let verdict = theory.final_check(&|v: BVar| assigns[v as usize] == 1);
+                match verdict {
                     TheoryVerdict::Consistent => {
                         return SatOutcome::Sat(self.assigns.iter().map(|&a| a == 1).collect());
                     }
