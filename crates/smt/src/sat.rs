@@ -134,6 +134,124 @@ impl SatStats {
 
 const UNDEF: i8 = 0;
 
+/// `VarHeap::pos` entry of a variable that is not in the heap.
+const ABSENT: u32 = u32::MAX;
+
+/// The decision order: a binary max-heap of variables keyed by activity,
+/// ties broken toward the lower index (MiniSat's order heap; Eén &
+/// Sörensson, SAT 2003). The heap may hold assigned variables, which
+/// [`SatSolver::decide`] skips, but every unassigned variable is in it, so
+/// its best unassigned entry is the first highest-activity unassigned
+/// variable.
+#[derive(Debug, Default)]
+struct VarHeap {
+    heap: Vec<BVar>,
+    /// Each variable's index in `heap`, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    /// Whether `a` comes before `b` in the decision order.
+    fn before(activity: &[f64], a: BVar, b: BVar) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn contains(&self, v: BVar) -> bool {
+        self.pos.get(v as usize).is_some_and(|&p| p != ABSENT)
+    }
+
+    fn insert(&mut self, v: BVar, activity: &[f64]) {
+        if self.contains(v) {
+            return;
+        }
+        if self.pos.len() <= v as usize {
+            self.pos.resize(v as usize + 1, ABSENT);
+        }
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restores the order after `v`'s activity grew.
+    fn increased(&mut self, v: BVar, activity: &[f64]) {
+        if self.contains(v) {
+            self.sift_up(self.pos[v as usize] as usize, activity);
+        }
+    }
+
+    /// Removes and returns the first variable in the order.
+    fn pop(&mut self, activity: &[f64]) -> Option<BVar> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap non-empty");
+        self.pos[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Drops every variable `>= nvars` and re-establishes the order.
+    fn truncate(&mut self, nvars: usize, activity: &[f64]) {
+        self.heap.retain(|&v| (v as usize) < nvars);
+        self.pos.truncate(nvars);
+        self.heapify(activity);
+    }
+
+    /// Rebuilds the heap over its current entries (after a rescale may
+    /// have turned distinct activities into ties).
+    fn heapify(&mut self, activity: &[f64]) {
+        for (i, &v) in self.heap.iter().enumerate() {
+            self.pos[v as usize] = i as u32;
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && Self::before(activity, self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 /// A restorable mark of a [`SatSolver`]'s root-level state: the variable
 /// and clause counts, the length of the level-0 trail prefix, and the
 /// ok flag. Created by [`SatSolver::mark`], consumed (possibly many
@@ -159,6 +277,7 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    order: VarHeap,
     phase: Vec<bool>,
     /// Scratch marks for [`SatSolver::analyze`]; all `false` between calls.
     seen: Vec<bool>,
@@ -195,6 +314,7 @@ impl SatSolver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.insert(v, &self.activity);
         v
     }
 
@@ -357,6 +477,9 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            self.order.heapify(&self.activity);
+        } else {
+            self.order.increased(v, &self.activity);
         }
     }
 
@@ -459,6 +582,7 @@ impl SatSolver {
             let v = l.var() as usize;
             self.assigns[v] = UNDEF;
             self.reason[v] = None;
+            self.order.insert(l.var(), &self.activity);
         }
         self.qhead = self.trail.len();
         self.clauses.truncate(mark.nclauses);
@@ -466,6 +590,7 @@ impl SatSolver {
         self.level.truncate(mark.nvars);
         self.reason.truncate(mark.nvars);
         self.activity.truncate(mark.nvars);
+        self.order.truncate(mark.nvars, &self.activity);
         self.phase.truncate(mark.nvars);
         self.seen.truncate(mark.nvars);
         self.watches.truncate(mark.nvars * 2);
@@ -483,35 +608,26 @@ impl SatSolver {
                 let v = l.var() as usize;
                 self.assigns[v] = UNDEF;
                 self.reason[v] = None;
+                self.order.insert(l.var(), &self.activity);
             }
         }
-        self.qhead = self.trail.len().min(self.qhead);
         self.qhead = self.trail.len();
     }
 
+    /// Opens a decision level on the first highest-activity unassigned
+    /// variable, at its saved phase. Returns `false` when every variable
+    /// is assigned.
     fn decide(&mut self) -> bool {
-        let mut best: Option<BVar> = None;
-        for v in 0..self.num_vars() {
-            if self.assigns[v] == UNDEF {
-                match best {
-                    None => best = Some(v as BVar),
-                    Some(b) if self.activity[v] > self.activity[b as usize] => {
-                        best = Some(v as BVar)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        match best {
-            None => false,
-            Some(v) => {
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assigns[v as usize] == UNDEF {
                 self.stats.decisions += 1;
                 self.lim.push(self.trail.len());
                 let lit = Lit::new(v, self.phase[v as usize]);
                 self.enqueue(lit, None);
-                true
+                return true;
             }
         }
+        false
     }
 
     fn record_learnt(&mut self, learnt: Vec<Lit>) -> bool {
@@ -603,6 +719,7 @@ impl SatSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relaxed_interp::rng::SplitMix64;
 
     fn lit(v: BVar, pos: bool) -> Lit {
         Lit::new(v, pos)
@@ -614,6 +731,60 @@ mod tests {
             s.new_var();
         }
         s
+    }
+
+    /// The first highest-activity unassigned variable, found by scanning
+    /// every variable: the decision rule the order heap implements.
+    fn scan_decision(s: &SatSolver) -> Option<BVar> {
+        let mut best: Option<BVar> = None;
+        for v in 0..s.num_vars() {
+            if s.assigns[v] == UNDEF && best.is_none_or(|b| s.activity[v] > s.activity[b as usize])
+            {
+                best = Some(v as BVar);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn order_heap_decides_like_a_linear_scan() {
+        let mut rng = SplitMix64::seed_from_u64(0x0DE5_1DE5);
+        let mut s = solver_with_vars(30);
+        let mut mark: Option<SatMark> = None;
+        for round in 0..2000 {
+            for _ in 0..rng.gen_u32_below(6) {
+                // Few distinct increments keep activity ties common.
+                s.var_inc = f64::from(1 + rng.gen_u32_below(3));
+                s.bump(rng.gen_u32_below(s.num_vars() as u32));
+            }
+            match rng.gen_u32_below(10) {
+                0 => s.backtrack_to(rng.gen_u32_below(s.decision_level() + 1)),
+                1 if mark.is_none() => {
+                    // A scope with fresh variables and a root assignment of
+                    // the variable the heap would pick next, so `decide`
+                    // drops it from the heap and `pop_to` must restore it.
+                    mark = Some(s.mark());
+                    for _ in 0..1 + rng.gen_u32_below(5) {
+                        s.new_var();
+                    }
+                    if let Some(v) = scan_decision(&s) {
+                        assert!(s.add_clause(vec![lit(v, rng.gen_u32_below(2) == 0)]));
+                    }
+                }
+                2 => {
+                    if let Some(m) = mark.take() {
+                        s.pop_to(m);
+                    }
+                }
+                _ => {}
+            }
+            let expected = scan_decision(&s);
+            assert_eq!(s.decide(), expected.is_some(), "round {round}");
+            match expected {
+                Some(v) => assert_eq!(s.trail.last().map(|l| l.var()), Some(v), "round {round}"),
+                None => s.backtrack_to(0),
+            }
+        }
     }
 
     #[test]
