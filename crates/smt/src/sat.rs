@@ -1,10 +1,14 @@
 //! A CDCL SAT solver with two-watched-literal propagation, VSIDS-style
-//! activity decisions, first-UIP clause learning, phase saving, and
-//! geometric restarts.
+//! activity decisions from an order heap, first-UIP clause learning,
+//! phase saving, and geometric restarts.
 //!
 //! The solver doubles as the propositional engine of the DPLL(T) driver in
-//! [`crate::solver`]: a [`Theory`] hook is consulted whenever a full
-//! assignment is found and may veto it with a conflict clause.
+//! [`crate::solver`]. A [`Theory`] follows the trail incrementally: it is
+//! sent each literal as the trail grows, checked at every propagation
+//! fixpoint, retracted level by level on backjumps, and given a final
+//! check on each complete assignment. A theory conflict is learnt like a
+//! boolean one: first-UIP analysis from the clause's highest level, then
+//! a backjump to the learnt clause's assertion level.
 
 use std::fmt;
 
@@ -65,7 +69,40 @@ pub enum TheoryVerdict {
 }
 
 /// A theory plugged into the CDCL search.
+///
+/// The search keeps an incremental theory in step with its trail: at each
+/// propagation fixpoint it hands over every trail literal the theory has
+/// not seen yet through [`Theory::assert_lit`], opening one
+/// [`Theory::push_level`] per decision level first, and then runs
+/// [`Theory::partial_check`]. Backjumping closes the levels above the
+/// target with [`Theory::pop_level`]. [`Theory::final_check`] runs once
+/// every variable is assigned (and every literal asserted). The level
+/// hooks default to no-ops, so a theory that only implements
+/// `final_check` sees complete assignments only.
 pub trait Theory {
+    /// Opens a decision level: what is asserted from now on is retracted
+    /// by the matching [`Theory::pop_level`].
+    fn push_level(&mut self) {}
+
+    /// Retracts everything asserted since the matching
+    /// [`Theory::push_level`].
+    fn pop_level(&mut self) {}
+
+    /// Asserts a literal that just became true on the trail.
+    ///
+    /// # Errors
+    ///
+    /// Returns a conflict clause (over existing literals, falsified by the
+    /// current assignment) when the literal contradicts what is asserted.
+    fn assert_lit(&mut self, _lit: Lit) -> Result<(), Vec<Lit>> {
+        Ok(())
+    }
+
+    /// Checks the literals asserted so far, at a propagation fixpoint.
+    fn partial_check(&mut self) -> TheoryVerdict {
+        TheoryVerdict::Consistent
+    }
+
     /// Checks a complete assignment; `value(v)` is the assignment.
     fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict;
 }
@@ -96,13 +133,17 @@ pub enum SatOutcome {
 pub struct SatStats {
     /// Number of decisions made.
     pub decisions: u64,
-    /// Number of conflicts analyzed.
+    /// Number of conflicts: falsified clauses and theory conflicts alike.
+    /// Both count toward restarts and the `max_conflicts` budget.
     pub conflicts: u64,
     /// Number of literal propagations.
     pub propagations: u64,
     /// Number of restarts.
     pub restarts: u64,
-    /// Number of theory final-checks.
+    /// Number of [`Theory::final_check`] calls, one per complete
+    /// assignment the incremental checks did not already refute. Bound
+    /// assertions and partial checks at propagation fixpoints are not
+    /// counted.
     pub theory_checks: u64,
 }
 
@@ -133,6 +174,13 @@ impl SatStats {
 }
 
 const UNDEF: i8 = 0;
+
+/// A conflict found by the search: a falsified clause of the database, or
+/// a theory conflict clause not yet added to it.
+enum Conflict {
+    Clause(u32),
+    Theory(Vec<Lit>),
+}
 
 /// `VarHeap::pos` entry of a variable that is not in the heap.
 const ABSENT: u32 = u32::MAX;
@@ -281,6 +329,10 @@ pub struct SatSolver {
     phase: Vec<bool>,
     /// Scratch marks for [`SatSolver::analyze`]; all `false` between calls.
     seen: Vec<bool>,
+    /// Trail prefix the theory of the running `solve_with` has been sent.
+    theory_head: usize,
+    /// Decision levels open in that theory.
+    theory_levels: u32,
     ok: bool,
     /// Maximum conflicts before giving up (`None` = unlimited).
     pub max_conflicts: Option<u64>,
@@ -612,6 +664,37 @@ impl SatSolver {
             }
         }
         self.qhead = self.trail.len();
+        // Clamp here, not after the caller enqueues an asserting literal:
+        // that literal must still reach the theory.
+        self.theory_head = self.theory_head.min(self.trail.len());
+    }
+
+    /// Backtracks to `target` and closes the theory's levels above it.
+    fn backjump(&mut self, target: u32, theory: &mut dyn Theory) {
+        self.backtrack_to(target);
+        while self.theory_levels > target {
+            theory.pop_level();
+            self.theory_levels -= 1;
+        }
+    }
+
+    /// Sends the theory every trail literal it has not seen, opening its
+    /// decision levels as the literals require, then runs its partial
+    /// check. Called at propagation fixpoints, where every unsent literal
+    /// sits at the current decision level.
+    fn sync_theory(&mut self, theory: &mut dyn Theory) -> TheoryVerdict {
+        while let Some(&lit) = self.trail.get(self.theory_head) {
+            let level = self.level[lit.var() as usize];
+            while self.theory_levels < level {
+                theory.push_level();
+                self.theory_levels += 1;
+            }
+            if let Err(clause) = theory.assert_lit(lit) {
+                return TheoryVerdict::Conflict(clause);
+            }
+            self.theory_head += 1;
+        }
+        theory.partial_check()
     }
 
     /// Opens a decision level on the first highest-activity unassigned
@@ -653,59 +736,111 @@ impl SatSolver {
         }
     }
 
+    /// Learns from the falsified clause `ci` by first-UIP analysis and
+    /// backjumps to the learnt clause's assertion level, where it asserts
+    /// the clause's first literal. Returns `false` when the conflict holds
+    /// at level 0 (unsatisfiable).
+    fn learn(&mut self, ci: u32, theory: &mut dyn Theory) -> bool {
+        if self.decision_level() == 0 {
+            self.ok = false;
+            return false;
+        }
+        let (learnt, backjump) = self.analyze(ci);
+        self.backjump(backjump, theory);
+        self.var_inc *= 1.05;
+        self.record_learnt(learnt)
+    }
+
+    /// Learns from a theory conflict: a clause the current assignment
+    /// falsifies. The search backtracks to the clause's highest level and
+    /// stores it with watches on its two highest-level literals, so
+    /// [`SatSolver::learn`] backjumps from there exactly as for a boolean
+    /// conflict. A unit clause is asserted at level 0 instead. Returns
+    /// `false` when the conflict holds at level 0 (unsatisfiable).
+    fn theory_conflict(&mut self, mut clause: Vec<Lit>, theory: &mut dyn Theory) -> bool {
+        clause.sort_unstable();
+        clause.dedup();
+        debug_assert!(
+            clause.iter().all(|&l| self.value_lit(l) == -1),
+            "a theory conflict clause must be falsified"
+        );
+        clause.sort_by_key(|l| std::cmp::Reverse(self.level[l.var() as usize]));
+        let top = clause.first().map_or(0, |l| self.level[l.var() as usize]);
+        if top == 0 {
+            self.ok = false;
+            return false;
+        }
+        if clause.len() == 1 {
+            self.backjump(0, theory);
+            self.enqueue(clause[0], None);
+            return true;
+        }
+        self.backjump(top, theory);
+        let idx = self.clauses.len() as u32;
+        self.watches[clause[0].index()].push(idx);
+        self.watches[clause[1].index()].push(idx);
+        self.clauses.push(clause);
+        self.learn(idx, theory)
+    }
+
     /// Solves with a theory hook.
     pub fn solve_with(&mut self, theory: &mut dyn Theory) -> SatOutcome {
         if !self.ok {
             return SatOutcome::Unsat;
         }
+        // The theory starts empty: it is sent the whole trail, root
+        // literals included.
+        self.backtrack_to(0);
+        self.theory_head = 0;
+        self.theory_levels = 0;
         let mut restart_limit = 100u64;
         let mut conflicts_since_restart = 0u64;
         loop {
-            if let Some(ci) = self.propagate() {
-                self.stats.conflicts += 1;
-                conflicts_since_restart += 1;
-                if let Some(max) = self.max_conflicts {
-                    if self.stats.conflicts > max {
-                        return SatOutcome::Unknown;
-                    }
-                }
-                if self.decision_level() == 0 {
-                    self.ok = false;
-                    return SatOutcome::Unsat;
-                }
-                let (learnt, backjump) = self.analyze(ci);
-                self.backtrack_to(backjump);
-                self.var_inc *= 1.05;
-                if !self.record_learnt(learnt) {
-                    return SatOutcome::Unsat;
-                }
-            } else if self.trail.len() == self.num_vars() {
-                // Complete assignment: consult the theory.
-                self.stats.theory_checks += 1;
-                let assigns = &self.assigns;
-                let verdict = theory.final_check(&|v: BVar| assigns[v as usize] == 1);
-                match verdict {
-                    TheoryVerdict::Consistent => {
-                        return SatOutcome::Sat(self.assigns.iter().map(|&a| a == 1).collect());
-                    }
+            let conflict = match self.propagate() {
+                Some(ci) => Conflict::Clause(ci),
+                None => match self.sync_theory(theory) {
+                    TheoryVerdict::Conflict(clause) => Conflict::Theory(clause),
                     TheoryVerdict::Unknown => return SatOutcome::Unknown,
-                    TheoryVerdict::Conflict(clause) => {
-                        self.backtrack_to(0);
-                        if clause.is_empty() || !self.add_clause(clause) {
-                            return SatOutcome::Unsat;
+                    TheoryVerdict::Consistent if self.trail.len() == self.num_vars() => {
+                        self.stats.theory_checks += 1;
+                        let assigns = &self.assigns;
+                        match theory.final_check(&|v: BVar| assigns[v as usize] == 1) {
+                            TheoryVerdict::Consistent => {
+                                return SatOutcome::Sat(
+                                    self.assigns.iter().map(|&a| a == 1).collect(),
+                                );
+                            }
+                            TheoryVerdict::Unknown => return SatOutcome::Unknown,
+                            TheoryVerdict::Conflict(clause) => Conflict::Theory(clause),
                         }
                     }
+                    TheoryVerdict::Consistent => {
+                        if conflicts_since_restart >= restart_limit {
+                            self.stats.restarts += 1;
+                            conflicts_since_restart = 0;
+                            restart_limit = restart_limit * 3 / 2;
+                            self.backjump(0, theory);
+                        }
+                        if !self.decide() {
+                            unreachable!("decide fails only when all variables are assigned");
+                        }
+                        continue;
+                    }
+                },
+            };
+            self.stats.conflicts += 1;
+            conflicts_since_restart += 1;
+            if let Some(max) = self.max_conflicts {
+                if self.stats.conflicts > max {
+                    return SatOutcome::Unknown;
                 }
-            } else {
-                if conflicts_since_restart >= restart_limit {
-                    self.stats.restarts += 1;
-                    conflicts_since_restart = 0;
-                    restart_limit = restart_limit * 3 / 2;
-                    self.backtrack_to(0);
-                }
-                if !self.decide() {
-                    unreachable!("decide fails only when all variables are assigned");
-                }
+            }
+            let learned = match conflict {
+                Conflict::Clause(ci) => self.learn(ci, theory),
+                Conflict::Theory(clause) => self.theory_conflict(clause, theory),
+            };
+            if !learned {
+                return SatOutcome::Unsat;
             }
         }
     }
@@ -926,6 +1061,131 @@ mod tests {
         let mut s = solver_with_vars(2);
         let mut theory = RejectAll;
         assert_eq!(s.solve_with(&mut theory), SatOutcome::Unsat);
+    }
+
+    #[test]
+    fn theory_conflict_resumes_at_its_top_level_not_at_root() {
+        // With equal activities the search decides ¬b0, ¬b1, ¬b2, ¬b3 in
+        // turn (levels 1–4). The theory clause b0 ∨ b1 has its top literal
+        // at level 2, so the search learns from level 2 and backjumps to
+        // level 1, asserting b1 there and keeping ¬b0.
+        let mut s = solver_with_vars(4);
+        for _ in 0..4 {
+            assert!(s.decide());
+        }
+        assert_eq!(s.decision_level(), 4);
+        assert!(s.theory_conflict(vec![lit(1, true), lit(0, true)], &mut NoTheory));
+        assert_eq!(s.decision_level(), 1);
+        assert_eq!(s.value_lit(lit(0, false)), 1);
+        assert_eq!(s.value_lit(lit(1, true)), 1);
+        assert_eq!(s.level[1], 1);
+        assert_eq!(s.value_lit(lit(2, true)), UNDEF);
+    }
+
+    /// Mirrors the literals the search sends it, level by level, and
+    /// checks at each final check that the mirror is exactly the
+    /// assignment. Like [`ParityTheory`], it requires an even number of
+    /// true variables among b0..b2, but refutes an odd count as soon as
+    /// all three are asserted.
+    struct MirrorParity {
+        nvars: usize,
+        /// Asserted literals per open level; `levels[0]` is the root.
+        levels: Vec<Vec<Lit>>,
+    }
+
+    impl MirrorParity {
+        fn parity_conflict(&self) -> TheoryVerdict {
+            let parity: Vec<Lit> = self
+                .levels
+                .iter()
+                .flatten()
+                .copied()
+                .filter(|l| l.var() < 3)
+                .collect();
+            if parity.len() == 3 && parity.iter().filter(|l| l.is_positive()).count() % 2 == 1 {
+                TheoryVerdict::Conflict(parity.iter().map(|l| l.negated()).collect())
+            } else {
+                TheoryVerdict::Consistent
+            }
+        }
+    }
+
+    impl Theory for MirrorParity {
+        fn push_level(&mut self) {
+            self.levels.push(Vec::new());
+        }
+
+        fn pop_level(&mut self) {
+            assert!(self.levels.len() > 1, "the root level is never popped");
+            self.levels.pop();
+        }
+
+        fn assert_lit(&mut self, lit: Lit) -> Result<(), Vec<Lit>> {
+            self.levels.last_mut().expect("root level").push(lit);
+            Ok(())
+        }
+
+        fn partial_check(&mut self) -> TheoryVerdict {
+            self.parity_conflict()
+        }
+
+        fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
+            let mut mirror: Vec<Lit> = self.levels.iter().flatten().copied().collect();
+            mirror.sort_unstable();
+            for l in &mirror {
+                assert_eq!(value(l.var()), l.is_positive(), "stale literal {l}");
+            }
+            mirror.dedup_by_key(|l| l.var());
+            assert_eq!(mirror.len(), self.nvars, "every variable asserted once");
+            self.parity_conflict()
+        }
+    }
+
+    #[test]
+    fn incremental_theory_follows_the_trail_on_random_cnfs() {
+        let mut rng = SplitMix64::seed_from_u64(0x7EA1_0DD5);
+        for round in 0..300 {
+            let nvars = 3 + rng.gen_u32_below(6);
+            let clauses: Vec<Vec<Lit>> = (0..rng.gen_u32_below(3 * nvars))
+                .map(|_| {
+                    (0..1 + rng.gen_u32_below(3))
+                        .map(|_| lit(rng.gen_u32_below(nvars), rng.gen_u32_below(2) == 0))
+                        .collect()
+                })
+                .collect();
+            let expected = (0..1u32 << nvars).any(|bits| {
+                (bits & 0b111).count_ones() % 2 == 0
+                    && clauses.iter().all(|c| {
+                        c.iter()
+                            .any(|l| ((bits >> l.var()) & 1 == 1) == l.is_positive())
+                    })
+            });
+            let mut s = solver_with_vars(nvars as usize);
+            let mut ok = true;
+            for c in &clauses {
+                ok &= s.add_clause(c.clone());
+            }
+            let mut theory = MirrorParity {
+                nvars: nvars as usize,
+                levels: vec![Vec::new()],
+            };
+            let outcome = if ok {
+                s.solve_with(&mut theory)
+            } else {
+                SatOutcome::Unsat
+            };
+            match outcome {
+                SatOutcome::Sat(m) => {
+                    assert!(expected, "round {round}: sat, table unsat");
+                    assert_eq!(m[..3].iter().filter(|&&b| b).count() % 2, 0);
+                    for c in &clauses {
+                        assert!(c.iter().any(|l| m[l.var() as usize] == l.is_positive()));
+                    }
+                }
+                SatOutcome::Unsat => assert!(!expected, "round {round}: unsat, table sat"),
+                SatOutcome::Unknown => panic!("round {round}: unexpected unknown"),
+            }
+        }
     }
 
     #[test]

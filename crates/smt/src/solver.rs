@@ -23,7 +23,12 @@ use crate::cnf::CnfBuilder;
 /// Version 2: the incremental session core ([`Solver::session`]) — the
 /// one-shot pipeline now runs through a single-scope session, and the
 /// theory keeps a persistent simplex tableau across checks.
-pub const SOLVER_VERSION: u32 = 2;
+///
+/// Version 3: the CDCL(T) core decides from an activity heap, learns
+/// theory conflicts by backjumping instead of restarting from level 0,
+/// and asserts simplex bounds as the trail grows. The search order
+/// changed, so `Invalid` witnesses differ from version 2's.
+pub const SOLVER_VERSION: u32 = 3;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
 use crate::preprocess::{eliminate_quantifiers, FreshNames};
@@ -419,19 +424,18 @@ impl ScopedSolver<'_> {
         // spent.
         self.cnf.sat.max_conflicts = Some(self.cnf.sat.stats.conflicts + self.solver.max_conflicts);
         let sat_before = self.cnf.sat.stats;
-        let (pivots_before, branch_before) = (self.theory.pivots, self.theory.branch_nodes);
-        let mut check = SessionCheck {
-            atoms: &self.cnf.atoms,
-            pool_len: self.cnf.pool.len(),
-            st: &mut self.theory,
-        };
+        let spx = &self.theory.spx;
+        let (pivots_before, branch_before) = (spx.pivots, spx.branch_nodes);
+        let mut check = SessionCheck::open(&self.cnf.atoms, self.cnf.pool.len(), &mut self.theory);
         let outcome = self.cnf.sat.solve_with(&mut check);
+        check.close();
         self.solver
             .stats
             .sat
             .absorb(&self.cnf.sat.stats.delta_since(&sat_before));
-        self.solver.stats.pivots += self.theory.pivots - pivots_before;
-        self.solver.stats.branch_nodes += self.theory.branch_nodes - branch_before;
+        let spx = &self.theory.spx;
+        self.solver.stats.pivots += spx.pivots - pivots_before;
+        self.solver.stats.branch_nodes += spx.branch_nodes - branch_before;
 
         match outcome {
             SatOutcome::Unsat => SmtResult::Unsat,
@@ -489,8 +493,6 @@ struct SessionTheory {
     branch_budget: u64,
     /// Last feasible model, indexed by pool id.
     last_model: Option<Vec<i128>>,
-    pivots: u64,
-    branch_nodes: u64,
 }
 
 impl SessionTheory {
@@ -501,93 +503,149 @@ impl SessionTheory {
             slack_cache: HashMap::new(),
             branch_budget,
             last_model: None,
-            pivots: 0,
-            branch_nodes: 0,
         }
+    }
+
+    /// The simplex column an atom's linear form bounds: the pool column
+    /// of a single variable with coefficient 1, otherwise a cached slack
+    /// column defined as the form.
+    fn column(&mut self, form: &LinForm) -> VarId {
+        let mut terms = form.iter();
+        if let (Some((x, 1)), None) = (terms.next(), terms.next()) {
+            return self.pool_to_spx[x as usize];
+        }
+        if let Some(&s) = self.slack_cache.get(form) {
+            return s;
+        }
+        let mut spx_form = LinForm::zero();
+        for (pool_id, c) in form.iter() {
+            spx_form.add_term(self.pool_to_spx[pool_id as usize], c);
+        }
+        let s = self.spx.def_var(&spx_form);
+        self.slack_cache.insert(form.clone(), s);
+        s
     }
 }
 
 /// One check's view of the session theory: the current atom table plus
 /// the persistent [`SessionTheory`] (split so the SAT engine can borrow
 /// the atom table immutably while driving the theory mutably).
+///
+/// Bounds follow the SAT trail: each atom literal is asserted as a
+/// simplex bound when it arrives, every decision level is one simplex
+/// scope, and the whole check runs inside one more scope, so no bound
+/// outlives the check ([`SessionCheck::close`]). The rational simplex
+/// runs at each propagation fixpoint that brought a new bound;
+/// branch-and-bound runs on complete assignments only.
 struct SessionCheck<'a> {
     atoms: &'a [Option<IneqAtom>],
-    pool_len: usize,
     st: &'a mut SessionTheory,
+    /// The simplex column of each atom's form, indexed by SAT variable and
+    /// filled on first use.
+    columns: Vec<Option<VarId>>,
+    /// The trail literal behind each bound tag.
+    tag_lits: Vec<Lit>,
+    /// `tag_lits.len()` when each open decision level began.
+    levels: Vec<usize>,
+    /// Whether a bound arrived since the last rational check. Popping a
+    /// level leaves a bound set an earlier fixpoint found feasible, so it
+    /// clears the flag.
+    unchecked: bool,
+}
+
+impl<'a> SessionCheck<'a> {
+    fn open(atoms: &'a [Option<IneqAtom>], pool_len: usize, st: &'a mut SessionTheory) -> Self {
+        // Columns for pool variables interned since the last check.
+        while st.pool_to_spx.len() < pool_len {
+            st.pool_to_spx.push(st.spx.new_var());
+        }
+        st.spx.push();
+        SessionCheck {
+            atoms,
+            st,
+            columns: vec![None; atoms.len()],
+            tag_lits: Vec::new(),
+            levels: Vec::new(),
+            unchecked: false,
+        }
+    }
+
+    /// Retracts every bound this check asserted.
+    fn close(self) {
+        for _ in 0..=self.levels.len() {
+            self.st.spx.pop();
+        }
+    }
+
+    /// The clause that refutes the bounds a simplex conflict names (all
+    /// asserted literals, should the conflict name none).
+    fn explain(&self, c: &crate::simplex::Conflict) -> Vec<Lit> {
+        if c.tags.is_empty() {
+            self.tag_lits.iter().map(|l| l.negated()).collect()
+        } else {
+            c.tags
+                .iter()
+                .map(|&t| self.tag_lits[t as usize].negated())
+                .collect()
+        }
+    }
 }
 
 impl Theory for SessionCheck<'_> {
-    fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
-        let st = &mut *self.st;
-        // Columns for pool variables interned since the last check.
-        while st.pool_to_spx.len() < self.pool_len {
-            st.pool_to_spx.push(st.spx.new_var());
-        }
-        let (pivots_before, branch_before) = (st.spx.pivots, st.spx.branch_nodes);
-        // Bounds asserted for this propositional assignment are scoped to
-        // this check; the tableau itself persists.
-        st.spx.push();
-        let mut tag_lits: Vec<Lit> = Vec::new();
-        let mut all_lits: Vec<Lit> = Vec::new();
+    fn push_level(&mut self) {
+        self.levels.push(self.tag_lits.len());
+        self.st.spx.push();
+    }
 
-        let mut conflict: Option<crate::simplex::Conflict> = None;
-        for (v, atom) in self.atoms.iter().enumerate() {
-            let Some(atom) = atom else { continue };
-            let bvar = v as BVar;
-            let positive = value(bvar);
-            let asserted = if positive {
-                atom.clone()
-            } else {
-                atom.negated()
-            };
-            let lit = Lit::new(bvar, positive);
-            all_lits.push(lit);
-            // Slack column for the linear form (single variables with
-            // coefficient 1 map directly to their pool column).
-            let slack = if asserted.form.len() == 1
-                && asserted.form.iter().next().map(|(_, c)| c) == Some(1)
-            {
-                st.pool_to_spx[asserted.form.iter().next().expect("len checked").0 as usize]
-            } else {
-                match st.slack_cache.get(&asserted.form) {
-                    Some(&s) => s,
-                    None => {
-                        let mut spx_form = LinForm::zero();
-                        for (pool_id, c) in asserted.form.iter() {
-                            spx_form.add_term(st.pool_to_spx[pool_id as usize], c);
-                        }
-                        let s = st.spx.def_var(&spx_form);
-                        st.slack_cache.insert(asserted.form.clone(), s);
-                        s
-                    }
-                }
-            };
-            let tag = tag_lits.len() as u32;
-            tag_lits.push(lit);
-            let r = match asserted.kind {
-                BoundKind::Upper => st
-                    .spx
-                    .assert_upper(slack, Rat::int(asserted.bound), Some(tag)),
-                BoundKind::Lower => st
-                    .spx
-                    .assert_lower(slack, Rat::int(asserted.bound), Some(tag)),
-            };
-            if let Err(c) = r {
-                conflict = Some(c);
-                break;
-            }
-        }
-        let result = match conflict {
-            Some(c) => IntCheck::Infeasible(c),
+    fn pop_level(&mut self) {
+        let len = self.levels.pop().expect("pop_level without push_level");
+        self.tag_lits.truncate(len);
+        self.st.spx.pop();
+        self.unchecked = false;
+    }
+
+    fn assert_lit(&mut self, lit: Lit) -> Result<(), Vec<Lit>> {
+        let v = lit.var() as usize;
+        let Some(atom) = &self.atoms[v] else {
+            return Ok(());
+        };
+        // Atoms are upper-bound canonical: `f ≤ b`, negated `f ≥ b + 1`.
+        debug_assert!(matches!(atom.kind, BoundKind::Upper));
+        let column = match self.columns[v] {
+            Some(c) => c,
             None => {
-                let mut budget = st.branch_budget;
-                st.spx.check_int(&mut budget)
+                let c = self.st.column(&atom.form);
+                self.columns[v] = Some(c);
+                c
             }
         };
-        st.spx.pop();
-        st.pivots += st.spx.pivots - pivots_before;
-        st.branch_nodes += st.spx.branch_nodes - branch_before;
-        match result {
+        let tag = Some(self.tag_lits.len() as u32);
+        self.tag_lits.push(lit);
+        let asserted = if lit.is_positive() {
+            self.st.spx.assert_upper(column, Rat::int(atom.bound), tag)
+        } else {
+            self.st
+                .spx
+                .assert_lower(column, Rat::int(atom.bound + 1), tag)
+        };
+        self.unchecked = true;
+        asserted.map_err(|c| self.explain(&c))
+    }
+
+    fn partial_check(&mut self) -> TheoryVerdict {
+        if !std::mem::take(&mut self.unchecked) {
+            return TheoryVerdict::Consistent;
+        }
+        match self.st.spx.check() {
+            Ok(()) => TheoryVerdict::Consistent,
+            Err(c) => TheoryVerdict::Conflict(self.explain(&c)),
+        }
+    }
+
+    fn final_check(&mut self, _value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
+        let st = &mut *self.st;
+        let mut budget = st.branch_budget;
+        match st.spx.check_int(&mut budget) {
             IntCheck::Feasible(values) => {
                 st.last_model = Some(
                     st.pool_to_spx
@@ -598,18 +656,7 @@ impl Theory for SessionCheck<'_> {
                 TheoryVerdict::Consistent
             }
             IntCheck::Unknown => TheoryVerdict::Unknown,
-            IntCheck::Infeasible(c) => {
-                let clause: Vec<Lit> = if c.tags.is_empty() {
-                    // Fall back to the full assignment as the explanation.
-                    all_lits.iter().map(|l| l.negated()).collect()
-                } else {
-                    c.tags
-                        .iter()
-                        .map(|&t| tag_lits[t as usize].negated())
-                        .collect()
-                };
-                TheoryVerdict::Conflict(clause)
-            }
+            IntCheck::Infeasible(c) => TheoryVerdict::Conflict(self.explain(&c)),
         }
     }
 }
@@ -968,7 +1015,11 @@ mod tests {
         drop(session);
         assert_eq!(solver.stats(), total);
         assert_eq!(total.queries, 2, "one query per scoped check");
-        assert!(total.sat.theory_checks > first.sat.theory_checks);
+        // The second goal's x ≤ -6 contradicts x ≥ 0 as soon as the root
+        // bounds are asserted: a theory conflict, counted as a conflict,
+        // with no final check of a complete assignment.
+        assert!(total.sat.conflicts > first.sat.conflicts);
+        assert_eq!(total.sat.theory_checks, first.sat.theory_checks);
         assert!(
             total.atoms > first.atoms,
             "each check contributes its problem's atom count"

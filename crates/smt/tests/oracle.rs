@@ -161,6 +161,66 @@ fn solver_matches_brute_force() {
     }
 }
 
+/// Random session scripts: each step asserts a formula, pushes, pops, or
+/// checks, and every check is compared against brute force over the
+/// conjunction of the assertions still live (every `Sat` model is
+/// evaluated against them), so learnt clauses, theory bounds and
+/// root-level implications that outlive their scope would show up as a
+/// wrong verdict.
+#[test]
+fn session_scripts_match_brute_force() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_0003);
+    for script in 0..300 {
+        let mut solver = Solver::new();
+        let mut session = solver.session();
+        session.assert(&boxed(&BTerm::True));
+        // Live assertions, one frame per open scope.
+        let mut frames: Vec<Vec<BTerm>> = vec![Vec::new()];
+        for step in 0..12 {
+            match rng.gen_u32_below(5) {
+                0 | 1 => {
+                    let b = gen_qf_formula(&mut rng, 2);
+                    session.assert(&b);
+                    frames.last_mut().expect("base frame").push(b);
+                }
+                2 => {
+                    session.push();
+                    frames.push(Vec::new());
+                }
+                3 if frames.len() > 1 => {
+                    session.pop();
+                    frames.pop();
+                }
+                _ => {
+                    let live: Vec<&BTerm> = frames.iter().flatten().collect();
+                    let conjunction = live
+                        .iter()
+                        .fold(BTerm::True, |acc, b| acc.and((*b).clone()));
+                    let expected = brute_force_sat(&conjunction);
+                    match session.check_sat() {
+                        SmtResult::Sat(model) => {
+                            assert!(expected, "script {script} step {step}: spurious sat");
+                            let env = |name: &str| model.get(name).unwrap_or(0);
+                            for b in &live {
+                                assert!(
+                                    eval_formula(b, &env),
+                                    "script {script} step {step}: model {model} violates {b:?}"
+                                );
+                            }
+                        }
+                        SmtResult::Unsat => {
+                            assert!(!expected, "script {script} step {step}: spurious unsat");
+                        }
+                        SmtResult::Unknown(reason) => {
+                            panic!("script {script} step {step}: unknown: {reason}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Validity of `b ∨ ¬b` style combinations: `check_valid(φ ∨ ¬φ)` must
 /// always be valid and `check_valid(φ ∧ ¬φ)` never.
 #[test]

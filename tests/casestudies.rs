@@ -6,6 +6,7 @@ use relaxed_programs::casestudies;
 use relaxed_programs::interp::oracle::{ExtremalOracle, IdentityOracle, RandomOracle};
 use relaxed_programs::interp::{check_compat, run_original, run_relaxed, Oracle, Outcome};
 use relaxed_programs::lang::{State, Var};
+use relaxed_programs::smt::Validity;
 use relaxed_programs::Verifier;
 
 const FUEL: u64 = 10_000_000;
@@ -63,6 +64,51 @@ fn lu_broken_fails() {
         !report.relative_relaxed_progress(),
         "a 2e relaxation cannot satisfy an e-Lipschitz relate"
     );
+}
+
+/// The status of every VC of the six-program corpus, in generation order:
+/// `V` valid, `I` invalid, `U` unknown. Witnesses are left out, because
+/// they depend on the search order. A solver change that flips a status
+/// (say, lu_broken's `Unknown` into `Invalid`) fails here.
+#[test]
+fn corpus_vc_statuses_are_pinned() {
+    let report = Verifier::builder()
+        .workers(1)
+        .build()
+        .check_corpus_named(&casestudies::corpus());
+    let statuses: Vec<(String, String)> = report
+        .entries
+        .iter()
+        .map(|entry| {
+            let outcome = entry.outcome.as_ref().expect("the corpus verifies");
+            let letters = outcome
+                .combined()
+                .results
+                .iter()
+                .map(|r| match r.verdict {
+                    Validity::Valid => 'V',
+                    Validity::Invalid(_) => 'I',
+                    Validity::Unknown(_) => 'U',
+                })
+                .collect();
+            (entry.name.clone(), letters)
+        })
+        .collect();
+    let expected = [
+        ("swish", "VVVVVVV"),
+        ("water", "VVVVVVV"),
+        ("lu", "VVVVV"),
+        ("swish_broken", "VVIVVVV"),
+        ("water_broken", "VVIVVVV"),
+        ("lu_broken", "VVVVU"),
+    ];
+    let expected: Vec<(String, String)> = expected
+        .iter()
+        .map(|&(name, letters)| (name.to_string(), letters.to_string()))
+        .collect();
+    assert_eq!(statuses, expected);
+    let vcs: usize = statuses.iter().map(|(_, letters)| letters.len()).sum();
+    assert_eq!(vcs, 38);
 }
 
 /// Dynamic counterpart of Theorem 6 for Swish++: across knob/N settings
