@@ -9,8 +9,11 @@
 //! Coq. No external prover is available to this reproduction, so this
 //! crate implements the required fragment from scratch:
 //!
-//! * [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS, 1UIP
-//!   learning, restarts) that accepts a pluggable theory;
+//! * [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS decisions
+//!   from an activity heap, 1UIP learning, restarts) that drives a
+//!   pluggable theory incrementally: literals are asserted as the trail
+//!   grows, checked at each propagation fixpoint, retracted level by
+//!   level, and theory conflicts backjump like boolean ones;
 //! * [`simplex`] — a Dutertre–de Moura general simplex over exact
 //!   rationals ([`rational`]) with branch-and-bound integrality;
 //! * [`preprocess`] — NNF, the one-point rule, *exact* quantifier

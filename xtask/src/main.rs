@@ -102,6 +102,18 @@ const CI_EXAMPLES_BENCH: &[Step] = &[
         &["cargo", "run", "--release", "--example", "verify_corpus"],
         &[],
     ),
+    // The benchmark's self-tests: known answers, and exact repetition of
+    // the traced cold_corpus solver counters across ops, runs and seeds.
+    Step(
+        &[
+            "cargo",
+            "test",
+            "--release",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+        ],
+        &[],
+    ),
     // The edit-reverify job: patch one case-study spec against a warm
     // store and assert the solver re-ran exactly once per goal the edit
     // dirtied, with an untouched sibling replayed verbatim (the example
