@@ -199,11 +199,11 @@ impl Daemon {
         self.signal.notify_all();
     }
 
-    /// Replaces a killed worker with a freshly spawned one, shrinking the
-    /// fleet (loudly) when the spawn fails.
-    fn respawn(&self) {
+    /// Spawns the replacement for a killed worker, shrinking the fleet
+    /// (loudly) when the spawn fails.
+    fn respawn(&self) -> Option<WorkerHandle> {
         match WorkerHandle::spawn(&self.binary, &self.config_frame, self.config.ready_timeout) {
-            Ok(worker) => self.checkin(worker),
+            Ok(worker) => Some(worker),
             Err(e) => {
                 let mut state = self.state.lock().expect("service state");
                 state.alive -= 1;
@@ -213,6 +213,7 @@ impl Daemon {
                 crate::diag::warn(format_args!(
                     "{SERVICE_BINARY}: failed to respawn a fleet worker ({alive} left): {e}"
                 ));
+                None
             }
         }
     }
@@ -224,10 +225,14 @@ impl Daemon {
         let job_started = Instant::now();
         let mut attempts = 0u32;
         let mut last_error = String::new();
+        let mut replacement = None;
         while attempts < MAX_ATTEMPTS {
-            let mut worker = match self.checkout() {
-                Ok(worker) => worker,
-                Err(e) => return render_error_frame(id, &e),
+            let mut worker = match replacement.take() {
+                Some(worker) => worker,
+                None => match self.checkout() {
+                    Ok(worker) => worker,
+                    Err(e) => return render_error_frame(id, &e),
+                },
             };
             attempts += 1;
             match relay_job(&mut worker, id, line, self.config.job_timeout) {
@@ -244,13 +249,19 @@ impl Daemon {
                 }
                 Err(e) => {
                     // The channel is desynchronized: kill this worker and
-                    // retry on a freshly spawned replacement, exactly like
-                    // the shard coordinator.
+                    // retry on its freshly spawned replacement, exactly
+                    // like the shard coordinator. Handing the replacement
+                    // back to the idle fleet instead would let another job
+                    // take it, and this one retry on a worker that may
+                    // carry the same fault.
                     last_error = e;
                     worker.kill();
-                    self.respawn();
+                    replacement = self.respawn();
                 }
             }
+        }
+        if let Some(worker) = replacement {
+            self.checkin(worker);
         }
         render_error_frame(
             id,
