@@ -9,14 +9,6 @@
 //! * `discharge_parallel` — the verification engine's 1-vs-N-worker
 //!   discharge throughput over the combined case-study obligation set,
 //!   with cache-hit rates;
-//! * `discharge_incremental` — cold discharge with grouped push/pop
-//!   solver sessions vs one fresh solver per goal, on the corpus
-//!   obligations and on a synthetic shared-hypothesis family
-//!   (verdict-identical by construction; the timing gap is the
-//!   incremental speedup), with simplex-pivot gauges;
-//! * `static_prefilter` — cold corpus discharge with the goal-level
-//!   static analysis layer on vs off (verdict-identical by
-//!   construction), with static-hit and group-rate gauges;
 //! * `check_corpus` — corpus-scale batch verification of all six
 //!   case-study programs through one `Verifier` session;
 //! * `telemetry_overhead` — the same cold corpus untraced (telemetry's
@@ -40,9 +32,7 @@
 //! * `smt_*` — microbenchmarks of the solver substrate.
 
 use relaxed_bench::harness::{BenchmarkId, Criterion};
-use relaxed_bench::{
-    corpus_view, lu_state, run_pair, shared_hypothesis_vcs, spec_variant_corpus, water_state,
-};
+use relaxed_bench::{corpus_view, lu_state, run_pair, spec_variant_corpus, water_state};
 use relaxed_bench::{criterion_group, criterion_main};
 use relaxed_core::engine::{DischargeConfig, DischargeEngine};
 use relaxed_core::Verifier;
@@ -130,160 +120,6 @@ fn discharge_parallel(c: &mut Criterion) {
         "discharge_parallel/unique_goals",
         report.engine.unique_goals as f64,
     );
-}
-
-fn discharge_incremental(c: &mut Criterion) {
-    let mut group = c.benchmark_group("discharge_incremental");
-    group.sample_size(10);
-    // Cold discharge of the full corpus obligation set (working and
-    // broken case studies) with and without the grouped session path:
-    // identical verdicts, different solver reuse. The two timings side
-    // by side in BENCH_<date>.json are the measured incremental speedup.
-    let session = Verifier::new();
-    let vcs: Vec<_> = casestudies::corpus()
-        .into_iter()
-        .flat_map(|(_, program, spec)| session.vcs(&program, &spec).unwrap())
-        .collect();
-    // Prefilter pinned off so both columns measure solver-session reuse
-    // alone — statically proved goals never reach a session, and the
-    // `static_prefilter` group measures that layer separately.
-    let engine = |incremental: bool| {
-        DischargeEngine::with_config(DischargeConfig {
-            workers: 1,
-            incremental,
-            prefilter: false,
-            ..DischargeConfig::default()
-        })
-    };
-    // A synthetic family of unique pure-linear goals under shared
-    // hypotheses — the workload shape the grouped session path exists
-    // for (corpus VCs rarely share a hypothesis verbatim, so the corpus
-    // rows mostly measure that the grouping pass itself is free).
-    let family = shared_hypothesis_vcs(4, 32);
-    for (label, incremental) in [("scoped_sessions", true), ("fresh_solvers", false)] {
-        group.bench_with_input(
-            BenchmarkId::new("corpus_vcs", label),
-            &incremental,
-            |b, &incremental| b.iter(|| engine(incremental).discharge(vcs.clone())),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("shared_hypothesis_vcs", label),
-            &incremental,
-            |b, &incremental| b.iter(|| engine(incremental).discharge(family.clone())),
-        );
-    }
-    group.finish();
-    // Verdict-equivalence gate plus tracked reuse gauges: on both
-    // workloads the scoped path must answer every obligation with the
-    // same status; on the shared-hypothesis family it must also do less
-    // simplex work (each hypothesis is asserted and pivoted once per
-    // group, not once per goal).
-    for (workload, vcs) in [("corpus", vcs), ("shared_hypothesis", family)] {
-        let fresh = engine(false).discharge(vcs.clone());
-        let scoped = engine(true).discharge(vcs);
-        assert_eq!(fresh.len(), scoped.len());
-        for (a, b) in fresh.results.iter().zip(&scoped.results) {
-            assert_eq!(
-                std::mem::discriminant(&a.verdict),
-                std::mem::discriminant(&b.verdict),
-                "incremental discharge changed the verdict of {}",
-                a.vc
-            );
-        }
-        eprintln!(
-            "discharge_incremental/{workload}: {} VCs; fresh {} pivots / {} theory checks, scoped {} / {}",
-            fresh.len(),
-            fresh.stats.pivots,
-            fresh.stats.sat.theory_checks,
-            scoped.stats.pivots,
-            scoped.stats.sat.theory_checks
-        );
-        c.report_metric(
-            &format!("discharge_incremental/{workload}_fresh_pivots"),
-            fresh.stats.pivots as f64,
-        );
-        c.report_metric(
-            &format!("discharge_incremental/{workload}_scoped_pivots"),
-            scoped.stats.pivots as f64,
-        );
-    }
-}
-
-fn static_prefilter(c: &mut Criterion) {
-    let mut group = c.benchmark_group("static_prefilter");
-    group.sample_size(10);
-    // Cold corpus discharge with the goal-level static analysis layer on
-    // vs off: the interval/difference-bound prefilter proves a slice of
-    // the obligations with zero solver work, and normalized hypotheses
-    // group more goals into shared sessions than verbatim matching. The
-    // two timings side by side are the layer's measured cost/benefit.
-    let session = Verifier::new();
-    let vcs: Vec<_> = casestudies::corpus()
-        .into_iter()
-        .flat_map(|(_, program, spec)| session.vcs(&program, &spec).unwrap())
-        .collect();
-    let engine = |prefilter: bool| {
-        DischargeEngine::with_config(DischargeConfig {
-            prefilter,
-            ..DischargeConfig::sequential()
-        })
-    };
-    for (label, prefilter) in [("analysis_on", true), ("analysis_off", false)] {
-        group.bench_with_input(
-            BenchmarkId::new("corpus_vcs", label),
-            &prefilter,
-            |b, &prefilter| b.iter(|| engine(prefilter).discharge(vcs.clone())),
-        );
-    }
-    group.finish();
-    // Verdict-equivalence gate plus tracked gauges: the analysis layer
-    // must answer every obligation with the same status, prove at least
-    // one goal statically, and strictly raise the group rate over the
-    // verbatim baseline (discharge units = distinct group keys + fresh
-    // goals).
-    let off = engine(false).discharge(vcs.clone());
-    let on = engine(true).discharge(vcs.clone());
-    assert_eq!(off.len(), on.len());
-    for (a, b) in off.results.iter().zip(&on.results) {
-        assert_eq!(
-            std::mem::discriminant(&a.verdict),
-            std::mem::discriminant(&b.verdict),
-            "the static analysis layer changed the verdict of {}",
-            a.vc
-        );
-    }
-    assert!(on.engine.static_hits >= 1, "corpus has static hits");
-    let mut verbatim_groups = std::collections::HashSet::new();
-    let mut normalized_groups = std::collections::HashSet::new();
-    let (mut verbatim_fresh, mut normalized_fresh) = (0usize, 0usize);
-    for vc in &vcs {
-        match relaxed_core::group_keys(&relaxed_core::engine::encode_goal(vc)) {
-            Some(keys) => {
-                normalized_groups.insert(keys.normalized);
-                match keys.verbatim {
-                    Some(v) => {
-                        verbatim_groups.insert(v);
-                    }
-                    None => verbatim_fresh += 1,
-                }
-            }
-            None => {
-                verbatim_fresh += 1;
-                normalized_fresh += 1;
-            }
-        }
-    }
-    let verbatim_units = (verbatim_groups.len() + verbatim_fresh) as f64;
-    let normalized_units = (normalized_groups.len() + normalized_fresh) as f64;
-    assert!(normalized_units < verbatim_units);
-    eprintln!(
-        "static_prefilter: {} VCs; {} static hits; {verbatim_units} verbatim units vs {normalized_units} normalized",
-        vcs.len(),
-        on.engine.static_hits,
-    );
-    c.report_metric("static_prefilter/static_hits", on.engine.static_hits as f64);
-    c.report_metric("static_prefilter/verbatim_units", verbatim_units);
-    c.report_metric("static_prefilter/normalized_units", normalized_units);
 }
 
 fn corpus_batch(c: &mut Criterion) {
@@ -778,8 +614,6 @@ criterion_group!(
     benches,
     verification,
     discharge_parallel,
-    discharge_incremental,
-    static_prefilter,
     corpus_batch,
     telemetry_overhead,
     persistent_cache,

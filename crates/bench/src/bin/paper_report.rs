@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run -p relaxed-bench --bin paper_report --release`
 
-use relaxed_bench::{lu_state, run_pair, shared_hypothesis_vcs, water_state};
+use relaxed_bench::{lu_state, run_pair, water_state};
 use relaxed_core::engine::{DischargeConfig, DischargeEngine};
 use relaxed_core::{Stage, Verifier};
 use relaxed_interp::{run_original, run_relaxed, ExtremalOracle, IdentityOracle};
@@ -467,164 +467,23 @@ fn main() {
     let _ = std::fs::remove_file(&shard_cache_single);
     let _ = std::fs::remove_file(&shard_cache_multi);
 
-    // ---- E11 incremental grouped discharge ----
-    println!("\n## E11: incremental grouped discharge (scoped solver sessions)\n");
-    println!(
-        "Cold-cache discharge with pure-linear goals grouped by shared \
-         hypothesis into one push/pop solver session per group, vs one \
-         fresh solver per goal. Verdicts are asserted identical per VC; \
-         the wall-clock columns are measured, not asserted.\n"
-    );
-    println!("| workload | VCs | fresh solvers | scoped sessions | speedup | pivots saved |");
-    println!("|---|---|---|---|---|---|");
-    let vc_session = Verifier::new();
-    let mut workloads: Vec<(&str, Vec<_>)> = corpus
-        .iter()
-        .map(|(name, program, spec)| (*name, vc_session.vcs(program, spec).unwrap()))
-        .collect();
-    let combined: Vec<_> = workloads.iter().flat_map(|(_, vcs)| vcs.clone()).collect();
-    workloads.push(("whole corpus", combined));
-    // Corpus VCs rarely share a hypothesis verbatim, so the rows above
-    // mostly show the grouping pass is free; the synthetic family (4
-    // shared pure-linear hypotheses × 32 unique conclusions) is the
-    // workload shape the scoped-session path exists for.
-    workloads.push(("shared-hypothesis family", shared_hypothesis_vcs(4, 32)));
-    // A fresh sequential engine per run: every row is a cold cache, so
-    // the comparison isolates solver construction/reuse, not caching.
-    // The static prefilter is pinned off so neither column's goals are
-    // discharged before they reach a solver (§E12 measures that layer).
-    let discharge = |vcs: &Vec<_>, incremental: bool| {
-        DischargeEngine::with_config(DischargeConfig {
-            incremental,
-            prefilter: false,
-            ..DischargeConfig::sequential()
-        })
-        .discharge(vcs.clone())
-    };
-    let mut fresh_total = 0.0f64;
-    let mut scoped_total = 0.0f64;
-    for (name, vcs) in &workloads {
-        let t_fresh = Instant::now();
-        let fresh = discharge(vcs, false);
-        let fresh_elapsed = t_fresh.elapsed();
-        let t_scoped = Instant::now();
-        let scoped = discharge(vcs, true);
-        let scoped_elapsed = t_scoped.elapsed();
-        for (a, b) in fresh.results.iter().zip(&scoped.results) {
-            // The status is the verdict; an Invalid countermodel is a
-            // witness and may legitimately differ between searches.
-            assert_eq!(
-                std::mem::discriminant(&a.verdict),
-                std::mem::discriminant(&b.verdict),
-                "{name}/{}: incremental discharge changed the verdict",
-                a.vc.name
-            );
-        }
-        let saved = i128::from(fresh.stats.pivots) - i128::from(scoped.stats.pivots);
-        println!(
-            "| {name} | {} | {fresh_elapsed:.1?} | {scoped_elapsed:.1?} | {:.2}x | {saved} |",
-            fresh.len(),
-            fresh_elapsed.as_secs_f64() / scoped_elapsed.as_secs_f64().max(1e-9),
-        );
-        if *name == "shared-hypothesis family" {
-            fresh_total = fresh_elapsed.as_secs_f64();
-            scoped_total = scoped_elapsed.as_secs_f64();
-        }
-    }
-    println!(
-        "\ncold-path speedup on the shared-hypothesis family: {:.2}x (scoped sessions vs fresh solvers; measured, not asserted)",
-        fresh_total / scoped_total.max(1e-9)
-    );
-
     // ---- E12 goal-level static analysis layer ----
-    println!("\n## E12: goal-level static analysis (prefilter + hypothesis normalization)\n");
-    println!(
-        "Corpus discharge with the static analysis layer on vs off: the \
-         interval/difference-bound prefilter proves trivially-valid goals \
-         with zero solver work, and normalized (split, sliced, sorted) \
-         hypotheses group more goals into shared sessions than PR 6's \
-         verbatim-hypothesis baseline. Verdicts are asserted identical; \
-         wall-clock is measured, not asserted.\n"
-    );
+    println!("\n## E12: goal-level static analysis (prefilter)\n");
+    let vc_session = Verifier::new();
     let corpus_vcs: Vec<_> = corpus
         .iter()
         .flat_map(|(_, program, spec)| vc_session.vcs(program, spec).unwrap())
         .collect();
-    let static_discharge = |prefilter: bool| {
-        DischargeEngine::with_config(DischargeConfig {
-            prefilter,
-            ..DischargeConfig::sequential()
-        })
-        .discharge(corpus_vcs.clone())
-    };
-    let t_off = Instant::now();
-    let off = static_discharge(false);
-    let off_elapsed = t_off.elapsed();
-    let t_on = Instant::now();
-    let on = static_discharge(true);
-    let on_elapsed = t_on.elapsed();
-    for (a, b) in off.results.iter().zip(&on.results) {
-        assert_eq!(
-            std::mem::discriminant(&a.verdict),
-            std::mem::discriminant(&b.verdict),
-            "{}: the static analysis layer changed the verdict",
-            a.vc.name
-        );
-    }
+    let report = DischargeEngine::with_config(DischargeConfig::sequential()).discharge(corpus_vcs);
     assert!(
-        on.engine.static_hits >= 1,
+        report.engine.static_hits >= 1,
         "the corpus has statically provable goals"
     );
-    assert_eq!(off.engine.static_hits, 0);
-    // Group-rate gauge: discharge units (one per group of goals sharing
-    // a grouping key, one per fresh-solved goal) under PR 6's verbatim
-    // baseline vs the normalized-hypothesis scheme.
-    let mut verbatim_groups = std::collections::HashSet::new();
-    let mut normalized_groups = std::collections::HashSet::new();
-    let (mut verbatim_fresh, mut normalized_fresh) = (0usize, 0usize);
-    for vc in &corpus_vcs {
-        match relaxed_core::group_keys(&relaxed_core::engine::encode_goal(vc)) {
-            Some(keys) => {
-                normalized_groups.insert(keys.normalized);
-                match keys.verbatim {
-                    Some(v) => {
-                        verbatim_groups.insert(v);
-                    }
-                    None => verbatim_fresh += 1,
-                }
-            }
-            None => {
-                verbatim_fresh += 1;
-                normalized_fresh += 1;
-            }
-        }
-    }
-    let verbatim_units = verbatim_groups.len() + verbatim_fresh;
-    let normalized_units = normalized_groups.len() + normalized_fresh;
-    assert!(
-        normalized_units < verbatim_units,
-        "normalized grouping must strictly beat the verbatim baseline"
-    );
-    println!("| gauge | off | on |");
-    println!("|---|---|---|");
-    println!("| wall-clock (corpus, cold cache) | {off_elapsed:.1?} | {on_elapsed:.1?} |");
     println!(
-        "| goals discharged with zero solver work | 0 | {} |",
-        on.engine.static_hits
-    );
-    println!(
-        "| solver queries | {} | {} |",
-        off.stats.queries, on.stats.queries
-    );
-    println!(
-        "| discharge units over {} corpus goals | {verbatim_units} (verbatim baseline) | {normalized_units} (normalized) |",
-        corpus_vcs.len()
-    );
-    println!(
-        "\ngroup rate: {:.2} goals/unit normalized vs {:.2} verbatim; {} goals proved statically",
-        corpus_vcs.len() as f64 / normalized_units as f64,
-        corpus_vcs.len() as f64 / verbatim_units as f64,
-        on.engine.static_hits,
+        "{} of {} distinct corpus goals proved by the interval/difference-bound prefilter with zero solver work; {} solver queries",
+        report.engine.static_hits,
+        report.engine.cache_misses,
+        report.stats.queries,
     );
 
     // ---- E13 networked verification service ----

@@ -10,40 +10,10 @@
 
 pub mod harness;
 
-use relaxed_core::vcgen::{Vc, VcBody};
 use relaxed_core::Spec;
 use relaxed_interp::oracle::{IdentityOracle, RandomOracle};
 use relaxed_interp::{run_original, run_relaxed, Outcome};
 use relaxed_lang::{parse_formula, Program, State, Var};
-
-/// Builds a synthetic obligation family exercising the engine's
-/// incremental grouped-discharge path: `families` quantifier-free
-/// pure-linear hypotheses, each shared by `per_family` distinct
-/// conclusions. Every goal is unique (no dedup hits), every goal is
-/// valid, and within a family the hypothesis is structurally identical —
-/// the exact shape the engine discharges through one push/pop solver
-/// session per family.
-pub fn shared_hypothesis_vcs(families: usize, per_family: usize) -> Vec<Vc> {
-    let mut vcs = Vec::with_capacity(families * per_family);
-    for f in 0..families {
-        // A moderately wide hypothesis (chained bounds over four
-        // variables), so re-asserting it per goal has measurable cost.
-        let bound = 100 + f as i64;
-        let hyp = format!(
-            "x >= 0 && x <= {bound} && y >= x && y <= x + {bound} && z >= y && z <= y + {bound} && w >= z"
-        );
-        for i in 0..per_family {
-            let source = format!("{hyp} ==> w + {i} >= x");
-            vcs.push(Vc {
-                name: format!("family-{f}-goal-{i}"),
-                context: "shared-hypothesis benchmark family".to_string(),
-                body: VcBody::Unary(parse_formula(&source).expect("benchmark formula parses")),
-                deps: Vec::new(),
-            });
-        }
-    }
-    vcs
-}
 
 /// Builds a `variants`-revision spec corpus from the verified §5 case
 /// studies: variant `k` of each program strengthens its precondition

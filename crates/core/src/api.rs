@@ -20,7 +20,9 @@
 //! environment > default precedence; the environment is an explicit
 //! opt-in ([`VerifierBuilder::env`] / [`Config::from_env`]) that reports
 //! malformed variables as [`EnvWarning`]s instead of silently dropping
-//! them.
+//! them. No knob selects how a goal is discharged: the engine always
+//! runs the static prefilter, then one fresh solver per remaining goal
+//! (see [`crate::engine`]).
 //!
 //! The session's verdict cache can outlive the process: a
 //! [`CachePolicy::Persistent`] session ([`VerifierBuilder::cache_file`]
@@ -274,15 +276,6 @@ pub struct Config {
     /// Branch-and-bound node budget per theory check (see
     /// [`Solver::branch_budget`](relaxed_smt::Solver::branch_budget)).
     pub branch_budget: u64,
-    /// Whether goals sharing a pure-linear hypothesis are discharged
-    /// incrementally through one solver session per group (see
-    /// [`DischargeConfig::incremental`]); on by default,
-    /// verdict-equivalent either way.
-    pub incremental: bool,
-    /// Whether the goal-level static analysis layer runs in front of the
-    /// solver (see [`DischargeConfig::prefilter`]); on by default,
-    /// verdict-equivalent either way.
-    pub prefilter: bool,
     /// Verdict-cache scoping.
     pub cache: CachePolicy,
     /// Entry cap for the persistent verdict store (`0` = unbounded):
@@ -335,8 +328,6 @@ impl Default for Config {
             workers: discharge.workers,
             max_conflicts: discharge.max_conflicts,
             branch_budget: discharge.branch_budget,
-            incremental: discharge.incremental,
-            prefilter: discharge.prefilter,
             cache: CachePolicy::default(),
             cache_max: 0,
             stages: StageSet::default(),
@@ -377,11 +368,7 @@ impl fmt::Display for EnvWarning {
 impl Config {
     /// The default configuration with the environment opt-in layer
     /// applied: `DISCHARGE_WORKERS` (`0` = auto), `DISCHARGE_CONFLICTS`,
-    /// `DISCHARGE_BRANCH_BUDGET`, `DISCHARGE_INCREMENTAL` (`0` disables
-    /// the grouped session discharge, `1` — the default — enables it),
-    /// `DISCHARGE_PREFILTER` (`0` disables the goal-level static
-    /// analysis layer, `1` — the default — enables it),
-    /// `DISCHARGE_CACHE` (a file path
+    /// `DISCHARGE_BRANCH_BUDGET`, `DISCHARGE_CACHE` (a file path
     /// selecting [`CachePolicy::Persistent`]), `DISCHARGE_CACHE_MAX`
     /// (persistent-store entry cap, `0` = unbounded), `DISCHARGE_SHARDS`
     /// (`0` = in-process, `n ≥ 1` = [`CorpusPolicy::Sharded`] across `n`
@@ -463,28 +450,6 @@ impl Config {
                 }),
             }
         }
-        if let Some(raw) = lookup("DISCHARGE_INCREMENTAL") {
-            match raw.trim() {
-                "0" => config.incremental = false,
-                "1" => config.incremental = true,
-                _ => warnings.push(EnvWarning {
-                    var: "DISCHARGE_INCREMENTAL",
-                    value: raw,
-                    expected: "0 or 1",
-                }),
-            }
-        }
-        if let Some(raw) = lookup("DISCHARGE_PREFILTER") {
-            match raw.trim() {
-                "0" => config.prefilter = false,
-                "1" => config.prefilter = true,
-                _ => warnings.push(EnvWarning {
-                    var: "DISCHARGE_PREFILTER",
-                    value: raw,
-                    expected: "0 or 1",
-                }),
-            }
-        }
         if let Some(raw) = lookup("DISCHARGE_CACHE") {
             let path = raw.trim();
             if path.is_empty() {
@@ -549,8 +514,6 @@ impl Config {
             workers: self.workers,
             max_conflicts: self.max_conflicts,
             branch_budget: self.branch_budget,
-            incremental: self.incremental,
-            prefilter: self.prefilter,
             ready_timeout: self.ready_timeout,
             job_timeout: self.job_timeout,
         }
@@ -567,8 +530,6 @@ pub struct VerifierBuilder {
     workers: Option<usize>,
     max_conflicts: Option<u64>,
     branch_budget: Option<u64>,
-    incremental: Option<bool>,
-    prefilter: Option<bool>,
     cache: Option<CachePolicy>,
     cache_max: Option<usize>,
     stages: Option<StageSet>,
@@ -605,22 +566,6 @@ impl VerifierBuilder {
     /// Branch-and-bound node budget per theory check.
     pub fn branch_budget(mut self, branch_budget: u64) -> Self {
         self.branch_budget = Some(branch_budget);
-        self
-    }
-
-    /// Toggles the incremental grouped session discharge (see
-    /// [`DischargeConfig::incremental`]). On by default.
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.incremental = Some(incremental);
-        self
-    }
-
-    /// Toggles the goal-level static analysis layer — the
-    /// abstract-interpretation prefilter and hypothesis
-    /// normalization/slicing (see [`DischargeConfig::prefilter`]). On by
-    /// default; verdicts are identical either way.
-    pub fn prefilter(mut self, prefilter: bool) -> Self {
-        self.prefilter = Some(prefilter);
         self
     }
 
@@ -729,8 +674,6 @@ impl VerifierBuilder {
         self.workers = Some(config.workers);
         self.max_conflicts = Some(config.max_conflicts);
         self.branch_budget = Some(config.branch_budget);
-        self.incremental = Some(config.incremental);
-        self.prefilter = Some(config.prefilter);
         self.cache = Some(config.cache);
         self.cache_max = Some(config.cache_max);
         self.stages = Some(config.stages);
@@ -755,8 +698,6 @@ impl VerifierBuilder {
             workers: self.workers.unwrap_or(base.workers),
             max_conflicts: self.max_conflicts.unwrap_or(base.max_conflicts),
             branch_budget: self.branch_budget.unwrap_or(base.branch_budget),
-            incremental: self.incremental.unwrap_or(base.incremental),
-            prefilter: self.prefilter.unwrap_or(base.prefilter),
             cache: self.cache.unwrap_or(base.cache),
             cache_max: self.cache_max.unwrap_or(base.cache_max),
             stages: self.stages.unwrap_or(base.stages),
@@ -1912,49 +1853,6 @@ mod tests {
         assert_eq!(warnings.len(), 1);
         assert_eq!(warnings[0].var, "DISCHARGE_CONFLICTS");
         assert!(warnings[0].to_string().contains("bogus"));
-    }
-
-    #[test]
-    fn incremental_knob_layers_like_the_budgets() {
-        assert!(Config::default().incremental, "incremental is the default");
-        let (off, warnings) = Config::from_lookup(|name| match name {
-            "DISCHARGE_INCREMENTAL" => Some("0".to_string()),
-            _ => None,
-        });
-        assert!(!off.incremental);
-        assert!(warnings.is_empty());
-        let (kept, warnings) = Config::from_lookup(|name| match name {
-            "DISCHARGE_INCREMENTAL" => Some("maybe".to_string()),
-            _ => None,
-        });
-        assert!(kept.incremental, "malformed values keep the default");
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].var, "DISCHARGE_INCREMENTAL");
-        let verifier = Verifier::builder().incremental(false).build();
-        assert!(!verifier.config().incremental);
-        assert!(!verifier.engine().config().incremental);
-    }
-
-    #[test]
-    fn prefilter_knob_layers_like_the_budgets() {
-        assert!(Config::default().prefilter, "prefilter is the default");
-        let (off, warnings) = Config::from_lookup(|name| match name {
-            "DISCHARGE_PREFILTER" => Some("0".to_string()),
-            _ => None,
-        });
-        assert!(!off.prefilter);
-        assert!(warnings.is_empty());
-        let (kept, warnings) = Config::from_lookup(|name| match name {
-            "DISCHARGE_PREFILTER" => Some("sometimes".to_string()),
-            _ => None,
-        });
-        assert!(kept.prefilter, "malformed values keep the default");
-        assert_eq!(warnings.len(), 1);
-        assert_eq!(warnings[0].var, "DISCHARGE_PREFILTER");
-        assert_eq!(warnings[0].expected, "0 or 1");
-        let verifier = Verifier::builder().prefilter(false).build();
-        assert!(!verifier.config().prefilter);
-        assert!(!verifier.engine().config().prefilter);
     }
 
     #[test]

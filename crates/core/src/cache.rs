@@ -36,13 +36,10 @@
 //!   budget-starved `Unknown` under one budget may be `Valid` under a
 //!   larger one, so verdicts must not travel between budget settings.
 //!
-//! The worker count, the `incremental` session grouping, and the
-//! `prefilter` static analysis layer are deliberately **excluded**:
-//! verdicts are scheduling-independent (the engine's determinism
-//! guarantee) and the incremental/prefilter paths are verdict-equivalent
-//! by construction, so caches are shared freely across all of those
-//! schedules. A fingerprint mismatch yields an empty (cold) cache rather
-//! than an error.
+//! The worker count is deliberately **excluded**: verdicts are
+//! scheduling-independent (the engine's determinism guarantee), so
+//! caches are shared freely across worker schedules. A fingerprint
+//! mismatch yields an empty (cold) cache rather than an error.
 //!
 //! # File format
 //!

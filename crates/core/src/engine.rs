@@ -21,41 +21,26 @@
 //!    [`Verifier::check_corpus`](crate::api::Verifier::check_corpus)
 //!    batch.
 //! 2. **Static pre-discharge analysis.** Before any solver is built,
-//!    the goal-level static analysis layer ([`crate::prefilter`],
-//!    [`DischargeConfig::prefilter`]) proves trivially-valid goals by
-//!    interval/constant evaluation over the interned term DAG — zero
-//!    SAT/simplex work, counted in [`EngineStats::static_hits`] — and
-//!    normalizes hypothesis conjunctions (split, slice to the
-//!    conclusion's free-variable cone, sort) so the grouping below keys
-//!    on relevant cores instead of verbatim hypotheses.
-//! 3. **Incremental, parallel discharge.** The unique, uncached goals
-//!    are partitioned into work units and solved on a
-//!    [`std::thread::scope`] worker pool. Goals of the shape `h ⇒ c`
-//!    whose hypothesis and conclusion both lie in the pure linear
-//!    fragment are grouped by shared (normalized) hypothesis and
-//!    discharged through one [`Solver::session`] per group: the
-//!    hypothesis is asserted once, then each conclusion is refuted in
-//!    its own `push`/`pop` scope, keeping the clause database and the
-//!    simplex tableau warm across the group
-//!    ([`DischargeConfig::incremental`]; verdict-equivalent to a fresh
-//!    solver per goal — a group member whose hypothesis was weakened by
-//!    slicing accepts only `Valid` from the session and re-proves the
-//!    full goal otherwise). Everything else gets a fresh [`Solver`].
-//!    Groups — not goals — are the unit of scheduling, and results are
+//!    the abstract-interpretation prefilter ([`crate::prefilter`])
+//!    proves trivially-valid goals by interval/constant evaluation over
+//!    the interned term DAG — zero SAT/simplex work, counted in
+//!    [`EngineStats::static_hits`].
+//! 3. **Parallel discharge.** Every remaining unique, uncached goal is
+//!    solved on its own fresh [`Solver`] on a [`std::thread::scope`]
+//!    worker pool. Goals are the unit of scheduling, and results are
 //!    reassembled in generation order, so a [`Report`] is byte-for-byte
 //!    identical regardless of worker count.
 //!
-//! Worker count, solver budgets, the incremental toggle and the static
-//! analysis toggle come from [`DischargeConfig`]. The engine itself
-//! never reads the process environment; the `DISCHARGE_WORKERS`,
-//! `DISCHARGE_CONFLICTS`, `DISCHARGE_BRANCH_BUDGET`,
-//! `DISCHARGE_INCREMENTAL` and `DISCHARGE_PREFILTER` variables are
-//! applied only through the explicit opt-in layer
+//! Worker count and solver budgets come from [`DischargeConfig`]. The
+//! engine itself never reads the process environment; the
+//! `DISCHARGE_WORKERS`, `DISCHARGE_CONFLICTS` and
+//! `DISCHARGE_BRANCH_BUDGET` variables are applied only through the
+//! explicit opt-in layer
 //! [`Config::from_env`](crate::api::Config::from_env).
 
 use crate::cache::{self, CacheWarning, GoalKey};
 use crate::encode::{encode_formula, encode_rel_formula, EncodeCtx};
-use crate::prefilter::{linear_bool, normalize, Prefilter};
+use crate::prefilter::Prefilter;
 use crate::vcgen::{Vc, VcBody};
 use crate::verify::{Report, VcResult};
 use relaxed_smt::ast::BTerm;
@@ -76,23 +61,6 @@ pub struct DischargeConfig {
     /// Branch-and-bound node budget per theory check (see
     /// [`Solver::branch_budget`]).
     pub branch_budget: u64,
-    /// Whether pure-linear goals sharing a hypothesis are discharged
-    /// incrementally through one [`Solver::session`] per group instead
-    /// of one fresh solver per goal (the default). Verdicts are
-    /// identical either way — only solver reuse changes — so this knob
-    /// is deliberately **excluded** from the on-disk cache
-    /// [fingerprint](crate::cache::fingerprint), like `workers`.
-    pub incremental: bool,
-    /// Whether the goal-level static analysis layer
-    /// ([`crate::prefilter`]) runs in front of the solver (the default):
-    /// the abstract-interpretation prefilter discharges trivially-valid
-    /// goals with zero solver work (counted in
-    /// [`EngineStats::static_hits`]), and incremental grouping keys on
-    /// *normalized* (split, sliced, sorted) hypotheses instead of
-    /// verbatim ones. Verdicts are identical either way, so this knob is
-    /// also **excluded** from the cache fingerprint, like `workers` and
-    /// `incremental`.
-    pub prefilter: bool,
     /// How long the shard coordinator (and the service client/daemon)
     /// waits for a freshly spawned or connected worker to answer the
     /// config handshake with a `ready` frame. Purely a transport-layer
@@ -122,8 +90,6 @@ impl Default for DischargeConfig {
             workers: 0,
             max_conflicts: defaults.max_conflicts(),
             branch_budget: defaults.branch_budget(),
-            incremental: true,
-            prefilter: true,
             ready_timeout: DEFAULT_READY_TIMEOUT,
             job_timeout: DEFAULT_JOB_TIMEOUT,
         }
@@ -131,16 +97,6 @@ impl Default for DischargeConfig {
 }
 
 impl DischargeConfig {
-    /// The default configuration with environment overrides applied.
-    ///
-    /// Parse failures are silently dropped here; prefer
-    /// [`Config::from_env`](crate::api::Config::from_env), which reports
-    /// them.
-    #[deprecated(note = "use `relaxed_core::Config::from_env` (the typed session config) instead")]
-    pub fn from_env() -> Self {
-        crate::api::Config::from_env().0.discharge_config()
-    }
-
     /// A single-worker (fully sequential) configuration.
     pub fn sequential() -> Self {
         DischargeConfig {
@@ -210,7 +166,7 @@ pub struct EngineStats {
     /// Goals proved by the static prefilter alone — no SAT or simplex
     /// work at all (a subset of `cache_misses`: a static hit still
     /// counts as "solved this call" and publishes to the cache like any
-    /// fresh verdict). Zero unless [`DischargeConfig::prefilter`] is on.
+    /// fresh verdict).
     pub static_hits: u64,
     /// Distinct goals seen: cache entries for engine-level stats, goals
     /// newly added to the cache for report-level stats.
@@ -224,8 +180,8 @@ pub struct EngineStats {
     pub elapsed_vcgen_ms: u64,
     /// Wall milliseconds spent lowering goals to solver terms.
     pub elapsed_encode_ms: u64,
-    /// Wall milliseconds spent in solver sessions (including prefilter
-    /// work that avoided them), summed across worker threads.
+    /// Wall milliseconds spent in solver runs (including prefilter work
+    /// that avoided them), summed across worker threads.
     pub elapsed_solve_ms: u64,
     /// Wall milliseconds spent probing, loading, refreshing, and
     /// persisting the verdict cache.
@@ -307,7 +263,7 @@ pub struct DischargeEngine {
     store: Option<DiskStore>,
     /// Cumulative phase clocks, in µs (reported in ms via
     /// [`EngineStats`]): vcgen (folded in by the staged pipeline),
-    /// goal encoding, solver sessions, and cache I/O.
+    /// goal encoding, solver runs, and cache I/O.
     vcgen_us: AtomicU64,
     encode_us: AtomicU64,
     solve_us: AtomicU64,
@@ -442,14 +398,6 @@ impl DischargeEngine {
             solve_us: AtomicU64::new(0),
             cache_us: AtomicU64::new(0),
         }
-    }
-
-    /// An engine configured from the environment.
-    #[deprecated(
-        note = "use `relaxed_core::Verifier::from_env` (a builder-configured session) instead"
-    )]
-    pub fn from_env() -> Self {
-        DischargeEngine::with_config(crate::api::Config::from_env().0.discharge_config())
     }
 
     /// An engine whose verdict cache is backed by the on-disk store at
@@ -908,7 +856,7 @@ impl DischargeEngine {
         // cache miss with a `static_hits` marker, and its verdict lands
         // in the cache under the same key).
         let mut solved: Vec<(usize, Validity, SolverStats)> = Vec::new();
-        if self.config.prefilter && !work.is_empty() {
+        if !work.is_empty() {
             let mut prefilter_span = crate::telemetry::span("engine", "prefilter");
             let mut pre = Prefilter::new();
             work.retain(|&gi| {
@@ -924,86 +872,10 @@ impl DischargeEngine {
         }
         let call_statics = solved.len() as u64;
 
-        // Partition the unsolved goals into work units. Under incremental
-        // discharge, goals of the shape `h ⇒ c` whose hypothesis lies in
-        // the assertable linear fragment (see `prefilter::linear_bool`)
-        // are grouped by shared hypothesis; a group of two or more is
-        // discharged through one solver session (hypothesis asserted
-        // once, each conclusion refuted in its own push/pop scope).
-        // Preprocessing is context-free on that fragment, so asserting
-        // the hypothesis conjunct-by-conjunct is verdict-equivalent to a
-        // fresh solver. Everything else — quantified hypotheses, array
-        // reads in the hypothesis, singleton groups — keeps the
-        // fresh-solver path.
-        //
-        // With the prefilter on, the grouping key is the *normalized*
-        // hypothesis — split into conjuncts, sliced to the conclusion's
-        // free-variable cone, deduplicated, canonically sorted — and the
-        // conclusion may be arbitrary (quantified, array-reading): the
-        // scoped refutation of `¬c` is a single self-contained assert. A
-        // member is *exact* only when its hypothesis was not weakened by
-        // slicing and its conclusion also lies in the fragment; every
-        // other member accepts `Valid` directly (refutation is sound
-        // regardless of the conclusion's shape) and re-proves the full
-        // original goal on a fresh solver for any other verdict. With
-        // the prefilter off, grouping is PR 6's verbatim scheme —
-        // hypothesis *and* conclusion in the fragment, keyed on the
-        // verbatim structural hypothesis, all members exact — the
-        // baseline the bench group-rate gauges compare against.
-        enum Unit {
-            /// A goal solved on its own fresh solver.
-            Fresh(usize),
-            /// Goals sharing one session: the hypothesis conjuncts to
-            /// assert, then per member its goal index and whether the
-            /// asserted hypothesis is exact (not weakened by slicing).
-            Group {
-                conjuncts: Vec<BTerm>,
-                members: Vec<(usize, bool)>,
-            },
-        }
-        let mut units: Vec<Unit> = Vec::new();
-        if self.config.incremental {
-            let mut by_hyp: HashMap<String, usize> = HashMap::new();
-            for &gi in &work {
-                match unique_goals[gi] {
-                    BTerm::Implies(h, c)
-                        if linear_bool(h) && (self.config.prefilter || linear_bool(c)) =>
-                    {
-                        let (key, conjuncts, exact) = if self.config.prefilter {
-                            let norm = normalize(h, c);
-                            let exact = norm.exact && linear_bool(c);
-                            (norm.key, norm.conjuncts, exact)
-                        } else {
-                            (
-                                relaxed_smt::intern::canonical_key(h),
-                                vec![(**h).clone()],
-                                true,
-                            )
-                        };
-                        let next = units.len();
-                        let ui = *by_hyp.entry(key).or_insert(next);
-                        if ui == next {
-                            units.push(Unit::Group {
-                                conjuncts,
-                                members: Vec::new(),
-                            });
-                        }
-                        let Unit::Group { members, .. } = &mut units[ui] else {
-                            unreachable!("hypothesis groups are Group units");
-                        };
-                        members.push((gi, exact));
-                    }
-                    _ => units.push(Unit::Fresh(gi)),
-                }
-            }
-        } else {
-            units.extend(work.iter().map(|&gi| Unit::Fresh(gi)));
-        }
-
-        // Solve the work units on the worker pool. Units — not goals —
-        // are the unit of scheduling, and each unit's goals are solved in
-        // generation order within it, so per-goal verdicts and statistics
-        // are deterministic regardless of worker count.
+        // Solve every remaining goal on its own fresh solver on the
+        // worker pool. Each goal's verdict and statistics depend on the
+        // goal alone, so they are deterministic regardless of worker
+        // count.
         let workers = match opts.workers {
             Some(w) => DischargeConfig {
                 workers: w,
@@ -1022,16 +894,6 @@ impl DischargeEngine {
                 key
             }
         };
-        // Attaches the solver-stats delta of one goal to its solve span.
-        let span_stats = |span: &mut crate::telemetry::SpanGuard, stats: &SolverStats| {
-            span.arg("decisions", stats.sat.decisions);
-            span.arg("propagations", stats.sat.propagations);
-            span.arg("conflicts", stats.sat.conflicts);
-            span.arg("theory_checks", stats.sat.theory_checks);
-            span.arg("pivots", stats.pivots);
-            span.arg("branch_nodes", stats.branch_nodes);
-            span.arg("restarts", stats.sat.restarts);
-        };
         let solve_fresh = |gi: usize| {
             let mut span = crate::telemetry::span("engine", "solve");
             if span.is_active() {
@@ -1045,70 +907,18 @@ impl DischargeEngine {
             };
             let stats = solver.stats();
             if span.is_active() {
-                span_stats(&mut span, &stats);
+                span.arg("decisions", stats.sat.decisions);
+                span.arg("propagations", stats.sat.propagations);
+                span.arg("conflicts", stats.sat.conflicts);
+                span.arg("theory_checks", stats.sat.theory_checks);
+                span.arg("pivots", stats.pivots);
+                span.arg("branch_nodes", stats.branch_nodes);
+                span.arg("restarts", stats.sat.restarts);
             }
             (gi, verdict, stats)
         };
-        let solve_unit = |unit: &Unit| -> Vec<(usize, Validity, SolverStats)> {
-            let (conjuncts, members) = match unit {
-                Unit::Fresh(gi) => return vec![solve_fresh(*gi)],
-                // A singleton group gains nothing from a session.
-                Unit::Group { members, .. } if members.len() == 1 => {
-                    return vec![solve_fresh(members[0].0)];
-                }
-                Unit::Group { conjuncts, members } => (conjuncts, members),
-            };
-            let mut session_span = crate::telemetry::span("solver", "session");
-            if session_span.is_active() {
-                session_span.arg("members", members.len());
-                session_span.arg("conjuncts", conjuncts.len());
-            }
-            let mut solver =
-                Solver::with_budgets(self.config.max_conflicts, self.config.branch_budget);
-            let mut session = solver.session();
-            for conjunct in conjuncts {
-                session.assert(conjunct);
-            }
-            members
-                .iter()
-                .map(|&(gi, exact)| {
-                    let BTerm::Implies(_, c) = unique_goals[gi] else {
-                        unreachable!("grouped goals are implications");
-                    };
-                    let mut span = crate::telemetry::span("engine", "solve");
-                    if span.is_active() {
-                        span.arg("goal", goal_label(gi));
-                    }
-                    // Per-goal statistics are the session counters'
-                    // advance over this one scoped check, so folding them
-                    // per VC reconstructs the session totals exactly.
-                    let before = session.stats();
-                    let verdict = {
-                        let _check = crate::telemetry::span("solver", "check");
-                        session.check_valid(c)
-                    };
-                    let mut stats = session.stats().delta_since(&before);
-                    if exact || matches!(verdict, Validity::Valid) {
-                        if span.is_active() {
-                            span_stats(&mut span, &stats);
-                        }
-                        return (gi, verdict, stats);
-                    }
-                    // The sliced hypothesis is strictly weaker than the
-                    // original, so only `Valid` transfers; anything else
-                    // re-proves the full goal on a fresh solver (its
-                    // statistics fold into this goal's).
-                    let (gi, verdict, fresh) = solve_fresh(gi);
-                    stats.absorb(&fresh);
-                    if span.is_active() {
-                        span_stats(&mut span, &stats);
-                    }
-                    (gi, verdict, stats)
-                })
-                .collect()
-        };
         let pool_solved: Vec<(usize, Validity, SolverStats)> = if workers <= 1 {
-            units.iter().flat_map(solve_unit).collect()
+            work.iter().map(|&gi| solve_fresh(gi)).collect()
         } else {
             let cursor = AtomicUsize::new(0);
             let sink: Mutex<Vec<(usize, Validity, SolverStats)>> =
@@ -1118,9 +928,9 @@ impl DischargeEngine {
                     scope.spawn(|| {
                         loop {
                             let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(unit) = units.get(k) else { break };
-                            let outcome = solve_unit(unit);
-                            sink.lock().expect("sink lock").extend(outcome);
+                            let Some(&gi) = work.get(k) else { break };
+                            let outcome = solve_fresh(gi);
+                            sink.lock().expect("sink lock").push(outcome);
                         }
                         // Scoped threads signal completion before their
                         // thread-local destructors run: flush this lane's
@@ -1259,8 +1069,8 @@ impl Drop for DischargeEngine {
 /// Encodes one obligation with a fresh bound-name context, yielding the
 /// goal term the engine deduplicates, prefilters, and solves (and whose
 /// canonical rendering is its cache key). Public so external tooling —
-/// the group-rate gauges in the benchmarks and `paper_report` — can ask
-/// [`crate::prefilter::group_keys`] about the very goals the engine sees.
+/// per-layer profilers, prefilter soundness checks — can work on the
+/// very goals the engine sees.
 pub fn encode_goal(vc: &Vc) -> BTerm {
     let mut ctx = EncodeCtx::new();
     match &vc.body {
@@ -1363,6 +1173,8 @@ mod tests {
         // still reaches the solver.
         assert!(report.stats.queries >= 1);
         assert_eq!(report.engine.static_hits, 1);
+        assert!(report.results[0].verdict.is_valid());
+        assert_eq!(report.results[0].stats, SolverStats::default());
     }
 
     #[test]
@@ -1568,183 +1380,5 @@ mod tests {
         )];
         let report = engine.discharge(vcs);
         assert!(!report.results[0].verdict.is_valid());
-    }
-
-    /// A VC corpus that exercises the grouped session path: several
-    /// implications over one shared hypothesis (mixed valid and
-    /// invalid), a second smaller group, a quantified (ineligible)
-    /// goal, and a goal that is no implication at all.
-    fn grouped_vcs() -> Vec<Vc> {
-        let mut vcs: Vec<Vc> = (0..6)
-            .map(|i| {
-                let f = match i % 3 {
-                    0 => format!("x >= 0 && x <= 9 ==> x + {i} >= 0"),
-                    1 => format!("x >= 0 && x <= 9 ==> x >= {i}"),
-                    _ => format!("y >= 2 ==> y + {i} >= 3"),
-                };
-                unary_vc(&format!("vc{i}"), &f)
-            })
-            .collect();
-        vcs.push(unary_vc("q", "forall b. b >= x ==> b + 1 > x"));
-        vcs.push(unary_vc("plain", "z <= z"));
-        vcs
-    }
-
-    #[test]
-    fn incremental_discharge_matches_fresh_solvers() {
-        // Prefilter pinned off on both sides so every goal reaches a
-        // solver and the session path is what this test compares.
-        let vcs = grouped_vcs();
-        let fresh = DischargeEngine::with_config(DischargeConfig {
-            incremental: false,
-            prefilter: false,
-            ..DischargeConfig::sequential()
-        })
-        .discharge(vcs.clone());
-        let scoped = DischargeEngine::with_config(DischargeConfig {
-            prefilter: false,
-            ..DischargeConfig::sequential()
-        })
-        .discharge(vcs);
-        assert_eq!(fresh.results.len(), scoped.results.len());
-        for (a, b) in fresh.results.iter().zip(&scoped.results) {
-            // Status-level equivalence: an `Invalid` countermodel is a
-            // witness, and the warm session may find a different one.
-            assert_eq!(
-                std::mem::discriminant(&a.verdict),
-                std::mem::discriminant(&b.verdict),
-                "verdict mismatch on {}: {:?} vs {:?}",
-                a.vc,
-                a.verdict,
-                b.verdict
-            );
-            assert_eq!(a.cached, b.cached);
-        }
-        assert_eq!(fresh.engine.cache_misses, scoped.engine.cache_misses);
-        // One query per freshly solved goal either way: the session folds
-        // a single `queries` tick per scoped check.
-        assert_eq!(fresh.stats.queries, scoped.stats.queries);
-    }
-
-    #[test]
-    fn incremental_discharge_is_schedule_independent() {
-        let vcs = grouped_vcs();
-        let seq =
-            DischargeEngine::with_config(DischargeConfig::sequential()).discharge(vcs.clone());
-        let par = DischargeEngine::with_config(DischargeConfig::with_workers(4)).discharge(vcs);
-        assert_eq!(seq.results.len(), par.results.len());
-        for (a, b) in seq.results.iter().zip(&par.results) {
-            assert_eq!(a.verdict, b.verdict, "verdict mismatch on {}", a.vc);
-            assert_eq!(a.cached, b.cached);
-            assert_eq!(a.stats, b.stats, "stats mismatch on {}", a.vc);
-        }
-        assert_eq!(seq.stats, par.stats);
-        assert_eq!(seq.engine.static_hits, par.engine.static_hits);
-    }
-
-    #[test]
-    fn prefilter_discharge_is_verdict_identical() {
-        // The full grouped corpus plus a statically provable straggler,
-        // discharged with the static analysis layer on and off: verdict
-        // statuses must be identical, and the prefiltered run must
-        // discharge at least one goal with zero solver work.
-        let mut vcs = grouped_vcs();
-        vcs.push(unary_vc("tauto", "w + 1 >= w"));
-        let on = DischargeEngine::with_config(DischargeConfig::sequential()).discharge(vcs.clone());
-        let off = DischargeEngine::with_config(DischargeConfig {
-            prefilter: false,
-            ..DischargeConfig::sequential()
-        })
-        .discharge(vcs);
-        assert_eq!(on.results.len(), off.results.len());
-        for (a, b) in on.results.iter().zip(&off.results) {
-            assert_eq!(
-                std::mem::discriminant(&a.verdict),
-                std::mem::discriminant(&b.verdict),
-                "verdict mismatch on {}: {:?} vs {:?}",
-                a.vc,
-                a.verdict,
-                b.verdict
-            );
-            assert_eq!(a.cached, b.cached);
-        }
-        assert!(on.engine.static_hits >= 1, "the tautology is a static hit");
-        assert!(
-            on.engine.static_hits <= on.engine.cache_misses,
-            "static hits are a subset of this call's solved goals"
-        );
-        assert_eq!(off.engine.static_hits, 0);
-        // A statically proved goal carries zero solver statistics.
-        let tauto = on.results.iter().find(|r| r.vc.name == "tauto").unwrap();
-        assert!(tauto.verdict.is_valid());
-        assert_eq!(tauto.stats, SolverStats::default());
-    }
-
-    #[test]
-    fn sliced_invalid_reproves_the_full_goal() {
-        // Both hypotheses slice to `x >= 0` (the y/z conjuncts cannot
-        // reach the conclusion), so the two goals share one session —
-        // but the first goal's *full* hypothesis is unsatisfiable
-        // (adding the two-variable conjuncts forces `y >= 1`, against
-        // `y <= 0` — a contradiction the prefilter cannot see, since it
-        // never sums difference bounds), so dropping conjuncts flips
-        // its session verdict to Invalid. The fallback must re-prove
-        // the full goal on a fresh solver and restore Valid; the second
-        // goal is genuinely invalid and must stay so.
-        let vcs = vec![
-            unary_vc(
-                "vacuous",
-                "x >= 0 && y + z >= 1 && y - z >= 1 && y <= 0 ==> x >= 5",
-            ),
-            unary_vc("invalid", "x >= 0 && y + z >= 1 ==> x >= 7"),
-        ];
-        let report = DischargeEngine::with_config(DischargeConfig::sequential()).discharge(vcs);
-        assert!(
-            report.results[0].verdict.is_valid(),
-            "unsat full hypothesis ⇒ valid, despite the sliced session disagreeing"
-        );
-        assert!(!report.results[1].verdict.is_valid());
-        assert_eq!(
-            report.engine.static_hits, 0,
-            "neither goal is interval-provable"
-        );
-        // Equivalence with plain fresh-solver discharge.
-        let vcs = vec![
-            unary_vc(
-                "vacuous",
-                "x >= 0 && y + z >= 1 && y - z >= 1 && y <= 0 ==> x >= 5",
-            ),
-            unary_vc("invalid", "x >= 0 && y + z >= 1 ==> x >= 7"),
-        ];
-        let plain = DischargeEngine::with_config(DischargeConfig {
-            incremental: false,
-            prefilter: false,
-            ..DischargeConfig::sequential()
-        })
-        .discharge(vcs);
-        assert!(plain.results[0].verdict.is_valid());
-        assert!(!plain.results[1].verdict.is_valid());
-    }
-
-    #[test]
-    fn normalized_grouping_raises_the_group_rate() {
-        // Verbatim-different hypotheses with a shared relevant core:
-        // PR 6's verbatim grouping sees three distinct hypotheses, the
-        // normalized grouping sees one.
-        let goals = [
-            "x >= 0 && x <= 9 && a >= 1 ==> x <= 20",
-            "x <= 9 && x >= 0 && b <= 4 ==> x <= 21",
-            "c == 7 && x >= 0 && x <= 9 ==> x <= 22",
-        ];
-        let mut verbatim = std::collections::HashSet::new();
-        let mut normalized = std::collections::HashSet::new();
-        for source in goals {
-            let vc = unary_vc("g", source);
-            let keys = crate::prefilter::group_keys(&encode_goal(&vc)).expect("linear goal");
-            verbatim.insert(keys.verbatim.expect("fully linear goal"));
-            normalized.insert(keys.normalized);
-        }
-        assert_eq!(verbatim.len(), 3);
-        assert_eq!(normalized.len(), 1);
     }
 }

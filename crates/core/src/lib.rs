@@ -59,11 +59,10 @@
 //!   analysis, and the spec-coverage lint pass;
 //! * [`noninterference`] — automatic `x<o> == x<r>` bridging invariants;
 //! * [`prefilter`] — the goal-level static analysis layer: the
-//!   abstract-interpretation prefilter and sound hypothesis
-//!   normalization/slicing that run in front of the solver;
+//!   abstract-interpretation prefilter that runs in front of the solver,
+//!   and sound hypothesis normalization/slicing;
 //! * [`engine`] — the parallel, deduplicating VC discharge engine;
-//! * [`verify`] — the theorem-level report types (and the deprecated
-//!   free-function drivers).
+//! * [`verify`] — the theorem-level report types.
 //!
 //! ## Example
 //!
@@ -121,12 +120,3 @@ pub use prefilter::{group_keys, normalize, GroupKeys, NormalizedHypothesis, Pref
 pub use service::{Service, ServiceOptions, ServiceStatus};
 pub use telemetry::MetricsRegistry;
 pub use verify::{AcceptabilityReport, Report, Spec, VcResult};
-// The deprecated free-function drivers stay re-exported so existing
-// `relaxed_core::verify_acceptability`-style paths keep resolving (with a
-// deprecation warning at the use site).
-#[allow(deprecated)]
-pub use verify::{
-    acceptability_vcs, discharge, verify_acceptability, verify_acceptability_with,
-    verify_intermediate, verify_intermediate_with, verify_original, verify_original_with,
-    verify_relaxed, verify_relaxed_with,
-};

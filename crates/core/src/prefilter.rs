@@ -1,7 +1,6 @@
 //! Goal-level static analysis in front of the solver.
 //!
-//! Two cooperating passes run between encoding and discharge, both over
-//! the hash-consed [`relaxed_smt::intern`] term DAG:
+//! Two passes over the hash-consed [`relaxed_smt::intern`] term DAG:
 //!
 //! 1. **Abstract-interpretation prefilter** ([`Prefilter`]): an
 //!    interval + constant-propagation evaluator over interned terms that
@@ -9,45 +8,41 @@
 //!    implications whose conclusion is a conjunct of the hypothesis,
 //!    bound-implied comparisons (`x >= 0 && x <= 9 ==> x <= 20`), and
 //!    goals with contradictory hypotheses — with zero SAT/simplex work.
-//!    Proved goals are reported as `static_hits` in
-//!    [`EngineStats`](crate::EngineStats) and enter the verdict cache
-//!    under the same `GoalKey` a solver run would have used.
-//! 2. **Sound hypothesis normalization + slicing** ([`normalize`]): a
-//!    hypothesis conjunction is split, sliced to the conjuncts whose
-//!    free-variable cone reaches the conclusion, deduplicated, and
-//!    canonically sorted. The normalized conjunct set is the grouping
-//!    key for the engine's incremental scoped sessions, so hypotheses
-//!    that differ verbatim but share a relevant core solve through one
-//!    session. Slicing only ever *weakens* the hypothesis, so `Valid` on
-//!    the sliced goal soundly transfers to the original; any other
-//!    verdict on a sliced goal falls back to a fresh solver on the full
-//!    original goal.
-//!
-//! Everything here is a pre-pass: with the `prefilter` knob off the
-//! engine behaves exactly as before, and with it on the corpus verdicts
-//! are identical — only the work performed differs.
+//!    The discharge engine runs it on every uncached goal, between
+//!    encoding and the solver. Proved goals are reported as
+//!    `static_hits` in [`EngineStats`](crate::EngineStats) and enter the
+//!    verdict cache under the same `GoalKey` a solver run would have
+//!    used. The prefilter never answers anything but `Valid`, so
+//!    verdicts are the solver's on every goal it cannot prove.
+//! 2. **Sound hypothesis normalization + slicing** ([`normalize`],
+//!    [`group_keys`]): a hypothesis conjunction is split, sliced to the
+//!    conjuncts whose free-variable cone reaches the conclusion,
+//!    deduplicated, and canonically sorted. Slicing only ever *weakens*
+//!    the hypothesis, so `Valid` on the sliced goal soundly transfers to
+//!    the original. The engine no longer groups goals by hypothesis — it
+//!    solves each remaining goal on a fresh solver — so these functions
+//!    are analysis tools for callers that classify goals themselves.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use relaxed_smt::ast::{BTerm, ITerm, Rel};
 use relaxed_smt::intern::{canonical_key, NodeId, TermArena, TermView};
 
-/// Whether a boolean term lies in the quantifier-free linear fragment
-/// the grouped discharge accepts: no quantifiers, array reads, division
-/// or remainder, and multiplication only by a literal constant. Array
-/// *lengths* are allowed.
+/// Whether a boolean term lies in the quantifier-free linear fragment:
+/// no quantifiers, array reads, division or remainder, and
+/// multiplication only by a literal constant. Array *lengths* are
+/// allowed.
 ///
 /// The solver's preprocessing (quantifier elimination, grounding) is
 /// context-free on this fragment: linear atoms pass through untouched,
 /// and `len(a)` always grounds to the same name-deterministic variable
 /// (`len!a`) with the same non-negativity axiom, regardless of what else
-/// is asserted. Asserting a conjunction into a session one conjunct at a
-/// time is therefore exactly equivalent to asserting the conjunction
-/// into a fresh solver — no fresh counters, no Ackermann congruence
-/// instances whose scope spans conjuncts. That equivalence is what
-/// licenses the incremental grouped discharge; anything outside the
-/// fragment stays on the fresh-solver path.
-pub(crate) fn linear_bool(b: &BTerm) -> bool {
+/// is asserted. Asserting a conjunction into a solver session one
+/// conjunct at a time is therefore exactly equivalent to asserting the
+/// conjunction into a fresh solver — no fresh counters, no Ackermann
+/// congruence instances whose scope spans conjuncts. [`group_keys`]
+/// classifies goals by it.
+fn linear_bool(b: &BTerm) -> bool {
     match b {
         BTerm::True | BTerm::False => true,
         BTerm::Atom(_, l, r) => linear_int(l) && linear_int(r),
@@ -480,8 +475,8 @@ fn kleene_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
 /// sorted by canonical key.
 #[derive(Clone, Debug)]
 pub struct NormalizedHypothesis {
-    /// The surviving conjuncts, in canonical (sorted) order. Asserting
-    /// these into a session is the normalized hypothesis.
+    /// The surviving conjuncts, in canonical (sorted) order; their
+    /// conjunction is the normalized hypothesis.
     pub conjuncts: Vec<BTerm>,
     /// The grouping key: the newline-joined canonical keys of
     /// [`conjuncts`](NormalizedHypothesis::conjuncts). Two goals with
@@ -573,25 +568,27 @@ fn split_bterm<'a>(t: &'a BTerm, out: &mut Vec<&'a BTerm>) {
     }
 }
 
-/// An encoded goal's grouping keys under the two discharge schemes.
+/// An encoded goal's hypothesis keys under two grouping schemes.
 #[derive(Clone, Debug)]
 pub struct GroupKeys {
-    /// PR 6's verbatim baseline: the structural key of the full
-    /// hypothesis, present only when hypothesis *and* conclusion lie in
-    /// the assertable fragment (the baseline grouped nothing else).
+    /// The verbatim scheme: the structural key of the full hypothesis,
+    /// present only when hypothesis *and* conclusion lie in the linear
+    /// fragment.
     pub verbatim: Option<String>,
-    /// The static-analysis scheme: the normalized (split, sliced to the
+    /// The normalized scheme: the normalized (split, sliced to the
     /// conclusion's cone, deduplicated, sorted) hypothesis key. Present
-    /// whenever the hypothesis is assertable — the conclusion may be
-    /// arbitrary, since refuting it is a self-contained scoped check.
+    /// whenever the hypothesis is linear — the conclusion may be
+    /// arbitrary.
     pub normalized: String,
 }
 
-/// Classifies an encoded goal for grouped discharge: for an implication
-/// `h ⇒ c` whose hypothesis lies in the assertable linear fragment,
-/// returns its grouping keys under both schemes; `None` for goals the
-/// engine always solves fresh. The corpus group-rate gauges in the
-/// bench harness and `paper_report` are computed from this.
+/// Classifies an encoded goal by its hypothesis: for an implication
+/// `h ⇒ c` whose hypothesis lies in the quantifier-free linear fragment,
+/// returns its keys under both schemes; `None` otherwise. Two goals with
+/// equal keys share a hypothesis, so one solver session could assert it
+/// once for both. The discharge engine does not group goals — it solves
+/// each goal the prefilter leaves on a fresh solver — so this is a
+/// classification for external tooling, such as per-layer profilers.
 pub fn group_keys(goal: &BTerm) -> Option<GroupKeys> {
     let BTerm::Implies(h, c) = goal else {
         return None;

@@ -43,8 +43,8 @@
 //! fleet configuration: the verdict-relevant knobs (solver budgets and
 //! stage selection) must match, so a service answer is always the answer
 //! the client's own configuration would have produced. Verdict-neutral
-//! knobs (worker counts, cache paths, incremental/prefilter toggles) are
-//! the daemon's own business and are not compared.
+//! knobs (worker counts, cache paths) are the daemon's own business and
+//! are not compared.
 //!
 //! Results may interleave across a connection's pipelined jobs and across
 //! connections; every frame carries the job id, and the client collects
@@ -576,7 +576,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
 /// Validates a client session's `config` frame against the fleet's
 /// configuration: the verdict-relevant knobs (solver budgets, stage
 /// selection) must match exactly; verdict-neutral knobs (workers, cache
-/// scoping, incremental/prefilter) are the daemon's own business.
+/// scoping) are the daemon's own business.
 fn validate_session(fleet: &Config, fields: &[(String, Json)]) -> Result<(), String> {
     let client = parse_config_frame(fields)?;
     if client.max_conflicts != fleet.max_conflicts || client.branch_budget != fleet.branch_budget {
@@ -1116,8 +1116,6 @@ mod tests {
         let fleet = Config::default();
         let client = Config {
             workers: 7,
-            incremental: false,
-            prefilter: false,
             cache: crate::api::CachePolicy::Persistent {
                 path: std::path::PathBuf::from("/elsewhere/verdicts.jsonl"),
             },

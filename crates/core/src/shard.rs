@@ -248,15 +248,12 @@ pub(crate) fn render_config_frame(config: &Config, per_worker: usize) -> String 
         CachePolicy::Shared | CachePolicy::PerProgram => String::new(),
     };
     let per_program = u8::from(matches!(config.cache, CachePolicy::PerProgram));
-    let incremental = u8::from(config.incremental);
-    let prefilter = u8::from(config.prefilter);
     // Coordinator-side tracing travels with the session: workers capture
     // spans in memory and ship them back inside result frames.
     let trace = u8::from(crate::telemetry::enabled());
     format!(
         "{{\"type\":\"config\",\"proto\":{PROTOCOL_VERSION},\"max_conflicts\":{},\
-         \"branch_budget\":{},\"incremental\":{incremental},\"prefilter\":{prefilter},\
-         \"workers\":{per_worker},\"trace\":{trace},\
+         \"branch_budget\":{},\"workers\":{per_worker},\"trace\":{trace},\
          \"stages\":{},\"cache\":{},\
          \"cache_max\":{},\"per_program\":{per_program}}}",
         config.max_conflicts,
@@ -740,11 +737,6 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
     let mut config = Config {
         max_conflicts: field_u64(fields, "max_conflicts")?,
         branch_budget: field_u64(fields, "branch_budget")?,
-        // Optional with a permissive default: these knobs are
-        // verdict-equivalent, so a coordinator that predates one just
-        // gets the worker's default behavior.
-        incremental: field_u64(fields, "incremental") != Ok(0),
-        prefilter: field_u64(fields, "prefilter") != Ok(0),
         workers: field_u64(fields, "workers")? as usize,
         cache_max: field_u64(fields, "cache_max")? as usize,
         stages: parse_stages(field_str(fields, "stages")?)?,
@@ -1812,6 +1804,31 @@ mod tests {
             assert_eq!(parse_stages(&render_stages(stages)).unwrap(), stages);
         }
         assert!(parse_stages("original,bogus").is_err());
+    }
+
+    /// A coordinator built before the discharge toggles were removed
+    /// still sends `"incremental"` and `"prefilter"`; the worker ignores
+    /// them like any other unknown key.
+    #[test]
+    fn config_frame_with_retired_discharge_toggles_parses() {
+        let config = Config {
+            workers: 1,
+            max_conflicts: 123,
+            ..Config::default()
+        };
+        let frame = render_config_frame(&config, 1);
+        let legacy = frame.replacen(
+            "\"workers\":",
+            "\"incremental\":0,\"prefilter\":0,\"workers\":",
+            1,
+        );
+        assert_ne!(legacy, frame, "the frame carries a workers field");
+        let record = parse_json(&legacy).unwrap();
+        let parsed = parse_config_frame(record.as_object().unwrap()).unwrap();
+        let expected =
+            parse_config_frame(parse_json(&frame).unwrap().as_object().unwrap()).unwrap();
+        assert_eq!(parsed, expected);
+        assert_eq!(parsed.max_conflicts, 123);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Report types for the staged verification pipeline, plus the legacy
-//! free-function drivers (deprecated in favor of the
-//! [`Verifier`] session API).
+//! Report types for the staged verification pipeline, and the pipeline
+//! itself behind the [`Verifier`](crate::api::Verifier) session API.
 //!
 //! The `⊢o` stage plays Lemma 2 (*Original Progress Modulo Assumptions*);
 //! the `⊢r` stage plays Theorem 6 (*Soundness of Relational Assertions*)
@@ -11,7 +10,7 @@
 //! time with [`Verifier::stage`](crate::api::Verifier::stage).
 
 use crate::analysis::{array_vars, formula_array_vars, rel_formula_array_vars};
-use crate::api::{Stage, StageSet, Verifier};
+use crate::api::{Stage, StageSet};
 use crate::engine::{DischargeEngine, DischargeOptions, EngineStats};
 use crate::vcgen::{vcs_relaxed, vcs_unary, UnaryLogic, Vc, VcgenError};
 use relaxed_lang::{Formula, Program, RelFormula};
@@ -104,34 +103,6 @@ fn kind_of(v: &Validity) -> &'static str {
     }
 }
 
-/// A throwaway session configured exactly as the legacy entry points
-/// were: defaults plus the environment opt-in layer. Malformed
-/// `DISCHARGE_*` values and verdict-cache load problems are reported to
-/// stderr once per process through the quiet-aware diagnostics channel
-/// (silenced entirely by `DISCHARGE_QUIET=1`; the session API surfaces
-/// the same information via
-/// [`Verifier::env_warnings`](crate::api::Verifier::env_warnings) and
-/// [`Verifier::cache_warnings`](crate::api::Verifier::cache_warnings)).
-pub(crate) fn legacy_session() -> Verifier {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let session = Verifier::builder().env().build();
-    WARN_ONCE.call_once(|| {
-        for warning in session.env_warnings() {
-            crate::diag::warn(format_args!("{warning}"));
-        }
-        for warning in session.cache_warnings() {
-            crate::diag::warn(format_args!("{warning}"));
-        }
-    });
-    session
-}
-
-/// Discharges a VC list through a fresh environment-configured session.
-#[deprecated(note = "build a `relaxed_core::Verifier` and use `verifier.engine().discharge(vcs)`")]
-pub fn discharge(vcs: Vec<Vc>) -> Report {
-    legacy_session().engine().discharge(vcs)
-}
-
 /// The obligations of one stage of `spec` for `program` — the engine of
 /// [`StageRunner::vcs`](crate::api::StageRunner::vcs).
 pub(crate) fn stage_vcs(
@@ -148,35 +119,6 @@ pub(crate) fn stage_vcs(
     }
 }
 
-/// The `⊢o` obligations of `{pre} program {post}`.
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(note = "use `relaxed_core::Verifier::stage(Stage::Original).vcs(..)`")]
-pub fn original_vcs(
-    program: &Program,
-    pre: &Formula,
-    post: &Formula,
-) -> Result<Vec<Vc>, VcgenError> {
-    unary_stage_vcs(UnaryLogic::Original, program, pre, post)
-}
-
-/// The `⊢i` obligations of `{pre} program {post}`.
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations or
-/// contains `relate` statements.
-#[deprecated(note = "use `relaxed_core::Verifier::stage(Stage::Intermediate).vcs(..)`")]
-pub fn intermediate_vcs(
-    program: &Program,
-    pre: &Formula,
-    post: &Formula,
-) -> Result<Vec<Vc>, VcgenError> {
-    unary_stage_vcs(UnaryLogic::Intermediate, program, pre, post)
-}
-
 fn unary_stage_vcs(
     logic: UnaryLogic,
     program: &Program,
@@ -189,7 +131,7 @@ fn unary_stage_vcs(
     vcs_unary(logic, program.body(), pre, post, &arrays)
 }
 
-pub(crate) fn relaxed_stage_vcs(
+fn relaxed_stage_vcs(
     program: &Program,
     rel_pre: &RelFormula,
     rel_post: &RelFormula,
@@ -198,168 +140,6 @@ pub(crate) fn relaxed_stage_vcs(
     arrays.extend(rel_formula_array_vars(rel_pre));
     arrays.extend(rel_formula_array_vars(rel_post));
     vcs_relaxed(program.body(), rel_pre, rel_post, &arrays)
-}
-
-/// The `⊢r` obligations of `{rel_pre} program {rel_post}`.
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(note = "use `relaxed_core::Verifier::stage(Stage::Relaxed).vcs(..)`")]
-pub fn relaxed_vcs(
-    program: &Program,
-    rel_pre: &RelFormula,
-    rel_post: &RelFormula,
-) -> Result<Vec<Vc>, VcgenError> {
-    relaxed_stage_vcs(program, rel_pre, rel_post)
-}
-
-/// The combined `⊢o` and `⊢r` obligations of `spec`, in the order the
-/// staged pipeline discharges them.
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(note = "use `relaxed_core::Verifier::vcs(..)`")]
-pub fn acceptability_vcs(program: &Program, spec: &Spec) -> Result<Vec<Vc>, VcgenError> {
-    let mut vcs = stage_vcs(Stage::Original, program, spec)?;
-    vcs.extend(stage_vcs(Stage::Relaxed, program, spec)?);
-    Ok(vcs)
-}
-
-/// A unary-only [`Spec`] (trivial relational half), for the legacy
-/// per-stage entry points.
-fn unary_spec(pre: &Formula, post: &Formula) -> Spec {
-    Spec {
-        pre: pre.clone(),
-        post: post.clone(),
-        rel_pre: RelFormula::True,
-        rel_post: RelFormula::True,
-    }
-}
-
-/// A relational-only [`Spec`] (trivial unary half), for the legacy
-/// per-stage entry points.
-fn rel_spec(rel_pre: &RelFormula, rel_post: &RelFormula) -> Spec {
-    Spec {
-        pre: Formula::True,
-        post: Formula::True,
-        rel_pre: rel_pre.clone(),
-        rel_post: rel_post.clone(),
-    }
-}
-
-/// Verifies `⊢o {pre} program {post}` — the axiomatic original semantics.
-///
-/// A verified report gives Lemma 2: no original execution from a state
-/// satisfying `pre` terminates in `wr` (it may still terminate in `ba`).
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(note = "use `relaxed_core::Verifier::stage(Stage::Original).check(..)`")]
-pub fn verify_original(
-    program: &Program,
-    pre: &Formula,
-    post: &Formula,
-) -> Result<Report, VcgenError> {
-    legacy_session()
-        .stage(Stage::Original)
-        .check(program, &unary_spec(pre, post))
-}
-
-/// [`verify_original`] on a caller-provided engine (shared verdict cache).
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(
-    note = "use `relaxed_core::Verifier::stage(Stage::Original).check(..)` on a shared session"
-)]
-pub fn verify_original_with(
-    program: &Program,
-    pre: &Formula,
-    post: &Formula,
-    engine: &DischargeEngine,
-) -> Result<Report, VcgenError> {
-    let spec = unary_spec(pre, post);
-    Ok(engine.discharge(stage_vcs(Stage::Original, program, &spec)?))
-}
-
-/// Verifies `⊢i {pre} program {post}` — the axiomatic intermediate
-/// semantics (Lemma 4: relaxed executions free of both `wr` and `ba`).
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations or
-/// contains `relate` statements.
-#[deprecated(note = "use `relaxed_core::Verifier::stage(Stage::Intermediate).check(..)`")]
-pub fn verify_intermediate(
-    program: &Program,
-    pre: &Formula,
-    post: &Formula,
-) -> Result<Report, VcgenError> {
-    legacy_session()
-        .stage(Stage::Intermediate)
-        .check(program, &unary_spec(pre, post))
-}
-
-/// [`verify_intermediate`] on a caller-provided engine (shared verdict
-/// cache).
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations or
-/// contains `relate` statements.
-#[deprecated(
-    note = "use `relaxed_core::Verifier::stage(Stage::Intermediate).check(..)` on a shared session"
-)]
-pub fn verify_intermediate_with(
-    program: &Program,
-    pre: &Formula,
-    post: &Formula,
-    engine: &DischargeEngine,
-) -> Result<Report, VcgenError> {
-    let spec = unary_spec(pre, post);
-    Ok(engine.discharge(stage_vcs(Stage::Intermediate, program, &spec)?))
-}
-
-/// Verifies `⊢r {rel_pre} program {rel_post}` — the axiomatic relaxed
-/// semantics.
-///
-/// A verified report gives Theorem 6 (all executed `relate` statements
-/// hold between paired executions) and Theorem 7 (error-free original
-/// executions imply error-free relaxed executions).
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(note = "use `relaxed_core::Verifier::stage(Stage::Relaxed).check(..)`")]
-pub fn verify_relaxed(
-    program: &Program,
-    rel_pre: &RelFormula,
-    rel_post: &RelFormula,
-) -> Result<Report, VcgenError> {
-    legacy_session()
-        .stage(Stage::Relaxed)
-        .check(program, &rel_spec(rel_pre, rel_post))
-}
-
-/// [`verify_relaxed`] on a caller-provided engine (shared verdict cache).
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(
-    note = "use `relaxed_core::Verifier::stage(Stage::Relaxed).check(..)` on a shared session"
-)]
-pub fn verify_relaxed_with(
-    program: &Program,
-    rel_pre: &RelFormula,
-    rel_post: &RelFormula,
-    engine: &DischargeEngine,
-) -> Result<Report, VcgenError> {
-    Ok(engine.discharge(relaxed_stage_vcs(program, rel_pre, rel_post)?))
 }
 
 /// The full acceptability specification of a relaxed program.
@@ -516,8 +296,7 @@ impl fmt::Display for AcceptabilityReport {
 /// The staged pipeline on a caller-provided engine: generate and
 /// discharge the VCs of every selected stage in order (`⊢o`, `⊢i`, `⊢r`),
 /// sharing the engine's verdict cache across the stages. This is the one
-/// implementation behind [`Verifier::check`](crate::api::Verifier::check)
-/// and the legacy free functions.
+/// implementation behind [`Verifier::check`](crate::api::Verifier::check).
 pub(crate) fn staged_check(
     engine: &DischargeEngine,
     program: &Program,
@@ -583,50 +362,22 @@ pub(crate) fn staged_check(
     })
 }
 
-/// Runs the paper's staged verification methodology end to end.
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(note = "use `relaxed_core::Verifier::check(..)`")]
-pub fn verify_acceptability(
-    program: &Program,
-    spec: &Spec,
-) -> Result<AcceptabilityReport, VcgenError> {
-    legacy_session().check(program, spec)
-}
-
-/// [`verify_acceptability`] on a caller-provided engine: both stages share
-/// the engine's verdict cache, so obligations the `⊢r` diverge rule
-/// re-proves from the `⊢o` stage are answered without solver work.
-///
-/// # Errors
-///
-/// Returns [`VcgenError`] when the program lacks required annotations.
-#[deprecated(note = "use `relaxed_core::Verifier::check(..)` on a shared session")]
-pub fn verify_acceptability_with(
-    program: &Program,
-    spec: &Spec,
-    engine: &DischargeEngine,
-) -> Result<AcceptabilityReport, VcgenError> {
-    staged_check(
-        engine,
-        program,
-        spec,
-        StageSet::default(),
-        DischargeOptions::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Verifier;
     use relaxed_lang::{parse_formula, parse_program, parse_rel_formula};
 
     fn check_original(program: &Program, pre: &Formula, post: &Formula) -> Report {
+        let spec = Spec {
+            pre: pre.clone(),
+            post: post.clone(),
+            rel_pre: RelFormula::True,
+            rel_post: RelFormula::True,
+        };
         Verifier::new()
             .stage(Stage::Original)
-            .check(program, &unary_spec(pre, post))
+            .check(program, &spec)
             .unwrap()
     }
 

@@ -258,26 +258,6 @@ impl Solver {
         self.branch_budget
     }
 
-    /// Sets the CDCL conflict budget.
-    #[deprecated(
-        since = "0.6.0",
-        note = "budgets are fixed at construction: use `Solver::with_budgets` \
-                (mid-session budget mutation would break scope invariants)"
-    )]
-    pub fn set_max_conflicts(&mut self, max_conflicts: u64) {
-        self.max_conflicts = max_conflicts;
-    }
-
-    /// Sets the branch-and-bound node budget.
-    #[deprecated(
-        since = "0.6.0",
-        note = "budgets are fixed at construction: use `Solver::with_budgets` \
-                (mid-session budget mutation would break scope invariants)"
-    )]
-    pub fn set_branch_budget(&mut self, branch_budget: u64) {
-        self.branch_budget = branch_budget;
-    }
-
     /// Opens an incremental session: a [`ScopedSolver`] with
     /// `assert`/`push`/`pop`/`check_sat`/`check_valid` that keeps the CNF
     /// pool, learned clauses, and the simplex tableau alive across
@@ -919,17 +899,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_budget_setters_match_with_budgets() {
-        let mut shimmed = Solver::new();
-        shimmed.set_max_conflicts(123);
-        shimmed.set_branch_budget(45);
-        let direct = Solver::with_budgets(123, 45);
-        assert_eq!(shimmed.max_conflicts(), direct.max_conflicts());
-        assert_eq!(shimmed.branch_budget(), direct.branch_budget());
-    }
-
-    #[test]
     fn session_push_pop_isolates_assumptions() {
         let mut solver = Solver::new();
         let mut session = solver.session();
@@ -969,8 +938,8 @@ mod tests {
 
     #[test]
     fn session_verdicts_match_fresh_solvers() {
-        // The scoped discharge shape the engine uses: assert the shared
-        // hypothesis once, then refute each conclusion in its own scope.
+        // The scoped discharge shape: assert a shared hypothesis once,
+        // then refute each conclusion in its own scope.
         let h = x().ge(ITerm::Const(0)).and(x().le(y()));
         let goals = [
             x().ge(ITerm::Const(0)),   // valid under h

@@ -47,25 +47,14 @@ const CI_LINT_BUILD_TEST: &[Step] = &[
         &["cargo", "doc", "--workspace", "--no-deps"],
         &[("RUSTDOCFLAGS", "-D warnings")],
     ),
-    // Four of the six verification schedules (the remaining two —
+    // Two of the four verification schedules (the remaining two —
     // persistent on-disk verdict cache and the traced engine suite —
     // need runtime temp paths and are appended by `ci()`): default
-    // engine parallelism, the fully sequential discharge path,
-    // fresh-solver-per-goal discharge with the incremental session
-    // grouping disabled, and the goal-level static analysis layer
-    // disabled.
+    // engine parallelism and the fully sequential discharge path.
     Step(&["cargo", "test", "-q", "--workspace"], &[]),
     Step(
         &["cargo", "test", "-q", "--workspace"],
         &[("DISCHARGE_WORKERS", "1")],
-    ),
-    Step(
-        &["cargo", "test", "-q", "--workspace"],
-        &[("DISCHARGE_INCREMENTAL", "0")],
-    ),
-    Step(
-        &["cargo", "test", "-q", "--workspace"],
-        &[("DISCHARGE_PREFILTER", "0")],
     ),
 ];
 
@@ -683,7 +672,7 @@ fn main() {
         _ => {
             eprintln!("usage: cargo xtask <ci|verify|bench-json|bench-check>");
             eprintln!(
-                "  ci          fmt + clippy + build --release + doc + test (6 schedules) + examples + sharded/service corpus + edit-reverify + trace-smoke jobs + bench --no-run"
+                "  ci          fmt + clippy + build --release + doc + test (4 schedules) + examples + sharded/service corpus + edit-reverify + trace-smoke jobs + bench --no-run"
             );
             eprintln!("  verify      the ROADMAP tier-1 gate: build --release && test -q");
             eprintln!(
