@@ -7,7 +7,7 @@
 
 use crate::ast::{BTerm, ITerm, Rel};
 use crate::linear::{canon_ineq, BoundKind, CanonAtom, IneqAtom, LinForm, VarPool};
-use crate::preprocess::poly;
+use crate::preprocess::normalize_from;
 use crate::sat::{BVar, Lit, SatSolver};
 use std::collections::HashMap;
 use std::fmt;
@@ -83,9 +83,9 @@ impl CnfBuilder {
     fn atom_lit(&mut self, atom: IneqAtom) -> Lit {
         // Canonical key: the Upper representative.
         let (key, positive) = match atom.kind {
-            BoundKind::Upper => ((atom.form.clone(), atom.bound), true),
+            BoundKind::Upper => ((atom.form, atom.bound), true),
             // f ≥ b ⟺ ¬(f ≤ b−1)
-            BoundKind::Lower => ((atom.form.clone(), atom.bound - 1), false),
+            BoundKind::Lower => ((atom.form, atom.bound - 1), false),
         };
         if let Some(&v) = self.atom_vars.get(&key) {
             return Lit::new(v, positive);
@@ -100,16 +100,50 @@ impl CnfBuilder {
         Lit::new(v, positive)
     }
 
+    /// The literal for `form + k rel 0` (`rel` neither `=` nor `≠`).
+    fn ineq_lit(&mut self, form: LinForm, k: i128, rel: Rel) -> Lit {
+        match canon_ineq(form, k, rel) {
+            CanonAtom::True => self.true_lit(),
+            CanonAtom::False => self.true_lit().negated(),
+            CanonAtom::Ineq(atom) => self.atom_lit(atom),
+        }
+    }
+
+    /// The linear form and constant of `lhs - rhs`. Names are interned in
+    /// sorted order, after equal names merge and zero coefficients drop:
+    /// pool ids fix the simplex columns, whose order breaks Bland's ties.
     fn linearize(&mut self, lhs: &ITerm, rhs: &ITerm) -> Result<(LinForm, i128), EncodeError> {
-        let diff = lhs.clone().sub(rhs.clone());
-        let (coeffs, k) = poly(&diff).ok_or_else(|| EncodeError {
-            message: format!("non-linear atom after grounding: {diff:?}"),
-        })?;
+        let mut terms = Vec::new();
+        let mut k = 0;
+        if !(walk(lhs, 1, &mut terms, &mut k) && walk(rhs, -1, &mut terms, &mut k)) {
+            return Err(EncodeError {
+                message: format!("non-linear atom after grounding: Sub({lhs:?}, {rhs:?})"),
+            });
+        }
+        normalize_from(&mut terms, 0);
         let mut form = LinForm::zero();
-        for (name, c) in coeffs {
-            form.add_term(self.pool.intern(&name), c);
+        for (name, c) in terms {
+            form.add_term(self.pool.intern(name), c);
         }
         Ok((form, k))
+    }
+
+    /// A fresh gate `g ⟺ lx ∧ ly`.
+    fn and_gate(&mut self, lx: Lit, ly: Lit) -> Lit {
+        let g = Lit::new(self.new_bool_var(), true);
+        self.sat.add_clause(vec![g.negated(), lx]);
+        self.sat.add_clause(vec![g.negated(), ly]);
+        self.sat.add_clause(vec![lx.negated(), ly.negated(), g]);
+        g
+    }
+
+    /// A fresh gate `g ⟺ lx ∨ ly`.
+    fn or_gate(&mut self, lx: Lit, ly: Lit) -> Lit {
+        let g = Lit::new(self.new_bool_var(), true);
+        self.sat.add_clause(vec![g.negated(), lx, ly]);
+        self.sat.add_clause(vec![lx.negated(), g]);
+        self.sat.add_clause(vec![ly.negated(), g]);
+        g
     }
 
     /// Tseitin-encodes a formula, returning its literal.
@@ -123,51 +157,37 @@ impl CnfBuilder {
             BTerm::True => Ok(self.true_lit()),
             BTerm::False => Ok(self.true_lit().negated()),
             BTerm::Atom(rel, lhs, rhs) => {
-                match rel {
+                let (form, k) = self.linearize(lhs, rhs)?;
+                Ok(match rel {
+                    // `=` is `≤ ∧ ≥` and `≠` is `< ∨ >` over one form.
                     Rel::Eq => {
-                        let both = BTerm::Atom(Rel::Le, lhs.clone(), rhs.clone()).and(BTerm::Atom(
-                            Rel::Ge,
-                            lhs.clone(),
-                            rhs.clone(),
-                        ));
-                        self.encode(&both)
+                        let le = self.ineq_lit(form.clone(), k, Rel::Le);
+                        let ge = self.ineq_lit(form, k, Rel::Ge);
+                        self.and_gate(le, ge)
                     }
                     Rel::Ne => {
-                        let either = BTerm::Atom(Rel::Lt, lhs.clone(), rhs.clone())
-                            .or(BTerm::Atom(Rel::Gt, lhs.clone(), rhs.clone()));
-                        self.encode(&either)
+                        let lt = self.ineq_lit(form.clone(), k, Rel::Lt);
+                        let gt = self.ineq_lit(form, k, Rel::Gt);
+                        self.or_gate(lt, gt)
                     }
-                    _ => {
-                        let (form, k) = self.linearize(lhs, rhs)?;
-                        match canon_ineq(form, k, *rel) {
-                            CanonAtom::True => Ok(self.true_lit()),
-                            CanonAtom::False => Ok(self.true_lit().negated()),
-                            CanonAtom::Ineq(atom) => Ok(self.atom_lit(atom)),
-                        }
-                    }
-                }
+                    _ => self.ineq_lit(form, k, *rel),
+                })
             }
             BTerm::And(x, y) => {
                 let lx = self.encode(x)?;
                 let ly = self.encode(y)?;
-                let g = Lit::new(self.new_bool_var(), true);
-                self.sat.add_clause(vec![g.negated(), lx]);
-                self.sat.add_clause(vec![g.negated(), ly]);
-                self.sat.add_clause(vec![lx.negated(), ly.negated(), g]);
-                Ok(g)
+                Ok(self.and_gate(lx, ly))
             }
             BTerm::Or(x, y) => {
                 let lx = self.encode(x)?;
                 let ly = self.encode(y)?;
-                let g = Lit::new(self.new_bool_var(), true);
-                self.sat.add_clause(vec![g.negated(), lx, ly]);
-                self.sat.add_clause(vec![lx.negated(), g]);
-                self.sat.add_clause(vec![ly.negated(), g]);
-                Ok(g)
+                Ok(self.or_gate(lx, ly))
             }
             BTerm::Implies(x, y) => {
-                let rewritten = BTerm::Or(Box::new(BTerm::Not(x.clone())), y.clone());
-                self.encode(&rewritten)
+                // x ⇒ y is ¬x ∨ y.
+                let lx = self.encode(x)?.negated();
+                let ly = self.encode(y)?;
+                Ok(self.or_gate(lx, ly))
             }
             BTerm::Not(x) => Ok(self.encode(x)?.negated()),
             BTerm::Exists(_, _) | BTerm::Forall(_, _) => Err(EncodeError {
@@ -214,10 +234,69 @@ pub(crate) struct CnfMark {
     true_var: Option<BVar>,
 }
 
+/// The `(name, coefficient)` terms of a linear view, borrowed from the
+/// term they come from; unsorted and possibly repeated until
+/// [`normalize_from`] runs.
+type Terms<'t> = Vec<(&'t str, i128)>;
+
+/// Adds `sign · t` to `terms` and `k`. Returns `false` on exactly the
+/// terms [`poly`](crate::preprocess::poly) rejects: `div`, `mod`,
+/// `select`, `len`, and a product neither side of which cancels to a
+/// constant.
+fn walk<'t>(t: &'t ITerm, sign: i128, terms: &mut Terms<'t>, k: &mut i128) -> bool {
+    match t {
+        ITerm::Const(n) => {
+            *k += sign * i128::from(*n);
+            true
+        }
+        ITerm::Var(v) => {
+            terms.push((v, sign));
+            true
+        }
+        ITerm::Add(a, b) => walk(a, sign, terms, k) && walk(b, sign, terms, k),
+        ITerm::Sub(a, b) => walk(a, sign, terms, k) && walk(b, -sign, terms, k),
+        ITerm::Neg(a) => walk(a, -sign, terms, k),
+        ITerm::Mul(a, b) => match (&**a, &**b) {
+            (ITerm::Const(c), _) => walk(b, sign * i128::from(*c), terms, k),
+            (_, ITerm::Const(c)) => walk(a, sign * i128::from(*c), terms, k),
+            _ => {
+                // Linear when one side cancels to a constant: walk each
+                // side apart and look.
+                let start = terms.len();
+                let mut ka = 0;
+                if !walk(a, 1, terms, &mut ka) {
+                    return false;
+                }
+                normalize_from(terms, start);
+                if terms.len() == start {
+                    return walk(b, sign * ka, terms, k);
+                }
+                let mid = terms.len();
+                let mut kb = 0;
+                if !walk(b, 1, terms, &mut kb) {
+                    return false;
+                }
+                normalize_from(terms, mid);
+                if terms.len() > mid {
+                    return false;
+                }
+                for (_, c) in &mut terms[start..] {
+                    *c *= sign * kb;
+                }
+                *k += sign * ka * kb;
+                true
+            }
+        },
+        ITerm::Div(_, _) | ITerm::Mod(_, _) | ITerm::Select(_, _) | ITerm::Len(_) => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::preprocess::poly;
     use crate::sat::SatOutcome;
+    use relaxed_interp::rng::SplitMix64;
 
     fn x() -> ITerm {
         ITerm::var("x")
@@ -287,5 +366,100 @@ mod tests {
         let mut cnf = CnfBuilder::new();
         let q = x().le(ITerm::Const(3)).exists("x");
         assert!(cnf.encode(&q).is_err());
+    }
+
+    /// A random integer term over five names. Besides linear shapes it
+    /// makes products whose side cancels to a constant, sums that cancel
+    /// to zero, non-linear products, and (rarely) `select`, `div`, `mod`
+    /// and `len`, which linearization rejects.
+    fn random_term(rng: &mut SplitMix64, depth: u32) -> ITerm {
+        let leaf = depth == 0 || rng.gen_u32_below(4) == 0;
+        match if leaf {
+            rng.gen_u32_below(2)
+        } else {
+            2 + rng.gen_u32_below(10)
+        } {
+            0 => ITerm::Const(rng.gen_range(-3..=3)),
+            1 => ITerm::var(["c", "a!1", "b", "a", "a!0"][rng.gen_u32_below(5) as usize]),
+            2 => random_term(rng, depth - 1).add(random_term(rng, depth - 1)),
+            3 => random_term(rng, depth - 1).sub(random_term(rng, depth - 1)),
+            4 => ITerm::Neg(Box::new(random_term(rng, depth - 1))),
+            5 => ITerm::Const(rng.gen_range(-3..=3)).mul(random_term(rng, depth - 1)),
+            6 => random_term(rng, depth - 1).mul(ITerm::Const(rng.gen_range(-3..=3))),
+            7 => random_term(rng, depth - 1).mul(random_term(rng, depth - 1)),
+            8 => {
+                // t - t + c: cancels to a constant.
+                let t = random_term(rng, depth - 1);
+                let c = ITerm::Const(rng.gen_range(-2..=2));
+                let constant = t.clone().sub(t).add(c);
+                if rng.gen_bool() {
+                    constant.mul(random_term(rng, depth - 1))
+                } else {
+                    random_term(rng, depth - 1).mul(constant)
+                }
+            }
+            9 => {
+                // t + -t: cancels to zero.
+                let t = random_term(rng, depth - 1);
+                t.clone().add(ITerm::Neg(Box::new(t)))
+            }
+            _ => match rng.gen_u32_below(8) {
+                0 => ITerm::Select("arr".to_string(), Box::new(random_term(rng, depth - 1))),
+                1 => ITerm::Div(
+                    Box::new(random_term(rng, depth - 1)),
+                    Box::new(ITerm::Const(2)),
+                ),
+                2 => ITerm::Mod(
+                    Box::new(random_term(rng, depth - 1)),
+                    Box::new(ITerm::Const(3)),
+                ),
+                3 => ITerm::Len("arr".to_string()),
+                _ => random_term(rng, depth - 1),
+            },
+        }
+    }
+
+    /// The clone-free walker linearizes `lhs - rhs` exactly as
+    /// `preprocess::poly` does: the same accepted terms, coefficients and
+    /// constant, the same names interned in the same order, and the same
+    /// error text for a rejected atom.
+    #[test]
+    fn linearization_matches_poly() {
+        let mut rng = SplitMix64::seed_from_u64(0x11_4EA2);
+        let (mut accepted, mut rejected, mut cancelled) = (0, 0, 0);
+        for round in 0..2_000 {
+            let lhs = random_term(&mut rng, 4);
+            let rhs = random_term(&mut rng, 3);
+            let diff = lhs.clone().sub(rhs.clone());
+            let mut cnf = CnfBuilder::new();
+            let mut reference = VarPool::new();
+            let expected = poly(&diff).map(|(coeffs, k)| {
+                let mut form = LinForm::zero();
+                for (name, c) in coeffs {
+                    form.add_term(reference.intern(&name), c);
+                }
+                (form, k)
+            });
+            match (cnf.linearize(&lhs, &rhs), expected) {
+                (Ok(got), Some(want)) => {
+                    accepted += 1;
+                    cancelled += usize::from(got.0.is_zero());
+                    assert_eq!(got, want, "round {round}: {diff:?}");
+                }
+                (Err(e), None) => {
+                    rejected += 1;
+                    let want = format!("non-linear atom after grounding: {diff:?}");
+                    assert_eq!(e.message, want, "round {round}");
+                }
+                (got, want) => panic!("round {round}: {diff:?}: {got:?} vs {want:?}"),
+            }
+            let names =
+                |pool: &VarPool| pool.iter().map(|(_, n)| n.to_string()).collect::<Vec<_>>();
+            assert_eq!(names(&cnf.pool), names(&reference), "round {round}");
+        }
+        assert!(
+            accepted > 300 && rejected > 300 && cancelled > 50,
+            "{accepted} {rejected} {cancelled}"
+        );
     }
 }

@@ -238,88 +238,127 @@ pub fn nnf(b: &BTerm, negate: bool) -> BTerm {
     }
 }
 
+/// Whether `x` occurs in `t`, as a variable or as an array name.
+fn mentions(t: &ITerm, x: &str) -> bool {
+    match t {
+        ITerm::Const(_) => false,
+        ITerm::Var(v) | ITerm::Len(v) => v == x,
+        ITerm::Add(a, b)
+        | ITerm::Sub(a, b)
+        | ITerm::Mul(a, b)
+        | ITerm::Div(a, b)
+        | ITerm::Mod(a, b) => mentions(a, x) || mentions(b, x),
+        ITerm::Neg(a) => mentions(a, x),
+        ITerm::Select(arr, idx) => arr == x || mentions(idx, x),
+    }
+}
+
 /// A linear view over *base terms*: plain variables stay variables, while
 /// opaque subterms (array reads, divisions, non-linear products, lengths)
 /// become pseudo-variables keyed by their own syntax. This lets the
 /// unit-coefficient quantifier elimination see through atoms like
-/// `a ≤ col[i] + e`.
-pub(crate) fn poly_terms(t: &ITerm) -> Option<(BTreeMap<ITerm, i128>, i128)> {
-    fn insert(mut m: BTreeMap<ITerm, i128>, k: ITerm, c: i128) -> BTreeMap<ITerm, i128> {
-        let e = m.entry(k.clone()).or_insert(0);
-        *e += c;
-        if *e == 0 {
-            m.remove(&k);
-        }
-        m
-    }
+/// `a ≤ col[i] + e`. The terms are borrowed, sorted, distinct and
+/// nonzero.
+type BaseView<'t> = Vec<(&'t ITerm, i128)>;
+
+/// The base-term view of `lhs - rhs` and its constant.
+fn base_view<'t>(lhs: &'t ITerm, rhs: &'t ITerm) -> (BaseView<'t>, i128) {
+    let mut terms = Vec::new();
+    let mut k = 0;
+    walk_base(lhs, 1, &mut terms, &mut k);
+    walk_base(rhs, -1, &mut terms, &mut k);
+    normalize_from(&mut terms, 0);
+    (terms, k)
+}
+
+/// Adds `sign · t` to `terms` and `k`, over base terms. A product
+/// neither side of which cancels to a constant is one opaque base term.
+fn walk_base<'t>(t: &'t ITerm, sign: i128, terms: &mut BaseView<'t>, k: &mut i128) {
     match t {
-        ITerm::Const(n) => Some((BTreeMap::new(), *n as i128)),
+        ITerm::Const(n) => *k += sign * i128::from(*n),
         ITerm::Var(_)
         | ITerm::Select(_, _)
         | ITerm::Len(_)
         | ITerm::Div(_, _)
-        | ITerm::Mod(_, _) => Some((insert(BTreeMap::new(), t.clone(), 1), 0)),
+        | ITerm::Mod(_, _) => terms.push((t, sign)),
         ITerm::Add(a, b) => {
-            let (ma, ka) = poly_terms(a)?;
-            let (mb, kb) = poly_terms(b)?;
-            Some((merge_terms(ma, mb, 1), ka + kb))
+            walk_base(a, sign, terms, k);
+            walk_base(b, sign, terms, k);
         }
         ITerm::Sub(a, b) => {
-            let (ma, ka) = poly_terms(a)?;
-            let (mb, kb) = poly_terms(b)?;
-            Some((merge_terms(ma, mb, -1), ka - kb))
+            walk_base(a, sign, terms, k);
+            walk_base(b, -sign, terms, k);
         }
-        ITerm::Neg(a) => {
-            let (ma, ka) = poly_terms(a)?;
-            Some((scale_terms(ma, -1), -ka))
-        }
-        ITerm::Mul(a, b) => {
-            let pa = poly_terms(a)?;
-            let pb = poly_terms(b)?;
-            if pa.0.is_empty() {
-                Some((scale_terms(pb.0, pa.1), pa.1 * pb.1))
-            } else if pb.0.is_empty() {
-                Some((scale_terms(pa.0, pb.1), pa.1 * pb.1))
-            } else {
-                // Non-linear product: one opaque base term.
-                Some((insert(BTreeMap::new(), t.clone(), 1), 0))
+        ITerm::Neg(a) => walk_base(a, -sign, terms, k),
+        ITerm::Mul(a, b) => match (&**a, &**b) {
+            (ITerm::Const(c), _) => walk_base(b, sign * i128::from(*c), terms, k),
+            (_, ITerm::Const(c)) => walk_base(a, sign * i128::from(*c), terms, k),
+            _ => {
+                let start = terms.len();
+                let mut ka = 0;
+                walk_base(a, 1, terms, &mut ka);
+                normalize_from(terms, start);
+                if terms.len() == start {
+                    return walk_base(b, sign * ka, terms, k);
+                }
+                let mid = terms.len();
+                let mut kb = 0;
+                walk_base(b, 1, terms, &mut kb);
+                normalize_from(terms, mid);
+                if terms.len() > mid {
+                    // Non-linear product: one opaque base term.
+                    terms.truncate(start);
+                    terms.push((t, sign));
+                    return;
+                }
+                for (_, c) in &mut terms[start..] {
+                    *c *= sign * kb;
+                }
+                *k += sign * ka * kb;
             }
+        },
+    }
+}
+
+/// Sorts the `(key, coefficient)` terms in `terms[start..]` by key, merges
+/// equal keys and drops zero coefficients.
+pub(crate) fn normalize_from<K: Ord + Copy>(terms: &mut Vec<(K, i128)>, start: usize) {
+    terms[start..].sort_unstable_by_key(|&(key, _)| key);
+    let mut out = start;
+    let mut i = start;
+    while i < terms.len() {
+        let (key, mut c) = terms[i];
+        i += 1;
+        while i < terms.len() && terms[i].0 == key {
+            c += terms[i].1;
+            i += 1;
+        }
+        if c != 0 {
+            terms[out] = (key, c);
+            out += 1;
         }
     }
+    terms.truncate(out);
 }
 
-fn merge_terms(
-    mut a: BTreeMap<ITerm, i128>,
-    b: BTreeMap<ITerm, i128>,
-    sign: i128,
-) -> BTreeMap<ITerm, i128> {
-    for (k, v) in b {
-        let e = a.entry(k).or_insert(0);
-        *e += sign * v;
-    }
-    a.retain(|_, v| *v != 0);
-    a
+/// Removes the plain variable `x` from a view, returning its coefficient.
+fn take_var(terms: &mut BaseView<'_>, x: &str) -> Option<i128> {
+    let i = terms
+        .iter()
+        .position(|(t, _)| matches!(t, ITerm::Var(v) if v == x))?;
+    Some(terms.remove(i).1)
 }
 
-fn scale_terms(mut a: BTreeMap<ITerm, i128>, s: i128) -> BTreeMap<ITerm, i128> {
-    if s == 0 {
-        return BTreeMap::new();
-    }
-    for v in a.values_mut() {
-        *v *= s;
-    }
-    a
-}
-
-/// Rebuilds an [`ITerm`] from a base-term linear view.
-fn unpoly_terms(m: &BTreeMap<ITerm, i128>, k: i128) -> ITerm {
+/// Rebuilds an [`ITerm`] for `sign · (view + k)`.
+fn unpoly_terms(terms: &[(&ITerm, i128)], sign: i128, k: i128) -> ITerm {
+    let k = sign * k;
     let mut acc: Option<ITerm> = if k != 0 {
         Some(ITerm::Const(k as i64))
     } else {
         None
     };
-    for (base, &c) in m {
-        let piece = match c {
+    for &(base, c) in terms {
+        let piece = match sign * c {
             1 => base.clone(),
             -1 => ITerm::Neg(Box::new(base.clone())),
             c => ITerm::Mul(Box::new(ITerm::Const(c as i64)), Box::new(base.clone())),
@@ -330,19 +369,6 @@ fn unpoly_terms(m: &BTreeMap<ITerm, i128>, k: i128) -> ITerm {
         });
     }
     acc.unwrap_or(ITerm::Const(0))
-}
-
-/// Base-term keys of a view that mention the variable `x`.
-fn keys_mentioning(m: &BTreeMap<ITerm, i128>, x: &str) -> bool {
-    m.keys().any(|k| {
-        if let ITerm::Var(v) = k {
-            v == x
-        } else {
-            let mut vars = BTreeSet::new();
-            term_vars(k, &mut vars);
-            vars.contains(x)
-        }
-    })
 }
 
 /// A linear view of a term: coefficients per name plus a constant.
@@ -407,42 +433,106 @@ fn scale(mut a: BTreeMap<String, i128>, s: i128) -> BTreeMap<String, i128> {
     a
 }
 
-/// A literal in a cube: an atom known to hold.
-type Atom = (Rel, ITerm, ITerm);
+/// One atom of a DNF over `x`, borrowed from the formula.
+struct CubeAtom<'b> {
+    rel: Rel,
+    lhs: &'b ITerm,
+    rhs: &'b ITerm,
+    /// For an atom mentioning `x`: the coefficient of `x` (0 when it
+    /// cancels), and the rest of the base-term view of `lhs - rhs` with
+    /// its constant.
+    x_part: Option<(i128, BaseView<'b>, i128)>,
+}
 
-/// Converts an NNF formula into DNF cubes, splitting `Ne` atoms that
-/// mention `x` into `< ∨ >`. Returns `None` on blowup or when `x` occurs
-/// in a non-linear position.
-fn dnf_cubes(x: &str, b: &BTerm) -> Option<Vec<Vec<Atom>>> {
+/// What one cube atom says about `x`.
+enum XView {
+    /// The atom does not mention `x`.
+    Free,
+    /// `x ≤ t`.
+    Upper(ITerm),
+    /// `x ≥ t`.
+    Lower(ITerm),
+    /// `x = t`: the one-point rule applies.
+    Point(ITerm),
+    /// Not a unit-coefficient bound on `x`.
+    Fail,
+}
+
+impl CubeAtom<'_> {
+    fn x_view(&self) -> XView {
+        let Some((c, view, k)) = &self.x_part else {
+            return XView::Free;
+        };
+        if c.abs() != 1 {
+            return XView::Fail;
+        }
+        // c·x + R + k  rel  0, with R the view: if c = 1, x rel -(R + k);
+        // if c = -1, x flip(rel) (R + k).
+        let bound = unpoly_terms(view, -c, *k);
+        let rel = if *c == 1 {
+            self.rel
+        } else {
+            flipped_by_sign(self.rel)
+        };
+        match rel {
+            Rel::Le => XView::Upper(bound),
+            Rel::Lt => XView::Upper(bound.sub(ITerm::Const(1))),
+            Rel::Ge => XView::Lower(bound),
+            Rel::Gt => XView::Lower(bound.add(ITerm::Const(1))),
+            Rel::Eq => XView::Point(bound),
+            Rel::Ne => XView::Fail, // dnf_cubes splits every `≠` on x
+        }
+    }
+}
+
+/// Converts an NNF formula into DNF cubes of indices into `table`, which
+/// receives the formula's atoms, splitting `Ne` atoms that mention `x`
+/// into `< ∨ >`. Returns `None` on blowup or when `x` occurs in a
+/// non-linear position.
+fn dnf_cubes<'b>(x: &str, b: &'b BTerm, table: &mut Vec<CubeAtom<'b>>) -> Option<Vec<Vec<u32>>> {
     match b {
         BTerm::True => Some(vec![vec![]]),
         BTerm::False => Some(vec![]),
         BTerm::Atom(rel, lhs, rhs) => {
-            let mut vars = BTreeSet::new();
-            term_vars(lhs, &mut vars);
-            term_vars(rhs, &mut vars);
-            if vars.contains(x) {
-                // x must appear linearly (over base terms) to be eliminable,
-                // and must not hide inside an opaque base term.
-                let diff = lhs.clone().sub(rhs.clone());
-                let (m, _) = poly_terms(&diff)?;
-                let mut m2 = m.clone();
-                m2.remove(&ITerm::Var(x.to_string()));
-                if keys_mentioning(&m2, x) {
-                    return None;
-                }
-                if *rel == Rel::Ne {
-                    return Some(vec![
-                        vec![(Rel::Lt, lhs.clone(), rhs.clone())],
-                        vec![(Rel::Gt, lhs.clone(), rhs.clone())],
-                    ]);
-                }
+            let index = table.len() as u32;
+            if !(mentions(lhs, x) || mentions(rhs, x)) {
+                table.push(CubeAtom {
+                    rel: *rel,
+                    lhs,
+                    rhs,
+                    x_part: None,
+                });
+                return Some(vec![vec![index]]);
             }
-            Some(vec![vec![(*rel, lhs.clone(), rhs.clone())]])
+            // x must appear linearly (over base terms) to be eliminable,
+            // and must not hide inside an opaque base term.
+            let (mut view, k) = base_view(lhs, rhs);
+            let c = take_var(&mut view, x).unwrap_or(0);
+            if view.iter().any(|(t, _)| mentions(t, x)) {
+                return None;
+            }
+            if *rel == Rel::Ne {
+                for rel in [Rel::Lt, Rel::Gt] {
+                    table.push(CubeAtom {
+                        rel,
+                        lhs,
+                        rhs,
+                        x_part: Some((c, view.clone(), k)),
+                    });
+                }
+                return Some(vec![vec![index], vec![index + 1]]);
+            }
+            table.push(CubeAtom {
+                rel: *rel,
+                lhs,
+                rhs,
+                x_part: Some((c, view, k)),
+            });
+            Some(vec![vec![index]])
         }
         BTerm::Or(a, c) => {
-            let mut cubes = dnf_cubes(x, a)?;
-            cubes.extend(dnf_cubes(x, c)?);
+            let mut cubes = dnf_cubes(x, a, table)?;
+            cubes.extend(dnf_cubes(x, c, table)?);
             if cubes.len() > MAX_CUBES {
                 None
             } else {
@@ -450,16 +540,17 @@ fn dnf_cubes(x: &str, b: &BTerm) -> Option<Vec<Vec<Atom>>> {
             }
         }
         BTerm::And(a, c) => {
-            let left = dnf_cubes(x, a)?;
-            let right = dnf_cubes(x, c)?;
+            let left = dnf_cubes(x, a, table)?;
+            let right = dnf_cubes(x, c, table)?;
             let mut cubes = Vec::new();
             for l in &left {
                 for r in &right {
-                    let mut cube = l.clone();
-                    cube.extend(r.iter().cloned());
-                    if cube.len() > MAX_CUBE_LITERALS {
+                    if l.len() + r.len() > MAX_CUBE_LITERALS {
                         return None;
                     }
+                    let mut cube = Vec::with_capacity(l.len() + r.len());
+                    cube.extend_from_slice(l);
+                    cube.extend_from_slice(r);
                     cubes.push(cube);
                 }
             }
@@ -475,57 +566,57 @@ fn dnf_cubes(x: &str, b: &BTerm) -> Option<Vec<Vec<Atom>>> {
 }
 
 /// Exact elimination of `∃x` from a single cube whose `x`-coefficients are
-/// all `±1`. Returns `None` when a coefficient is not `±1`.
-fn elim_cube(x: &str, cube: &[Atom]) -> Option<BTerm> {
-    let mut lowers: Vec<ITerm> = Vec::new(); // x ≥ t
-    let mut uppers: Vec<ITerm> = Vec::new(); // x ≤ t
-    let mut rest: Vec<Atom> = Vec::new();
-    for (i, (rel, lhs, rhs)) in cube.iter().enumerate() {
-        let mut vars = BTreeSet::new();
-        term_vars(lhs, &mut vars);
-        term_vars(rhs, &mut vars);
-        if !vars.contains(x) {
-            rest.push((*rel, lhs.clone(), rhs.clone()));
-            continue;
-        }
-        let diff = lhs.clone().sub(rhs.clone());
-        let (mut m, k) = poly_terms(&diff)?;
-        let c = m.remove(&ITerm::Var(x.to_string()))?;
-        if c.abs() != 1 || keys_mentioning(&m, x) {
-            return None;
-        }
-        // c·x + R + k  rel  0, with R = unpoly(m).
-        // If c = 1:  x  rel  -(R + k);  if c = -1:  x  flip(rel)  (R + k).
-        let bound = if c == 1 {
-            unpoly_terms(&scale_terms(m, -1), -k)
-        } else {
-            unpoly_terms(&m, k)
-        };
-        let rel = if c == 1 { *rel } else { flipped_by_sign(*rel) };
-        match rel {
-            Rel::Le => uppers.push(bound),
-            Rel::Lt => uppers.push(bound.sub(ITerm::Const(1))),
-            Rel::Ge => lowers.push(bound),
-            Rel::Gt => lowers.push(bound.add(ITerm::Const(1))),
-            Rel::Eq => {
+/// all `±1`. Returns `None` when a coefficient is not `±1`. `views`
+/// caches each table atom's [`XView`] across the cubes of one
+/// elimination; the cube's atoms are checked in order, so the first
+/// failing or one-point atom decides.
+fn elim_cube(
+    x: &str,
+    cube: &[u32],
+    table: &[CubeAtom<'_>],
+    views: &mut [Option<XView>],
+) -> Option<BTerm> {
+    let mut lowers: Vec<usize> = Vec::new(); // x ≥ t
+    let mut uppers: Vec<usize> = Vec::new(); // x ≤ t
+    let mut rest: Vec<usize> = Vec::new();
+    for (pos, &i) in cube.iter().enumerate() {
+        let i = i as usize;
+        let view = views[i].get_or_insert_with(|| table[i].x_view());
+        match view {
+            XView::Free => rest.push(i),
+            XView::Upper(_) => uppers.push(i),
+            XView::Lower(_) => lowers.push(i),
+            XView::Fail => return None,
+            XView::Point(bound) => {
                 // One-point within the cube: x = bound. Substituting into
                 // every *other* atom removes x from the whole cube (bound is
                 // x-free because its linear view had x removed).
-                let conj = BTerm::conj(cube.iter().enumerate().filter(|(j, _)| *j != i).map(
-                    |(_, (r2, l2, r2t))| {
-                        BTerm::Atom(*r2, subst_term(l2, x, &bound), subst_term(r2t, x, &bound))
+                let conj = BTerm::conj(cube.iter().enumerate().filter(|(j, _)| *j != pos).map(
+                    |(_, &j)| {
+                        let atom = &table[j as usize];
+                        BTerm::Atom(
+                            atom.rel,
+                            subst_term(atom.lhs, x, bound),
+                            subst_term(atom.rhs, x, bound),
+                        )
                     },
                 ));
                 return Some(conj);
             }
-            Rel::Ne => return None, // should have been split by dnf_cubes
         }
     }
+    let bound = |i: usize| match &views[i] {
+        Some(XView::Upper(t) | XView::Lower(t)) => t.clone(),
+        _ => unreachable!("only bounds are collected"),
+    };
     // ∃x over ℤ with unit bounds: all lower ≤ all upper.
-    let mut out = BTerm::conj(rest.into_iter().map(|(r, l, rr)| BTerm::Atom(r, l, rr)));
-    for lo in &lowers {
-        for hi in &uppers {
-            out = out.and(BTerm::Atom(Rel::Le, lo.clone(), hi.clone()));
+    let mut out = BTerm::conj(rest.into_iter().map(|i| {
+        let atom = &table[i];
+        BTerm::Atom(atom.rel, atom.lhs.clone(), atom.rhs.clone())
+    }));
+    for &lo in &lowers {
+        for &hi in &uppers {
+            out = out.and(BTerm::Atom(Rel::Le, bound(lo), bound(hi)));
         }
     }
     Some(out)
@@ -546,10 +637,12 @@ fn flipped_by_sign(rel: Rel) -> Rel {
 
 /// Tries exact elimination of `∃x. body` (body in NNF, quantifier-free).
 fn try_exact_exists(x: &str, body: &BTerm) -> Option<BTerm> {
-    let cubes = dnf_cubes(x, body)?;
+    let mut table = Vec::new();
+    let cubes = dnf_cubes(x, body, &mut table)?;
+    let mut views: Vec<Option<XView>> = table.iter().map(|_| None).collect();
     let mut out = BTerm::False;
     for cube in &cubes {
-        out = out.or(elim_cube(x, cube)?);
+        out = out.or(elim_cube(x, cube, &table, &mut views)?);
     }
     Some(out)
 }
@@ -566,26 +659,17 @@ fn instantiation_candidates(
     let mut atoms = Vec::new();
     collect_atoms(body, &mut atoms);
     let mut candidates: Vec<ITerm> = Vec::new();
-    for (_, lhs, rhs) in &atoms {
-        let mut vars = BTreeSet::new();
-        term_vars(lhs, &mut vars);
-        term_vars(rhs, &mut vars);
-        if !vars.contains(x) {
+    for (lhs, rhs) in atoms {
+        if !(mentions(lhs, x) || mentions(rhs, x)) {
             continue;
         }
-        let diff = lhs.clone().sub(rhs.clone());
-        if let Some((mut m, k)) = poly_terms(&diff) {
-            if let Some(c) = m.remove(&ITerm::Var(x.to_string())) {
-                if c.abs() == 1 && !keys_mentioning(&m, x) {
-                    let bound = if c == 1 {
-                        unpoly_terms(&scale_terms(m, -1), -k)
-                    } else {
-                        unpoly_terms(&m, k)
-                    };
-                    candidates.push(bound.clone().sub(ITerm::Const(1)));
-                    candidates.push(bound.clone());
-                    candidates.push(bound.add(ITerm::Const(1)));
-                }
+        let (mut view, k) = base_view(lhs, rhs);
+        if let Some(c) = take_var(&mut view, x) {
+            if c.abs() == 1 && !view.iter().any(|(t, _)| mentions(t, x)) {
+                let bound = unpoly_terms(&view, -c, k);
+                candidates.push(bound.clone().sub(ITerm::Const(1)));
+                candidates.push(bound.clone());
+                candidates.push(bound.add(ITerm::Const(1)));
             }
         }
         if candidates.len() >= MAX_INSTANTIATION_CANDIDATES {
@@ -597,9 +681,7 @@ fn instantiation_candidates(
     for arr in arrays {
         if let Some(terms) = pool.get(&arr) {
             for t in terms {
-                let mut vars = BTreeSet::new();
-                term_vars(t, &mut vars);
-                if !vars.contains(x) {
+                if !mentions(t, x) {
                     candidates.push(t.clone());
                 }
             }
@@ -680,9 +762,7 @@ fn arrays_indexed_by(b: &BTerm, x: &str, out: &mut BTreeSet<String>) {
             }
             ITerm::Neg(a) => term(a, x, out),
             ITerm::Select(arr, idx) => {
-                let mut vars = BTreeSet::new();
-                term_vars(idx, &mut vars);
-                if vars.contains(x) {
+                if mentions(idx, x) {
                     out.insert(arr.clone());
                 }
                 term(idx, x, out);
@@ -708,9 +788,10 @@ fn arrays_indexed_by(b: &BTerm, x: &str, out: &mut BTreeSet<String>) {
     }
 }
 
-fn collect_atoms(b: &BTerm, out: &mut Vec<Atom>) {
+/// The `(lhs, rhs)` sides of every atom in `b`.
+fn collect_atoms<'b>(b: &'b BTerm, out: &mut Vec<(&'b ITerm, &'b ITerm)>) {
     match b {
-        BTerm::Atom(rel, lhs, rhs) => out.push((*rel, lhs.clone(), rhs.clone())),
+        BTerm::Atom(_, lhs, rhs) => out.push((lhs, rhs)),
         BTerm::And(a, c) | BTerm::Or(a, c) | BTerm::Implies(a, c) => {
             collect_atoms(a, out);
             collect_atoms(c, out);
@@ -982,8 +1063,10 @@ mod tests {
     #[test]
     fn ne_atoms_split_in_dnf() {
         let body = x().rel(Rel::Ne, y());
-        let cubes = dnf_cubes("x", &body).unwrap();
-        assert_eq!(cubes.len(), 2);
+        let mut table = Vec::new();
+        let cubes = dnf_cubes("x", &body, &mut table).unwrap();
+        assert_eq!(cubes, vec![vec![0], vec![1]]);
+        assert_eq!((table[0].rel, table[1].rel), (Rel::Lt, Rel::Gt));
         let elim = try_exact_exists("x", &body).unwrap();
         // ∃x. x ≠ y is true over ℤ.
         assert_eq!(elim, BTerm::True);

@@ -9,14 +9,27 @@
 //! * `push`/`pop` snapshot only the bound state — the tableau and the
 //!   current β assignment carry over, which is what makes branch-and-bound
 //!   and CDCL backtracking cheap.
+//! * The tableau stores each basic variable's row sorted by column, and
+//!   each column's list of the rows that mention it, so a nonbasic update
+//!   or a pivot visits only the rows it changes.
+//! * A *violated-basic list* holds every basic variable that may be out of
+//!   bounds. A variable joins it when a bound is asserted on it or when
+//!   its value moves (a nonbasic update, or a pivot, which also lists the
+//!   entering variable), and leaves it once a check finds it within
+//!   bounds. `pop` only loosens bounds, so every basic variable off the
+//!   list is within its bounds, and [`Simplex::check`] takes Bland's pick
+//!   (the smallest violated variable) from the list instead of scanning
+//!   every row. A variable still violated after a conflict stays listed.
 //! * All variables are integer-sorted; `check_int` layers branch-and-bound
 //!   over the rational `check`, with a node budget to bound divergence on
 //!   pathological unbounded problems (exceeding it yields
-//!   [`IntCheck::Unknown`], which callers must treat as "not proved").
+//!   [`IntCheck::Unknown`], which callers must treat as "not proved"). The
+//!   search keeps its open branchings on an explicit stack, so a deep
+//!   search cannot overflow the calling thread's stack.
 
 use crate::linear::{LinForm, VarId};
 use crate::rational::Rat;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// External reason attached to a bound (a SAT literal index in DPLL(T)).
 pub type Tag = u32;
@@ -70,16 +83,75 @@ struct UndoBound {
     prev: Option<Bound>,
 }
 
+/// A basic variable's row `Σ coeff · nonbasic`: sorted by column, with no
+/// zero coefficient.
+type Row = Vec<(VarId, Rat)>;
+
+/// The coefficient of `x` in `row`, if it occurs.
+fn coeff(row: &Row, x: VarId) -> Option<Rat> {
+    row.binary_search_by_key(&x, |&(y, _)| y)
+        .ok()
+        .map(|i| row[i].1)
+}
+
+/// Removes the basic variable `b` from a column's list of rows.
+fn unlink(rows_of_column: &mut Vec<VarId>, b: VarId) {
+    let i = rows_of_column
+        .iter()
+        .position(|&r| r == b)
+        .expect("a row is listed in each of its columns");
+    rows_of_column.swap_remove(i);
+}
+
+/// The violated-basic list: the basic variables that may be out of
+/// bounds, each listed once.
+#[derive(Debug, Default)]
+struct Suspects {
+    vars: Vec<VarId>,
+    listed: Vec<bool>,
+}
+
+impl Suspects {
+    fn insert(&mut self, x: VarId) {
+        let listed = &mut self.listed[x as usize];
+        if !*listed {
+            *listed = true;
+            self.vars.push(x);
+        }
+    }
+}
+
+/// One node's outcome in branch-and-bound.
+enum Node {
+    /// The node is decided.
+    Leaf(IntCheck),
+    /// Branch on the variable, whose value is the fraction.
+    Branch(VarId, Rat),
+}
+
+/// A branching whose subtrees are not both explored yet.
+struct Branching {
+    var: VarId,
+    beta: Rat,
+    /// The `x ≤ ⌊β⌋` subtree's result, once known.
+    down: Option<IntCheck>,
+}
+
 /// The simplex state.
 #[derive(Debug, Default)]
 pub struct Simplex {
-    /// Row per basic variable: `basic = Σ coeff · nonbasic`.
-    rows: HashMap<VarId, HashMap<VarId, Rat>>,
+    /// Per variable: its row while basic (`basic = Σ coeff · nonbasic`),
+    /// `None` while nonbasic.
+    rows: Vec<Option<Row>>,
+    /// Per variable: the basic variables whose rows mention it.
+    cols: Vec<Vec<VarId>>,
     values: Vec<Rat>,
     lower: Vec<Option<Bound>>,
     upper: Vec<Option<Bound>>,
     trail: Vec<UndoBound>,
     scopes: Vec<usize>,
+    /// Every basic variable off this list is within its bounds.
+    suspects: Suspects,
     /// Statistics: pivot operations performed.
     pub pivots: u64,
     /// Statistics: branch-and-bound nodes explored.
@@ -100,9 +172,12 @@ impl Simplex {
     /// Allocates a fresh unbounded variable with value 0.
     pub fn new_var(&mut self) -> VarId {
         let id = self.values.len() as VarId;
+        self.rows.push(None);
+        self.cols.push(Vec::new());
         self.values.push(Rat::ZERO);
         self.lower.push(None);
         self.upper.push(None);
+        self.suspects.listed.push(false);
         id
     }
 
@@ -114,31 +189,32 @@ impl Simplex {
     /// Panics if `f` references an unknown variable.
     pub fn def_var(&mut self, f: &LinForm) -> VarId {
         let id = self.new_var();
-        let mut row: HashMap<VarId, Rat> = HashMap::new();
+        let mut row: BTreeMap<VarId, Rat> = BTreeMap::new();
         for (x, c) in f.iter() {
             assert!(
                 (x as usize) < self.values.len() - 1,
                 "unknown variable in def"
             );
             let c = Rat::int(c);
-            if let Some(xrow) = self.rows.get(&x) {
+            match &self.rows[x as usize] {
                 // x is basic: substitute its row.
-                let xrow = xrow.clone();
-                for (y, a) in xrow {
-                    let e = row.entry(y).or_insert(Rat::ZERO);
-                    *e += c * a;
+                Some(xrow) => {
+                    for &(y, a) in xrow {
+                        *row.entry(y).or_insert(Rat::ZERO) += c * a;
+                    }
                 }
-            } else {
-                let e = row.entry(x).or_insert(Rat::ZERO);
-                *e += c;
+                None => *row.entry(x).or_insert(Rat::ZERO) += c,
             }
         }
-        row.retain(|_, c| !c.is_zero());
+        let row: Row = row.into_iter().filter(|(_, c)| !c.is_zero()).collect();
         self.values[id as usize] = row
             .iter()
-            .map(|(&y, &a)| a * self.values[y as usize])
+            .map(|&(y, a)| a * self.values[y as usize])
             .fold(Rat::ZERO, |acc, v| acc + v);
-        self.rows.insert(id, row);
+        for &(y, _) in &row {
+            self.cols[y as usize].push(id);
+        }
+        self.rows[id as usize] = Some(row);
         id
     }
 
@@ -169,7 +245,7 @@ impl Simplex {
     }
 
     fn is_basic(&self, x: VarId) -> bool {
-        self.rows.contains_key(&x)
+        self.rows[x as usize].is_some()
     }
 
     /// Asserts `x ≤ val`.
@@ -205,7 +281,9 @@ impl Simplex {
             prev: self.upper[xi].clone(),
         });
         self.upper[xi] = Some(Bound { val, tag });
-        if !self.is_basic(x) && self.values[xi] > val {
+        if self.is_basic(x) {
+            self.suspects.insert(x);
+        } else if self.values[xi] > val {
             self.update_nonbasic(x, val);
         }
         Ok(())
@@ -244,7 +322,9 @@ impl Simplex {
             prev: self.lower[xi].clone(),
         });
         self.lower[xi] = Some(Bound { val, tag });
-        if !self.is_basic(x) && self.values[xi] < val {
+        if self.is_basic(x) {
+            self.suspects.insert(x);
+        } else if self.values[xi] < val {
             self.update_nonbasic(x, val);
         }
         Ok(())
@@ -256,33 +336,61 @@ impl Simplex {
         if delta.is_zero() {
             return;
         }
-        for (&b, row) in &self.rows {
-            if let Some(&a) = row.get(&x) {
-                self.values[b as usize] += a * delta;
-            }
+        for &b in &self.cols[x as usize] {
+            let row = self.rows[b as usize]
+                .as_ref()
+                .expect("column rows are basic");
+            let a = coeff(row, x).expect("a column's rows mention it");
+            self.values[b as usize] += a * delta;
+            self.suspects.insert(b);
         }
         self.values[x as usize] = val;
     }
 
-    fn oob_basic(&self) -> Option<(VarId, bool)> {
-        // Bland's rule: smallest variable index; bool = violated-below.
+    /// Bland's rule over the violated-basic list: the smallest basic
+    /// variable out of its bounds, and whether it is below its lower
+    /// bound. Listed variables found within bounds, or no longer basic,
+    /// leave the list.
+    fn violated_basic(&mut self) -> Option<(VarId, bool)> {
         let mut best: Option<(VarId, bool)> = None;
-        for &b in self.rows.keys() {
+        let Suspects { vars, listed } = &mut self.suspects;
+        vars.retain(|&b| {
             let bi = b as usize;
             let beta = self.values[bi];
-            if let Some(l) = &self.lower[bi] {
-                if beta < l.val && best.is_none_or(|(v, _)| b < v) {
-                    best = Some((b, true));
-                    continue;
-                }
+            let below = self.lower[bi].as_ref().is_some_and(|l| beta < l.val);
+            let above = self.upper[bi].as_ref().is_some_and(|u| beta > u.val);
+            let violated = self.rows[bi].is_some() && (below || above);
+            if !violated {
+                listed[bi] = false;
+            } else if best.is_none_or(|(v, _)| b < v) {
+                best = Some((b, below));
             }
-            if let Some(u) = &self.upper[bi] {
-                if beta > u.val && best.is_none_or(|(v, _)| b < v) {
-                    best = Some((b, false));
-                }
-            }
-        }
+            violated
+        });
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            best,
+            self.oob_basic(),
+            "the violated-basic list must yield a full scan's pick"
+        );
         best
+    }
+
+    /// Bland's pick by a full scan of the basic variables; checks the
+    /// violated-basic list in debug builds.
+    #[cfg(debug_assertions)]
+    fn oob_basic(&self) -> Option<(VarId, bool)> {
+        (0..self.values.len()).find_map(|bi| {
+            self.rows[bi].as_ref()?;
+            let beta = self.values[bi];
+            if self.lower[bi].as_ref().is_some_and(|l| beta < l.val) {
+                Some((bi as VarId, true))
+            } else if self.upper[bi].as_ref().is_some_and(|u| beta > u.val) {
+                Some((bi as VarId, false))
+            } else {
+                None
+            }
+        })
     }
 
     /// Rational feasibility check.
@@ -292,56 +400,40 @@ impl Simplex {
     /// Returns a [`Conflict`] naming the bounds responsible when the
     /// asserted bounds are infeasible over ℚ.
     pub fn check(&mut self) -> Result<(), Conflict> {
-        loop {
-            let Some((xi, below)) = self.oob_basic() else {
-                return Ok(());
-            };
-            let row = self.rows.get(&xi).expect("oob var is basic").clone();
-            let target = if below {
-                self.lower[xi as usize]
-                    .as_ref()
-                    .expect("violated below")
-                    .val
+        while let Some((xi, below)) = self.violated_basic() {
+            let own = if below {
+                self.lower[xi as usize].as_ref()
             } else {
-                self.upper[xi as usize]
-                    .as_ref()
-                    .expect("violated above")
-                    .val
-            };
-            // Find an entering variable (Bland: smallest index).
-            let mut entering: Option<VarId> = None;
-            let mut candidates: Vec<(VarId, Rat)> = row.iter().map(|(&y, &a)| (y, a)).collect();
-            candidates.sort_by_key(|&(y, _)| y);
-            for &(y, a) in &candidates {
-                let yi = y as usize;
-                let ok = if below {
-                    // β(xi) must increase.
-                    (a.signum() > 0 && self.can_increase(yi))
-                        || (a.signum() < 0 && self.can_decrease(yi))
-                } else {
-                    (a.signum() > 0 && self.can_decrease(yi))
-                        || (a.signum() < 0 && self.can_increase(yi))
-                };
-                if ok {
-                    entering = Some(y);
-                    break;
-                }
+                self.upper[xi as usize].as_ref()
             }
+            .expect("a violated variable has the bound it violates");
+            let row = self.rows[xi as usize].as_ref().expect("oob var is basic");
+            // Find an entering variable (Bland: smallest index) that moves
+            // β(xi) toward its bound: when xi is violated below, positive
+            // coefficients must increase and negative ones decrease; dually
+            // above.
+            let entering = row.iter().find_map(|&(y, a)| {
+                let yi = y as usize;
+                let ok = if below == (a.signum() > 0) {
+                    self.can_increase(yi)
+                } else {
+                    self.can_decrease(yi)
+                };
+                ok.then_some(y)
+            });
             match entering {
-                Some(xj) => self.pivot_and_update(xi, target, xj),
+                Some(xj) => {
+                    let target = own.val;
+                    self.pivot_and_update(xi, target, xj);
+                }
                 None => {
                     // Infeasible: every nonbasic is at its limiting bound.
                     let mut conflict = Conflict::default();
-                    let own = if below {
-                        self.lower[xi as usize].as_ref()
-                    } else {
-                        self.upper[xi as usize].as_ref()
-                    };
-                    match own.and_then(|b| b.tag) {
+                    match own.tag {
                         Some(t) => conflict.tags.push(t),
                         None => conflict.used_internal = true,
                     }
-                    for &(y, a) in &candidates {
+                    for &(y, a) in row {
                         let yi = y as usize;
                         // When xi is violated below, positive coefficients are
                         // stuck at their upper bound and negative ones at
@@ -362,6 +454,7 @@ impl Simplex {
                 }
             }
         }
+        Ok(())
     }
 
     fn can_increase(&self, yi: usize) -> bool {
@@ -381,81 +474,151 @@ impl Simplex {
     /// Pivots basic `xi` out (setting β(xi) = v) and nonbasic `xj` in.
     fn pivot_and_update(&mut self, xi: VarId, v: Rat, xj: VarId) {
         self.pivots += 1;
-        let row = self.rows.remove(&xi).expect("xi must be basic");
-        let a_ij = *row.get(&xj).expect("xj must appear in row");
+        let row = self.rows[xi as usize].take().expect("xi must be basic");
+        for &(k, _) in &row {
+            unlink(&mut self.cols[k as usize], xi);
+        }
+        let a_ij = coeff(&row, xj).expect("xj must appear in row");
         let theta = (v - self.values[xi as usize]) / a_ij;
         self.values[xi as usize] = v;
         self.values[xj as usize] += theta;
-        for (&b, brow) in &self.rows {
-            if let Some(&a) = brow.get(&xj) {
-                self.values[b as usize] += a * theta;
+        self.suspects.insert(xj);
+        // New row for xj: xj = (xi - Σ_{k≠j} a_k x_k) / a_ij. No row
+        // mentions the basic xi, so it enters every row below as new.
+        let mut new_row: Row = Vec::with_capacity(row.len());
+        let at = row.partition_point(|&(k, _)| k < xi);
+        for (i, &(k, a)) in row.iter().enumerate() {
+            if i == at {
+                new_row.push((xi, a_ij.recip()));
             }
-        }
-        // New row for xj: xj = (xi - Σ_{k≠j} a_k x_k) / a_ij.
-        let mut new_row: HashMap<VarId, Rat> = HashMap::new();
-        new_row.insert(xi, a_ij.recip());
-        for (&k, &a) in &row {
             if k != xj {
-                new_row.insert(k, -a / a_ij);
+                new_row.push((k, -a / a_ij));
             }
         }
-        // Substitute into every other row containing xj.
-        let keys: Vec<VarId> = self.rows.keys().copied().collect();
-        for b in keys {
-            let brow = self.rows.get_mut(&b).expect("key enumerated");
-            if let Some(coef) = brow.remove(&xj) {
-                for (&k, &a) in &new_row {
-                    let e = brow.entry(k).or_insert(Rat::ZERO);
-                    *e += coef * a;
+        if at == row.len() {
+            new_row.push((xi, a_ij.recip()));
+        }
+        // Every other row mentioning xj moves with it; substitute the new
+        // row for xj there.
+        for b in std::mem::take(&mut self.cols[xj as usize]) {
+            let bi = b as usize;
+            let brow = self.rows[bi].take().expect("column rows are basic");
+            let coef = coeff(&brow, xj).expect("a column's rows mention it");
+            self.values[bi] += coef * theta;
+            self.suspects.insert(b);
+            let mut merged: Row = Vec::with_capacity(brow.len() + new_row.len());
+            let mut old = brow.into_iter().filter(|&(y, _)| y != xj).peekable();
+            for &(k, a) in &new_row {
+                while let Some(entry) = old.next_if(|&(y, _)| y < k) {
+                    merged.push(entry);
                 }
-                brow.retain(|_, c| !c.is_zero());
+                let add = coef * a;
+                match old.next_if(|&(y, _)| y == k) {
+                    Some((_, c)) => {
+                        let sum = c + add;
+                        if sum.is_zero() {
+                            unlink(&mut self.cols[k as usize], b);
+                        } else {
+                            merged.push((k, sum));
+                        }
+                    }
+                    None => {
+                        merged.push((k, add));
+                        self.cols[k as usize].push(b);
+                    }
+                }
             }
+            merged.extend(old);
+            self.rows[bi] = Some(merged);
         }
-        self.rows.insert(xj, new_row);
+        for &(k, _) in &new_row {
+            self.cols[k as usize].push(xj);
+        }
+        self.rows[xj as usize] = Some(new_row);
+    }
+
+    /// Counts one branch-and-bound node and runs the rational check on
+    /// it: the node's verdict, or the first fractional variable to branch
+    /// on, which spends one unit of `budget`.
+    fn node(&mut self, budget: &mut u64) -> Node {
+        self.branch_nodes += 1;
+        if let Err(c) = self.check() {
+            return Node::Leaf(IntCheck::Infeasible(c));
+        }
+        let frac = (0..self.values.len()).find(|&x| !self.values[x].is_integer());
+        let Some(x) = frac else {
+            return Node::Leaf(IntCheck::Feasible(
+                self.values.iter().map(Rat::numer).collect(),
+            ));
+        };
+        if *budget == 0 {
+            return Node::Leaf(IntCheck::Unknown);
+        }
+        *budget -= 1;
+        Node::Branch(x as VarId, self.values[x])
     }
 
     /// Integer feasibility via branch-and-bound with a node `budget`.
+    ///
+    /// A depth-first search over an explicit stack of open branchings. A
+    /// node branching on `x = β` explores `x ≤ ⌊β⌋` first and `x ≥ ⌈β⌉`
+    /// only when the first is not feasible; each subtree runs in its own
+    /// scope, and a node whose branch bound conflicts outright is not
+    /// counted. Two infeasible subtrees merge their conflicts, which then
+    /// count as internal: the branch bounds took part.
     pub fn check_int(&mut self, budget: &mut u64) -> IntCheck {
-        self.branch_nodes += 1;
-        match self.check() {
-            Err(c) => IntCheck::Infeasible(c),
-            Ok(()) => {
-                let frac = (0..self.values.len() as VarId)
-                    .find(|&x| !self.values[x as usize].is_integer());
-                let Some(x) = frac else {
-                    return IntCheck::Feasible(self.values.iter().map(|v| v.numer()).collect());
-                };
-                if *budget == 0 {
-                    return IntCheck::Unknown;
-                }
-                *budget -= 1;
-                let beta = self.values[x as usize];
-                // Branch x ≤ ⌊β⌋.
-                self.push();
-                let down = match self.assert_upper(x, Rat::int(beta.floor()), None) {
-                    Err(c) => IntCheck::Infeasible(c),
-                    Ok(()) => self.check_int(budget),
-                };
-                self.pop();
-                if let IntCheck::Feasible(m) = down {
-                    return IntCheck::Feasible(m);
-                }
-                // Branch x ≥ ⌈β⌉.
-                self.push();
-                let up = match self.assert_lower(x, Rat::int(beta.ceil()), None) {
-                    Err(c) => IntCheck::Infeasible(c),
-                    Ok(()) => self.check_int(budget),
-                };
-                self.pop();
-                match (down, up) {
-                    (IntCheck::Infeasible(a), IntCheck::Infeasible(b)) => {
-                        let mut merged = a.merge(b);
-                        // Branch bounds are internal by construction.
-                        merged.used_internal = true;
-                        IntCheck::Infeasible(merged)
+        let mut open: Vec<Branching> = Vec::new();
+        'node: loop {
+            let mut result = match self.node(budget) {
+                Node::Leaf(verdict) => verdict,
+                Node::Branch(var, beta) => {
+                    open.push(Branching {
+                        var,
+                        beta,
+                        down: None,
+                    });
+                    self.push();
+                    match self.assert_upper(var, Rat::int(beta.floor()), None) {
+                        Ok(()) => continue 'node,
+                        Err(c) => IntCheck::Infeasible(c),
                     }
-                    (_, IntCheck::Feasible(m)) => IntCheck::Feasible(m),
-                    _ => IntCheck::Unknown,
+                }
+            };
+            // Hand the subtree's result to its branching: after the ⌊β⌋
+            // subtree that opens the ⌈β⌉ one; after both, the branching is
+            // decided and its result goes one level up.
+            loop {
+                let Some(top) = open.last_mut() else {
+                    return result;
+                };
+                self.pop();
+                match top.down.take() {
+                    None => {
+                        if let IntCheck::Feasible(_) = result {
+                            open.pop();
+                            continue;
+                        }
+                        top.down = Some(result);
+                        let (var, beta) = (top.var, top.beta);
+                        self.push();
+                        match self.assert_lower(var, Rat::int(beta.ceil()), None) {
+                            Ok(()) => continue 'node,
+                            Err(c) => result = IntCheck::Infeasible(c),
+                        }
+                    }
+                    Some(down) => {
+                        open.pop();
+                        result = match (down, result) {
+                            (IntCheck::Infeasible(a), IntCheck::Infeasible(b)) => {
+                                let mut merged = a.merge(b);
+                                // Branch bounds are internal by construction.
+                                merged.used_internal = true;
+                                IntCheck::Infeasible(merged)
+                            }
+                            (_, IntCheck::Feasible(m)) => IntCheck::Feasible(m),
+                            _ => IntCheck::Unknown,
+                        };
+                    }
                 }
             }
         }
@@ -591,5 +754,226 @@ mod tests {
         s.assert_lower(f, Rat::int(100), Some(0)).unwrap();
         let mut budget = 100;
         assert!(matches!(s.check_int(&mut budget), IntCheck::Feasible(_)));
+    }
+
+    /// A bound of a random script: the variable, whether it is an upper
+    /// bound, and its value. A bound's tag is its index in the script.
+    type ScriptBound = (VarId, bool, i128);
+
+    /// Whether `point` (one value per column) meets every bound in `tags`;
+    /// `defs` gives each variable as a form over the columns.
+    fn meets(defs: &[Vec<i128>], bounds: &[ScriptBound], tags: &[Tag], point: &[i128]) -> bool {
+        tags.iter().all(|&t| {
+            let (v, upper, val) = bounds[t as usize];
+            let x: i128 = defs[v as usize].iter().zip(point).map(|(c, p)| c * p).sum();
+            if upper {
+                x <= val
+            } else {
+                x >= val
+            }
+        })
+    }
+
+    /// Whether some integer point of `[-w, w]ⁿ` meets every bound in `tags`.
+    fn has_point(defs: &[Vec<i128>], bounds: &[ScriptBound], tags: &[Tag], w: i128) -> bool {
+        let n = defs[0].len();
+        let mut point = vec![-w; n];
+        loop {
+            if meets(defs, bounds, tags, &point) {
+                return true;
+            }
+            let Some(i) = point.iter().position(|&p| p < w) else {
+                return false;
+            };
+            point[i] += 1;
+            point[..i].fill(-w);
+        }
+    }
+
+    /// Fourier–Motzkin elimination: whether the bounds in `tags` have a
+    /// rational solution.
+    fn rationally_feasible(defs: &[Vec<i128>], bounds: &[ScriptBound], tags: &[Tag]) -> bool {
+        // Each constraint is `Σ a·x ≤ b`.
+        let mut rows: Vec<(Vec<Rat>, Rat)> = tags
+            .iter()
+            .map(|&t| {
+                let (v, upper, val) = bounds[t as usize];
+                let s = if upper { 1 } else { -1 };
+                let a = defs[v as usize].iter().map(|&c| Rat::int(s * c)).collect();
+                (a, Rat::int(s * val))
+            })
+            .collect();
+        for j in 0..defs[0].len() {
+            let (mut pos, mut neg, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+            for row in rows {
+                match row.0[j].signum() {
+                    1 => pos.push(row),
+                    -1 => neg.push(row),
+                    _ => rest.push(row),
+                }
+            }
+            for (a, b) in &pos {
+                for (c, d) in &neg {
+                    let (p, q) = (-c[j], a[j]);
+                    let sum = a.iter().zip(c).map(|(&x, &y)| p * x + q * y).collect();
+                    rest.push((sum, p * *b + q * *d));
+                }
+            }
+            rows = rest;
+        }
+        rows.iter().all(|(_, b)| *b >= Rat::ZERO)
+    }
+
+    /// Seeded random scripts of `def_var`, bound assertions, `push`,
+    /// `pop`, `check` and `check_int` over at most four columns, each
+    /// boxed to [−3, 3] at the root. Every verdict agrees with the live
+    /// bounds: a rational model meets them, `check_int` agrees with
+    /// enumerating the box, and every conflict's tag set is infeasible on
+    /// its own — rationally (by Fourier–Motzkin) for a rational conflict,
+    /// with no integer point in [−6, 6]ⁿ for a branch-and-bound one. In
+    /// debug builds every `check` also compares the violated-basic list's
+    /// pick with a full scan.
+    #[test]
+    fn random_scripts_agree_with_enumeration() {
+        use relaxed_interp::rng::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(0x51A9_1E70);
+        let (mut conflicts, mut int_verdicts, mut branched) = (0, [0; 2], 0);
+        for script in 0..300 {
+            let mut s = Simplex::new();
+            let ncols = 1 + rng.gen_u32_below(4) as usize;
+            let mut defs: Vec<Vec<i128>> = Vec::new();
+            let mut bounds: Vec<ScriptBound> = Vec::new();
+            let mut live: Vec<Tag> = Vec::new();
+            let mut scopes: Vec<usize> = Vec::new();
+            for col in 0..ncols {
+                let v = s.new_var();
+                defs.push((0..ncols).map(|j| i128::from(j == col)).collect());
+                for (upper, val) in [(false, -3), (true, 3)] {
+                    let tag = bounds.len() as Tag;
+                    bounds.push((v, upper, val));
+                    let asserted = if upper {
+                        s.assert_upper(v, Rat::int(val), Some(tag))
+                    } else {
+                        s.assert_lower(v, Rat::int(val), Some(tag))
+                    };
+                    asserted.expect("a column's box is consistent");
+                    live.push(tag);
+                }
+            }
+            for step in 0..40 {
+                let at = format!("script {script}, step {step}");
+                match rng.gen_u32_below(9) {
+                    0 if defs.len() < ncols + 4 => {
+                        let mut form = LinForm::zero();
+                        let mut def = vec![0; ncols];
+                        for _ in 0..1 + rng.gen_u32_below(3) {
+                            let y = rng.gen_u32_below(defs.len() as u32);
+                            let c = [-3, -2, -1, 1, 2, 3][rng.gen_u32_below(6) as usize];
+                            form.add_term(y, c);
+                            for (d, e) in def.iter_mut().zip(&defs[y as usize]) {
+                                *d += c * e;
+                            }
+                        }
+                        s.def_var(&form);
+                        defs.push(def);
+                    }
+                    0..=3 => {
+                        // An upper bound, a lower bound, or both at once.
+                        let v = rng.gen_u32_below(defs.len() as u32);
+                        let val = i128::from(rng.gen_range(-6..=6));
+                        let sides: &[bool] = match rng.gen_u32_below(3) {
+                            0 => &[true],
+                            1 => &[false],
+                            _ => &[false, true],
+                        };
+                        for &upper in sides {
+                            let tag = bounds.len() as Tag;
+                            bounds.push((v, upper, val));
+                            let asserted = if upper {
+                                s.assert_upper(v, Rat::int(val), Some(tag))
+                            } else {
+                                s.assert_lower(v, Rat::int(val), Some(tag))
+                            };
+                            match asserted {
+                                Ok(()) => live.push(tag),
+                                Err(c) => {
+                                    conflicts += 1;
+                                    assert!(!c.used_internal, "{at}");
+                                    assert!(!rationally_feasible(&defs, &bounds, &c.tags), "{at}");
+                                }
+                            }
+                        }
+                    }
+                    4 => {
+                        s.push();
+                        scopes.push(live.len());
+                    }
+                    5 => {
+                        if let Some(mark) = scopes.pop() {
+                            s.pop();
+                            live.truncate(mark);
+                        }
+                    }
+                    6 | 7 => match s.check() {
+                        Ok(()) => {
+                            for &t in &live {
+                                let (v, upper, val) = bounds[t as usize];
+                                let x = s.value(v);
+                                assert!(
+                                    if upper {
+                                        x <= Rat::int(val)
+                                    } else {
+                                        x >= Rat::int(val)
+                                    },
+                                    "{at}"
+                                );
+                            }
+                            for (v, def) in defs.iter().enumerate() {
+                                let x = (0..ncols)
+                                    .map(|j| Rat::int(def[j]) * s.value(j as VarId))
+                                    .fold(Rat::ZERO, |acc, t| acc + t);
+                                assert_eq!(s.value(v as VarId), x, "{at}");
+                            }
+                        }
+                        Err(c) => {
+                            conflicts += 1;
+                            assert!(!c.used_internal, "{at}");
+                            assert!(!rationally_feasible(&defs, &bounds, &c.tags), "{at}");
+                            assert!(!has_point(&defs, &bounds, &live, 3), "{at}");
+                        }
+                    },
+                    _ => {
+                        let mut budget = 10_000;
+                        let nodes = s.branch_nodes;
+                        let expected = has_point(&defs, &bounds, &live, 3);
+                        match s.check_int(&mut budget) {
+                            IntCheck::Feasible(model) => {
+                                int_verdicts[0] += 1;
+                                assert!(expected, "{at}: feasible, but the box has no point");
+                                assert!(meets(&defs, &bounds, &live, &model[..ncols]), "{at}");
+                                for (v, def) in defs.iter().enumerate() {
+                                    let x: i128 = def.iter().zip(&model).map(|(c, m)| c * m).sum();
+                                    assert_eq!(model[v], x, "{at}");
+                                }
+                            }
+                            IntCheck::Infeasible(c) => {
+                                int_verdicts[1] += 1;
+                                assert!(!expected, "{at}: infeasible, but the box has a point");
+                                assert!(!has_point(&defs, &bounds, &c.tags, 6), "{at}");
+                            }
+                            IntCheck::Unknown => {
+                                panic!("{at}: a boxed problem exhausted the budget")
+                            }
+                        }
+                        branched += usize::from(s.branch_nodes - nodes > 1);
+                    }
+                }
+            }
+        }
+        // The scripts reach every kind of verdict, and branch.
+        assert!(
+            conflicts > 100 && int_verdicts.iter().all(|&n| n > 100) && branched > 50,
+            "{conflicts} conflicts, {int_verdicts:?} integer verdicts, {branched} branched"
+        );
     }
 }

@@ -1035,4 +1035,30 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(one_shot.stats(), sessioned.stats());
     }
+
+    /// `x = 2y + 1 ∧ x = 2z` is rationally feasible, has no integer
+    /// point and is unbounded, so branch-and-bound spends its whole
+    /// budget: 20,000 branchings, 40,001 nodes. The search must fit the
+    /// default 2 MiB stack of a spawned worker thread in every build.
+    #[test]
+    fn branch_and_bound_budget_runs_out_on_a_small_stack() {
+        let goal = x()
+            .eq_term(ITerm::Const(2).mul(y()).add(ITerm::Const(1)))
+            .and(x().eq_term(ITerm::Const(2).mul(ITerm::var("z"))));
+        let (result, stats) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut solver = Solver::new();
+                let result = solver.check_sat(&goal);
+                (result, solver.stats())
+            })
+            .expect("spawn a 2 MiB thread")
+            .join()
+            .expect("the search fits the stack");
+        assert_eq!(
+            result,
+            SmtResult::Unknown("search budget exhausted".to_string())
+        );
+        assert_eq!(stats.branch_nodes, 40_001);
+    }
 }

@@ -111,6 +111,80 @@ fn corpus_vc_statuses_are_pinned() {
     assert_eq!(vcs, 38);
 }
 
+/// The solver's behaviour on the cold one-worker corpus: every work
+/// counter, and the rendered witness of each `Invalid` VC. These move
+/// only when the solver's search moves, and a verdict store keyed on
+/// `SOLVER_VERSION` would then replay verdicts the new search might not
+/// reach. So a change that moves any of them must bump `SOLVER_VERSION`
+/// (and re-pin here); a change that keeps every step the same keeps them.
+#[test]
+fn corpus_solver_behaviour_is_pinned() {
+    let report = Verifier::builder()
+        .workers(1)
+        .build()
+        .check_corpus_named(&casestudies::corpus());
+    let bump = "the solver's behaviour moved: bump SOLVER_VERSION and re-pin";
+    let stats = report.stats;
+    let counters = [
+        ("decisions", stats.sat.decisions, 4_333),
+        ("propagations", stats.sat.propagations, 14_534),
+        ("conflicts", stats.sat.conflicts, 116),
+        ("restarts", stats.sat.restarts, 0),
+        ("theory checks", stats.sat.theory_checks, 3),
+        ("pivots", stats.pivots, 134),
+        ("B&B nodes", stats.branch_nodes, 3),
+        ("atoms", stats.atoms, 1_239),
+        ("max atoms", stats.max_atoms, 397),
+        ("queries", stats.queries, 19),
+    ];
+    for (name, got, pinned) in counters {
+        assert_eq!(got, pinned, "{name}: {bump}");
+    }
+    let witnesses: Vec<(String, String, String)> = report
+        .entries
+        .iter()
+        .flat_map(|entry| {
+            let outcome = entry.outcome.as_ref().expect("the corpus verifies");
+            outcome
+                .combined()
+                .results
+                .iter()
+                .filter_map(|r| match &r.verdict {
+                    Validity::Invalid(model) => {
+                        Some((entry.name.clone(), r.vc.name.clone(), model.to_string()))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let pinned = [
+        (
+            "swish_broken",
+            "precondition-establishes-wp",
+            concat!(
+                "{N!o = 10, N!r = 10, max_r!o = 11, max_r!r = 11, num_r!o = 0, ",
+                "num_r!r = 0, original_max_r!o = 0, original_max_r!r = 0, ",
+                "sk_max_r#0!b1!0 = 9}",
+            ),
+        ),
+        (
+            "water_broken",
+            "precondition-establishes-wp",
+            concat!(
+                "{K!o = 0, K!r = 0, N!o = 0, N!r = 0, gCUT2!o = 0, gCUT2!r = 0, ",
+                "len!FF!o = 0, len!FF!r = 0, len!RS!o = 0, len!RS!r = 0, ",
+                "len_FF!o = 0, len_FF!r = 0}",
+            ),
+        ),
+    ];
+    let pinned: Vec<(String, String, String)> = pinned
+        .iter()
+        .map(|&(p, vc, w)| (p.to_string(), vc.to_string(), w.to_string()))
+        .collect();
+    assert_eq!(witnesses, pinned, "{bump}");
+}
+
 /// Dynamic counterpart of Theorem 6 for Swish++: across knob/N settings
 /// and oracles, paired runs have compatible observations.
 #[test]
