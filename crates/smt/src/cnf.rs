@@ -201,6 +201,39 @@ impl CnfBuilder {
         self.sat.add_clause(vec![lit]);
     }
 
+    /// Asserts `b` at the root. The top-level `∧`, `¬∨`, `¬⇒` and `¬¬`
+    /// spine gets no gates: each leaf's literal is asserted as a unit as
+    /// soon as the leaf is encoded, so the gates of later leaves meet it
+    /// as a level-0 fact in [`SatSolver::add_clause`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncodeError`] as [`CnfBuilder::encode`] does. The leaves
+    /// before the failing one stay asserted.
+    pub fn assert_formula(&mut self, b: &BTerm) -> Result<(), EncodeError> {
+        self.assert_spine(b, true)
+    }
+
+    /// Asserts `b` (`positive`) or `¬b` (otherwise) at the root.
+    fn assert_spine(&mut self, b: &BTerm, positive: bool) -> Result<(), EncodeError> {
+        match (b, positive) {
+            (BTerm::And(x, y), true) | (BTerm::Or(x, y), false) => {
+                self.assert_spine(x, positive)?;
+                self.assert_spine(y, positive)
+            }
+            (BTerm::Implies(x, y), false) => {
+                self.assert_spine(x, true)?;
+                self.assert_spine(y, false)
+            }
+            (BTerm::Not(x), _) => self.assert_spine(x, !positive),
+            _ => {
+                let lit = self.encode(b)?;
+                self.assert_root(if positive { lit } else { lit.negated() });
+                Ok(())
+            }
+        }
+    }
+
     /// Marks the current encoder + SAT state for a later
     /// [`CnfBuilder::pop_to`]. The theory [`VarPool`] is deliberately
     /// *not* marked: interned integer variables are global name

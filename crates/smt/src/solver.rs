@@ -28,7 +28,9 @@ use crate::cnf::CnfBuilder;
 /// theory conflicts by backjumping instead of restarting from level 0,
 /// and asserts simplex bounds as the trail grows. The search order
 /// changed, so `Invalid` witnesses differ from version 2's.
-pub const SOLVER_VERSION: u32 = 3;
+///
+/// Version 4: the CNF asserts root conjuncts as units.
+pub const SOLVER_VERSION: u32 = 4;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
 use crate::preprocess::{eliminate_quantifiers, FreshNames};
@@ -345,12 +347,9 @@ impl ScopedSolver<'_> {
         let grounding = groundify(&qf.formula, &mut self.fresh);
         self.incomplete |= qf.incomplete || grounding.incomplete;
         let full = grounding.formula.and(grounding.defs);
-        match self.cnf.encode(&full) {
-            Ok(root) => self.cnf.assert_root(root),
-            Err(e) => {
-                if self.encode_error.is_none() {
-                    self.encode_error = Some(e.to_string());
-                }
+        if let Err(e) = self.cnf.assert_formula(&full) {
+            if self.encode_error.is_none() {
+                self.encode_error = Some(e.to_string());
             }
         }
     }

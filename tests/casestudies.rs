@@ -131,7 +131,7 @@ fn corpus_solver_behaviour_is_pinned() {
         ("conflicts", stats.sat.conflicts, 116),
         ("restarts", stats.sat.restarts, 0),
         ("theory checks", stats.sat.theory_checks, 3),
-        ("pivots", stats.pivots, 134),
+        ("pivots", stats.pivots, 135),
         ("B&B nodes", stats.branch_nodes, 3),
         ("atoms", stats.atoms, 1_239),
         ("max atoms", stats.max_atoms, 397),
