@@ -9,8 +9,10 @@ use crate::ast::{BTerm, ITerm, Rel};
 use crate::linear::{canon_ineq, BoundKind, CanonAtom, IneqAtom, LinForm, VarPool};
 use crate::preprocess::normalize_from;
 use crate::sat::{BVar, Lit, SatSolver};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Bound;
 
 /// Encoding failure: an atom was not linear after grounding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,7 +39,8 @@ pub struct CnfBuilder {
     /// Per SAT variable: the theory atom it stands for (upper-bound
     /// canonical), or `None` for pure propositional (Tseitin) variables.
     pub atoms: Vec<Option<IneqAtom>>,
-    atom_vars: HashMap<(LinForm, i128), BVar>,
+    /// The atoms of each linear form: bound `b` of `f ≤ b` → its variable.
+    bounds: HashMap<LinForm, BTreeMap<i128, BVar>>,
     true_var: Option<BVar>,
 }
 
@@ -54,7 +57,7 @@ impl CnfBuilder {
             sat: SatSolver::new(),
             pool: VarPool::new(),
             atoms: Vec::new(),
-            atom_vars: HashMap::new(),
+            bounds: HashMap::new(),
             true_var: None,
         }
     }
@@ -79,24 +82,44 @@ impl CnfBuilder {
     }
 
     /// The literal for a canonical inequality atom. Complementary atoms
-    /// share a variable with opposite polarity.
+    /// share a variable with opposite polarity. A new atom `f ≤ b` is
+    /// linked to its nearest neighbours `b′ < b < b″` on the same form by
+    /// the bound axioms `f ≤ b′ ⇒ f ≤ b` and `f ≤ b ⇒ f ≤ b″`.
     fn atom_lit(&mut self, atom: IneqAtom) -> Lit {
         // Canonical key: the Upper representative.
-        let (key, positive) = match atom.kind {
-            BoundKind::Upper => ((atom.form, atom.bound), true),
+        let (bound, positive) = match atom.kind {
+            BoundKind::Upper => (atom.bound, true),
             // f ≥ b ⟺ ¬(f ≤ b−1)
-            BoundKind::Lower => ((atom.form, atom.bound - 1), false),
+            BoundKind::Lower => (atom.bound - 1, false),
         };
-        if let Some(&v) = self.atom_vars.get(&key) {
-            return Lit::new(v, positive);
-        }
+        let (form, ladder) = match self.bounds.entry(atom.form) {
+            Entry::Occupied(e) => {
+                if let Some(&v) = e.get().get(&bound) {
+                    return Lit::new(v, positive);
+                }
+                (e.key().clone(), e.into_mut())
+            }
+            Entry::Vacant(e) => (e.key().clone(), e.insert(BTreeMap::new())),
+        };
         let v = self.sat.new_var();
+        let below = ladder.range(..bound).next_back().map(|(_, &w)| w);
+        let above = ladder
+            .range((Bound::Excluded(bound), Bound::Unbounded))
+            .next()
+            .map(|(_, &w)| w);
+        ladder.insert(bound, v);
         self.atoms.push(Some(IneqAtom {
-            form: key.0.clone(),
+            form,
             kind: BoundKind::Upper,
-            bound: key.1,
+            bound,
         }));
-        self.atom_vars.insert(key, v);
+        let le = Lit::new(v, true);
+        if let Some(w) = below {
+            self.sat.add_clause(vec![Lit::new(w, false), le]);
+        }
+        if let Some(w) = above {
+            self.sat.add_clause(vec![le.negated(), Lit::new(w, true)]);
+        }
         Lit::new(v, positive)
     }
 
@@ -253,7 +276,10 @@ impl CnfBuilder {
     pub(crate) fn pop_to(&mut self, mark: &CnfMark) {
         self.sat.pop_to(mark.sat);
         self.atoms.truncate(mark.natoms);
-        self.atom_vars.retain(|_, v| (*v as usize) < mark.natoms);
+        self.bounds.retain(|_, ladder| {
+            ladder.retain(|_, v| (*v as usize) < mark.natoms);
+            !ladder.is_empty()
+        });
         self.true_var = mark.true_var;
     }
 }

@@ -29,7 +29,8 @@ use crate::cnf::CnfBuilder;
 /// and asserts simplex bounds as the trail grows. The search order
 /// changed, so `Invalid` witnesses differ from version 2's.
 ///
-/// Version 4: the CNF asserts root conjuncts as units.
+/// Version 4: the CNF asserts root conjuncts as units and links the
+/// atoms of each linear form by bound axioms.
 pub const SOLVER_VERSION: u32 = 4;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
@@ -967,9 +968,9 @@ mod tests {
         // Regression (queries/atoms/max_atoms used to assume one query
         // per solver): a session must fold one `queries` tick and one
         // `atoms`/`max_atoms` contribution per scoped check.
-        let h = x().ge(ITerm::Const(0));
+        let h = x().ge(ITerm::Const(0)).and(y().ge(x()));
         let g1 = x().add(ITerm::Const(1)).ge(ITerm::Const(1));
-        let g2 = x().ge(ITerm::Const(-5));
+        let g2 = y().ge(ITerm::Const(-5));
         let mut solver = Solver::new();
         let mut session = solver.session();
         session.assert(&h);
@@ -983,9 +984,11 @@ mod tests {
         drop(session);
         assert_eq!(solver.stats(), total);
         assert_eq!(total.queries, 2, "one query per scoped check");
-        // The second goal's x ≤ -6 contradicts x ≥ 0 as soon as the root
-        // bounds are asserted: a theory conflict, counted as a conflict,
-        // with no final check of a complete assignment.
+        // The second goal's y ≤ -6 contradicts x ≥ 0 ∧ y ≥ x as soon as
+        // the root bounds are asserted. The three atoms bound three
+        // different forms, so no bound axiom links them and the simplex
+        // refutes them: a theory conflict, counted as a conflict, with no
+        // final check of a complete assignment.
         assert!(total.sat.conflicts > first.sat.conflicts);
         assert_eq!(total.sat.theory_checks, first.sat.theory_checks);
         assert!(
