@@ -41,7 +41,17 @@ pub struct CnfBuilder {
     pub atoms: Vec<Option<IneqAtom>>,
     /// The atoms of each linear form: bound `b` of `f ≤ b` → its variable.
     bounds: HashMap<LinForm, BTreeMap<i128, BVar>>,
+    /// Tseitin gates by connective and children, smaller child first, so
+    /// equal subformulas share one gate.
+    gates: HashMap<(Gate, Lit, Lit), Lit>,
     true_var: Option<BVar>,
+}
+
+/// The connective a Tseitin gate defines.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Gate {
+    And,
+    Or,
 }
 
 impl Default for CnfBuilder {
@@ -58,6 +68,7 @@ impl CnfBuilder {
             pool: VarPool::new(),
             atoms: Vec::new(),
             bounds: HashMap::new(),
+            gates: HashMap::new(),
             true_var: None,
         }
     }
@@ -151,21 +162,24 @@ impl CnfBuilder {
         Ok((form, k))
     }
 
-    /// A fresh gate `g ⟺ lx ∧ ly`.
-    fn and_gate(&mut self, lx: Lit, ly: Lit) -> Lit {
-        let g = Lit::new(self.new_bool_var(), true);
-        self.sat.add_clause(vec![g.negated(), lx]);
-        self.sat.add_clause(vec![g.negated(), ly]);
-        self.sat.add_clause(vec![lx.negated(), ly.negated(), g]);
-        g
-    }
-
-    /// A fresh gate `g ⟺ lx ∨ ly`.
-    fn or_gate(&mut self, lx: Lit, ly: Lit) -> Lit {
-        let g = Lit::new(self.new_bool_var(), true);
-        self.sat.add_clause(vec![g.negated(), lx, ly]);
-        self.sat.add_clause(vec![lx.negated(), g]);
-        self.sat.add_clause(vec![ly.negated(), g]);
+    /// The gate `g ⟺ lx op ly`: the existing one for these children, or a
+    /// fresh variable with its three defining clauses.
+    fn gate(&mut self, op: Gate, lx: Lit, ly: Lit) -> Lit {
+        let vacant = match self.gates.entry((op, lx.min(ly), lx.max(ly))) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => e,
+        };
+        let g = Lit::new(self.sat.new_var(), true);
+        self.atoms.push(None);
+        vacant.insert(g);
+        let (ng, nx, ny) = (g.negated(), lx.negated(), ly.negated());
+        let clauses = match op {
+            Gate::And => [vec![ng, lx], vec![ng, ly], vec![nx, ny, g]],
+            Gate::Or => [vec![ng, lx, ly], vec![nx, g], vec![ny, g]],
+        };
+        for clause in clauses {
+            self.sat.add_clause(clause);
+        }
         g
     }
 
@@ -186,12 +200,12 @@ impl CnfBuilder {
                     Rel::Eq => {
                         let le = self.ineq_lit(form.clone(), k, Rel::Le);
                         let ge = self.ineq_lit(form, k, Rel::Ge);
-                        self.and_gate(le, ge)
+                        self.gate(Gate::And, le, ge)
                     }
                     Rel::Ne => {
                         let lt = self.ineq_lit(form.clone(), k, Rel::Lt);
                         let gt = self.ineq_lit(form, k, Rel::Gt);
-                        self.or_gate(lt, gt)
+                        self.gate(Gate::Or, lt, gt)
                     }
                     _ => self.ineq_lit(form, k, *rel),
                 })
@@ -199,18 +213,18 @@ impl CnfBuilder {
             BTerm::And(x, y) => {
                 let lx = self.encode(x)?;
                 let ly = self.encode(y)?;
-                Ok(self.and_gate(lx, ly))
+                Ok(self.gate(Gate::And, lx, ly))
             }
             BTerm::Or(x, y) => {
                 let lx = self.encode(x)?;
                 let ly = self.encode(y)?;
-                Ok(self.or_gate(lx, ly))
+                Ok(self.gate(Gate::Or, lx, ly))
             }
             BTerm::Implies(x, y) => {
                 // x ⇒ y is ¬x ∨ y.
                 let lx = self.encode(x)?.negated();
                 let ly = self.encode(y)?;
-                Ok(self.or_gate(lx, ly))
+                Ok(self.gate(Gate::Or, lx, ly))
             }
             BTerm::Not(x) => Ok(self.encode(x)?.negated()),
             BTerm::Exists(_, _) | BTerm::Forall(_, _) => Err(EncodeError {
@@ -280,6 +294,7 @@ impl CnfBuilder {
             ladder.retain(|_, v| (*v as usize) < mark.natoms);
             !ladder.is_empty()
         });
+        self.gates.retain(|_, g| (g.var() as usize) < mark.natoms);
         self.true_var = mark.true_var;
     }
 }

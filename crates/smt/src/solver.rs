@@ -29,8 +29,9 @@ use crate::cnf::CnfBuilder;
 /// and asserts simplex bounds as the trail grows. The search order
 /// changed, so `Invalid` witnesses differ from version 2's.
 ///
-/// Version 4: the CNF asserts root conjuncts as units and links the
-/// atoms of each linear form by bound axioms.
+/// Version 4: the CNF asserts root conjuncts as units, shares one
+/// Tseitin gate between equal subformulas, and links the atoms of each
+/// linear form by bound axioms.
 pub const SOLVER_VERSION: u32 = 4;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
