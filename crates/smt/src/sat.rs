@@ -385,6 +385,12 @@ impl SatSolver {
 
     /// Adds a clause. Must be called at decision level 0.
     ///
+    /// The clause is simplified against the level-0 assignment in place: a
+    /// tautology or a clause a level-0 literal satisfies is dropped, false
+    /// literals are removed, and a clause left with one literal is
+    /// asserted and propagated at once. What remains is stored in `lits`
+    /// itself, so a clause costs no allocation beyond the caller's.
+    ///
     /// Returns `false` when the clause system became unsatisfiable.
     ///
     /// # Panics
@@ -398,9 +404,11 @@ impl SatSolver {
         }
         lits.sort_unstable();
         lits.dedup();
-        // Tautology / level-0 simplification.
-        let mut simplified = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
+        // Tautology / level-0 simplification, compacting in place: `kept`
+        // trails `i`, so `lits[i + 1]` is still unread input.
+        let mut kept = 0;
+        for i in 0..lits.len() {
+            let l = lits[i];
             assert!((l.var() as usize) < self.assigns.len(), "unknown variable");
             if i + 1 < lits.len() && lits[i + 1] == l.negated() {
                 return true; // tautology
@@ -408,16 +416,20 @@ impl SatSolver {
             match self.value_lit(l) {
                 1 => return true, // already satisfied at level 0
                 -1 => {}          // drop falsified literal
-                _ => simplified.push(l),
+                _ => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match simplified.len() {
+        lits.truncate(kept);
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], None);
+                self.enqueue(lits[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
@@ -425,9 +437,9 @@ impl SatSolver {
             }
             _ => {
                 let idx = self.clauses.len() as u32;
-                self.watches[simplified[0].index()].push(idx);
-                self.watches[simplified[1].index()].push(idx);
-                self.clauses.push(simplified);
+                self.watches[lits[0].index()].push(idx);
+                self.watches[lits[1].index()].push(idx);
+                self.clauses.push(lits);
                 true
             }
         }
