@@ -650,7 +650,8 @@ fn try_exact_exists(x: &str, body: &BTerm) -> Option<BTerm> {
 /// Candidate ground terms for instantiating `∀x. body`: bound terms solved
 /// out of atoms that mention `x` with coefficient `±1` (each ±1), ground
 /// indices of arrays that `body` reads at `x` (drawn from the whole
-/// problem's `pool`), plus 0.
+/// problem's `pool`), plus 0. A candidate that mentions a variable bound
+/// inside `body` is dropped: [`subst_formula`] does not avoid capture.
 fn instantiation_candidates(
     x: &str,
     body: &BTerm,
@@ -658,6 +659,9 @@ fn instantiation_candidates(
 ) -> Vec<ITerm> {
     let mut atoms = Vec::new();
     collect_atoms(body, &mut atoms);
+    let mut inner = BTreeSet::new();
+    binders(body, &mut inner);
+    let capturable = |t: &ITerm| inner.iter().any(|v| mentions(t, v));
     let mut candidates: Vec<ITerm> = Vec::new();
     for (lhs, rhs) in atoms {
         if !(mentions(lhs, x) || mentions(rhs, x)) {
@@ -665,7 +669,7 @@ fn instantiation_candidates(
         }
         let (mut view, k) = base_view(lhs, rhs);
         if let Some(c) = take_var(&mut view, x) {
-            if c.abs() == 1 && !view.iter().any(|(t, _)| mentions(t, x)) {
+            if c.abs() == 1 && !view.iter().any(|(t, _)| mentions(t, x) || capturable(t)) {
                 let bound = unpoly_terms(&view, -c, k);
                 candidates.push(bound.clone().sub(ITerm::Const(1)));
                 candidates.push(bound.clone());
@@ -681,7 +685,7 @@ fn instantiation_candidates(
     for arr in arrays {
         if let Some(terms) = pool.get(&arr) {
             for t in terms {
-                if !mentions(t, x) {
+                if !mentions(t, x) && !capturable(t) {
                     candidates.push(t.clone());
                 }
             }
@@ -788,6 +792,22 @@ fn arrays_indexed_by(b: &BTerm, x: &str, out: &mut BTreeSet<String>) {
     }
 }
 
+/// The variables that quantifiers inside `b` bind.
+fn binders(b: &BTerm, out: &mut BTreeSet<String>) {
+    match b {
+        BTerm::True | BTerm::False | BTerm::Atom(_, _, _) => {}
+        BTerm::And(a, c) | BTerm::Or(a, c) | BTerm::Implies(a, c) => {
+            binders(a, out);
+            binders(c, out);
+        }
+        BTerm::Not(a) => binders(a, out),
+        BTerm::Exists(x, a) | BTerm::Forall(x, a) => {
+            out.insert(x.clone());
+            binders(a, out);
+        }
+    }
+}
+
 /// The `(lhs, rhs)` sides of every atom in `b`.
 fn collect_atoms<'b>(b: &'b BTerm, out: &mut Vec<(&'b ITerm, &'b ITerm)>) {
     match b {
@@ -815,11 +835,13 @@ pub struct QfResult {
 /// Eliminates all quantifiers from `b` (assumed a *satisfiability* query:
 /// top-level free variables are implicitly existential).
 ///
-/// Strategy, top-down on the NNF:
+/// Strategy, on the NNF:
 /// 1. `∃x`: try exact unit-coefficient elimination (via DNF); otherwise
-///    skolemize `x` to a fresh constant (exact — in NNF with the
-///    weakening ∀-instantiation applied outer-first, every ∃ sits under
-///    only ∧/∨).
+///    skolemize `x` to a fresh constant. Skolemizing is exact only where
+///    the `∃` sits under ∧/∨ alone, so an `∃` inside the body of a `∀`
+///    that is not yet instantiated stays an `∃`: one constant would stand
+///    for every value of the `∀`'s variable. Each instance of that `∀`
+///    then skolemizes it afresh.
 /// 2. `∀x`: `∀x.B ≡ ¬∃x.¬B`; try exact elimination of the dual; otherwise
 ///    instantiate finitely (weakening, sets `incomplete`).
 pub fn eliminate_quantifiers(b: &BTerm, fresh: &mut FreshNames) -> QfResult {
@@ -828,7 +850,7 @@ pub fn eliminate_quantifiers(b: &BTerm, fresh: &mut FreshNames) -> QfResult {
     // Phase 1: exact eliminations and skolemization only — pending ∀s are
     // left in place so phase 2 can see the skolem constants they must be
     // instantiated with.
-    let phase1 = elim(&normal, fresh, &mut incomplete, 0, None);
+    let phase1 = elim(&normal, fresh, &mut incomplete, 0, None, false);
     if is_quantifier_free(&phase1) {
         return QfResult {
             formula: phase1,
@@ -839,7 +861,7 @@ pub fn eliminate_quantifiers(b: &BTerm, fresh: &mut FreshNames) -> QfResult {
     // ground select indices (array-driven triggers) and atom bounds.
     let mut pool = BTreeMap::new();
     collect_select_pool(&phase1, &mut BTreeSet::new(), &mut pool);
-    let formula = elim(&phase1, fresh, &mut incomplete, 0, Some(&pool));
+    let formula = elim(&phase1, fresh, &mut incomplete, 0, Some(&pool), false);
     QfResult {
         formula,
         incomplete,
@@ -859,53 +881,45 @@ fn is_quantifier_free(b: &BTerm) -> bool {
 
 const MAX_DEPTH: usize = 64;
 
+/// Eliminates the quantifiers of `b` as far as `pool` allows: phase 1
+/// (`None`) leaves an inexact `∀` in place, phase 2 instantiates it.
+/// `in_forall` is set inside the body of a `∀` that is not yet
+/// instantiated, where an inexact `∃` must stay an `∃`.
 fn elim(
     b: &BTerm,
     fresh: &mut FreshNames,
     incomplete: &mut bool,
     depth: usize,
     pool: Option<&BTreeMap<String, Vec<ITerm>>>,
+    in_forall: bool,
 ) -> BTerm {
     if depth > MAX_DEPTH {
         // Give up: replace with True (weakening) and flag incompleteness.
         *incomplete = true;
         return BTerm::True;
     }
+    let mut go =
+        |b: &BTerm, in_forall: bool| elim(b, fresh, incomplete, depth + 1, pool, in_forall);
     match b {
         BTerm::True | BTerm::False | BTerm::Atom(_, _, _) => b.clone(),
-        BTerm::And(x, y) => elim(x, fresh, incomplete, depth + 1, pool).and(elim(
-            y,
-            fresh,
-            incomplete,
-            depth + 1,
-            pool,
-        )),
-        BTerm::Or(x, y) => elim(x, fresh, incomplete, depth + 1, pool).or(elim(
-            y,
-            fresh,
-            incomplete,
-            depth + 1,
-            pool,
-        )),
-        BTerm::Not(inner) => elim(&nnf(inner, true), fresh, incomplete, depth + 1, pool),
-        BTerm::Implies(x, y) => elim(&nnf(x, true), fresh, incomplete, depth + 1, pool).or(elim(
-            y,
-            fresh,
-            incomplete,
-            depth + 1,
-            pool,
-        )),
+        BTerm::And(x, y) => go(x, in_forall).and(go(y, in_forall)),
+        BTerm::Or(x, y) => go(x, in_forall).or(go(y, in_forall)),
+        BTerm::Not(inner) => go(&nnf(inner, true), in_forall),
+        BTerm::Implies(x, y) => go(&nnf(x, true), in_forall).or(go(y, in_forall)),
         BTerm::Exists(x, body) => {
-            let body = elim(body, fresh, incomplete, depth + 1, pool);
+            let body = go(body, in_forall);
             if let Some(result) = try_exact_exists(x, &body) {
                 return result;
+            }
+            if in_forall {
+                return BTerm::Exists(x.clone(), Box::new(body));
             }
             // Skolemize.
             let sk = fresh.fresh(&format!("sk_{x}"));
             subst_formula(&body, x, &ITerm::Var(sk))
         }
         BTerm::Forall(x, body) => {
-            let body = elim(body, fresh, incomplete, depth + 1, pool);
+            let body = go(body, true);
             // ∀x.B ≡ ¬∃x.¬B — try the exact dual elimination.
             let dual = nnf(&body, true);
             if let Some(result) = try_exact_exists(x, &dual) {
@@ -920,7 +934,7 @@ fn elim(
                     let candidates = instantiation_candidates(x, &body, pool);
                     BTerm::conj(candidates.into_iter().map(|t| {
                         let inst = subst_formula(&body, x, &t);
-                        elim(&inst, fresh, incomplete, depth + 1, Some(pool))
+                        elim(&inst, fresh, incomplete, depth + 1, Some(pool), in_forall)
                     }))
                 }
             }
@@ -1049,6 +1063,36 @@ mod tests {
         let mut fresh = FreshNames::new();
         let out = eliminate_quantifiers(&b, &mut fresh);
         assert!(out.incomplete, "instantiation must flag incompleteness");
+    }
+
+    #[test]
+    fn exists_under_pending_forall_is_skolemized_per_instance() {
+        // ∀x. ∃y. 2y = x: phase 1 must keep ∃y, so each instance of ∀x
+        // gets its own skolem constant.
+        let b = ITerm::Const(2)
+            .mul(y())
+            .eq_term(x())
+            .exists("y")
+            .forall("x");
+        let mut incomplete = false;
+        let phase1 = elim(&b, &mut FreshNames::new(), &mut incomplete, 0, None, false);
+        assert_eq!(phase1, b);
+        let out = eliminate_quantifiers(&b, &mut FreshNames::new());
+        assert!(out.incomplete);
+        assert!(is_quantifier_free(&out.formula));
+    }
+
+    #[test]
+    fn candidates_that_a_binder_would_capture_are_dropped() {
+        // x = y + 1 offers x := y + 1, but y is bound inside the body.
+        let body = x().eq_term(y().add(ITerm::Const(1))).exists("y");
+        let pool = BTreeMap::new();
+        assert_eq!(
+            instantiation_candidates("x", &body, &pool),
+            vec![ITerm::Const(0)]
+        );
+        let open = x().eq_term(y().add(ITerm::Const(1)));
+        assert_eq!(instantiation_candidates("x", &open, &pool).len(), 4);
     }
 
     #[test]

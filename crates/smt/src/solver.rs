@@ -31,7 +31,11 @@ use crate::cnf::CnfBuilder;
 ///
 /// Version 4: the CNF asserts root conjuncts as units, shares one
 /// Tseitin gate between equal subformulas, and links the atoms of each
-/// linear form by bound axioms.
+/// linear form by bound axioms, so the search moved. Quantifier
+/// elimination also stopped skolemizing an `∃` inside a `∀` that is not
+/// yet instantiated: one constant stood for every value of the `∀`'s
+/// variable, which refuted true formulas, so a version-3 store may hold
+/// a wrong `Valid`.
 pub const SOLVER_VERSION: u32 = 4;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
@@ -735,6 +739,27 @@ mod tests {
         // ∃x. x ≥ y — valid over ℤ (unbounded).
         let phi = x().ge(y()).exists("x");
         assert_eq!(solver().check_valid(&phi), Validity::Valid);
+    }
+
+    /// φ = ∀x. ∃y. (2y = x ∨ 2y = x + 1) is true over ℤ, and so is its
+    /// form boxed to [0, 3]. Skolemizing `∃y` before `∀x` was instantiated
+    /// used to give every `x` the same `y`, which refuted both.
+    #[test]
+    fn exists_under_forall_is_not_refuted() {
+        let two_y = || ITerm::Const(2).mul(y());
+        let halves = two_y()
+            .eq_term(x())
+            .or(two_y().eq_term(x().add(ITerm::Const(1))));
+        let phi = halves.clone().exists("y").forall("x");
+        assert!(matches!(solver().check_sat(&phi), SmtResult::Unknown(_)));
+        assert!(!solver().check_valid(&phi.clone().not()).is_valid());
+        let qe = eliminate_quantifiers(&phi, &mut FreshNames::new());
+        assert!(qe.incomplete, "{:?}", qe.formula);
+        let within = |v: ITerm| ITerm::Const(0).le(v.clone()).and(v.le(ITerm::Const(3)));
+        let boxed = within(x())
+            .implies(within(y()).and(halves).exists("y"))
+            .forall("x");
+        assert_ne!(solver().check_sat(&boxed), SmtResult::Unsat);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Differential tests: the DPLL(T) pipeline against brute-force
-//! enumeration on random quantifier-free linear formulas, and the CDCL
-//! core against truth-table enumeration on random CNFs.
+//! enumeration on random quantifier-free linear formulas and on boxed
+//! quantified ones, and the CDCL core against truth-table enumeration on
+//! random CNFs.
 //!
 //! These are the soundness anchors for the whole verification stack: if
 //! the solver ever disagrees with exhaustive enumeration on a bounded
@@ -8,8 +9,10 @@
 
 use relaxed_interp::rng::SplitMix64;
 use relaxed_smt::ast::{BTerm, ITerm, Rel};
+use relaxed_smt::preprocess::{eliminate_quantifiers, formula_vars, FreshNames};
 use relaxed_smt::sat::{Lit, SatOutcome, SatSolver};
 use relaxed_smt::{SmtResult, Solver};
+use std::collections::BTreeSet;
 
 const NAMES: &[&str] = &["x", "y", "z"];
 const DOMAIN: std::ops::RangeInclusive<i64> = -4..=4;
@@ -300,4 +303,230 @@ fn cdcl_matches_truth_table_on_random_cnfs() {
             SatOutcome::Unknown => panic!("round {round}: unexpected unknown"),
         }
     }
+}
+
+/// The box every variable of a quantified oracle formula ranges over.
+const QBOX: std::ops::RangeInclusive<i64> = -3..=3;
+/// Free variables of the quantified oracle formulas.
+const FREE: &[&str] = &["f", "g"];
+/// Quantified variables, one name per quantifier.
+const BOUND: &[&str] = &["p", "q", "r"];
+
+/// `lo ≤ v ≤ hi` over [`QBOX`].
+fn in_box(v: &str) -> BTerm {
+    ITerm::var(v)
+        .ge(ITerm::Const(*QBOX.start()))
+        .and(ITerm::var(v).le(ITerm::Const(*QBOX.end())))
+}
+
+/// An atom over the variables in `scope`, with coefficients up to ±3.
+fn gen_scoped_atom(rng: &mut SplitMix64, scope: &[&str]) -> BTerm {
+    let mut side = |rng: &mut SplitMix64| {
+        let mut acc = ITerm::Const(rng.gen_range(-3..=3));
+        for _ in 0..1 + rng.gen_u32_below(2) {
+            let v = scope[rng.gen_u32_below(scope.len() as u32) as usize];
+            acc = acc.add(ITerm::Const(rng.gen_range(-3..=3)).mul(ITerm::var(v)));
+        }
+        acc
+    };
+    let lhs = side(rng);
+    let rhs = side(rng);
+    BTerm::Atom(gen_rel(rng), lhs, rhs)
+}
+
+/// `∀v. v ∈ box ⇒ body` or `∃v. v ∈ box ∧ body`.
+fn boxed_quantifier(forall: bool, v: &str, body: BTerm) -> BTerm {
+    if forall {
+        in_box(v).implies(body).forall(v)
+    } else {
+        in_box(v).and(body).exists(v)
+    }
+}
+
+/// `a·v ≥ ±u + c ∧ a·v ≤ ±u + c + d` with `|a| ∈ {2, 3}` and
+/// `d ≥ |a| − 1`: over ℤ every `u` has a witness `v`, which moves with
+/// `u` in steps that no unit-coefficient elimination can follow.
+fn gen_window(rng: &mut SplitMix64, u: &str, v: &str) -> BTerm {
+    let sign = |rng: &mut SplitMix64| if rng.gen_bool() { 1 } else { -1 };
+    let a = rng.gen_range(2..=3);
+    let d = rng.gen_range(a - 1..=3);
+    let (a, b, c) = (a * sign(rng), sign(rng), rng.gen_range(-2..=2));
+    let av = || ITerm::Const(a).mul(ITerm::var(v));
+    let bu = ITerm::Const(b).mul(ITerm::var(u)).add(ITerm::Const(c));
+    av().ge(bu.clone()).and(av().le(bu.add(ITerm::Const(d))))
+}
+
+/// A random formula over [`FREE`] with at most three boxed quantifiers,
+/// in one of three shapes:
+/// - quantifiers nested anywhere under `∧`, `∨`, `⇒` and `¬`;
+/// - a quantifier prefix over a random quantifier-free matrix;
+/// - a prefix of two or three quantifiers over windows ([`gen_window`])
+///   that tie each quantified variable to the one bound before it, so
+///   `∀∃` formulas that hold only because each `∀` value has its own `∃`
+///   witness are common.
+fn gen_quantified(rng: &mut SplitMix64) -> BTerm {
+    fn nested(rng: &mut SplitMix64, depth: u32, scope: &mut Vec<&'static str>) -> BTerm {
+        if depth == 0 || rng.gen_u32_below(4) == 0 {
+            return gen_scoped_atom(rng, scope);
+        }
+        let next = scope.len() - FREE.len();
+        match rng.gen_u32_below(6) {
+            0 | 1 if next < BOUND.len() => {
+                let v = BOUND[next];
+                scope.push(v);
+                let body = nested(rng, depth - 1, scope);
+                scope.pop();
+                boxed_quantifier(rng.gen_bool(), v, body)
+            }
+            2 => nested(rng, depth - 1, scope).and(nested(rng, depth - 1, scope)),
+            3 => nested(rng, depth - 1, scope).or(nested(rng, depth - 1, scope)),
+            4 => nested(rng, depth - 1, scope).implies(nested(rng, depth - 1, scope)),
+            _ => nested(rng, depth - 1, scope).not(),
+        }
+    }
+    let mut scope: Vec<&'static str> = FREE.to_vec();
+    let shape = rng.gen_u32_below(3);
+    if shape == 0 {
+        return nested(rng, 4, &mut scope);
+    }
+    let prefix = if shape == 1 {
+        1 + rng.gen_u32_below(3) as usize
+    } else {
+        2 + rng.gen_u32_below(2) as usize
+    };
+    scope.extend_from_slice(&BOUND[..prefix]);
+    let matrix = if shape == 1 {
+        (0..rng.gen_u32_below(3)).fold(gen_scoped_atom(rng, &scope), |matrix, _| {
+            let atom = gen_scoped_atom(rng, &scope);
+            if rng.gen_bool() {
+                matrix.and(atom)
+            } else {
+                matrix.or(atom)
+            }
+        })
+    } else {
+        BTerm::conj(
+            BOUND[..prefix]
+                .windows(2)
+                .map(|pair| gen_window(rng, pair[0], pair[1]))
+                .collect::<Vec<_>>(),
+        )
+    };
+    BOUND[..prefix]
+        .iter()
+        .rev()
+        .fold(matrix, |body, v| boxed_quantifier(rng.gen_bool(), v, body))
+}
+
+/// Evaluates a formula whose quantifiers are boxed: each quantifier
+/// ranges over [`QBOX`], which is exact because its guard confines it
+/// there. `env` holds the variables in scope, innermost last.
+fn eval_boxed(b: &BTerm, env: &mut Vec<(String, i128)>) -> bool {
+    let lookup = |env: &[(String, i128)], name: &str| {
+        env.iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("unbound variable {name}"))
+    };
+    match b {
+        BTerm::Atom(..) => {
+            let snapshot: &[(String, i128)] = env;
+            eval_formula(b, &|name| lookup(snapshot, name))
+        }
+        BTerm::True => true,
+        BTerm::False => false,
+        BTerm::And(a, c) => eval_boxed(a, env) && eval_boxed(c, env),
+        BTerm::Or(a, c) => eval_boxed(a, env) || eval_boxed(c, env),
+        BTerm::Implies(a, c) => !eval_boxed(a, env) || eval_boxed(c, env),
+        BTerm::Not(a) => !eval_boxed(a, env),
+        BTerm::Exists(v, body) | BTerm::Forall(v, body) => {
+            let forall = matches!(b, BTerm::Forall(..));
+            let mut holds = forall;
+            for value in QBOX {
+                env.push((v.clone(), i128::from(value)));
+                let inner = eval_boxed(body, env);
+                env.pop();
+                if inner != forall {
+                    holds = !forall;
+                    break;
+                }
+            }
+            holds
+        }
+    }
+}
+
+/// Whether some assignment of `vars` within [`QBOX`] satisfies `b`.
+fn boxed_sat(b: &BTerm, vars: &[String]) -> bool {
+    fn go(b: &BTerm, vars: &[String], env: &mut Vec<(String, i128)>) -> bool {
+        let Some((v, rest)) = vars.split_first() else {
+            return eval_boxed(b, env);
+        };
+        QBOX.into_iter().any(|value| {
+            env.push((v.clone(), i128::from(value)));
+            let sat = go(b, rest, env);
+            env.pop();
+            sat
+        })
+    }
+    go(b, vars, &mut Vec::new())
+}
+
+/// The solver and quantifier elimination against brute force over a box,
+/// on formulas with `∀` and `∃` in both nesting orders and non-unit
+/// coefficients. Every variable, quantified or free, is confined to
+/// [`QBOX`], so enumerating the box decides each formula:
+/// - the solver may answer `Unsat` only when the box has no model, and
+///   every `Sat` model must make the formula true;
+/// - a QE output reported complete (`incomplete = false`) must be
+///   satisfiable within the box exactly when the formula is.
+#[test]
+fn quantified_formulas_match_the_box() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_0004);
+    let free: Vec<String> = FREE.iter().map(|v| v.to_string()).collect();
+    let (mut sat, mut unsat, mut unknown, mut exact_qe) = (0, 0, 0, 0);
+    for case in 0..160 {
+        let phi = gen_quantified(&mut rng);
+        let problem = FREE.iter().fold(phi.clone(), |acc, v| acc.and(in_box(v)));
+        let expected = boxed_sat(&problem, &free);
+        match Solver::new().check_sat(&problem) {
+            SmtResult::Sat(model) => {
+                sat += 1;
+                let mut env: Vec<(String, i128)> = free
+                    .iter()
+                    .map(|v| (v.clone(), model.get(v).unwrap_or(0)))
+                    .collect();
+                assert!(
+                    eval_boxed(&problem, &mut env),
+                    "case {case}: model {model} falsifies {phi:?}"
+                );
+            }
+            SmtResult::Unsat => {
+                unsat += 1;
+                assert!(
+                    !expected,
+                    "case {case}: unsat, but the box has a model: {phi:?}"
+                );
+            }
+            SmtResult::Unknown(_) => unknown += 1,
+        }
+        let qe = eliminate_quantifiers(&problem, &mut FreshNames::new());
+        if !qe.incomplete {
+            exact_qe += 1;
+            let mut vars = BTreeSet::new();
+            formula_vars(&qe.formula, &mut vars);
+            let vars: Vec<String> = vars.into_iter().collect();
+            assert_eq!(
+                boxed_sat(&qe.formula, &vars),
+                expected,
+                "case {case}: exact QE disagrees with the box: {phi:?} became {:?}",
+                qe.formula
+            );
+        }
+    }
+    assert!(
+        sat > 10 && unsat > 10 && unknown > 10 && exact_qe > 40,
+        "sat {sat}, unsat {unsat}, unknown {unknown}, exact QE {exact_qe}"
+    );
 }

@@ -190,3 +190,22 @@ fn failure_diagnostics_are_actionable() {
         other => panic!("expected a counterexample, got {other:?}"),
     }
 }
+
+/// A precondition that is true over ℤ, `∀x. ∃y. 2y = x ∨ 2y = x + 1`,
+/// cannot make a false `assert` hold. Quantifier elimination used to
+/// skolemize `∃y` once for every `x`, which refuted the precondition and
+/// proved the program.
+#[test]
+fn exists_under_forall_precondition_does_not_prove_a_false_assert() {
+    let program = parse_program("assert (0 == 1);").unwrap();
+    let pre = parse_formula("forall x . exists y . (2 * y == x || 2 * y == x + 1)").unwrap();
+    let report = Verifier::new()
+        .check(&program, &unary_spec(pre, Formula::True))
+        .unwrap();
+    assert!(!report.verified(), "{report}");
+    assert!(!report.original_progress(), "{report}");
+    let control = Verifier::new()
+        .check(&program, &unary_spec(Formula::True, Formula::True))
+        .unwrap();
+    assert!(!control.verified(), "{control}");
+}
