@@ -295,8 +295,22 @@ impl Solver {
     }
 
     /// Decides validity of `b` over the integers (refutation of `¬b`).
+    ///
+    /// Like [`Solver::check_sat`], it asserts `¬b` at the root of a fresh
+    /// session; the session is dropped afterwards, so no scope is pushed
+    /// or popped.
     pub fn check_valid(&mut self, b: &BTerm) -> Validity {
-        self.session().check_valid(b)
+        refuted(self.check_sat(&b.clone().not()))
+    }
+}
+
+/// The validity verdict of a formula whose negation's check gave
+/// `negation`.
+fn refuted(negation: SmtResult) -> Validity {
+    match negation {
+        SmtResult::Unsat => Validity::Valid,
+        SmtResult::Sat(model) => Validity::Invalid(model),
+        SmtResult::Unknown(reason) => Validity::Unknown(reason),
     }
 }
 
@@ -454,11 +468,7 @@ impl ScopedSolver<'_> {
         self.assert(&b.clone().not());
         let result = self.check_sat();
         self.pop();
-        match result {
-            SmtResult::Unsat => Validity::Valid,
-            SmtResult::Sat(model) => Validity::Invalid(model),
-            SmtResult::Unknown(reason) => Validity::Unknown(reason),
-        }
+        refuted(result)
     }
 }
 
