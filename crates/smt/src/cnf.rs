@@ -435,6 +435,145 @@ mod tests {
         assert_eq!(natoms, 2);
     }
 
+    fn y() -> ITerm {
+        ITerm::var("y")
+    }
+
+    fn le(v: &str, b: i64) -> BTerm {
+        ITerm::var(v).le(ITerm::Const(b))
+    }
+
+    /// `a ⇒ b` as the stored clause, literals sorted.
+    fn implication(a: Lit, b: Lit) -> Vec<Lit> {
+        let mut clause = vec![a.negated(), b];
+        clause.sort_unstable();
+        clause
+    }
+
+    #[test]
+    fn bound_axioms_link_each_new_atom_to_its_neighbours() {
+        let mut cnf = CnfBuilder::new();
+        let three = cnf.encode(&le("x", 3)).unwrap();
+        let seven = cnf.encode(&le("x", 7)).unwrap();
+        let five = cnf.encode(&le("x", 5)).unwrap();
+        // x ≤ 7 meets x ≤ 3 below it; x ≤ 5 then meets x ≤ 3 below and
+        // x ≤ 7 above. Another form, or a bound the form already has,
+        // adds nothing.
+        cnf.encode(&le("y", 5)).unwrap();
+        assert_eq!(
+            cnf.encode(&x().ge(ITerm::Const(6))).unwrap(),
+            five.negated()
+        );
+        assert_eq!(
+            cnf.sat.clauses(),
+            [
+                implication(three, seven),
+                implication(three, five),
+                implication(five, seven)
+            ]
+        );
+    }
+
+    #[test]
+    fn equal_subformulas_share_one_gate() {
+        let mut cnf = CnfBuilder::new();
+        let phi = le("x", 3).or(y().ge(ITerm::Const(2)));
+        let g = cnf.encode(&phi).unwrap();
+        let (vars, clauses) = (cnf.sat.num_vars(), cnf.sat.clauses().len());
+        assert_eq!(cnf.encode(&phi).unwrap(), g);
+        assert_eq!(
+            cnf.encode(&y().ge(ITerm::Const(2)).or(le("x", 3))).unwrap(),
+            g
+        );
+        assert_eq!(
+            (cnf.sat.num_vars(), cnf.sat.clauses().len()),
+            (vars, clauses)
+        );
+        // The same children under ∧ are another gate.
+        assert_ne!(
+            cnf.encode(&le("x", 3).and(y().ge(ITerm::Const(2))))
+                .unwrap(),
+            g
+        );
+        // A repeated `=` atom reuses its ∧ gate.
+        let eq = cnf.encode(&x().eq_term(y())).unwrap();
+        assert_eq!(cnf.encode(&x().eq_term(y())).unwrap(), eq);
+    }
+
+    #[test]
+    fn root_conjunction_asserts_its_leaves_without_gates() {
+        // x ≤ 3 ∧ ¬(y ≤ 0 ∨ z ≥ 6) ∧ ¬(w ≤ 1 ⇒ ¬¬(v ≤ 2)): five leaves on
+        // five forms, so five atoms and no gate.
+        let phi = le("x", 3)
+            .and(BTerm::Not(Box::new(BTerm::Or(
+                Box::new(le("y", 0)),
+                Box::new(ITerm::var("z").ge(ITerm::Const(6))),
+            ))))
+            .and(BTerm::Not(Box::new(BTerm::Implies(
+                Box::new(le("w", 1)),
+                Box::new(BTerm::Not(Box::new(BTerm::Not(Box::new(le("v", 2)))))),
+            ))));
+        let mut cnf = CnfBuilder::new();
+        cnf.assert_formula(&phi).unwrap();
+        assert_eq!(cnf.sat.num_vars(), 5);
+        assert!(cnf.atoms.iter().all(Option::is_some));
+        assert!(cnf.sat.clauses().is_empty());
+        let mut probe = CnfBuilder::new();
+        for (leaf, holds) in [
+            (le("x", 3), true),
+            (le("y", 0), false),
+            (le("z", 5), true),
+            (le("w", 1), true),
+            (le("v", 2), false),
+        ] {
+            let lit = probe.encode(&leaf).unwrap();
+            assert_eq!(cnf.sat.value(lit), Some(holds), "{leaf:?}");
+        }
+    }
+
+    /// Every bound entry names the atom of its variable, and every gate
+    /// is a live non-atom variable created after its children.
+    fn assert_tables_match_variables(cnf: &CnfBuilder) {
+        for (form, ladder) in &cnf.bounds {
+            for (&bound, &v) in ladder {
+                let atom = cnf.atoms[v as usize].as_ref().expect("an atom variable");
+                assert_eq!((&atom.form, atom.bound), (form, bound));
+            }
+        }
+        for (&(_, lx, ly), &g) in &cnf.gates {
+            assert!((g.var() as usize) < cnf.sat.num_vars());
+            assert!(cnf.atoms[g.var() as usize].is_none());
+            assert!(lx.var() < g.var() && ly.var() < g.var());
+        }
+    }
+
+    #[test]
+    fn pop_frees_the_gates_and_bounds_of_the_popped_scope() {
+        let mut cnf = CnfBuilder::new();
+        let outer = cnf.encode(&le("x", 0)).unwrap();
+        let mark = cnf.mark();
+        let phi = le("x", 5).and(le("y", 1));
+        let first = cnf.encode(&phi).unwrap();
+        let vars = cnf.sat.num_vars();
+        cnf.pop_to(&mark);
+        assert_tables_match_variables(&cnf);
+        assert_eq!(cnf.sat.num_vars(), 1);
+        // Re-encoding allocates the atoms, the gate and x ≤ 5's axiom anew.
+        assert_eq!(cnf.encode(&phi).unwrap(), first);
+        assert_eq!(cnf.sat.num_vars(), vars);
+        let x5 = Lit::new(first.var() - 2, true);
+        assert!(cnf.sat.clauses().contains(&implication(outer, x5)));
+        assert_tables_match_variables(&cnf);
+        // Popped indices that now mean other atoms and gates are not
+        // mistaken for the popped ones.
+        cnf.pop_to(&mark);
+        let other = cnf.encode(&le("z", 7).or(le("w", 2))).unwrap();
+        let again = cnf.encode(&phi).unwrap();
+        assert_ne!(again, other);
+        assert_eq!(cnf.sat.num_vars(), 7);
+        assert_tables_match_variables(&cnf);
+    }
+
     #[test]
     fn quantifier_is_an_encoding_error() {
         let mut cnf = CnfBuilder::new();

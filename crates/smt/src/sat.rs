@@ -864,6 +864,22 @@ impl SatSolver {
 }
 
 #[cfg(test)]
+impl SatSolver {
+    /// The stored clauses, original and learnt, in the order they came.
+    pub(crate) fn clauses(&self) -> &[Vec<Lit>] {
+        &self.clauses
+    }
+
+    /// The value of `l` under the current assignment, if it has one.
+    pub(crate) fn value(&self, l: Lit) -> Option<bool> {
+        match self.value_lit(l) {
+            UNDEF => None,
+            v => Some(v == 1),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use relaxed_interp::rng::SplitMix64;

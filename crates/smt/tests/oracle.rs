@@ -164,23 +164,27 @@ fn solver_matches_brute_force() {
     }
 }
 
-/// Random session scripts: each step asserts a formula, pushes, pops, or
-/// checks, and every check is compared against brute force over the
-/// conjunction of the assertions still live (every `Sat` model is
-/// evaluated against them), so learnt clauses, theory bounds and
-/// root-level implications that outlive their scope would show up as a
-/// wrong verdict.
+/// Random session scripts: each step asserts a new formula or one of a
+/// popped scope again, pushes, pops, or checks, and every check is
+/// compared against brute force over the conjunction of the assertions
+/// still live (every `Sat` model is evaluated against them), so learnt
+/// clauses, theory bounds and root-level implications that outlive their
+/// scope would show up as a wrong verdict, and so would gates, atoms or
+/// bound axioms that a re-asserted formula found stale.
 #[test]
 fn session_scripts_match_brute_force() {
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0003);
+    let mut reasserted = 0;
     for script in 0..300 {
         let mut solver = Solver::new();
         let mut session = solver.session();
         session.assert(&boxed(&BTerm::True));
         // Live assertions, one frame per open scope.
         let mut frames: Vec<Vec<BTerm>> = vec![Vec::new()];
+        // Assertions of popped scopes.
+        let mut popped: Vec<BTerm> = Vec::new();
         for step in 0..12 {
-            match rng.gen_u32_below(5) {
+            match rng.gen_u32_below(6) {
                 0 | 1 => {
                     let b = gen_qf_formula(&mut rng, 2);
                     session.assert(&b);
@@ -192,7 +196,13 @@ fn session_scripts_match_brute_force() {
                 }
                 3 if frames.len() > 1 => {
                     session.pop();
-                    frames.pop();
+                    popped.extend(frames.pop().expect("an open scope"));
+                }
+                4 if !popped.is_empty() => {
+                    let b = popped[rng.gen_u32_below(popped.len() as u32) as usize].clone();
+                    session.assert(&b);
+                    frames.last_mut().expect("base frame").push(b);
+                    reasserted += 1;
                 }
                 _ => {
                     let live: Vec<&BTerm> = frames.iter().flatten().collect();
@@ -222,6 +232,7 @@ fn session_scripts_match_brute_force() {
             }
         }
     }
+    assert!(reasserted > 50, "{reasserted} re-assertions");
 }
 
 /// Validity of `b ∨ ¬b` style combinations: `check_valid(φ ∨ ¬φ)` must
