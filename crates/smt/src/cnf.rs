@@ -4,6 +4,26 @@
 //! syntactically complementary atoms (`f ≤ b` vs `f ≥ b+1`) map to the two
 //! polarities of the *same* variable, so propositional reasoning sees the
 //! complement structure for free.
+//!
+//! Three rules keep the CNF small and give the SAT core the bound order:
+//! - **Root units.** [`CnfBuilder::assert_formula`] walks the top-level
+//!   `∧`, `¬∨`, `¬⇒` and `¬¬` spine of an asserted formula and asserts
+//!   each leaf as a unit as soon as the leaf is encoded. The spine gets no
+//!   gates, and the gates of later leaves meet the earlier leaves as
+//!   level-0 facts, which [`SatSolver::add_clause`] uses to drop satisfied
+//!   clauses and false literals.
+//! - **A gate table.** An `∧` or `∨` gate is keyed on its connective and
+//!   its two child literals, smaller first, so equal subformulas and
+//!   repeated `=` atoms share one gate.
+//! - **Bound axioms.** The atoms of each linear form sit in one list
+//!   sorted by bound. A new atom `f ≤ b` is linked to its nearest
+//!   neighbours `b′ < b < b″` by `f ≤ b′ ⇒ f ≤ b` and `f ≤ b ⇒ f ≤ b″`.
+//!   These are valid over ℤ, so satisfiability does not change, but unit
+//!   propagation now follows the bound order without the simplex
+//!   (Dutertre & de Moura, CAV 2006).
+//!
+//! Popping a scope drops every atom, gate and bound entry whose variable
+//! it frees, because the freed indices are reused.
 
 use crate::ast::{BTerm, ITerm, Rel};
 use crate::linear::{canon_ineq, BoundKind, CanonAtom, IneqAtom, LinForm, VarPool};

@@ -9,6 +9,13 @@
 //! check on each complete assignment. A theory conflict is learnt like a
 //! boolean one: first-UIP analysis from the clause's highest level, then
 //! a backjump to the learnt clause's assertion level.
+//!
+//! [`SatSolver::add_clause`] simplifies each clause against the level-0
+//! assignment in place before storing it: tautologies and satisfied
+//! clauses are dropped, false literals removed, and a clause left with
+//! one literal is asserted and propagated at once. The CNF encoder relies
+//! on this when it asserts root conjuncts as units before encoding the
+//! rest.
 
 use std::fmt;
 
