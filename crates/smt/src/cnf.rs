@@ -189,6 +189,7 @@ impl CnfBuilder {
             Entry::Occupied(e) => return *e.get(),
             Entry::Vacant(e) => e,
         };
+        // `new_bool_var`, inlined: `vacant` still borrows the table.
         let g = Lit::new(self.sat.new_var(), true);
         self.atoms.push(None);
         vacant.insert(g);
@@ -306,7 +307,9 @@ impl CnfBuilder {
 
     /// Restores the builder to `mark`: SAT clauses/variables added since
     /// are dropped, and the atom table shrinks in lock-step (atoms are
-    /// 1:1 with SAT variables).
+    /// 1:1 with SAT variables). Every bound entry and gate whose variable
+    /// is freed goes too: the freed indices are reused, so a stale entry
+    /// would name another variable.
     pub(crate) fn pop_to(&mut self, mark: &CnfMark) {
         self.sat.pop_to(mark.sat);
         self.atoms.truncate(mark.natoms);

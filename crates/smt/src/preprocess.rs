@@ -88,10 +88,11 @@ pub fn formula_vars(b: &BTerm, out: &mut BTreeSet<String>) {
 
 /// Substitutes `t` for free occurrences of the *integer* variable `x`.
 ///
-/// Solver-level substitution does not need capture avoidance for our use:
-/// the replacement terms are always ground (fresh constants or
-/// quantifier-free candidate terms whose variables are free in the whole
-/// problem), and bound variables are freshly named by the encoder.
+/// Solver-level substitution does not avoid capture. Its callers
+/// substitute fresh constants, one-point bounds with the eliminated
+/// variable removed, and instantiation candidates, which
+/// `instantiation_candidates` keeps free of every variable bound
+/// inside the body they are substituted into.
 pub fn subst_term(t: &ITerm, x: &str, r: &ITerm) -> ITerm {
     match t {
         ITerm::Const(_) | ITerm::Len(_) => t.clone(),

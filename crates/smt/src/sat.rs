@@ -11,11 +11,8 @@
 //! a backjump to the learnt clause's assertion level.
 //!
 //! [`SatSolver::add_clause`] simplifies each clause against the level-0
-//! assignment in place before storing it: tautologies and satisfied
-//! clauses are dropped, false literals removed, and a clause left with
-//! one literal is asserted and propagated at once. The CNF encoder relies
-//! on this when it asserts root conjuncts as units before encoding the
-//! rest.
+//! assignment in place, which the CNF encoder relies on: it asserts root
+//! conjuncts as units before it encodes the rest of a formula.
 
 use std::fmt;
 

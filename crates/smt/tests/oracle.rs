@@ -332,7 +332,7 @@ fn in_box(v: &str) -> BTerm {
 
 /// An atom over the variables in `scope`, with coefficients up to ±3.
 fn gen_scoped_atom(rng: &mut SplitMix64, scope: &[&str]) -> BTerm {
-    let mut side = |rng: &mut SplitMix64| {
+    let side = |rng: &mut SplitMix64| {
         let mut acc = ITerm::Const(rng.gen_range(-3..=3));
         for _ in 0..1 + rng.gen_u32_below(2) {
             let v = scope[rng.gen_u32_below(scope.len() as u32) as usize];
