@@ -199,8 +199,8 @@ pub enum CorpusPolicy {
     InProcess,
     /// Fan programs across `shards` worker **processes** (the
     /// `relaxed-shardd` binary) coordinated by [`crate::shard`]:
-    /// longest-first work-stealing distribution, crash/corruption
-    /// tolerance with bounded retries, and — under
+    /// longest-first distribution over a fleet spawned on demand,
+    /// crash/corruption tolerance with bounded retries, and — under
     /// [`CachePolicy::Persistent`] — verdict sharing between workers
     /// through the fingerprint-gated on-disk store. Selected by
     /// [`VerifierBuilder::shards`] or `DISCHARGE_SHARDS=<n>`.
@@ -298,14 +298,6 @@ pub struct Config {
     /// [`DischargeConfig::job_timeout`]); settable via
     /// `DISCHARGE_SHARD_TIMEOUT=<seconds>`.
     pub job_timeout: std::time::Duration,
-    /// Goal-granularity work units for [`CorpusPolicy::Sharded`] and
-    /// [`CorpusPolicy::Service`] corpus runs: each program's obligation
-    /// list is split into up to this many batches, each an independent
-    /// job, so one huge program saturates the whole worker fleet instead
-    /// of serializing on a single worker. `1` (the default) keeps
-    /// whole-program jobs; values are clamped to at least 1 at use.
-    /// Verdict-neutral. Settable via `DISCHARGE_GOAL_SHARDS=<n>`.
-    pub goal_shards: usize,
     /// Whether a [`CachePolicy::Persistent`] session records the
     /// goal→fragment dependency map sidecar (see [`crate::depmap`]) and
     /// uses it to *replay* unchanged programs on re-verification instead
@@ -335,7 +327,6 @@ impl Default for Config {
             shard_worker: None,
             ready_timeout: discharge.ready_timeout,
             job_timeout: discharge.job_timeout,
-            goal_shards: 1,
             depmap: true,
             trace: None,
         }
@@ -374,8 +365,6 @@ impl Config {
     /// (`0` = in-process, `n ≥ 1` = [`CorpusPolicy::Sharded`] across `n`
     /// worker processes), `DISCHARGE_SHARD_TIMEOUT` (per-job worker
     /// patience in seconds, see [`Config::job_timeout`]),
-    /// `DISCHARGE_GOAL_SHARDS` (goal-granularity batches per program for
-    /// sharded/service runs, see [`Config::goal_shards`]),
     /// `DISCHARGE_DEPMAP` (`0` disables the goal→fragment dependency map
     /// and its replay fast path, `1` — the default — enables it),
     /// `DISCHARGE_TRACE` (a file path enabling telemetry and selecting
@@ -435,9 +424,6 @@ impl Config {
         }
         if let Some(secs) = parse("DISCHARGE_SHARD_TIMEOUT") {
             config.job_timeout = std::time::Duration::from_secs(secs);
-        }
-        if let Some(goal_shards) = parse("DISCHARGE_GOAL_SHARDS") {
-            config.goal_shards = (goal_shards as usize).max(1);
         }
         if let Some(raw) = lookup("DISCHARGE_DEPMAP") {
             match raw.trim() {
@@ -537,7 +523,6 @@ pub struct VerifierBuilder {
     shard_worker: Option<PathBuf>,
     ready_timeout: Option<std::time::Duration>,
     job_timeout: Option<std::time::Duration>,
-    goal_shards: Option<usize>,
     depmap: Option<bool>,
     trace: Option<PathBuf>,
 }
@@ -640,14 +625,6 @@ impl VerifierBuilder {
         self
     }
 
-    /// Goal-granularity batches per program for sharded/service corpus
-    /// runs (see [`Config::goal_shards`]). Default 1 (whole-program
-    /// jobs); clamped to at least 1.
-    pub fn goal_shards(mut self, goal_shards: usize) -> Self {
-        self.goal_shards = Some(goal_shards.max(1));
-        self
-    }
-
     /// Toggles the goal→fragment dependency map and its incremental
     /// replay fast path for persistent sessions (see
     /// [`Config::depmap`]). On by default; verdicts are identical either
@@ -661,8 +638,8 @@ impl VerifierBuilder {
     /// trace-event JSON to `path` when the last tracing session drops
     /// (see [`crate::telemetry`]; `DISCHARGE_TRACE=<path>` under the env
     /// layer). Spans cover vcgen, encoding, cache traffic, per-goal
-    /// solves (with solver-stats deltas), shard jobs, and service
-    /// admission — load the file in `about://tracing` or Perfetto.
+    /// solves (with solver-stats deltas), shard jobs, and the wait for a
+    /// fleet worker — load the file in `about://tracing` or Perfetto.
     pub fn trace_file(mut self, path: impl Into<PathBuf>) -> Self {
         self.trace = Some(path.into());
         self
@@ -681,7 +658,6 @@ impl VerifierBuilder {
         self.shard_worker = config.shard_worker;
         self.ready_timeout = Some(config.ready_timeout);
         self.job_timeout = Some(config.job_timeout);
-        self.goal_shards = Some(config.goal_shards);
         self.depmap = Some(config.depmap);
         self.trace = config.trace;
         self
@@ -705,7 +681,6 @@ impl VerifierBuilder {
             shard_worker: self.shard_worker.or(base.shard_worker),
             ready_timeout: self.ready_timeout.unwrap_or(base.ready_timeout),
             job_timeout: self.job_timeout.unwrap_or(base.job_timeout),
-            goal_shards: self.goal_shards.unwrap_or(base.goal_shards).max(1),
             depmap: self.depmap.unwrap_or(base.depmap),
             trace: self.trace.or(base.trace),
         };

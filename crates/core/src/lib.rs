@@ -43,13 +43,15 @@
 //!   vcgen time, the basis of incremental re-verification: after an
 //!   edit, only goals whose supporting fragments changed are re-proved;
 //! * [`shard`] — sharded multi-process corpus verification: the
-//!   transport-agnostic coordinator/worker protocol behind
-//!   [`CorpusPolicy::Sharded`], with verdict sharing between worker
-//!   processes through the on-disk store;
+//!   transport-agnostic coordinator/worker protocol and the one worker
+//!   fleet (spawn, kill-and-retry, span re-anchoring, shutdown) behind
+//!   [`CorpusPolicy::Sharded`] and the service daemon, with verdict
+//!   sharing between worker processes through the on-disk store;
 //! * [`service`] — the networked verification service
-//!   (`relaxed-serviced`): a long-running daemon with a warm worker
-//!   fleet and a resident verdict cache, serving concurrent corpus
-//!   requests over TCP behind [`CorpusPolicy::Service`];
+//!   (`relaxed-serviced`): a long-running daemon that keeps that fleet
+//!   warm, adds admission control, control frames, metrics and a
+//!   resident verdict cache, and serves concurrent corpus requests over
+//!   TCP behind [`CorpusPolicy::Service`];
 //! * [`telemetry`] — zero-dependency tracing and metrics: RAII spans
 //!   drained to Chrome trace-event JSON (`DISCHARGE_TRACE=path.json`)
 //!   and a Prometheus-rendered [`MetricsRegistry`];

@@ -7,8 +7,9 @@
 //! **long-running service**:
 //!
 //! * a **daemon** ([`Service`] / [`service_main`], shipped as the
-//!   `relaxed-serviced` binary) that pre-spawns a warm `relaxed-shardd`
-//!   worker fleet, keeps the fingerprint-gated persistent verdict cache
+//!   `relaxed-serviced` binary) that spawns a warm `relaxed-shardd`
+//!   worker fleet up front (concurrently, through the same `Fleet` a
+//!   sharded run uses), keeps the fingerprint-gated persistent verdict cache
 //!   resident (refreshed through the existing
 //!   [`refresh_from_disk`](crate::engine::DischargeEngine::refresh_from_disk)
 //!   machinery), and serves **concurrent** verify requests over TCP —
@@ -21,7 +22,7 @@
 //!   backpressure, and receives a merged [`CorpusReport`]
 //!   **verdict-identical** to an in-process `check_corpus` run (the
 //!   client regenerates VCs locally and zips them with the wire verdicts,
-//!   exactly like the shard coordinator).
+//!   through the same result-to-entry code as a sharded run).
 //!
 //! # Wire protocol
 //!
@@ -48,12 +49,19 @@
 //!
 //! Results may interleave across a connection's pipelined jobs and across
 //! connections; every frame carries the job id, and the client collects
-//! out-of-order. A worker crash mid-job is retried daemon-side on a
-//! freshly spawned replacement (bounded by [`MAX_ATTEMPTS`], exactly like
-//! the shard coordinator); a client disconnect mid-job merely discards
-//! that job's result write — the worker is returned to the fleet and the
-//! admission slot is released, so one flaky client can never wedge the
-//! fleet.
+//! out-of-order. A job frame without a numeric id is refused with an
+//! `error` frame and never reaches a worker.
+//!
+//! The daemon is the TCP-facing half — admission cap, `busy` frames,
+//! control frames, metrics, and the resident cache — on top of the shard
+//! module's `Fleet`, which owns the workers: a worker crash mid-job is
+//! retried on a freshly spawned replacement (bounded by
+//! [`MAX_ATTEMPTS`]), and worker spans are re-anchored into the daemon's
+//! own trace, so a traced daemon (`DISCHARGE_TRACE`) gets one
+//! `shard-worker-N` lane per worker, written at the drain. A client
+//! disconnect mid-job merely discards that job's result write — the
+//! worker is returned to the fleet and the admission slot is released,
+//! so one flaky client can never wedge the fleet.
 //!
 //! [`CorpusPolicy::Service`]: crate::api::CorpusPolicy::Service
 //! [`CorpusReport`]: crate::api::CorpusReport
@@ -62,16 +70,14 @@
 use crate::api::{elapsed_ms_since, Config, CorpusEntry, CorpusError, CorpusReport, Verifier};
 use crate::cache::{parse_json, Json};
 use crate::shard::{
-    field_str, field_u64, merge_batch_entries, parse_config_frame, parse_result_frame,
-    prepare_jobs, rebuild_report, render_config_frame, render_error_frame, resolve_worker,
-    ShardJob, TcpTransport, Transport, WorkerHandle, MAX_ATTEMPTS, PROTOCOL_VERSION,
-    SERVICE_BINARY,
+    entry_from_result, field_str, field_u64, parse_config_frame, parse_result_frame, prepare_jobs,
+    render_config_frame, render_error_frame, resolve_worker, Fleet, ShardJob, TcpTransport,
+    Transport, WorkerHandle, PROTOCOL_VERSION, SERVICE_BINARY,
 };
 use crate::verify::Spec;
 use relaxed_lang::Program;
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -111,28 +117,23 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Mutable daemon state behind one lock: the idle fleet, the admission
-/// counter, and the live-worker count (all condvar-signalled together).
-struct DaemonState {
-    idle: Vec<WorkerHandle>,
-    /// Workers that exist at all (idle + checked out). Shrinks only when
-    /// a replacement spawn fails; `0` fails new checkouts instead of
-    /// deadlocking them.
-    alive: usize,
+/// The admission counters, condvar-signalled for the drain.
+#[derive(Default)]
+struct Admission {
     /// Jobs admitted and not yet finished, across all connections.
     active: usize,
     /// High-water mark of `active` — the queue-depth gauge.
     peak_active: usize,
 }
 
+/// The TCP-facing half of the daemon on top of its [`Fleet`]: admission,
+/// control frames, metrics, and the resident cache.
 struct Daemon {
     config: Config,
-    config_frame: String,
-    binary: PathBuf,
-    fleet_size: usize,
+    fleet: Fleet,
     queue_cap: usize,
     retry_after_ms: u64,
-    state: Mutex<DaemonState>,
+    admission: Mutex<Admission>,
     signal: Condvar,
     served: AtomicU64,
     rejected: AtomicU64,
@@ -152,133 +153,53 @@ impl Daemon {
     /// Admits one job if below the cap. `true` = admitted (the caller
     /// must later call [`Daemon::release`]).
     fn admit(&self) -> bool {
-        let mut state = self.state.lock().expect("service state");
-        if state.active >= self.queue_cap {
+        let mut admission = self.admission.lock().expect("service admission");
+        if admission.active >= self.queue_cap {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             self.metrics
                 .counter_add("relaxed_requests_rejected_total", 1);
             return false;
         }
-        state.active += 1;
-        state.peak_active = state.peak_active.max(state.active);
+        admission.active += 1;
+        admission.peak_active = admission.peak_active.max(admission.active);
         true
     }
 
     fn release(&self) {
-        let mut state = self.state.lock().expect("service state");
-        state.active -= 1;
-        drop(state);
+        self.admission.lock().expect("service admission").active -= 1;
         self.signal.notify_all();
     }
 
-    /// Checks a worker out of the idle fleet, waiting while all workers
-    /// are busy elsewhere. Fails only when the whole fleet is dead.
-    fn checkout(&self) -> Result<WorkerHandle, String> {
-        // The admission-queue wait: how long an admitted job sat between
-        // its `admit` and a worker becoming free.
-        let mut wait_span = crate::telemetry::span("service", "admit_wait");
-        let mut state = self.state.lock().expect("service state");
-        loop {
-            if let Some(worker) = state.idle.pop() {
-                if wait_span.is_active() {
-                    wait_span.arg("worker", worker.lane);
-                }
-                return Ok(worker);
-            }
-            if state.alive == 0 {
-                return Err("no live workers in the fleet".to_string());
-            }
-            state = self.signal.wait(state).expect("service state");
-        }
-    }
-
-    fn checkin(&self, worker: WorkerHandle) {
-        let mut state = self.state.lock().expect("service state");
-        state.idle.push(worker);
-        drop(state);
-        self.signal.notify_all();
-    }
-
-    /// Spawns the replacement for a killed worker, shrinking the fleet
-    /// (loudly) when the spawn fails.
-    fn respawn(&self) -> Option<WorkerHandle> {
-        match WorkerHandle::spawn(&self.binary, &self.config_frame, self.config.ready_timeout) {
-            Ok(worker) => Some(worker),
-            Err(e) => {
-                let mut state = self.state.lock().expect("service state");
-                state.alive -= 1;
-                let alive = state.alive;
-                drop(state);
-                self.signal.notify_all();
-                crate::diag::warn(format_args!(
-                    "{SERVICE_BINARY}: failed to respawn a fleet worker ({alive} left): {e}"
-                ));
-                None
-            }
-        }
-    }
-
-    /// Runs one raw job line on the fleet with bounded retries, returning
-    /// the raw response line to forward (a result frame, or an error
-    /// frame when the attempts are exhausted).
-    fn run_job_line(&self, id: usize, line: &str) -> String {
+    /// Runs one raw job line on the fleet, returning the raw response
+    /// line to forward (a result frame, or an error frame when the
+    /// attempts are exhausted).
+    fn run_job_line(&self, id: usize, name: &str, line: &str) -> String {
         let job_started = Instant::now();
-        let mut attempts = 0u32;
-        let mut last_error = String::new();
-        let mut replacement = None;
-        while attempts < MAX_ATTEMPTS {
-            let mut worker = match replacement.take() {
-                Some(worker) => worker,
-                None => match self.checkout() {
-                    Ok(worker) => worker,
-                    Err(e) => return render_error_frame(id, &e),
-                },
-            };
-            attempts += 1;
-            match relay_job(&mut worker, id, line, self.config.job_timeout) {
-                Ok(response) => {
-                    self.checkin(worker);
-                    self.served.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.counter_add("relaxed_requests_served_total", 1);
-                    self.metrics
-                        .observe_ms("relaxed_request_latency_ms", elapsed_ms_since(job_started));
-                    // Keep the resident cache warm with whatever verdicts
-                    // the worker just appended to the shared store.
-                    self.resident.engine().refresh_from_disk();
-                    return response;
-                }
-                Err(e) => {
-                    // The channel is desynchronized: kill this worker and
-                    // retry on its freshly spawned replacement, exactly
-                    // like the shard coordinator. Handing the replacement
-                    // back to the idle fleet instead would let another job
-                    // take it, and this one retry on a worker that may
-                    // carry the same fault.
-                    last_error = e;
-                    worker.kill();
-                    replacement = self.respawn();
-                }
+        match self.fleet.run(id, name, line) {
+            Ok((response, _)) => {
+                self.served.fetch_add(1, Ordering::Relaxed);
+                self.metrics.counter_add("relaxed_requests_served_total", 1);
+                self.metrics
+                    .observe_ms("relaxed_request_latency_ms", elapsed_ms_since(job_started));
+                // Keep the resident cache warm with whatever verdicts the
+                // worker just appended to the shared store.
+                self.resident.engine().refresh_from_disk();
+                response
             }
+            Err(e) => render_error_frame(id, &e),
         }
-        if let Some(worker) = replacement {
-            self.checkin(worker);
-        }
-        render_error_frame(
-            id,
-            &format!("job failed after {attempts} attempts; last error: {last_error}"),
-        )
     }
 
     fn status_frame(&self) -> String {
-        let state = self.state.lock().expect("service state");
+        let (alive, _) = self.fleet.counts();
+        let admission = self.admission.lock().expect("service admission");
         format!(
-            "{{\"type\":\"status\",\"proto\":{PROTOCOL_VERSION},\"fleet\":{},\"alive\":{},\
+            "{{\"type\":\"status\",\"proto\":{PROTOCOL_VERSION},\"fleet\":{},\"alive\":{alive},\
              \"active\":{},\"peak_active\":{},\"served\":{},\"rejected\":{},\
              \"resident_loaded\":{}}}",
-            self.fleet_size,
-            state.alive,
-            state.active,
-            state.peak_active,
+            self.fleet.size(),
+            admission.active,
+            admission.peak_active,
             self.served.load(Ordering::Relaxed),
             self.rejected.load(Ordering::Relaxed),
             self.resident.stats().loaded,
@@ -288,19 +209,17 @@ impl Daemon {
     /// The `metrics` control frame: queue/fleet gauges stamped at scrape
     /// time, then the registry as Prometheus text inside one JSON frame.
     fn metrics_frame(&self) -> String {
+        let (alive, idle) = self.fleet.counts();
         {
-            let state = self.state.lock().expect("service state");
+            let admission = self.admission.lock().expect("service admission");
             self.metrics
-                .gauge_set("relaxed_queue_depth", state.active as i64);
+                .gauge_set("relaxed_queue_depth", admission.active as i64);
             self.metrics
-                .gauge_set("relaxed_queue_depth_peak", state.peak_active as i64);
-            self.metrics.gauge_set(
-                "relaxed_fleet_busy",
-                state.alive.saturating_sub(state.idle.len()) as i64,
-            );
-            self.metrics
-                .gauge_set("relaxed_fleet_alive", state.alive as i64);
+                .gauge_set("relaxed_queue_depth_peak", admission.peak_active as i64);
         }
+        self.metrics
+            .gauge_set("relaxed_fleet_busy", alive.saturating_sub(idle) as i64);
+        self.metrics.gauge_set("relaxed_fleet_alive", alive as i64);
         format!(
             "{{\"type\":\"metrics\",\"proto\":{PROTOCOL_VERSION},\"text\":{}}}",
             crate::cache::json_string(&self.metrics.render_prometheus())
@@ -309,41 +228,25 @@ impl Daemon {
 
     /// The graceful drain: stop admitting, wait out the in-flight jobs,
     /// shut the fleet down (each worker's EOF triggers its final
-    /// persist), and refresh the resident cache one last time.
+    /// persist), refresh the resident cache one last time, and write a
+    /// traced daemon's trace.
     fn drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        let mut state = self.state.lock().expect("service state");
-        while state.active > 0 {
-            state = self.signal.wait(state).expect("service state");
+        let mut admission = self.admission.lock().expect("service admission");
+        while admission.active > 0 {
+            admission = self.signal.wait(admission).expect("service admission");
         }
-        for worker in state.idle.drain(..) {
-            worker.shutdown();
-        }
-        state.alive = 0;
-        drop(state);
-        self.signal.notify_all();
+        drop(admission);
+        self.fleet.drain();
         self.resident.engine().refresh_from_disk();
+        if self.config.trace.is_some() {
+            if let Err(e) = crate::telemetry::flush() {
+                crate::diag::warn(format_args!(
+                    "{SERVICE_BINARY}: failed to write the trace: {e}"
+                ));
+            }
+        }
     }
-}
-
-/// Sends one raw job line to a worker and reads back its (id-validated)
-/// response line.
-fn relay_job(
-    worker: &mut WorkerHandle,
-    id: usize,
-    line: &str,
-    job_timeout: Duration,
-) -> Result<String, String> {
-    worker.send(line)?;
-    let response = worker.recv(job_timeout)?;
-    let wire = parse_result_frame(&response).map_err(|e| format!("malformed result frame: {e}"))?;
-    if wire.id != id {
-        return Err(format!(
-            "result frame for job {} while awaiting job {id}",
-            wire.id
-        ));
-    }
-    Ok(response)
 }
 
 /// A bound-but-not-yet-running service daemon: the listener exists (so
@@ -372,40 +275,25 @@ impl Service {
         } else {
             options.fleet
         };
-        let per_worker = (config.discharge_config().effective_parallelism() / fleet_size).max(1);
-        let config_frame = render_config_frame(&config, per_worker);
-        let mut idle = Vec::with_capacity(fleet_size);
-        for _ in 0..fleet_size {
-            match WorkerHandle::spawn(&binary, &config_frame, config.ready_timeout) {
-                Ok(worker) => idle.push(worker),
-                Err(e) => {
-                    for worker in idle.drain(..) {
-                        worker.kill();
-                    }
-                    return Err(format!("failed to pre-spawn the worker fleet: {e}"));
-                }
-            }
-        }
+        // The resident session loads the persistent store (if configured)
+        // into daemon memory up front. It also acquires a traced daemon's
+        // trace file, so it must exist before the fleet renders its config
+        // frame: the frame's trace flag is what makes workers ship spans.
+        let resident = Verifier::with_config(config.clone());
+        let fleet = Fleet::new(&config, binary, fleet_size);
+        fleet
+            .spawn_all()
+            .map_err(|e| format!("failed to pre-spawn the worker fleet: {e}"))?;
         let queue_cap = if options.queue == 0 {
             fleet_size * 4
         } else {
             options.queue
         };
-        // The resident session loads the persistent store (if configured)
-        // into daemon memory up front.
-        let resident = Verifier::with_config(config.clone());
         let daemon = Arc::new(Daemon {
-            config_frame,
-            binary,
-            fleet_size,
+            fleet,
             queue_cap,
             retry_after_ms: options.retry_after_ms,
-            state: Mutex::new(DaemonState {
-                alive: idle.len(),
-                idle,
-                active: 0,
-                peak_active: 0,
-            }),
+            admission: Mutex::new(Admission::default()),
             signal: Condvar::new(),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -427,7 +315,7 @@ impl Service {
 
     /// The warm fleet size.
     pub fn fleet(&self) -> usize {
-        self.daemon.fleet_size
+        self.daemon.fleet.size()
     }
 
     /// Verdicts the resident cache loaded from the persistent store at
@@ -505,7 +393,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                     configured = true;
                     reply(&format!(
                         "{{\"type\":\"ready\",\"proto\":{PROTOCOL_VERSION},\"fleet\":{}}}",
-                        daemon.fleet_size
+                        daemon.fleet.size()
                     ));
                 }
                 Err(reason) => {
@@ -517,7 +405,18 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                 }
             },
             Ok("job") => {
-                let id = field_u64(fields, "id").unwrap_or(0) as usize;
+                // A job the client could never match a result to: refuse
+                // it before it reaches a worker, which would die on it.
+                let id = match field_u64(fields, "id") {
+                    Ok(id) => id as usize,
+                    Err(e) => {
+                        reply(&format!(
+                            "{{\"type\":\"error\",\"reason\":{}}}",
+                            crate::cache::json_string(&format!("bad job frame: {e}"))
+                        ));
+                        continue;
+                    }
+                };
                 if !configured {
                     reply(&render_error_frame(id, "job before config"));
                     continue;
@@ -533,10 +432,11 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                     ));
                     continue;
                 }
+                let name = field_str(fields, "name").unwrap_or_default().to_string();
                 let daemon = Arc::clone(daemon);
                 let writer = Arc::clone(&writer);
                 std::thread::spawn(move || {
-                    let response = daemon.run_job_line(id, &line);
+                    let response = daemon.run_job_line(id, &name, &line);
                     // A vanished client makes this write fail; the job
                     // slot and the worker are released either way, so the
                     // fleet never wedges on a dropped connection.
@@ -547,10 +447,11 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                             .write_all(response.as_bytes())
                             .and_then(|()| w.write_all(b"\n"));
                     }
-                    daemon.release();
-                    // Detached job threads may outlive a trace write:
-                    // flush this thread's spans while the job is hot.
+                    // Detached job threads may outlive a trace write: flush
+                    // this thread's spans before the drain can see the job
+                    // finished.
                     crate::telemetry::drain_thread();
+                    daemon.release();
                 });
             }
             Ok("status") => reply(&daemon.status_frame()),
@@ -616,7 +517,6 @@ pub(crate) fn run_corpus_service(
         config.stages,
         &entries,
         &mut slots,
-        config.goal_shards,
         &verifier.cost_snapshot(),
     );
     let fleet = if jobs.is_empty() {
@@ -646,72 +546,51 @@ fn run_jobs_over_service(
     jobs: Vec<ShardJob>,
     slots: &mut [Option<CorpusEntry>],
 ) -> usize {
-    // Results (and per-job failures) accumulate as batch partials; the
-    // merge resolves each program's batches into one entry — a failed
-    // batch fails its program, exactly like the shard coordinator.
-    let mut done: Vec<(usize, usize, CorpusEntry)> = Vec::new();
-    let fleet = drive_service_jobs(config, addr, jobs, &mut done);
-    let mut parts: HashMap<usize, Vec<(usize, CorpusEntry)>> = HashMap::new();
-    for (slot, batch, entry) in done {
-        parts.entry(slot).or_default().push((batch, entry));
-    }
-    for (slot, list) in parts {
-        slots[slot] = Some(merge_batch_entries(list));
+    let order: Vec<usize> = jobs.iter().map(|job| job.id).collect();
+    let mut pending: HashMap<usize, ShardJob> = jobs.into_iter().map(|job| (job.id, job)).collect();
+    let config_frame = render_config_frame(config, config.workers);
+    let (fleet, outcome) = match WorkerHandle::connect(addr, &config_frame, config.ready_timeout) {
+        Ok(mut handle) => {
+            let fleet = handle.fleet.unwrap_or(1);
+            let outcome = collect_results(config, addr, &mut handle, &order, &mut pending, slots);
+            if outcome.is_ok() {
+                handle.shutdown();
+            }
+            (fleet, outcome)
+        }
+        Err(e) => (1, Err(format!("cannot reach the service at {addr}: {e}"))),
+    };
+    if let Err(reason) = outcome {
+        for job in pending.into_values() {
+            slots[job.id] = Some(entry_from_result(
+                &job,
+                Err(reason.clone()),
+                CorpusError::Service,
+            ));
+        }
     }
     fleet
 }
 
-/// The connection-driving half of [`run_jobs_over_service`]: pipelines
-/// the jobs, rides out `busy` backpressure, and pushes one completed (or
-/// failed) partial per job into `done`.
-fn drive_service_jobs(
+/// Pipelines the jobs (in `order`, already longest-first) and collects
+/// their out-of-order results into `slots`, riding out `busy`
+/// backpressure with the daemon's retry-after hint. A job the daemon
+/// refuses for a whole patience window fails alone; `Err` (a dead
+/// connection, a stalled daemon, an unexpected frame) leaves every job
+/// still in `pending` to fail.
+fn collect_results(
     config: &Config,
     addr: &str,
-    jobs: Vec<ShardJob>,
-    done: &mut Vec<(usize, usize, CorpusEntry)>,
-) -> usize {
-    let fail_all =
-        |done: &mut Vec<(usize, usize, CorpusEntry)>, pending: Vec<ShardJob>, reason: &str| {
-            for job in pending {
-                done.push((
-                    job.slot,
-                    job.batch,
-                    CorpusEntry {
-                        name: job.name,
-                        elapsed_ms: 0,
-                        lint: Vec::new(),
-                        outcome: Err(CorpusError::Service(reason.to_string())),
-                    },
-                ));
-            }
-        };
-    let config_frame = render_config_frame(config, config.workers);
-    let mut handle = match WorkerHandle::connect(addr, &config_frame, config.ready_timeout) {
-        Ok(handle) => handle,
-        Err(e) => {
-            let reason = format!("cannot reach the service at {addr}: {e}");
-            fail_all(done, jobs, &reason);
-            return 1;
-        }
-    };
-    let fleet = handle.fleet.unwrap_or(1);
-
-    // Pipeline every job up front (the list is already longest-first);
-    // the daemon interleaves results and answers `busy` past its
-    // admission cap.
-    let mut pending: HashMap<usize, ShardJob> = HashMap::with_capacity(jobs.len());
-    for job in jobs {
-        if let Err(e) = handle.send(&job.frame) {
-            let mut lost: Vec<ShardJob> = pending.into_values().collect();
-            lost.push(job);
-            fail_all(done, lost, &format!("connection to {addr} failed: {e}"));
-            return fleet;
-        }
-        pending.insert(job.id, job);
+    handle: &mut WorkerHandle,
+    order: &[usize],
+    pending: &mut HashMap<usize, ShardJob>,
+    slots: &mut [Option<CorpusEntry>],
+) -> Result<(), String> {
+    let lost = |e: String| format!("connection to {addr} failed: {e}");
+    for id in order {
+        handle.send(&pending[id].frame).map_err(lost)?;
     }
-
-    // Collect out-of-order results, riding out `busy` backpressure. The
-    // patience window is *progress-based*: any frame from the daemon
+    // The patience window is *progress-based*: any frame from the daemon
     // (result or busy) resets it, so a large pipelined corpus is never
     // timed out merely for being longer than one job's budget.
     let mut retries: Vec<(Instant, usize)> = Vec::new();
@@ -724,11 +603,7 @@ fn drive_service_jobs(
             if retries[i].0 <= now {
                 let (_, id) = retries.swap_remove(i);
                 if let Some(job) = pending.get(&id) {
-                    if let Err(e) = handle.send(&job.frame) {
-                        let lost: Vec<ShardJob> = pending.into_values().collect();
-                        fail_all(done, lost, &format!("connection to {addr} failed: {e}"));
-                        return fleet;
-                    }
+                    handle.send(&job.frame).map_err(lost)?;
                 }
             } else {
                 i += 1;
@@ -738,16 +613,10 @@ fn drive_service_jobs(
             .job_timeout
             .saturating_sub(now.duration_since(last_progress));
         if window.is_zero() {
-            let lost: Vec<ShardJob> = pending.into_values().collect();
-            fail_all(
-                done,
-                lost,
-                &format!(
-                    "service at {addr} made no progress for {}s",
-                    config.job_timeout.as_secs()
-                ),
-            );
-            return fleet;
+            return Err(format!(
+                "service at {addr} made no progress for {}s",
+                config.job_timeout.as_secs()
+            ));
         }
         let mut wait = window;
         if let Some(next) = retries.iter().map(|(due, _)| *due).min() {
@@ -756,121 +625,48 @@ fn drive_service_jobs(
                 .max(Duration::from_millis(1));
             wait = wait.min(until);
         }
-        let line = match handle.recv_opt(wait) {
-            Ok(Some(line)) => line,
-            Ok(None) => continue, // a retry came due or the window shrank
-            Err(e) => {
-                let lost: Vec<ShardJob> = pending.into_values().collect();
-                fail_all(done, lost, &format!("connection to {addr} failed: {e}"));
-                return fleet;
-            }
+        let Some(line) = handle.recv_opt(wait).map_err(lost)? else {
+            continue; // a retry came due or the window shrank
         };
         last_progress = Instant::now();
-        let kind = parse_json(&line)
+        let (kind, id, retry_after_ms) = parse_json(&line)
             .and_then(|record| {
-                record.as_object().and_then(|fields| {
-                    Ok((
-                        field_str(fields, "type")?.to_string(),
-                        field_u64(fields, "id")?,
-                    ))
-                })
+                let fields = record.as_object()?;
+                Ok((
+                    field_str(fields, "type")?.to_string(),
+                    field_u64(fields, "id")? as usize,
+                    field_u64(fields, "retry_after_ms").unwrap_or(25),
+                ))
             })
-            .map_err(|e| format!("malformed frame from {addr}: {e}"));
-        let (kind, id) = match kind {
-            Ok(parsed) => parsed,
-            Err(reason) => {
-                let lost: Vec<ShardJob> = pending.into_values().collect();
-                fail_all(done, lost, &reason);
-                return fleet;
-            }
-        };
-        let id = id as usize;
+            .map_err(|e| format!("malformed frame from {addr}: {e}"))?;
         match kind.as_str() {
             "result" => {
                 let Some(job) = pending.remove(&id) else {
                     continue; // duplicate/stale result; ignore
                 };
                 busy_since.remove(&id);
-                done.push((job.slot, job.batch, entry_from_result(&job, &line)));
+                let wire =
+                    parse_result_frame(&line).map_err(|e| format!("malformed result frame: {e}"));
+                slots[id] = Some(entry_from_result(&job, wire, CorpusError::Service));
             }
             "busy" => {
-                // Saturation backpressure: honor the daemon's
-                // retry-after hint, but give up on a job the daemon has
-                // refused for a whole patience window.
+                // Give up on a job the daemon has refused for a whole
+                // patience window.
                 let first = *busy_since.entry(id).or_insert_with(Instant::now);
-                if first.elapsed() >= config.job_timeout {
-                    if let Some(job) = pending.remove(&id) {
-                        done.push((
-                            job.slot,
-                            job.batch,
-                            CorpusEntry {
-                                name: job.name,
-                                elapsed_ms: 0,
-                                lint: Vec::new(),
-                                outcome: Err(CorpusError::Service(format!(
-                                    "service at {addr} stayed saturated for {}s",
-                                    config.job_timeout.as_secs()
-                                ))),
-                            },
-                        ));
-                    }
-                    continue;
+                if first.elapsed() < config.job_timeout {
+                    retries.push((Instant::now() + Duration::from_millis(retry_after_ms), id));
+                } else if let Some(job) = pending.remove(&id) {
+                    let reason = format!(
+                        "service at {addr} stayed saturated for {}s",
+                        config.job_timeout.as_secs()
+                    );
+                    slots[id] = Some(entry_from_result(&job, Err(reason), CorpusError::Service));
                 }
-                let after = field_u64(
-                    parse_json(&line)
-                        .expect("frame parsed above")
-                        .as_object()
-                        .expect("object parsed above"),
-                    "retry_after_ms",
-                )
-                .unwrap_or(25);
-                retries.push((Instant::now() + Duration::from_millis(after), id));
             }
-            other => {
-                let lost: Vec<ShardJob> = pending.into_values().collect();
-                fail_all(
-                    done,
-                    lost,
-                    &format!("unexpected frame type {other:?} from {addr}"),
-                );
-                return fleet;
-            }
+            other => return Err(format!("unexpected frame type {other:?} from {addr}")),
         }
     }
-    handle.shutdown();
-    fleet
-}
-
-/// Rebuilds one [`CorpusEntry`] from a raw result line, zipping the wire
-/// verdicts with the locally generated obligations (identical to the
-/// shard coordinator's merge).
-fn entry_from_result(job: &ShardJob, line: &str) -> CorpusEntry {
-    let fallible = || -> Result<CorpusEntry, String> {
-        let wire = parse_result_frame(line)?;
-        if let Some(error) = wire.error {
-            return Ok(CorpusEntry {
-                name: job.name.clone(),
-                elapsed_ms: wire.elapsed_ms,
-                lint: Vec::new(),
-                outcome: Err(CorpusError::Service(format!("service reported: {error}"))),
-            });
-        }
-        let report = rebuild_report(job, wire.stages, wire.engine)?;
-        Ok(CorpusEntry {
-            name: job.name.clone(),
-            elapsed_ms: wire.elapsed_ms,
-            lint: Vec::new(),
-            outcome: Ok(report),
-        })
-    };
-    fallible().unwrap_or_else(|reason| CorpusEntry {
-        name: job.name.clone(),
-        elapsed_ms: 0,
-        lint: Vec::new(),
-        outcome: Err(CorpusError::Service(format!(
-            "malformed service result: {reason}"
-        ))),
-    })
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -882,7 +678,8 @@ fn entry_from_result(job: &ShardJob, line: &str) -> CorpusEntry {
 pub struct ServiceStatus {
     /// Configured warm fleet size.
     pub fleet: u64,
-    /// Workers currently alive (shrinks only on respawn failures).
+    /// Workers currently alive: shrinks when a replacement spawn fails
+    /// (a later job spawns on demand again) and drops to 0 at the drain.
     pub alive: u64,
     /// Jobs admitted and in flight right now.
     pub active: u64,

@@ -4,12 +4,12 @@
 //! obligations (one staged `⊢o`/`⊢i`/`⊢r` check each), so a corpus is
 //! embarrassingly parallel beyond one process. This module is the
 //! process-level execution layer behind
-//! [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded): a
-//! **coordinator** (the `ShardPool` driving this module's
-//! `run_corpus_sharded`) that distributes programs across N
-//! **worker processes** (the `relaxed-shardd` binary, whose entire logic
-//! is [`worker_main`] in this module) and merges their results into the
-//! same deterministic [`CorpusReport`] an in-process
+//! [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded) and the
+//! [`crate::service`] daemon: one worker **fleet** (`Fleet`) of **worker
+//! processes** (the `relaxed-shardd` binary, whose entire logic is
+//! [`worker_main`] in this module), one job per program, and the
+//! result-to-entry code that merges the answers into the same
+//! deterministic [`CorpusReport`] an in-process
 //! [`Verifier::check_corpus`] run produces.
 //!
 //! # Protocol
@@ -42,40 +42,34 @@
 //! expensive part) and zips them with the returned verdicts, so the
 //! merged report is structurally identical to an in-process run's.
 //!
-//! # Work units: goal batches
+//! # The fleet
 //!
-//! The unit of distribution is a **goal batch**, not a whole program.
-//! Under [`Config::goal_shards`] > 1 each program's concatenated
-//! obligation list (every selected stage, pipeline order) is split into
-//! up to that many balanced contiguous batches, each shipped as its own
-//! job frame (`"batch":k,"batches":n`); the worker re-generates the
-//! stage VCs (generation is deterministic and cheap), computes the same
-//! split, and discharges only its slice. The coordinator merges the
-//! batch partials back into one per-program entry, so a corpus of one
-//! huge program still saturates the whole fleet. The default
-//! (`goal_shards = 1`) keeps whole-program jobs, and a frame without
-//! batch fields means `batches = 1` — older coordinators and workers
-//! interoperate unchanged.
+//! A `Fleet` owns up to `size` worker processes. A job checks a worker
+//! out — an idle one, else a fresh spawn while fewer than `size` exist,
+//! else the next one checked in — relays its frame, and checks the worker
+//! back in. A worker crash, a malformed or mismatched response frame, or
+//! a response timeout kills that worker and retries the job on a
+//! replacement spawned into its slot (a new process, so accumulated
+//! worker state can never fail the same job twice); a failed spawn is a
+//! failed attempt too. After [`MAX_ATTEMPTS`] failed attempts the job is
+//! recorded as a per-program error ([`CorpusError::Shard`] here,
+//! `CorpusError::Service` behind the daemon) — never a lost program,
+//! never a hung coordinator. The relay is the one place where worker
+//! spans are re-anchored into this process's trace.
 //!
-//! # Scheduling and fault tolerance
-//!
-//! Jobs are distributed by **work-stealing**: a shared queue ordered
-//! longest-first that idle workers pull from, so one slow program cannot
-//! serialize the tail of the corpus. "Longest" is *measured* when
-//! possible: once the session's observed-cost history (per-program
-//! `elapsed_ms` from earlier [`CorpusReport`]s, see
+//! A sharded run opens a private fleet of `shards` workers, spawned on
+//! demand, and `shards` driver threads pop a job list ordered
+//! longest-first, so one slow program cannot serialize the tail of the
+//! corpus. "Longest" is *measured* when possible: once the session's
+//! observed-cost history (per-program `elapsed_ms` from earlier
+//! [`CorpusReport`]s, see
 //! [`Verifier::observe_costs`](crate::api::Verifier::observe_costs))
 //! covers every scheduled program, jobs are ordered by observed
-//! milliseconds (divided across a program's batches) instead of the
-//! VC-count estimate. A worker crash, a malformed response frame, or a
-//! response timeout kills that worker and requeues the job onto a
-//! freshly spawned replacement worker (a new process, so accumulated
-//! worker state can never fail the same job twice); after
-//! [`MAX_ATTEMPTS`] failed attempts the job is recorded as a per-program
-//! [`CorpusError::Shard`] — never a lost program, never a hung
-//! coordinator.
-//!
-//! [`Config::goal_shards`]: crate::api::Config::goal_shards
+//! milliseconds instead of the VC-count estimate. Once the last job is
+//! handed out the fleet retires: a worker checked in while no job waits
+//! is shut down at once, and the run ends by draining the rest. The
+//! service daemon instead spawns its whole fleet up front and drains it
+//! on `shutdown`.
 //!
 //! # Cache-mediated verdict sharing
 //!
@@ -103,7 +97,7 @@ use crate::api::{
 use crate::cache::{get, json_string, parse_json, parse_verdict, render_verdict, Json};
 use crate::engine::EngineStats;
 use crate::vcgen::Vc;
-use crate::verify::{stage_vcs, AcceptabilityReport, Report, Spec, VcResult};
+use crate::verify::{AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::{parse_formula, parse_program, parse_rel_formula, Program};
 use relaxed_smt::sat::SatStats;
 use relaxed_smt::{SolverStats, Validity};
@@ -112,7 +106,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Version of the coordinator/worker wire protocol. The worker echoes it
@@ -264,16 +258,9 @@ pub(crate) fn render_config_frame(config: &Config, per_worker: usize) -> String 
     )
 }
 
-fn render_job_frame(
-    id: usize,
-    name: &str,
-    program: &Program,
-    spec: &Spec,
-    batch: usize,
-    batches: usize,
-) -> String {
+fn render_job_frame(id: usize, name: &str, program: &Program, spec: &Spec) -> String {
     format!(
-        "{{\"type\":\"job\",\"id\":{id},\"name\":{},\"batch\":{batch},\"batches\":{batches},\
+        "{{\"type\":\"job\",\"id\":{id},\"name\":{},\
          \"program\":{},\"pre\":{},\
          \"post\":{},\"rel_pre\":{},\"rel_post\":{}}}",
         json_string(name),
@@ -365,7 +352,7 @@ fn render_result_frame(
     if !spans.is_empty() {
         // Worker spans ride back as timestamps *relative to the job
         // dispatch mark*: the coordinator re-anchors them into its own
-        // timeline (see `run_job_on_worker`), so the two processes never
+        // timeline (see `Fleet::relay`), so the two processes never
         // need a shared clock.
         out.push_str(",\"spans\":[");
         for (i, event) in spans.iter().take(MAX_FRAME_SPANS).enumerate() {
@@ -757,10 +744,7 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
 
 /// Parses and verifies one job through the worker's session, persisting
 /// incrementally around the check so sibling workers can reuse the
-/// verdicts. A whole-program job (`batches <= 1`, the default for frames
-/// without batch fields) runs the full staged check; a goal-batch job
-/// re-generates the stage VCs, computes the same balanced contiguous
-/// split as the coordinator, and discharges only its slice.
+/// verdicts.
 fn run_job(
     session: &Verifier,
     fields: &[(String, Json)],
@@ -776,26 +760,15 @@ fn run_job(
         rel_post: parse_rel_formula(field_str(fields, "rel_post")?)
             .map_err(|e| format!("rel_post: {e}"))?,
     };
-    // Optional with a permissive default: a coordinator that predates
-    // goal batching simply ships whole programs.
-    let batch = field_u64(fields, "batch").unwrap_or(0) as usize;
-    let batches = (field_u64(fields, "batches").unwrap_or(1) as usize).max(1);
     // Pick up verdicts sibling workers persisted since the last job: they
     // answer shared goals as disk hits, the cross-process payoff.
     session.engine().refresh_from_disk();
     let started = Instant::now();
-    let outcome = if batches <= 1 {
-        let report = session
-            .check_corpus_named(&[(name, program, spec)])
-            .entries
-            .remove(0);
-        match report.outcome {
-            Ok(outcome) => outcome,
-            Err(e) => return Err(e.to_string()),
-        }
-    } else {
-        run_batch_job(session, &program, &spec, batch, batches)?
-    };
+    let report = session
+        .check_corpus_named(&[(name, program, spec)])
+        .entries
+        .remove(0);
+    let outcome = report.outcome.map_err(|e| e.to_string())?;
     let elapsed_ms = elapsed_ms_since(started);
     // Publish this job's fresh verdicts incrementally, by *appending* to
     // the shared store: an append can never drop entries a sibling worker
@@ -808,190 +781,72 @@ fn run_job(
     Ok((outcome, elapsed_ms))
 }
 
-/// Discharges one goal batch of `program`: the same VC generation and
-/// the same [`batch_bounds`] split as the coordinator, so the returned
-/// per-stage verdict lists zip exactly with the coordinator's
-/// [`ShardJob::stage_vcs`] slice. Every selected stage appears in the
-/// report (possibly with an empty slice), keeping the result frame's
-/// stage spectrum identical to the scheduled one.
-fn run_batch_job(
-    session: &Verifier,
-    program: &Program,
-    spec: &Spec,
-    batch: usize,
-    batches: usize,
-) -> Result<AcceptabilityReport, String> {
-    let stages = session.config().stages;
-    let mut prepared = Vec::new();
-    for stage in [Stage::Original, Stage::Intermediate, Stage::Relaxed] {
-        if !stages.contains(stage) {
-            continue;
-        }
-        prepared.push((
-            stage,
-            stage_vcs(stage, program, spec).map_err(|e| e.to_string())?,
-        ));
-    }
-    let total: usize = prepared.iter().map(|(_, vcs)| vcs.len()).sum();
-    if batch >= batches || batches > total.max(1) {
-        return Err(format!(
-            "batch {batch}/{batches} is inconsistent with {total} obligations"
-        ));
-    }
-    let (start, end) = batch_bounds(total, batches, batch);
-    let mut report_stages = StageSet::none();
-    let mut original = Report::default();
-    let mut intermediate = None;
-    let mut relaxed = Report::default();
-    let mut engine = EngineStats::default();
-    for (stage, vcs) in batch_stage_slice(&prepared, start, end) {
-        let stage_report = session.engine().discharge(vcs);
-        engine.absorb(&stage_report.engine);
-        report_stages = report_stages.with(stage);
-        match stage {
-            Stage::Original => original = stage_report,
-            Stage::Intermediate => intermediate = Some(stage_report),
-            Stage::Relaxed => relaxed = stage_report,
-        }
-    }
-    Ok(AcceptabilityReport {
-        stages: report_stages,
-        original,
-        intermediate,
-        relaxed,
-        engine,
-    })
-}
-
 // ---------------------------------------------------------------------
 // The coordinator
 // ---------------------------------------------------------------------
 
-/// One goal batch prepared for distribution (to a shard worker or, via
-/// [`crate::service`], to a daemon's fleet). Under the default
-/// `goal_shards = 1` a job is a whole program; otherwise a program fans
-/// out into up to `goal_shards` jobs over contiguous slices of its
-/// concatenated obligation list.
+/// One program prepared for distribution, to a sharded run's fleet or,
+/// via [`crate::service`], to a daemon's.
 pub(crate) struct ShardJob {
-    /// Corpus-unique wire job id (one per batch, not per program).
+    /// Index of the program in corpus input order: the result slot this
+    /// job's entry fills, and its wire job id.
     pub(crate) id: usize,
-    /// Index of the program in corpus input order — the result slot this
-    /// job's (partial) entry merges into.
-    pub(crate) slot: usize,
-    /// This job's batch index within the program's split.
-    pub(crate) batch: usize,
-    /// Total batches the program was split into (1 = whole program).
-    pub(crate) batches: usize,
     pub(crate) name: String,
     pub(crate) frame: String,
     /// The locally generated obligations of every selected stage, in
-    /// pipeline order, restricted to this batch's contiguous slice —
-    /// zipped with the worker's verdicts to rebuild the batch's partial
-    /// report. Stages whose goals fall entirely outside the slice stay
-    /// present with an empty list, so the stage spectrum is stable.
+    /// pipeline order — zipped with the worker's verdicts to rebuild the
+    /// program's report.
     pub(crate) stage_vcs: Vec<(Stage, Vec<Vc>)>,
     pub(crate) vc_count: usize,
-    /// Measured scheduling cost: the program's observed `elapsed_ms`
-    /// divided across its batches, when the session has an observation.
+    /// Measured scheduling cost: the program's observed `elapsed_ms`,
+    /// when the session has an observation.
     pub(crate) cost: u64,
-    pub(crate) attempts: u32,
-    pub(crate) last_error: String,
-}
-
-/// The balanced contiguous split: half-open bounds of batch `batch` of
-/// `batches` over a `total`-element sequence. Batches differ in size by
-/// at most one, cover the sequence exactly, and are computed identically
-/// by the coordinator and the worker (the protocol ships only
-/// `batch`/`batches`, never the bounds).
-pub(crate) fn batch_bounds(total: usize, batches: usize, batch: usize) -> (usize, usize) {
-    let base = total / batches;
-    let rem = total % batches;
-    let start = batch * base + batch.min(rem);
-    (start, start + base + usize::from(batch < rem))
-}
-
-/// Restricts per-stage obligation lists to the global goal range
-/// `[start, end)` over their concatenation. Every stage stays present
-/// (possibly empty), so both protocol sides agree on the stage spectrum
-/// of every batch.
-pub(crate) fn batch_stage_slice(
-    prepared: &[(Stage, Vec<Vc>)],
-    start: usize,
-    end: usize,
-) -> Vec<(Stage, Vec<Vc>)> {
-    let mut out = Vec::with_capacity(prepared.len());
-    let mut offset = 0usize;
-    for (stage, vcs) in prepared {
-        let lo = start.clamp(offset, offset + vcs.len()) - offset;
-        let hi = end.clamp(offset, offset + vcs.len()) - offset;
-        out.push((*stage, vcs[lo..hi].to_vec()));
-        offset += vcs.len();
-    }
-    out
 }
 
 /// Generates every program's obligations locally, up front: `VcgenError`s
 /// are recorded into `slots` exactly as the in-process driver records
-/// them (never shipped over a wire), each program fans out into up to
-/// `goal_shards` goal-batch jobs, and the returned job list is ordered
-/// longest-first (id-tie-broken for determinism) — by *observed* cost
-/// when the session's cost history covers every scheduled program, by VC
-/// count otherwise.
+/// them (never shipped over a wire), every other program becomes one
+/// job, and the returned job list is ordered longest-first
+/// (id-tie-broken for determinism) — by *observed* cost when the
+/// session's cost history covers every scheduled program, by VC count
+/// otherwise.
 pub(crate) fn prepare_jobs(
     stages: StageSet,
     entries: &[(String, &Program, &Spec)],
     slots: &mut [Option<CorpusEntry>],
-    goal_shards: usize,
     costs: &std::collections::HashMap<String, u64>,
 ) -> Vec<ShardJob> {
     let mut jobs: Vec<ShardJob> = Vec::new();
-    let mut next_id = 0usize;
     let mut all_observed = true;
-    for (slot, (name, program, spec)) in entries.iter().enumerate() {
-        let mut prepared = Vec::new();
-        let mut failed = None;
+    'programs: for (id, (name, program, spec)) in entries.iter().enumerate() {
+        let mut stage_vcs = Vec::new();
         for stage in [Stage::Original, Stage::Intermediate, Stage::Relaxed] {
             if !stages.contains(stage) {
                 continue;
             }
-            match stage_vcs(stage, program, spec) {
-                Ok(vcs) => prepared.push((stage, vcs)),
+            match crate::verify::stage_vcs(stage, program, spec) {
+                Ok(vcs) => stage_vcs.push((stage, vcs)),
                 Err(e) => {
-                    failed = Some(e);
-                    break;
+                    slots[id] = Some(CorpusEntry {
+                        name: name.clone(),
+                        elapsed_ms: 0,
+                        lint: Vec::new(),
+                        outcome: Err(CorpusError::Vcgen(e)),
+                    });
+                    continue 'programs;
                 }
             }
         }
-        if let Some(e) = failed {
-            slots[slot] = Some(CorpusEntry {
-                name: name.clone(),
-                elapsed_ms: 0,
-                lint: Vec::new(),
-                outcome: Err(CorpusError::Vcgen(e)),
-            });
-            continue;
-        }
-        let total: usize = prepared.iter().map(|(_, vcs)| vcs.len()).sum();
-        let batches = goal_shards.max(1).min(total.max(1));
         let observed = costs.get(name.as_str()).copied();
         all_observed &= observed.is_some();
-        for batch in 0..batches {
-            let (start, end) = batch_bounds(total, batches, batch);
-            jobs.push(ShardJob {
-                id: next_id,
-                slot,
-                batch,
-                batches,
-                name: name.clone(),
-                frame: render_job_frame(next_id, name, program, spec, batch, batches),
-                stage_vcs: batch_stage_slice(&prepared, start, end),
-                vc_count: end - start,
-                cost: observed.unwrap_or(0) / batches as u64,
-                attempts: 0,
-                last_error: String::new(),
-            });
-            next_id += 1;
-        }
+        jobs.push(ShardJob {
+            id,
+            name: name.clone(),
+            frame: render_job_frame(id, name, program, spec),
+            vc_count: stage_vcs.iter().map(|(_, vcs)| vcs.len()).sum(),
+            stage_vcs,
+            cost: observed.unwrap_or(0),
+        });
     }
     // Longest first: the most expensive proofs start immediately, so the
     // corpus tail is short jobs instead of one straggler. Measured wall
@@ -1315,174 +1170,278 @@ impl WorkerHandle {
     }
 }
 
-/// The coordinator of a sharded corpus run: owns the job queue, the
-/// result slots, and the per-worker handler loops. Constructed and driven
-/// by [`Verifier::check_corpus`](crate::api::Verifier::check_corpus) when
-/// the session's policy is
-/// [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded).
-struct ShardPool {
-    binary: PathBuf,
-    config_frame: String,
-    /// Handshake patience ([`Config::ready_timeout`]).
-    ready_timeout: Duration,
-    /// Per-job patience ([`Config::job_timeout`]).
-    job_timeout: Duration,
-    /// Pending jobs, longest-first; idle handlers steal from the front.
-    queue: Mutex<VecDeque<ShardJob>>,
-    /// Completed (partial) entries, keyed by corpus slot and batch index;
-    /// the coordinator merges a slot's batches after the run.
-    done: Mutex<Vec<(usize, usize, CorpusEntry)>>,
+/// Fleet state behind one lock, condvar-signalled.
+struct FleetState {
+    idle: Vec<WorkerHandle>,
+    /// Worker slots in use: idle, checked out, or being spawned. A slot
+    /// frees when its worker is shut down or its spawn fails.
+    alive: usize,
+    /// Checkouts waiting for a worker to come back.
+    waiting: usize,
+    /// Set once no further job will arrive: a worker checked in while no
+    /// job waits is shut down at once instead of idling.
+    retiring: bool,
 }
 
-impl ShardPool {
-    fn pop(&self) -> Option<ShardJob> {
-        self.queue.lock().expect("shard queue").pop_front()
-    }
+/// A fleet of up to `size` `relaxed-shardd` worker processes — the one
+/// worker manager behind both the sharded corpus driver and the
+/// [`crate::service`] daemon. See the [module docs](self#the-fleet).
+pub(crate) struct Fleet {
+    binary: PathBuf,
+    config_frame: String,
+    size: usize,
+    ready_timeout: Duration,
+    job_timeout: Duration,
+    state: Mutex<FleetState>,
+    signal: Condvar,
+}
 
-    fn complete(&self, slot: usize, batch: usize, entry: CorpusEntry) {
-        self.done
-            .lock()
-            .expect("shard results")
-            .push((slot, batch, entry));
-    }
-
-    /// Charges one failed attempt against `job`. Returns `true` once the
-    /// job's attempts are exhausted, in which case it has been recorded
-    /// as a per-program error; `false` means the caller should retry it
-    /// on a fresh worker.
-    fn record_failure(&self, job: &mut ShardJob, error: String) -> bool {
-        job.attempts += 1;
-        job.last_error = error;
-        if job.attempts < MAX_ATTEMPTS {
-            return false;
+impl Fleet {
+    /// An empty fleet of up to `size` workers running under `config`;
+    /// workers spawn on demand (or all at once via
+    /// [`spawn_all`](Fleet::spawn_all)).
+    pub(crate) fn new(config: &Config, binary: PathBuf, size: usize) -> Fleet {
+        // Per-worker thread budget: the leftover parallelism once jobs
+        // fan out across processes (mirrors the in-process corpus driver).
+        let per_worker = (config.discharge_config().effective_parallelism() / size).max(1);
+        Fleet {
+            binary,
+            // Rendered now, so a traced session's workers capture spans.
+            config_frame: render_config_frame(config, per_worker),
+            size,
+            ready_timeout: config.ready_timeout,
+            job_timeout: config.job_timeout,
+            state: Mutex::new(FleetState {
+                idle: Vec::new(),
+                alive: 0,
+                waiting: 0,
+                retiring: false,
+            }),
+            signal: Condvar::new(),
         }
-        let entry = CorpusEntry {
-            name: job.name.clone(),
-            elapsed_ms: 0,
-            lint: Vec::new(),
-            outcome: Err(CorpusError::Shard(format!(
-                "job failed after {} attempts; last error: {}",
-                job.attempts, job.last_error
-            ))),
-        };
-        self.complete(job.slot, job.batch, entry);
-        true
     }
 
-    /// One handler loop: owns (at most) one worker process at a time and
-    /// steals jobs from the shared queue. A failed attempt (crash,
-    /// malformed frame, timeout, spawn error) kills the worker and
-    /// retries the job on a freshly spawned replacement — a *different*
-    /// process, so a worker whose lifetime-accumulated state was the
-    /// problem cannot fail the same job twice — until the job's bounded
-    /// attempts run out and it is recorded as a per-program error.
-    fn handler(&self) {
-        let mut worker: Option<WorkerHandle> = None;
-        'jobs: while let Some(mut job) = self.pop() {
-            loop {
-                if worker.is_none() {
-                    match WorkerHandle::spawn(&self.binary, &self.config_frame, self.ready_timeout)
-                    {
-                        Ok(handle) => worker = Some(handle),
-                        Err(e) => {
-                            if self.record_failure(&mut job, e) {
-                                continue 'jobs;
-                            }
-                            continue;
-                        }
-                    }
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
+    /// `(alive, idle)` worker counts, for status and metrics frames.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        let state = self.state.lock().expect("fleet state");
+        (state.alive, state.idle.len())
+    }
+
+    fn spawn(&self) -> Result<WorkerHandle, String> {
+        WorkerHandle::spawn(&self.binary, &self.config_frame, self.ready_timeout)
+    }
+
+    /// Spawns all `size` workers up front, concurrently. When any spawn
+    /// fails, the others are killed and its error returned.
+    pub(crate) fn spawn_all(&self) -> Result<(), String> {
+        let spawned: Vec<Result<WorkerHandle, String>> = std::thread::scope(|scope| {
+            let spawns: Vec<_> = (0..self.size)
+                .map(|_| scope.spawn(|| self.spawn()))
+                .collect();
+            spawns
+                .into_iter()
+                .map(|spawn| spawn.join().expect("fleet spawn thread"))
+                .collect()
+        });
+        let mut workers = Vec::with_capacity(self.size);
+        let mut failure = None;
+        for worker in spawned {
+            match worker {
+                Ok(worker) => workers.push(worker),
+                Err(e) => failure = Some(e),
+            }
+        }
+        if let Some(e) = failure {
+            for worker in workers {
+                worker.kill();
+            }
+            return Err(e);
+        }
+        let mut state = self.state.lock().expect("fleet state");
+        state.alive += workers.len();
+        state.idle.extend(workers);
+        Ok(())
+    }
+
+    /// Checks a worker out: an idle one, else a fresh spawn while fewer
+    /// than `size` workers exist, else the next one checked in. `Err` is
+    /// a failed spawn.
+    fn checkout(&self) -> Result<WorkerHandle, String> {
+        // How long the job waited for a worker (the service's
+        // admission-queue wait, a sharded run's spawn).
+        let mut wait_span = crate::telemetry::span("fleet", "checkout");
+        let mut state = self.state.lock().expect("fleet state");
+        loop {
+            if let Some(worker) = state.idle.pop() {
+                if wait_span.is_active() {
+                    wait_span.arg("worker", worker.lane);
                 }
-                let handle = worker.as_mut().expect("worker spawned");
-                match run_job_on_worker(handle, &job, self.job_timeout) {
-                    Ok(entry) => {
-                        self.complete(job.slot, job.batch, entry);
-                        continue 'jobs;
-                    }
-                    Err(e) => {
-                        // The channel is desynchronized (crash, corruption,
-                        // or timeout): this worker cannot be trusted with
-                        // another frame. Kill it; the retry (or the next
-                        // job) spawns a replacement.
-                        worker.take().expect("worker present").kill();
-                        if self.record_failure(&mut job, e) {
-                            continue 'jobs;
-                        }
+                return Ok(worker);
+            }
+            if state.alive < self.size {
+                state.alive += 1;
+                drop(state);
+                let spawned = self.spawn();
+                if spawned.is_err() {
+                    self.release_slot();
+                }
+                return spawned;
+            }
+            state.waiting += 1;
+            state = self.signal.wait(state).expect("fleet state");
+            state.waiting -= 1;
+        }
+    }
+
+    /// Returns a worker to the fleet — or, once the fleet is retiring and
+    /// no job waits, shuts it down (its EOF triggers the final persist).
+    fn checkin(&self, worker: WorkerHandle) {
+        let mut state = self.state.lock().expect("fleet state");
+        if state.retiring && state.waiting == 0 {
+            state.alive -= 1;
+            drop(state);
+            worker.shutdown();
+            return;
+        }
+        state.idle.push(worker);
+        drop(state);
+        self.signal.notify_one();
+    }
+
+    fn release_slot(&self) {
+        self.state.lock().expect("fleet state").alive -= 1;
+        self.signal.notify_one();
+    }
+
+    /// Kills a worker whose channel is desynchronized and spawns its
+    /// replacement into the same slot, freeing the slot if that fails.
+    fn respawn(&self, worker: WorkerHandle) -> Result<WorkerHandle, String> {
+        worker.kill();
+        let spawned = self.spawn();
+        if spawned.is_err() {
+            self.release_slot();
+        }
+        spawned
+    }
+
+    /// Runs one job frame on the fleet and returns the worker's raw
+    /// result line with its parsed form. A failed attempt — a failed
+    /// spawn, a crash, a malformed or mismatched frame, a timeout — kills
+    /// the worker and retries on its fresh replacement, never on an idle
+    /// worker that may carry the same fault; after [`MAX_ATTEMPTS`]
+    /// failed attempts the job fails.
+    pub(crate) fn run(
+        &self,
+        id: usize,
+        name: &str,
+        frame: &str,
+    ) -> Result<(String, WireResult), String> {
+        let mut last_error = String::new();
+        let mut replacement = None;
+        for attempt in 1..=MAX_ATTEMPTS {
+            let worker = match replacement.take() {
+                Some(spawned) => spawned,
+                None => self.checkout(),
+            };
+            let mut worker = match worker {
+                Ok(worker) => worker,
+                Err(e) => {
+                    last_error = e;
+                    continue;
+                }
+            };
+            match self.relay(&mut worker, id, name, frame) {
+                Ok(result) => {
+                    self.checkin(worker);
+                    return Ok(result);
+                }
+                Err(e) => {
+                    last_error = e;
+                    if attempt < MAX_ATTEMPTS {
+                        replacement = Some(self.respawn(worker));
+                    } else {
+                        worker.kill();
+                        self.release_slot();
                     }
                 }
             }
         }
-        if let Some(handle) = worker {
-            handle.shutdown();
-        }
-        // Scoped threads signal completion before their thread-local
-        // destructors run: flush this handler's spans (the `shard`/`job`
-        // dispatch spans) before the pool's scope joins.
-        crate::telemetry::drain_thread();
+        Err(format!(
+            "job failed after {MAX_ATTEMPTS} attempts; last error: {last_error}"
+        ))
     }
-}
 
-/// Sends one job to a worker and rebuilds its [`CorpusEntry`] from the
-/// result frame. Any error here means the worker/channel is unusable and
-/// the job must be retried elsewhere.
-fn run_job_on_worker(
-    worker: &mut WorkerHandle,
-    job: &ShardJob,
-    job_timeout: Duration,
-) -> Result<CorpusEntry, String> {
-    let mut job_span = crate::telemetry::span("shard", "job");
-    if job_span.is_active() {
-        job_span.arg("id", job.id as u64);
-        job_span.arg("name", job.name.as_str());
-        job_span.arg("worker", worker.lane);
+    /// Sends one job frame to `worker` and reads back its id-validated
+    /// result, re-anchoring any worker spans into this process's trace:
+    /// one process lane per worker (pids ≥ 1000 stay clear of the local
+    /// pid), worker tids inside it.
+    fn relay(
+        &self,
+        worker: &mut WorkerHandle,
+        id: usize,
+        name: &str,
+        frame: &str,
+    ) -> Result<(String, WireResult), String> {
+        let mut job_span = crate::telemetry::span("shard", "job");
+        if job_span.is_active() {
+            job_span.arg("id", id as u64);
+            job_span.arg("name", name);
+            job_span.arg("worker", worker.lane);
+        }
+        // The dispatch mark anchors the worker's job-relative timestamps:
+        // its clock starts (to within channel latency) when the job frame
+        // leaves this process.
+        let dispatch_us = crate::telemetry::now_us();
+        worker.send(frame)?;
+        let line = worker.recv(self.job_timeout)?;
+        let mut wire =
+            parse_result_frame(&line).map_err(|e| format!("malformed result frame: {e}"))?;
+        if wire.id != id {
+            return Err(format!(
+                "result frame for job {} while awaiting job {id}",
+                wire.id
+            ));
+        }
+        if !wire.spans.is_empty() {
+            let pid = 1000 + worker.lane;
+            let events: Vec<crate::telemetry::Event> = std::mem::take(&mut wire.spans)
+                .into_iter()
+                .map(|mut event| {
+                    event.ts_us = dispatch_us.saturating_add(event.ts_us);
+                    event.pid = pid;
+                    event
+                })
+                .collect();
+            crate::telemetry::inject(&format!("shard-worker-{}", worker.lane), pid, events);
+        }
+        Ok((line, wire))
     }
-    // The dispatch mark anchors the worker's job-relative timestamps:
-    // its clock starts (to within channel latency) when the job frame
-    // leaves the coordinator.
-    let dispatch_us = crate::telemetry::now_us();
-    worker.send(&job.frame)?;
-    let line = worker.recv(job_timeout)?;
-    let wire = parse_result_frame(&line).map_err(|e| format!("malformed result frame: {e}"))?;
-    if wire.id != job.id {
-        return Err(format!(
-            "result frame for job {} while awaiting job {}",
-            wire.id, job.id
-        ));
+
+    /// Marks the fleet as retiring: from now on a worker checked in while
+    /// no job waits is shut down at once.
+    pub(crate) fn retire(&self) {
+        self.state.lock().expect("fleet state").retiring = true;
     }
-    if !wire.spans.is_empty() {
-        // Re-anchor the worker's spans into the coordinator timeline:
-        // one process lane per worker (pids ≥ 1000 stay clear of the
-        // coordinator's LOCAL_PID), worker tids inside it.
-        let pid = 1000 + worker.lane;
-        let events: Vec<crate::telemetry::Event> = wire
-            .spans
-            .into_iter()
-            .map(|mut event| {
-                event.ts_us = dispatch_us.saturating_add(event.ts_us);
-                event.pid = pid;
-                event
-            })
-            .collect();
-        crate::telemetry::inject(&format!("shard-worker-{}", worker.lane), pid, events);
-    }
-    if let Some(error) = wire.error {
-        // A worker-side deterministic failure (e.g. the program did not
-        // re-parse): retrying elsewhere cannot help, so record it.
-        return Ok(CorpusEntry {
-            name: job.name.clone(),
-            elapsed_ms: wire.elapsed_ms,
-            lint: Vec::new(),
-            outcome: Err(CorpusError::Shard(format!("worker reported: {error}"))),
+
+    /// Retires the fleet and shuts its idle workers down concurrently.
+    /// Call once no job is in flight.
+    pub(crate) fn drain(&self) {
+        let idle = {
+            let mut state = self.state.lock().expect("fleet state");
+            state.retiring = true;
+            state.alive -= state.idle.len();
+            std::mem::take(&mut state.idle)
+        };
+        std::thread::scope(|scope| {
+            for worker in idle {
+                scope.spawn(move || worker.shutdown());
+            }
         });
     }
-    let report = rebuild_report(job, wire.stages, wire.engine)?;
-    // Lint is filled by the coordinator after the merge (it holds the
-    // programs; warnings never cross the worker wire).
-    Ok(CorpusEntry {
-        name: job.name.clone(),
-        elapsed_ms: wire.elapsed_ms,
-        lint: Vec::new(),
-        outcome: Ok(report),
-    })
 }
 
 /// Zips the worker's per-stage verdicts with the locally generated
@@ -1550,64 +1509,39 @@ pub(crate) fn rebuild_report(
     })
 }
 
-/// Merges a program's completed batch partials (in any arrival order)
-/// into the single [`CorpusEntry`] a whole-program job would have
-/// produced: per-stage results concatenate in batch order (batches are
-/// contiguous slices of the generation order), statistics sum, and
-/// `elapsed_ms` is the *maximum* across batches (they ran in parallel).
-/// Any failed batch fails the program with that batch's error. Shared by
-/// the shard coordinator and the service client.
-pub(crate) fn merge_batch_entries(mut parts: Vec<(usize, CorpusEntry)>) -> CorpusEntry {
-    parts.sort_by_key(|(batch, _)| *batch);
-    if parts.len() == 1 {
-        return parts.pop().expect("one part").1;
-    }
-    if let Some(pos) = parts.iter().position(|(_, part)| part.outcome.is_err()) {
-        return parts.swap_remove(pos).1;
-    }
-    let name = parts[0].1.name.clone();
-    let mut elapsed_ms = 0u64;
-    let mut stages = StageSet::none();
-    let mut original = Report::default();
-    let mut intermediate: Option<Report> = None;
-    let mut relaxed = Report::default();
-    let mut engine = EngineStats::default();
-    for (_, part) in parts {
-        elapsed_ms = elapsed_ms.max(part.elapsed_ms);
-        let report = part.outcome.expect("errors handled above");
-        engine.absorb(&report.engine);
-        if report.stages.original {
-            stages = stages.with(Stage::Original);
-        }
-        if report.stages.relaxed {
-            stages = stages.with(Stage::Relaxed);
-        }
-        original.merge(report.original);
-        if let Some(part_intermediate) = report.intermediate {
-            stages = stages.with(Stage::Intermediate);
-            intermediate
-                .get_or_insert_with(Report::default)
-                .merge(part_intermediate);
-        }
-        relaxed.merge(report.relaxed);
-    }
+/// Turns one job's outcome into its [`CorpusEntry`] — the result-to-entry
+/// step shared by the sharded driver and the service client. `Err` is a
+/// job that produced no result frame; a worker-reported error (e.g. a
+/// program that did not re-parse) fails the program too. `error` picks
+/// the [`CorpusError`] variant. Lint is filled in later by
+/// [`finalize_corpus_report`] (warnings never cross a wire).
+pub(crate) fn entry_from_result(
+    job: &ShardJob,
+    result: Result<WireResult, String>,
+    error: fn(String) -> CorpusError,
+) -> CorpusEntry {
+    let (elapsed_ms, outcome) = match result {
+        Ok(wire) => (
+            wire.elapsed_ms,
+            match wire.error {
+                Some(reason) => Err(reason),
+                None => rebuild_report(job, wire.stages, wire.engine),
+            },
+        ),
+        Err(reason) => (0, Err(reason)),
+    };
     CorpusEntry {
-        name,
+        name: job.name.clone(),
         elapsed_ms,
         lint: Vec::new(),
-        outcome: Ok(AcceptabilityReport {
-            stages,
-            original,
-            intermediate,
-            relaxed,
-            engine,
-        }),
+        outcome: outcome.map_err(error),
     }
 }
 
 /// Runs a corpus across worker processes — the implementation behind
-/// [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded). See the
-/// [module docs](self) for the architecture.
+/// [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded): a
+/// private [`Fleet`] of `shards` workers and `shards` driver threads
+/// popping the longest-first job list. See the [module docs](self).
 pub(crate) fn run_corpus_sharded(
     verifier: &Verifier,
     entries: Vec<(String, &Program, &Spec)>,
@@ -1615,81 +1549,23 @@ pub(crate) fn run_corpus_sharded(
 ) -> CorpusReport {
     let started = Instant::now();
     let config = verifier.config();
-    let stages = config.stages;
-    let count = entries.len();
-
     let mut report = CorpusReport {
-        stages,
+        stages: config.stages,
         ..CorpusReport::default()
     };
-
-    let mut slots: Vec<Option<CorpusEntry>> = (0..count).map(|_| None).collect();
+    let mut slots: Vec<Option<CorpusEntry>> = (0..entries.len()).map(|_| None).collect();
     let jobs = prepare_jobs(
-        stages,
+        config.stages,
         &entries,
         &mut slots,
-        config.goal_shards,
         &verifier.cost_snapshot(),
     );
-    // Goal batching can yield more jobs than programs, so the process
-    // fan-out clamps to the *job* count: one huge program split into
-    // batches still saturates every worker.
     let shards = shards.clamp(1, jobs.len().max(1));
-
-    // Per-worker thread budget: the leftover parallelism once jobs fan
-    // out across processes (mirrors the in-process corpus driver).
-    let budget = config.discharge_config().effective_parallelism();
-    let per_worker = (budget / shards).max(1);
-
     if !jobs.is_empty() {
         match resolve_worker(config) {
             Ok(binary) => {
-                let job_count = jobs.len();
-                // Batches scheduled per slot, to verify merge completeness.
-                let mut expected = vec![0usize; count];
-                for job in &jobs {
-                    expected[job.slot] = job.batches;
-                }
-                let pool = ShardPool {
-                    binary,
-                    config_frame: render_config_frame(config, per_worker),
-                    ready_timeout: config.ready_timeout,
-                    job_timeout: config.job_timeout,
-                    queue: Mutex::new(jobs.into()),
-                    done: Mutex::new(Vec::with_capacity(job_count)),
-                };
-                std::thread::scope(|scope| {
-                    for _ in 0..shards {
-                        scope.spawn(|| pool.handler());
-                    }
-                });
-                let mut parts: Vec<Vec<(usize, CorpusEntry)>> =
-                    (0..count).map(|_| Vec::new()).collect();
-                for (slot, batch, entry) in pool.done.into_inner().expect("shard results") {
-                    parts[slot].push((batch, entry));
-                }
-                for (slot, list) in parts.into_iter().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    if list.len() != expected[slot] {
-                        // Unreachable by construction (every queued job
-                        // completes or errors); degrade loudly rather
-                        // than merge a partial program.
-                        slots[slot] = Some(CorpusEntry {
-                            name: list[0].1.name.clone(),
-                            elapsed_ms: 0,
-                            lint: Vec::new(),
-                            outcome: Err(CorpusError::Shard(format!(
-                                "{} of {} goal batches were lost by the pool",
-                                expected[slot] - list.len().min(expected[slot]),
-                                expected[slot]
-                            ))),
-                        });
-                        continue;
-                    }
-                    slots[slot] = Some(merge_batch_entries(list));
-                }
+                let fleet = Fleet::new(config, binary, shards);
+                run_on_fleet(&fleet, jobs, shards, &mut slots);
             }
             Err(reason) => {
                 // No worker binary: every distributable program errs with
@@ -1697,19 +1573,17 @@ pub(crate) fn run_corpus_sharded(
                 // fallback — a sharded run that was not sharded would
                 // corrupt benchmark conclusions).
                 for job in jobs {
-                    slots[job.slot] = Some(CorpusEntry {
-                        name: job.name,
-                        elapsed_ms: 0,
-                        lint: Vec::new(),
-                        outcome: Err(CorpusError::Shard(reason.clone())),
-                    });
+                    slots[job.id] = Some(entry_from_result(
+                        &job,
+                        Err(reason.clone()),
+                        CorpusError::Shard,
+                    ));
                 }
             }
         }
     }
-
     finalize_corpus_report(&mut report, slots, &entries, &|_| {
-        CorpusError::Shard("job was lost by the pool".to_string())
+        CorpusError::Shard("job was lost by the fleet".to_string())
     });
     // Corpus-level parallelism is the process fan-out.
     report.engine.workers = shards;
@@ -1719,6 +1593,45 @@ pub(crate) fn run_corpus_sharded(
     // corpus verdicts.
     verifier.engine().refresh_from_disk();
     report
+}
+
+/// Runs `jobs` on `fleet` from `threads` driver threads, each popping the
+/// longest-first list, and fills their `slots`. The fleet retires once
+/// the last job is handed out and is drained when every job is done.
+fn run_on_fleet(
+    fleet: &Fleet,
+    jobs: Vec<ShardJob>,
+    threads: usize,
+    slots: &mut [Option<CorpusEntry>],
+) {
+    let queue = Mutex::new(VecDeque::from(jobs));
+    let slots = Mutex::new(slots);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                loop {
+                    let (job, last) = {
+                        let mut queue = queue.lock().expect("shard queue");
+                        let Some(job) = queue.pop_front() else { break };
+                        (job, queue.is_empty())
+                    };
+                    if last {
+                        fleet.retire();
+                    }
+                    let result = fleet
+                        .run(job.id, &job.name, &job.frame)
+                        .map(|(_, wire)| wire);
+                    let entry = entry_from_result(&job, result, CorpusError::Shard);
+                    slots.lock().expect("shard results")[job.id] = Some(entry);
+                }
+                // Scoped threads signal completion before their
+                // thread-local destructors run: flush this driver's
+                // `shard/job` spans before the join.
+                crate::telemetry::drain_thread();
+            });
+        }
+    });
+    fleet.drain();
 }
 
 /// Fills the report from the completed `slots`, attaching
@@ -1789,7 +1702,7 @@ mod tests {
         format!(
             "{}\n{}\n",
             render_config_frame(&config, 1),
-            render_job_frame(0, "toy", &program, &spec, 0, 1)
+            render_job_frame(0, "toy", &program, &spec)
         )
     }
 
@@ -1868,8 +1781,8 @@ mod tests {
             format!(
                 "{}\n{}\n{}\n",
                 render_config_frame(config, 1),
-                render_job_frame(0, "first", &program, &spec, 0, 1),
-                render_job_frame(1, "second", &program, &spec, 0, 1)
+                render_job_frame(0, "first", &program, &spec),
+                render_job_frame(1, "second", &program, &spec)
             )
         };
         let shared = Config {
@@ -1985,149 +1898,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_bounds_are_balanced_contiguous_and_covering() {
-        for total in [0usize, 1, 5, 7, 16, 100] {
-            for batches in [1usize, 2, 3, 5, 16] {
-                let batches = batches.min(total.max(1));
-                let mut cursor = 0;
-                let mut sizes = Vec::new();
-                for batch in 0..batches {
-                    let (start, end) = batch_bounds(total, batches, batch);
-                    assert_eq!(start, cursor, "total={total} batches={batches}");
-                    assert!(end >= start);
-                    sizes.push(end - start);
-                    cursor = end;
-                }
-                assert_eq!(cursor, total, "batches must cover the sequence");
-                let min = sizes.iter().min().unwrap();
-                let max = sizes.iter().max().unwrap();
-                assert!(max - min <= 1, "balanced: {sizes:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_stage_slice_partitions_every_stage() {
-        let (program, spec) = toy();
-        let mut prepared = Vec::new();
-        for stage in [Stage::Original, Stage::Relaxed] {
-            prepared.push((stage, stage_vcs(stage, &program, &spec).unwrap()));
-        }
-        let total: usize = prepared.iter().map(|(_, vcs)| vcs.len()).sum();
-        assert!(total >= 2, "toy program should have several obligations");
-        let batches = 2.min(total);
-        let mut rebuilt: Vec<Vec<Vc>> = vec![Vec::new(); prepared.len()];
-        for batch in 0..batches {
-            let (start, end) = batch_bounds(total, batches, batch);
-            let slices = batch_stage_slice(&prepared, start, end);
-            // Every stage stays present, even when its slice is empty.
-            assert_eq!(slices.len(), prepared.len());
-            for (i, (stage, vcs)) in slices.into_iter().enumerate() {
-                assert_eq!(stage, prepared[i].0);
-                rebuilt[i].extend(vcs);
-            }
-        }
-        for (rebuilt_stage, (_, vcs)) in rebuilt.iter().zip(&prepared) {
-            assert_eq!(rebuilt_stage.len(), vcs.len());
-            for (got, want) in rebuilt_stage.iter().zip(vcs) {
-                assert_eq!(got.name, want.name);
-            }
-        }
-    }
-
-    #[test]
-    fn worker_batch_jobs_reassemble_to_the_whole_program_verdicts() {
-        let (program, spec) = toy();
-        let config = Config {
-            workers: 1,
-            ..Config::default()
-        };
-        let direct = Verifier::builder()
-            .workers(1)
-            .build()
-            .check(&program, &spec)
-            .unwrap();
-        let total = direct.original.results.len() + direct.relaxed.results.len();
-        assert!(total >= 2);
-        let batches = 2;
-        let frames = format!(
-            "{}\n{}\n{}\n",
-            render_config_frame(&config, 1),
-            render_job_frame(0, "toy", &program, &spec, 0, batches),
-            render_job_frame(1, "toy", &program, &spec, 1, batches),
-        );
-        let (result, output) = drive_worker(&frames, Fault::None);
-        result.unwrap();
-        let mut wire_verdicts: Vec<Vec<(Validity, bool)>> = Vec::new();
-        for line in output.lines().skip(1) {
-            let wire = parse_result_frame(line).unwrap();
-            assert!(wire.error.is_none(), "{:?}", wire.error);
-            // Both batches report the full stage spectrum.
-            assert_eq!(wire.stages.len(), 2);
-            for (i, stage) in wire.stages.into_iter().enumerate() {
-                if wire_verdicts.len() <= i {
-                    wire_verdicts.push(Vec::new());
-                }
-                wire_verdicts[i].extend(stage.verdicts);
-            }
-        }
-        let direct_stages = [&direct.original, &direct.relaxed];
-        for (rebuilt, direct_report) in wire_verdicts.iter().zip(direct_stages) {
-            assert_eq!(rebuilt.len(), direct_report.results.len());
-            for ((verdict, _), expected) in rebuilt.iter().zip(&direct_report.results) {
-                assert_eq!(verdict, &expected.verdict);
-            }
-        }
-    }
-
-    #[test]
-    fn worker_rejects_inconsistent_batch_coordinates() {
-        let (program, spec) = toy();
-        let config = Config {
-            workers: 1,
-            ..Config::default()
-        };
-        // Far more batches than the toy program has obligations.
-        let frames = format!(
-            "{}\n{}\n",
-            render_config_frame(&config, 1),
-            render_job_frame(0, "toy", &program, &spec, 0, 10_000),
-        );
-        let (result, output) = drive_worker(&frames, Fault::None);
-        result.unwrap();
-        let wire = parse_result_frame(output.lines().nth(1).unwrap()).unwrap();
-        assert!(wire.error.unwrap().contains("inconsistent"));
-    }
-
-    #[test]
-    fn prepare_jobs_splits_programs_into_goal_batches() {
-        let (program, spec) = toy();
-        let entries = vec![("toy".to_string(), &program, &spec)];
-        let mut slots: Vec<Option<CorpusEntry>> = vec![None];
-        let costs = std::collections::HashMap::new();
-        let whole = prepare_jobs(StageSet::default(), &entries, &mut slots, 1, &costs);
-        assert_eq!(whole.len(), 1);
-        assert_eq!((whole[0].batch, whole[0].batches), (0, 1));
-        let total = whole[0].vc_count;
-        assert!(total >= 2);
-
-        let mut slots: Vec<Option<CorpusEntry>> = vec![None];
-        let split = prepare_jobs(StageSet::default(), &entries, &mut slots, 2, &costs);
-        assert_eq!(split.len(), 2, "one program fans out into two jobs");
-        let mut ids: Vec<usize> = split.iter().map(|job| job.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1], "wire ids are corpus-unique");
-        assert!(split.iter().all(|job| job.slot == 0));
-        assert_eq!(split.iter().map(|job| job.vc_count).sum::<usize>(), total);
-
-        // More shards than goals clamps to one goal per batch.
-        let mut slots: Vec<Option<CorpusEntry>> = vec![None];
-        let fine = prepare_jobs(StageSet::default(), &entries, &mut slots, 10_000, &costs);
-        assert_eq!(fine.len(), total);
-        assert!(fine.iter().all(|job| job.vc_count == 1));
-    }
-
-    #[test]
     fn prepare_jobs_orders_by_observed_cost_once_history_is_complete() {
         let (program, spec) = toy();
         // Two copies of the same program: identical VC counts, so the
@@ -2140,7 +1910,7 @@ mod tests {
         let mut costs = std::collections::HashMap::new();
         costs.insert("fast".to_string(), 5u64);
         costs.insert("slow".to_string(), 500u64);
-        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots, 1, &costs);
+        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots, &costs);
         assert_eq!(jobs[0].name, "slow", "measured longest-first");
         assert_eq!(jobs[1].name, "fast");
 
@@ -2148,89 +1918,8 @@ mod tests {
         // id (corpus-order) tie-breaking.
         costs.remove("fast");
         let mut slots: Vec<Option<CorpusEntry>> = vec![None, None];
-        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots, 1, &costs);
+        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots, &costs);
         assert_eq!(jobs[0].name, "fast", "estimate ties break by id");
-    }
-
-    #[test]
-    fn merge_batch_entries_reassembles_partial_reports() {
-        let (program, spec) = toy();
-        let entries = vec![("toy".to_string(), &program, &spec)];
-        let mut slots: Vec<Option<CorpusEntry>> = vec![None];
-        let costs = std::collections::HashMap::new();
-        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots, 2, &costs);
-        assert_eq!(jobs.len(), 2);
-        let session = Verifier::builder().workers(1).build();
-        // Simulate each batch worker-side and rebuild the partial
-        // entries exactly as the coordinator does, deliberately merging
-        // in reverse arrival order.
-        let mut parts = Vec::new();
-        for job in jobs.iter().rev() {
-            let report = run_batch_job(&session, &program, &spec, job.batch, job.batches).unwrap();
-            let frame = render_result_frame(job.id, &report, 7, &[], 0);
-            let wire = parse_result_frame(&frame).unwrap();
-            let rebuilt = rebuild_report(job, wire.stages, wire.engine).unwrap();
-            parts.push((
-                job.batch,
-                CorpusEntry {
-                    name: job.name.clone(),
-                    elapsed_ms: wire.elapsed_ms,
-                    lint: Vec::new(),
-                    outcome: Ok(rebuilt),
-                },
-            ));
-        }
-        let merged = merge_batch_entries(parts);
-        let direct = Verifier::builder()
-            .workers(1)
-            .build()
-            .check(&program, &spec)
-            .unwrap();
-        let report = merged.outcome.unwrap();
-        assert_eq!(merged.elapsed_ms, 7, "elapsed is the max across batches");
-        assert_eq!(report.original.results.len(), direct.original.results.len());
-        assert_eq!(report.relaxed.results.len(), direct.relaxed.results.len());
-        for (got, want) in report
-            .original
-            .results
-            .iter()
-            .chain(&report.relaxed.results)
-            .zip(
-                direct
-                    .original
-                    .results
-                    .iter()
-                    .chain(&direct.relaxed.results),
-            )
-        {
-            assert_eq!(got.vc.name, want.vc.name, "generation order survives");
-            assert_eq!(got.verdict, want.verdict);
-        }
-    }
-
-    #[test]
-    fn merge_batch_entries_fails_the_program_on_a_failed_batch() {
-        let ok = CorpusEntry {
-            name: "p".to_string(),
-            elapsed_ms: 3,
-            lint: Vec::new(),
-            outcome: Ok(AcceptabilityReport {
-                stages: StageSet::default(),
-                original: Report::default(),
-                intermediate: None,
-                relaxed: Report::default(),
-                engine: EngineStats::default(),
-            }),
-        };
-        let failed = CorpusEntry {
-            name: "p".to_string(),
-            elapsed_ms: 0,
-            lint: Vec::new(),
-            outcome: Err(CorpusError::Shard("batch 1 died".to_string())),
-        };
-        let merged = merge_batch_entries(vec![(0, ok), (1, failed)]);
-        let err = merged.outcome.unwrap_err();
-        assert!(err.to_string().contains("batch 1 died"), "{err}");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! process-wide monotonic epoch, buffered in per-thread vectors, and
 //! drained into a process-global sink. The sink renders to Chrome
 //! trace-event JSON (loadable in `about://tracing` / Perfetto) with one
-//! lane per worker thread and — for sharded runs — one process group
-//! per shard worker, whose spans ride back over the result frame as
-//! relative timestamps and are re-anchored in the coordinator timeline.
+//! lane per worker thread and — for sharded runs and traced service
+//! daemons — one process group per shard worker, whose spans ride back
+//! over the result frame as relative timestamps and are re-anchored in
+//! the coordinator timeline.
 //!
 //! Tracing is **default-off**: the disabled path is a single relaxed
 //! atomic load ([`enabled`]), so instrumented hot loops cost nothing
