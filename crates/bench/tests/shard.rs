@@ -9,27 +9,38 @@
 //! in-process `relaxed-serviced` daemon (`Service::bind` on an ephemeral
 //! port) and drive it with real TCP clients: concurrent clients must get
 //! verdict-identical reports served from the shared store, a worker
-//! killed mid-request must lose no programs, and a client vanishing
-//! mid-job must not wedge the fleet.
+//! killed mid-request must lose no programs, and neither a client
+//! vanishing mid-job nor a job frame without an id may wedge the fleet.
+//!
+//! Every test that spawns workers or enables tracing holds the
+//! `temp_env` lock, so the traced runs and the check that no worker
+//! outlives its run see only their own fleet.
 
+use relaxed_core::cache::{parse_json, Json};
 use relaxed_core::service::{service_status, shutdown_service};
 use relaxed_core::{
     Config, CorpusError, CorpusReport, Service, ServiceOptions, Verifier, VerifierBuilder,
 };
 use relaxed_programs::casestudies;
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WORKER: &str = env!("CARGO_BIN_EXE_relaxed-shardd");
 
-fn temp_cache(tag: &str) -> PathBuf {
+fn temp_file(tag: &str, extension: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "relaxed-shard-test-{}-{tag}-{}.jsonl",
+        "relaxed-shard-test-{}-{tag}-{}.{extension}",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+fn temp_cache(tag: &str) -> PathBuf {
+    temp_file(tag, "jsonl")
 }
 
 /// A sharded session against the freshly built worker binary. Budgets are
@@ -113,6 +124,48 @@ fn malformed_frames_become_recorded_errors_not_hangs() {
         let json = report.to_json();
         assert_eq!(json.matches("\"status\": \"error\"").count(), corpus.len());
     });
+}
+
+/// Counts the `solve` spans of a written Chrome trace that sit on worker
+/// lanes (pid ≥ 1000, one lane per `relaxed-shardd` process).
+fn worker_solve_spans(trace: &Path) -> usize {
+    let text = std::fs::read_to_string(trace).expect("the trace was written");
+    let record = parse_json(&text).expect("the trace is valid JSON");
+    fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+        fields
+            .iter()
+            .find(|(name, _)| name == key)
+            .map(|(_, value)| value)
+    }
+    let root = record.as_object().expect("the trace is an object");
+    let events = field(root, "traceEvents").expect("the trace has traceEvents");
+    events
+        .as_array()
+        .expect("traceEvents is an array")
+        .iter()
+        .filter(|event| {
+            let event = event.as_object().expect("every event is an object");
+            let solve = matches!(field(event, "name"), Some(Json::Str(name)) if name == "solve");
+            let on_worker = matches!(field(event, "pid"), Some(Json::Int(pid)) if *pid >= 1000);
+            solve && on_worker
+        })
+        .count()
+}
+
+#[test]
+fn traced_sharded_run_records_worker_spans() {
+    let trace = temp_file("sharded-trace", "json");
+    let corpus = casestudies::corpus();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let verifier = sharded(2).trace_file(&trace).build();
+        let report = verifier.check_corpus_named(&corpus);
+        assert!(report.verified_count() >= 3);
+        // The last tracing session's drop writes the trace.
+        drop(verifier);
+    });
+    let spans = worker_solve_spans(&trace);
+    let _ = std::fs::remove_file(&trace);
+    assert!(spans >= 1, "no solve span landed on a shard-worker lane");
 }
 
 #[test]
@@ -262,6 +315,28 @@ fn killed_service_worker_loses_no_programs() {
     });
 }
 
+/// Opens a raw client connection to the daemon at `addr` and completes
+/// the config/`ready` handshake under the default session budgets.
+fn raw_session(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = &stream;
+    let session = Config::default();
+    writeln!(
+        writer,
+        "{{\"type\":\"config\",\"proto\":1,\"max_conflicts\":{},\
+         \"branch_budget\":{},\"incremental\":1,\"prefilter\":1,\"workers\":1,\
+         \"stages\":\"original,relaxed\",\"cache\":\"\",\"cache_max\":0,\
+         \"per_program\":0}}",
+        session.max_conflicts, session.branch_budget
+    )
+    .expect("send config");
+    let mut ready = String::new();
+    reader.read_line(&mut ready).expect("read ready");
+    assert!(ready.contains("\"ready\""), "unexpected handshake: {ready}");
+    (reader, stream)
+}
+
 #[test]
 fn client_disconnect_mid_job_does_not_wedge_the_fleet() {
     let corpus = casestudies::corpus();
@@ -276,24 +351,8 @@ fn client_disconnect_mid_job_does_not_wedge_the_fleet() {
         // the result. The daemon's write fails on the dead socket; the
         // admission slot and the worker must still be released.
         {
-            use std::io::{BufRead, Write};
-            let stream = std::net::TcpStream::connect(&addr).expect("connect");
-            let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-            let mut writer = &stream;
-            let session = Config::default();
-            writeln!(
-                writer,
-                "{{\"type\":\"config\",\"proto\":1,\"max_conflicts\":{},\
-                 \"branch_budget\":{},\"incremental\":1,\"prefilter\":1,\"workers\":1,\
-                 \"stages\":\"original,relaxed\",\"cache\":\"\",\"cache_max\":0,\
-                 \"per_program\":0}}",
-                session.max_conflicts, session.branch_budget
-            )
-            .expect("send config");
-            let mut ready = String::new();
-            reader.read_line(&mut ready).expect("read ready");
-            assert!(ready.contains("\"ready\""), "unexpected handshake: {ready}");
-            writeln!(writer, "{{\"type\":\"job\",\"id\":7}}").expect("send job");
+            let (_reader, stream) = raw_session(&addr);
+            writeln!(&stream, "{{\"type\":\"job\",\"id\":7}}").expect("send job");
             // Drop both halves mid-job.
         }
 
@@ -314,10 +373,131 @@ fn client_disconnect_mid_job_does_not_wedge_the_fleet() {
     });
 }
 
+#[test]
+fn job_frame_without_an_id_is_refused_before_any_worker() {
+    let corpus = casestudies::corpus();
+    let in_process = Verifier::builder()
+        .workers(2)
+        .build()
+        .check_corpus_named(&corpus);
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(2), 2);
+
+        // A job the client could never match a result to: a worker would
+        // die on it, so the daemon must refuse it itself.
+        {
+            let (mut reader, stream) = raw_session(&addr);
+            writeln!(&stream, "{{\"type\":\"job\"}}").expect("send job");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read the refusal");
+            assert!(reply.contains("\"type\":\"error\""), "{reply}");
+            assert!(reply.contains("missing `id`"), "{reply}");
+        }
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert_eq!(status.served, 0, "the id-less job must never be admitted");
+
+        // The fleet still serves a full corpus for a polite client.
+        let report = Verifier::builder()
+            .workers(2)
+            .service(&addr)
+            .build()
+            .check_corpus_named(&corpus);
+        assert_verdicts_match(&report, &in_process);
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+}
+
+#[test]
+fn traced_service_records_worker_spans() {
+    let trace = temp_file("service-trace", "json");
+    let corpus = casestudies::corpus();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(2).trace_file(&trace), 2);
+        let report = Verifier::builder()
+            .workers(2)
+            .service(&addr)
+            .build()
+            .check_corpus_named(&corpus);
+        assert!(report.verified_count() >= 3);
+        // The drain writes the daemon's trace; the resident session's
+        // drop may rewrite it moments later, so wait for that release
+        // (it switches tracing off) before reading the file.
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while relaxed_core::telemetry::enabled() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+    let spans = worker_solve_spans(&trace);
+    let _ = std::fs::remove_file(&trace);
+    assert!(spans >= 1, "no solve span landed on a shard-worker lane");
+}
+
+/// The `relaxed-shardd` children of this test process. A child is listed
+/// under the thread that spawned it, so every task's list is read.
+#[cfg(target_os = "linux")]
+fn worker_children() -> Vec<String> {
+    let mut workers = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("list this process's tasks") {
+        let children = task.expect("task entry").path().join("children");
+        // A task that exited since the listing has no children left.
+        let Ok(children) = std::fs::read_to_string(children) else {
+            continue;
+        };
+        for pid in children.split_whitespace() {
+            let comm = std::fs::read_to_string(format!("/proc/{pid}/comm")).unwrap_or_default();
+            if comm.trim() == "relaxed-shardd" {
+                workers.push(pid.to_string());
+            }
+        }
+    }
+    workers
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn no_worker_outlives_its_run() {
+    let corpus = casestudies::corpus();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        sharded(2).build().check_corpus_named(&corpus);
+        assert_eq!(
+            worker_children(),
+            Vec::<String>::new(),
+            "after a sharded run"
+        );
+    });
+    temp_env::with_var("RELAXED_SHARDD_FAULT", Some("crash:2"), || {
+        sharded(2).build().check_corpus_named(&corpus);
+        assert_eq!(
+            worker_children(),
+            Vec::<String>::new(),
+            "after a sharded run whose workers crash"
+        );
+    });
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(2), 2);
+        Verifier::builder()
+            .workers(2)
+            .service(&addr)
+            .build()
+            .check_corpus_named(&corpus);
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+        assert_eq!(
+            worker_children(),
+            Vec::<String>::new(),
+            "after a daemon's shutdown"
+        );
+    });
+}
+
 /// Minimal stand-in for the `temp-env` crate (offline build): sets a
 /// process environment variable for the duration of a closure, restoring
 /// the previous value after. Shard fault tests are the only env-mutating
-/// tests in this binary, and each runs the whole closure under the lock.
+/// tests in this binary, and each runs the whole closure under the lock
+/// (`ENV_LOCK`), as does every test that spawns workers or traces.
 mod temp_env {
     use std::sync::Mutex;
 
