@@ -138,9 +138,23 @@ const CI_SHARDED_EXAMPLE: &[&str] = &[
 ];
 
 fn run_step(argv: &[&str], envs: &[(&str, &str)]) {
-    let prefix: String = envs.iter().map(|(k, v)| format!("{k}={v} ")).collect();
+    run_step_without(argv, envs, &[]);
+}
+
+/// [`run_step`] with the `removed` variables taken out of the inherited
+/// environment.
+fn run_step_without(argv: &[&str], envs: &[(&str, &str)], removed: &[&str]) {
+    let prefix: String = removed
+        .iter()
+        .map(|k| format!("-u {k} "))
+        .chain(envs.iter().map(|(k, v)| format!("{k}={v} ")))
+        .collect();
     eprintln!("xtask> {prefix}{}", argv.join(" "));
-    let status = Command::new(argv[0])
+    let mut command = Command::new(argv[0]);
+    for var in removed {
+        command.env_remove(var);
+    }
+    let status = command
         .args(&argv[1..])
         .envs(envs.iter().copied())
         .status()
@@ -233,25 +247,36 @@ fn ci() {
     ci_service();
 }
 
-/// The service-corpus CI job's local mirror: start a `relaxed-serviced`
-/// daemon (warm two-worker fleet, fresh shared verdict store, ephemeral
-/// port parsed from its startup line), run the two-concurrent-client
-/// `verify_corpus --service` example against it cold then warm (the
-/// example asserts verdict equivalence against its in-process baseline,
-/// zero solver runs, and ≥1 cross-client disk hit), then drain the
-/// daemon gracefully with a raw `shutdown` frame.
+/// The service-corpus CI job's local mirror: start a traced
+/// `relaxed-serviced` daemon (warm two-worker fleet, fresh shared verdict
+/// store, ephemeral port parsed from its startup line), run the
+/// two-concurrent-client `verify_corpus --service` example against it —
+/// once without a store, so the fleet solves cold, then cold and warm on
+/// the shared store (the example asserts verdict equivalence against its
+/// in-process baseline and, on the shared store, zero solver runs and ≥1
+/// cross-client disk hit) — then drain the daemon gracefully with a raw
+/// `shutdown` frame and require a worker `solve` span in the trace the
+/// drain wrote (the trace-smoke job's daemon gate).
 fn ci_service() {
-    let cache = std::env::temp_dir().join(format!(
-        "relaxed-xtask-ci-service-{}.jsonl",
-        std::process::id()
-    ));
-    let cache = cache.to_str().expect("temp path is unicode").to_string();
+    let temp = |name: &str, extension: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "relaxed-xtask-ci-{name}-{}.{extension}",
+            std::process::id()
+        ));
+        path.to_str().expect("temp path is unicode").to_string()
+    };
+    let cache = temp("service", "jsonl");
+    let trace = temp("service-trace", "json");
     let _ = std::fs::remove_file(&cache);
+    let _ = std::fs::remove_file(&trace);
     let daemon_bin = "target/release/relaxed-serviced";
-    eprintln!("xtask> DISCHARGE_CACHE={cache} {daemon_bin} --fleet 2 --addr 127.0.0.1:0");
+    eprintln!(
+        "xtask> DISCHARGE_CACHE={cache} DISCHARGE_TRACE={trace} {daemon_bin} --fleet 2 --addr 127.0.0.1:0"
+    );
     let mut daemon = Command::new(daemon_bin)
         .args(["--fleet", "2", "--addr", "127.0.0.1:0"])
         .env("DISCHARGE_CACHE", &cache)
+        .env("DISCHARGE_TRACE", &trace)
         .stdout(std::process::Stdio::piped())
         .spawn()
         .unwrap_or_else(|e| panic!("failed to spawn {daemon_bin}: {e}"));
@@ -266,25 +291,25 @@ fn ci_service() {
         .unwrap_or_else(|| panic!("unexpected daemon startup line: {line:?}"))
         .to_string();
     eprintln!("xtask: relaxed-serviced is listening on {addr}");
+    let service_example = [
+        "cargo",
+        "run",
+        "--release",
+        "--example",
+        "verify_corpus",
+        "--",
+        "--service",
+        &addr,
+    ];
+    eprintln!("xtask: service-corpus leg without a store (the fleet solves)");
+    run_step_without(&service_example, &[], &["DISCHARGE_CACHE"]);
     for leg in ["cold", "warm"] {
         eprintln!("xtask: service-corpus {leg} leg");
-        run_step(
-            &[
-                "cargo",
-                "run",
-                "--release",
-                "--example",
-                "verify_corpus",
-                "--",
-                "--service",
-                &addr,
-            ],
-            &[("DISCHARGE_CACHE", &cache)],
-        );
+        run_step(&service_example, &[("DISCHARGE_CACHE", &cache)]);
     }
     // The trace-smoke job's metrics half: the daemon's `metrics`
     // control frame must carry the served counter and the latency
-    // histogram after the two client legs above.
+    // histogram after the client legs above.
     let probed = (|| -> std::io::Result<String> {
         use std::io::{BufRead, Write};
         let mut stream = std::net::TcpStream::connect(&addr)?;
@@ -334,7 +359,17 @@ fn ci_service() {
         eprintln!("xtask: relaxed-serviced exited with {status}");
         exit(1);
     }
+    let solves = std::fs::read_to_string(&trace)
+        .unwrap_or_default()
+        .matches("\"name\":\"solve\",\"cat\":\"engine\"")
+        .count();
+    if solves == 0 {
+        eprintln!("xtask: the traced daemon's trace {trace} holds no worker solve span");
+        exit(1);
+    }
+    eprintln!("xtask: the daemon's trace holds {solves} worker solve spans");
     let _ = std::fs::remove_file(&cache);
+    let _ = std::fs::remove_file(&trace);
 }
 
 /// Runs the bench harness with `BENCH_JSON=1`, collects the machine
