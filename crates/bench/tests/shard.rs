@@ -325,9 +325,8 @@ fn raw_session(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
     writeln!(
         writer,
         "{{\"type\":\"config\",\"proto\":1,\"max_conflicts\":{},\
-         \"branch_budget\":{},\"incremental\":1,\"prefilter\":1,\"workers\":1,\
-         \"stages\":\"original,relaxed\",\"cache\":\"\",\"cache_max\":0,\
-         \"per_program\":0}}",
+         \"branch_budget\":{},\"workers\":1,\
+         \"stages\":\"original,relaxed\",\"cache\":\"\",\"cache_max\":0}}",
         session.max_conflicts, session.branch_budget
     )
     .expect("send config");
@@ -403,6 +402,32 @@ fn job_frame_without_an_id_is_refused_before_any_worker() {
             .build()
             .check_corpus_named(&corpus);
         assert_verdicts_match(&report, &in_process);
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+}
+
+#[test]
+fn deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(1), 1);
+
+        // 40 KB of brackets: a parser recursing once per level would
+        // overflow the connection thread's stack and abort the daemon.
+        {
+            let stream = TcpStream::connect(&addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let depth = 20_000;
+            writeln!(&stream, "{}{}", "[".repeat(depth), "]".repeat(depth)).expect("send frame");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read the refusal");
+            assert_eq!(
+                reply.trim_end(),
+                "{\"type\":\"error\",\"reason\":\"malformed frame\"}"
+            );
+        }
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert_eq!((status.served, status.alive), (0, 1), "{status:?}");
         shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
         daemon.join().expect("daemon thread");
     });

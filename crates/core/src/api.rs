@@ -172,11 +172,6 @@ pub enum CachePolicy {
     /// default, and the source of cross-stage and cross-program hits.
     #[default]
     Shared,
-    /// A fresh cache per checked program. Stages within one check still
-    /// share it (the `⊢r` diverge sub-proofs still hit `⊢o` verdicts);
-    /// nothing is reused between programs, which makes per-program
-    /// statistics exactly reproducible in isolation.
-    PerProgram,
     /// [`Shared`](CachePolicy::Shared) scoping backed by the on-disk
     /// verdict store at `path` (see [`crate::cache`]): verdicts recorded
     /// under the session's configuration fingerprint are loaded at build
@@ -291,12 +286,17 @@ pub struct Config {
     /// [`CorpusPolicy::Sharded`]; `None` resolves it next to the current
     /// executable (see [`crate::shard::locate_worker`]).
     pub shard_worker: Option<PathBuf>,
-    /// Handshake patience for shard workers and service connections (see
-    /// [`DischargeConfig::ready_timeout`]).
+    /// How long the shard coordinator (and the service client/daemon)
+    /// waits for a freshly spawned or connected worker to answer the
+    /// config handshake with a `ready` frame. Purely a transport-layer
+    /// patience knob — verdicts never depend on it — so, like `workers`,
+    /// it stays out of [`DischargeConfig`] and the cache fingerprint.
     pub ready_timeout: std::time::Duration,
-    /// Per-job patience for shard workers and service connections (see
-    /// [`DischargeConfig::job_timeout`]); settable via
-    /// `DISCHARGE_SHARD_TIMEOUT=<seconds>`.
+    /// How long the shard coordinator (and the service client/daemon)
+    /// waits for a worker to answer one job frame before declaring it
+    /// unresponsive and retrying on a fresh worker; settable via
+    /// `DISCHARGE_SHARD_TIMEOUT=<seconds>`. Out of the cache fingerprint
+    /// for the same reason as `ready_timeout`.
     pub job_timeout: std::time::Duration,
     /// Whether a [`CachePolicy::Persistent`] session records the
     /// goal→fragment dependency map sidecar (see [`crate::depmap`]) and
@@ -313,6 +313,14 @@ pub struct Config {
     pub trace: Option<PathBuf>,
 }
 
+/// Default [`Config::ready_timeout`]: how long to wait for a worker's
+/// `ready` handshake frame.
+pub const DEFAULT_READY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
+
+/// Default [`Config::job_timeout`]: how long to wait for a worker to
+/// answer one job frame.
+pub const DEFAULT_JOB_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(600);
+
 impl Default for Config {
     fn default() -> Self {
         let discharge = DischargeConfig::default();
@@ -325,8 +333,8 @@ impl Default for Config {
             stages: StageSet::default(),
             corpus: CorpusPolicy::default(),
             shard_worker: None,
-            ready_timeout: discharge.ready_timeout,
-            job_timeout: discharge.job_timeout,
+            ready_timeout: DEFAULT_READY_TIMEOUT,
+            job_timeout: DEFAULT_JOB_TIMEOUT,
             depmap: true,
             trace: None,
         }
@@ -500,8 +508,6 @@ impl Config {
             workers: self.workers,
             max_conflicts: self.max_conflicts,
             branch_budget: self.branch_budget,
-            ready_timeout: self.ready_timeout,
-            job_timeout: self.job_timeout,
         }
     }
 }
@@ -694,16 +700,13 @@ impl VerifierBuilder {
             CachePolicy::Persistent { path } => {
                 DischargeEngine::with_cache_file(config.discharge_config(), path.clone())
             }
-            CachePolicy::Shared | CachePolicy::PerProgram => {
-                DischargeEngine::with_config(config.discharge_config())
-            }
+            CachePolicy::Shared => DischargeEngine::with_config(config.discharge_config()),
         };
         engine.set_cache_max(config.cache_max);
         let verifier = Verifier {
             engine,
             config,
             env_warnings,
-            folded: Mutex::new(EngineStats::default()),
             next_owner: AtomicU64::new(1),
             cost_history: Mutex::new(std::collections::HashMap::new()),
             depmap: OnceLock::new(),
@@ -746,10 +749,6 @@ pub struct Verifier {
     config: Config,
     engine: DischargeEngine,
     env_warnings: Vec<EnvWarning>,
-    /// Engine stats of the throwaway per-program engines a
-    /// [`CachePolicy::PerProgram`] session creates, folded in so
-    /// [`Verifier::stats`] stays complete under either policy.
-    folded: Mutex<EngineStats>,
     /// The next [`DischargeOptions::owner`] tag for corpus entries;
     /// session-unique so cross-program accounting survives repeated
     /// `check_corpus` calls.
@@ -857,12 +856,9 @@ impl Verifier {
     }
 
     /// Cumulative engine statistics over everything this session has
-    /// checked (including the per-program engines of a
-    /// [`CachePolicy::PerProgram`] session).
+    /// checked.
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.engine.stats();
-        stats.absorb(&self.folded.lock().expect("stats lock"));
-        stats
+        self.engine.stats()
     }
 
     /// Runs the staged acceptability pipeline (the session's selected
@@ -884,23 +880,7 @@ impl Verifier {
         spec: &Spec,
         opts: DischargeOptions,
     ) -> Result<AcceptabilityReport, VcgenError> {
-        match &self.config.cache {
-            // Persistent scoping is Shared scoping over a disk-backed
-            // session engine.
-            CachePolicy::Shared | CachePolicy::Persistent { .. } => {
-                staged_check(&self.engine, program, spec, self.config.stages, opts)
-            }
-            CachePolicy::PerProgram => {
-                let engine = DischargeEngine::with_config(self.config.discharge_config());
-                let report = staged_check(&engine, program, spec, self.config.stages, opts)?;
-                self.fold(&engine.stats());
-                Ok(report)
-            }
-        }
-    }
-
-    fn fold(&self, stats: &EngineStats) {
-        self.folded.lock().expect("stats lock").absorb(stats);
+        staged_check(&self.engine, program, spec, self.config.stages, opts)
     }
 
     /// Runs the spec-coverage lint on one program: purely static review
@@ -1414,17 +1394,7 @@ impl StageRunner<'_> {
     /// statements).
     pub fn check(&self, program: &Program, spec: &Spec) -> Result<Report, VcgenError> {
         let vcs = self.vcs(program, spec)?;
-        match &self.verifier.config.cache {
-            CachePolicy::Shared | CachePolicy::Persistent { .. } => {
-                Ok(self.verifier.engine.discharge(vcs))
-            }
-            CachePolicy::PerProgram => {
-                let engine = DischargeEngine::with_config(self.verifier.config.discharge_config());
-                let report = engine.discharge(vcs);
-                self.verifier.fold(&engine.stats());
-                Ok(report)
-            }
-        }
+        Ok(self.verifier.engine.discharge(vcs))
     }
 }
 

@@ -596,6 +596,12 @@ impl Json {
     }
 }
 
+/// How deep [`parse_json`] lets arrays and objects nest. The deepest
+/// record this crate writes, a result frame's counterexample model,
+/// nests six levels; the parser recurses once per level, so without a
+/// limit one hostile line could overflow the parsing thread's stack.
+const MAX_JSON_DEPTH: usize = 64;
+
 /// Parses one value of the minimal JSON dialect this crate writes —
 /// objects, arrays, strings, integers; no floats, booleans, or nulls.
 /// Public so consumers (tests, the `verify_corpus --trace` validator)
@@ -604,11 +610,12 @@ impl Json {
 ///
 /// # Errors
 ///
-/// Returns a position-annotated description of the first syntax error.
+/// Returns a position-annotated description of the first syntax error,
+/// or of the first array or object nested deeper than 64 levels.
 pub fn parse_json(line: &str) -> Result<Json, String> {
     let chars: Vec<char> = line.chars().collect();
     let mut at = 0usize;
-    let value = parse_value(&chars, &mut at)?;
+    let value = parse_value(&chars, &mut at, 0)?;
     skip_ws(&chars, &mut at);
     if at != chars.len() {
         return Err(format!("trailing content at column {}", at + 1));
@@ -622,11 +629,17 @@ fn skip_ws(chars: &[char], at: &mut usize) {
     }
 }
 
-fn parse_value(chars: &[char], at: &mut usize) -> Result<Json, String> {
+/// Parses the value at `at`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(chars, at);
     match chars.get(*at) {
-        Some('{') => parse_object(chars, at),
-        Some('[') => parse_array(chars, at),
+        Some('{' | '[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at column {}",
+            *at + 1
+        )),
+        Some('{') => parse_object(chars, at, depth + 1),
+        Some('[') => parse_array(chars, at, depth + 1),
         Some('"') => Ok(Json::Str(parse_string(chars, at)?)),
         Some(c) if *c == '-' || c.is_ascii_digit() => parse_int(chars, at),
         Some(c) => Err(format!("unexpected {c:?} at column {}", *at + 1)),
@@ -634,7 +647,7 @@ fn parse_value(chars: &[char], at: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(chars: &[char], at: &mut usize) -> Result<Json, String> {
+fn parse_array(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
     *at += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(chars, at);
@@ -643,7 +656,7 @@ fn parse_array(chars: &[char], at: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(chars, at)?);
+        items.push(parse_value(chars, at, depth)?);
         skip_ws(chars, at);
         match chars.get(*at) {
             Some(',') => *at += 1,
@@ -656,7 +669,7 @@ fn parse_array(chars: &[char], at: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(chars: &[char], at: &mut usize) -> Result<Json, String> {
+fn parse_object(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
     *at += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(chars, at);
@@ -672,7 +685,7 @@ fn parse_object(chars: &[char], at: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at column {}", *at + 1));
         }
         *at += 1;
-        let value = parse_value(chars, at)?;
+        let value = parse_value(chars, at, depth)?;
         fields.push((key, value));
         skip_ws(chars, at);
         match chars.get(*at) {
@@ -916,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_trailing_content_and_bad_escapes() {
+    fn parser_rejects_trailing_content_bad_escapes_and_deep_nesting() {
         assert!(parse_json("{\"a\":1} extra").is_err());
         assert!(parse_json("{\"a\":").is_err());
         assert!(parse_json("true").is_err());
@@ -931,6 +944,15 @@ mod tests {
             panic!("expected string");
         };
         assert_eq!(s, "A\n");
+        // Nesting: up to the limit parses, one level more is an error,
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_json(&arrays(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&arrays(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_JSON_DEPTH + 1) + "1" + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert!(parse_json(&objects).is_err());
+        // and far past any stack is an error, not an abort.
+        assert!(parse_json(&arrays(300_000)).is_err());
     }
 
     #[test]

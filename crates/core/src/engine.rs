@@ -61,27 +61,7 @@ pub struct DischargeConfig {
     /// Branch-and-bound node budget per theory check (see
     /// [`Solver::branch_budget`]).
     pub branch_budget: u64,
-    /// How long the shard coordinator (and the service client/daemon)
-    /// waits for a freshly spawned or connected worker to answer the
-    /// config handshake with a `ready` frame. Purely a transport-layer
-    /// patience knob — verdicts never depend on it — so it is
-    /// **excluded** from the cache fingerprint, like `workers`.
-    pub ready_timeout: std::time::Duration,
-    /// How long the shard coordinator (and the service client/daemon)
-    /// waits for a worker to answer one job frame before declaring it
-    /// unresponsive and retrying on a fresh worker. Settable via the
-    /// `DISCHARGE_SHARD_TIMEOUT` env knob (seconds); excluded from the
-    /// cache fingerprint for the same reason as `ready_timeout`.
-    pub job_timeout: std::time::Duration,
 }
-
-/// Default [`DischargeConfig::ready_timeout`]: how long to wait for a
-/// worker's `ready` handshake frame.
-pub const DEFAULT_READY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
-
-/// Default [`DischargeConfig::job_timeout`]: how long to wait for a
-/// worker to answer one job frame.
-pub const DEFAULT_JOB_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(600);
 
 impl Default for DischargeConfig {
     fn default() -> Self {
@@ -90,8 +70,6 @@ impl Default for DischargeConfig {
             workers: 0,
             max_conflicts: defaults.max_conflicts(),
             branch_budget: defaults.branch_budget(),
-            ready_timeout: DEFAULT_READY_TIMEOUT,
-            job_timeout: DEFAULT_JOB_TIMEOUT,
         }
     }
 }
@@ -1369,7 +1347,6 @@ mod tests {
             workers: 1,
             max_conflicts: 1,
             branch_budget: 1,
-            ..DischargeConfig::default()
         };
         let engine = DischargeEngine::with_config(config);
         assert_eq!(engine.config().max_conflicts, 1);

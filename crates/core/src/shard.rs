@@ -239,9 +239,8 @@ fn stage_by_name(name: &str) -> Result<Stage, String> {
 pub(crate) fn render_config_frame(config: &Config, per_worker: usize) -> String {
     let cache = match &config.cache {
         CachePolicy::Persistent { path } => path.display().to_string(),
-        CachePolicy::Shared | CachePolicy::PerProgram => String::new(),
+        CachePolicy::Shared => String::new(),
     };
-    let per_program = u8::from(matches!(config.cache, CachePolicy::PerProgram));
     // Coordinator-side tracing travels with the session: workers capture
     // spans in memory and ship them back inside result frames.
     let trace = u8::from(crate::telemetry::enabled());
@@ -249,7 +248,7 @@ pub(crate) fn render_config_frame(config: &Config, per_worker: usize) -> String 
         "{{\"type\":\"config\",\"proto\":{PROTOCOL_VERSION},\"max_conflicts\":{},\
          \"branch_budget\":{},\"workers\":{per_worker},\"trace\":{trace},\
          \"stages\":{},\"cache\":{},\
-         \"cache_max\":{},\"per_program\":{per_program}}}",
+         \"cache_max\":{}}}",
         config.max_conflicts,
         config.branch_budget,
         json_string(&render_stages(config.stages)),
@@ -472,15 +471,11 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
         cache_misses: field_u64(fields, "cache_misses")?,
         cross_hits: field_u64(fields, "cross_hits")?,
         disk_hits: field_u64(fields, "disk_hits")?,
-        // Optional: a worker predating the static analysis layer simply
-        // reports no static hits.
-        static_hits: field_u64(fields, "static_hits").unwrap_or(0),
-        // Optional: phase timings from a worker predating the telemetry
-        // layer default to zero.
-        elapsed_vcgen_ms: field_u64(fields, "vcgen_ms").unwrap_or(0),
-        elapsed_encode_ms: field_u64(fields, "encode_ms").unwrap_or(0),
-        elapsed_solve_ms: field_u64(fields, "solve_ms").unwrap_or(0),
-        elapsed_cache_ms: field_u64(fields, "cache_ms").unwrap_or(0),
+        static_hits: field_u64(fields, "static_hits")?,
+        elapsed_vcgen_ms: field_u64(fields, "vcgen_ms")?,
+        elapsed_encode_ms: field_u64(fields, "encode_ms")?,
+        elapsed_solve_ms: field_u64(fields, "solve_ms")?,
+        elapsed_cache_ms: field_u64(fields, "cache_ms")?,
         ..EngineStats::default()
     };
     let mut stages = Vec::new();
@@ -734,10 +729,6 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
         config.cache = CachePolicy::Persistent {
             path: PathBuf::from(cache),
         };
-    } else if field_u64(fields, "per_program")? != 0 {
-        // The session's per-program isolation travels with the job: each
-        // program gets a fresh verdict cache inside the worker too.
-        config.cache = CachePolicy::PerProgram;
     }
     Ok(config)
 }
@@ -1772,43 +1763,6 @@ mod tests {
     }
 
     #[test]
-    fn per_program_policy_travels_to_the_worker() {
-        // Two identical jobs. Under the default Shared policy the second
-        // is answered entirely from the worker's session cache; under
-        // PerProgram the worker must isolate the programs and re-solve.
-        let (program, spec) = toy();
-        let frames = |config: &Config| {
-            format!(
-                "{}\n{}\n{}\n",
-                render_config_frame(config, 1),
-                render_job_frame(0, "first", &program, &spec),
-                render_job_frame(1, "second", &program, &spec)
-            )
-        };
-        let shared = Config {
-            workers: 1,
-            ..Config::default()
-        };
-        let isolated = Config {
-            cache: CachePolicy::PerProgram,
-            ..shared.clone()
-        };
-        let second_result = |config: &Config| {
-            let (result, output) = drive_worker(&frames(config), Fault::None);
-            result.unwrap();
-            parse_result_frame(output.lines().nth(2).unwrap()).unwrap()
-        };
-        let shared_second = second_result(&shared);
-        assert_eq!(shared_second.engine.cache_misses, 0, "shared cache reuses");
-        let isolated_second = second_result(&isolated);
-        assert!(
-            isolated_second.engine.cache_misses > 0,
-            "PerProgram must not reuse verdicts across programs: {:?}",
-            isolated_second.engine
-        );
-    }
-
-    #[test]
     fn worker_reports_unparsable_programs_as_job_errors() {
         let config = Config::default();
         let frames = format!(
@@ -1881,6 +1835,15 @@ mod tests {
             .count();
         let cached_direct = report.relaxed.results.iter().filter(|r| r.cached).count();
         assert_eq!(cached_on_wire, cached_direct);
+        // Both ends come from one build, so every counter is required.
+        let without_static_hits = frame.replacen(
+            &format!("\"static_hits\":{},", report.engine.static_hits),
+            "",
+            1,
+        );
+        assert_ne!(without_static_hits, frame);
+        let err = parse_result_frame(&without_static_hits).err();
+        assert_eq!(err.as_deref(), Some("missing `static_hits`"));
     }
 
     #[test]

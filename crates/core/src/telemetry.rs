@@ -34,19 +34,6 @@ use std::time::Instant;
 
 use crate::cache::json_string;
 
-/// Builds the argument list of a span from `key: value` pairs:
-/// `kv!{goal: key, conflicts: n}`. Values go through
-/// [`ArgValue::from`], so integers and anything stringy work.
-#[macro_export]
-macro_rules! kv {
-    { $($key:ident : $value:expr),* $(,)? } => {
-        vec![ $( (
-            ::std::borrow::Cow::Borrowed(stringify!($key)),
-            $crate::telemetry::ArgValue::from($value),
-        ) ),* ]
-    };
-}
-
 // ---- global state ----
 
 /// The one flag the disabled path reads. Everything else hides behind
@@ -345,36 +332,6 @@ pub fn span(cat: &'static str, name: impl Into<Cow<'static, str>>) -> SpanGuard 
             started_us: now_us(),
             args: Vec::new(),
         }),
-    }
-}
-
-/// [`span`] with arguments attached up front (pairs with the
-/// [`kv!`](crate::kv) macro).
-#[inline]
-pub fn span_kv(
-    cat: &'static str,
-    name: impl Into<Cow<'static, str>>,
-    args: Vec<(Cow<'static, str>, ArgValue)>,
-) -> SpanGuard {
-    let mut guard = span(cat, name);
-    if let Some(active) = &mut guard.active {
-        active.args = args;
-    }
-    guard
-}
-
-/// The façade named in the design docs: `Telemetry::span("solve",
-/// kv!{goal: key})`. Thin sugar over [`span_kv`] with the `engine`
-/// category.
-pub struct Telemetry;
-
-impl Telemetry {
-    /// Opens an `engine`-category span with arguments.
-    pub fn span(
-        name: impl Into<Cow<'static, str>>,
-        args: Vec<(Cow<'static, str>, ArgValue)>,
-    ) -> SpanGuard {
-        span_kv("engine", name, args)
     }
 }
 

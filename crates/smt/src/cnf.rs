@@ -22,8 +22,9 @@
 //!   propagation now follows the bound order without the simplex
 //!   (Dutertre & de Moura, CAV 2006).
 //!
-//! Popping a scope drops every atom, gate and bound entry whose variable
-//! it frees, because the freed indices are reused.
+//! The tables only grow: a session asserts formula after formula into
+//! one builder, and a later formula reuses the atoms, gates and bound
+//! entries of the earlier ones.
 
 use crate::ast::{BTerm, ITerm, Rel};
 use crate::linear::{canon_ineq, BoundKind, CanonAtom, IneqAtom, LinForm, VarPool};
@@ -291,44 +292,6 @@ impl CnfBuilder {
             }
         }
     }
-
-    /// Marks the current encoder + SAT state for a later
-    /// [`CnfBuilder::pop_to`]. The theory [`VarPool`] is deliberately
-    /// *not* marked: interned integer variables are global name
-    /// identities, and keeping them across pops lets a session's simplex
-    /// tableau reuse stable columns.
-    pub(crate) fn mark(&mut self) -> CnfMark {
-        CnfMark {
-            sat: self.sat.mark(),
-            natoms: self.atoms.len(),
-            true_var: self.true_var,
-        }
-    }
-
-    /// Restores the builder to `mark`: SAT clauses/variables added since
-    /// are dropped, and the atom table shrinks in lock-step (atoms are
-    /// 1:1 with SAT variables). Every bound entry and gate whose variable
-    /// is freed goes too: the freed indices are reused, so a stale entry
-    /// would name another variable.
-    pub(crate) fn pop_to(&mut self, mark: &CnfMark) {
-        self.sat.pop_to(mark.sat);
-        self.atoms.truncate(mark.natoms);
-        self.bounds.retain(|_, ladder| {
-            ladder.retain(|_, v| (*v as usize) < mark.natoms);
-            !ladder.is_empty()
-        });
-        self.gates.retain(|_, g| (g.var() as usize) < mark.natoms);
-        self.true_var = mark.true_var;
-    }
-}
-
-/// A restorable mark of a [`CnfBuilder`]'s state (SAT mark + atom-table
-/// length + the interned `true` literal, if any).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CnfMark {
-    sat: crate::sat::SatMark,
-    natoms: usize,
-    true_var: Option<BVar>,
 }
 
 /// The `(name, coefficient)` terms of a linear view, borrowed from the
@@ -552,49 +515,6 @@ mod tests {
             let lit = probe.encode(&leaf).unwrap();
             assert_eq!(cnf.sat.value(lit), Some(holds), "{leaf:?}");
         }
-    }
-
-    /// Every bound entry names the atom of its variable, and every gate
-    /// is a live non-atom variable created after its children.
-    fn assert_tables_match_variables(cnf: &CnfBuilder) {
-        for (form, ladder) in &cnf.bounds {
-            for (&bound, &v) in ladder {
-                let atom = cnf.atoms[v as usize].as_ref().expect("an atom variable");
-                assert_eq!((&atom.form, atom.bound), (form, bound));
-            }
-        }
-        for (&(_, lx, ly), &g) in &cnf.gates {
-            assert!((g.var() as usize) < cnf.sat.num_vars());
-            assert!(cnf.atoms[g.var() as usize].is_none());
-            assert!(lx.var() < g.var() && ly.var() < g.var());
-        }
-    }
-
-    #[test]
-    fn pop_frees_the_gates_and_bounds_of_the_popped_scope() {
-        let mut cnf = CnfBuilder::new();
-        let outer = cnf.encode(&le("x", 0)).unwrap();
-        let mark = cnf.mark();
-        let phi = le("x", 5).and(le("y", 1));
-        let first = cnf.encode(&phi).unwrap();
-        let vars = cnf.sat.num_vars();
-        cnf.pop_to(&mark);
-        assert_tables_match_variables(&cnf);
-        assert_eq!(cnf.sat.num_vars(), 1);
-        // Re-encoding allocates the atoms, the gate and x ≤ 5's axiom anew.
-        assert_eq!(cnf.encode(&phi).unwrap(), first);
-        assert_eq!(cnf.sat.num_vars(), vars);
-        let x5 = Lit::new(first.var() - 2, true);
-        assert!(cnf.sat.clauses().contains(&implication(outer, x5)));
-        assert_tables_match_variables(&cnf);
-        // Popped indices that now mean other atoms and gates are not
-        // mistaken for the popped ones.
-        cnf.pop_to(&mark);
-        let other = cnf.encode(&le("z", 7).or(le("w", 2))).unwrap();
-        let again = cnf.encode(&phi).unwrap();
-        assert_ne!(again, other);
-        assert_eq!(cnf.sat.num_vars(), 7);
-        assert_tables_match_variables(&cnf);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   the rest;
 //! * [`solver`] — the DPLL(T) driver and the public
 //!   [`Solver::check_sat`]/[`Solver::check_valid`] API, plus the
-//!   incremental [`Solver::session`] API ([`ScopedSolver`]) with
-//!   `assert`/`push`/`pop` assumption scopes;
+//!   incremental [`Solver::session`] API ([`ScopedSolver`]), whose
+//!   assertions accumulate and can be re-checked after each addition;
 //! * [`intern`] — hash-consed term interning and the α-invariant
 //!   canonical goal renderer the verdict cache keys on.
 //!

@@ -243,13 +243,6 @@ impl VarHeap {
         Some(top)
     }
 
-    /// Drops every variable `>= nvars` and re-establishes the order.
-    fn truncate(&mut self, nvars: usize, activity: &[f64]) {
-        self.heap.retain(|&v| (v as usize) < nvars);
-        self.pos.truncate(nvars);
-        self.heapify(activity);
-    }
-
     /// Rebuilds the heap over its current entries (after a rescale may
     /// have turned distinct activities into ties).
     fn heapify(&mut self, activity: &[f64]) {
@@ -302,18 +295,6 @@ impl VarHeap {
         self.heap[i] = v;
         self.pos[v as usize] = i as u32;
     }
-}
-
-/// A restorable mark of a [`SatSolver`]'s root-level state: the variable
-/// and clause counts, the length of the level-0 trail prefix, and the
-/// ok flag. Created by [`SatSolver::mark`], consumed (possibly many
-/// times) by [`SatSolver::pop_to`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SatMark {
-    nvars: usize,
-    nclauses: usize,
-    trail_len: usize,
-    ok: bool,
 }
 
 /// The CDCL solver.
@@ -622,52 +603,6 @@ impl SatSolver {
         self.backtrack_to(0);
     }
 
-    /// Marks the current level-0 state for a later [`SatSolver::pop_to`].
-    /// Backtracks to level 0 first, so the mark captures exactly the
-    /// root-level clauses, variables, and implied assignments.
-    pub(crate) fn mark(&mut self) -> SatMark {
-        self.reset_to_root();
-        SatMark {
-            nvars: self.num_vars(),
-            nclauses: self.clauses.len(),
-            trail_len: self.trail.len(),
-            ok: self.ok,
-        }
-    }
-
-    /// Restores the solver to `mark`: drops every clause added since —
-    /// including clauses learned since, which may depend on popped
-    /// assertions (conservative but sound) — un-assigns root-level
-    /// implications enqueued since, frees variables allocated since, and
-    /// restores the ok flag.
-    pub(crate) fn pop_to(&mut self, mark: SatMark) {
-        self.backtrack_to(0);
-        // Un-assign root trail entries made after the mark (do this
-        // before truncating the per-variable arrays: the entries may
-        // involve variables about to be freed).
-        while self.trail.len() > mark.trail_len {
-            let l = self.trail.pop().expect("trail non-empty");
-            let v = l.var() as usize;
-            self.assigns[v] = UNDEF;
-            self.reason[v] = None;
-            self.order.insert(l.var(), &self.activity);
-        }
-        self.qhead = self.trail.len();
-        self.clauses.truncate(mark.nclauses);
-        self.assigns.truncate(mark.nvars);
-        self.level.truncate(mark.nvars);
-        self.reason.truncate(mark.nvars);
-        self.activity.truncate(mark.nvars);
-        self.order.truncate(mark.nvars, &self.activity);
-        self.phase.truncate(mark.nvars);
-        self.seen.truncate(mark.nvars);
-        self.watches.truncate(mark.nvars * 2);
-        for w in &mut self.watches {
-            w.retain(|&ci| (ci as usize) < mark.nclauses);
-        }
-        self.ok = mark.ok;
-    }
-
     fn backtrack_to(&mut self, target: u32) {
         while self.decision_level() > target {
             let mark = self.lim.pop().expect("level > 0");
@@ -917,33 +852,14 @@ mod tests {
     fn order_heap_decides_like_a_linear_scan() {
         let mut rng = SplitMix64::seed_from_u64(0x0DE5_1DE5);
         let mut s = solver_with_vars(30);
-        let mut mark: Option<SatMark> = None;
         for round in 0..2000 {
             for _ in 0..rng.gen_u32_below(6) {
                 // Few distinct increments keep activity ties common.
                 s.var_inc = f64::from(1 + rng.gen_u32_below(3));
                 s.bump(rng.gen_u32_below(s.num_vars() as u32));
             }
-            match rng.gen_u32_below(10) {
-                0 => s.backtrack_to(rng.gen_u32_below(s.decision_level() + 1)),
-                1 if mark.is_none() => {
-                    // A scope with fresh variables and a root assignment of
-                    // the variable the heap would pick next, so `decide`
-                    // drops it from the heap and `pop_to` must restore it.
-                    mark = Some(s.mark());
-                    for _ in 0..1 + rng.gen_u32_below(5) {
-                        s.new_var();
-                    }
-                    if let Some(v) = scan_decision(&s) {
-                        assert!(s.add_clause(vec![lit(v, rng.gen_u32_below(2) == 0)]));
-                    }
-                }
-                2 => {
-                    if let Some(m) = mark.take() {
-                        s.pop_to(m);
-                    }
-                }
-                _ => {}
+            if rng.gen_u32_below(10) == 0 {
+                s.backtrack_to(rng.gen_u32_below(s.decision_level() + 1));
             }
             let expected = scan_decision(&s);
             assert_eq!(s.decide(), expected.is_some(), "round {round}");
@@ -1218,63 +1134,5 @@ mod tests {
                 SatOutcome::Unknown => panic!("round {round}: unexpected unknown"),
             }
         }
-    }
-
-    #[test]
-    fn mark_and_pop_restore_satisfiability() {
-        let mut s = solver_with_vars(1);
-        s.add_clause(vec![lit(0, true)]);
-        let mark = s.mark();
-        s.add_clause(vec![lit(0, false)]);
-        assert_eq!(s.solve(), SatOutcome::Unsat);
-        s.pop_to(mark);
-        match s.solve() {
-            SatOutcome::Sat(m) => assert!(m[0]),
-            other => panic!("expected sat after pop, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pop_frees_variables_and_clauses_added_since() {
-        let mut s = solver_with_vars(2);
-        s.add_clause(vec![lit(0, true), lit(1, true)]);
-        let mark = s.mark();
-        let v = s.new_var();
-        s.add_clause(vec![lit(v, true)]);
-        s.add_clause(vec![lit(v, false), lit(0, false)]);
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
-        s.reset_to_root();
-        s.pop_to(mark);
-        assert_eq!(s.num_vars(), 2);
-        // The popped clauses must no longer constrain the search: b0 can
-        // be true again.
-        s.add_clause(vec![lit(0, true)]);
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
-    }
-
-    #[test]
-    fn learned_clauses_survive_within_a_scope_but_drop_on_pop() {
-        // Pigeonhole forces learning; pop must return to the pre-mark
-        // clause count so popped-scope lemmas cannot leak.
-        let mut s = solver_with_vars(6);
-        let mark = s.mark();
-        let base_clauses = s.clauses.len();
-        let p = |i: u32, j: u32| i * 2 + j;
-        for i in 0..3 {
-            s.add_clause(vec![lit(p(i, 0), true), lit(p(i, 1), true)]);
-        }
-        for j in 0..2 {
-            for a in 0..3 {
-                for b in (a + 1)..3 {
-                    s.add_clause(vec![lit(p(a, j), false), lit(p(b, j), false)]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SatOutcome::Unsat);
-        assert!(!s.ok);
-        s.pop_to(mark);
-        assert_eq!(s.clauses.len(), base_clauses);
-        assert!(s.ok, "pop restores the ok flag");
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
     }
 }

@@ -165,29 +165,6 @@ impl SolverStats {
         self.max_atoms = self.max_atoms.max(other.max_atoms);
         self.queries += other.queries;
     }
-
-    /// The per-counter difference `self - before`, for folding one
-    /// check's contribution out of a long-lived session solver whose
-    /// counters keep accumulating. `before` must be an earlier snapshot
-    /// of the same solver's statistics.
-    ///
-    /// `max_atoms` is a gauge, not a counter, so a window has no exact
-    /// inverse in general; the delta reports the window's `atoms` total,
-    /// which *is* the gauge whenever the window spans a single check —
-    /// the intended per-goal use. [`absorb`](SolverStats::absorb)ing
-    /// such single-check deltas reconstructs the session totals exactly.
-    #[must_use]
-    pub fn delta_since(&self, before: &SolverStats) -> SolverStats {
-        let atoms = self.atoms - before.atoms;
-        SolverStats {
-            sat: self.sat.delta_since(&before.sat),
-            pivots: self.pivots - before.pivots,
-            branch_nodes: self.branch_nodes - before.branch_nodes,
-            atoms,
-            max_atoms: atoms,
-            queries: self.queries - before.queries,
-        }
-    }
 }
 
 /// The SMT solver facade.
@@ -266,11 +243,12 @@ impl Solver {
         self.branch_budget
     }
 
-    /// Opens an incremental session: a [`ScopedSolver`] with
-    /// `assert`/`push`/`pop`/`check_sat`/`check_valid` that keeps the CNF
-    /// pool, learned clauses, and the simplex tableau alive across
-    /// checks. Statistics fold into this solver's [`Solver::stats`]
-    /// per check, exactly as the one-shot API reports them.
+    /// Opens an incremental session: a [`ScopedSolver`] whose
+    /// assertions accumulate and whose `check_sat` can run after each
+    /// one, keeping the CNF pool, learned clauses, and the simplex
+    /// tableau alive across checks. Statistics fold into this solver's
+    /// [`Solver::stats`] per check, exactly as the one-shot API reports
+    /// them.
     pub fn session(&mut self) -> ScopedSolver<'_> {
         let branch_budget = self.branch_budget;
         ScopedSolver {
@@ -278,7 +256,6 @@ impl Solver {
             cnf: CnfBuilder::new(),
             fresh: FreshNames::new(),
             theory: SessionTheory::new(branch_budget),
-            scopes: Vec::new(),
             incomplete: false,
             encode_error: None,
         }
@@ -286,8 +263,9 @@ impl Solver {
 
     /// Decides satisfiability of `b` over the integers.
     ///
-    /// A thin wrapper over a fresh single-scope [`Solver::session`]; the
-    /// verdict and statistics are those of the session's one check.
+    /// A thin wrapper over a fresh [`Solver::session`] with one
+    /// assertion; the verdict and statistics are those of the session's
+    /// one check.
     pub fn check_sat(&mut self, b: &BTerm) -> SmtResult {
         let mut session = self.session();
         session.assert(b);
@@ -295,33 +273,22 @@ impl Solver {
     }
 
     /// Decides validity of `b` over the integers (refutation of `¬b`).
-    ///
-    /// Like [`Solver::check_sat`], it asserts `¬b` at the root of a fresh
-    /// session; the session is dropped afterwards, so no scope is pushed
-    /// or popped.
     pub fn check_valid(&mut self, b: &BTerm) -> Validity {
-        refuted(self.check_sat(&b.clone().not()))
-    }
-}
-
-/// The validity verdict of a formula whose negation's check gave
-/// `negation`.
-fn refuted(negation: SmtResult) -> Validity {
-    match negation {
-        SmtResult::Unsat => Validity::Valid,
-        SmtResult::Sat(model) => Validity::Invalid(model),
-        SmtResult::Unknown(reason) => Validity::Unknown(reason),
+        match self.check_sat(&b.clone().not()) {
+            SmtResult::Unsat => Validity::Valid,
+            SmtResult::Sat(model) => Validity::Invalid(model),
+            SmtResult::Unknown(reason) => Validity::Unknown(reason),
+        }
     }
 }
 
 /// An incremental solving session over a borrowed [`Solver`].
 ///
-/// Created by [`Solver::session`]. Assertions accumulate at the current
-/// assumption scope; [`ScopedSolver::push`]/[`ScopedSolver::pop`] open
-/// and close scopes, and popping drops everything asserted (and learned)
-/// since the matching push while keeping the shared CNF pool, interned
-/// atoms, and the persistent simplex tableau of the enclosing scopes
-/// alive. Statistics for every check fold into the owning solver's
+/// Created by [`Solver::session`]. Assertions only accumulate: each
+/// [`ScopedSolver::check_sat`] decides the conjunction of everything
+/// asserted so far, reusing the CNF pool, interned atoms, learned
+/// clauses and the persistent simplex tableau of the earlier checks.
+/// Statistics for every check fold into the owning solver's
 /// [`Solver::stats`] with one-shot-equivalent semantics (one `queries`
 /// tick and one `atoms`/`max_atoms` contribution per check).
 ///
@@ -332,34 +299,23 @@ fn refuted(negation: SmtResult) -> Validity {
 /// let mut solver = Solver::new();
 /// let mut session = solver.session();
 /// session.assert(&ITerm::var("x").ge(ITerm::Const(3)));
-/// session.push();
+/// assert!(matches!(session.check_sat(), SmtResult::Sat(_)));
 /// session.assert(&ITerm::var("x").le(ITerm::Const(2)));
 /// assert_eq!(session.check_sat(), SmtResult::Unsat);
-/// session.pop();
-/// assert!(matches!(session.check_sat(), SmtResult::Sat(_)));
 /// ```
 pub struct ScopedSolver<'a> {
     solver: &'a mut Solver,
     cnf: CnfBuilder,
     fresh: FreshNames,
     theory: SessionTheory,
-    scopes: Vec<Scope>,
-    incomplete: bool,
-    encode_error: Option<String>,
-}
-
-/// Saved state for one assumption scope.
-struct Scope {
-    mark: crate::cnf::CnfMark,
     incomplete: bool,
     encode_error: Option<String>,
 }
 
 impl ScopedSolver<'_> {
-    /// Asserts `b` at the current scope. Encoding failures (a non-linear
-    /// atom surviving grounding) taint the scope: every check until the
-    /// enclosing pop reports [`SmtResult::Unknown`], never a wrong
-    /// verdict.
+    /// Asserts `b`. An encoding failure (a non-linear atom surviving
+    /// grounding) taints the session: every later check reports
+    /// [`SmtResult::Unknown`], never a wrong verdict.
     pub fn assert(&mut self, b: &BTerm) {
         // A previous check may have left the search trail in place.
         self.cnf.sat.reset_to_root();
@@ -374,41 +330,14 @@ impl ScopedSolver<'_> {
         }
     }
 
-    /// Opens a new assumption scope.
-    pub fn push(&mut self) {
-        let mark = self.cnf.mark();
-        self.scopes.push(Scope {
-            mark,
-            incomplete: self.incomplete,
-            encode_error: self.encode_error.clone(),
-        });
-    }
-
-    /// Closes the innermost scope, dropping every assertion (and every
-    /// clause learned) since the matching [`ScopedSolver::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when no scope is open.
-    pub fn pop(&mut self) {
-        let scope = self.scopes.pop().expect("pop without a matching push");
-        self.cnf.pop_to(&scope.mark);
-        self.incomplete = scope.incomplete;
-        self.encode_error = scope.encode_error;
-    }
-
-    /// The number of open scopes.
-    pub fn depth(&self) -> usize {
-        self.scopes.len()
-    }
-
     /// The owning solver's statistics, including this session's checks
     /// (folded per check as they complete).
     pub fn stats(&self) -> SolverStats {
         self.solver.stats
     }
 
-    /// Decides satisfiability of the conjunction of all live assertions.
+    /// Decides satisfiability of the conjunction of every assertion so
+    /// far.
     pub fn check_sat(&mut self) -> SmtResult {
         self.solver.stats.queries += 1;
         if let Some(e) = &self.encode_error {
@@ -459,31 +388,20 @@ impl ScopedSolver<'_> {
             }
         }
     }
-
-    /// Decides validity of `b` under the live assertions: pushes a scope,
-    /// refutes `¬b` inside it, and pops — the session is left exactly as
-    /// it was.
-    pub fn check_valid(&mut self, b: &BTerm) -> Validity {
-        self.push();
-        self.assert(&b.clone().not());
-        let result = self.check_sat();
-        self.pop();
-        refuted(result)
-    }
 }
 
 /// The persistent theory state of a session: one simplex tableau whose
 /// columns (pool variables and cached slack definitions) live for the
-/// whole session, with per-check bounds isolated by the tableau's own
-/// push/pop.
+/// whole session. Each check asserts its bounds inside the tableau's own
+/// push/pop, so no bound outlives the check that asserted it.
 struct SessionTheory {
     spx: Simplex,
     /// Pool id → simplex column (slack columns interleave, so the two id
     /// spaces diverge as soon as a non-trivial linear form is asserted).
     pool_to_spx: Vec<VarId>,
     /// Slack column for each non-trivial linear form, keyed by the
-    /// pool-id form; reused across checks and scopes (definitional rows
-    /// are always satisfiable, so keeping them is sound).
+    /// pool-id form; reused across checks (definitional rows are always
+    /// satisfiable, so keeping them is sound).
     slack_cache: HashMap<LinForm, VarId>,
     branch_budget: u64,
     /// Last feasible model, indexed by pool id.
@@ -935,96 +853,45 @@ mod tests {
     }
 
     #[test]
-    fn session_push_pop_isolates_assumptions() {
+    fn session_rechecks_after_each_assertion() {
         let mut solver = Solver::new();
         let mut session = solver.session();
         session.assert(&x().ge(ITerm::Const(3)));
-        session.push();
-        session.assert(&x().le(ITerm::Const(2)));
-        assert_eq!(session.check_sat(), SmtResult::Unsat);
-        session.pop();
-        assert_eq!(session.depth(), 0);
         match session.check_sat() {
             SmtResult::Sat(m) => assert!(m.get("x").unwrap() >= 3),
-            other => panic!("expected sat after pop, got {other:?}"),
+            other => panic!("expected sat, got {other:?}"),
         }
+        session.assert(&x().le(ITerm::Const(2)));
+        assert_eq!(session.check_sat(), SmtResult::Unsat);
+        assert_eq!(session.check_sat(), SmtResult::Unsat, "a recheck agrees");
+        drop(session);
+        assert_eq!(solver.stats().queries, 3);
     }
 
     #[test]
-    fn session_check_valid_leaves_state_unchanged() {
-        let mut solver = Solver::new();
-        let mut session = solver.session();
-        session.assert(&x().le(y()));
-        // Under x ≤ y: x ≤ y + 1 holds, x ≥ y does not.
-        assert_eq!(
-            session.check_valid(&x().le(y().add(ITerm::Const(1)))),
-            Validity::Valid
-        );
-        assert!(matches!(
-            session.check_valid(&x().ge(y())),
-            Validity::Invalid(_)
-        ));
-        // And again: the failed check must not have leaked assertions.
-        assert_eq!(
-            session.check_valid(&x().le(y().add(ITerm::Const(1)))),
-            Validity::Valid
-        );
-        assert!(matches!(session.check_sat(), SmtResult::Sat(_)));
-    }
-
-    #[test]
-    fn session_verdicts_match_fresh_solvers() {
-        // The scoped discharge shape: assert a shared hypothesis once,
-        // then refute each conclusion in its own scope.
-        let h = x().ge(ITerm::Const(0)).and(x().le(y()));
-        let goals = [
-            x().ge(ITerm::Const(0)),   // valid under h
-            y().ge(ITerm::Const(0)),   // valid under h
-            x().ge(ITerm::Const(1)),   // invalid under h
-            y().le(ITerm::Const(100)), // invalid under h
-        ];
-        let mut solver = Solver::new();
-        let mut session = solver.session();
-        session.assert(&h);
-        for goal in &goals {
-            let scoped = session.check_valid(goal);
-            let fresh = Solver::new().check_valid(&h.clone().implies(goal.clone()));
-            let same = matches!(
-                (&scoped, &fresh),
-                (Validity::Valid, Validity::Valid)
-                    | (Validity::Invalid(_), Validity::Invalid(_))
-                    | (Validity::Unknown(_), Validity::Unknown(_))
-            );
-            assert!(same, "scoped {scoped:?} != fresh {fresh:?} for {goal:?}");
-        }
-    }
-
-    #[test]
-    fn session_stats_fold_per_scope() {
+    fn session_stats_fold_per_check() {
         // Regression (queries/atoms/max_atoms used to assume one query
         // per solver): a session must fold one `queries` tick and one
-        // `atoms`/`max_atoms` contribution per scoped check.
-        let h = x().ge(ITerm::Const(0)).and(y().ge(x()));
-        let g1 = x().add(ITerm::Const(1)).ge(ITerm::Const(1));
-        let g2 = y().ge(ITerm::Const(-5));
+        // `atoms`/`max_atoms` contribution per check.
         let mut solver = Solver::new();
         let mut session = solver.session();
-        session.assert(&h);
-        assert_eq!(session.check_valid(&g1), Validity::Valid);
+        session.assert(&x().ge(ITerm::Const(0)).and(y().ge(x())));
+        assert!(matches!(session.check_sat(), SmtResult::Sat(_)));
         let first = session.stats();
         assert_eq!(first.queries, 1);
         assert!(first.atoms > 0);
         assert_eq!(first.max_atoms, first.atoms, "single check: gauge == sum");
-        assert_eq!(session.check_valid(&g2), Validity::Valid);
+        session.assert(&y().le(ITerm::Const(-6)));
+        assert_eq!(session.check_sat(), SmtResult::Unsat);
         let total = session.stats();
         drop(session);
         assert_eq!(solver.stats(), total);
-        assert_eq!(total.queries, 2, "one query per scoped check");
-        // The second goal's y ≤ -6 contradicts x ≥ 0 ∧ y ≥ x as soon as
-        // the root bounds are asserted. The three atoms bound three
-        // different forms, so no bound axiom links them and the simplex
-        // refutes them: a theory conflict, counted as a conflict, with no
-        // final check of a complete assignment.
+        assert_eq!(total.queries, 2, "one query per check");
+        // y ≤ -6 contradicts x ≥ 0 ∧ y ≥ x as soon as the root bounds are
+        // asserted. The three atoms bound three different forms, so no
+        // bound axiom links them and the simplex refutes them: a theory
+        // conflict, counted as a conflict, with no final check of a
+        // complete assignment.
         assert!(total.sat.conflicts > first.sat.conflicts);
         assert_eq!(total.sat.theory_checks, first.sat.theory_checks);
         assert!(
@@ -1039,25 +906,25 @@ mod tests {
     }
 
     #[test]
-    fn session_encode_error_is_scope_local() {
+    fn session_encode_error_taints_later_checks() {
         let mut solver = Solver::new();
         let mut session = solver.session();
         session.assert(&x().ge(ITerm::Const(0)));
-        session.push();
-        // A quantifier that survives elimination is ungroundable only if
-        // non-linear; use a genuinely non-linear atom instead.
+        assert!(matches!(session.check_sat(), SmtResult::Sat(_)));
+        // A genuinely non-linear atom cannot be encoded.
         session.assert(&x().mul(y()).eq_term(ITerm::Const(6)));
+        assert!(matches!(session.check_sat(), SmtResult::Unknown(_)));
+        // Nor can the session decide anything after it, however plain.
+        session.assert(&x().le(ITerm::Const(5)));
         match session.check_sat() {
             SmtResult::Unknown(_) => {}
-            other => panic!("expected unknown in tainted scope, got {other:?}"),
+            other => panic!("expected unknown in a tainted session, got {other:?}"),
         }
-        session.pop();
-        assert!(matches!(session.check_sat(), SmtResult::Sat(_)));
     }
 
     #[test]
     fn one_shot_wrappers_match_session_stats() {
-        // The one-shot API is a thin wrapper over a single-scope session;
+        // The one-shot API is a thin wrapper over a one-check session;
         // its stats semantics are pinned by `stats_accumulate` and
         // `atoms_accumulate_across_queries_with_max_gauge` above. Verify
         // verdict equality against an explicit session here.

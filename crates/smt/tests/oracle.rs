@@ -164,13 +164,13 @@ fn solver_matches_brute_force() {
     }
 }
 
-/// Random session scripts: each step asserts a new formula or one of a
-/// popped scope again, pushes, pops, or checks, and every check is
-/// compared against brute force over the conjunction of the assertions
-/// still live (every `Sat` model is evaluated against them), so learnt
-/// clauses, theory bounds and root-level implications that outlive their
-/// scope would show up as a wrong verdict, and so would gates, atoms or
-/// bound axioms that a re-asserted formula found stale.
+/// Random session scripts: each step asserts a new formula, asserts one
+/// of the script's earlier formulas again, or checks. Every check is
+/// compared against brute force over the conjunction asserted so far
+/// (every `Sat` model is evaluated against each assertion), so learnt
+/// clauses, theory bounds or root-level implications that a later check
+/// misreads would show up as a wrong verdict, and so would gates, atoms
+/// or bound axioms that a re-asserted formula found stale.
 #[test]
 fn session_scripts_match_brute_force() {
     let mut rng = SplitMix64::seed_from_u64(0x5EED_0003);
@@ -179,42 +179,30 @@ fn session_scripts_match_brute_force() {
         let mut solver = Solver::new();
         let mut session = solver.session();
         session.assert(&boxed(&BTerm::True));
-        // Live assertions, one frame per open scope.
-        let mut frames: Vec<Vec<BTerm>> = vec![Vec::new()];
-        // Assertions of popped scopes.
-        let mut popped: Vec<BTerm> = Vec::new();
+        let mut asserted: Vec<BTerm> = Vec::new();
         for step in 0..12 {
             match rng.gen_u32_below(6) {
                 0 | 1 => {
                     let b = gen_qf_formula(&mut rng, 2);
                     session.assert(&b);
-                    frames.last_mut().expect("base frame").push(b);
+                    asserted.push(b);
                 }
-                2 => {
-                    session.push();
-                    frames.push(Vec::new());
-                }
-                3 if frames.len() > 1 => {
-                    session.pop();
-                    popped.extend(frames.pop().expect("an open scope"));
-                }
-                4 if !popped.is_empty() => {
-                    let b = popped[rng.gen_u32_below(popped.len() as u32) as usize].clone();
+                2 if !asserted.is_empty() => {
+                    let b = asserted[rng.gen_u32_below(asserted.len() as u32) as usize].clone();
                     session.assert(&b);
-                    frames.last_mut().expect("base frame").push(b);
+                    asserted.push(b);
                     reasserted += 1;
                 }
                 _ => {
-                    let live: Vec<&BTerm> = frames.iter().flatten().collect();
-                    let conjunction = live
+                    let conjunction = asserted
                         .iter()
-                        .fold(BTerm::True, |acc, b| acc.and((*b).clone()));
+                        .fold(BTerm::True, |acc, b| acc.and(b.clone()));
                     let expected = brute_force_sat(&conjunction);
                     match session.check_sat() {
                         SmtResult::Sat(model) => {
                             assert!(expected, "script {script} step {step}: spurious sat");
                             let env = |name: &str| model.get(name).unwrap_or(0);
-                            for b in &live {
+                            for b in &asserted {
                                 assert!(
                                     eval_formula(b, &env),
                                     "script {script} step {step}: model {model} violates {b:?}"

@@ -256,29 +256,6 @@ fn corpus_hits_cache_across_programs() {
     assert_eq!(second.engine.cache_misses, 0, "fully served by program_0");
 }
 
-/// `CachePolicy::PerProgram` isolates programs: same corpus, no
-/// cross-program reuse, identical verdicts.
-#[test]
-fn per_program_cache_policy_isolates_programs() {
-    let (program, spec) = casestudies::swish();
-    let corpus = vec![
-        (program.clone(), spec.clone()),
-        (program.clone(), spec.clone()),
-    ];
-    let shared = Verifier::builder().workers(1).build().check_corpus(&corpus);
-    let isolated = Verifier::builder()
-        .cache(CachePolicy::PerProgram)
-        .build()
-        .check_corpus(&corpus);
-    assert_eq!(isolated.cross_program_hits(), 0);
-    assert!(isolated.verified());
-    assert_eq!(shared.verified(), isolated.verified());
-    for (a, b) in shared.entries.iter().zip(&isolated.entries) {
-        let (a, b) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-        assert_eq!(a.relaxed_progress(), b.relaxed_progress());
-    }
-}
-
 /// Re-verifying a corpus on a warm session is answered entirely from
 /// cache, and — because owner tags are session-unique — every hit counts
 /// as cross-program reuse. Unlike the cold-cache statistics, this is

@@ -170,11 +170,14 @@ fn corrupt_cache_file_degrades_gracefully() {
     cold.persist().unwrap();
     drop(cold);
 
-    // Corrupt the middle and tear the tail, as a crashed writer might.
+    // Corrupt the middle and tear the tail, as a crashed writer might,
+    // and add a line nested far deeper than any stack allows.
     let text = std::fs::read_to_string(&path).unwrap();
     let mut lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() >= 3, "expected header + several entries");
     lines.insert(2, "}} definitely not json {{");
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    lines.insert(3, &deep);
     let mut mangled = lines.join("\n");
     mangled.push_str("\n{\"goal\":\"torn-off mid-write");
     std::fs::write(&path, mangled).unwrap();
@@ -182,7 +185,7 @@ fn corrupt_cache_file_degrades_gracefully() {
     let warm = persistent(&path);
     assert_eq!(
         warm.cache_warnings().len(),
-        2,
+        3,
         "{:?}",
         warm.cache_warnings()
     );
