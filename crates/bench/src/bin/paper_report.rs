@@ -491,7 +491,7 @@ fn main() {
     println!(
         "The six-program corpus submitted to an in-process service daemon \
          over TCP: a warm `relaxed-shardd` fleet behind a bounded admission \
-         queue, with the persistent verdict store resident. Every service \
+         queue, every worker on the one persistent verdict store. Every service \
          report is asserted verdict-identical to the in-process baseline \
          (`CorpusReport::verdicts_match`); wall-clock and requests/sec are \
          measured, not asserted.\n"
@@ -531,7 +531,7 @@ fn main() {
     );
 
     // Cold: the daemon's store is empty, so the fleet solves everything
-    // (persisting incrementally into the resident store as it goes).
+    // (persisting incrementally into the shared store as it goes).
     let t_cold_svc = Instant::now();
     let cold_svc = service_client().check_corpus_named(&corpus);
     let cold_svc_elapsed = t_cold_svc.elapsed();
@@ -612,7 +612,7 @@ fn main() {
          re-verified after editing only the knob program's precondition. \
          The incremental session replays every untouched revision from the \
          store and re-proves only the goals the edit dirtied; the full warm \
-         rerun (dependency map off) regenerates and re-encodes every \
+         rerun (sidecar deleted first) regenerates and re-encodes every \
          obligation before the store answers it. Both re-verifications are \
          asserted verdict-identical to a full in-process run of the edited \
          corpus (`CorpusReport::verdicts_match`).\n",
@@ -639,14 +639,13 @@ fn main() {
     ));
     let _ = std::fs::remove_file(&edit_cache);
     let _ = std::fs::remove_file(relaxed_core::depmap::depmap_path(&edit_cache));
-    let edit_session = |depmap: bool| {
+    let edit_session = || {
         Verifier::builder()
             .workers(1)
             .cache_file(&edit_cache)
-            .depmap(depmap)
             .build()
     };
-    let seed = edit_session(true);
+    let seed = edit_session();
     let t_seed = Instant::now();
     seed.check_corpus_named(&relaxed_bench::corpus_view(&edit_corpus));
     let seed_elapsed = t_seed.elapsed();
@@ -676,7 +675,7 @@ fn main() {
         .build()
         .check_corpus_named(&edited("b"));
 
-    let incremental = edit_session(true);
+    let incremental = edit_session();
     let t_inc = Instant::now();
     let inc = incremental.check_corpus_named(&edited("a"));
     let inc_elapsed = t_inc.elapsed();
@@ -705,7 +704,10 @@ fn main() {
     );
     drop(incremental);
 
-    let full_warm = edit_session(false);
+    // No sidecar, nothing to replay: every revision runs live against the
+    // warm store.
+    let _ = std::fs::remove_file(relaxed_core::depmap::depmap_path(&edit_cache));
+    let full_warm = edit_session();
     let t_warm = Instant::now();
     let warm = full_warm.check_corpus_named(&edited("b"));
     let warm_elapsed = t_warm.elapsed();

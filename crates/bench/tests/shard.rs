@@ -9,8 +9,10 @@
 //! in-process `relaxed-serviced` daemon (`Service::bind` on an ephemeral
 //! port) and drive it with real TCP clients: concurrent clients must get
 //! verdict-identical reports served from the shared store, a worker
-//! killed mid-request must lose no programs, and neither a client
-//! vanishing mid-job nor a job frame without an id may wedge the fleet.
+//! killed mid-request must lose no programs, neither a client vanishing
+//! mid-job nor a job frame without an id may wedge the fleet, and an
+//! over-long or deeply nested frame is refused while the daemon keeps
+//! serving.
 //!
 //! Every test that spawns workers or enables tracing holds the
 //! `temp_env` lock, so the traced runs and the check that no worker
@@ -26,7 +28,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const WORKER: &str = env!("CARGO_BIN_EXE_relaxed-shardd");
 
@@ -326,7 +328,7 @@ fn raw_session(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
         writer,
         "{{\"type\":\"config\",\"proto\":1,\"max_conflicts\":{},\
          \"branch_budget\":{},\"workers\":1,\
-         \"stages\":\"original,relaxed\",\"cache\":\"\",\"cache_max\":0}}",
+         \"stages\":\"original,relaxed\",\"cache\":\"\"}}",
         session.max_conflicts, session.branch_budget
     )
     .expect("send config");
@@ -434,6 +436,48 @@ fn deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn endless_line_is_refused_and_the_daemon_keeps_serving() {
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(1), 1);
+
+        // 64 MiB of brackets and no newline: a daemon that buffers the
+        // whole line, rescanning it after every read, spends minutes of
+        // CPU and the line's size in memory before it could answer.
+        {
+            let stream = TcpStream::connect(&addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("set the read timeout");
+            let mut feeder = stream.try_clone().expect("clone");
+            let feed = std::thread::spawn(move || {
+                let chunk = vec![b'['; 1 << 20];
+                // The daemon hangs up mid-line, which ends the feed.
+                for _ in 0..64 {
+                    if feeder.write_all(&chunk).is_err() {
+                        break;
+                    }
+                }
+            });
+            let mut reply = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut reply)
+                .expect("read the refusal");
+            assert!(
+                reply.starts_with("{\"type\":\"error\",\"reason\":\"frame from ")
+                    && reply.contains("exceeds"),
+                "{reply}"
+            );
+            drop(stream);
+            feed.join().expect("feeder thread");
+        }
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert_eq!((status.served, status.alive), (0, 1), "{status:?}");
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+}
+
+#[test]
 fn traced_service_records_worker_spans() {
     let trace = temp_file("service-trace", "json");
     let corpus = casestudies::corpus();
@@ -445,15 +489,9 @@ fn traced_service_records_worker_spans() {
             .build()
             .check_corpus_named(&corpus);
         assert!(report.verified_count() >= 3);
-        // The drain writes the daemon's trace; the resident session's
-        // drop may rewrite it moments later, so wait for that release
-        // (it switches tracing off) before reading the file.
+        // The drain writes the daemon's trace before it answers `bye`.
         shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
         daemon.join().expect("daemon thread");
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while relaxed_core::telemetry::enabled() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
     });
     let spans = worker_solve_spans(&trace);
     let _ = std::fs::remove_file(&trace);

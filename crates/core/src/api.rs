@@ -176,9 +176,11 @@ pub enum CachePolicy {
     /// verdict store at `path` (see [`crate::cache`]): verdicts recorded
     /// under the session's configuration fingerprint are loaded at build
     /// time and written back on [`Verifier::persist`] / session drop, so
-    /// the cache survives *across processes*. Selected by
-    /// [`VerifierBuilder::cache_file`] or the `DISCHARGE_CACHE`
-    /// environment knob.
+    /// the cache survives *across processes*. The session also records
+    /// the goal→fragment dependency map in a sidecar beside the store
+    /// and replays unchanged programs from it (see [`crate::depmap`]).
+    /// Selected by [`VerifierBuilder::cache_file`] or the
+    /// `DISCHARGE_CACHE` environment knob.
     Persistent {
         /// The cache file (created on first persist; parent directories
         /// are created as needed).
@@ -273,11 +275,6 @@ pub struct Config {
     pub branch_budget: u64,
     /// Verdict-cache scoping.
     pub cache: CachePolicy,
-    /// Entry cap for the persistent verdict store (`0` = unbounded):
-    /// persisting compacts past the cap by evicting the
-    /// least-recently-hit verdicts (see
-    /// [`DischargeEngine::set_cache_max`]).
-    pub cache_max: usize,
     /// Stage selection for [`Verifier::check`].
     pub stages: StageSet,
     /// Corpus execution policy for [`Verifier::check_corpus`].
@@ -286,25 +283,6 @@ pub struct Config {
     /// [`CorpusPolicy::Sharded`]; `None` resolves it next to the current
     /// executable (see [`crate::shard::locate_worker`]).
     pub shard_worker: Option<PathBuf>,
-    /// How long the shard coordinator (and the service client/daemon)
-    /// waits for a freshly spawned or connected worker to answer the
-    /// config handshake with a `ready` frame. Purely a transport-layer
-    /// patience knob — verdicts never depend on it — so, like `workers`,
-    /// it stays out of [`DischargeConfig`] and the cache fingerprint.
-    pub ready_timeout: std::time::Duration,
-    /// How long the shard coordinator (and the service client/daemon)
-    /// waits for a worker to answer one job frame before declaring it
-    /// unresponsive and retrying on a fresh worker; settable via
-    /// `DISCHARGE_SHARD_TIMEOUT=<seconds>`. Out of the cache fingerprint
-    /// for the same reason as `ready_timeout`.
-    pub job_timeout: std::time::Duration,
-    /// Whether a [`CachePolicy::Persistent`] session records the
-    /// goal→fragment dependency map sidecar (see [`crate::depmap`]) and
-    /// uses it to *replay* unchanged programs on re-verification instead
-    /// of re-running vcgen and the solver. On by default;
-    /// verdict-equivalent either way. Settable via `DISCHARGE_DEPMAP`
-    /// (`0`/`1`).
-    pub depmap: bool,
     /// Chrome trace-event output path (see [`crate::telemetry`]):
     /// `Some(path)` enables span collection for the session's lifetime
     /// and writes the trace when the last tracing session drops. `None`
@@ -312,14 +290,6 @@ pub struct Config {
     /// cost one atomic load. Settable via `DISCHARGE_TRACE=<path>`.
     pub trace: Option<PathBuf>,
 }
-
-/// Default [`Config::ready_timeout`]: how long to wait for a worker's
-/// `ready` handshake frame.
-pub const DEFAULT_READY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
-
-/// Default [`Config::job_timeout`]: how long to wait for a worker to
-/// answer one job frame.
-pub const DEFAULT_JOB_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(600);
 
 impl Default for Config {
     fn default() -> Self {
@@ -329,13 +299,9 @@ impl Default for Config {
             max_conflicts: discharge.max_conflicts,
             branch_budget: discharge.branch_budget,
             cache: CachePolicy::default(),
-            cache_max: 0,
             stages: StageSet::default(),
             corpus: CorpusPolicy::default(),
             shard_worker: None,
-            ready_timeout: DEFAULT_READY_TIMEOUT,
-            job_timeout: DEFAULT_JOB_TIMEOUT,
-            depmap: true,
             trace: None,
         }
     }
@@ -368,16 +334,12 @@ impl Config {
     /// The default configuration with the environment opt-in layer
     /// applied: `DISCHARGE_WORKERS` (`0` = auto), `DISCHARGE_CONFLICTS`,
     /// `DISCHARGE_BRANCH_BUDGET`, `DISCHARGE_CACHE` (a file path
-    /// selecting [`CachePolicy::Persistent`]), `DISCHARGE_CACHE_MAX`
-    /// (persistent-store entry cap, `0` = unbounded), `DISCHARGE_SHARDS`
+    /// selecting [`CachePolicy::Persistent`]), `DISCHARGE_SHARDS`
     /// (`0` = in-process, `n ≥ 1` = [`CorpusPolicy::Sharded`] across `n`
-    /// worker processes), `DISCHARGE_SHARD_TIMEOUT` (per-job worker
-    /// patience in seconds, see [`Config::job_timeout`]),
-    /// `DISCHARGE_DEPMAP` (`0` disables the goal→fragment dependency map
-    /// and its replay fast path, `1` — the default — enables it),
-    /// `DISCHARGE_TRACE` (a file path enabling telemetry and selecting
-    /// the Chrome trace-event output, see [`crate::telemetry`]),
-    /// `RELAXED_SHARDD` (explicit worker-binary path), and
+    /// worker processes), `DISCHARGE_TRACE` (a file path enabling
+    /// telemetry and selecting the Chrome trace-event output, see
+    /// [`crate::telemetry`]), `RELAXED_SHARDD` (explicit worker-binary
+    /// path), and
     /// `RELAXED_SERVICE` (a `host:port` address selecting
     /// [`CorpusPolicy::Service`]).
     ///
@@ -421,28 +383,11 @@ impl Config {
         if let Some(budget) = parse("DISCHARGE_BRANCH_BUDGET") {
             config.branch_budget = budget;
         }
-        if let Some(cache_max) = parse("DISCHARGE_CACHE_MAX") {
-            config.cache_max = cache_max as usize;
-        }
         if let Some(shards) = parse("DISCHARGE_SHARDS") {
             config.corpus = match shards {
                 0 => CorpusPolicy::InProcess,
                 n => CorpusPolicy::Sharded { shards: n as usize },
             };
-        }
-        if let Some(secs) = parse("DISCHARGE_SHARD_TIMEOUT") {
-            config.job_timeout = std::time::Duration::from_secs(secs);
-        }
-        if let Some(raw) = lookup("DISCHARGE_DEPMAP") {
-            match raw.trim() {
-                "0" => config.depmap = false,
-                "1" => config.depmap = true,
-                _ => warnings.push(EnvWarning {
-                    var: "DISCHARGE_DEPMAP",
-                    value: raw,
-                    expected: "0 or 1",
-                }),
-            }
         }
         if let Some(raw) = lookup("DISCHARGE_CACHE") {
             let path = raw.trim();
@@ -523,13 +468,9 @@ pub struct VerifierBuilder {
     max_conflicts: Option<u64>,
     branch_budget: Option<u64>,
     cache: Option<CachePolicy>,
-    cache_max: Option<usize>,
     stages: Option<StageSet>,
     corpus: Option<CorpusPolicy>,
     shard_worker: Option<PathBuf>,
-    ready_timeout: Option<std::time::Duration>,
-    job_timeout: Option<std::time::Duration>,
-    depmap: Option<bool>,
     trace: Option<PathBuf>,
 }
 
@@ -575,14 +516,6 @@ impl VerifierBuilder {
         self.cache(CachePolicy::Persistent { path: path.into() })
     }
 
-    /// Entry cap for the persistent verdict store (`0` = unbounded;
-    /// least-recently-hit entries are evicted past the cap when the
-    /// session persists).
-    pub fn cache_max(mut self, cache_max: usize) -> Self {
-        self.cache_max = Some(cache_max);
-        self
-    }
-
     /// Stage selection for [`Verifier::check`].
     pub fn stages(mut self, stages: StageSet) -> Self {
         self.stages = Some(stages);
@@ -609,34 +542,11 @@ impl VerifierBuilder {
         self.corpus(CorpusPolicy::Service { addr: addr.into() })
     }
 
-    /// Handshake patience for shard workers and service connections (see
-    /// [`Config::ready_timeout`]). Default 60 s.
-    pub fn ready_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.ready_timeout = Some(timeout);
-        self
-    }
-
-    /// Per-job patience for shard workers and service connections (see
-    /// [`Config::job_timeout`]). Default 600 s.
-    pub fn job_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.job_timeout = Some(timeout);
-        self
-    }
-
     /// Explicit path to the `relaxed-shardd` worker binary (otherwise
     /// resolved from `RELAXED_SHARDD` under the env layer, or located
     /// next to the current executable).
     pub fn shard_worker(mut self, path: impl Into<PathBuf>) -> Self {
         self.shard_worker = Some(path.into());
-        self
-    }
-
-    /// Toggles the goal→fragment dependency map and its incremental
-    /// replay fast path for persistent sessions (see
-    /// [`Config::depmap`]). On by default; verdicts are identical either
-    /// way.
-    pub fn depmap(mut self, depmap: bool) -> Self {
-        self.depmap = Some(depmap);
         self
     }
 
@@ -658,13 +568,9 @@ impl VerifierBuilder {
         self.max_conflicts = Some(config.max_conflicts);
         self.branch_budget = Some(config.branch_budget);
         self.cache = Some(config.cache);
-        self.cache_max = Some(config.cache_max);
         self.stages = Some(config.stages);
         self.corpus = Some(config.corpus);
         self.shard_worker = config.shard_worker;
-        self.ready_timeout = Some(config.ready_timeout);
-        self.job_timeout = Some(config.job_timeout);
-        self.depmap = Some(config.depmap);
         self.trace = config.trace;
         self
     }
@@ -681,13 +587,9 @@ impl VerifierBuilder {
             max_conflicts: self.max_conflicts.unwrap_or(base.max_conflicts),
             branch_budget: self.branch_budget.unwrap_or(base.branch_budget),
             cache: self.cache.unwrap_or(base.cache),
-            cache_max: self.cache_max.unwrap_or(base.cache_max),
             stages: self.stages.unwrap_or(base.stages),
             corpus: self.corpus.unwrap_or(base.corpus),
             shard_worker: self.shard_worker.or(base.shard_worker),
-            ready_timeout: self.ready_timeout.unwrap_or(base.ready_timeout),
-            job_timeout: self.job_timeout.unwrap_or(base.job_timeout),
-            depmap: self.depmap.unwrap_or(base.depmap),
             trace: self.trace.or(base.trace),
         };
         // Acquire the trace before the engine exists so the cache-load
@@ -696,19 +598,17 @@ impl VerifierBuilder {
         if let Some(path) = &config.trace {
             crate::telemetry::acquire_file(path);
         }
-        let mut engine = match &config.cache {
+        let engine = match &config.cache {
             CachePolicy::Persistent { path } => {
                 DischargeEngine::with_cache_file(config.discharge_config(), path.clone())
             }
             CachePolicy::Shared => DischargeEngine::with_config(config.discharge_config()),
         };
-        engine.set_cache_max(config.cache_max);
         let verifier = Verifier {
             engine,
             config,
             env_warnings,
             next_owner: AtomicU64::new(1),
-            cost_history: Mutex::new(std::collections::HashMap::new()),
             depmap: OnceLock::new(),
             lint_memo: Mutex::new(std::collections::HashMap::new()),
             owns_trace,
@@ -753,14 +653,8 @@ pub struct Verifier {
     /// session-unique so cross-program accounting survives repeated
     /// `check_corpus` calls.
     next_owner: AtomicU64,
-    /// Observed per-program verification wall time (`name →
-    /// elapsed_ms`), recorded after every corpus run this session
-    /// performs. The sharded/service schedulers consume it as measured
-    /// cost for longest-first ordering in place of VC-count estimates
-    /// (see [`Verifier::observe_costs`]).
-    cost_history: Mutex<std::collections::HashMap<String, u64>>,
     /// Lazily-loaded resident dependency map (`None` once initialized
-    /// means the session is not persistent or the map is disabled).
+    /// means the session is not persistent).
     depmap: OnceLock<Option<Mutex<ResidentDepmap>>>,
     /// Rendered lint memoized by revision hash: a replayed corpus entry
     /// reuses the lint of its (unchanged) revision instead of re-running
@@ -963,11 +857,11 @@ impl Verifier {
         let started = std::time::Instant::now();
 
         // Incremental fast path (see `crate::depmap`): under a
-        // persistent cache with the dependency map enabled, a program
-        // whose revision hash matches its stored record has no changed
-        // fragment — every stored goal key is current, and the whole
-        // program replays from the verdict cache without vcgen, encoding,
-        // or solver work. Everything else runs live below.
+        // persistent cache, a program whose revision hash matches its
+        // stored record has no changed fragment — every stored goal key
+        // is current, and the whole program replays from the verdict
+        // cache without vcgen, encoding, or solver work. Everything else
+        // runs live below.
         let depmap = self.depmap_resident();
         let mut slots: Vec<Option<CorpusEntry>> = (0..count).map(|_| None).collect();
         let mut replayed_engine = EngineStats::default();
@@ -1051,17 +945,6 @@ impl Verifier {
                     }
                 }
                 resident.dirty = true;
-            }
-        }
-
-        // Observed-cost history: live entries only — a replayed entry's
-        // near-zero wall time is not a measurement of verification cost,
-        // and must not displace the last real one.
-        {
-            let mut history = self.cost_history.lock().expect("cost-history lock");
-            for &i in &live_idx {
-                let entry = &report.entries[i];
-                history.insert(entry.name.clone(), entry.elapsed_ms);
             }
         }
 
@@ -1150,14 +1033,10 @@ impl Verifier {
     }
 
     /// The session-resident dependency map, loading the sidecar on
-    /// first use. `None` unless the session is persistent and the map
-    /// is enabled.
+    /// first use. `None` unless the session is persistent.
     fn depmap_resident(&self) -> Option<&Mutex<ResidentDepmap>> {
         self.depmap
             .get_or_init(|| {
-                if !self.config.depmap {
-                    return None;
-                }
                 let CachePolicy::Persistent { path } = &self.config.cache else {
                     return None;
                 };
@@ -1190,24 +1069,6 @@ impl Verifier {
         crate::depmap::persist(&resident.path, &resident.fingerprint, &resident.map)?;
         resident.dirty = false;
         Ok(())
-    }
-
-    /// Records every entry of `report` into the observed-cost history
-    /// consumed by the sharded/service schedulers (measured `elapsed_ms`
-    /// replaces VC-count estimates once every job's program has an
-    /// observation). `check_corpus` records its live entries
-    /// automatically; call this to feed in a report obtained elsewhere —
-    /// e.g. an earlier session's run.
-    pub fn observe_costs(&self, report: &CorpusReport) {
-        let mut history = self.cost_history.lock().expect("cost-history lock");
-        for entry in &report.entries {
-            history.insert(entry.name.clone(), entry.elapsed_ms);
-        }
-    }
-
-    /// A snapshot of the observed-cost history for the schedulers.
-    pub(crate) fn cost_snapshot(&self) -> std::collections::HashMap<String, u64> {
-        self.cost_history.lock().expect("cost-history lock").clone()
     }
 
     fn run_corpus_live(&self, entries: Vec<(String, &Program, &Spec)>) -> CorpusReport {

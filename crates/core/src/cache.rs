@@ -269,17 +269,26 @@ pub fn persist<'a>(
         body.push('\n');
         count += 1;
     }
+    write_atomically(path, &body)?;
+    Ok(count)
+}
 
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    // A unique temp name per (process, persist call): concurrent writers
-    // never collide on the staging file, and `rename` is atomic within a
+/// Replaces the file at `path` with `body`: the parent directories are
+/// created as needed, the bytes go to a process-unique temp file in the
+/// same directory, are fsynced, and the temp file is renamed over
+/// `path`. The one rewrite path behind [`persist`] and the depmap
+/// sidecar's [`crate::depmap::persist`].
+///
+/// # Errors
+///
+/// Propagates the underlying filesystem error; the temp file is removed.
+pub(crate) fn write_atomically(path: &Path, body: &str) -> io::Result<()> {
+    create_parent_dirs(path)?;
+    // A unique temp name per (process, write): concurrent writers never
+    // collide on the staging file, and `rename` is atomic within a
     // filesystem.
-    static PERSIST_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = PERSIST_SEQ.fetch_add(1, Ordering::Relaxed);
+    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut staged_name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -295,7 +304,14 @@ pub fn persist<'a>(
     if result.is_err() {
         let _ = fs::remove_file(&staged);
     }
-    result.map(|()| count)
+    result
+}
+
+fn create_parent_dirs(path: &Path) -> io::Result<()> {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
 }
 
 /// Loads only the records starting at byte offset `from` of the cache
@@ -386,11 +402,7 @@ pub fn append<'a>(
     if count == 0 {
         return Ok(0);
     }
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
+    create_parent_dirs(path)?;
     let mut file = fs::OpenOptions::new()
         .create(true)
         .append(true)

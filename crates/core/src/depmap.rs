@@ -49,7 +49,6 @@ use crate::cache::{get, json_string, parse_json, GoalKey, Json};
 use crate::vcgen::Vc;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version of the depmap file layout; bumping it invalidates every
 /// existing map (the header check fails closed into a cold start).
@@ -384,11 +383,10 @@ fn check_header(header: &str, fingerprint: &str) -> Result<(), String> {
     Ok(())
 }
 
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Atomically rewrites the depmap at `path` (unique temp file + rename,
-/// like the verdict cache's compacting persist — concurrent sessions may
-/// race but can never corrupt the file).
+/// Atomically rewrites the depmap at `path` through the verdict store's
+/// own temp-file + rename writer ([`crate::cache`]): concurrent sessions
+/// may race but can never corrupt the file, and a missing parent
+/// directory is created.
 ///
 /// # Errors
 ///
@@ -399,34 +397,7 @@ pub fn persist(path: &Path, fingerprint: &str, map: &DepMap) -> std::io::Result<
     for (name, deps) in &map.programs {
         body.push_str(&render_program_line(name, deps));
     }
-    let temp = path.with_extension(format!(
-        "tmp-{}-{}",
-        std::process::id(),
-        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = (|| {
-        let mut file = std::fs::File::create(&temp)?;
-        file.write_all_bytes(body.as_bytes())?;
-        std::fs::rename(&temp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&temp);
-    }
-    result
-}
-
-/// Tiny shim so the persist closure reads as one pipeline (`File` has
-/// `write_all` via `io::Write`; the trait import stays local).
-trait WriteAllBytes {
-    fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()>;
-}
-
-impl WriteAllBytes for std::fs::File {
-    fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        use std::io::Write;
-        self.write_all(bytes)?;
-        self.sync_all()
-    }
+    crate::cache::write_atomically(path, &body)
 }
 
 #[cfg(test)]
@@ -435,11 +406,7 @@ mod tests {
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
-        path.push(format!(
-            "relaxed-depmap-test-{tag}-{}-{}",
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        path.push(format!("relaxed-depmap-test-{tag}-{}", std::process::id()));
         path
     }
 

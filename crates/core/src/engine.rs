@@ -136,11 +136,6 @@ pub struct EngineStats {
     /// [`persist`](DischargeEngine::persist) (explicit or on drop).
     /// Always `0` on per-call statistics; engine-level only.
     pub persisted: u64,
-    /// Least-recently-hit verdicts dropped by cache compaction when the
-    /// store exceeded its entry cap (see
-    /// [`DischargeEngine::set_cache_max`]); cumulative across persists.
-    /// Always `0` on per-call statistics; engine-level only.
-    pub evicted: u64,
     /// Goals proved by the static prefilter alone — no SAT or simplex
     /// work at all (a subset of `cache_misses`: a static hit still
     /// counts as "solved this call" and publishes to the cache like any
@@ -181,7 +176,6 @@ impl EngineStats {
         self.static_hits += other.static_hits;
         self.loaded += other.loaded;
         self.persisted += other.persisted;
-        self.evicted += other.evicted;
         self.unique_goals += other.unique_goals;
         self.workers = self.workers.max(other.workers);
         self.elapsed_vcgen_ms += other.elapsed_vcgen_ms;
@@ -220,16 +214,6 @@ pub struct DischargeEngine {
     cross: AtomicU64,
     disk: AtomicU64,
     statics: AtomicU64,
-    /// Entry cap for the persistent store (`0` = unbounded):
-    /// [`persist`](DischargeEngine::persist) compacts past the cap by
-    /// dropping the least-recently-hit verdicts.
-    cache_max: usize,
-    /// Cumulative count of entries dropped by cache compaction.
-    evicted: AtomicU64,
-    /// Logical recency clock: bumped once per discharge call (and cache
-    /// refresh); cache slots record the tick of their last hit, which
-    /// orders compaction.
-    tick: AtomicU64,
     /// Whether the cache holds verdicts not yet written to the on-disk
     /// store (drop-time persistence skips clean caches; explicit
     /// [`persist`](DischargeEngine::persist) always writes).
@@ -306,15 +290,13 @@ impl FileStamp {
 }
 
 /// A cached verdict plus the owner tag of the discharge call that first
-/// solved it (see [`DischargeOptions::owner`]), whether it was loaded
-/// from the on-disk store, and the recency tick of its last hit (for
-/// compaction).
+/// solved it (see [`DischargeOptions::owner`]) and whether it was loaded
+/// from the on-disk store.
 #[derive(Clone, Debug)]
 struct CachedVerdict {
     verdict: Validity,
     owner: u64,
     from_disk: bool,
-    last_hit: u64,
 }
 
 // The engine is shared by reference across its own worker threads.
@@ -365,9 +347,6 @@ impl DischargeEngine {
             cross: AtomicU64::new(0),
             disk: AtomicU64::new(0),
             statics: AtomicU64::new(0),
-            cache_max: 0,
-            evicted: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
             dirty: std::sync::atomic::AtomicBool::new(false),
             pending: Mutex::new(Vec::new()),
             store: None,
@@ -412,10 +391,6 @@ impl DischargeEngine {
                         // came from an earlier session.
                         owner: 0,
                         from_disk: true,
-                        // Loaded-but-never-hit entries are the oldest tier
-                        // of this session's recency order, so compaction
-                        // sheds them first.
-                        last_hit: 0,
                     },
                 )
             })
@@ -438,19 +413,8 @@ impl DischargeEngine {
                 .map_or(0u64, |s| s.loaded.load(Ordering::Relaxed)),
         );
         engine.cache = Mutex::new(entries);
-        engine.tick = AtomicU64::new(1);
         engine.cache_us = AtomicU64::new(elapsed_us(started));
         engine
-    }
-
-    /// Caps the persistent store at `cache_max` entries (`0` = unbounded,
-    /// the default). When the verdict cache exceeds the cap,
-    /// [`persist`](DischargeEngine::persist) compacts it by dropping the
-    /// least-recently-hit entries (in memory and on disk) and counts them
-    /// in [`EngineStats::evicted`]. Configured through
-    /// `Verifier::builder().cache_max(..)` or `DISCHARGE_CACHE_MAX`.
-    pub fn set_cache_max(&mut self, cache_max: usize) {
-        self.cache_max = cache_max;
     }
 
     /// Merges verdicts other processes have persisted to this engine's
@@ -511,11 +475,6 @@ impl DischargeEngine {
                     verdict,
                     owner: 0,
                     from_disk: true,
-                    // Merged-but-never-hit entries join the oldest
-                    // eviction tier, exactly like build-time loads: a
-                    // capped persist must shed them before anything this
-                    // session actually used.
-                    last_hit: 0,
                 }
             });
         }
@@ -541,13 +500,9 @@ impl DischargeEngine {
     }
 
     /// Writes the current verdict cache back to the on-disk store:
-    /// header plus one record per entry, compacted, via an atomic
-    /// temp-file rename. Entries are written oldest-hit first; when a
-    /// [`set_cache_max`](DischargeEngine::set_cache_max) cap is set and
-    /// exceeded, the least-recently-hit surplus is dropped (from the
-    /// store *and* the in-memory cache) and counted in
-    /// [`EngineStats::evicted`]. Returns the number of entries written —
-    /// `Ok(0)` for engines without a store.
+    /// header plus one record per key, in key order, via an atomic
+    /// temp-file rename. Returns the number of entries written — `Ok(0)`
+    /// for engines without a store.
     ///
     /// Dropping a persistent engine also persists, best-effort, but only
     /// when the cache gained verdicts since the last load/persist (a
@@ -560,39 +515,24 @@ impl DischargeEngine {
         };
         let _clock = phase(&self.cache_us);
         let _span = crate::telemetry::span("cache", "cache_persist");
-        // Snapshot (and compact) under the lock, write without it: the
-        // rendering, the file write, and the fsync must not stall
-        // concurrent discharge threads waiting on cache lookups. The
-        // dirty flag is cleared *inside* the lock, before the snapshot —
-        // a verdict inserted concurrently with the file I/O re-dirties
-        // the cache and is picked up by the next (or drop-time) persist
-        // instead of being silently marked clean.
-        let snapshot: Vec<(GoalKey, Validity)> = {
-            let mut cache = self.cache.lock().expect("cache lock");
+        // Snapshot under the lock, write without it: the rendering, the
+        // file write, and the fsync must not stall concurrent discharge
+        // threads waiting on cache lookups. The dirty flag is cleared
+        // *inside* the lock, before the snapshot — a verdict inserted
+        // concurrently with the file I/O re-dirties the cache and is
+        // picked up by the next (or drop-time) persist instead of being
+        // silently marked clean.
+        let mut snapshot: Vec<(GoalKey, Validity)> = {
+            let cache = self.cache.lock().expect("cache lock");
             self.dirty
                 .store(false, std::sync::atomic::Ordering::Relaxed);
-            let mut entries: Vec<(GoalKey, u64)> = cache
+            cache
                 .iter()
-                .map(|(key, slot)| (key.clone(), slot.last_hit))
-                .collect();
-            // Oldest hit first (key-ordered within a tick, so the file is
-            // deterministic for a given hit history).
-            entries.sort_unstable_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
-            if self.cache_max > 0 && entries.len() > self.cache_max {
-                let surplus = entries.len() - self.cache_max;
-                for (key, _) in entries.drain(..surplus) {
-                    cache.remove(&key);
-                }
-                self.evicted.fetch_add(surplus as u64, Ordering::Relaxed);
-            }
-            entries
-                .into_iter()
-                .map(|(key, _)| {
-                    let verdict = cache.get(&key).expect("surviving entry").verdict.clone();
-                    (key, verdict)
-                })
+                .map(|(key, slot)| (key.clone(), slot.verdict.clone()))
                 .collect()
         };
+        // Key order keeps the file deterministic for a given cache.
+        snapshot.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         // The rewrite covers every pending verdict, so the append batch
         // is settled too (cleared before the write under the same
         // reasoning as the dirty flag: a failure re-instates retry via
@@ -627,9 +567,9 @@ impl DischargeEngine {
     /// time. Returns the number of entries appended — `Ok(0)` for
     /// engines without a store or with nothing new.
     ///
-    /// Compaction ([`set_cache_max`](DischargeEngine::set_cache_max))
-    /// remains a [`persist`](DischargeEngine::persist) concern: appenders
-    /// only grow the file, and a later compacting session bounds it.
+    /// Appenders only grow the file; a later
+    /// [`persist`](DischargeEngine::persist) rewrites it with one record
+    /// per key.
     ///
     /// # Errors
     ///
@@ -699,7 +639,6 @@ impl DischargeEngine {
                 .store
                 .as_ref()
                 .map_or(0, |s| s.persisted.load(Ordering::Relaxed)),
-            evicted: self.evicted.load(Ordering::Relaxed),
             unique_goals: self.cache.lock().expect("cache lock").len() as u64,
             workers: self.config.effective_parallelism(),
             elapsed_vcgen_ms: self.vcgen_us.load(Ordering::Relaxed) / 1000,
@@ -729,18 +668,12 @@ impl DischargeEngine {
     /// was loaded from the store), keeping the stats truthful about
     /// where the verdicts came from.
     pub(crate) fn replay(&self, keys: &[GoalKey]) -> Option<(Vec<Validity>, u64)> {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut cache = self.cache.lock().expect("cache lock");
-        // Probe before mutating: a miss anywhere must not bump recency
-        // or counters for the keys probed so far.
-        if !keys.iter().all(|key| cache.contains_key(key)) {
-            return None;
-        }
+        let cache = self.cache.lock().expect("cache lock");
         let mut verdicts = Vec::with_capacity(keys.len());
         let mut disk = 0u64;
         for key in keys {
-            let slot = cache.get_mut(key).expect("probed above");
-            slot.last_hit = now;
+            // A miss anywhere returns before any counter moves.
+            let slot = cache.get(key)?;
             if slot.from_disk {
                 disk += 1;
             }
@@ -802,12 +735,10 @@ impl DischargeEngine {
         let mut cross_owner: Vec<bool> = vec![false; unique_goals.len()];
         let mut from_disk: Vec<bool> = vec![false; unique_goals.len()];
         let mut work: Vec<usize> = Vec::new();
-        let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         {
-            let mut cache = self.cache.lock().expect("cache lock");
+            let cache = self.cache.lock().expect("cache lock");
             for (gi, key) in keys.iter().enumerate() {
-                if let Some(slot) = cache.get_mut(key) {
-                    slot.last_hit = now;
+                if let Some(slot) = cache.get(key) {
                     verdicts[gi] = Some(slot.verdict.clone());
                     from_cache[gi] = true;
                     cross_owner[gi] = slot.owner != opts.owner;
@@ -936,7 +867,6 @@ impl DischargeEngine {
                         verdict: verdict.clone(),
                         owner: opts.owner,
                         from_disk: false,
-                        last_hit: now,
                     },
                 );
             }
@@ -1009,7 +939,6 @@ impl DischargeEngine {
             static_hits: call_statics,
             loaded: 0,
             persisted: 0,
-            evicted: 0,
             unique_goals: call_misses,
             workers,
             // Vcgen happens upstream of the engine; the staged pipeline
@@ -1164,45 +1093,22 @@ mod tests {
     }
 
     #[test]
-    fn cache_max_evicts_least_recently_hit_on_persist() {
-        let path =
-            std::env::temp_dir().join(format!("relaxed-engine-evict-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut engine =
-            DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        engine.set_cache_max(1);
-        engine.discharge(vec![unary_vc("a", "x <= x"), unary_vc("b", "x <= x + 1")]);
-        // Re-hit the first goal: it becomes the most recently hit.
-        engine.discharge(vec![unary_vc("a", "x <= x")]);
-        let written = engine.persist().unwrap();
-        assert_eq!(written, 1, "cap must bound the store");
-        let stats = engine.stats();
-        assert_eq!(stats.evicted, 1);
-        assert_eq!(stats.unique_goals, 1, "eviction also compacts memory");
-        drop(engine);
-        // The survivor is the recently-hit goal: a fresh session answers
-        // it from disk and must re-solve the evicted one.
-        let warm = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        assert_eq!(warm.stats().loaded, 1);
-        let report = warm.discharge(vec![unary_vc("a", "x <= x"), unary_vc("b", "x <= x + 1")]);
-        assert_eq!(report.engine.disk_hits, 1);
-        assert_eq!(report.engine.cache_misses, 1);
-        drop(warm);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn unbounded_engine_never_evicts() {
+    fn persist_writes_one_record_per_key() {
         let path = std::env::temp_dir().join(format!(
-            "relaxed-engine-noevict-{}.jsonl",
+            "relaxed-engine-persist-{}.jsonl",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
         let engine = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
         engine.discharge(vec![unary_vc("a", "x <= x"), unary_vc("b", "x <= x + 1")]);
+        engine.discharge(vec![unary_vc("a", "x <= x")]);
         assert_eq!(engine.persist().unwrap(), 2);
-        assert_eq!(engine.stats().evicted, 0);
         drop(engine);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<&str> = text.lines().skip(1).collect();
+        let mut sorted = records.clone();
+        sorted.sort_unstable();
+        assert_eq!(records, sorted, "records are written in key order");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1287,34 +1193,6 @@ mod tests {
         let meta = std::fs::metadata(&path).unwrap();
         assert_eq!(meta.len(), flushed_len);
         assert_eq!(meta.modified().unwrap(), flushed_at);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn capped_persist_sheds_merged_but_unused_entries_first() {
-        let path = std::env::temp_dir().join(format!(
-            "relaxed-engine-merge-tier-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut a = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        a.set_cache_max(1);
-        // A solves (and therefore "hit") its own goal…
-        a.discharge(vec![unary_vc("mine", "x <= x")]);
-        // …then merges a sibling's never-used verdict from the store.
-        let b = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        b.discharge(vec![unary_vc("theirs", "y >= y - 1")]);
-        b.append_pending().unwrap();
-        assert_eq!(a.refresh_from_disk(), 1);
-        // Compaction must keep the goal this session used, not the merged
-        // bystander.
-        assert_eq!(a.persist().unwrap(), 1);
-        drop(a);
-        drop(b);
-        let warm = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        let report = warm.discharge(vec![unary_vc("mine", "x <= x")]);
-        assert_eq!(report.engine.disk_hits, 1, "the used goal survived");
-        drop(warm);
         let _ = std::fs::remove_file(&path);
     }
 

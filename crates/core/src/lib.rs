@@ -49,9 +49,9 @@
 //!   sharing between worker processes through the on-disk store;
 //! * [`service`] — the networked verification service
 //!   (`relaxed-serviced`): a long-running daemon that keeps that fleet
-//!   warm, adds admission control, control frames, metrics and a
-//!   resident verdict cache, and serves concurrent corpus requests over
-//!   TCP behind [`CorpusPolicy::Service`];
+//!   warm, adds admission control, control frames and metrics, and
+//!   serves concurrent corpus requests over TCP behind
+//!   [`CorpusPolicy::Service`];
 //! * [`telemetry`] — zero-dependency tracing and metrics: RAII spans
 //!   drained to Chrome trace-event JSON (`DISCHARGE_TRACE=path.json`)
 //!   and a Prometheus-rendered [`MetricsRegistry`];

@@ -9,13 +9,12 @@
 //! * a **daemon** ([`Service`] / [`service_main`], shipped as the
 //!   `relaxed-serviced` binary) that spawns a warm `relaxed-shardd`
 //!   worker fleet up front (concurrently, through the same `Fleet` a
-//!   sharded run uses), keeps the fingerprint-gated persistent verdict cache
-//!   resident (refreshed through the existing
-//!   [`refresh_from_disk`](crate::engine::DischargeEngine::refresh_from_disk)
-//!   machinery), and serves **concurrent** verify requests over TCP —
-//!   thread-per-connection, with a bounded admission queue and
+//!   sharded run uses) and serves **concurrent** verify requests over
+//!   TCP — thread-per-connection, with a bounded admission queue and
 //!   backpressure (`busy` reject-with-retry-after frames when saturated)
-//!   and a graceful drain on the `shutdown` control frame;
+//!   and a graceful drain on the `shutdown` control frame. Each worker
+//!   opens the fingerprint-gated persistent verdict store itself;
+//!   the daemon holds no verdicts;
 //! * a **client** ([`CorpusPolicy::Service`], selected by
 //!   `Verifier::builder().service(addr)` or `RELAXED_SERVICE=<host:port>`)
 //!   that submits a corpus over one connection, rides out `busy`
@@ -53,15 +52,17 @@
 //! `error` frame and never reaches a worker.
 //!
 //! The daemon is the TCP-facing half — admission cap, `busy` frames,
-//! control frames, metrics, and the resident cache — on top of the shard
-//! module's `Fleet`, which owns the workers: a worker crash mid-job is
-//! retried on a freshly spawned replacement (bounded by
-//! [`MAX_ATTEMPTS`]), and worker spans are re-anchored into the daemon's
-//! own trace, so a traced daemon (`DISCHARGE_TRACE`) gets one
-//! `shard-worker-N` lane per worker, written at the drain. A client
-//! disconnect mid-job merely discards that job's result write — the
-//! worker is returned to the fleet and the admission slot is released,
-//! so one flaky client can never wedge the fleet.
+//! control frames and metrics — on top of the shard module's `Fleet`,
+//! which owns the workers: a worker crash mid-job is retried on a
+//! freshly spawned replacement (bounded by [`MAX_ATTEMPTS`]), and worker
+//! spans are re-anchored into the daemon's own trace, so a traced daemon
+//! (`DISCHARGE_TRACE`) gets one `shard-worker-N` lane per worker,
+//! written at the drain, before the `bye` frame. A client disconnect
+//! mid-job merely discards that job's result write — the worker is
+//! returned to the fleet and the admission slot is released, so one
+//! flaky client can never wedge the fleet. A frame that fails to read —
+//! over-long or not UTF-8 — is answered with an `error` frame and
+//! closes its connection.
 //!
 //! [`CorpusPolicy::Service`]: crate::api::CorpusPolicy::Service
 //! [`CorpusReport`]: crate::api::CorpusReport
@@ -72,7 +73,7 @@ use crate::cache::{parse_json, Json};
 use crate::shard::{
     entry_from_result, field_str, field_u64, parse_config_frame, parse_result_frame, prepare_jobs,
     render_config_frame, render_error_frame, resolve_worker, Fleet, ShardJob, TcpTransport,
-    Transport, WorkerHandle, PROTOCOL_VERSION, SERVICE_BINARY,
+    Transport, WorkerHandle, JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
 };
 use crate::verify::Spec;
 use relaxed_lang::Program;
@@ -89,19 +90,12 @@ pub struct ServiceOptions {
     /// from [`Service::local_addr`]; the binary prints it on startup).
     pub addr: String,
     /// Warm worker fleet size; `0` sizes it to the config's effective
-    /// parallelism. Settable via `RELAXED_SERVICE_FLEET` for the binary.
+    /// parallelism.
     pub fleet: usize,
-    /// Admission cap: jobs admitted (running + waiting for a worker)
-    /// across all connections before the daemon answers `busy`. `0`
-    /// means `4 × fleet`. Settable via `RELAXED_SERVICE_QUEUE` for the
-    /// binary.
-    pub queue: usize,
-    /// The `retry_after_ms` hint sent with `busy` rejections.
-    pub retry_after_ms: u64,
     /// The verification session configuration the fleet runs under
-    /// (solver budgets, stages, the resident persistent cache path, the
-    /// worker-binary override). The binary takes it from the
-    /// `DISCHARGE_*` environment.
+    /// (solver budgets, stages, the persistent cache path every worker
+    /// opens, the worker-binary override, the trace path). The binary
+    /// takes it from the `DISCHARGE_*` environment.
     pub config: Config,
 }
 
@@ -110,12 +104,17 @@ impl Default for ServiceOptions {
         ServiceOptions {
             addr: "127.0.0.1:0".to_string(),
             fleet: 0,
-            queue: 0,
-            retry_after_ms: 25,
             config: Config::default(),
         }
     }
 }
+
+/// Jobs admitted per fleet worker (running + waiting for a worker),
+/// across all connections, before the daemon answers `busy`.
+const ADMITTED_PER_WORKER: usize = 4;
+
+/// The `retry_after_ms` hint sent with `busy` rejections.
+const RETRY_AFTER_MS: u64 = 25;
 
 /// The admission counters, condvar-signalled for the drain.
 #[derive(Default)]
@@ -127,26 +126,29 @@ struct Admission {
 }
 
 /// The TCP-facing half of the daemon on top of its [`Fleet`]: admission,
-/// control frames, metrics, and the resident cache.
+/// control frames, and metrics.
 struct Daemon {
     config: Config,
     fleet: Fleet,
-    queue_cap: usize,
-    retry_after_ms: u64,
     admission: Mutex<Admission>,
     signal: Condvar,
     served: AtomicU64,
     rejected: AtomicU64,
     draining: AtomicBool,
-    /// Session-resident metrics, served as Prometheus text over the
+    /// Daemon-wide metrics, served as Prometheus text over the
     /// `metrics` control frame: request counters, queue/fleet gauges
     /// (set at scrape time), and the request-latency histogram.
     metrics: crate::telemetry::MetricsRegistry,
-    /// The resident session: holds the persistent verdict cache warm in
-    /// daemon memory (loaded at startup, refreshed after every job) so
-    /// status introspection and post-drain persistence never wait on a
-    /// cold load.
-    resident: Verifier,
+    /// Whether this daemon still holds its trace-file ownership: taken
+    /// in [`Service::bind`], released once, at the drain or on drop.
+    owns_trace: AtomicBool,
+}
+
+impl Drop for Daemon {
+    /// A daemon that was never drained still writes its trace.
+    fn drop(&mut self) {
+        self.release_trace();
+    }
 }
 
 impl Daemon {
@@ -154,7 +156,7 @@ impl Daemon {
     /// must later call [`Daemon::release`]).
     fn admit(&self) -> bool {
         let mut admission = self.admission.lock().expect("service admission");
-        if admission.active >= self.queue_cap {
+        if admission.active >= ADMITTED_PER_WORKER * self.fleet.size() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             self.metrics
                 .counter_add("relaxed_requests_rejected_total", 1);
@@ -181,9 +183,6 @@ impl Daemon {
                 self.metrics.counter_add("relaxed_requests_served_total", 1);
                 self.metrics
                     .observe_ms("relaxed_request_latency_ms", elapsed_ms_since(job_started));
-                // Keep the resident cache warm with whatever verdicts the
-                // worker just appended to the shared store.
-                self.resident.engine().refresh_from_disk();
                 response
             }
             Err(e) => render_error_frame(id, &e),
@@ -195,14 +194,12 @@ impl Daemon {
         let admission = self.admission.lock().expect("service admission");
         format!(
             "{{\"type\":\"status\",\"proto\":{PROTOCOL_VERSION},\"fleet\":{},\"alive\":{alive},\
-             \"active\":{},\"peak_active\":{},\"served\":{},\"rejected\":{},\
-             \"resident_loaded\":{}}}",
+             \"active\":{},\"peak_active\":{},\"served\":{},\"rejected\":{}}}",
             self.fleet.size(),
             admission.active,
             admission.peak_active,
             self.served.load(Ordering::Relaxed),
             self.rejected.load(Ordering::Relaxed),
-            self.resident.stats().loaded,
         )
     }
 
@@ -228,8 +225,7 @@ impl Daemon {
 
     /// The graceful drain: stop admitting, wait out the in-flight jobs,
     /// shut the fleet down (each worker's EOF triggers its final
-    /// persist), refresh the resident cache one last time, and write a
-    /// traced daemon's trace.
+    /// persist), and write a traced daemon's trace.
     fn drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         let mut admission = self.admission.lock().expect("service admission");
@@ -238,13 +234,14 @@ impl Daemon {
         }
         drop(admission);
         self.fleet.drain();
-        self.resident.engine().refresh_from_disk();
-        if self.config.trace.is_some() {
-            if let Err(e) = crate::telemetry::flush() {
-                crate::diag::warn(format_args!(
-                    "{SERVICE_BINARY}: failed to write the trace: {e}"
-                ));
-            }
+        self.release_trace();
+    }
+
+    /// Releases the trace-file ownership if this daemon still holds it;
+    /// the last release writes the trace.
+    fn release_trace(&self) {
+        if self.owns_trace.swap(false, Ordering::SeqCst) {
+            crate::telemetry::release();
         }
     }
 }
@@ -275,33 +272,27 @@ impl Service {
         } else {
             options.fleet
         };
-        // The resident session loads the persistent store (if configured)
-        // into daemon memory up front. It also acquires a traced daemon's
-        // trace file, so it must exist before the fleet renders its config
-        // frame: the frame's trace flag is what makes workers ship spans.
-        let resident = Verifier::with_config(config.clone());
-        let fleet = Fleet::new(&config, binary, fleet_size);
-        fleet
-            .spawn_all()
-            .map_err(|e| format!("failed to pre-spawn the worker fleet: {e}"))?;
-        let queue_cap = if options.queue == 0 {
-            fleet_size * 4
-        } else {
-            options.queue
-        };
+        // A traced daemon takes its trace before the fleet renders its
+        // config frame: the frame's trace flag is what makes workers ship
+        // spans. A failed spawn below drops the daemon, which releases it.
+        if let Some(path) = &config.trace {
+            crate::telemetry::acquire_file(path);
+        }
         let daemon = Arc::new(Daemon {
-            fleet,
-            queue_cap,
-            retry_after_ms: options.retry_after_ms,
+            fleet: Fleet::new(&config, binary, fleet_size),
             admission: Mutex::new(Admission::default()),
             signal: Condvar::new(),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             metrics: crate::telemetry::MetricsRegistry::new(),
-            resident,
+            owns_trace: AtomicBool::new(config.trace.is_some()),
             config,
         });
+        daemon
+            .fleet
+            .spawn_all()
+            .map_err(|e| format!("failed to pre-spawn the worker fleet: {e}"))?;
         Ok(Service { daemon, listener })
     }
 
@@ -316,12 +307,6 @@ impl Service {
     /// The warm fleet size.
     pub fn fleet(&self) -> usize {
         self.daemon.fleet.size()
-    }
-
-    /// Verdicts the resident cache loaded from the persistent store at
-    /// startup.
-    pub fn resident_loaded(&self) -> u64 {
-        self.daemon.resident.stats().loaded
     }
 
     /// Serves connections until a `shutdown` frame arrives and the drain
@@ -354,6 +339,19 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
     };
     let writer = Arc::new(Mutex::new(write_half));
     let mut reader = TcpTransport::from_stream(stream, peer);
+    let reply = |frame: &str| {
+        let mut w = writer.lock().expect("connection writer");
+        use std::io::Write;
+        let _ = w
+            .write_all(frame.as_bytes())
+            .and_then(|()| w.write_all(b"\n"));
+    };
+    let refuse = |reason: &str| {
+        reply(&format!(
+            "{{\"type\":\"error\",\"reason\":{}}}",
+            crate::cache::json_string(reason)
+        ));
+    };
     // The server side has no frame deadline of its own: an idle client
     // costs one parked thread, and EOF/shutdown are the exits.
     const READ_SLICE: Duration = Duration::from_millis(500);
@@ -367,24 +365,22 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                 }
                 continue;
             }
-            Err(_) => return, // client hung up (mid-job is fine — see below)
+            // A client that hung up (mid-job is fine — see below) never
+            // reads this; an over-long or non-UTF-8 frame is refused.
+            Err(e) => {
+                refuse(&e);
+                return;
+            }
         };
         if line.trim().is_empty() {
             continue;
         }
-        let reply = |frame: &str| {
-            let mut w = writer.lock().expect("connection writer");
-            use std::io::Write;
-            let _ = w
-                .write_all(frame.as_bytes())
-                .and_then(|()| w.write_all(b"\n"));
-        };
         let Ok(record) = parse_json(&line) else {
-            reply("{\"type\":\"error\",\"reason\":\"malformed frame\"}");
+            refuse("malformed frame");
             return;
         };
         let Ok(fields) = record.as_object() else {
-            reply("{\"type\":\"error\",\"reason\":\"malformed frame\"}");
+            refuse("malformed frame");
             return;
         };
         match field_str(fields, "type") {
@@ -397,10 +393,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                     ));
                 }
                 Err(reason) => {
-                    reply(&format!(
-                        "{{\"type\":\"error\",\"reason\":{}}}",
-                        crate::cache::json_string(&reason)
-                    ));
+                    refuse(&reason);
                     return;
                 }
             },
@@ -410,10 +403,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                 let id = match field_u64(fields, "id") {
                     Ok(id) => id as usize,
                     Err(e) => {
-                        reply(&format!(
-                            "{{\"type\":\"error\",\"reason\":{}}}",
-                            crate::cache::json_string(&format!("bad job frame: {e}"))
-                        ));
+                        refuse(&format!("bad job frame: {e}"));
                         continue;
                     }
                 };
@@ -427,8 +417,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                 }
                 if !daemon.admit() {
                     reply(&format!(
-                        "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{}}}",
-                        daemon.retry_after_ms
+                        "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{RETRY_AFTER_MS}}}"
                     ));
                     continue;
                 }
@@ -467,7 +456,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                 return;
             }
             _ => {
-                reply("{\"type\":\"error\",\"reason\":\"unknown frame type\"}");
+                refuse("unknown frame type");
                 return;
             }
         }
@@ -513,12 +502,7 @@ pub(crate) fn run_corpus_service(
         ..CorpusReport::default()
     };
     let mut slots: Vec<Option<CorpusEntry>> = (0..count).map(|_| None).collect();
-    let jobs = prepare_jobs(
-        config.stages,
-        &entries,
-        &mut slots,
-        &verifier.cost_snapshot(),
-    );
+    let jobs = prepare_jobs(config.stages, &entries, &mut slots);
     let fleet = if jobs.is_empty() {
         1
     } else {
@@ -549,10 +533,10 @@ fn run_jobs_over_service(
     let order: Vec<usize> = jobs.iter().map(|job| job.id).collect();
     let mut pending: HashMap<usize, ShardJob> = jobs.into_iter().map(|job| (job.id, job)).collect();
     let config_frame = render_config_frame(config, config.workers);
-    let (fleet, outcome) = match WorkerHandle::connect(addr, &config_frame, config.ready_timeout) {
+    let (fleet, outcome) = match WorkerHandle::connect(addr, &config_frame) {
         Ok(mut handle) => {
             let fleet = handle.fleet.unwrap_or(1);
-            let outcome = collect_results(config, addr, &mut handle, &order, &mut pending, slots);
+            let outcome = collect_results(addr, &mut handle, &order, &mut pending, slots);
             if outcome.is_ok() {
                 handle.shutdown();
             }
@@ -579,7 +563,6 @@ fn run_jobs_over_service(
 /// connection, a stalled daemon, an unexpected frame) leaves every job
 /// still in `pending` to fail.
 fn collect_results(
-    config: &Config,
     addr: &str,
     handle: &mut WorkerHandle,
     order: &[usize],
@@ -609,13 +592,11 @@ fn collect_results(
                 i += 1;
             }
         }
-        let window = config
-            .job_timeout
-            .saturating_sub(now.duration_since(last_progress));
+        let window = JOB_TIMEOUT.saturating_sub(now.duration_since(last_progress));
         if window.is_zero() {
             return Err(format!(
                 "service at {addr} made no progress for {}s",
-                config.job_timeout.as_secs()
+                JOB_TIMEOUT.as_secs()
             ));
         }
         let mut wait = window;
@@ -635,7 +616,7 @@ fn collect_results(
                 Ok((
                     field_str(fields, "type")?.to_string(),
                     field_u64(fields, "id")? as usize,
-                    field_u64(fields, "retry_after_ms").unwrap_or(25),
+                    field_u64(fields, "retry_after_ms").unwrap_or(RETRY_AFTER_MS),
                 ))
             })
             .map_err(|e| format!("malformed frame from {addr}: {e}"))?;
@@ -653,12 +634,12 @@ fn collect_results(
                 // Give up on a job the daemon has refused for a whole
                 // patience window.
                 let first = *busy_since.entry(id).or_insert_with(Instant::now);
-                if first.elapsed() < config.job_timeout {
+                if first.elapsed() < JOB_TIMEOUT {
                     retries.push((Instant::now() + Duration::from_millis(retry_after_ms), id));
                 } else if let Some(job) = pending.remove(&id) {
                     let reason = format!(
                         "service at {addr} stayed saturated for {}s",
-                        config.job_timeout.as_secs()
+                        JOB_TIMEOUT.as_secs()
                     );
                     slots[id] = Some(entry_from_result(&job, Err(reason), CorpusError::Service));
                 }
@@ -689,8 +670,6 @@ pub struct ServiceStatus {
     pub served: u64,
     /// Jobs rejected with `busy` since startup.
     pub rejected: u64,
-    /// Verdicts the resident cache holds from the persistent store.
-    pub resident_loaded: u64,
 }
 
 fn control_frame(addr: &str, frame: &str, timeout: Duration) -> Result<String, String> {
@@ -727,7 +706,6 @@ pub fn service_status(addr: &str, timeout: Duration) -> Result<ServiceStatus, St
         peak_active: field_u64(fields, "peak_active")?,
         served: field_u64(fields, "served")?,
         rejected: field_u64(fields, "rejected")?,
-        resident_loaded: field_u64(fields, "resident_loaded")?,
     })
 }
 
@@ -775,24 +753,9 @@ pub fn shutdown_service(addr: &str, timeout: Duration) -> Result<u64, String> {
 // The binary entry point
 // ---------------------------------------------------------------------
 
-// Bin-only helper: stderr here is `relaxed-serviced`'s own surface.
-#[allow(clippy::print_stderr)]
-fn env_usize(var: &str) -> Option<usize> {
-    let raw = std::env::var(var).ok()?;
-    match raw.trim().parse() {
-        Ok(value) => Some(value),
-        Err(_) => {
-            eprintln!("{SERVICE_BINARY}: ignoring {var}={raw:?}: expected an unsigned integer");
-            None
-        }
-    }
-}
-
 /// The `relaxed-serviced` entry point: options from the command line
-/// (`--addr`, `--fleet`, `--queue`) and the environment
-/// (`DISCHARGE_*` for the session config, `RELAXED_SERVICE_FLEET` /
-/// `RELAXED_SERVICE_QUEUE` as flag fallbacks), then serve until a
-/// `shutdown` frame drains the daemon.
+/// (`--addr`, `--fleet`) and the session config from the `DISCHARGE_*`
+/// environment, then serve until a `shutdown` frame drains the daemon.
 // Bin entry point: stdout/stderr are the process's own surface.
 #[allow(clippy::print_stderr)]
 pub fn service_main() -> std::process::ExitCode {
@@ -802,12 +765,6 @@ pub fn service_main() -> std::process::ExitCode {
         eprintln!("{SERVICE_BINARY}: {warning}");
     }
     options.config = config;
-    if let Some(fleet) = env_usize("RELAXED_SERVICE_FLEET") {
-        options.fleet = fleet;
-    }
-    if let Some(queue) = env_usize("RELAXED_SERVICE_QUEUE") {
-        options.queue = queue;
-    }
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut flag = |name: &str| -> Option<String> {
@@ -828,15 +785,10 @@ pub fn service_main() -> std::process::ExitCode {
                 Ok(fleet) => options.fleet = fleet,
                 Err(_) => eprintln!("{SERVICE_BINARY}: --fleet needs an unsigned integer"),
             }
-        } else if let Some(queue) = flag("--queue") {
-            match queue.parse() {
-                Ok(queue) => options.queue = queue,
-                Err(_) => eprintln!("{SERVICE_BINARY}: --queue needs an unsigned integer"),
-            }
         } else {
             eprintln!(
                 "{SERVICE_BINARY}: unknown argument {arg:?} \
-                 (usage: {SERVICE_BINARY} [--addr host:port] [--fleet n] [--queue n])"
+                 (usage: {SERVICE_BINARY} [--addr host:port] [--fleet n])"
             );
             return std::process::ExitCode::FAILURE;
         }
@@ -856,10 +808,9 @@ pub fn service_main() -> std::process::ExitCode {
     let mut stdout = std::io::stdout();
     let _ = writeln!(
         stdout,
-        "{SERVICE_BINARY}: listening on {} fleet={} resident_loaded={}",
+        "{SERVICE_BINARY}: listening on {} fleet={}",
         service.local_addr(),
-        service.fleet(),
-        service.resident_loaded()
+        service.fleet()
     );
     let _ = stdout.flush();
     let served = service.run();
@@ -879,7 +830,6 @@ mod tests {
         let options = ServiceOptions::default();
         assert_eq!(options.addr, "127.0.0.1:0");
         assert_eq!(options.fleet, 0);
-        assert_eq!(options.queue, 0);
     }
 
     #[test]
@@ -939,11 +889,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             listener.local_addr().unwrap().to_string()
         };
-        let verifier = Verifier::builder()
-            .service(&refused)
-            .ready_timeout(Duration::from_secs(2))
-            .workers(1)
-            .build();
+        let verifier = Verifier::builder().service(&refused).workers(1).build();
         let report = verifier.check_corpus(&[(program, spec)]);
         assert_eq!(report.len(), 1);
         let err = report.entries[0].outcome.as_ref().unwrap_err();

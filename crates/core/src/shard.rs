@@ -33,9 +33,9 @@
 //! ```
 //!
 //! The `config` frame carries the session's typed configuration (solver
-//! budgets, stage selection, per-worker thread budget, cache path and
-//! cap); each `job` frame carries one serialized program + spec (the
-//! pretty-printed source, which round-trips through the parser); each
+//! budgets, stage selection, per-worker thread budget, cache path); each
+//! `job` frame carries one serialized program + spec (the pretty-printed
+//! source, which round-trips through the parser); each
 //! `result` frame carries the per-stage verdict lists, per-job engine and
 //! solver statistics, and wall time. The coordinator re-generates the VCs
 //! locally (generation is deterministic and cheap — solving is the
@@ -59,17 +59,11 @@
 //!
 //! A sharded run opens a private fleet of `shards` workers, spawned on
 //! demand, and `shards` driver threads pop a job list ordered
-//! longest-first, so one slow program cannot serialize the tail of the
-//! corpus. "Longest" is *measured* when possible: once the session's
-//! observed-cost history (per-program `elapsed_ms` from earlier
-//! [`CorpusReport`]s, see
-//! [`Verifier::observe_costs`](crate::api::Verifier::observe_costs))
-//! covers every scheduled program, jobs are ordered by observed
-//! milliseconds instead of the VC-count estimate. Once the last job is
-//! handed out the fleet retires: a worker checked in while no job waits
-//! is shut down at once, and the run ends by draining the rest. The
-//! service daemon instead spawns its whole fleet up front and drains it
-//! on `shutdown`.
+//! longest-first by VC count, so one slow program cannot serialize the
+//! tail of the corpus. Once the last job is handed out the fleet
+//! retires: a worker checked in while no job waits is shut down at
+//! once, and the run ends by draining the rest. The service daemon
+//! instead spawns its whole fleet up front and drains it on `shutdown`.
 //!
 //! # Cache-mediated verdict sharing
 //!
@@ -127,6 +121,16 @@ pub const SERVICE_BINARY: &str = "relaxed-serviced";
 /// Attempts a job may consume before it is recorded as a per-program
 /// error: the first run plus two retries on other workers.
 pub const MAX_ATTEMPTS: u32 = 3;
+
+/// How long the fleet and the service client wait for a freshly spawned
+/// or connected peer to answer the config handshake with `ready`.
+pub(crate) const READY_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long the fleet waits for a worker to answer one job frame before
+/// it kills the worker and retries, and how long the service client
+/// waits for any frame from the daemon before it fails the jobs still
+/// pending.
+pub(crate) const JOB_TIMEOUT: Duration = Duration::from_secs(600);
 
 // ---------------------------------------------------------------------
 // Worker-binary discovery
@@ -247,13 +251,11 @@ pub(crate) fn render_config_frame(config: &Config, per_worker: usize) -> String 
     format!(
         "{{\"type\":\"config\",\"proto\":{PROTOCOL_VERSION},\"max_conflicts\":{},\
          \"branch_budget\":{},\"workers\":{per_worker},\"trace\":{trace},\
-         \"stages\":{},\"cache\":{},\
-         \"cache_max\":{}}}",
+         \"stages\":{},\"cache\":{}}}",
         config.max_conflicts,
         config.branch_budget,
         json_string(&render_stages(config.stages)),
         json_string(&cache),
-        config.cache_max,
     )
 }
 
@@ -293,6 +295,14 @@ fn render_solver_stats(out: &mut String, stats: &SolverStats) {
 /// back, so a pathological job cannot balloon the frame (the dropped
 /// tail is the deepest-nested spans; the coarse phase picture survives).
 const MAX_FRAME_SPANS: usize = 4096;
+
+/// The longest frame a [`TcpTransport`] buffers before it fails the
+/// channel, so one peer that never sends a newline cannot make this
+/// process buffer without bound. It sits far above any frame the crate
+/// writes: the largest is a traced result frame, and that carries at
+/// most [`MAX_FRAME_SPANS`] spans whose goal labels are cut at 96
+/// characters, a few MiB at worst.
+const MAX_FRAME_BYTES: usize = 16 << 20;
 
 fn render_result_frame(
     id: usize,
@@ -720,7 +730,6 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
         max_conflicts: field_u64(fields, "max_conflicts")?,
         branch_budget: field_u64(fields, "branch_budget")?,
         workers: field_u64(fields, "workers")? as usize,
-        cache_max: field_u64(fields, "cache_max")? as usize,
         stages: parse_stages(field_str(fields, "stages")?)?,
         ..Config::default()
     };
@@ -789,26 +798,19 @@ pub(crate) struct ShardJob {
     /// program's report.
     pub(crate) stage_vcs: Vec<(Stage, Vec<Vc>)>,
     pub(crate) vc_count: usize,
-    /// Measured scheduling cost: the program's observed `elapsed_ms`,
-    /// when the session has an observation.
-    pub(crate) cost: u64,
 }
 
 /// Generates every program's obligations locally, up front: `VcgenError`s
 /// are recorded into `slots` exactly as the in-process driver records
 /// them (never shipped over a wire), every other program becomes one
-/// job, and the returned job list is ordered longest-first
-/// (id-tie-broken for determinism) — by *observed* cost when the
-/// session's cost history covers every scheduled program, by VC count
-/// otherwise.
+/// job, and the returned job list is ordered longest-first by VC count
+/// (id-tie-broken for determinism).
 pub(crate) fn prepare_jobs(
     stages: StageSet,
     entries: &[(String, &Program, &Spec)],
     slots: &mut [Option<CorpusEntry>],
-    costs: &std::collections::HashMap<String, u64>,
 ) -> Vec<ShardJob> {
     let mut jobs: Vec<ShardJob> = Vec::new();
-    let mut all_observed = true;
     'programs: for (id, (name, program, spec)) in entries.iter().enumerate() {
         let mut stage_vcs = Vec::new();
         for stage in [Stage::Original, Stage::Intermediate, Stage::Relaxed] {
@@ -828,26 +830,17 @@ pub(crate) fn prepare_jobs(
                 }
             }
         }
-        let observed = costs.get(name.as_str()).copied();
-        all_observed &= observed.is_some();
         jobs.push(ShardJob {
             id,
             name: name.clone(),
             frame: render_job_frame(id, name, program, spec),
             vc_count: stage_vcs.iter().map(|(_, vcs)| vcs.len()).sum(),
             stage_vcs,
-            cost: observed.unwrap_or(0),
         });
     }
     // Longest first: the most expensive proofs start immediately, so the
-    // corpus tail is short jobs instead of one straggler. Measured wall
-    // time beats the VC-count estimate, but only once every program has
-    // an observation — a mixed ordering would starve the unmeasured.
-    if all_observed {
-        jobs.sort_by_key(|job| (std::cmp::Reverse(job.cost), job.id));
-    } else {
-        jobs.sort_by_key(|job| (std::cmp::Reverse(job.vc_count), job.id));
-    }
+    // corpus tail is short jobs instead of one straggler.
+    jobs.sort_by_key(|job| (std::cmp::Reverse(job.vc_count), job.id));
     jobs
 }
 
@@ -951,11 +944,14 @@ impl Transport for PipeTransport {
 /// daemon (or any peer of the same framed protocol). Reads are
 /// deadline-bounded via `set_read_timeout`; a partially received line
 /// survives in the buffer across timeouts, so slow frames are delayed,
-/// never torn.
+/// never torn. A line longer than [`MAX_FRAME_BYTES`] fails the channel.
 pub(crate) struct TcpTransport {
     stream: std::net::TcpStream,
     peer: String,
     buf: Vec<u8>,
+    /// How many leading bytes of `buf` are known to hold no newline, so
+    /// each read scans only the bytes it added.
+    scanned: usize,
 }
 
 impl TcpTransport {
@@ -985,12 +981,25 @@ impl TcpTransport {
             stream,
             peer,
             buf: Vec::new(),
+            scanned: 0,
         }
     }
 
     fn take_line(&mut self) -> Option<Result<String, String>> {
-        let pos = self.buf.iter().position(|&b| b == b'\n')?;
-        let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
+        let newline = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+        let end = newline.map_or(self.buf.len(), |at| self.scanned + at);
+        if end > MAX_FRAME_BYTES {
+            return Some(Err(format!(
+                "frame from {} exceeds {MAX_FRAME_BYTES} bytes",
+                self.peer
+            )));
+        }
+        if newline.is_none() {
+            self.scanned = end;
+            return None;
+        }
+        self.scanned = 0;
+        let mut line: Vec<u8> = self.buf.drain(..=end).collect();
         line.pop();
         if line.last() == Some(&b'\r') {
             line.pop();
@@ -1067,27 +1076,21 @@ impl WorkerHandle {
     pub(crate) fn spawn(
         binary: &std::path::Path,
         config_frame: &str,
-        ready_timeout: Duration,
     ) -> Result<WorkerHandle, String> {
         let transport = PipeTransport::spawn(binary)?;
-        WorkerHandle::with_transport(Box::new(transport), config_frame, ready_timeout)
+        WorkerHandle::with_transport(Box::new(transport), config_frame)
     }
 
     /// Connects to a `relaxed-serviced` daemon at `addr` and performs the
     /// same config handshake over TCP.
-    pub(crate) fn connect(
-        addr: &str,
-        config_frame: &str,
-        ready_timeout: Duration,
-    ) -> Result<WorkerHandle, String> {
-        let transport = TcpTransport::connect(addr, ready_timeout)?;
-        WorkerHandle::with_transport(Box::new(transport), config_frame, ready_timeout)
+    pub(crate) fn connect(addr: &str, config_frame: &str) -> Result<WorkerHandle, String> {
+        let transport = TcpTransport::connect(addr, READY_TIMEOUT)?;
+        WorkerHandle::with_transport(Box::new(transport), config_frame)
     }
 
     fn with_transport(
         transport: Box<dyn Transport>,
         config_frame: &str,
-        ready_timeout: Duration,
     ) -> Result<WorkerHandle, String> {
         static NEXT_LANE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         let mut handle = WorkerHandle {
@@ -1095,7 +1098,7 @@ impl WorkerHandle {
             lane: NEXT_LANE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             fleet: None,
         };
-        match handle.handshake(config_frame, ready_timeout) {
+        match handle.handshake(config_frame) {
             Ok(()) => Ok(handle),
             Err(e) => {
                 handle.transport.abort();
@@ -1104,9 +1107,9 @@ impl WorkerHandle {
         }
     }
 
-    fn handshake(&mut self, config_frame: &str, ready_timeout: Duration) -> Result<(), String> {
+    fn handshake(&mut self, config_frame: &str) -> Result<(), String> {
         self.send(config_frame)?;
-        let line = self.recv(ready_timeout)?;
+        let line = self.recv(READY_TIMEOUT)?;
         let ready = parse_json(&line).map_err(|e| format!("bad ready frame: {e}"))?;
         let fields = ready
             .as_object()
@@ -1181,8 +1184,6 @@ pub(crate) struct Fleet {
     binary: PathBuf,
     config_frame: String,
     size: usize,
-    ready_timeout: Duration,
-    job_timeout: Duration,
     state: Mutex<FleetState>,
     signal: Condvar,
 }
@@ -1200,8 +1201,6 @@ impl Fleet {
             // Rendered now, so a traced session's workers capture spans.
             config_frame: render_config_frame(config, per_worker),
             size,
-            ready_timeout: config.ready_timeout,
-            job_timeout: config.job_timeout,
             state: Mutex::new(FleetState {
                 idle: Vec::new(),
                 alive: 0,
@@ -1223,7 +1222,7 @@ impl Fleet {
     }
 
     fn spawn(&self) -> Result<WorkerHandle, String> {
-        WorkerHandle::spawn(&self.binary, &self.config_frame, self.ready_timeout)
+        WorkerHandle::spawn(&self.binary, &self.config_frame)
     }
 
     /// Spawns all `size` workers up front, concurrently. When any spawn
@@ -1388,7 +1387,7 @@ impl Fleet {
         // leaves this process.
         let dispatch_us = crate::telemetry::now_us();
         worker.send(frame)?;
-        let line = worker.recv(self.job_timeout)?;
+        let line = worker.recv(JOB_TIMEOUT)?;
         let mut wire =
             parse_result_frame(&line).map_err(|e| format!("malformed result frame: {e}"))?;
         if wire.id != id {
@@ -1545,12 +1544,7 @@ pub(crate) fn run_corpus_sharded(
         ..CorpusReport::default()
     };
     let mut slots: Vec<Option<CorpusEntry>> = (0..entries.len()).map(|_| None).collect();
-    let jobs = prepare_jobs(
-        config.stages,
-        &entries,
-        &mut slots,
-        &verifier.cost_snapshot(),
-    );
+    let jobs = prepare_jobs(config.stages, &entries, &mut slots);
     let shards = shards.clamp(1, jobs.len().max(1));
     if !jobs.is_empty() {
         match resolve_worker(config) {
@@ -1674,6 +1668,20 @@ mod tests {
         .unwrap();
         let mut spec = Spec::synced(&program);
         spec.rel_pre = parse_rel_formula("x<o> == x<r>").unwrap();
+        (program, spec)
+    }
+
+    /// A loop program: more obligations than [`toy`].
+    fn looping() -> (Program, Spec) {
+        let program = parse_program(
+            "i = 0;
+             while (i < n)
+               invariant (0 <= i)
+               rinvariant (i<o> == i<r> && n<o> == n<r>)
+             { i = i + 1; }",
+        )
+        .unwrap();
+        let spec = Spec::synced(&program);
         (program, spec)
     }
 
@@ -1861,28 +1869,30 @@ mod tests {
     }
 
     #[test]
-    fn prepare_jobs_orders_by_observed_cost_once_history_is_complete() {
-        let (program, spec) = toy();
-        // Two copies of the same program: identical VC counts, so the
-        // estimate cannot distinguish them — the measured history must.
+    fn prepare_jobs_orders_longest_first_by_vc_count() {
+        let (small, small_spec) = toy();
+        let (large, large_spec) = looping();
         let entries = vec![
-            ("fast".to_string(), &program, &spec),
-            ("slow".to_string(), &program, &spec),
+            ("small".to_string(), &small, &small_spec),
+            ("large".to_string(), &large, &large_spec),
+            ("small_again".to_string(), &small, &small_spec),
         ];
-        let mut slots: Vec<Option<CorpusEntry>> = vec![None, None];
-        let mut costs = std::collections::HashMap::new();
-        costs.insert("fast".to_string(), 5u64);
-        costs.insert("slow".to_string(), 500u64);
-        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots, &costs);
-        assert_eq!(jobs[0].name, "slow", "measured longest-first");
-        assert_eq!(jobs[1].name, "fast");
-
-        // Incomplete history falls back to the VC-count estimate with
-        // id (corpus-order) tie-breaking.
-        costs.remove("fast");
-        let mut slots: Vec<Option<CorpusEntry>> = vec![None, None];
-        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots, &costs);
-        assert_eq!(jobs[0].name, "fast", "estimate ties break by id");
+        let mut slots: Vec<Option<CorpusEntry>> = vec![None, None, None];
+        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots);
+        let order: Vec<(&str, usize)> = jobs
+            .iter()
+            .map(|job| (job.name.as_str(), job.vc_count))
+            .collect();
+        assert!(
+            jobs[0].vc_count > jobs[1].vc_count,
+            "the programs differ in VC count: {order:?}"
+        );
+        let names: Vec<&str> = order.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            ["large", "small", "small_again"],
+            "longest first, ties in corpus order"
+        );
     }
 
     #[test]

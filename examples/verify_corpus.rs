@@ -19,10 +19,10 @@
 //! verified across `relaxed-shardd` worker processes (build them first:
 //! `cargo build --release -p relaxed-bench`) and the sharded report is
 //! asserted verdict-identical to the in-process baseline — the CI
-//! `sharded-corpus` job's equivalence gate. Under `DISCHARGE_CACHE` the
-//! baseline persists its verdicts first, so the sharded run must answer
-//! entirely from the shared store (≥1 cross-process disk hit, zero
-//! solver runs).
+//! `sharded-corpus` job's equivalence gate, which also requires one
+//! worker per shard. Under `DISCHARGE_CACHE` the baseline persists its
+//! verdicts first, so the sharded run must answer entirely from the
+//! shared store (≥1 cross-process disk hit, zero solver runs).
 //!
 //! With `--service <addr>` (or `RELAXED_SERVICE=<addr>`) the corpus is
 //! submitted to a running `relaxed-serviced` daemon from **two
@@ -49,7 +49,8 @@
 //! The final `edit-reverify: ..` line is the CI `edit-reverify` job's
 //! machine-readable signal.
 
-use relaxed_programs::{casestudies, CorpusPolicy, Verifier};
+use relaxed_programs::core::depmap::depmap_path;
+use relaxed_programs::{casestudies, CachePolicy, CorpusPolicy, Verifier};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -145,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let warm = verifier.check_corpus_named(&corpus);
     assert_eq!(warm.engine.cache_misses, 0, "warm pass must not re-solve");
-    if std::env::var_os("DISCHARGE_CACHE").is_some() && verifier.config().depmap {
+    if std::env::var_os("DISCHARGE_CACHE").is_some() {
         // Under a persistent store the goal dependency map replays whole
         // unchanged programs without regenerating their VCs, so reuse
         // surfaces as per-goal replay hits rather than cross-program
@@ -297,23 +298,21 @@ fn sharded_main() -> Result<(), Box<dyn std::error::Error>> {
         .corpus(CorpusPolicy::InProcess)
         .build();
     let baseline = baseline_session.check_corpus_named(&corpus);
-    let persistent = baseline_session.engine().cache_path().is_some();
-    if persistent {
+    let store = baseline_session.engine().cache_path();
+    if let Some(store) = store {
         // Flush before the workers start, so every sharded verdict can be
         // answered from the store — the deterministic cross-process
-        // disk-hit guarantee asserted below.
+        // disk-hit guarantee asserted below. Then delete the depmap
+        // sidecar: with it on disk the whole corpus would replay
+        // in-process before any job shipped, and this gate exists to
+        // exercise cross-process verification (`--edit-reverify` covers
+        // the replay path).
         baseline_session.persist()?;
+        let _ = std::fs::remove_file(depmap_path(store));
     }
+    let persistent = store.is_some();
 
-    // Replay off for the sharded session: with the baseline's depmap
-    // sidecar on disk the whole corpus would replay in-process before
-    // any job shipped, and this gate exists to exercise cross-process
-    // verification (`--edit-reverify` covers the replay path).
-    let sharded_session = Verifier::builder()
-        .env()
-        .shards(shards)
-        .depmap(false)
-        .build();
+    let sharded_session = Verifier::builder().env().shards(shards).build();
     let report = sharded_session.check_corpus_named(&corpus);
     println!("{report}");
     println!("{}", report.to_json());
@@ -334,6 +333,12 @@ fn sharded_main() -> Result<(), Box<dyn std::error::Error>> {
         .verdicts_match(&baseline)
         .expect("sharded report must be verdict-identical to the in-process baseline");
     println!("sharded report is verdict-identical to the in-process baseline");
+    // A run that replayed everything in-process reports 0 workers.
+    assert_eq!(
+        report.engine.workers,
+        shards.min(corpus.len()),
+        "every shard must have run on its own worker process"
+    );
 
     if persistent {
         assert_eq!(
@@ -384,13 +389,14 @@ fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
                 let addr = addr.clone();
                 let corpus = &corpus;
                 scope.spawn(move || {
-                    // Replay off: a client that replays the baseline's
-                    // depmap locally never contacts the daemon, and this
-                    // gate exists to exercise the service protocol.
+                    // An in-memory client: one on the persistent store
+                    // would replay the baseline's depmap locally and never
+                    // contact the daemon, whose fleet reads that store
+                    // itself.
                     let session = Verifier::builder()
                         .env()
                         .service(addr)
-                        .depmap(false)
+                        .cache(CachePolicy::Shared)
                         .build();
                     session.check_corpus_named(corpus)
                 })
@@ -451,7 +457,7 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
     use relaxed_programs::core::vcgen::Vc;
     use relaxed_programs::core::EngineStats;
     use relaxed_programs::lang::{parse_formula, Program};
-    use relaxed_programs::{CachePolicy, CorpusReport, Spec, Stage};
+    use relaxed_programs::{CorpusReport, Spec, Stage};
 
     // A scratch persistent store (the depmap is its sidecar). Recreated
     // from scratch on every run: the assertions below count the solver
@@ -461,20 +467,17 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir)?;
     let cache_path = dir.join("corpus.verdicts.jsonl");
-    let session = |depmap: bool| {
+    let session = || {
         Verifier::builder()
             .env()
             .corpus(CorpusPolicy::InProcess)
-            .cache(CachePolicy::Persistent {
-                path: cache_path.clone(),
-            })
-            .depmap(depmap)
+            .cache_file(&cache_path)
             .build()
     };
 
     // Cold pass: prove the whole corpus, persist verdicts + depmap.
     let corpus = casestudies::corpus();
-    let cold_session = session(true);
+    let cold_session = session();
     let cold = cold_session.check_corpus_named(&corpus);
     cold_session.persist()?;
     println!(
@@ -526,7 +529,7 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
     // Re-verify the edited corpus in a fresh session — a new process in
     // CI terms: everything it knows comes from the store and its
     // sidecar.
-    let reverify_session = session(true);
+    let reverify_session = session();
     let started = std::time::Instant::now();
     let report = reverify_session.check_corpus_named(&edited);
     let reverify_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -558,8 +561,10 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The equivalence gate: the incremental report must agree verdict
     // for verdict with a full in-process run that regenerates and checks
-    // every goal (replay off; the warm store still answers verdicts).
-    let full_session = session(false);
+    // every goal (no sidecar to replay from; the warm store still answers
+    // verdicts).
+    let _ = std::fs::remove_file(depmap_path(&cache_path));
+    let full_session = session();
     let started = std::time::Instant::now();
     let full = full_session.check_corpus_named(&edited);
     let full_warm_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -577,6 +582,9 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
         edited_stats.cache_misses,
         sibling_stats.cache_misses
     );
+    // Every session writes its dirty depmap on drop, so drop them all
+    // before the scratch directory goes.
+    drop((cold_session, reverify_session, full_session));
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

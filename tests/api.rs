@@ -71,21 +71,26 @@ fn from_env_warns_on_malformed_values() {
     assert!(warnings[0].to_string().contains("abc"));
 }
 
-/// The sharding and cache-compaction knobs ride the same env layer:
+/// The sharding and cache knobs ride the same env layer:
 /// `DISCHARGE_SHARDS` selects the corpus policy (0 = in-process),
-/// `DISCHARGE_CACHE_MAX` caps the persistent store, and `RELAXED_SHARDD`
+/// `DISCHARGE_CACHE` selects the persistent store, and `RELAXED_SHARDD`
 /// pins the worker binary.
 #[test]
 fn shard_and_cache_knobs_parse_from_the_env() {
     let (config, warnings) = Config::from_lookup(|name| match name {
         "DISCHARGE_SHARDS" => Some("3".to_string()),
-        "DISCHARGE_CACHE_MAX" => Some("128".to_string()),
+        "DISCHARGE_CACHE" => Some(" corpus.verdicts.jsonl ".to_string()),
         "RELAXED_SHARDD" => Some("/opt/bin/relaxed-shardd".to_string()),
         _ => None,
     });
     assert!(warnings.is_empty(), "{warnings:?}");
     assert_eq!(config.corpus, CorpusPolicy::Sharded { shards: 3 });
-    assert_eq!(config.cache_max, 128);
+    assert_eq!(
+        config.cache,
+        CachePolicy::Persistent {
+            path: "corpus.verdicts.jsonl".into()
+        }
+    );
     assert_eq!(
         config.shard_worker.as_deref(),
         Some(std::path::Path::new("/opt/bin/relaxed-shardd"))
@@ -114,7 +119,6 @@ fn shard_and_cache_knobs_parse_from_the_env() {
     let verifier = Verifier::builder()
         .config(Config {
             corpus: CorpusPolicy::Sharded { shards: 9 },
-            cache_max: 4,
             ..Config::default()
         })
         .shards(2)
@@ -123,19 +127,16 @@ fn shard_and_cache_knobs_parse_from_the_env() {
         verifier.config().corpus,
         CorpusPolicy::Sharded { shards: 2 }
     );
-    assert_eq!(verifier.config().cache_max, 4);
 }
 
-/// The service and shard-timeout knobs ride the same env layer:
-/// `RELAXED_SERVICE` selects `CorpusPolicy::Service` (winning over
-/// `DISCHARGE_SHARDS` when both are set), and `DISCHARGE_SHARD_TIMEOUT`
-/// sets the per-job patience window in seconds.
+/// The service knob rides the same env layer: `RELAXED_SERVICE` selects
+/// `CorpusPolicy::Service`, winning over `DISCHARGE_SHARDS` when both
+/// are set.
 #[test]
 fn service_and_timeout_knobs_parse_from_the_env() {
     let (config, warnings) = Config::from_lookup(|name| match name {
         "RELAXED_SERVICE" => Some(" 127.0.0.1:7459 ".to_string()),
         "DISCHARGE_SHARDS" => Some("3".to_string()),
-        "DISCHARGE_SHARD_TIMEOUT" => Some("90".to_string()),
         _ => None,
     });
     assert!(warnings.is_empty(), "{warnings:?}");
@@ -146,45 +147,22 @@ fn service_and_timeout_knobs_parse_from_the_env() {
         },
         "the service address wins over the shard count and is trimmed"
     );
-    assert_eq!(config.job_timeout, std::time::Duration::from_secs(90));
-    assert_eq!(
-        config.ready_timeout,
-        Config::default().ready_timeout,
-        "the knob only moves the job patience window"
-    );
 
-    // Malformed values keep their defaults and are reported.
-    let (config, warnings) = Config::from_lookup(|name| match name {
-        "RELAXED_SERVICE" => Some("  ".to_string()),
-        "DISCHARGE_SHARD_TIMEOUT" => Some("soon".to_string()),
-        _ => None,
-    });
+    // A malformed value keeps its default and is reported.
+    let (config, warnings) =
+        Config::from_lookup(|name| (name == "RELAXED_SERVICE").then(|| "  ".to_string()));
     assert_eq!(config.corpus, CorpusPolicy::InProcess);
-    assert_eq!(config.job_timeout, Config::default().job_timeout);
     let vars: Vec<&str> = warnings.iter().map(|w| w.var).collect();
-    assert_eq!(vars, ["DISCHARGE_SHARD_TIMEOUT", "RELAXED_SERVICE"]);
+    assert_eq!(vars, ["RELAXED_SERVICE"]);
 
-    // Builder precedence holds: `.service(addr)` and the timeout setters
-    // override whatever the config layer chose.
-    let verifier = Verifier::builder()
-        .shards(4)
-        .service("10.0.0.1:80")
-        .job_timeout(std::time::Duration::from_secs(5))
-        .ready_timeout(std::time::Duration::from_secs(2))
-        .build();
+    // Builder precedence holds: `.service(addr)` overrides whatever the
+    // config layer chose.
+    let verifier = Verifier::builder().shards(4).service("10.0.0.1:80").build();
     assert_eq!(
         verifier.config().corpus,
         CorpusPolicy::Service {
             addr: "10.0.0.1:80".to_string()
         }
-    );
-    assert_eq!(
-        verifier.config().job_timeout,
-        std::time::Duration::from_secs(5)
-    );
-    assert_eq!(
-        verifier.config().ready_timeout,
-        std::time::Duration::from_secs(2)
     );
 }
 

@@ -82,48 +82,6 @@ fn warm_corpus_rerun_is_verdict_identical_with_zero_solver_runs() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// `DISCHARGE_CACHE_MAX` / `.cache_max(n)` caps the persistent store:
-/// persisting compacts past the cap by evicting the least-recently-hit
-/// verdicts and reports the evictions through the session stats.
-#[test]
-fn cache_max_caps_the_store_and_reports_evictions() {
-    let path = temp_cache("cache-max");
-    let corpus = casestudies::corpus();
-
-    // Uncapped baseline: how many goals the corpus persists.
-    let baseline = persistent(&path);
-    baseline.check_corpus_named(&corpus);
-    let full = baseline.persist().unwrap();
-    assert!(full > 4, "corpus must persist a nontrivial store ({full})");
-    drop(baseline);
-    std::fs::remove_file(&path).unwrap();
-
-    // Capped session: the store never exceeds the cap, the surplus is
-    // reported as evictions, and the session keeps verifying correctly.
-    let cap = 4usize;
-    let capped = Verifier::builder()
-        .workers(1)
-        .cache_file(&path)
-        .cache_max(cap)
-        .build();
-    assert_eq!(capped.config().cache_max, cap);
-    let report = capped.check_corpus_named(&corpus);
-    assert_eq!(report.verified_count(), 3);
-    let written = capped.persist().unwrap();
-    assert_eq!(written, cap as u64, "store is capped");
-    assert_eq!(capped.stats().evicted, full - cap as u64);
-    drop(capped);
-
-    // A follow-up session loads at most the cap and can still use what
-    // survived (the most recently hit verdicts).
-    let warm = persistent(&path);
-    assert_eq!(warm.stats().loaded, cap as u64);
-    let rerun = warm.check_corpus_named(&corpus);
-    assert_eq!(rerun.verified_count(), 3, "eviction never changes verdicts");
-    drop(warm);
-    std::fs::remove_file(&path).unwrap();
-}
-
 /// A changed solver budget changes the fingerprint: the persisted file
 /// loads as an empty cache (with a warning) and contributes zero disk
 /// hits.

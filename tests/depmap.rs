@@ -9,8 +9,9 @@
 //! `edit-reverify` job (`verify_corpus --edit-reverify`); the rows are
 //! documented in `tests/README.md`.
 
+use relaxed_programs::core::cache::fingerprint;
 use relaxed_programs::core::depmap::{
-    depmap_path, dirty_goals, goal_deps, program_hash, ProgramDeps,
+    depmap_path, dirty_goals, goal_deps, load, program_hash, ProgramDeps,
 };
 use relaxed_programs::core::vcgen::Vc;
 use relaxed_programs::lang::{parse_formula, parse_program, parse_rel_formula, Program};
@@ -28,14 +29,13 @@ fn temp_cache(tag: &str) -> PathBuf {
     ))
 }
 
-/// A deterministic persistent session with the depmap enabled (the
-/// default — spelled out because these tests are *about* it).
+/// A deterministic persistent session (which always records and
+/// replays its depmap).
 fn persistent(path: &PathBuf) -> Verifier {
     Verifier::builder()
         .workers(1)
         .corpus(CorpusPolicy::InProcess)
         .cache_file(path)
-        .depmap(true)
         .build()
 }
 
@@ -191,7 +191,6 @@ fn fingerprint_mismatch_discards_the_depmap_and_starts_cold() {
         .corpus(CorpusPolicy::InProcess)
         .max_conflicts(Config::default().max_conflicts + 1)
         .cache_file(&path)
-        .depmap(true)
         .build();
     assert_eq!(other_budget.stats().loaded, 0, "store must not load");
     let warm = other_budget.check_corpus_named(&corpus);
@@ -242,4 +241,28 @@ fn corrupt_depmap_lines_degrade_to_goal_level_hits() {
         assert_eq!(a.verified(), b.verified(), "{}", a.name);
     }
     cleanup(&path);
+}
+
+/// A session dropped without `persist()` writes its sidecar even when
+/// the store's directory does not exist yet: the sidecar is written
+/// before the store, so its writer must create the directory too.
+#[test]
+fn dropped_session_writes_its_sidecar_into_a_new_directory() {
+    let dir = temp_cache("new-dir").with_extension("");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("sub").join("verdicts.jsonl");
+    let corpus = casestudies::corpus();
+
+    let session = persistent(&path);
+    let fingerprint = fingerprint(&session.config().discharge_config());
+    session.check_corpus_named(&corpus);
+    drop(session);
+
+    let (map, warnings) = load(&depmap_path(&path), &fingerprint);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    let stored: Vec<&str> = map.programs.keys().map(String::as_str).collect();
+    let mut expected: Vec<&str> = corpus.iter().map(|(name, _, _)| *name).collect();
+    expected.sort_unstable();
+    assert_eq!(stored, expected, "every program's record reached disk");
+    let _ = std::fs::remove_dir_all(&dir);
 }

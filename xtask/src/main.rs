@@ -165,10 +165,49 @@ fn run_step_without(argv: &[&str], envs: &[(&str, &str)], removed: &[&str]) {
     }
 }
 
+/// [`run_step`] that also returns the step's standard output, after
+/// echoing it.
+fn run_step_output(argv: &[&str], envs: &[(&str, &str)]) -> String {
+    let prefix: String = envs.iter().map(|(k, v)| format!("{k}={v} ")).collect();
+    eprintln!("xtask> {prefix}{}", argv.join(" "));
+    let output = Command::new(argv[0])
+        .args(&argv[1..])
+        .envs(envs.iter().copied())
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn `{}`: {e}", argv[0]));
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    print!("{stdout}");
+    if !output.status.success() {
+        eprintln!(
+            "xtask: `{prefix}{}` failed ({})",
+            argv.join(" "),
+            output.status
+        );
+        exit(output.status.code().unwrap_or(1));
+    }
+    stdout
+}
+
 fn run(steps: &[Step]) {
     for Step(argv, envs) in steps {
         run_step(argv, envs);
     }
+}
+
+/// A per-process scratch path under the OS temp dir.
+fn temp_path(name: &str, extension: &str) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "relaxed-xtask-ci-{name}-{}.{extension}",
+        std::process::id()
+    ));
+    path.to_str().expect("temp path is unicode").to_string()
+}
+
+/// Deletes a verdict store and its depmap sidecar.
+fn remove_store(path: &str) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(format!("{path}.depmap"));
 }
 
 /// The full CI mirror, including the persistent-verdict-cache test
@@ -176,42 +215,28 @@ fn run(steps: &[Step]) {
 /// static step tables).
 fn ci() {
     run(CI_LINT_BUILD_TEST);
-    let cache = std::env::temp_dir().join(format!(
-        "relaxed-xtask-ci-verdicts-{}.jsonl",
-        std::process::id()
-    ));
-    let cache = cache.to_str().expect("temp path is unicode").to_string();
+    let cache = temp_path("verdicts", "jsonl");
     run_step(
         &["cargo", "test", "-q", "--workspace"],
         &[("DISCHARGE_CACHE", &cache)],
     );
-    let _ = std::fs::remove_file(&cache);
+    remove_store(&cache);
     // The traced schedule: the engine suite re-runs with every
     // env-opt-in session tracing into one shared Chrome trace file, so
     // the instrumented paths stay verdict-identical under concurrent
     // span collection.
-    let trace = std::env::temp_dir().join(format!(
-        "relaxed-xtask-ci-trace-{}.json",
-        std::process::id()
-    ));
-    let trace = trace.to_str().expect("temp path is unicode").to_string();
+    let trace = temp_path("trace", "json");
     run_step(
         &["cargo", "test", "-q", "--test", "engine"],
         &[("DISCHARGE_TRACE", &trace)],
     );
     let _ = std::fs::remove_file(&trace);
     run(CI_EXAMPLES_BENCH);
+    ci_cache_persistence();
     // The trace-smoke job: a cold traced corpus run — the example
     // itself gates on ≥1 solve span landing in the written trace and
     // prints the machine-readable `trace:` counts.
-    let smoke_trace = std::env::temp_dir().join(format!(
-        "relaxed-xtask-ci-trace-smoke-{}.json",
-        std::process::id()
-    ));
-    let smoke_trace = smoke_trace
-        .to_str()
-        .expect("temp path is unicode")
-        .to_string();
+    let smoke_trace = temp_path("trace-smoke", "json");
     run_step(
         &[
             "cargo",
@@ -230,21 +255,55 @@ fn ci() {
     let _ = std::fs::remove_file(&smoke_trace);
     // The sharded-corpus job: equivalence gate across ≥2 worker
     // processes, seeded through a fresh shared verdict store (the
-    // release build above produced the relaxed-shardd binary).
-    let shard_cache = std::env::temp_dir().join(format!(
-        "relaxed-xtask-ci-sharded-{}.jsonl",
-        std::process::id()
-    ));
-    let shard_cache = shard_cache
-        .to_str()
-        .expect("temp path is unicode")
-        .to_string();
+    // release build above produced the relaxed-shardd binary), then the
+    // shard fault-tolerance suite.
+    let shard_cache = temp_path("sharded", "jsonl");
     run_step(
         CI_SHARDED_EXAMPLE,
         &[("DISCHARGE_SHARDS", "2"), ("DISCHARGE_CACHE", &shard_cache)],
     );
-    let _ = std::fs::remove_file(&shard_cache);
+    remove_store(&shard_cache);
+    run_step(
+        &[
+            "cargo",
+            "test",
+            "--release",
+            "-p",
+            "relaxed-bench",
+            "--test",
+            "shard",
+        ],
+        &[],
+    );
     ci_service();
+}
+
+/// The cache-persistence job's local mirror: a cold corpus run persists a
+/// fresh verdict store, and a warm rerun of the same binary on it must
+/// report `disk_hits=` above 0 on its last such line.
+fn ci_cache_persistence() {
+    let store = temp_path("cache-persistence", "jsonl");
+    remove_store(&store);
+    let corpus = ["cargo", "run", "--release", "--example", "verify_corpus"];
+    run_step(&corpus, &[("DISCHARGE_CACHE", &store)]);
+    let warm = run_step_output(&corpus, &[("DISCHARGE_CACHE", &store)]);
+    remove_store(&store);
+    let hits: u64 = warm
+        .lines()
+        .rev()
+        .find_map(|line| line.split("disk_hits=").nth(1))
+        .and_then(|rest| {
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()?
+                .parse()
+                .ok()
+        })
+        .unwrap_or(0);
+    if hits == 0 {
+        eprintln!("xtask: the warm corpus rerun reported no disk hits");
+        exit(1);
+    }
+    eprintln!("xtask: the warm corpus rerun reported {hits} disk hits");
 }
 
 /// The service-corpus CI job's local mirror: start a traced
@@ -258,16 +317,9 @@ fn ci() {
 /// `shutdown` frame and require a worker `solve` span in the trace the
 /// drain wrote (the trace-smoke job's daemon gate).
 fn ci_service() {
-    let temp = |name: &str, extension: &str| {
-        let path = std::env::temp_dir().join(format!(
-            "relaxed-xtask-ci-{name}-{}.{extension}",
-            std::process::id()
-        ));
-        path.to_str().expect("temp path is unicode").to_string()
-    };
-    let cache = temp("service", "jsonl");
-    let trace = temp("service-trace", "json");
-    let _ = std::fs::remove_file(&cache);
+    let cache = temp_path("service", "jsonl");
+    let trace = temp_path("service-trace", "json");
+    remove_store(&cache);
     let _ = std::fs::remove_file(&trace);
     let daemon_bin = "target/release/relaxed-serviced";
     eprintln!(
@@ -368,7 +420,7 @@ fn ci_service() {
         exit(1);
     }
     eprintln!("xtask: the daemon's trace holds {solves} worker solve spans");
-    let _ = std::fs::remove_file(&cache);
+    remove_store(&cache);
     let _ = std::fs::remove_file(&trace);
 }
 
@@ -707,7 +759,7 @@ fn main() {
         _ => {
             eprintln!("usage: cargo xtask <ci|verify|bench-json|bench-check>");
             eprintln!(
-                "  ci          fmt + clippy + build --release + doc + test (4 schedules) + examples + sharded/service corpus + edit-reverify + trace-smoke jobs + bench --no-run"
+                "  ci          fmt + clippy + build --release + doc + test (4 schedules) + examples + cache-persistence + sharded/service corpus + shard suite + edit-reverify + trace-smoke jobs + bench --no-run"
             );
             eprintln!("  verify      the ROADMAP tier-1 gate: build --release && test -q");
             eprintln!(
