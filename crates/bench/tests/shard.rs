@@ -18,11 +18,13 @@
 //! `temp_env` lock, so the traced runs and the check that no worker
 //! outlives its run see only their own fleet.
 
-use relaxed_core::cache::{parse_json, Json};
+use relaxed_core::cache::{fingerprint, json_string, parse_json, Json};
+use relaxed_core::depmap::{depmap_path, goal_deps, load, program_hash, ProgramDeps};
 use relaxed_core::service::{service_status, shutdown_service};
 use relaxed_core::{
-    Config, CorpusError, CorpusReport, Service, ServiceOptions, Verifier, VerifierBuilder,
+    Config, CorpusError, CorpusReport, Service, ServiceOptions, Spec, Verifier, VerifierBuilder,
 };
+use relaxed_lang::Program;
 use relaxed_programs::casestudies;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -211,6 +213,51 @@ fn workers_share_verdicts_through_the_cache_file() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Checks what a persistent corpus run left in the sidecar at `path`:
+/// every program's record equals the one a fresh vcgen pass builds for
+/// its current revision, and a fresh in-process session replays the
+/// whole corpus from it (`cross_hits == 0`: a live run answered from the
+/// store would count each disk hit as a cross-owner hit).
+fn assert_records_replay(path: &Path, corpus: &[(&str, Program, Spec)]) {
+    let session = Verifier::builder().workers(2).cache_file(path).build();
+    let fingerprint = fingerprint(&session.config().discharge_config());
+    let (map, warnings) = load(&depmap_path(path), &fingerprint);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    for (name, program, spec) in corpus {
+        let staged: Vec<_> = session
+            .config()
+            .stages
+            .iter()
+            .map(|stage| (stage, session.stage(stage).vcs(program, spec).unwrap()))
+            .collect();
+        let fresh = ProgramDeps {
+            hash: program_hash(program, spec),
+            goals: goal_deps(&staged),
+        };
+        assert_eq!(map.program(name), Some(&fresh), "{name}");
+    }
+    let replay = session.check_corpus_named(corpus);
+    assert_eq!(replay.engine.cache_misses, 0, "{:?}", replay.engine);
+    assert_eq!(replay.engine.cross_hits, 0, "{:?}", replay.engine);
+}
+
+#[test]
+fn sharded_persistent_run_records_every_revision() {
+    let path = temp_cache("record-sharded");
+    let corpus = casestudies::corpus();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let coordinator = sharded(2).cache_file(&path).build();
+        let report = coordinator.check_corpus_named(&corpus);
+        assert!(report.engine.cache_misses > 0, "the run was live");
+        coordinator
+            .persist()
+            .expect("persist the coordinator session");
+    });
+    assert_records_replay(&path, &corpus);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(depmap_path(&path));
+}
+
 /// Binds an in-process service daemon (ephemeral port, fleet of real
 /// `relaxed-shardd` workers) and serves it on a background thread.
 /// Returns the bound address and the serve thread (which yields the
@@ -291,6 +338,31 @@ fn concurrent_service_clients_get_identical_reports_from_the_shared_store() {
         assert_eq!(daemon.join().expect("daemon thread"), served);
     });
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn persistent_service_client_records_every_revision() {
+    let path = temp_cache("record-service");
+    let corpus = casestudies::corpus();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(2).cache_file(&path), 2);
+        let client = Verifier::builder()
+            .workers(2)
+            .service(&addr)
+            .cache_file(&path)
+            .build();
+        let report = client.check_corpus_named(&corpus);
+        assert!(report.engine.cache_misses > 0, "the run was live");
+        client.persist().expect("persist the client session");
+        drop(client);
+        // Checked before the drain: each draining worker rewrites the
+        // sidecar from its own view.
+        assert_records_replay(&path, &corpus);
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(depmap_path(&path));
 }
 
 #[test]
@@ -472,6 +544,47 @@ fn endless_line_is_refused_and_the_daemon_keeps_serving() {
         }
         let status = service_status(&addr, Duration::from_secs(10)).expect("status");
         assert_eq!((status.served, status.alive), (0, 1), "{status:?}");
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+}
+
+#[test]
+fn deeply_nested_program_fails_its_job_and_the_fleet_keeps_serving() {
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(1), 1);
+
+        // 200 KB of parentheses in one program: a parser recursing once
+        // per level, or a vcgen walking the tree it built, would overflow
+        // the worker's stack on every retry and empty the fleet.
+        {
+            let (mut reader, stream) = raw_session(&addr);
+            let depth = 100_000;
+            let program = format!("x = {}1{};", "(".repeat(depth), ")".repeat(depth));
+            writeln!(
+                &stream,
+                "{{\"type\":\"job\",\"id\":3,\"name\":\"deep\",\"program\":{},\
+                 \"pre\":\"true\",\"post\":\"true\",\"rel_pre\":\"true\",\"rel_post\":\"true\"}}",
+                json_string(&program)
+            )
+            .expect("send job");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read the result");
+            let record = parse_json(&reply).expect("a result frame");
+            let fields = record.as_object().expect("an object");
+            let error = fields
+                .iter()
+                .find(|(key, _)| key == "error")
+                .map(|(_, value)| value);
+            assert!(
+                matches!(error, Some(Json::Str(e))
+                    if e.starts_with("program: parse error")
+                        && e.contains("nesting deeper than 256 levels")),
+                "{reply}"
+            );
+        }
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert_eq!(status.alive, status.fleet, "{status:?}");
         shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
         daemon.join().expect("daemon thread");
     });

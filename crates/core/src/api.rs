@@ -62,7 +62,7 @@ use relaxed_lang::Program;
 use relaxed_smt::SolverStats;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// One judgment of the paper's staged methodology.
@@ -78,6 +78,9 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [Stage; 3] = [Stage::Original, Stage::Intermediate, Stage::Relaxed];
+
     /// The turnstile notation of the stage's judgment.
     pub fn judgment(self) -> &'static str {
         match self {
@@ -85,6 +88,28 @@ impl Stage {
             Stage::Intermediate => "⊢i",
             Stage::Relaxed => "⊢r",
         }
+    }
+
+    /// The stage's name in wire frames, depmap sidecar lines and the
+    /// corpus JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Original => "original",
+            Stage::Intermediate => "intermediate",
+            Stage::Relaxed => "relaxed",
+        }
+    }
+
+    /// The stage called `name` (the inverse of [`Stage::name`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when no stage has that name.
+    pub fn from_name(name: &str) -> Result<Stage, String> {
+        Stage::ALL
+            .into_iter()
+            .find(|stage| stage.name() == name)
+            .ok_or_else(|| format!("unknown stage {name:?}"))
     }
 }
 
@@ -161,6 +186,13 @@ impl StageSet {
             Stage::Intermediate => self.intermediate,
             Stage::Relaxed => self.relaxed,
         }
+    }
+
+    /// The selected stages, in pipeline order.
+    pub fn iter(self) -> impl Iterator<Item = Stage> {
+        Stage::ALL
+            .into_iter()
+            .filter(move |stage| self.contains(*stage))
     }
 }
 
@@ -763,18 +795,13 @@ impl Verifier {
     /// Returns [`VcgenError`] when the program lacks required
     /// annotations.
     pub fn check(&self, program: &Program, spec: &Spec) -> Result<AcceptabilityReport, VcgenError> {
-        self.check_tagged(program, spec, DischargeOptions::default())
-    }
-
-    /// [`check`](Verifier::check) with explicit discharge options (owner
-    /// tag / worker override) — the corpus driver's entry point.
-    pub(crate) fn check_tagged(
-        &self,
-        program: &Program,
-        spec: &Spec,
-        opts: DischargeOptions,
-    ) -> Result<AcceptabilityReport, VcgenError> {
-        staged_check(&self.engine, program, spec, self.config.stages, opts)
+        staged_check(
+            &self.engine,
+            program,
+            spec,
+            self.config.stages,
+            DischargeOptions::default(),
+        )
     }
 
     /// Runs the spec-coverage lint on one program: purely static review
@@ -795,10 +822,8 @@ impl Verifier {
     /// annotations.
     pub fn vcs(&self, program: &Program, spec: &Spec) -> Result<Vec<Vc>, VcgenError> {
         let mut vcs = Vec::new();
-        for stage in [Stage::Original, Stage::Intermediate, Stage::Relaxed] {
-            if self.config.stages.contains(stage) {
-                vcs.extend(stage_vcs(stage, program, spec)?);
-            }
+        for stage in self.config.stages.iter() {
+            vcs.extend(stage_vcs(stage, program, spec)?);
         }
         Ok(vcs)
     }
@@ -849,105 +874,118 @@ impl Verifier {
         self.run_corpus(entries)
     }
 
-    fn run_corpus(&self, entries: Vec<(String, &Program, &Spec)>) -> CorpusReport {
-        let count = entries.len();
-        if count == 0 {
-            return CorpusReport::default();
-        }
+    /// The one corpus pipeline: replays unchanged programs from the
+    /// depmap, hands the rest — the *live* programs — to the session's
+    /// [`CorpusPolicy`] driver, then attaches lint, folds every entry's
+    /// statistics once, and records each live program's revision.
+    fn run_corpus(&self, programs: Vec<(String, &Program, &Spec)>) -> CorpusReport {
         let started = std::time::Instant::now();
 
-        // Incremental fast path (see `crate::depmap`): under a
-        // persistent cache, a program whose revision hash matches its
-        // stored record has no changed fragment — every stored goal key
-        // is current, and the whole program replays from the verdict
-        // cache without vcgen, encoding, or solver work. Everything else
-        // runs live below.
+        // Incremental fast path (see `crate::depmap`): under a persistent
+        // cache, a program whose revision hash matches its stored record
+        // has no changed fragment — every stored goal key is current, and
+        // the whole program replays from the verdict cache without vcgen,
+        // encoding, or solver work. One hash per program serves both this
+        // decision and the record of a live run.
         let depmap = self.depmap_resident();
-        let mut slots: Vec<Option<CorpusEntry>> = (0..count).map(|_| None).collect();
-        let mut replayed_engine = EngineStats::default();
-        let mut live_idx: Vec<usize> = Vec::new();
-        match depmap {
-            Some(resident) => {
-                let resident = resident.lock().expect("depmap lock");
-                for (i, (name, program, spec)) in entries.iter().enumerate() {
-                    let mut replay_span = crate::telemetry::span("depmap", "replay_decision");
-                    if replay_span.is_active() {
-                        replay_span.arg("program", name.as_str());
+        let hashes: Vec<String> = match depmap {
+            Some(_) => programs
+                .iter()
+                .map(|(_, program, spec)| crate::depmap::program_hash(program, spec))
+                .collect(),
+            None => Vec::new(),
+        };
+        let mut slots: Vec<Option<CorpusEntry>> = Vec::with_capacity(programs.len());
+        let mut live: Vec<usize> = Vec::new();
+        {
+            let resident = depmap.map(|resident| resident.lock().expect("depmap lock"));
+            for (i, (name, program, spec)) in programs.iter().enumerate() {
+                let replayed = resident.as_ref().and_then(|resident| {
+                    let mut span = crate::telemetry::span("depmap", "replay_decision");
+                    if span.is_active() {
+                        span.arg("program", name.as_str());
                     }
-                    let entry = resident.map.program(name).and_then(|stored| {
-                        if stored.hash != crate::depmap::program_hash(program, spec) {
-                            return None;
-                        }
-                        self.replay_entry(name, program, spec, stored)
-                    });
-                    replay_span.arg("replayed", u64::from(entry.is_some()));
-                    drop(replay_span);
-                    match entry {
-                        Some(entry) => {
-                            if let Ok(report) = &entry.outcome {
-                                replayed_engine.absorb(&report.engine);
-                            }
-                            slots[i] = Some(entry);
-                        }
-                        None => live_idx.push(i),
-                    }
+                    let entry = resident
+                        .map
+                        .program(name)
+                        .filter(|stored| stored.hash == hashes[i])
+                        .and_then(|stored| self.replay_entry(name, program, spec, stored));
+                    span.arg("replayed", u64::from(entry.is_some()));
+                    entry
+                });
+                if replayed.is_none() {
+                    live.push(i);
                 }
+                slots.push(replayed);
             }
-            None => live_idx = (0..count).collect(),
         }
 
-        let live: Vec<(String, &Program, &Spec)> = live_idx
-            .iter()
-            .map(|&i| (entries[i].0.clone(), entries[i].1, entries[i].2))
-            .collect();
-        let mut report = if live.is_empty() {
-            CorpusReport {
-                stages: self.config.stages,
-                ..CorpusReport::default()
-            }
-        } else {
-            self.run_corpus_live(live)
-        };
-
-        // Stitch replayed entries back into input order, and fold their
-        // (hit-only) engine activity into the aggregate.
-        if live_idx.len() != count {
-            let live_entries: Vec<CorpusEntry> = std::mem::take(&mut report.entries);
-            for (&i, entry) in live_idx.iter().zip(live_entries) {
+        // Everything else runs through the session's driver, which returns
+        // the live entries in input order, without lint, and its fan-out.
+        let mut workers = 0;
+        if !live.is_empty() {
+            let live_programs: Vec<(String, &Program, &Spec)> =
+                live.iter().map(|&i| programs[i].clone()).collect();
+            let (ran, fanout) = match &self.config.corpus {
+                CorpusPolicy::InProcess => self.run_in_process(&live_programs),
+                CorpusPolicy::Sharded { shards } => {
+                    crate::shard::run_corpus_sharded(self, &live_programs, *shards)
+                }
+                CorpusPolicy::Service { addr } => {
+                    crate::service::run_corpus_service(self, &live_programs, addr)
+                }
+            };
+            workers = fanout;
+            for ((&i, (_, program, spec)), mut entry) in live.iter().zip(&live_programs).zip(ran) {
+                // Lint is static and never crosses a wire: every driver's
+                // entries get it here, errored programs included.
+                entry.lint = rendered_lint(program, spec);
                 slots[i] = Some(entry);
             }
-            report.entries = slots
-                .into_iter()
-                .map(|slot| slot.expect("every corpus slot is either replayed or live"))
-                .collect();
-            report.engine.absorb(&replayed_engine);
         }
+        let mut report = CorpusReport {
+            entries: slots
+                .into_iter()
+                .map(|slot| slot.expect("every program either replays or runs live"))
+                .collect(),
+            stages: self.config.stages,
+            ..CorpusReport::default()
+        };
 
-        // Record the fresh revisions of everything that ran live (a
-        // vcgen failure drops the program's record: a stale map must
-        // never replay a now-broken program). The sidecar itself is
-        // written back on [`Verifier::persist`] or drop — per-call
-        // fsyncs here would dominate an incremental re-verification.
-        if let Some(resident) = depmap {
-            if !live_idx.is_empty() {
-                let mut resident = resident.lock().expect("depmap lock");
-                for &i in &live_idx {
-                    let (name, program, spec) = &entries[i];
-                    match &report.entries[i].outcome {
-                        Ok(_) => {
-                            if let Some(deps) = program_deps(self.config.stages, program, spec) {
-                                resident.map.record(name, deps);
-                            }
-                        }
-                        Err(_) => {
-                            resident.map.programs.remove(name.as_str());
-                        }
+        // Record the fresh revision of everything that ran live, from the
+        // obligations its report carries (a failed program drops its
+        // record: a stale map must never replay a now-broken program).
+        // The sidecar itself is written back on [`Verifier::persist`] or
+        // drop — per-call fsyncs here would dominate an incremental
+        // re-verification.
+        if let Some(resident) = depmap.filter(|_| !live.is_empty()) {
+            let mut resident = resident.lock().expect("depmap lock");
+            for &i in &live {
+                let name = programs[i].0.as_str();
+                match &report.entries[i].outcome {
+                    Ok(program_report) => resident.map.record(
+                        name,
+                        crate::depmap::ProgramDeps::of_report(hashes[i].clone(), program_report),
+                    ),
+                    Err(_) => {
+                        resident.map.programs.remove(name);
                     }
                 }
-                resident.dirty = true;
             }
+            resident.dirty = true;
         }
 
+        for entry in &report.entries {
+            if let Ok(program_report) = &entry.outcome {
+                report.engine.absorb(&program_report.engine);
+                for (_, stage_report) in program_report.stage_reports() {
+                    report.stats.absorb(&stage_report.stats);
+                }
+            }
+        }
+        // Corpus-level parallelism is the driver's fan-out, not per-goal
+        // workers; a fully replayed run fanned nothing out.
+        report.engine.workers = workers;
         report.elapsed_ms = elapsed_ms_since(started);
         report
     }
@@ -966,24 +1004,26 @@ impl Verifier {
         stored: &crate::depmap::ProgramDeps,
     ) -> Option<CorpusEntry> {
         let stages = self.config.stages;
-        let has = |stage| stored.goals.iter().any(|g| g.stage == stage);
         // Every selected stage generates at least an entry obligation, so
         // a stage-spectrum mismatch means the record predates a stage
         // reconfiguration and cannot stand in for this run.
-        if has(Stage::Original) != stages.original
-            || has(Stage::Intermediate) != stages.intermediate
-            || has(Stage::Relaxed) != stages.relaxed
-        {
+        let recorded = stored
+            .goals
+            .iter()
+            .fold(StageSet::none(), |set, goal| set.with(goal.stage));
+        if recorded != stages {
             return None;
         }
         let program_started = std::time::Instant::now();
         let keys: Vec<crate::cache::GoalKey> = stored.goals.iter().map(|g| g.key.clone()).collect();
         let (verdicts, disk_hits) = self.engine.replay(&keys)?;
-        let mut original = Report::default();
-        let mut intermediate = Report::default();
-        let mut relaxed = Report::default();
+        let mut staged: Vec<(Stage, Report)> = stages
+            .iter()
+            .map(|stage| (stage, Report::default()))
+            .collect();
         for (goal, verdict) in stored.goals.iter().zip(verdicts) {
-            let result = crate::verify::VcResult {
+            let (_, report) = staged.iter_mut().find(|(stage, _)| *stage == goal.stage)?;
+            report.results.push(crate::verify::VcResult {
                 vc: Vc {
                     name: goal.name.clone(),
                     context: goal.context.clone(),
@@ -993,14 +1033,10 @@ impl Verifier {
                 verdict,
                 stats: SolverStats::default(),
                 cached: true,
-            };
-            match goal.stage {
-                Stage::Original => original.results.push(result),
-                Stage::Intermediate => intermediate.results.push(result),
-                Stage::Relaxed => relaxed.results.push(result),
-            }
+            });
         }
-        let engine = EngineStats {
+        let mut report = AcceptabilityReport::from_stages(staged);
+        report.engine = EngineStats {
             cache_hits: stored.goals.len() as u64,
             disk_hits,
             ..EngineStats::default()
@@ -1009,13 +1045,7 @@ impl Verifier {
             name: name.to_string(),
             elapsed_ms: elapsed_ms_since(program_started),
             lint: self.memoized_lint(&stored.hash, program, spec),
-            outcome: Ok(AcceptabilityReport {
-                stages,
-                original,
-                intermediate: stages.intermediate.then_some(intermediate),
-                relaxed,
-                engine,
-            }),
+            outcome: Ok(report),
         })
     }
 
@@ -1071,25 +1101,16 @@ impl Verifier {
         Ok(())
     }
 
-    fn run_corpus_live(&self, entries: Vec<(String, &Program, &Spec)>) -> CorpusReport {
-        let count = entries.len();
-        match &self.config.corpus {
-            CorpusPolicy::Sharded { shards } => {
-                return crate::shard::run_corpus_sharded(self, entries, *shards);
-            }
-            CorpusPolicy::Service { addr } => {
-                return crate::service::run_corpus_service(self, entries, addr);
-            }
-            CorpusPolicy::InProcess => {}
-        }
-        let started = std::time::Instant::now();
-        // Fan programs (not goals) across the worker budget: program-level
-        // parallelism scales better than goal-level on corpus workloads,
-        // and the leftover budget parallelizes each program's discharge.
+    /// The in-process driver: fans programs (not goals) across the
+    /// worker budget and returns their entries, without lint, in input
+    /// order, plus the fan-out. Program-level parallelism scales better
+    /// than goal-level on corpus workloads, and the leftover budget
+    /// parallelizes each program's discharge.
+    fn run_in_process(&self, programs: &[(String, &Program, &Spec)]) -> (Vec<CorpusEntry>, usize) {
         let budget = self.config.discharge_config().effective_parallelism();
-        let fanout = budget.min(count).max(1);
+        let fanout = budget.min(programs.len()).max(1);
         let per_program = (budget / fanout).max(1);
-        let run_one = |name: &str, program: &Program, spec: &Spec| -> CorpusEntry {
+        let entries = crate::engine::fan_out(programs, fanout, |(name, program, spec)| {
             let opts = DischargeOptions {
                 workers: Some(per_program),
                 // Session-unique 1-based owner tags: corpus programs are
@@ -1100,68 +1121,15 @@ impl Verifier {
                 owner: self.next_owner.fetch_add(1, Ordering::Relaxed),
             };
             let program_started = std::time::Instant::now();
-            let outcome = self.check_tagged(program, spec, opts);
+            let outcome = staged_check(&self.engine, program, spec, self.config.stages, opts);
             CorpusEntry {
-                name: name.to_string(),
+                name: name.clone(),
                 elapsed_ms: elapsed_ms_since(program_started),
-                lint: rendered_lint(program, spec),
+                lint: Vec::new(),
                 outcome: outcome.map_err(CorpusError::from),
             }
-        };
-
-        let mut results: Vec<(usize, CorpusEntry)> = if fanout <= 1 {
-            entries
-                .iter()
-                .enumerate()
-                .map(|(i, (name, program, spec))| (i, run_one(name, program, spec)))
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let sink: Mutex<Vec<(usize, CorpusEntry)>> = Mutex::new(Vec::with_capacity(count));
-            std::thread::scope(|scope| {
-                for _ in 0..fanout {
-                    scope.spawn(|| {
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((name, program, spec)) = entries.get(i) else {
-                                break;
-                            };
-                            let entry = run_one(name, program, spec);
-                            sink.lock().expect("sink lock").push((i, entry));
-                        }
-                        // Scoped threads signal completion before their
-                        // thread-local destructors run: flush this lane's
-                        // spans before the scope joins, not after.
-                        crate::telemetry::drain_thread();
-                    });
-                }
-            });
-            sink.into_inner().expect("sink lock")
-        };
-        results.sort_unstable_by_key(|(i, _)| *i);
-
-        let mut report = CorpusReport {
-            stages: self.config.stages,
-            ..CorpusReport::default()
-        };
-        for (_, entry) in results {
-            if let Ok(program_report) = &entry.outcome {
-                report.engine.absorb(&program_report.engine);
-                // Fold the per-stage solver stats directly — no need to
-                // materialize a merged per-VC report for aggregation.
-                report.stats.absorb(&program_report.original.stats);
-                if let Some(intermediate) = &program_report.intermediate {
-                    report.stats.absorb(&intermediate.stats);
-                }
-                report.stats.absorb(&program_report.relaxed.stats);
-            }
-            report.entries.push(entry);
-        }
-        // Corpus-level parallelism is program fan-out, not per-goal
-        // workers.
-        report.engine.workers = fanout;
-        report.elapsed_ms = elapsed_ms_since(started);
-        report
+        });
+        (entries, fanout)
     }
 }
 
@@ -1170,28 +1138,6 @@ impl Verifier {
 /// speedups are measurable from the report JSON alone.
 pub(crate) fn elapsed_ms_since(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
-
-/// Regenerates a program's staged obligations and packages them as the
-/// depmap record of its current revision (goal keys re-encoded through
-/// the same [`encode_goal`](crate::engine::encode_goal) the engine
-/// keys its cache with, so a later replay is key-exact). `None` when
-/// vcgen fails — the caller drops the record instead of storing one.
-fn program_deps(
-    stages: StageSet,
-    program: &Program,
-    spec: &Spec,
-) -> Option<crate::depmap::ProgramDeps> {
-    let mut staged: Vec<(Stage, Vec<Vc>)> = Vec::new();
-    for stage in [Stage::Original, Stage::Intermediate, Stage::Relaxed] {
-        if stages.contains(stage) {
-            staged.push((stage, stage_vcs(stage, program, spec).ok()?));
-        }
-    }
-    Some(crate::depmap::ProgramDeps {
-        hash: crate::depmap::program_hash(program, spec),
-        goals: crate::depmap::goal_deps(&staged),
-    })
 }
 
 /// Renders the phase wall-time breakdown of `stats` as a JSON object —
@@ -1209,9 +1155,8 @@ fn render_phase_ms(stats: &EngineStats) -> String {
 }
 
 /// [`crate::analysis::lint`] rendered to the strings a [`CorpusEntry`]
-/// carries (also used by the sharded coordinator, which holds the
-/// programs — lint never crosses the worker wire).
-pub(crate) fn rendered_lint(program: &Program, spec: &Spec) -> Vec<String> {
+/// carries.
+fn rendered_lint(program: &Program, spec: &Spec) -> Vec<String> {
     crate::analysis::lint(program, spec)
         .iter()
         .map(ToString::to_string)
@@ -1386,13 +1331,8 @@ impl CorpusReport {
             let (Ok(ra), Ok(rb)) = (&a.outcome, &b.outcome) else {
                 continue; // both errored (same status): nothing verdict-level to compare
             };
-            let stage_pairs = [
-                ("⊢o", Some(&ra.original), Some(&rb.original)),
-                ("⊢i", ra.intermediate.as_ref(), rb.intermediate.as_ref()),
-                ("⊢r", Some(&ra.relaxed), Some(&rb.relaxed)),
-            ];
-            for (stage, sa, sb) in stage_pairs {
-                let (sa, sb) = match (sa, sb) {
+            for stage in Stage::ALL {
+                let (sa, sb) = match (ra.stage_report(stage), rb.stage_report(stage)) {
                     (Some(sa), Some(sb)) => (sa, sb),
                     (None, None) => continue,
                     _ => return Err(format!("{}: {stage} ran in only one report", a.name)),
@@ -1445,28 +1385,12 @@ impl CorpusReport {
                     json_field(&mut out, "proved", &report.proved_vcs().to_string());
                     // Per-stage verdicts only for stages that ran: a
                     // skipped stage must not read as a green light.
-                    if report.stages.original {
+                    for (stage, stage_report) in report.stage_reports() {
                         out.push_str(", ");
                         json_field(
                             &mut out,
-                            "original_verified",
-                            &report.original_progress().to_string(),
-                        );
-                    }
-                    if let Some(intermediate) = &report.intermediate {
-                        out.push_str(", ");
-                        json_field(
-                            &mut out,
-                            "intermediate_verified",
-                            &intermediate.verified().to_string(),
-                        );
-                    }
-                    if report.stages.relaxed {
-                        out.push_str(", ");
-                        json_field(
-                            &mut out,
-                            "relaxed_verified",
-                            &report.relative_relaxed_progress().to_string(),
+                            &format!("{}_verified", stage.name()),
+                            &stage_report.verified().to_string(),
                         );
                     }
                     out.push_str(", ");
@@ -1528,22 +1452,14 @@ impl CorpusReport {
         out.push_str("  ],\n  \"aggregate\": {");
         let verified = self.verified_count();
         let errors = self.entries.iter().filter(|e| e.outcome.is_err()).count();
-        let ran: Vec<&str> = [
-            (self.stages.original, "original"),
-            (self.stages.intermediate, "intermediate"),
-            (self.stages.relaxed, "relaxed"),
-        ]
-        .iter()
-        .filter(|(on, _)| *on)
-        .map(|(_, name)| *name)
-        .collect();
         json_field(
             &mut out,
             "stages",
             &format!(
                 "[{}]",
-                ran.iter()
-                    .map(|s| json_string(s))
+                self.stages
+                    .iter()
+                    .map(|stage| json_string(stage.name()))
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
@@ -1683,6 +1599,24 @@ mod tests {
     }
 
     #[test]
+    fn stage_names_round_trip_and_sets_iterate_in_pipeline_order() {
+        for stage in Stage::ALL {
+            assert_eq!(Stage::from_name(stage.name()), Ok(stage));
+        }
+        let err = Stage::from_name("bogus").unwrap_err();
+        assert!(err.contains("bogus"), "{err}");
+        let order: Vec<Stage> = StageSet::none()
+            .with(Stage::Relaxed)
+            .with(Stage::Original)
+            .with(Stage::Intermediate)
+            .iter()
+            .collect();
+        assert_eq!(order, Stage::ALL);
+        let default: Vec<Stage> = StageSet::default().iter().collect();
+        assert_eq!(default, [Stage::Original, Stage::Relaxed]);
+    }
+
+    #[test]
     fn check_runs_selected_stages_only() {
         let (program, spec) = toy();
         let original_only = Verifier::builder()
@@ -1752,6 +1686,16 @@ mod tests {
             .check_corpus(&[(broken, broken_spec)]);
         let err = a.verdicts_match(&c).unwrap_err();
         assert!(err.contains("status differs"), "{err}");
+
+        // The same program checked under another stage selection.
+        let (program, spec) = toy();
+        let original_only = Verifier::builder()
+            .workers(1)
+            .stages(StageSet::only(Stage::Original))
+            .build()
+            .check_corpus(&[(program, spec)]);
+        let err = a.verdicts_match(&original_only).unwrap_err();
+        assert!(err.contains("⊢r ran in only one report"), "{err}");
     }
 
     #[test]

@@ -490,27 +490,15 @@ pub(crate) fn render_verdict(out: &mut String, verdict: &Validity) {
 fn parse_header(line: &str) -> Result<(u32, String), String> {
     let record = parse_json(line)?;
     let fields = record.as_object()?;
-    let format = match get(fields, "format") {
-        Some(Json::Int(n)) => u32::try_from(*n).map_err(|_| format!("format {n} out of range"))?,
-        Some(_) => return Err("non-integer `format`".to_string()),
-        None => return Err("missing `format`".to_string()),
-    };
-    let fingerprint = match get(fields, "fingerprint") {
-        Some(Json::Str(s)) => s.clone(),
-        Some(_) => return Err("non-string `fingerprint`".to_string()),
-        None => return Err("missing `fingerprint`".to_string()),
-    };
-    Ok((format, fingerprint))
+    let format = field_u64(fields, "format")?;
+    let format = u32::try_from(format).map_err(|_| format!("format {format} out of range"))?;
+    Ok((format, field_str(fields, "fingerprint")?.to_string()))
 }
 
 fn parse_entry(line: &str) -> Result<(GoalKey, Validity), String> {
     let record = parse_json(line)?;
     let fields = record.as_object()?;
-    let goal = match get(fields, "goal") {
-        Some(Json::Str(s)) => GoalKey(s.clone()),
-        Some(_) => return Err("non-string `goal`".to_string()),
-        None => return Err("missing `goal`".to_string()),
-    };
+    let goal = GoalKey(field_str(fields, "goal")?.to_string());
     Ok((goal, parse_verdict(fields)?))
 }
 
@@ -518,17 +506,11 @@ fn parse_entry(line: &str) -> Result<(GoalKey, Validity), String> {
 /// back out of a parsed record — the inverse shared with the shard
 /// protocol.
 pub(crate) fn parse_verdict(fields: &[(String, Json)]) -> Result<Validity, String> {
-    let verdict = match get(fields, "verdict") {
-        Some(Json::Str(s)) => s.as_str(),
-        Some(_) => return Err("non-string `verdict`".to_string()),
-        None => return Err("missing `verdict`".to_string()),
-    };
-    let verdict = match verdict {
+    let verdict = match field_str(fields, "verdict")? {
         "valid" => Validity::Valid,
         "unknown" => {
             let reason = match get(fields, "reason") {
-                Some(Json::Str(s)) => s.clone(),
-                Some(_) => return Err("non-string `reason`".to_string()),
+                Some(_) => field_str(fields, "reason")?.to_string(),
                 None => String::new(),
             };
             Validity::Unknown(reason)
@@ -559,6 +541,24 @@ pub(crate) fn parse_verdict(fields: &[(String, Json)]) -> Result<Validity, Strin
 
 pub(crate) fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// The string field `key` of a parsed record.
+pub(crate) fn field_str<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
+    match get(fields, key) {
+        Some(Json::Str(s)) => Ok(s),
+        Some(_) => Err(format!("non-string `{key}`")),
+        None => Err(format!("missing `{key}`")),
+    }
+}
+
+/// The unsigned integer field `key` of a parsed record.
+pub(crate) fn field_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
+    match get(fields, key) {
+        Some(Json::Int(n)) => u64::try_from(*n).map_err(|_| format!("`{key}` out of range")),
+        Some(_) => Err(format!("non-integer `{key}`")),
+        None => Err(format!("missing `{key}`")),
+    }
 }
 
 // ---- a minimal JSON reader for the writer above ----

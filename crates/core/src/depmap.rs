@@ -45,8 +45,9 @@
 //! temp-file + rename persists.
 
 use crate::api::Stage;
-use crate::cache::{get, json_string, parse_json, GoalKey, Json};
+use crate::cache::{field_str, field_u64, get, json_string, parse_json, GoalKey, Json};
 use crate::vcgen::Vc;
+use crate::verify::AcceptabilityReport;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
@@ -151,6 +152,24 @@ pub struct ProgramDeps {
     pub goals: Vec<GoalDep>,
 }
 
+impl ProgramDeps {
+    /// The record of the revision hashed `hash`, built from the
+    /// obligations its freshly produced `report` carries — so recording a
+    /// live run costs no second vcgen pass.
+    pub fn of_report(hash: String, report: &AcceptabilityReport) -> ProgramDeps {
+        let goals = report
+            .stage_reports()
+            .flat_map(|(stage, stage_report)| {
+                stage_report
+                    .results
+                    .iter()
+                    .map(move |result| goal_dep(stage, &result.vc))
+            })
+            .collect();
+        ProgramDeps { hash, goals }
+    }
+}
+
 /// The goal→fragment dependency map of a corpus: per program name, the
 /// last verified revision's [`ProgramDeps`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -207,46 +226,30 @@ pub fn dirty_goals(old: &ProgramDeps, fresh: &[GoalDep]) -> Vec<usize> {
         .collect()
 }
 
-/// Builds the [`GoalDep`] rows of one program's staged obligations by
-/// encoding each VC to its verdict-cache key (the same
-/// [`encode_goal`](crate::engine::encode_goal) the discharge engine
-/// uses, so the keys are replay-exact).
+/// Builds the [`GoalDep`] rows of one program's staged obligations.
 pub fn goal_deps(stage_vcs: &[(Stage, Vec<Vc>)]) -> Vec<GoalDep> {
-    let mut out = Vec::new();
-    for (stage, vcs) in stage_vcs {
-        for vc in vcs {
-            out.push(GoalDep {
-                stage: *stage,
-                name: vc.name.clone(),
-                context: vc.context.clone(),
-                key: GoalKey::of(&crate::engine::encode_goal(vc)),
-                deps: vc.deps.clone(),
-            });
-        }
+    stage_vcs
+        .iter()
+        .flat_map(|(stage, vcs)| vcs.iter().map(|vc| goal_dep(*stage, vc)))
+        .collect()
+}
+
+/// The [`GoalDep`] row of one obligation, keyed by encoding the VC
+/// through the same [`encode_goal`](crate::engine::encode_goal) the
+/// discharge engine uses, so the key is replay-exact.
+fn goal_dep(stage: Stage, vc: &Vc) -> GoalDep {
+    GoalDep {
+        stage,
+        name: vc.name.clone(),
+        context: vc.context.clone(),
+        key: GoalKey::of(&crate::engine::encode_goal(vc)),
+        deps: vc.deps.clone(),
     }
-    out
 }
 
 // ---------------------------------------------------------------------
 // Persistence
 // ---------------------------------------------------------------------
-
-fn stage_tag(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Original => "original",
-        Stage::Intermediate => "intermediate",
-        Stage::Relaxed => "relaxed",
-    }
-}
-
-fn stage_from_tag(tag: &str) -> Result<Stage, String> {
-    match tag {
-        "original" => Ok(Stage::Original),
-        "intermediate" => Ok(Stage::Intermediate),
-        "relaxed" => Ok(Stage::Relaxed),
-        other => Err(format!("unknown stage {other:?}")),
-    }
-}
 
 fn render_header(fingerprint: &str) -> String {
     format!(
@@ -267,7 +270,7 @@ fn render_program_line(name: &str, deps: &ProgramDeps) -> String {
         }
         out.push_str(&format!(
             "{{\"stage\":\"{}\",\"name\":{},\"context\":{},\"key\":{},\"deps\":[{}]}}",
-            stage_tag(goal.stage),
+            goal.stage.name(),
             json_string(&goal.name),
             json_string(&goal.context),
             json_string(goal.key.as_str()),
@@ -280,14 +283,6 @@ fn render_program_line(name: &str, deps: &ProgramDeps) -> String {
     }
     out.push_str("]}\n");
     out
-}
-
-fn field_str<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    match get(fields, key) {
-        Some(Json::Str(s)) => Ok(s),
-        Some(_) => Err(format!("non-string `{key}`")),
-        None => Err(format!("missing `{key}`")),
-    }
 }
 
 fn parse_program_line(line: &str) -> Result<(String, ProgramDeps), String> {
@@ -309,7 +304,7 @@ fn parse_program_line(line: &str) -> Result<(String, ProgramDeps), String> {
             }
         }
         goals.push(GoalDep {
-            stage: stage_from_tag(field_str(goal_fields, "stage")?)?,
+            stage: Stage::from_name(field_str(goal_fields, "stage")?)?,
             name: field_str(goal_fields, "name")?.to_string(),
             context: field_str(goal_fields, "context")?.to_string(),
             key: GoalKey::parse(field_str(goal_fields, "key")?),
@@ -369,10 +364,9 @@ fn check_header(header: &str, fingerprint: &str) -> Result<(), String> {
     if field_str(fields, "kind")? != "depmap" {
         return Err("not a depmap file".to_string());
     }
-    match get(fields, "format") {
-        Some(Json::Int(n)) if *n == i128::from(DEPMAP_FORMAT) => {}
-        Some(Json::Int(n)) => return Err(format!("format {n} (session speaks {DEPMAP_FORMAT})")),
-        _ => return Err("missing `format`".to_string()),
+    let format = field_u64(fields, "format")?;
+    if format != u64::from(DEPMAP_FORMAT) {
+        return Err(format!("format {format} (session speaks {DEPMAP_FORMAT})"));
     }
     let file_fingerprint = field_str(fields, "fingerprint")?;
     if file_fingerprint != fingerprint {

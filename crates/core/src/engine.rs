@@ -26,10 +26,11 @@
 //!    the interned term DAG — zero SAT/simplex work, counted in
 //!    [`EngineStats::static_hits`].
 //! 3. **Parallel discharge.** Every remaining unique, uncached goal is
-//!    solved on its own fresh [`Solver`] on a [`std::thread::scope`]
-//!    worker pool. Goals are the unit of scheduling, and results are
-//!    reassembled in generation order, so a [`Report`] is byte-for-byte
-//!    identical regardless of worker count.
+//!    solved on its own fresh [`Solver`] on the crate's one scoped,
+//!    work-claiming pool (`fan_out`, which the corpus drivers share).
+//!    Goals are the unit of scheduling, and results are reassembled in
+//!    generation order, so a [`Report`] is byte-for-byte identical
+//!    regardless of worker count.
 //!
 //! Worker count and solver budgets come from [`DischargeConfig`]. The
 //! engine itself never reads the process environment; the
@@ -826,31 +827,7 @@ impl DischargeEngine {
             }
             (gi, verdict, stats)
         };
-        let pool_solved: Vec<(usize, Validity, SolverStats)> = if workers <= 1 {
-            work.iter().map(|&gi| solve_fresh(gi)).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let sink: Mutex<Vec<(usize, Validity, SolverStats)>> =
-                Mutex::new(Vec::with_capacity(work.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&gi) = work.get(k) else { break };
-                            let outcome = solve_fresh(gi);
-                            sink.lock().expect("sink lock").push(outcome);
-                        }
-                        // Scoped threads signal completion before their
-                        // thread-local destructors run: flush this lane's
-                        // spans before the scope joins, not after.
-                        crate::telemetry::drain_thread();
-                    });
-                }
-            });
-            sink.into_inner().expect("sink lock")
-        };
-        solved.extend(pool_solved);
+        solved.extend(fan_out(&work, workers, |&gi| solve_fresh(gi)));
         solved.sort_unstable_by_key(|(gi, _, _)| *gi);
         let call_solve_us = elapsed_us(solve_started);
         self.solve_us.fetch_add(call_solve_us, Ordering::Relaxed);
@@ -973,6 +950,49 @@ impl Drop for DischargeEngine {
     }
 }
 
+/// Maps `f` over `items` on up to `threads` scoped threads and returns
+/// the results in item order — the one work-claiming pool behind goal
+/// discharge and the corpus drivers. Each lane claims the next unclaimed
+/// item until none is left, so one slow item never idles the other
+/// lanes. With one thread or none (or at most one item), everything runs
+/// on the caller's thread.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let lanes = threads.min(items.len());
+    if lanes <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    // Scoped threads signal completion before their
+                    // thread-local destructors run: flush this lane's
+                    // spans before the scope joins, not after.
+                    crate::telemetry::drain_thread();
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|lane| lane.join().expect("fan-out lane"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Encodes one obligation with a fresh bound-name context, yielding the
 /// goal term the engine deduplicates, prefilters, and solves (and whose
 /// canonical rendering is its cache key). Public so external tooling —
@@ -1082,6 +1102,16 @@ mod tests {
         assert_eq!(report.engine.static_hits, 1);
         assert!(report.results[0].verdict.is_valid());
         assert_eq!(report.results[0].stats, SolverStats::default());
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order() {
+        let items: Vec<u64> = (0..7).collect();
+        let squares: Vec<u64> = items.iter().map(|n| n * n).collect();
+        for threads in [0, 1, 3, 16] {
+            assert_eq!(fan_out(&items, threads, |n| n * n), squares, "{threads}");
+        }
+        assert!(fan_out(&[] as &[u64], 3, |n| *n).is_empty());
     }
 
     #[test]

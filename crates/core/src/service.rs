@@ -18,10 +18,12 @@
 //! * a **client** ([`CorpusPolicy::Service`], selected by
 //!   `Verifier::builder().service(addr)` or `RELAXED_SERVICE=<host:port>`)
 //!   that submits a corpus over one connection, rides out `busy`
-//!   backpressure, and receives a merged [`CorpusReport`]
-//!   **verdict-identical** to an in-process `check_corpus` run (the
-//!   client regenerates VCs locally and zips them with the wire verdicts,
-//!   through the same result-to-entry code as a sharded run).
+//!   backpressure, and hands back its programs' entries — in input
+//!   order, without lint, plus the daemon's fleet size as the fan-out —
+//!   for `check_corpus` to merge into a [`CorpusReport`]
+//!   **verdict-identical** to an in-process run (the client regenerates
+//!   VCs locally and zips them with the wire verdicts, through the same
+//!   result-to-entry code as a sharded run).
 //!
 //! # Wire protocol
 //!
@@ -68,10 +70,10 @@
 //! [`CorpusReport`]: crate::api::CorpusReport
 //! [`MAX_ATTEMPTS`]: crate::shard::MAX_ATTEMPTS
 
-use crate::api::{elapsed_ms_since, Config, CorpusEntry, CorpusError, CorpusReport, Verifier};
-use crate::cache::{parse_json, Json};
+use crate::api::{elapsed_ms_since, Config, CorpusEntry, CorpusError, Verifier};
+use crate::cache::{field_str, field_u64, parse_json, Json};
 use crate::shard::{
-    entry_from_result, field_str, field_u64, parse_config_frame, parse_result_frame, prepare_jobs,
+    entry_from_result, filled, parse_config_frame, parse_result_frame, prepare_jobs,
     render_config_frame, render_error_frame, resolve_worker, Fleet, ShardJob, TcpTransport,
     Transport, WorkerHandle, JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
 };
@@ -486,38 +488,28 @@ fn validate_session(fleet: &Config, fields: &[(String, Json)]) -> Result<(), Str
 // The client
 // ---------------------------------------------------------------------
 
-/// Runs a corpus through a `relaxed-serviced` daemon — the implementation
-/// behind [`CorpusPolicy::Service`](crate::api::CorpusPolicy::Service).
-/// See the [module docs](self) for the architecture.
+/// The driver behind
+/// [`CorpusPolicy::Service`](crate::api::CorpusPolicy::Service): submits
+/// the programs to a `relaxed-serviced` daemon and returns their entries,
+/// without lint, in input order, plus the daemon's fleet size as the
+/// fan-out. See the [module docs](self) for the architecture.
 pub(crate) fn run_corpus_service(
     verifier: &Verifier,
-    entries: Vec<(String, &Program, &Spec)>,
+    programs: &[(String, &Program, &Spec)],
     addr: &str,
-) -> CorpusReport {
-    let started = Instant::now();
+) -> (Vec<CorpusEntry>, usize) {
     let config = verifier.config();
-    let count = entries.len();
-    let mut report = CorpusReport {
-        stages: config.stages,
-        ..CorpusReport::default()
-    };
-    let mut slots: Vec<Option<CorpusEntry>> = (0..count).map(|_| None).collect();
-    let jobs = prepare_jobs(config.stages, &entries, &mut slots);
+    let mut slots: Vec<Option<CorpusEntry>> = (0..programs.len()).map(|_| None).collect();
+    let jobs = prepare_jobs(config.stages, programs, &mut slots);
     let fleet = if jobs.is_empty() {
         1
     } else {
         run_jobs_over_service(config, addr, jobs, &mut slots)
     };
-    crate::shard::finalize_corpus_report(&mut report, slots, &entries, &|_| {
-        CorpusError::Service("job was lost by the client".to_string())
-    });
-    // Corpus-level parallelism is the daemon's fleet.
-    report.engine.workers = fleet;
-    report.elapsed_ms = elapsed_ms_since(started);
     // Warm the client's own session cache from the store the fleet
     // populated (a no-op unless both share a persistent path).
     verifier.engine().refresh_from_disk();
-    report
+    (filled(slots), fleet)
 }
 
 /// Submits the prepared jobs over one connection and fills `slots`;
@@ -659,8 +651,10 @@ fn collect_results(
 pub struct ServiceStatus {
     /// Configured warm fleet size.
     pub fleet: u64,
-    /// Workers currently alive: shrinks when a replacement spawn fails
-    /// (a later job spawns on demand again) and drops to 0 at the drain.
+    /// Workers currently alive. It shrinks when a replacement spawn
+    /// fails, and when a job exhausts its attempts: the last failed
+    /// worker's slot is freed without a respawn. A later job spawns on
+    /// demand again. It drops to 0 at the drain.
     pub alive: u64,
     /// Jobs admitted and in flight right now.
     pub active: u64,

@@ -8,9 +8,12 @@
 //! [`crate::service`] daemon: one worker **fleet** (`Fleet`) of **worker
 //! processes** (the `relaxed-shardd` binary, whose entire logic is
 //! [`worker_main`] in this module), one job per program, and the
-//! result-to-entry code that merges the answers into the same
-//! deterministic [`CorpusReport`] an in-process
-//! [`Verifier::check_corpus`] run produces.
+//! result-to-entry code that turns the answers into the same corpus
+//! entries an in-process run produces. Like every corpus driver, the
+//! sharded one returns only its programs' entries, in input order and
+//! without lint, plus its fan-out: [`Verifier::check_corpus`] alone
+//! replays unchanged programs, attaches lint, folds the statistics into
+//! the [`CorpusReport`] and records each program's depmap revision.
 //!
 //! # Protocol
 //!
@@ -39,8 +42,9 @@
 //! `result` frame carries the per-stage verdict lists, per-job engine and
 //! solver statistics, and wall time. The coordinator re-generates the VCs
 //! locally (generation is deterministic and cheap — solving is the
-//! expensive part) and zips them with the returned verdicts, so the
-//! merged report is structurally identical to an in-process run's.
+//! expensive part) and zips them with the returned verdicts, so each
+//! rebuilt report is structurally identical to an in-process run's, and
+//! its obligations serve the coordinator's depmap record as they are.
 //!
 //! # The fleet
 //!
@@ -58,12 +62,13 @@
 //! spans are re-anchored into this process's trace.
 //!
 //! A sharded run opens a private fleet of `shards` workers, spawned on
-//! demand, and `shards` driver threads pop a job list ordered
-//! longest-first by VC count, so one slow program cannot serialize the
-//! tail of the corpus. Once the last job is handed out the fleet
-//! retires: a worker checked in while no job waits is shut down at
-//! once, and the run ends by draining the rest. The service daemon
-//! instead spawns its whole fleet up front and drains it on `shutdown`.
+//! demand, and `shards` lanes of the engine's one scoped pool claim a
+//! job list ordered longest-first by VC count, so one slow program
+//! cannot serialize the tail of the corpus. Once the last job is handed
+//! out the fleet retires: a worker checked in while no job waits is
+//! shut down at once, and the run ends by draining the rest. The
+//! service daemon instead spawns its whole fleet up front and drains it
+//! on `shutdown`.
 //!
 //! # Cache-mediated verdict sharing
 //!
@@ -85,20 +90,21 @@
 //! [`EngineStats::disk_hits`]: crate::engine::EngineStats::disk_hits
 
 use crate::api::{
-    elapsed_ms_since, CachePolicy, Config, CorpusEntry, CorpusError, CorpusReport, Stage, StageSet,
-    Verifier,
+    elapsed_ms_since, CachePolicy, Config, CorpusEntry, CorpusError, Stage, StageSet, Verifier,
 };
-use crate::cache::{get, json_string, parse_json, parse_verdict, render_verdict, Json};
-use crate::engine::EngineStats;
-use crate::vcgen::Vc;
+use crate::cache::{
+    field_str, field_u64, get, json_string, parse_json, parse_verdict, render_verdict, Json,
+};
+use crate::engine::{fan_out, EngineStats};
+use crate::vcgen::{Vc, VcgenError};
 use crate::verify::{AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::{parse_formula, parse_program, parse_rel_formula, Program};
 use relaxed_smt::sat::SatStats;
 use relaxed_smt::{SolverStats, Validity};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -206,38 +212,15 @@ pub(crate) fn resolve_worker(config: &Config) -> Result<PathBuf, String> {
 // ---------------------------------------------------------------------
 
 fn render_stages(stages: StageSet) -> String {
-    let mut names = Vec::new();
-    for stage in [Stage::Original, Stage::Intermediate, Stage::Relaxed] {
-        if stages.contains(stage) {
-            names.push(stage_name(stage));
-        }
-    }
-    names.join(",")
+    stages.iter().map(Stage::name).collect::<Vec<_>>().join(",")
 }
 
 fn parse_stages(text: &str) -> Result<StageSet, String> {
     let mut stages = StageSet::none();
     for name in text.split(',').filter(|s| !s.is_empty()) {
-        stages = stages.with(stage_by_name(name)?);
+        stages = stages.with(Stage::from_name(name)?);
     }
     Ok(stages)
-}
-
-fn stage_name(stage: Stage) -> &'static str {
-    match stage {
-        Stage::Original => "original",
-        Stage::Intermediate => "intermediate",
-        Stage::Relaxed => "relaxed",
-    }
-}
-
-fn stage_by_name(name: &str) -> Result<Stage, String> {
-    match name {
-        "original" => Ok(Stage::Original),
-        "intermediate" => Ok(Stage::Intermediate),
-        "relaxed" => Ok(Stage::Relaxed),
-        other => Err(format!("unknown stage {other:?}")),
-    }
 }
 
 pub(crate) fn render_config_frame(config: &Config, per_worker: usize) -> String {
@@ -328,17 +311,15 @@ fn render_result_frame(
         engine.elapsed_solve_ms,
         engine.elapsed_cache_ms,
     );
-    let mut first = true;
-    let mut stage_out = |stage: Stage, stage_report: &Report| {
-        if !first {
+    for (i, (stage, stage_report)) in report.stage_reports().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str(&format!("{{\"stage\":\"{}\",\"stats\":", stage_name(stage)));
+        out.push_str(&format!("{{\"stage\":\"{}\",\"stats\":", stage.name()));
         render_solver_stats(&mut out, &stage_report.stats);
         out.push_str(",\"verdicts\":[");
-        for (i, result) in stage_report.results.iter().enumerate() {
-            if i > 0 {
+        for (j, result) in stage_report.results.iter().enumerate() {
+            if j > 0 {
                 out.push(',');
             }
             out.push('{');
@@ -347,15 +328,6 @@ fn render_result_frame(
             out.push('}');
         }
         out.push_str("]}");
-    };
-    if report.stages.original {
-        stage_out(Stage::Original, &report.original);
-    }
-    if let Some(intermediate) = &report.intermediate {
-        stage_out(Stage::Intermediate, intermediate);
-    }
-    if report.stages.relaxed {
-        stage_out(Stage::Relaxed, &report.relaxed);
     }
     out.push(']');
     if !spans.is_empty() {
@@ -404,22 +376,6 @@ pub(crate) fn render_error_frame(id: usize, error: &str) -> String {
 // ---------------------------------------------------------------------
 // Frame parsing (coordinator side, plus the worker's request reader)
 // ---------------------------------------------------------------------
-
-pub(crate) fn field_str<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    match get(fields, key) {
-        Some(Json::Str(s)) => Ok(s),
-        Some(_) => Err(format!("non-string `{key}`")),
-        None => Err(format!("missing `{key}`")),
-    }
-}
-
-pub(crate) fn field_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match get(fields, key) {
-        Some(Json::Int(n)) => u64::try_from(*n).map_err(|_| format!("`{key}` out of range")),
-        Some(_) => Err(format!("non-integer `{key}`")),
-        None => Err(format!("missing `{key}`")),
-    }
-}
 
 fn parse_solver_stats(value: &Json) -> Result<SolverStats, String> {
     let fields = value.as_object()?;
@@ -494,7 +450,7 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
         .as_array()?;
     for item in stage_items {
         let stage_fields = item.as_object()?;
-        let stage = stage_by_name(field_str(stage_fields, "stage")?)?;
+        let stage = Stage::from_name(field_str(stage_fields, "stage")?)?;
         let stats = parse_solver_stats(get(stage_fields, "stats").ok_or("missing `stats`")?)?;
         let mut verdicts = Vec::new();
         for verdict_item in get(stage_fields, "verdicts")
@@ -807,36 +763,32 @@ pub(crate) struct ShardJob {
 /// (id-tie-broken for determinism).
 pub(crate) fn prepare_jobs(
     stages: StageSet,
-    entries: &[(String, &Program, &Spec)],
+    programs: &[(String, &Program, &Spec)],
     slots: &mut [Option<CorpusEntry>],
 ) -> Vec<ShardJob> {
     let mut jobs: Vec<ShardJob> = Vec::new();
-    'programs: for (id, (name, program, spec)) in entries.iter().enumerate() {
-        let mut stage_vcs = Vec::new();
-        for stage in [Stage::Original, Stage::Intermediate, Stage::Relaxed] {
-            if !stages.contains(stage) {
-                continue;
-            }
-            match crate::verify::stage_vcs(stage, program, spec) {
-                Ok(vcs) => stage_vcs.push((stage, vcs)),
-                Err(e) => {
-                    slots[id] = Some(CorpusEntry {
-                        name: name.clone(),
-                        elapsed_ms: 0,
-                        lint: Vec::new(),
-                        outcome: Err(CorpusError::Vcgen(e)),
-                    });
-                    continue 'programs;
-                }
+    for (id, (name, program, spec)) in programs.iter().enumerate() {
+        let staged: Result<Vec<(Stage, Vec<Vc>)>, VcgenError> = stages
+            .iter()
+            .map(|stage| Ok((stage, crate::verify::stage_vcs(stage, program, spec)?)))
+            .collect();
+        match staged {
+            Ok(stage_vcs) => jobs.push(ShardJob {
+                id,
+                name: name.clone(),
+                frame: render_job_frame(id, name, program, spec),
+                vc_count: stage_vcs.iter().map(|(_, vcs)| vcs.len()).sum(),
+                stage_vcs,
+            }),
+            Err(e) => {
+                slots[id] = Some(CorpusEntry {
+                    name: name.clone(),
+                    elapsed_ms: 0,
+                    lint: Vec::new(),
+                    outcome: Err(CorpusError::Vcgen(e)),
+                });
             }
         }
-        jobs.push(ShardJob {
-            id,
-            name: name.clone(),
-            frame: render_job_frame(id, name, program, spec),
-            vc_count: stage_vcs.iter().map(|(_, vcs)| vcs.len()).sum(),
-            stage_vcs,
-        });
     }
     // Longest first: the most expensive proofs start immediately, so the
     // corpus tail is short jobs instead of one straggler.
@@ -1451,60 +1403,51 @@ pub(crate) fn rebuild_report(
             job.stage_vcs.len()
         ));
     }
-    let mut stages = StageSet::none();
-    let mut original = Report::default();
-    let mut intermediate = None;
-    let mut relaxed = Report::default();
+    let mut staged = Vec::with_capacity(wire_stages.len());
     for (wire, (stage, vcs)) in wire_stages.into_iter().zip(&job.stage_vcs) {
         if wire.stage != *stage {
             return Err(format!(
                 "result frame stage {:?} does not match scheduled {:?}",
-                stage_name(wire.stage),
-                stage_name(*stage)
+                wire.stage.name(),
+                stage.name()
             ));
         }
         if wire.verdicts.len() != vcs.len() {
             return Err(format!(
                 "stage {} carries {} verdicts for {} obligations",
-                stage_name(*stage),
+                stage.name(),
                 wire.verdicts.len(),
                 vcs.len()
             ));
         }
-        let mut report = Report {
-            stats: wire.stats,
-            ..Report::default()
-        };
-        for (vc, (verdict, cached)) in vcs.iter().zip(wire.verdicts) {
-            report.results.push(VcResult {
+        let results = vcs
+            .iter()
+            .zip(wire.verdicts)
+            .map(|(vc, (verdict, cached))| VcResult {
                 vc: vc.clone(),
                 verdict,
                 stats: SolverStats::default(),
                 cached,
-            });
-        }
-        stages = stages.with(*stage);
-        match stage {
-            Stage::Original => original = report,
-            Stage::Intermediate => intermediate = Some(report),
-            Stage::Relaxed => relaxed = report,
-        }
+            })
+            .collect();
+        let report = Report {
+            results,
+            stats: wire.stats,
+            ..Report::default()
+        };
+        staged.push((*stage, report));
     }
-    Ok(AcceptabilityReport {
-        stages,
-        original,
-        intermediate,
-        relaxed,
-        engine,
-    })
+    let mut report = AcceptabilityReport::from_stages(staged);
+    report.engine = engine;
+    Ok(report)
 }
 
 /// Turns one job's outcome into its [`CorpusEntry`] — the result-to-entry
 /// step shared by the sharded driver and the service client. `Err` is a
 /// job that produced no result frame; a worker-reported error (e.g. a
 /// program that did not re-parse) fails the program too. `error` picks
-/// the [`CorpusError`] variant. Lint is filled in later by
-/// [`finalize_corpus_report`] (warnings never cross a wire).
+/// the [`CorpusError`] variant. The entry carries no lint: the corpus
+/// pipeline attaches it (warnings never cross a wire).
 pub(crate) fn entry_from_result(
     job: &ShardJob,
     result: Result<WireResult, String>,
@@ -1528,130 +1471,65 @@ pub(crate) fn entry_from_result(
     }
 }
 
-/// Runs a corpus across worker processes — the implementation behind
+/// The driver behind
 /// [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded): a
-/// private [`Fleet`] of `shards` workers and `shards` driver threads
-/// popping the longest-first job list. See the [module docs](self).
+/// private [`Fleet`] of `shards` workers and `shards` lanes claiming the
+/// longest-first job list. Returns the programs' entries, without lint,
+/// in input order, plus the process fan-out. See the
+/// [module docs](self).
 pub(crate) fn run_corpus_sharded(
     verifier: &Verifier,
-    entries: Vec<(String, &Program, &Spec)>,
+    programs: &[(String, &Program, &Spec)],
     shards: usize,
-) -> CorpusReport {
-    let started = Instant::now();
+) -> (Vec<CorpusEntry>, usize) {
     let config = verifier.config();
-    let mut report = CorpusReport {
-        stages: config.stages,
-        ..CorpusReport::default()
-    };
-    let mut slots: Vec<Option<CorpusEntry>> = (0..entries.len()).map(|_| None).collect();
-    let jobs = prepare_jobs(config.stages, &entries, &mut slots);
+    let mut slots: Vec<Option<CorpusEntry>> = (0..programs.len()).map(|_| None).collect();
+    let jobs = prepare_jobs(config.stages, programs, &mut slots);
     let shards = shards.clamp(1, jobs.len().max(1));
-    if !jobs.is_empty() {
-        match resolve_worker(config) {
-            Ok(binary) => {
-                let fleet = Fleet::new(config, binary, shards);
-                run_on_fleet(&fleet, jobs, shards, &mut slots);
-            }
-            Err(reason) => {
-                // No worker binary: every distributable program errs with
-                // the same actionable message (no silent in-process
-                // fallback — a sharded run that was not sharded would
-                // corrupt benchmark conclusions).
-                for job in jobs {
-                    slots[job.id] = Some(entry_from_result(
-                        &job,
-                        Err(reason.clone()),
-                        CorpusError::Shard,
-                    ));
+    let ran = match resolve_worker(config) {
+        Ok(binary) => {
+            let fleet = Fleet::new(config, binary, shards);
+            let handed_out = AtomicUsize::new(0);
+            let ran = fan_out(&jobs, shards, |job| {
+                // Once the last job is handed out, a worker checked in
+                // while no job waits retires at once.
+                if handed_out.fetch_add(1, Ordering::Relaxed) + 1 == jobs.len() {
+                    fleet.retire();
                 }
-            }
+                let result = fleet
+                    .run(job.id, &job.name, &job.frame)
+                    .map(|(_, wire)| wire);
+                entry_from_result(job, result, CorpusError::Shard)
+            });
+            fleet.drain();
+            ran
         }
+        // No worker binary: every distributable program errs with the
+        // same actionable message (no silent in-process fallback — a
+        // sharded run that was not sharded would corrupt benchmark
+        // conclusions).
+        Err(reason) => jobs
+            .iter()
+            .map(|job| entry_from_result(job, Err(reason.clone()), CorpusError::Shard))
+            .collect(),
+    };
+    for (job, entry) in jobs.iter().zip(ran) {
+        slots[job.id] = Some(entry);
     }
-    finalize_corpus_report(&mut report, slots, &entries, &|_| {
-        CorpusError::Shard("job was lost by the fleet".to_string())
-    });
-    // Corpus-level parallelism is the process fan-out.
-    report.engine.workers = shards;
-    report.elapsed_ms = elapsed_ms_since(started);
     // Warm the coordinator's own session cache from the store the workers
     // populated, so later in-process checks (or the next wave) reuse the
     // corpus verdicts.
     verifier.engine().refresh_from_disk();
-    report
+    (filled(slots), shards)
 }
 
-/// Runs `jobs` on `fleet` from `threads` driver threads, each popping the
-/// longest-first list, and fills their `slots`. The fleet retires once
-/// the last job is handed out and is drained when every job is done.
-fn run_on_fleet(
-    fleet: &Fleet,
-    jobs: Vec<ShardJob>,
-    threads: usize,
-    slots: &mut [Option<CorpusEntry>],
-) {
-    let queue = Mutex::new(VecDeque::from(jobs));
-    let slots = Mutex::new(slots);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                loop {
-                    let (job, last) = {
-                        let mut queue = queue.lock().expect("shard queue");
-                        let Some(job) = queue.pop_front() else { break };
-                        (job, queue.is_empty())
-                    };
-                    if last {
-                        fleet.retire();
-                    }
-                    let result = fleet
-                        .run(job.id, &job.name, &job.frame)
-                        .map(|(_, wire)| wire);
-                    let entry = entry_from_result(&job, result, CorpusError::Shard);
-                    slots.lock().expect("shard results")[job.id] = Some(entry);
-                }
-                // Scoped threads signal completion before their
-                // thread-local destructors run: flush this driver's
-                // `shard/job` spans before the join.
-                crate::telemetry::drain_thread();
-            });
-        }
-    });
-    fleet.drain();
-}
-
-/// Fills the report from the completed `slots`, attaching
-/// coordinator-side lint (warnings never cross a wire) and absorbing
-/// per-program engine/solver statistics — the merge tail shared by the
-/// sharded and service corpus drivers. `lost` names the error for a slot
-/// no job ever filled (unreachable by construction; degrade loudly rather
-/// than panic the whole corpus if a future refactor breaks that
-/// invariant).
-pub(crate) fn finalize_corpus_report(
-    report: &mut CorpusReport,
-    slots: Vec<Option<CorpusEntry>>,
-    entries: &[(String, &Program, &Spec)],
-    lost: &dyn Fn(usize) -> CorpusError,
-) {
-    for (index, slot) in slots.into_iter().enumerate() {
-        let mut entry = slot.unwrap_or_else(|| CorpusEntry {
-            name: format!("program_{index}"),
-            elapsed_ms: 0,
-            lint: Vec::new(),
-            outcome: Err(lost(index)),
-        });
-        if let Some((_, program, spec)) = entries.get(index) {
-            entry.lint = crate::api::rendered_lint(program, spec);
-        }
-        if let Ok(program_report) = &entry.outcome {
-            report.engine.absorb(&program_report.engine);
-            report.stats.absorb(&program_report.original.stats);
-            if let Some(intermediate) = &program_report.intermediate {
-                report.stats.absorb(&intermediate.stats);
-            }
-            report.stats.absorb(&program_report.relaxed.stats);
-        }
-        report.entries.push(entry);
-    }
+/// The entries of a driver's slots, every one of which a job or a
+/// vcgen error filled.
+pub(crate) fn filled(slots: Vec<Option<CorpusEntry>>) -> Vec<CorpusEntry> {
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every program fills its slot"))
+        .collect()
 }
 
 #[cfg(test)]

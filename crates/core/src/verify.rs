@@ -8,6 +8,12 @@
 //! Modulo Original Assumptions*). Run the pipeline with
 //! [`Verifier::check`](crate::api::Verifier::check), or one stage at a
 //! time with [`Verifier::stage`](crate::api::Verifier::stage).
+//!
+//! An [`AcceptabilityReport`] is assembled in one place,
+//! [`AcceptabilityReport::from_stages`], whether its stages were just
+//! discharged, replayed from the depmap, or rebuilt from a worker's
+//! result frame; [`AcceptabilityReport::stage_reports`] walks the stages
+//! that ran.
 
 use crate::analysis::{array_vars, formula_array_vars, rel_formula_array_vars};
 use crate::api::{Stage, StageSet};
@@ -200,15 +206,57 @@ pub struct AcceptabilityReport {
 }
 
 impl AcceptabilityReport {
+    /// The report of the stages that ran, from their reports in pipeline
+    /// order: the stage selection is the stages given, and
+    /// [`engine`](AcceptabilityReport::engine) folds their engine
+    /// statistics.
+    pub fn from_stages(stages: Vec<(Stage, Report)>) -> AcceptabilityReport {
+        let mut report = AcceptabilityReport {
+            stages: StageSet::none(),
+            original: Report::default(),
+            intermediate: None,
+            relaxed: Report::default(),
+            engine: EngineStats::default(),
+        };
+        for (stage, stage_report) in stages {
+            report.stages = report.stages.with(stage);
+            report.engine.absorb(&stage_report.engine);
+            match stage {
+                Stage::Original => report.original = stage_report,
+                Stage::Intermediate => report.intermediate = Some(stage_report),
+                Stage::Relaxed => report.relaxed = stage_report,
+            }
+        }
+        report
+    }
+
+    /// The report of `stage`, or `None` when the stage did not run.
+    pub fn stage_report(&self, stage: Stage) -> Option<&Report> {
+        if !self.stages.contains(stage) {
+            return None;
+        }
+        match stage {
+            Stage::Original => Some(&self.original),
+            Stage::Intermediate => self.intermediate.as_ref(),
+            Stage::Relaxed => Some(&self.relaxed),
+        }
+    }
+
+    /// The reports of the stages that ran, in pipeline order.
+    pub fn stage_reports(&self) -> impl Iterator<Item = (Stage, &Report)> {
+        Stage::ALL
+            .into_iter()
+            .filter_map(|stage| Some((stage, self.stage_report(stage)?)))
+    }
+
     /// One flat [`Report`] over every stage that ran, in discharge order
     /// — per-VC results concatenated and statistics folded through
     /// [`Report::merge`].
     pub fn combined(&self) -> Report {
-        let mut all = self.original.clone();
-        if let Some(intermediate) = &self.intermediate {
-            all.merge(intermediate.clone());
+        let mut all = Report::default();
+        for (_, report) in self.stage_reports() {
+            all.merge(report.clone());
         }
-        all.merge(self.relaxed.clone());
         all
     }
 
@@ -217,24 +265,21 @@ impl AcceptabilityReport {
     /// [`relaxed_progress`](AcceptabilityReport::relaxed_progress) does
     /// not consult).
     pub fn verified(&self) -> bool {
-        self.original.verified()
-            && self.intermediate.as_ref().is_none_or(Report::verified)
-            && self.relaxed.verified()
+        self.stage_reports().all(|(_, report)| report.verified())
     }
 
     /// Total obligations across every stage that ran (without cloning
     /// the per-VC results the way [`combined`](AcceptabilityReport::combined)
     /// does).
     pub fn total_vcs(&self) -> usize {
-        self.original.len() + self.intermediate.as_ref().map_or(0, Report::len) + self.relaxed.len()
+        self.stage_reports().map(|(_, report)| report.len()).sum()
     }
 
     /// Proved obligations across every stage that ran.
     pub fn proved_vcs(&self) -> usize {
-        let proved = |r: &Report| r.results.iter().filter(|v| v.proved()).count();
-        proved(&self.original)
-            + self.intermediate.as_ref().map_or(0, &proved)
-            + proved(&self.relaxed)
+        self.stage_reports()
+            .map(|(_, report)| report.results.iter().filter(|v| v.proved()).count())
+            .sum()
     }
 
     /// Lemma 2 — *Original Progress Modulo Assumptions*: no original
@@ -304,19 +349,12 @@ pub(crate) fn staged_check(
     stages: StageSet,
     opts: DischargeOptions,
 ) -> Result<AcceptabilityReport, VcgenError> {
-    let run = |stage| -> Result<Report, VcgenError> {
+    let run = |stage: Stage| -> Result<(Stage, Report), VcgenError> {
         let vcgen_started = std::time::Instant::now();
         let vcs = {
             let mut span = crate::telemetry::span("vcgen", "vcgen");
             if span.is_active() {
-                span.arg(
-                    "stage",
-                    match stage {
-                        Stage::Original => "original",
-                        Stage::Intermediate => "intermediate",
-                        Stage::Relaxed => "relaxed",
-                    },
-                );
+                span.arg("stage", stage.name());
             }
             stage_vcs(stage, program, spec)?
         };
@@ -327,39 +365,15 @@ pub(crate) fn staged_check(
         // rides the stage report's engine stats (satellite of the
         // trace-file spans above).
         report.engine.elapsed_vcgen_ms = vcgen_us / 1000;
-        Ok(report)
+        Ok((stage, report))
     };
-    let original = if stages.original {
-        run(Stage::Original)?
-    } else {
-        Report::default()
-    };
-    let intermediate = if stages.intermediate {
-        Some(run(Stage::Intermediate)?)
-    } else {
-        None
-    };
-    let relaxed = if stages.relaxed {
-        run(Stage::Relaxed)?
-    } else {
-        Report::default()
-    };
-    // Report this verification's activity, not the engine's lifetime
-    // totals: the engine may be shared across many verifications (and, in
-    // corpus mode, across concurrently verified programs — per-call
-    // counters stay attributable where engine-total deltas would not).
-    let mut engine_stats = original.engine;
-    if let Some(intermediate) = &intermediate {
-        engine_stats.absorb(&intermediate.engine);
-    }
-    engine_stats.absorb(&relaxed.engine);
-    Ok(AcceptabilityReport {
-        stages,
-        original,
-        intermediate,
-        relaxed,
-        engine: engine_stats,
-    })
+    // The folded engine stats are this verification's activity, not the
+    // engine's lifetime totals: the engine may be shared across many
+    // verifications (and, in corpus mode, across concurrently verified
+    // programs — per-call counters stay attributable where engine-total
+    // deltas would not).
+    let staged = stages.iter().map(run).collect::<Result<Vec<_>, _>>()?;
+    Ok(AcceptabilityReport::from_stages(staged))
 }
 
 #[cfg(test)]

@@ -65,6 +65,22 @@ impl From<LexError> for ParseError {
 
 type PResult<T> = Result<T, ParseError>;
 
+/// How deep the parser lets a program, expression or formula nest. Each
+/// parenthesis or index bracket, unary operator, operand a binary chain
+/// adds and quantifier counts one level; a nested block counts
+/// [`BLOCK_LEVELS`]. Vcgen, encoding and printing recurse through the
+/// tree, so without a limit one hostile input (a job frame, say)
+/// overflows the stack of the thread that handles it; a program at the
+/// limit verifies on a 2 MiB thread.
+pub const MAX_NESTING: usize = 256;
+
+/// The levels a nested block counts toward [`MAX_NESTING`], so at most
+/// 64 blocks nest. A statement level costs every recursive pass several
+/// expression levels of stack, most of all in unoptimized builds: there
+/// 128 nested loops overflow a 2 MiB thread in vcgen, where 256 nested
+/// parentheses verify.
+pub const BLOCK_LEVELS: usize = 4;
+
 const KEYWORDS: &[&str] = &[
     "skip",
     "if",
@@ -94,6 +110,8 @@ struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
     src_len: usize,
+    /// Nesting levels entered so far (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -102,6 +120,7 @@ impl Parser {
             toks: lex(src)?,
             pos: 0,
             src_len: src.len(),
+            depth: 0,
         })
     }
 
@@ -133,6 +152,26 @@ impl Parser {
             message: message.into(),
             offset: self.offset(),
         })
+    }
+
+    /// Enters `levels` more nesting levels, refusing past [`MAX_NESTING`].
+    /// The caller restores `depth` when the construct ends; an error
+    /// either ends the parse or is backtracked past, which restores it
+    /// too.
+    fn descend(&mut self, levels: usize) -> PResult<()> {
+        if self.depth + levels > MAX_NESTING {
+            return self.error(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += levels;
+        Ok(())
+    }
+
+    /// Parses one construct a nesting level deeper.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.descend(1)?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn expect(&mut self, tok: &Tok) -> PResult<()> {
@@ -200,6 +239,7 @@ impl Parser {
     }
 
     fn int_additive(&mut self) -> PResult<IntExpr> {
+        let depth = self.depth;
         let mut lhs = self.int_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -208,13 +248,16 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.int_multiplicative()?;
             lhs = IntExpr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn int_multiplicative(&mut self) -> PResult<IntExpr> {
+        let depth = self.depth;
         let mut lhs = self.int_unary()?;
         loop {
             let op = match self.peek() {
@@ -224,16 +267,18 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.int_unary()?;
             lhs = IntExpr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn int_unary(&mut self) -> PResult<IntExpr> {
         if self.peek() == Some(&Tok::Minus) {
             self.pos += 1;
-            let inner = self.int_unary()?;
+            let inner = self.nested(Self::int_unary)?;
             return Ok(match inner {
                 IntExpr::Const(n) => IntExpr::Const(-n),
                 other => IntExpr::bin(IntBinOp::Sub, IntExpr::Const(0), other),
@@ -251,7 +296,7 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.int_expr()?;
+                let e = self.nested(Self::int_expr)?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
@@ -266,7 +311,7 @@ impl Parser {
                 let name = self.ident()?;
                 if self.peek() == Some(&Tok::LBracket) {
                     self.pos += 1;
-                    let index = self.int_expr()?;
+                    let index = self.nested(Self::int_expr)?;
                     self.expect(&Tok::RBracket)?;
                     Ok(IntExpr::select(name, index))
                 } else {
@@ -283,7 +328,7 @@ impl Parser {
         let lhs = self.bool_implies()?;
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
-            let rhs = self.bool_expr()?;
+            let rhs = self.nested(Self::bool_expr)?;
             return Ok(BoolExpr::bin(BoolBinOp::Iff, lhs, rhs));
         }
         Ok(lhs)
@@ -293,36 +338,42 @@ impl Parser {
         let lhs = self.bool_or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.pos += 1;
-            let rhs = self.bool_implies()?;
+            let rhs = self.nested(Self::bool_implies)?;
             return Ok(BoolExpr::bin(BoolBinOp::Implies, lhs, rhs));
         }
         Ok(lhs)
     }
 
     fn bool_or(&mut self) -> PResult<BoolExpr> {
+        let depth = self.depth;
         let mut lhs = self.bool_and()?;
         while self.peek() == Some(&Tok::OrOr) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.bool_and()?;
             lhs = BoolExpr::bin(BoolBinOp::Or, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn bool_and(&mut self) -> PResult<BoolExpr> {
+        let depth = self.depth;
         let mut lhs = self.bool_unary()?;
         while self.peek() == Some(&Tok::AndAnd) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.bool_unary()?;
             lhs = BoolExpr::bin(BoolBinOp::And, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn bool_unary(&mut self) -> PResult<BoolExpr> {
         if self.peek() == Some(&Tok::Bang) {
             self.pos += 1;
-            let inner = self.bool_unary()?;
+            let inner = self.nested(Self::bool_unary)?;
             return Ok(BoolExpr::Not(Box::new(inner)));
         }
         self.bool_primary()
@@ -351,14 +402,14 @@ impl Parser {
         }
         // `(` may open a parenthesized boolean expression or the left
         // operand of a comparison; try the comparison first and backtrack.
-        let checkpoint = self.pos;
+        let checkpoint = (self.pos, self.depth);
         match self.try_comparison() {
             Ok(b) => return Ok(b),
-            Err(_) => self.pos = checkpoint,
+            Err(_) => (self.pos, self.depth) = checkpoint,
         }
         if self.peek() == Some(&Tok::LParen) {
             self.pos += 1;
-            let b = self.bool_expr()?;
+            let b = self.nested(Self::bool_expr)?;
             self.expect(&Tok::RParen)?;
             return Ok(b);
         }
@@ -379,6 +430,7 @@ impl Parser {
     // ---------------- relational expressions ----------------
 
     fn rel_int_expr(&mut self) -> PResult<RelIntExpr> {
+        let depth = self.depth;
         let mut lhs = self.rel_int_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -387,13 +439,16 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.rel_int_multiplicative()?;
             lhs = RelIntExpr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn rel_int_multiplicative(&mut self) -> PResult<RelIntExpr> {
+        let depth = self.depth;
         let mut lhs = self.rel_int_unary()?;
         loop {
             let op = match self.peek() {
@@ -403,16 +458,18 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.rel_int_unary()?;
             lhs = RelIntExpr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn rel_int_unary(&mut self) -> PResult<RelIntExpr> {
         if self.peek() == Some(&Tok::Minus) {
             self.pos += 1;
-            let inner = self.rel_int_unary()?;
+            let inner = self.nested(Self::rel_int_unary)?;
             return Ok(match inner {
                 RelIntExpr::Const(n) => RelIntExpr::Const(-n),
                 other => RelIntExpr::bin(IntBinOp::Sub, RelIntExpr::Const(0), other),
@@ -430,7 +487,7 @@ impl Parser {
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.rel_int_expr()?;
+                let e = self.nested(Self::rel_int_expr)?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
@@ -447,7 +504,7 @@ impl Parser {
                 let side = self.side()?;
                 if self.peek() == Some(&Tok::LBracket) {
                     self.pos += 1;
-                    let index = self.rel_int_expr()?;
+                    let index = self.nested(Self::rel_int_expr)?;
                     self.expect(&Tok::RBracket)?;
                     Ok(RelIntExpr::Select(Var::new(name), side, Box::new(index)))
                 } else {
@@ -462,7 +519,7 @@ impl Parser {
         let lhs = self.rel_bool_implies()?;
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
-            let rhs = self.rel_bool_expr()?;
+            let rhs = self.nested(Self::rel_bool_expr)?;
             return Ok(RelBoolExpr::bin(BoolBinOp::Iff, lhs, rhs));
         }
         Ok(lhs)
@@ -472,36 +529,42 @@ impl Parser {
         let lhs = self.rel_bool_or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.pos += 1;
-            let rhs = self.rel_bool_implies()?;
+            let rhs = self.nested(Self::rel_bool_implies)?;
             return Ok(RelBoolExpr::bin(BoolBinOp::Implies, lhs, rhs));
         }
         Ok(lhs)
     }
 
     fn rel_bool_or(&mut self) -> PResult<RelBoolExpr> {
+        let depth = self.depth;
         let mut lhs = self.rel_bool_and()?;
         while self.peek() == Some(&Tok::OrOr) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.rel_bool_and()?;
             lhs = RelBoolExpr::bin(BoolBinOp::Or, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn rel_bool_and(&mut self) -> PResult<RelBoolExpr> {
+        let depth = self.depth;
         let mut lhs = self.rel_bool_unary()?;
         while self.peek() == Some(&Tok::AndAnd) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.rel_bool_unary()?;
             lhs = RelBoolExpr::bin(BoolBinOp::And, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn rel_bool_unary(&mut self) -> PResult<RelBoolExpr> {
         if self.peek() == Some(&Tok::Bang) {
             self.pos += 1;
-            let inner = self.rel_bool_unary()?;
+            let inner = self.nested(Self::rel_bool_unary)?;
             return Ok(RelBoolExpr::Not(Box::new(inner)));
         }
         self.rel_bool_primary()
@@ -514,14 +577,14 @@ impl Parser {
         if self.eat_keyword("false") {
             return Ok(RelBoolExpr::Const(false));
         }
-        let checkpoint = self.pos;
+        let checkpoint = (self.pos, self.depth);
         match self.try_rel_comparison() {
             Ok(b) => return Ok(b),
-            Err(_) => self.pos = checkpoint,
+            Err(_) => (self.pos, self.depth) = checkpoint,
         }
         if self.peek() == Some(&Tok::LParen) {
             self.pos += 1;
-            let b = self.rel_bool_expr()?;
+            let b = self.nested(Self::rel_bool_expr)?;
             self.expect(&Tok::RParen)?;
             return Ok(b);
         }
@@ -548,7 +611,7 @@ impl Parser {
         let lhs = self.formula_implies()?;
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
-            let rhs = self.formula()?;
+            let rhs = self.nested(Self::formula)?;
             // The Formula type has no Iff constructor; desugar.
             return Ok(lhs.clone().implies(rhs.clone()).and(rhs.implies(lhs)));
         }
@@ -562,7 +625,7 @@ impl Parser {
         }
         let v = Var::new(self.ident()?);
         self.expect(&Tok::Dot)?;
-        let body = self.formula()?;
+        let body = self.nested(Self::formula)?;
         Ok(if forall {
             body.forall(v)
         } else {
@@ -574,40 +637,48 @@ impl Parser {
         let lhs = self.formula_or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.pos += 1;
-            let rhs = if self.at_keyword("exists") || self.at_keyword("forall") {
-                self.quantified_formula()?
-            } else {
-                self.formula_implies()?
-            };
+            let rhs = self.nested(|p| {
+                if p.at_keyword("exists") || p.at_keyword("forall") {
+                    p.quantified_formula()
+                } else {
+                    p.formula_implies()
+                }
+            })?;
             return Ok(Formula::Implies(Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
     }
 
     fn formula_or(&mut self) -> PResult<Formula> {
+        let depth = self.depth;
         let mut lhs = self.formula_and()?;
         while self.peek() == Some(&Tok::OrOr) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.formula_and()?;
             lhs = Formula::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn formula_and(&mut self) -> PResult<Formula> {
+        let depth = self.depth;
         let mut lhs = self.formula_unary()?;
         while self.peek() == Some(&Tok::AndAnd) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.formula_unary()?;
             lhs = Formula::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn formula_unary(&mut self) -> PResult<Formula> {
         if self.peek() == Some(&Tok::Bang) {
             self.pos += 1;
-            let inner = self.formula_unary()?;
+            let inner = self.nested(Self::formula_unary)?;
             return Ok(Formula::Not(Box::new(inner)));
         }
         self.formula_primary()
@@ -623,7 +694,7 @@ impl Parser {
         if self.at_keyword("exists") || self.at_keyword("forall") {
             return self.quantified_formula();
         }
-        let checkpoint = self.pos;
+        let checkpoint = (self.pos, self.depth);
         {
             let attempt = (|| -> PResult<Formula> {
                 let lhs = self.int_expr()?;
@@ -637,12 +708,12 @@ impl Parser {
             })();
             match attempt {
                 Ok(f) => return Ok(f),
-                Err(_) => self.pos = checkpoint,
+                Err(_) => (self.pos, self.depth) = checkpoint,
             }
         }
         if self.peek() == Some(&Tok::LParen) {
             self.pos += 1;
-            let p = self.formula()?;
+            let p = self.nested(Self::formula)?;
             self.expect(&Tok::RParen)?;
             return Ok(p);
         }
@@ -656,7 +727,7 @@ impl Parser {
         let lhs = self.rel_formula_implies()?;
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
-            let rhs = self.rel_formula()?;
+            let rhs = self.nested(Self::rel_formula)?;
             return Ok(lhs.clone().implies(rhs.clone()).and(rhs.implies(lhs)));
         }
         Ok(lhs)
@@ -670,7 +741,7 @@ impl Parser {
         let v = Var::new(self.ident()?);
         let side = self.side()?;
         self.expect(&Tok::Dot)?;
-        let body = self.rel_formula()?;
+        let body = self.nested(Self::rel_formula)?;
         Ok(if forall {
             body.forall(v, side)
         } else {
@@ -682,40 +753,48 @@ impl Parser {
         let lhs = self.rel_formula_or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.pos += 1;
-            let rhs = if self.at_keyword("exists") || self.at_keyword("forall") {
-                self.quantified_rel_formula()?
-            } else {
-                self.rel_formula_implies()?
-            };
+            let rhs = self.nested(|p| {
+                if p.at_keyword("exists") || p.at_keyword("forall") {
+                    p.quantified_rel_formula()
+                } else {
+                    p.rel_formula_implies()
+                }
+            })?;
             return Ok(RelFormula::Implies(Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
     }
 
     fn rel_formula_or(&mut self) -> PResult<RelFormula> {
+        let depth = self.depth;
         let mut lhs = self.rel_formula_and()?;
         while self.peek() == Some(&Tok::OrOr) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.rel_formula_and()?;
             lhs = RelFormula::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn rel_formula_and(&mut self) -> PResult<RelFormula> {
+        let depth = self.depth;
         let mut lhs = self.rel_formula_unary()?;
         while self.peek() == Some(&Tok::AndAnd) {
             self.pos += 1;
+            self.descend(1)?;
             let rhs = self.rel_formula_unary()?;
             lhs = RelFormula::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn rel_formula_unary(&mut self) -> PResult<RelFormula> {
         if self.peek() == Some(&Tok::Bang) {
             self.pos += 1;
-            let inner = self.rel_formula_unary()?;
+            let inner = self.nested(Self::rel_formula_unary)?;
             return Ok(RelFormula::Not(Box::new(inner)));
         }
         self.rel_formula_primary()
@@ -731,7 +810,7 @@ impl Parser {
         if self.at_keyword("exists") || self.at_keyword("forall") {
             return self.quantified_rel_formula();
         }
-        let checkpoint = self.pos;
+        let checkpoint = (self.pos, self.depth);
         {
             let attempt = (|| -> PResult<RelFormula> {
                 let lhs = self.rel_int_expr()?;
@@ -745,12 +824,12 @@ impl Parser {
             })();
             match attempt {
                 Ok(f) => return Ok(f),
-                Err(_) => self.pos = checkpoint,
+                Err(_) => (self.pos, self.depth) = checkpoint,
             }
         }
         if self.peek() == Some(&Tok::LParen) {
             self.pos += 1;
-            let p = self.rel_formula()?;
+            let p = self.nested(Self::rel_formula)?;
             self.expect(&Tok::RParen)?;
             return Ok(p);
         }
@@ -814,6 +893,7 @@ impl Parser {
 
     fn block(&mut self) -> PResult<Stmt> {
         self.expect(&Tok::LBrace)?;
+        self.descend(BLOCK_LEVELS)?;
         let mut stmts = Vec::new();
         while self.peek() != Some(&Tok::RBrace) {
             if self.peek().is_none() {
@@ -821,11 +901,26 @@ impl Parser {
             }
             stmts.push(self.stmt()?);
         }
+        self.depth -= BLOCK_LEVELS;
         self.expect(&Tok::RBrace)?;
         Ok(Stmt::seq(stmts))
     }
 
+    /// One statement. Compound statements nest blocks, so their parsers
+    /// stay out of this frame: every nesting level pays for the frames
+    /// on its recursive path, and in unoptimized builds a frame holds
+    /// every temporary of every branch.
     fn stmt(&mut self) -> PResult<Stmt> {
+        if self.eat_keyword("if") {
+            return self.if_stmt();
+        }
+        if self.eat_keyword("while") {
+            return self.while_stmt();
+        }
+        self.simple_stmt()
+    }
+
+    fn simple_stmt(&mut self) -> PResult<Stmt> {
         if self.eat_keyword("skip") {
             self.expect(&Tok::Semi)?;
             return Ok(Stmt::Skip);
@@ -853,47 +948,6 @@ impl Parser {
             self.expect(&Tok::Semi)?;
             return Ok(Stmt::Relate(label, b));
         }
-        if self.eat_keyword("if") {
-            self.expect(&Tok::LParen)?;
-            let cond = self.bool_expr()?;
-            self.expect(&Tok::RParen)?;
-            let diverge = self.diverge_contract()?;
-            let then_branch = self.block()?;
-            self.expect_keyword("else")?;
-            let else_branch = self.block()?;
-            return Ok(Stmt::If(IfStmt {
-                cond,
-                then_branch: Box::new(then_branch),
-                else_branch: Box::new(else_branch),
-                diverge,
-            }));
-        }
-        if self.eat_keyword("while") {
-            self.expect(&Tok::LParen)?;
-            let cond = self.bool_expr()?;
-            self.expect(&Tok::RParen)?;
-            let mut invariant = None;
-            let mut rel_invariant = None;
-            if self.eat_keyword("invariant") {
-                self.expect(&Tok::LParen)?;
-                invariant = Some(self.formula()?);
-                self.expect(&Tok::RParen)?;
-            }
-            if self.eat_keyword("rinvariant") {
-                self.expect(&Tok::LParen)?;
-                rel_invariant = Some(self.rel_formula()?);
-                self.expect(&Tok::RParen)?;
-            }
-            let diverge = self.diverge_contract()?;
-            let body = self.block()?;
-            return Ok(Stmt::While(WhileStmt {
-                cond,
-                invariant,
-                rel_invariant,
-                diverge,
-                body: Box::new(body),
-            }));
-        }
         // Assignment or store.
         let name = self.ident()?;
         if self.peek() == Some(&Tok::LBracket) && self.peek2() != Some(&Tok::RBracket) {
@@ -909,6 +963,49 @@ impl Parser {
         let value = self.int_expr()?;
         self.expect(&Tok::Semi)?;
         Ok(Stmt::Assign(Var::new(name), value))
+    }
+
+    fn if_stmt(&mut self) -> PResult<Stmt> {
+        self.expect(&Tok::LParen)?;
+        let cond = self.bool_expr()?;
+        self.expect(&Tok::RParen)?;
+        let diverge = self.diverge_contract()?;
+        let then_branch = Box::new(self.block()?);
+        self.expect_keyword("else")?;
+        let else_branch = Box::new(self.block()?);
+        Ok(Stmt::If(IfStmt {
+            cond,
+            then_branch,
+            else_branch,
+            diverge,
+        }))
+    }
+
+    fn while_stmt(&mut self) -> PResult<Stmt> {
+        self.expect(&Tok::LParen)?;
+        let cond = self.bool_expr()?;
+        self.expect(&Tok::RParen)?;
+        let mut invariant = None;
+        let mut rel_invariant = None;
+        if self.eat_keyword("invariant") {
+            self.expect(&Tok::LParen)?;
+            invariant = Some(self.formula()?);
+            self.expect(&Tok::RParen)?;
+        }
+        if self.eat_keyword("rinvariant") {
+            self.expect(&Tok::LParen)?;
+            rel_invariant = Some(self.rel_formula()?);
+            self.expect(&Tok::RParen)?;
+        }
+        let diverge = self.diverge_contract()?;
+        let body = Box::new(self.block()?);
+        Ok(Stmt::While(WhileStmt {
+            cond,
+            invariant,
+            rel_invariant,
+            diverge,
+            body,
+        }))
     }
 
     fn program(&mut self) -> PResult<Stmt> {
@@ -1162,5 +1259,46 @@ mod tests {
     fn error_offsets_are_reported() {
         let err = parse_program("x = ;").unwrap_err();
         assert_eq!(err.offset, 4);
+    }
+
+    /// One program per shape that nests `levels` levels deep (rounded up
+    /// to whole blocks).
+    fn nested_programs(levels: usize) -> [String; 5] {
+        let ifs = levels.div_ceil(BLOCK_LEVELS);
+        [
+            format!("x = {}1{};", "(".repeat(levels), ")".repeat(levels)),
+            format!("x = 1{};", " + 1".repeat(levels)),
+            format!("x = {}1;", "-".repeat(levels)),
+            format!("assert {}true;", "!".repeat(levels)),
+            format!(
+                "{}skip;{}",
+                "if (true) { ".repeat(ifs),
+                " } else { skip; }".repeat(ifs)
+            ),
+        ]
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_with_an_error_naming_the_limit() {
+        let limit = format!("nesting deeper than {MAX_NESTING} levels");
+        let [parens, sum, negations, nots, _] = nested_programs(100_000);
+        let [.., ifs] = nested_programs(3_000 * BLOCK_LEVELS);
+        for src in [parens, sum, negations, nots, ifs] {
+            let err = parse_program(&src).unwrap_err();
+            assert!(err.message.contains(&limit), "{err}");
+        }
+        let err = parse_formula(&format!("{}true", "forall x . ".repeat(1_000))).unwrap_err();
+        assert!(err.message.contains(&limit), "{err}");
+    }
+
+    #[test]
+    fn programs_at_the_nesting_limit_parse_and_round_trip() {
+        for src in nested_programs(MAX_NESTING) {
+            let program = parse_program(&src).unwrap();
+            assert_eq!(parse_program(&program.to_string()).unwrap(), program);
+        }
+        for src in nested_programs(MAX_NESTING + 1) {
+            assert!(parse_program(&src).is_err(), "one level past the limit");
+        }
     }
 }

@@ -502,14 +502,12 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
     // Expected re-proof count, from the dependency map's own arithmetic:
     // goals of the edited revision whose keys the stored revision does
     // not already hold (everything else replays from the verdict cache).
-    let stages: Vec<Stage> = [Stage::Original, Stage::Intermediate, Stage::Relaxed]
-        .into_iter()
-        .filter(|stage| cold_session.config().stages.contains(*stage))
-        .collect();
     let staged = |program: &Program, spec: &Spec| -> Vec<(Stage, Vec<Vc>)> {
-        stages
+        cold_session
+            .config()
+            .stages
             .iter()
-            .map(|&stage| {
+            .map(|stage| {
                 let vcs = cold_session
                     .stage(stage)
                     .vcs(program, spec)

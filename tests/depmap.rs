@@ -47,9 +47,10 @@ fn cleanup(path: &PathBuf) {
 /// The staged obligations of one program under `session`'s stage
 /// selection, in the shape `depmap::goal_deps` consumes.
 fn staged(session: &Verifier, program: &Program, spec: &Spec) -> Vec<(Stage, Vec<Vc>)> {
-    [Stage::Original, Stage::Intermediate, Stage::Relaxed]
-        .into_iter()
-        .filter(|stage| session.config().stages.contains(*stage))
+    session
+        .config()
+        .stages
+        .iter()
         .map(|stage| {
             let vcs = session
                 .stage(stage)
@@ -58,6 +59,44 @@ fn staged(session: &Verifier, program: &Program, spec: &Spec) -> Vec<(Stage, Vec
             (stage, vcs)
         })
         .collect()
+}
+
+/// Checks what a corpus run left in the sidecar at `path`: every
+/// program's record equals the one a fresh vcgen pass builds for its
+/// current revision, and a fresh session replays the whole corpus from
+/// it. A live run answered from the store counts each disk hit as a
+/// cross-owner hit, so `cross_hits == 0` is what shows a replay.
+fn assert_records_replay(path: &PathBuf, corpus: &[(&str, Program, Spec)]) {
+    let session = persistent(path);
+    let fingerprint = fingerprint(&session.config().discharge_config());
+    let (map, warnings) = load(&depmap_path(path), &fingerprint);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    for (name, program, spec) in corpus {
+        let fresh = ProgramDeps {
+            hash: program_hash(program, spec),
+            goals: goal_deps(&staged(&session, program, spec)),
+        };
+        assert_eq!(map.program(name), Some(&fresh), "{name}");
+    }
+    let replay = session.check_corpus_named(corpus);
+    assert_eq!(replay.engine.cache_misses, 0, "{:?}", replay.engine);
+    assert_eq!(replay.engine.cross_hits, 0, "{:?}", replay.engine);
+}
+
+/// A live run records each program's revision from the obligations its
+/// own report carries, with no second vcgen pass: the record must equal
+/// the one fresh obligations give, or the next session cannot replay.
+#[test]
+fn cold_run_records_every_revision_from_its_live_report() {
+    let path = temp_cache("record");
+    let corpus = casestudies::corpus();
+    let cold_session = persistent(&path);
+    let cold = cold_session.check_corpus_named(&corpus);
+    assert!(cold.engine.cache_misses > 0, "the run was live");
+    cold_session.persist().unwrap();
+    drop(cold_session);
+    assert_records_replay(&path, &corpus);
+    cleanup(&path);
 }
 
 /// Reordering the corpus is not an edit: every program's hash still

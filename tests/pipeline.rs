@@ -209,3 +209,46 @@ fn exists_under_forall_precondition_does_not_prove_a_false_assert() {
         .unwrap();
     assert!(!control.verified(), "{control}");
 }
+
+/// The parser's nesting limit is sized so that every pass over a program
+/// at the limit fits the 2 MiB stack of a spawned thread (the default of
+/// the engine's and the corpus driver's lanes): one program per shape,
+/// each nested as deep as the parser allows, parses, round-trips through
+/// the printer and verifies there.
+#[test]
+fn programs_at_the_nesting_limit_verify_on_a_2_mib_thread() {
+    use relaxed_programs::lang::parser::{BLOCK_LEVELS, MAX_NESTING};
+    let levels = MAX_NESTING;
+    let blocks = MAX_NESTING / BLOCK_LEVELS;
+    let programs = [
+        format!("x = {}1{};", "(".repeat(levels), ")".repeat(levels)),
+        format!("x = 1{};", " + 1".repeat(levels)),
+        format!("x = {}1;", "-".repeat(levels)),
+        format!("assert {}true;", "!".repeat(levels)),
+        format!(
+            "{}skip;{}",
+            "if (true) { ".repeat(blocks),
+            " } else { skip; }".repeat(blocks)
+        ),
+        format!(
+            "{}skip;{}",
+            "while (i < n) invariant (true) rinvariant (i<o> == i<r> && n<o> == n<r>) { "
+                .repeat(blocks),
+            " }".repeat(blocks)
+        ),
+    ];
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let verifier = Verifier::builder().workers(1).build();
+            for src in &programs {
+                let program = parse_program(src).expect("a program at the limit parses");
+                assert_eq!(parse_program(&program.to_string()).unwrap(), program);
+                let report = verifier.check(&program, &Spec::synced(&program)).unwrap();
+                assert!(report.verified(), "{report}");
+            }
+        })
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("every program at the limit verifies");
+}

@@ -40,7 +40,10 @@ const CI_LINT_BUILD_TEST: &[Step] = &[
         ],
         &[],
     ),
-    Step(&["cargo", "build", "--release"], &[]),
+    // `--workspace`: a plain release build covers only the root package,
+    // and the sharded and service jobs below run the worker and daemon
+    // binaries it would not build.
+    Step(&["cargo", "build", "--release", "--workspace"], &[]),
     // The public API documents itself: intra-doc links and examples must
     // stay valid.
     Step(
@@ -255,8 +258,8 @@ fn ci() {
     let _ = std::fs::remove_file(&smoke_trace);
     // The sharded-corpus job: equivalence gate across ≥2 worker
     // processes, seeded through a fresh shared verdict store (the
-    // release build above produced the relaxed-shardd binary), then the
-    // shard fault-tolerance suite.
+    // workspace release build above produced the relaxed-shardd
+    // binary), then the shard fault-tolerance suite.
     let shard_cache = temp_path("sharded", "jsonl");
     run_step(
         CI_SHARDED_EXAMPLE,
@@ -759,7 +762,7 @@ fn main() {
         _ => {
             eprintln!("usage: cargo xtask <ci|verify|bench-json|bench-check>");
             eprintln!(
-                "  ci          fmt + clippy + build --release + doc + test (4 schedules) + examples + cache-persistence + sharded/service corpus + shard suite + edit-reverify + trace-smoke jobs + bench --no-run"
+                "  ci          fmt + clippy + build --release --workspace + doc + test (4 schedules) + examples + cache-persistence + sharded/service corpus + shard suite + edit-reverify + trace-smoke jobs + bench --no-run"
             );
             eprintln!("  verify      the ROADMAP tier-1 gate: build --release && test -q");
             eprintln!(
