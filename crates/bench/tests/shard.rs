@@ -11,8 +11,8 @@
 //! verdict-identical reports served from the shared store, a worker
 //! killed mid-request must lose no programs, neither a client vanishing
 //! mid-job nor a job frame without an id may wedge the fleet, and an
-//! over-long or deeply nested frame is refused while the daemon keeps
-//! serving.
+//! over-long or deeply nested frame, or a `<==>` chain past the parser's
+//! budget, is refused while the daemon keeps serving.
 //!
 //! Every test that spawns workers or enables tracing holds the
 //! `temp_env` lock, so the traced runs and the check that no worker
@@ -21,9 +21,11 @@
 use relaxed_core::cache::{fingerprint, json_string, parse_json, Json};
 use relaxed_core::depmap::{depmap_path, goal_deps, load, program_hash, ProgramDeps};
 use relaxed_core::service::{service_status, shutdown_service};
+use relaxed_core::shard::PROTOCOL_VERSION;
 use relaxed_core::{
     Config, CorpusError, CorpusReport, Service, ServiceOptions, Spec, Verifier, VerifierBuilder,
 };
+use relaxed_lang::parser::MAX_IFF_GROWTH;
 use relaxed_lang::Program;
 use relaxed_programs::casestudies;
 use std::io::{BufRead, BufReader, Write};
@@ -355,12 +357,12 @@ fn persistent_service_client_records_every_revision() {
         assert!(report.engine.cache_misses > 0, "the run was live");
         client.persist().expect("persist the client session");
         drop(client);
-        // Checked before the drain: each draining worker rewrites the
-        // sidecar from its own view.
-        assert_records_replay(&path, &corpus);
         shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
         daemon.join().expect("daemon thread");
     });
+    // Checked after the drain: a worker never writes the sidecar, so its
+    // exit cannot replace the client's record with its partial view.
+    assert_records_replay(&path, &corpus);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(depmap_path(&path));
 }
@@ -398,7 +400,7 @@ fn raw_session(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
     let session = Config::default();
     writeln!(
         writer,
-        "{{\"type\":\"config\",\"proto\":1,\"max_conflicts\":{},\
+        "{{\"type\":\"config\",\"proto\":{PROTOCOL_VERSION},\"max_conflicts\":{},\
          \"branch_budget\":{},\"workers\":1,\
          \"stages\":\"original,relaxed\",\"cache\":\"\"}}",
         session.max_conflicts, session.branch_budget
@@ -580,6 +582,46 @@ fn deeply_nested_program_fails_its_job_and_the_fleet_keeps_serving() {
                 matches!(error, Some(Json::Str(e))
                     if e.starts_with("program: parse error")
                         && e.contains("nesting deeper than 256 levels")),
+                "{reply}"
+            );
+        }
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert_eq!(status.alive, status.fleet, "{status:?}");
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+}
+
+#[test]
+fn iff_chain_past_the_budget_fails_its_job_and_the_fleet_keeps_serving() {
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(1), 1);
+
+        // A 13-link `<==>` chain in 170 bytes: one link past the parser's
+        // growth budget, where every further link doubles the desugared
+        // obligation until a worker runs out of memory.
+        {
+            let (mut reader, stream) = raw_session(&addr);
+            let program = format!("assert {};", vec!["x >= 0"; 14].join(" <==> "));
+            writeln!(
+                &stream,
+                "{{\"type\":\"job\",\"id\":4,\"name\":\"iff\",\"program\":{},\
+                 \"pre\":\"true\",\"post\":\"true\",\"rel_pre\":\"true\",\"rel_post\":\"true\"}}",
+                json_string(&program)
+            )
+            .expect("send job");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read the result");
+            let record = parse_json(&reply).expect("a result frame");
+            let fields = record.as_object().expect("an object");
+            let error = fields
+                .iter()
+                .find(|(key, _)| key == "error")
+                .map(|(_, value)| value);
+            let limit = format!("more than {MAX_IFF_GROWTH} nodes once desugared");
+            assert!(
+                matches!(error, Some(Json::Str(e))
+                    if e.starts_with("program: parse error") && e.contains(&limit)),
                 "{reply}"
             );
         }

@@ -782,7 +782,8 @@ impl Verifier {
     }
 
     /// Cumulative engine statistics over everything this session has
-    /// checked.
+    /// checked: the fold of its reports' `engine` stats, as
+    /// [`DischargeEngine::stats`] describes.
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }
@@ -1016,7 +1017,7 @@ impl Verifier {
         }
         let program_started = std::time::Instant::now();
         let keys: Vec<crate::cache::GoalKey> = stored.goals.iter().map(|g| g.key.clone()).collect();
-        let (verdicts, disk_hits) = self.engine.replay(&keys)?;
+        let (verdicts, engine) = self.engine.replay(&keys)?;
         let mut staged: Vec<(Stage, Report)> = stages
             .iter()
             .map(|stage| (stage, Report::default()))
@@ -1036,11 +1037,7 @@ impl Verifier {
             });
         }
         let mut report = AcceptabilityReport::from_stages(staged);
-        report.engine = EngineStats {
-            cache_hits: stored.goals.len() as u64,
-            disk_hits,
-            ..EngineStats::default()
-        };
+        report.engine = engine;
         Some(CorpusEntry {
             name: name.to_string(),
             elapsed_ms: elapsed_ms_since(program_started),
@@ -1101,6 +1098,15 @@ impl Verifier {
         Ok(())
     }
 
+    /// Marks the resident dependency map clean without writing it: a
+    /// fleet worker's map holds only the programs it ran, so it must
+    /// never replace the sidecar. Its records stay resident for replay.
+    pub(crate) fn forget_depmap_changes(&self) {
+        if let Some(Some(resident)) = self.depmap.get() {
+            resident.lock().expect("depmap lock").dirty = false;
+        }
+    }
+
     /// The in-process driver: fans programs (not goals) across the
     /// worker budget and returns their entries, without lint, in input
     /// order, plus the fan-out. Program-level parallelism scales better
@@ -1140,17 +1146,33 @@ pub(crate) fn elapsed_ms_since(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Renders the phase wall-time breakdown of `stats` as a JSON object —
-/// the `phase_ms` field of corpus-report entries and aggregates, so
-/// "where did the time go" survives in the report even with telemetry
-/// off.
-fn render_phase_ms(stats: &EngineStats) -> String {
+/// Appends the five engine counters of `stats`, each after a `, ` —
+/// the same keys in the same order for every corpus-report entry and
+/// for the aggregate.
+fn push_engine_counters(out: &mut String, stats: &EngineStats) {
+    for (key, value) in [
+        ("cache_hits", stats.cache_hits),
+        ("cross_program_hits", stats.cross_hits),
+        ("disk_hits", stats.disk_hits),
+        ("solver_runs", stats.cache_misses),
+        ("static_hits", stats.static_hits),
+    ] {
+        out.push_str(", ");
+        json_field(out, key, &value.to_string());
+    }
+}
+
+/// Renders the phase wall-time breakdown of `stats`, in microseconds, as
+/// a JSON object — the `phase_us` field of corpus-report entries and
+/// aggregates, so "where did the time go" survives in the report even
+/// with telemetry off.
+fn render_phase_us(stats: &EngineStats) -> String {
     format!(
         "{{\"vcgen\": {}, \"encode\": {}, \"solve\": {}, \"cache\": {}}}",
-        stats.elapsed_vcgen_ms,
-        stats.elapsed_encode_ms,
-        stats.elapsed_solve_ms,
-        stats.elapsed_cache_ms
+        stats.elapsed_vcgen_us,
+        stats.elapsed_encode_us,
+        stats.elapsed_solve_us,
+        stats.elapsed_cache_us
     )
 }
 
@@ -1393,34 +1415,9 @@ impl CorpusReport {
                             &stage_report.verified().to_string(),
                         );
                     }
+                    push_engine_counters(&mut out, &report.engine);
                     out.push_str(", ");
-                    json_field(
-                        &mut out,
-                        "cache_hits",
-                        &report.engine.cache_hits.to_string(),
-                    );
-                    out.push_str(", ");
-                    json_field(
-                        &mut out,
-                        "cross_program_hits",
-                        &report.engine.cross_hits.to_string(),
-                    );
-                    out.push_str(", ");
-                    json_field(&mut out, "disk_hits", &report.engine.disk_hits.to_string());
-                    out.push_str(", ");
-                    json_field(
-                        &mut out,
-                        "solver_runs",
-                        &report.engine.cache_misses.to_string(),
-                    );
-                    out.push_str(", ");
-                    json_field(
-                        &mut out,
-                        "static_hits",
-                        &report.engine.static_hits.to_string(),
-                    );
-                    out.push_str(", ");
-                    json_field(&mut out, "phase_ms", &render_phase_ms(&report.engine));
+                    json_field(&mut out, "phase_us", &render_phase_us(&report.engine));
                 }
                 Err(error) => {
                     out.push_str(", ");
@@ -1476,32 +1473,11 @@ impl CorpusReport {
         );
         out.push_str(", ");
         json_field(&mut out, "errors", &errors.to_string());
-        out.push_str(", ");
-        json_field(&mut out, "cache_hits", &self.engine.cache_hits.to_string());
-        out.push_str(", ");
-        json_field(
-            &mut out,
-            "cross_program_hits",
-            &self.engine.cross_hits.to_string(),
-        );
-        out.push_str(", ");
-        json_field(&mut out, "disk_hits", &self.engine.disk_hits.to_string());
-        out.push_str(", ");
-        json_field(
-            &mut out,
-            "solver_runs",
-            &self.engine.cache_misses.to_string(),
-        );
-        out.push_str(", ");
-        json_field(
-            &mut out,
-            "static_hits",
-            &self.engine.static_hits.to_string(),
-        );
+        push_engine_counters(&mut out, &self.engine);
         out.push_str(", ");
         json_field(&mut out, "workers", &self.engine.workers.to_string());
         out.push_str(", ");
-        json_field(&mut out, "phase_ms", &render_phase_ms(&self.engine));
+        json_field(&mut out, "phase_us", &render_phase_us(&self.engine));
         out.push_str(", ");
         json_field(&mut out, "elapsed_ms", &self.elapsed_ms.to_string());
         out.push_str(", ");

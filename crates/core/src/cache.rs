@@ -67,7 +67,7 @@ use relaxed_smt::{Model, Validity};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -371,18 +371,19 @@ pub fn load_tail(path: &Path, from: u64) -> LoadedCache {
 }
 
 /// Appends `entries` to the cache file at `path`, writing the header for
-/// `fingerprint` first when the file is new or empty. Returns the number
-/// of entries appended.
+/// `fingerprint` first when the file is new or empty. A file headed by
+/// anything else — another configuration's or build's header, or none —
+/// is left untouched, since its sessions would replay the entries as
+/// their own. Returns the number of entries appended.
 ///
 /// Appending is the **lost-update-free** flush: unlike [`persist`], which
 /// rewrites the whole file from one process's snapshot (concurrent
 /// rewriters race, last writer wins), an append can never drop another
 /// process's entries — later duplicates of a key win on [`load`], which
 /// is exactly the appender's merge semantics. This is how shard workers
-/// publish verdicts incrementally (see [`crate::shard`]). Two processes
-/// creating the same file simultaneously can both write a header; the
-/// loader treats the second header line as a corrupt record and skips it
-/// with a warning, which is harmless.
+/// publish verdicts incrementally (see [`crate::shard`]). The header
+/// check and the write happen under an exclusive lock on the file, so
+/// two processes appending to a new store write one header between them.
 ///
 /// # Errors
 ///
@@ -404,18 +405,25 @@ pub fn append<'a>(
     }
     create_parent_dirs(path)?;
     let mut file = fs::OpenOptions::new()
-        .create(true)
+        .read(true)
         .append(true)
+        .create(true)
         .open(path)?;
+    // Released when `file` drops, after the write.
+    file.lock()?;
+    let header = render_header(fingerprint);
     if file.metadata()?.len() == 0 {
-        let mut header = render_header(fingerprint);
-        header.push('\n');
-        header.push_str(&body);
-        body = header;
+        body.insert(0, '\n');
+        body.insert_str(0, &header);
+    } else {
+        let mut first = String::new();
+        io::BufReader::new((&file).take(header.len() as u64 + 2)).read_line(&mut first)?;
+        if first.trim_end() != header {
+            return Ok(0);
+        }
     }
-    // One write call for the whole batch: concurrent appenders interleave
-    // at record granularity at worst, and a torn tail is exactly what the
-    // corruption-tolerant loader skips.
+    // One write call for the whole batch: a torn tail after a crash is
+    // exactly what the corruption-tolerant loader skips.
     file.write_all(body.as_bytes())?;
     file.sync_all()?;
     Ok(count)
@@ -994,6 +1002,48 @@ mod tests {
             0,
             "empty batch is a no-op"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn append_leaves_a_foreign_store_untouched() {
+        let path = temp_file("append-foreign");
+        let (key, verdict) = &sample_entries()[0];
+        // Another configuration's store, then one with no header at all.
+        for store in [render_header("fp-a") + "\n", "x\n".to_string()] {
+            std::fs::write(&path, &store).unwrap();
+            assert_eq!(append(&path, "fp-b", [(key, verdict)]).unwrap(), 0);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), store);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn concurrent_appends_to_a_new_store_write_one_header() {
+        let path = temp_file("append-race");
+        let keys: Vec<GoalKey> = (0..4)
+            .map(|i| GoalKey::of(&ITerm::var("w").le(ITerm::Const(i))))
+            .collect();
+        for round in 0..20 {
+            let _ = std::fs::remove_file(&path);
+            let barrier = std::sync::Barrier::new(keys.len());
+            std::thread::scope(|scope| {
+                for key in &keys {
+                    let (path, barrier) = (&path, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        append(path, "fp", [(key, &Validity::Valid)]).unwrap();
+                    });
+                }
+            });
+            let loaded = load(&path, "fp");
+            assert!(
+                loaded.warnings.is_empty(),
+                "round {round}: {:?}",
+                loaded.warnings
+            );
+            assert_eq!(loaded.entries.len(), keys.len(), "round {round}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

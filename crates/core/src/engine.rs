@@ -32,6 +32,12 @@
 //!    generation order, so a [`Report`] is byte-for-byte identical
 //!    regardless of worker count.
 //!
+//! Every call reports its own [`EngineStats`] on its [`Report`], with
+//! phase clocks in microseconds. The engine keeps no second set of
+//! counters: its lifetime [`stats`](DischargeEngine::stats) are the fold
+//! of every per-call stat it produced, plus the store's load and flush
+//! work, so they equal the sum of the reports a session returned.
+//!
 //! Worker count and solver budgets come from [`DischargeConfig`]. The
 //! engine itself never reads the process environment; the
 //! `DISCHARGE_WORKERS`, `DISCHARGE_CONFLICTS` and
@@ -48,7 +54,7 @@ use relaxed_smt::ast::BTerm;
 use relaxed_smt::{Solver, SolverStats, Validity};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Tuning knobs for a [`DischargeEngine`].
@@ -110,8 +116,9 @@ impl DischargeConfig {
     }
 }
 
-/// Cache and throughput counters for a [`DischargeEngine`] (or, on a
-/// [`Report`], for one discharge call).
+/// Cache and throughput counters for one discharge call (on a
+/// [`Report`]), or folded over many: a stage, a program, a corpus run,
+/// or a whole engine's lifetime ([`DischargeEngine::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Obligations answered from the verdict cache (including duplicates
@@ -130,13 +137,11 @@ pub struct EngineStats {
     /// (a subset of `cache_hits`) — the across-run payoff of
     /// [`CachePolicy::Persistent`](crate::api::CachePolicy::Persistent).
     pub disk_hits: u64,
-    /// Verdicts loaded from the on-disk store at session start. Always
-    /// `0` on per-call (report-level) statistics; engine-level only.
+    /// Verdicts merged from the on-disk store, at session start and by
+    /// every [`refresh_from_disk`](DischargeEngine::refresh_from_disk).
+    /// Always `0` on per-call (report-level) statistics; engine-level
+    /// only.
     pub loaded: u64,
-    /// Verdicts written by the most recent
-    /// [`persist`](DischargeEngine::persist) (explicit or on drop).
-    /// Always `0` on per-call statistics; engine-level only.
-    pub persisted: u64,
     /// Goals proved by the static prefilter alone — no SAT or simplex
     /// work at all (a subset of `cache_misses`: a static hit still
     /// counts as "solved this call" and publishes to the cache like any
@@ -149,17 +154,17 @@ pub struct EngineStats {
     /// engine-level stats, the thread count actually used for
     /// report-level stats (capped by the number of unsolved goals).
     pub workers: usize,
-    /// Wall milliseconds spent generating obligations (vcgen), folded
-    /// in by the staged pipeline — the engine itself never runs vcgen.
-    pub elapsed_vcgen_ms: u64,
-    /// Wall milliseconds spent lowering goals to solver terms.
-    pub elapsed_encode_ms: u64,
-    /// Wall milliseconds spent in solver runs (including prefilter work
+    /// Wall microseconds spent generating obligations (vcgen), added by
+    /// the staged pipeline — the engine itself never runs vcgen.
+    pub elapsed_vcgen_us: u64,
+    /// Wall microseconds spent lowering goals to solver terms.
+    pub elapsed_encode_us: u64,
+    /// Wall microseconds spent in solver runs (including prefilter work
     /// that avoided them), summed across worker threads.
-    pub elapsed_solve_ms: u64,
-    /// Wall milliseconds spent probing, loading, refreshing, and
+    pub elapsed_solve_us: u64,
+    /// Wall microseconds spent probing, loading, refreshing, and
     /// persisting the verdict cache.
-    pub elapsed_cache_ms: u64,
+    pub elapsed_cache_us: u64,
 }
 
 impl EngineStats {
@@ -176,13 +181,46 @@ impl EngineStats {
         self.disk_hits += other.disk_hits;
         self.static_hits += other.static_hits;
         self.loaded += other.loaded;
-        self.persisted += other.persisted;
         self.unique_goals += other.unique_goals;
         self.workers = self.workers.max(other.workers);
-        self.elapsed_vcgen_ms += other.elapsed_vcgen_ms;
-        self.elapsed_encode_ms += other.elapsed_encode_ms;
-        self.elapsed_solve_ms += other.elapsed_solve_ms;
-        self.elapsed_cache_ms += other.elapsed_cache_ms;
+        self.elapsed_vcgen_us += other.elapsed_vcgen_us;
+        self.elapsed_encode_us += other.elapsed_encode_us;
+        self.elapsed_solve_us += other.elapsed_solve_us;
+        self.elapsed_cache_us += other.elapsed_cache_us;
+    }
+
+    /// The nine per-call counters with their names, in one fixed order:
+    /// the one list the result frame and the `discharge` span render.
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("cross_hits", self.cross_hits),
+            ("disk_hits", self.disk_hits),
+            ("static_hits", self.static_hits),
+            ("vcgen_us", self.elapsed_vcgen_us),
+            ("encode_us", self.elapsed_encode_us),
+            ("solve_us", self.elapsed_solve_us),
+            ("cache_us", self.elapsed_cache_us),
+        ]
+    }
+
+    /// The inverse of [`counters`](EngineStats::counters): the stats whose
+    /// counter `name` is `value(name)`, every other field zero, or the
+    /// first error `value` returns.
+    pub fn from_counters<E>(mut value: impl FnMut(&str) -> Result<u64, E>) -> Result<Self, E> {
+        Ok(EngineStats {
+            cache_hits: value("cache_hits")?,
+            cache_misses: value("cache_misses")?,
+            cross_hits: value("cross_hits")?,
+            disk_hits: value("disk_hits")?,
+            static_hits: value("static_hits")?,
+            elapsed_vcgen_us: value("vcgen_us")?,
+            elapsed_encode_us: value("encode_us")?,
+            elapsed_solve_us: value("solve_us")?,
+            elapsed_cache_us: value("cache_us")?,
+            ..EngineStats::default()
+        })
     }
 }
 
@@ -210,11 +248,11 @@ pub struct DischargeOptions {
 pub struct DischargeEngine {
     config: DischargeConfig,
     cache: Mutex<HashMap<GoalKey, CachedVerdict>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    cross: AtomicU64,
-    disk: AtomicU64,
-    statics: AtomicU64,
+    /// The fold of every per-call [`EngineStats`] this engine produced,
+    /// plus the store's load, refresh and flush work: what
+    /// [`stats`](DischargeEngine::stats) reads. `tally` is the only way
+    /// in.
+    totals: Mutex<EngineStats>,
     /// Whether the cache holds verdicts not yet written to the on-disk
     /// store (drop-time persistence skips clean caches; explicit
     /// [`persist`](DischargeEngine::persist) always writes).
@@ -224,13 +262,6 @@ pub struct DischargeEngine {
     /// appends to the store. Only populated for persistent engines.
     pending: Mutex<Vec<GoalKey>>,
     store: Option<DiskStore>,
-    /// Cumulative phase clocks, in µs (reported in ms via
-    /// [`EngineStats`]): vcgen (folded in by the staged pipeline),
-    /// goal encoding, solver runs, and cache I/O.
-    vcgen_us: AtomicU64,
-    encode_us: AtomicU64,
-    solve_us: AtomicU64,
-    cache_us: AtomicU64,
 }
 
 /// The on-disk backing of a persistent engine (see
@@ -240,8 +271,6 @@ struct DiskStore {
     path: PathBuf,
     fingerprint: String,
     warnings: Vec<CacheWarning>,
-    loaded: AtomicU64,
-    persisted: AtomicU64,
     /// The file state this engine has fully merged, recorded from a
     /// `stat` taken **before** the corresponding read — so records a
     /// sibling appends while we read land beyond the recorded length and
@@ -307,29 +336,8 @@ const _: () = {
 };
 
 /// Whole microseconds since `started`, saturated into `u64`.
-fn elapsed_us(started: std::time::Instant) -> u64 {
+pub(crate) fn elapsed_us(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// RAII phase clock: adds the guarded scope's wall time (µs) to a
-/// cumulative counter on drop, so early returns are counted too.
-struct PhaseTimer<'a> {
-    clock: &'a AtomicU64,
-    started: std::time::Instant,
-}
-
-fn phase(clock: &AtomicU64) -> PhaseTimer<'_> {
-    PhaseTimer {
-        clock,
-        started: std::time::Instant::now(),
-    }
-}
-
-impl Drop for PhaseTimer<'_> {
-    fn drop(&mut self) {
-        self.clock
-            .fetch_add(elapsed_us(self.started), Ordering::Relaxed);
-    }
 }
 
 impl DischargeEngine {
@@ -342,19 +350,11 @@ impl DischargeEngine {
     pub fn with_config(config: DischargeConfig) -> Self {
         DischargeEngine {
             config,
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            cross: AtomicU64::new(0),
-            disk: AtomicU64::new(0),
-            statics: AtomicU64::new(0),
+            cache: Mutex::default(),
+            totals: Mutex::default(),
             dirty: std::sync::atomic::AtomicBool::new(false),
-            pending: Mutex::new(Vec::new()),
+            pending: Mutex::default(),
             store: None,
-            vcgen_us: AtomicU64::new(0),
-            encode_us: AtomicU64::new(0),
-            solve_us: AtomicU64::new(0),
-            cache_us: AtomicU64::new(0),
         }
     }
 
@@ -401,20 +401,13 @@ impl DischargeEngine {
             path,
             fingerprint,
             warnings: loaded.warnings,
-            loaded: AtomicU64::new(entries.len() as u64),
-            persisted: AtomicU64::new(0),
             last_seen: Mutex::new(stamp),
             tail_ok: std::sync::atomic::AtomicBool::new(loaded.compatible),
         });
-        load_span.arg(
-            "loaded",
-            engine
-                .store
-                .as_ref()
-                .map_or(0u64, |s| s.loaded.load(Ordering::Relaxed)),
-        );
+        let count = entries.len() as u64;
+        load_span.arg("loaded", count);
         engine.cache = Mutex::new(entries);
-        engine.cache_us = AtomicU64::new(elapsed_us(started));
+        engine.tally_store_io(started, count);
         engine
     }
 
@@ -442,13 +435,13 @@ impl DischargeEngine {
         let Some(store) = &self.store else {
             return 0;
         };
-        let _clock = phase(&self.cache_us);
+        let started = std::time::Instant::now();
         let _span = crate::telemetry::span("cache", "cache_refresh");
         let now = FileStamp::of(&store.path);
         let seen = *store.last_seen.lock().expect("store stamp lock");
         let loaded = match (now, seen) {
-            (None, None) => return 0, // still no file
-            (Some(now), Some(seen)) if now == seen => return 0,
+            (None, None) => return self.tally_store_io(started, 0), // still no file
+            (Some(now), Some(seen)) if now == seen => return self.tally_store_io(started, 0),
             (Some(now), Some(seen))
                 if seen.tail_of(now)
                     && store.tail_ok.load(std::sync::atomic::Ordering::Relaxed) =>
@@ -464,9 +457,6 @@ impl DischargeEngine {
             }
         };
         *store.last_seen.lock().expect("store stamp lock") = now;
-        if loaded.entries.is_empty() {
-            return 0;
-        }
         let mut merged = 0u64;
         let mut cache = self.cache.lock().expect("cache lock");
         for (key, verdict) in loaded.entries {
@@ -480,8 +470,7 @@ impl DischargeEngine {
             });
         }
         drop(cache);
-        store.loaded.fetch_add(merged, Ordering::Relaxed);
-        merged
+        self.tally_store_io(started, merged)
     }
 
     /// The engine's configuration.
@@ -514,7 +503,7 @@ impl DischargeEngine {
         let Some(store) = &self.store else {
             return Ok(0);
         };
-        let _clock = phase(&self.cache_us);
+        let started = std::time::Instant::now();
         let _span = crate::telemetry::span("cache", "cache_persist");
         // Snapshot under the lock, write without it: the rendering, the
         // file write, and the fsync must not stall concurrent discharge
@@ -549,12 +538,13 @@ impl DischargeEngine {
             // The snapshot never reached disk; leave the cache dirty so
             // a later persist retries.
             self.dirty.store(true, std::sync::atomic::Ordering::Relaxed);
-        })?;
+        });
+        self.tally_store_io(started, 0);
+        let written = written?;
         // The rewrite replaced the file generation; a sibling may already
         // have appended to either generation. Clearing the stamp makes
         // the next refresh a full (cheap-to-reason-about) reload.
         *store.last_seen.lock().expect("store stamp lock") = None;
-        store.persisted.store(written, Ordering::Relaxed);
         Ok(written)
     }
 
@@ -580,12 +570,12 @@ impl DischargeEngine {
         let Some(store) = &self.store else {
             return Ok(0);
         };
-        let _clock = phase(&self.cache_us);
-        let _span = crate::telemetry::span("cache", "cache_append");
         let batch: Vec<GoalKey> = std::mem::take(&mut *self.pending.lock().expect("pending lock"));
         if batch.is_empty() {
             return Ok(0);
         }
+        let started = std::time::Instant::now();
+        let _span = crate::telemetry::span("cache", "cache_append");
         let entries: Vec<(GoalKey, Validity)> = {
             let cache = self.cache.lock().expect("cache lock");
             batch
@@ -610,7 +600,9 @@ impl DischargeEngine {
             let mut retained = batch.clone();
             retained.extend(pending.drain(..));
             *pending = retained;
-        })?;
+        });
+        self.tally_store_io(started, 0);
+        let appended = appended?;
         // Deliberately no stamp update: the next refresh tail-parses from
         // the last *read* position — re-scanning our own appended records
         // is cheap (merge no-ops), whereas stamping here could mask a
@@ -624,42 +616,43 @@ impl DischargeEngine {
         Ok(appended)
     }
 
-    /// Cumulative statistics across every discharge call so far.
+    /// Cumulative statistics: the fold of every per-call [`EngineStats`]
+    /// (a program that errors in a later stage adds its earlier stages
+    /// but returns no report) plus the store's own work, with two gauges:
+    /// `unique_goals`, the cache size, and `workers`, the parallelism.
     pub fn stats(&self) -> EngineStats {
+        let unique_goals = self.cache.lock().expect("cache lock").len() as u64;
         EngineStats {
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.load(Ordering::Relaxed),
-            cross_hits: self.cross.load(Ordering::Relaxed),
-            disk_hits: self.disk.load(Ordering::Relaxed),
-            static_hits: self.statics.load(Ordering::Relaxed),
-            loaded: self
-                .store
-                .as_ref()
-                .map_or(0, |s| s.loaded.load(Ordering::Relaxed)),
-            persisted: self
-                .store
-                .as_ref()
-                .map_or(0, |s| s.persisted.load(Ordering::Relaxed)),
-            unique_goals: self.cache.lock().expect("cache lock").len() as u64,
+            unique_goals,
             workers: self.config.effective_parallelism(),
-            elapsed_vcgen_ms: self.vcgen_us.load(Ordering::Relaxed) / 1000,
-            elapsed_encode_ms: self.encode_us.load(Ordering::Relaxed) / 1000,
-            elapsed_solve_ms: self.solve_us.load(Ordering::Relaxed) / 1000,
-            elapsed_cache_ms: self.cache_us.load(Ordering::Relaxed) / 1000,
+            ..*self.totals.lock().expect("engine totals lock")
         }
     }
 
-    /// Folds vcgen wall time into the engine's phase clocks — called by
-    /// the staged pipeline ([`crate::verify`]), which runs vcgen before
-    /// handing the obligations to the engine.
-    pub(crate) fn note_vcgen_us(&self, us: u64) {
-        self.vcgen_us.fetch_add(us, Ordering::Relaxed);
+    /// Folds one call's statistics into the engine's lifetime totals: the
+    /// only way into them. Never called under the cache lock.
+    pub(crate) fn tally(&self, stats: &EngineStats) {
+        self.totals
+            .lock()
+            .expect("engine totals lock")
+            .absorb(stats);
+    }
+
+    /// Tallies one store operation begun at `started` that merged
+    /// `loaded` verdicts into the cache, and returns `loaded`.
+    fn tally_store_io(&self, started: std::time::Instant, loaded: u64) -> u64 {
+        self.tally(&EngineStats {
+            loaded,
+            elapsed_cache_us: elapsed_us(started),
+            ..EngineStats::default()
+        });
+        loaded
     }
 
     /// Replays a set of goals from the verdict cache without encoding or
     /// solving anything: all-or-none under one cache lock. Returns the
     /// verdicts in `keys` order iff *every* key is resident; a single
-    /// miss returns `None` and leaves the counters untouched, so callers
+    /// miss returns `None` and tallies nothing, so callers
     /// fall back to a full [`discharge`](DischargeEngine::discharge).
     ///
     /// This is the incremental re-verification fast path (see
@@ -667,22 +660,30 @@ impl DischargeEngine {
     /// re-verified by replaying its stored keys. Each replayed goal
     /// counts as a cache hit (and a disk hit when the resident verdict
     /// was loaded from the store), keeping the stats truthful about
-    /// where the verdicts came from.
-    pub(crate) fn replay(&self, keys: &[GoalKey]) -> Option<(Vec<Validity>, u64)> {
+    /// where the verdicts came from; the call's statistics come back
+    /// with the verdicts and are tallied like a discharge call's.
+    pub(crate) fn replay(&self, keys: &[GoalKey]) -> Option<(Vec<Validity>, EngineStats)> {
+        let started = std::time::Instant::now();
         let cache = self.cache.lock().expect("cache lock");
         let mut verdicts = Vec::with_capacity(keys.len());
         let mut disk = 0u64;
         for key in keys {
-            // A miss anywhere returns before any counter moves.
+            // A miss anywhere returns before anything is tallied.
             let slot = cache.get(key)?;
             if slot.from_disk {
                 disk += 1;
             }
             verdicts.push(slot.verdict.clone());
         }
-        self.hits.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        self.disk.fetch_add(disk, Ordering::Relaxed);
-        Some((verdicts, disk))
+        drop(cache);
+        let stats = EngineStats {
+            cache_hits: keys.len() as u64,
+            disk_hits: disk,
+            elapsed_cache_us: elapsed_us(started),
+            ..EngineStats::default()
+        };
+        self.tally(&stats);
+        Some((verdicts, stats))
     }
 
     /// Discharges `vcs`, reusing cached verdicts and solving the rest in
@@ -698,9 +699,8 @@ impl DischargeEngine {
     /// accounting (see [`DischargeOptions`]).
     pub fn discharge_with(&self, vcs: Vec<Vc>, opts: DischargeOptions) -> Report {
         let mut call_span = crate::telemetry::span("engine", "discharge");
-        call_span.arg("vcs", vcs.len());
         let encode_started = std::time::Instant::now();
-        let mut encode_span = crate::telemetry::span("engine", "encode");
+        let encode_span = crate::telemetry::span("engine", "encode");
         // Encode with a fresh context per VC: bound-variable numbering
         // restarts per goal, so the encoded BTerm is a canonical key.
         let goals: Vec<BTerm> = vcs.iter().map(encode_goal).collect();
@@ -724,13 +724,11 @@ impl DischargeEngine {
         // rendering per unique goal serves both the in-memory map and the
         // persistent store.
         let keys: Vec<GoalKey> = unique_goals.iter().map(|goal| GoalKey::of(goal)).collect();
-        encode_span.arg("unique_goals", unique_goals.len());
         drop(encode_span);
         let call_encode_us = elapsed_us(encode_started);
-        self.encode_us.fetch_add(call_encode_us, Ordering::Relaxed);
 
         let cache_started = std::time::Instant::now();
-        let mut probe_span = crate::telemetry::span("engine", "cache_probe");
+        let probe_span = crate::telemetry::span("engine", "cache_probe");
         let mut verdicts: Vec<Option<Validity>> = vec![None; unique_goals.len()];
         let mut from_cache: Vec<bool> = vec![false; unique_goals.len()];
         let mut cross_owner: Vec<bool> = vec![false; unique_goals.len()];
@@ -749,8 +747,6 @@ impl DischargeEngine {
                 }
             }
         }
-        probe_span.arg("hits", unique_goals.len() - work.len());
-        probe_span.arg("misses", work.len());
         drop(probe_span);
         let mut call_cache_us = elapsed_us(cache_started);
 
@@ -767,7 +763,7 @@ impl DischargeEngine {
         // in the cache under the same key).
         let mut solved: Vec<(usize, Validity, SolverStats)> = Vec::new();
         if !work.is_empty() {
-            let mut prefilter_span = crate::telemetry::span("engine", "prefilter");
+            let _prefilter_span = crate::telemetry::span("engine", "prefilter");
             let mut pre = Prefilter::new();
             work.retain(|&gi| {
                 let proved = pre.proves(unique_goals[gi]);
@@ -776,9 +772,6 @@ impl DischargeEngine {
                 }
                 !proved
             });
-            self.statics
-                .fetch_add(solved.len() as u64, Ordering::Relaxed);
-            prefilter_span.arg("static_hits", solved.len());
         }
         let call_statics = solved.len() as u64;
 
@@ -817,20 +810,15 @@ impl DischargeEngine {
             };
             let stats = solver.stats();
             if span.is_active() {
-                span.arg("decisions", stats.sat.decisions);
-                span.arg("propagations", stats.sat.propagations);
-                span.arg("conflicts", stats.sat.conflicts);
-                span.arg("theory_checks", stats.sat.theory_checks);
-                span.arg("pivots", stats.pivots);
-                span.arg("branch_nodes", stats.branch_nodes);
-                span.arg("restarts", stats.sat.restarts);
+                for (name, value) in stats.counters() {
+                    span.arg(name, value);
+                }
             }
             (gi, verdict, stats)
         };
         solved.extend(fan_out(&work, workers, |&gi| solve_fresh(gi)));
         solved.sort_unstable_by_key(|(gi, _, _)| *gi);
         let call_solve_us = elapsed_us(solve_started);
-        self.solve_us.fetch_add(call_solve_us, Ordering::Relaxed);
 
         // Publish the new verdicts to the cross-call cache under this
         // call's owner tag.
@@ -861,7 +849,6 @@ impl DischargeEngine {
             }
         }
         call_cache_us += elapsed_us(publish_started);
-        self.cache_us.fetch_add(call_cache_us, Ordering::Relaxed);
         let mut solved_stats: Vec<Option<SolverStats>> = vec![None; unique_goals.len()];
         for (gi, verdict, stats) in solved {
             verdicts[gi] = Some(verdict);
@@ -903,30 +890,26 @@ impl DischargeEngine {
         }
 
         let call_misses = solved_stats.iter().flatten().count() as u64;
-        let call_hits = total - call_misses;
-        self.hits.fetch_add(call_hits, Ordering::Relaxed);
-        self.misses.fetch_add(call_misses, Ordering::Relaxed);
-        self.cross.fetch_add(call_cross, Ordering::Relaxed);
-        self.disk.fetch_add(call_disk, Ordering::Relaxed);
         report.engine = EngineStats {
-            cache_hits: call_hits,
+            cache_hits: total - call_misses,
             cache_misses: call_misses,
             cross_hits: call_cross,
             disk_hits: call_disk,
             static_hits: call_statics,
             loaded: 0,
-            persisted: 0,
             unique_goals: call_misses,
             workers,
             // Vcgen happens upstream of the engine; the staged pipeline
-            // fills this in on the stage report.
-            elapsed_vcgen_ms: 0,
-            elapsed_encode_ms: call_encode_us / 1000,
-            elapsed_solve_ms: call_solve_us / 1000,
-            elapsed_cache_ms: call_cache_us / 1000,
+            // tallies it on the stage report.
+            elapsed_vcgen_us: 0,
+            elapsed_encode_us: call_encode_us,
+            elapsed_solve_us: call_solve_us,
+            elapsed_cache_us: call_cache_us,
         };
-        call_span.arg("solved", call_misses);
-        drop(call_span);
+        self.tally(&report.engine);
+        for (name, value) in report.engine.counters() {
+            call_span.arg(name, value);
+        }
         report
     }
 }

@@ -52,9 +52,10 @@
 //!   warm, adds admission control, control frames and metrics, and
 //!   serves concurrent corpus requests over TCP behind
 //!   [`CorpusPolicy::Service`];
-//! * [`telemetry`] — zero-dependency tracing and metrics: RAII spans
-//!   drained to Chrome trace-event JSON (`DISCHARGE_TRACE=path.json`)
-//!   and a Prometheus-rendered [`MetricsRegistry`];
+//! * [`telemetry`] — zero-dependency tracing: RAII spans drained to
+//!   Chrome trace-event JSON (`DISCHARGE_TRACE=path.json`), whose
+//!   counters are the per-call [`EngineStats`] and the per-goal
+//!   `SolverStats`;
 //! * [`encode`] — lowering of assertion-logic formulas to the
 //!   `relaxed-smt` solver;
 //! * [`analysis`] — array detection, relaxation-dependence (taint)
@@ -120,5 +121,4 @@ pub use cache::{CacheWarning, GoalKey};
 pub use engine::{DischargeConfig, DischargeEngine, DischargeOptions, EngineStats};
 pub use prefilter::{group_keys, normalize, GroupKeys, NormalizedHypothesis, Prefilter};
 pub use service::{Service, ServiceOptions, ServiceStatus};
-pub use telemetry::MetricsRegistry;
 pub use verify::{AcceptabilityReport, Report, Spec, VcResult};

@@ -32,7 +32,7 @@
 //! ```text
 //! client → daemon               daemon → client
 //! ---------------------------   ---------------------------
-//! {"type":"config",...}         {"type":"ready","proto":1,"fleet":N}
+//! {"type":"config",...}         {"type":"ready","proto":2,"fleet":N}
 //!                               {"type":"error","reason":...}   (refused)
 //! {"type":"job","id":7,...}     {"type":"result","id":7,...}
 //!                               {"type":"busy","id":7,"retry_after_ms":25}
@@ -40,6 +40,10 @@
 //! {"type":"metrics"}            {"type":"metrics","text":"…Prometheus…"}
 //! {"type":"shutdown"}           {"type":"bye","served":S}
 //! ```
+//!
+//! The `status`, `metrics` and `bye` frames read one set of counters
+//! (active and peak jobs, served, rejected, and the latency histogram),
+//! and the Prometheus text shows every series from startup, at 0.
 //!
 //! The daemon validates each session's `config` frame against its own
 //! fleet configuration: the verdict-relevant knobs (solver budgets and
@@ -80,8 +84,9 @@ use crate::shard::{
 use crate::verify::Spec;
 use relaxed_lang::Program;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -118,13 +123,84 @@ const ADMITTED_PER_WORKER: usize = 4;
 /// The `retry_after_ms` hint sent with `busy` rejections.
 const RETRY_AFTER_MS: u64 = 25;
 
-/// The admission counters, condvar-signalled for the drain.
-#[derive(Default)]
-struct Admission {
+/// Upper bounds of the request-latency histogram's buckets, in
+/// milliseconds. Fixed, so scrapes from different daemons line up.
+const LATENCY_BUCKETS_MS: [u64; 10] = [1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000];
+
+/// The daemon's one set of counters, condvar-signalled for the drain:
+/// the `status`, `metrics` and `bye` frames and [`Service::run`] read it.
+#[derive(Debug, Default)]
+struct Counters {
     /// Jobs admitted and not yet finished, across all connections.
     active: usize,
     /// High-water mark of `active` — the queue-depth gauge.
     peak_active: usize,
+    /// Jobs served since startup: also the latency histogram's count.
+    served: u64,
+    /// Jobs rejected with `busy` since startup.
+    rejected: u64,
+    /// Served jobs at or under each [`LATENCY_BUCKETS_MS`] bound.
+    latency_buckets: [u64; LATENCY_BUCKETS_MS.len()],
+    /// Summed latency of the served jobs, in milliseconds.
+    latency_sum_ms: u64,
+}
+
+impl Counters {
+    /// Admits one job if fewer than `cap` are active, and counts a
+    /// rejection otherwise.
+    fn admit(&mut self, cap: usize) -> bool {
+        if self.active >= cap {
+            self.rejected += 1;
+            return false;
+        }
+        self.active += 1;
+        self.peak_active = self.peak_active.max(self.active);
+        true
+    }
+
+    /// Counts one served job that took `latency_ms`.
+    fn serve(&mut self, latency_ms: u64) {
+        self.served += 1;
+        self.latency_sum_ms += latency_ms;
+        for (bound, count) in LATENCY_BUCKETS_MS.iter().zip(&mut self.latency_buckets) {
+            *count += u64::from(latency_ms <= *bound);
+        }
+    }
+
+    fn status_frame(&self, fleet: usize, alive: usize) -> String {
+        format!(
+            "{{\"type\":\"status\",\"proto\":{PROTOCOL_VERSION},\"fleet\":{fleet},\"alive\":{alive},\
+             \"active\":{},\"peak_active\":{},\"served\":{},\"rejected\":{}}}",
+            self.active, self.peak_active, self.served, self.rejected,
+        )
+    }
+
+    /// The Prometheus text of the counters and of the fleet's `alive`
+    /// and `idle` worker counts: counters, gauges, then the latency
+    /// histogram with cumulative buckets, every series from startup.
+    fn prometheus(&self, alive: usize, idle: usize) -> String {
+        let mut out = String::new();
+        let busy = alive.saturating_sub(idle);
+        for (name, kind, value) in [
+            ("relaxed_requests_rejected_total", "counter", self.rejected),
+            ("relaxed_requests_served_total", "counter", self.served),
+            ("relaxed_fleet_alive", "gauge", alive as u64),
+            ("relaxed_fleet_busy", "gauge", busy as u64),
+            ("relaxed_queue_depth", "gauge", self.active as u64),
+            ("relaxed_queue_depth_peak", "gauge", self.peak_active as u64),
+        ] {
+            let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
+        }
+        let name = "relaxed_request_latency_ms";
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        for (bound, count) in LATENCY_BUCKETS_MS.iter().zip(&self.latency_buckets) {
+            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {count}");
+        }
+        let (sum, count) = (self.latency_sum_ms, self.served);
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+        let _ = writeln!(out, "{name}_sum {sum}\n{name}_count {count}");
+        out
+    }
 }
 
 /// The TCP-facing half of the daemon on top of its [`Fleet`]: admission,
@@ -132,15 +208,9 @@ struct Admission {
 struct Daemon {
     config: Config,
     fleet: Fleet,
-    admission: Mutex<Admission>,
+    counters: Mutex<Counters>,
     signal: Condvar,
-    served: AtomicU64,
-    rejected: AtomicU64,
     draining: AtomicBool,
-    /// Daemon-wide metrics, served as Prometheus text over the
-    /// `metrics` control frame: request counters, queue/fleet gauges
-    /// (set at scrape time), and the request-latency histogram.
-    metrics: crate::telemetry::MetricsRegistry,
     /// Whether this daemon still holds its trace-file ownership: taken
     /// in [`Service::bind`], released once, at the drain or on drop.
     owns_trace: AtomicBool,
@@ -154,24 +224,13 @@ impl Drop for Daemon {
 }
 
 impl Daemon {
-    /// Admits one job if below the cap. `true` = admitted (the caller
-    /// must later call [`Daemon::release`]).
-    fn admit(&self) -> bool {
-        let mut admission = self.admission.lock().expect("service admission");
-        if admission.active >= ADMITTED_PER_WORKER * self.fleet.size() {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .counter_add("relaxed_requests_rejected_total", 1);
-            return false;
-        }
-        admission.active += 1;
-        admission.peak_active = admission.peak_active.max(admission.active);
-        true
+    fn release(&self) {
+        self.counters().active -= 1;
+        self.signal.notify_all();
     }
 
-    fn release(&self) {
-        self.admission.lock().expect("service admission").active -= 1;
-        self.signal.notify_all();
+    fn counters(&self) -> std::sync::MutexGuard<'_, Counters> {
+        self.counters.lock().expect("service counters")
     }
 
     /// Runs one raw job line on the fleet, returning the raw response
@@ -181,10 +240,7 @@ impl Daemon {
         let job_started = Instant::now();
         match self.fleet.run(id, name, line) {
             Ok((response, _)) => {
-                self.served.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter_add("relaxed_requests_served_total", 1);
-                self.metrics
-                    .observe_ms("relaxed_request_latency_ms", elapsed_ms_since(job_started));
+                self.counters().serve(elapsed_ms_since(job_started));
                 response
             }
             Err(e) => render_error_frame(id, &e),
@@ -193,35 +249,16 @@ impl Daemon {
 
     fn status_frame(&self) -> String {
         let (alive, _) = self.fleet.counts();
-        let admission = self.admission.lock().expect("service admission");
-        format!(
-            "{{\"type\":\"status\",\"proto\":{PROTOCOL_VERSION},\"fleet\":{},\"alive\":{alive},\
-             \"active\":{},\"peak_active\":{},\"served\":{},\"rejected\":{}}}",
-            self.fleet.size(),
-            admission.active,
-            admission.peak_active,
-            self.served.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-        )
+        self.counters().status_frame(self.fleet.size(), alive)
     }
 
-    /// The `metrics` control frame: queue/fleet gauges stamped at scrape
-    /// time, then the registry as Prometheus text inside one JSON frame.
+    /// The `metrics` control frame: the counters and the fleet's worker
+    /// counts as Prometheus text inside one JSON frame.
     fn metrics_frame(&self) -> String {
         let (alive, idle) = self.fleet.counts();
-        {
-            let admission = self.admission.lock().expect("service admission");
-            self.metrics
-                .gauge_set("relaxed_queue_depth", admission.active as i64);
-            self.metrics
-                .gauge_set("relaxed_queue_depth_peak", admission.peak_active as i64);
-        }
-        self.metrics
-            .gauge_set("relaxed_fleet_busy", alive.saturating_sub(idle) as i64);
-        self.metrics.gauge_set("relaxed_fleet_alive", alive as i64);
         format!(
             "{{\"type\":\"metrics\",\"proto\":{PROTOCOL_VERSION},\"text\":{}}}",
-            crate::cache::json_string(&self.metrics.render_prometheus())
+            crate::cache::json_string(&self.counters().prometheus(alive, idle))
         )
     }
 
@@ -230,11 +267,11 @@ impl Daemon {
     /// persist), and write a traced daemon's trace.
     fn drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
-        let mut admission = self.admission.lock().expect("service admission");
-        while admission.active > 0 {
-            admission = self.signal.wait(admission).expect("service admission");
+        let mut counters = self.counters();
+        while counters.active > 0 {
+            counters = self.signal.wait(counters).expect("service counters");
         }
-        drop(admission);
+        drop(counters);
         self.fleet.drain();
         self.release_trace();
     }
@@ -282,12 +319,9 @@ impl Service {
         }
         let daemon = Arc::new(Daemon {
             fleet: Fleet::new(&config, binary, fleet_size),
-            admission: Mutex::new(Admission::default()),
+            counters: Mutex::default(),
             signal: Condvar::new(),
-            served: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             draining: AtomicBool::new(false),
-            metrics: crate::telemetry::MetricsRegistry::new(),
             owns_trace: AtomicBool::new(config.trace.is_some()),
             config,
         });
@@ -324,7 +358,7 @@ impl Service {
             let local = local.clone();
             std::thread::spawn(move || handle_connection(&daemon, stream, &local));
         }
-        self.daemon.served.load(Ordering::Relaxed)
+        self.daemon.counters().served
     }
 }
 
@@ -417,7 +451,11 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                     reply(&render_error_frame(id, "service is shutting down"));
                     continue;
                 }
-                if !daemon.admit() {
+                // An admitted job must later `release` its slot.
+                if !daemon
+                    .counters()
+                    .admit(ADMITTED_PER_WORKER * daemon.fleet.size())
+                {
                     reply(&format!(
                         "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{RETRY_AFTER_MS}}}"
                     ));
@@ -449,10 +487,8 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
             Ok("metrics") => reply(&daemon.metrics_frame()),
             Ok("shutdown") => {
                 daemon.drain();
-                reply(&format!(
-                    "{{\"type\":\"bye\",\"served\":{}}}",
-                    daemon.served.load(Ordering::Relaxed)
-                ));
+                let served = daemon.counters().served;
+                reply(&format!("{{\"type\":\"bye\",\"served\":{served}}}"));
                 // Wake the accept loop so Service::run observes the drain.
                 let _ = TcpStream::connect(local_addr);
                 return;
@@ -824,6 +860,53 @@ mod tests {
         let options = ServiceOptions::default();
         assert_eq!(options.addr, "127.0.0.1:0");
         assert_eq!(options.fleet, 0);
+    }
+
+    #[test]
+    fn daemon_metrics_come_from_one_counter_set() {
+        let sample = |text: &str, name: &str| -> u64 {
+            let line = text
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")));
+            line.and_then(|value| value.parse().ok()).expect(name)
+        };
+        let mut counters = Counters::default();
+        // A fresh daemon shows all seven families, in their fixed order, at 0.
+        let fresh = counters.prometheus(2, 2);
+        let families: Vec<&str> = fresh
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        let expected = "relaxed_requests_rejected_total counter,relaxed_requests_served_total counter,\
+                        relaxed_fleet_alive gauge,relaxed_fleet_busy gauge,relaxed_queue_depth gauge,\
+                        relaxed_queue_depth_peak gauge,relaxed_request_latency_ms histogram";
+        assert_eq!(families.join(","), expected);
+        assert_eq!(sample(&fresh, "relaxed_requests_rejected_total"), 0);
+        assert_eq!(sample(&fresh, "relaxed_request_latency_ms_count"), 0);
+
+        assert!(counters.admit(2) && counters.admit(2) && !counters.admit(2));
+        counters.serve(3);
+        counters.serve(7000);
+        counters.active -= 1;
+        let text = counters.prometheus(2, 1);
+        // 3 ms lands in every bucket from le="5" up; 7000 ms only in +Inf.
+        for (le, count) in [("2", 0), ("5", 1), ("5000", 1), ("+Inf", 2)] {
+            let bucket = format!("relaxed_request_latency_ms_bucket{{le=\"{le}\"}}");
+            assert_eq!(sample(&text, &bucket), count, "{bucket}");
+        }
+        assert_eq!(sample(&text, "relaxed_request_latency_ms_sum"), 7003);
+        assert_eq!(sample(&text, "relaxed_request_latency_ms_count"), 2);
+        // `status` reads the same counters.
+        let status = parse_json(&counters.status_frame(2, 2)).unwrap();
+        for (field, metric, value) in [
+            ("served", "relaxed_requests_served_total", 2),
+            ("rejected", "relaxed_requests_rejected_total", 1),
+            ("active", "relaxed_queue_depth", 1),
+            ("peak_active", "relaxed_queue_depth_peak", 2),
+        ] {
+            assert_eq!(field_u64(status.as_object().unwrap(), field), Ok(value));
+            assert_eq!(sample(&text, metric), value, "{metric}");
+        }
     }
 
     #[test]

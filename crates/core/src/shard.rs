@@ -29,7 +29,7 @@
 //! ```text
 //! coordinator → worker        worker → coordinator
 //! ---------------------       ---------------------
-//! {"type":"config",...}       {"type":"ready","proto":1}
+//! {"type":"config",...}       {"type":"ready","proto":2}
 //! {"type":"job","id":0,...}   {"type":"result","id":0,...}
 //! {"type":"job","id":3,...}   {"type":"result","id":3,...}
 //! <EOF>                       (final incremental persist, exit 0)
@@ -39,10 +39,11 @@
 //! budgets, stage selection, per-worker thread budget, cache path); each
 //! `job` frame carries one serialized program + spec (the pretty-printed
 //! source, which round-trips through the parser); each
-//! `result` frame carries the per-stage verdict lists, per-job engine and
-//! solver statistics, and wall time. The coordinator re-generates the VCs
-//! locally (generation is deterministic and cheap — solving is the
-//! expensive part) and zips them with the returned verdicts, so each
+//! `result` frame carries the per-stage verdict lists, the job's
+//! [`EngineStats::counters`], each stage's
+//! [`SolverStats::counters`](relaxed_smt::SolverStats::counters), and
+//! wall time. The coordinator re-generates the VCs locally (generation
+//! is deterministic and cheap — solving is the expensive part) and zips them with the returned verdicts, so each
 //! rebuilt report is structurally identical to an in-process run's, and
 //! its obligations serve the coordinator's depmap record as they are.
 //!
@@ -82,12 +83,15 @@
 //! — appends never rewrite the file, so one worker's flush can never drop
 //! a sibling's concurrently published entries. The coordinator refreshes
 //! its own session cache after the run, so subsequent in-process checks
-//! start warm.
+//! start warm. A worker replays from the depmap sidecar but never writes
+//! it: it sees only the programs it ran, so the coordinator or a
+//! persistent client records.
 //!
 //! [`Verifier::check_corpus`]: crate::api::Verifier::check_corpus
 //! [`CorpusReport`]: crate::api::CorpusReport
 //! [`CorpusError::Shard`]: crate::api::CorpusError::Shard
 //! [`EngineStats::disk_hits`]: crate::engine::EngineStats::disk_hits
+//! [`EngineStats::counters`]: crate::engine::EngineStats::counters
 
 use crate::api::{
     elapsed_ms_since, CachePolicy, Config, CorpusEntry, CorpusError, Stage, StageSet, Verifier,
@@ -99,8 +103,8 @@ use crate::engine::{fan_out, EngineStats};
 use crate::vcgen::{Vc, VcgenError};
 use crate::verify::{AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::{parse_formula, parse_program, parse_rel_formula, Program};
-use relaxed_smt::sat::SatStats;
 use relaxed_smt::{SolverStats, Validity};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -113,7 +117,7 @@ use std::time::{Duration, Instant};
 /// in its `ready` frame; a mismatch fails the handshake (and the job is
 /// retried elsewhere, ultimately surfacing as a per-program error rather
 /// than silently mixing protocol revisions).
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// File name of the worker binary (`relaxed-shardd`, plus the platform
 /// executable suffix), used by [`locate_worker`].
@@ -256,22 +260,13 @@ fn render_job_frame(id: usize, name: &str, program: &Program, spec: &Spec) -> St
     )
 }
 
-fn render_solver_stats(out: &mut String, stats: &SolverStats) {
-    out.push_str(&format!(
-        "{{\"queries\":{},\"pivots\":{},\"branch_nodes\":{},\"atoms\":{},\"max_atoms\":{},\
-         \"decisions\":{},\"conflicts\":{},\"propagations\":{},\"restarts\":{},\
-         \"theory_checks\":{}}}",
-        stats.queries,
-        stats.pivots,
-        stats.branch_nodes,
-        stats.atoms,
-        stats.max_atoms,
-        stats.sat.decisions,
-        stats.sat.conflicts,
-        stats.sat.propagations,
-        stats.sat.restarts,
-        stats.sat.theory_checks,
-    ));
+/// Writes `counters` as comma-separated `"name":value` pairs: the wire
+/// form of [`EngineStats::counters`] and [`SolverStats::counters`].
+fn push_counters(out: &mut String, counters: &[(&str, u64)]) {
+    for (i, (name, value)) in counters.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{name}\":{value}");
+    }
 }
 
 /// Span budget per result frame: a worker ships at most this many spans
@@ -294,30 +289,16 @@ fn render_result_frame(
     spans: &[crate::telemetry::Event],
     mark_us: u64,
 ) -> String {
-    let engine = &report.engine;
-    let mut out = format!(
-        "{{\"type\":\"result\",\"id\":{id},\"elapsed_ms\":{elapsed_ms},\
-         \"cache_hits\":{},\"cache_misses\":{},\"cross_hits\":{},\"disk_hits\":{},\
-         \"static_hits\":{},\
-         \"vcgen_ms\":{},\"encode_ms\":{},\"solve_ms\":{},\"cache_ms\":{},\
-         \"stages\":[",
-        engine.cache_hits,
-        engine.cache_misses,
-        engine.cross_hits,
-        engine.disk_hits,
-        engine.static_hits,
-        engine.elapsed_vcgen_ms,
-        engine.elapsed_encode_ms,
-        engine.elapsed_solve_ms,
-        engine.elapsed_cache_ms,
-    );
+    let mut out = format!("{{\"type\":\"result\",\"id\":{id},\"elapsed_ms\":{elapsed_ms},");
+    push_counters(&mut out, &report.engine.counters());
+    out.push_str(",\"stages\":[");
     for (i, (stage, stage_report)) in report.stage_reports().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{{\"stage\":\"{}\",\"stats\":", stage.name()));
-        render_solver_stats(&mut out, &stage_report.stats);
-        out.push_str(",\"verdicts\":[");
+        out.push_str(&format!("{{\"stage\":\"{}\",\"stats\":{{", stage.name()));
+        push_counters(&mut out, &stage_report.stats.counters());
+        out.push_str("},\"verdicts\":[");
         for (j, result) in stage_report.results.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -377,24 +358,6 @@ pub(crate) fn render_error_frame(id: usize, error: &str) -> String {
 // Frame parsing (coordinator side, plus the worker's request reader)
 // ---------------------------------------------------------------------
 
-fn parse_solver_stats(value: &Json) -> Result<SolverStats, String> {
-    let fields = value.as_object()?;
-    Ok(SolverStats {
-        queries: field_u64(fields, "queries")?,
-        pivots: field_u64(fields, "pivots")?,
-        branch_nodes: field_u64(fields, "branch_nodes")?,
-        atoms: field_u64(fields, "atoms")?,
-        max_atoms: field_u64(fields, "max_atoms")?,
-        sat: SatStats {
-            decisions: field_u64(fields, "decisions")?,
-            conflicts: field_u64(fields, "conflicts")?,
-            propagations: field_u64(fields, "propagations")?,
-            restarts: field_u64(fields, "restarts")?,
-            theory_checks: field_u64(fields, "theory_checks")?,
-        },
-    })
-}
-
 /// One stage's slice of a result frame.
 pub(crate) struct WireStage {
     stage: Stage,
@@ -432,18 +395,7 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
             error: Some(error.clone()),
         });
     }
-    let engine = EngineStats {
-        cache_hits: field_u64(fields, "cache_hits")?,
-        cache_misses: field_u64(fields, "cache_misses")?,
-        cross_hits: field_u64(fields, "cross_hits")?,
-        disk_hits: field_u64(fields, "disk_hits")?,
-        static_hits: field_u64(fields, "static_hits")?,
-        elapsed_vcgen_ms: field_u64(fields, "vcgen_ms")?,
-        elapsed_encode_ms: field_u64(fields, "encode_ms")?,
-        elapsed_solve_ms: field_u64(fields, "solve_ms")?,
-        elapsed_cache_ms: field_u64(fields, "cache_ms")?,
-        ..EngineStats::default()
-    };
+    let engine = EngineStats::from_counters(|name| field_u64(fields, name))?;
     let mut stages = Vec::new();
     let stage_items = get(fields, "stages")
         .ok_or("missing `stages`")?
@@ -451,7 +403,10 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
     for item in stage_items {
         let stage_fields = item.as_object()?;
         let stage = Stage::from_name(field_str(stage_fields, "stage")?)?;
-        let stats = parse_solver_stats(get(stage_fields, "stats").ok_or("missing `stats`")?)?;
+        let stats_fields = get(stage_fields, "stats")
+            .ok_or("missing `stats`")?
+            .as_object()?;
+        let stats = SolverStats::from_counters(|name| field_u64(stats_fields, name))?;
         let mut verdicts = Vec::new();
         for verdict_item in get(stage_fields, "verdicts")
             .ok_or("missing `verdicts`")?
@@ -724,6 +679,9 @@ fn run_job(
         .check_corpus_named(&[(name, program, spec)])
         .entries
         .remove(0);
+    // The worker's depmap only sees the programs it ran: it replays from
+    // it, but never writes it over the sidecar.
+    session.forget_depmap_changes();
     let outcome = report.outcome.map_err(|e| e.to_string())?;
     let elapsed_ms = elapsed_ms_since(started);
     // Publish this job's fresh verdicts incrementally, by *appending* to
@@ -1700,18 +1658,23 @@ mod tests {
     }
 
     #[test]
-    fn result_frames_round_trip_solver_stats_and_verdicts() {
+    fn result_frames_round_trip_every_counter_and_verdict() {
         let (program, spec) = toy();
-        let report = Verifier::builder()
+        let mut report = Verifier::builder()
             .workers(1)
             .build()
             .check(&program, &spec)
             .unwrap();
+        // Distinct values, so a counter read into the wrong field shows.
+        let mut values = 1..;
+        let mut distinct = |_: &str| values.next().ok_or(());
+        report.engine = EngineStats::from_counters(&mut distinct).unwrap();
+        report.original.stats = SolverStats::from_counters(&mut distinct).unwrap();
         let frame = render_result_frame(9, &report, 123, &[], 0);
         let wire = parse_result_frame(&frame).unwrap();
         assert_eq!(wire.id, 9);
         assert_eq!(wire.elapsed_ms, 123);
-        assert_eq!(wire.engine.cache_hits, report.engine.cache_hits);
+        assert_eq!(wire.engine, report.engine);
         assert_eq!(wire.stages[0].stats, report.original.stats);
         assert_eq!(wire.stages[1].stats, report.relaxed.stats);
         let cached_on_wire: usize = wire.stages[1]
@@ -1721,15 +1684,22 @@ mod tests {
             .count();
         let cached_direct = report.relaxed.results.iter().filter(|r| r.cached).count();
         assert_eq!(cached_on_wire, cached_direct);
-        // Both ends come from one build, so every counter is required.
-        let without_static_hits = frame.replacen(
-            &format!("\"static_hits\":{},", report.engine.static_hits),
-            "",
-            1,
-        );
-        assert_ne!(without_static_hits, frame);
-        let err = parse_result_frame(&without_static_hits).err();
-        assert_eq!(err.as_deref(), Some("missing `static_hits`"));
+        // Both ends come from one build, so every counter is required:
+        // renaming any one key (its first occurrence; solver counters
+        // first occur in the first stage) refuses the frame.
+        let names = report
+            .engine
+            .counters()
+            .into_iter()
+            .chain(report.original.stats.counters())
+            .map(|(name, _)| name);
+        for name in names {
+            let key = format!("\"{name}\":");
+            let without = frame.replacen(&key, &format!("\"retired_{name}\":"), 1);
+            assert_ne!(without, frame, "the frame carries {name}");
+            let err = parse_result_frame(&without).err();
+            assert_eq!(err, Some(format!("missing `{name}`")), "{name}");
+        }
     }
 
     #[test]

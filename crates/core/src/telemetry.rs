@@ -1,4 +1,4 @@
-//! Zero-dependency tracing and metrics for the whole pipeline.
+//! Zero-dependency tracing for the whole pipeline.
 //!
 //! A std-only span/event subsystem threaded from vcgen to the service
 //! fleet. Spans are RAII guards ([`span`]) timed against one
@@ -18,10 +18,10 @@
 //! the trace file is written when the last owning session drops, or on
 //! an explicit [`flush`].
 //!
-//! Counters, gauges, and fixed-bucket histograms live in a
-//! [`MetricsRegistry`] (the `relaxed-serviced` daemon keeps a
-//! session-resident one and serves it over the `metrics` control frame
-//! as Prometheus text exposition).
+//! Spans carry no counters of their own: the `discharge` and `solve`
+//! spans' arguments are the call's
+//! [`EngineStats::counters`](crate::engine::EngineStats::counters) and the
+//! goal's [`SolverStats::counters`](relaxed_smt::SolverStats::counters).
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -156,18 +156,6 @@ impl ArgValue {
 impl From<u64> for ArgValue {
     fn from(n: u64) -> Self {
         ArgValue::U64(n)
-    }
-}
-
-impl From<usize> for ArgValue {
-    fn from(n: usize) -> Self {
-        ArgValue::U64(n as u64)
-    }
-}
-
-impl From<u32> for ArgValue {
-    fn from(n: u32) -> Self {
-        ArgValue::U64(u64::from(n))
     }
 }
 
@@ -523,95 +511,6 @@ fn write_trace(path: &Path, sink: &Sink) -> std::io::Result<()> {
     std::fs::write(path, render_trace(sink))
 }
 
-// ---- metrics ----
-
-/// Fixed histogram bucket upper bounds, in milliseconds. Fixed (not
-/// configurable) so scrapes from different sessions always line up.
-pub const BUCKETS_MS: [u64; 10] = [1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000];
-
-#[derive(Clone, Debug, Default)]
-struct Histogram {
-    buckets: [u64; BUCKETS_MS.len()],
-    sum_ms: u64,
-    count: u64,
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// A session-resident metrics registry: counters, gauges, and
-/// fixed-bucket millisecond histograms, rendered as Prometheus text
-/// exposition. The `relaxed-serviced` daemon keeps one and serves it
-/// over the `metrics` control frame.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl MetricsRegistry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to the counter `name` (created at zero).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Sets the gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: i64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.gauges.insert(name.to_string(), value);
-    }
-
-    /// Records one observation of `value_ms` into the histogram `name`
-    /// (fixed [`BUCKETS_MS`] bounds).
-    pub fn observe_ms(&self, name: &str, value_ms: u64) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        let histogram = inner.histograms.entry(name.to_string()).or_default();
-        for (i, bound) in BUCKETS_MS.iter().enumerate() {
-            if value_ms <= *bound {
-                histogram.buckets[i] += 1;
-            }
-        }
-        histogram.sum_ms += value_ms;
-        histogram.count += 1;
-    }
-
-    /// Renders the registry as Prometheus text exposition (counters,
-    /// gauges, then cumulative-bucket histograms).
-    pub fn render_prometheus(&self) -> String {
-        let inner = self.inner.lock().expect("metrics lock");
-        let mut out = String::new();
-        for (name, value) in &inner.counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-        }
-        for (name, value) in &inner.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-        }
-        for (name, histogram) in &inner.histograms {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (i, bound) in BUCKETS_MS.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{le=\"{bound}\"}} {}",
-                    histogram.buckets[i]
-                );
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", histogram.count);
-            let _ = writeln!(out, "{name}_sum {}", histogram.sum_ms);
-            let _ = writeln!(out, "{name}_count {}", histogram.count);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,24 +523,6 @@ mod tests {
         assert!(!guard.is_active());
         drop(guard);
         assert!(snapshot().is_empty());
-    }
-
-    #[test]
-    fn metrics_render_prometheus_shape() {
-        let metrics = MetricsRegistry::new();
-        metrics.counter_add("relaxed_requests_served_total", 3);
-        metrics.gauge_set("relaxed_queue_depth", 2);
-        metrics.observe_ms("relaxed_request_latency_ms", 3);
-        metrics.observe_ms("relaxed_request_latency_ms", 7000);
-        let text = metrics.render_prometheus();
-        assert!(text.contains("# TYPE relaxed_requests_served_total counter"));
-        assert!(text.contains("relaxed_requests_served_total 3"));
-        assert!(text.contains("relaxed_queue_depth 2"));
-        // 3ms lands in every bucket from le="5" up; 7000ms only in +Inf.
-        assert!(text.contains("relaxed_request_latency_ms_bucket{le=\"5\"} 1"));
-        assert!(text.contains("relaxed_request_latency_ms_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("relaxed_request_latency_ms_sum 7003"));
-        assert!(text.contains("relaxed_request_latency_ms_count 2"));
     }
 
     #[test]

@@ -358,13 +358,15 @@ pub(crate) fn staged_check(
             }
             stage_vcs(stage, program, spec)?
         };
-        let vcgen_us = u64::try_from(vcgen_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        engine.note_vcgen_us(vcgen_us);
+        let vcgen = EngineStats {
+            elapsed_vcgen_us: crate::engine::elapsed_us(vcgen_started),
+            ..EngineStats::default()
+        };
+        engine.tally(&vcgen);
         let mut report = engine.discharge_with(vcs, opts);
         // Phase breakdowns survive with telemetry off: vcgen wall time
-        // rides the stage report's engine stats (satellite of the
-        // trace-file spans above).
-        report.engine.elapsed_vcgen_ms = vcgen_us / 1000;
+        // rides the stage report's engine stats, tallied like the rest.
+        report.engine.absorb(&vcgen);
         Ok((stage, report))
     };
     // The folded engine stats are this verification's activity, not the

@@ -74,6 +74,15 @@ type PResult<T> = Result<T, ParseError>;
 /// limit verifies on a 2 MiB thread.
 pub const MAX_NESTING: usize = 256;
 
+/// How many nodes desugaring every `<==>` of one parse to
+/// `(p ==> q) && (q ==> p)` may add. The formula parsers copy both sides
+/// at parse time, and vcgen does the same for boolean expressions, so
+/// each link of a chain doubles the tree. The parser refuses the `<==>`
+/// that would pass this budget before anything is copied; a 12-link
+/// chain of `x >= 0` fits, a 13-link one does not. Nodes, not tokens,
+/// so a printed tree parses under the same budget as its source.
+pub const MAX_IFF_GROWTH: usize = 1 << 16;
+
 /// The levels a nested block counts toward [`MAX_NESTING`], so at most
 /// 64 blocks nest. A statement level costs every recursive pass several
 /// expression levels of stack, most of all in unoptimized builds: there
@@ -112,6 +121,9 @@ struct Parser {
     src_len: usize,
     /// Nesting levels entered so far (see [`MAX_NESTING`]).
     depth: usize,
+    /// Nodes the desugaring of every `<==>` parsed so far adds (see
+    /// [`MAX_IFF_GROWTH`]).
+    iff_growth: usize,
 }
 
 impl Parser {
@@ -121,6 +133,7 @@ impl Parser {
             pos: 0,
             src_len: src.len(),
             depth: 0,
+            iff_growth: 0,
         })
     }
 
@@ -163,6 +176,21 @@ impl Parser {
             return self.error(format!("nesting deeper than {MAX_NESTING} levels"));
         }
         self.depth += levels;
+        Ok(())
+    }
+
+    /// Accounts for a `<==>` whose operands have `lhs` and `rhs` nodes
+    /// once desugared, refusing it past [`MAX_IFF_GROWTH`]: desugaring
+    /// copies both once more and adds two nodes. Each node is measured
+    /// once per `<==>` around it, and at most 16 can nest within the
+    /// budget, so the check stays linear in the input.
+    fn grow_iff(&mut self, lhs: usize, rhs: usize) -> PResult<()> {
+        self.iff_growth = self.iff_growth.saturating_add(lhs + rhs + 2);
+        if self.iff_growth > MAX_IFF_GROWTH {
+            return self.error(format!(
+                "`<==>` would add more than {MAX_IFF_GROWTH} nodes once desugared"
+            ));
+        }
         Ok(())
     }
 
@@ -329,6 +357,7 @@ impl Parser {
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
             let rhs = self.nested(Self::bool_expr)?;
+            self.grow_iff(bool_size(&lhs), bool_size(&rhs))?;
             return Ok(BoolExpr::bin(BoolBinOp::Iff, lhs, rhs));
         }
         Ok(lhs)
@@ -520,6 +549,7 @@ impl Parser {
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
             let rhs = self.nested(Self::rel_bool_expr)?;
+            self.grow_iff(rel_bool_size(&lhs), rel_bool_size(&rhs))?;
             return Ok(RelBoolExpr::bin(BoolBinOp::Iff, lhs, rhs));
         }
         Ok(lhs)
@@ -612,6 +642,7 @@ impl Parser {
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
             let rhs = self.nested(Self::formula)?;
+            self.grow_iff(formula_size(&lhs), formula_size(&rhs))?;
             // The Formula type has no Iff constructor; desugar.
             return Ok(lhs.clone().implies(rhs.clone()).and(rhs.implies(lhs)));
         }
@@ -728,6 +759,7 @@ impl Parser {
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
             let rhs = self.nested(Self::rel_formula)?;
+            self.grow_iff(rel_formula_size(&lhs), rel_formula_size(&rhs))?;
             return Ok(lhs.clone().implies(rhs.clone()).and(rhs.implies(lhs)));
         }
         Ok(lhs)
@@ -1025,6 +1057,73 @@ impl Parser {
     }
 }
 
+/// Node counts of parsed trees, every `<==>` counted at its desugared
+/// size `2 (p + q) + 3` (see [`MAX_IFF_GROWTH`]).
+fn iff_size(lhs: usize, rhs: usize) -> usize {
+    lhs.saturating_add(rhs).saturating_mul(2).saturating_add(3)
+}
+
+fn int_size(e: &IntExpr) -> usize {
+    match e {
+        IntExpr::Bin(_, a, b) => 1 + int_size(a) + int_size(b),
+        IntExpr::Select(_, index) => 1 + int_size(index),
+        IntExpr::Const(_) | IntExpr::Var(_) | IntExpr::Len(_) => 1,
+    }
+}
+
+fn rel_int_size(e: &RelIntExpr) -> usize {
+    match e {
+        RelIntExpr::Bin(_, a, b) => 1 + rel_int_size(a) + rel_int_size(b),
+        RelIntExpr::Select(_, _, index) => 1 + rel_int_size(index),
+        RelIntExpr::Const(_) | RelIntExpr::Var(..) | RelIntExpr::Len(..) => 1,
+    }
+}
+
+fn bool_size(e: &BoolExpr) -> usize {
+    match e {
+        BoolExpr::Bin(BoolBinOp::Iff, a, b) => iff_size(bool_size(a), bool_size(b)),
+        BoolExpr::Bin(_, a, b) => 1 + bool_size(a) + bool_size(b),
+        BoolExpr::Not(a) => 1 + bool_size(a),
+        BoolExpr::Cmp(_, a, b) => 1 + int_size(a) + int_size(b),
+        BoolExpr::Const(_) => 1,
+    }
+}
+
+fn rel_bool_size(e: &RelBoolExpr) -> usize {
+    match e {
+        RelBoolExpr::Bin(BoolBinOp::Iff, a, b) => iff_size(rel_bool_size(a), rel_bool_size(b)),
+        RelBoolExpr::Bin(_, a, b) => 1 + rel_bool_size(a) + rel_bool_size(b),
+        RelBoolExpr::Not(a) => 1 + rel_bool_size(a),
+        RelBoolExpr::Cmp(_, a, b) => 1 + rel_int_size(a) + rel_int_size(b),
+        RelBoolExpr::Const(_) => 1,
+    }
+}
+
+/// Formulas arrive desugared, so their size is their node count.
+fn formula_size(f: &Formula) -> usize {
+    match f {
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => {
+            1 + formula_size(a) + formula_size(b)
+        }
+        Formula::Not(a) | Formula::Exists(_, a) | Formula::Forall(_, a) => 1 + formula_size(a),
+        Formula::Cmp(_, a, b) => 1 + int_size(a) + int_size(b),
+        Formula::True | Formula::False => 1,
+    }
+}
+
+fn rel_formula_size(f: &RelFormula) -> usize {
+    match f {
+        RelFormula::And(a, b) | RelFormula::Or(a, b) | RelFormula::Implies(a, b) => {
+            1 + rel_formula_size(a) + rel_formula_size(b)
+        }
+        RelFormula::Not(a) | RelFormula::Exists(_, _, a) | RelFormula::Forall(_, _, a) => {
+            1 + rel_formula_size(a)
+        }
+        RelFormula::Cmp(_, a, b) => 1 + rel_int_size(a) + rel_int_size(b),
+        RelFormula::True | RelFormula::False => 1,
+    }
+}
+
 /// Parses a complete program (a sequence of statements).
 ///
 /// # Errors
@@ -1299,6 +1398,57 @@ mod tests {
         }
         for src in nested_programs(MAX_NESTING + 1) {
             assert!(parse_program(&src).is_err(), "one level past the limit");
+        }
+    }
+
+    /// A right-associated chain of `links` `<==>`s between copies of
+    /// `atom`.
+    fn iff_chain(atom: &str, links: usize) -> String {
+        vec![atom; links + 1].join(" <==> ")
+    }
+
+    /// The longest chain of `x >= 0` (or of `x<o> >= 0`, also three
+    /// nodes) within [`MAX_IFF_GROWTH`].
+    const IFF_LINKS_AT_BUDGET: usize = 12;
+
+    #[test]
+    fn iff_chains_past_the_growth_budget_are_refused() {
+        let limit = format!("more than {MAX_IFF_GROWTH} nodes once desugared");
+        let refused = |result: Result<String, ParseError>| match result {
+            Err(e) => assert!(e.message.contains(&limit), "{e}"),
+            Ok(_) => panic!("a chain past the budget parsed"),
+        };
+        let past = IFF_LINKS_AT_BUDGET + 1;
+        refused(parse_formula(&iff_chain("x >= 0", past)).map(|f| f.to_string()));
+        refused(parse_rel_formula(&iff_chain("x<o> >= 0", past)).map(|f| f.to_string()));
+        refused(
+            parse_program(&format!("assert {};", iff_chain("x >= 0", past))).map(|p| p.to_string()),
+        );
+        refused(
+            parse_program(&format!("relate l : {};", iff_chain("x<o> >= 0", past)))
+                .map(|p| p.to_string()),
+        );
+        // Growth adds up across one parse.
+        let twice = format!(
+            "assert {0}; assert {0};",
+            iff_chain("x >= 0", IFF_LINKS_AT_BUDGET)
+        );
+        refused(parse_program(&twice).map(|p| p.to_string()));
+    }
+
+    #[test]
+    fn iff_chains_at_the_growth_budget_parse_and_round_trip() {
+        let links = IFF_LINKS_AT_BUDGET;
+        let formula = parse_formula(&iff_chain("x >= 0", links)).unwrap();
+        assert_eq!(parse_formula(&formula.to_string()).unwrap(), formula);
+        let rel = parse_rel_formula(&iff_chain("x<o> >= 0", links)).unwrap();
+        assert_eq!(parse_rel_formula(&rel.to_string()).unwrap(), rel);
+        for src in [
+            format!("assert {};", iff_chain("x >= 0", links)),
+            format!("relate l : {};", iff_chain("x<o> >= 0", links)),
+        ] {
+            let program = parse_program(&src).unwrap();
+            assert_eq!(parse_program(&program.to_string()).unwrap(), program);
         }
     }
 }

@@ -165,6 +165,42 @@ impl SolverStats {
         self.max_atoms = self.max_atoms.max(other.max_atoms);
         self.queries += other.queries;
     }
+
+    /// Every counter with its name, in one fixed order: the one list wire
+    /// frames and trace spans render, so no caller spells the names out.
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
+            ("queries", self.queries),
+            ("pivots", self.pivots),
+            ("branch_nodes", self.branch_nodes),
+            ("atoms", self.atoms),
+            ("max_atoms", self.max_atoms),
+            ("decisions", self.sat.decisions),
+            ("conflicts", self.sat.conflicts),
+            ("propagations", self.sat.propagations),
+            ("restarts", self.sat.restarts),
+            ("theory_checks", self.sat.theory_checks),
+        ]
+    }
+
+    /// The inverse of [`counters`](SolverStats::counters): the stats whose
+    /// counter `name` is `value(name)`, or the first error `value` returns.
+    pub fn from_counters<E>(mut value: impl FnMut(&str) -> Result<u64, E>) -> Result<Self, E> {
+        Ok(SolverStats {
+            queries: value("queries")?,
+            pivots: value("pivots")?,
+            branch_nodes: value("branch_nodes")?,
+            atoms: value("atoms")?,
+            max_atoms: value("max_atoms")?,
+            sat: SatStats {
+                decisions: value("decisions")?,
+                conflicts: value("conflicts")?,
+                propagations: value("propagations")?,
+                restarts: value("restarts")?,
+                theory_checks: value("theory_checks")?,
+            },
+        })
+    }
 }
 
 /// The SMT solver facade.
@@ -824,6 +860,18 @@ mod tests {
         assert_eq!(a.atoms, 33);
         assert_eq!(a.max_atoms, 7);
         assert_eq!(a.queries, 3);
+    }
+
+    #[test]
+    fn from_counters_inverts_counters() {
+        let mut values = 1..;
+        let stats = SolverStats::from_counters(|_| values.next().ok_or(())).unwrap();
+        let named = stats.counters();
+        let values: Vec<u64> = named.iter().map(|(_, v)| *v).collect();
+        assert_eq!(values, Vec::from_iter(1..=10), "one field per counter");
+        let lookup = |name: &str| named.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        let rebuilt = SolverStats::from_counters(|n| lookup(n).ok_or(()));
+        assert_eq!(rebuilt, Ok(stats));
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use relaxed_transforms as transforms;
 
 pub use relaxed_core::{
     AcceptabilityReport, AnalysisWarning, CachePolicy, CacheWarning, Config, CorpusEntry,
-    CorpusError, CorpusPolicy, CorpusReport, EnvWarning, GoalKey, LintCode, MetricsRegistry, Spec,
-    Stage, StageSet, Verifier, VerifierBuilder,
+    CorpusError, CorpusPolicy, CorpusReport, EnvWarning, GoalKey, LintCode, Spec, Stage, StageSet,
+    Verifier, VerifierBuilder,
 };
 
 pub mod casestudies;

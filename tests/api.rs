@@ -3,6 +3,7 @@
 //! parse diagnostics, stage selection, corpus-scale batch verification
 //! with cross-program cache reuse, and the offline JSON rendering.
 
+use relaxed_programs::core::cache::{parse_json, Json};
 use relaxed_programs::core::engine::DischargeConfig;
 use relaxed_programs::{
     casestudies, CachePolicy, Config, CorpusPolicy, Spec, Stage, StageSet, Verifier,
@@ -319,4 +320,34 @@ fn case_study_corpus_end_to_end() {
     // in-process speedups are measurable from reports alone.
     assert_eq!(json.matches("\"elapsed_ms\"").count(), 7);
     assert!(json.ends_with("}\n"));
+}
+
+/// The corpus JSON's phase clocks count microseconds: a cold run's vcgen
+/// and encode phases take well under a millisecond per program, and
+/// whole milliseconds printed them as 0.
+#[test]
+fn cold_corpus_phase_clocks_count_microseconds() {
+    let report = Verifier::builder()
+        .workers(1)
+        .build()
+        .check_corpus_named(&casestudies::corpus());
+    let json = report.to_json();
+    let aggregate = &json[json.find("\"aggregate\"").expect("an aggregate")..];
+    let phase = &aggregate[aggregate.find("\"phase_us\": ").expect("phase_us") + 12..];
+    let phase = parse_json(&phase[..=phase.find('}').unwrap()]).expect("an object");
+    let phase = phase.as_object().unwrap();
+    for (key, us) in [
+        ("vcgen", report.engine.elapsed_vcgen_us),
+        ("encode", report.engine.elapsed_encode_us),
+        ("solve", report.engine.elapsed_solve_us),
+        ("cache", report.engine.elapsed_cache_us),
+    ] {
+        let printed = match phase.iter().find(|(k, _)| k == key) {
+            Some((_, Json::Int(n))) => *n,
+            other => panic!("`{key}` is {other:?}"),
+        };
+        assert_eq!(u64::try_from(printed), Ok(us), "{key}");
+    }
+    assert!(report.engine.elapsed_vcgen_us > 0, "{:?}", report.engine);
+    assert!(report.engine.elapsed_encode_us > 0, "{:?}", report.engine);
 }

@@ -4,6 +4,7 @@
 //! aggregation on the paper's §5 case studies.
 
 use relaxed_programs::casestudies;
+use relaxed_programs::core::EngineStats;
 use relaxed_programs::smt::SolverStats;
 use relaxed_programs::{AcceptabilityReport, Stage, Verifier};
 
@@ -154,4 +155,81 @@ fn case_study_vcs_deduplicate() {
     );
     assert_eq!(report.engine.cache_hits + report.engine.cache_misses, total);
     assert!(report.engine.unique_goals < total);
+}
+
+/// `stats` without its two gauges (`unique_goals`, the cache size, and
+/// `workers`, the configured parallelism), which no report folds.
+fn without_gauges(stats: EngineStats) -> EngineStats {
+    EngineStats {
+        unique_goals: 0,
+        workers: 0,
+        ..stats
+    }
+}
+
+/// Two corpus runs and one `check` on `verifier`, and the fold of the
+/// `engine` stats of the reports they returned.
+fn fold_of_reports(verifier: &Verifier) -> EngineStats {
+    let corpus = casestudies::corpus();
+    let (swish, spec) = casestudies::swish();
+    let mut folded = EngineStats::default();
+    for _ in 0..2 {
+        folded.absorb(&verifier.check_corpus_named(&corpus).engine);
+    }
+    folded.absorb(&verifier.check(&swish, &spec).unwrap().engine);
+    folded
+}
+
+/// A session's lifetime totals are exactly the fold of the reports it
+/// returned, phase clocks included: one set of counters.
+#[test]
+fn session_stats_are_the_fold_of_its_reports() {
+    for workers in [1, 2] {
+        let verifier = Verifier::builder().workers(workers).build();
+        let folded = fold_of_reports(&verifier);
+        assert!(folded.elapsed_vcgen_us > 0 && folded.elapsed_solve_us > 0);
+        assert_eq!(
+            without_gauges(verifier.stats()),
+            without_gauges(folded),
+            "workers({workers})"
+        );
+    }
+}
+
+/// On a persistent store the totals add only the store's own work to
+/// the fold: the verdicts it loaded, and the load's cache time.
+#[test]
+fn persistent_session_stats_add_only_store_io_to_the_fold() {
+    let path = std::env::temp_dir().join(format!(
+        "relaxed-engine-fold-{}.verdicts.jsonl",
+        std::process::id()
+    ));
+    let seeder = Verifier::builder().workers(1).cache_file(&path).build();
+    seeder.check_corpus_named(&casestudies::corpus());
+    let persisted = seeder.persist().unwrap();
+    drop(seeder);
+    for workers in [1, 2] {
+        let verifier = Verifier::builder()
+            .workers(workers)
+            .cache_file(&path)
+            .build();
+        let folded = fold_of_reports(&verifier);
+        let stats = verifier.stats();
+        assert_eq!(stats.loaded, persisted, "workers({workers})");
+        assert!(stats.elapsed_cache_us >= folded.elapsed_cache_us);
+        let io = EngineStats {
+            loaded: stats.loaded,
+            elapsed_cache_us: stats.elapsed_cache_us - folded.elapsed_cache_us,
+            ..EngineStats::default()
+        };
+        let mut expected = folded;
+        expected.absorb(&io);
+        assert_eq!(
+            without_gauges(stats),
+            without_gauges(expected),
+            "workers({workers})"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(relaxed_programs::core::depmap::depmap_path(&path));
 }

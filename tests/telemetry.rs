@@ -17,9 +17,10 @@ use std::time::Duration;
 
 use relaxed_programs::core::cache::{json_string, parse_json, Json};
 use relaxed_programs::core::service::service_metrics;
+use relaxed_programs::core::shard::PROTOCOL_VERSION;
 use relaxed_programs::core::telemetry;
 use relaxed_programs::lang::{parse_program, parse_rel_formula, Formula, Program, RelFormula};
-use relaxed_programs::{MetricsRegistry, Spec, Verifier};
+use relaxed_programs::{Spec, Verifier};
 
 /// Serializes the tests that flip the process-global tracing flag.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -212,21 +213,42 @@ fn spans_nest_within_their_parents() {
 }
 
 /// The `metrics` control frame round-trips over a real socket: a
-/// listener replies with the exact frame shape the daemon renders (the
-/// registry's Prometheus text JSON-escaped into one line), and
-/// [`service_metrics`] recovers the text byte-for-byte.
+/// listener replies with the exact frame shape the daemon renders (its
+/// Prometheus text JSON-escaped into one line), and [`service_metrics`]
+/// recovers the text byte-for-byte.
 #[test]
 fn service_metrics_frame_round_trips() {
-    let registry = MetricsRegistry::new();
-    registry.counter_add("relaxed_requests_served_total", 3);
-    registry.counter_add("relaxed_requests_rejected_total", 1);
-    registry.gauge_set("relaxed_queue_depth", 2);
-    registry.gauge_set("relaxed_fleet_alive", 4);
-    registry.observe_ms("relaxed_request_latency_ms", 3);
-    registry.observe_ms("relaxed_request_latency_ms", 40);
-    let text = registry.render_prometheus();
+    let text = "\
+# TYPE relaxed_requests_rejected_total counter
+relaxed_requests_rejected_total 1
+# TYPE relaxed_requests_served_total counter
+relaxed_requests_served_total 3
+# TYPE relaxed_fleet_alive gauge
+relaxed_fleet_alive 4
+# TYPE relaxed_fleet_busy gauge
+relaxed_fleet_busy 0
+# TYPE relaxed_queue_depth gauge
+relaxed_queue_depth 2
+# TYPE relaxed_queue_depth_peak gauge
+relaxed_queue_depth_peak 2
+# TYPE relaxed_request_latency_ms histogram
+relaxed_request_latency_ms_bucket{le=\"1\"} 0
+relaxed_request_latency_ms_bucket{le=\"2\"} 0
+relaxed_request_latency_ms_bucket{le=\"5\"} 1
+relaxed_request_latency_ms_bucket{le=\"10\"} 1
+relaxed_request_latency_ms_bucket{le=\"25\"} 1
+relaxed_request_latency_ms_bucket{le=\"50\"} 2
+relaxed_request_latency_ms_bucket{le=\"100\"} 2
+relaxed_request_latency_ms_bucket{le=\"250\"} 2
+relaxed_request_latency_ms_bucket{le=\"1000\"} 2
+relaxed_request_latency_ms_bucket{le=\"5000\"} 2
+relaxed_request_latency_ms_bucket{le=\"+Inf\"} 2
+relaxed_request_latency_ms_sum 43
+relaxed_request_latency_ms_count 2
+"
+    .to_string();
     let frame = format!(
-        "{{\"type\":\"metrics\",\"proto\":1,\"text\":{}}}",
+        "{{\"type\":\"metrics\",\"proto\":{PROTOCOL_VERSION},\"text\":{}}}",
         json_string(&text)
     );
 

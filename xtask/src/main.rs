@@ -346,68 +346,83 @@ fn ci_service() {
         .unwrap_or_else(|| panic!("unexpected daemon startup line: {line:?}"))
         .to_string();
     eprintln!("xtask: relaxed-serviced is listening on {addr}");
-    let service_example = [
-        "cargo",
-        "run",
-        "--release",
-        "--example",
-        "verify_corpus",
-        "--",
-        "--service",
-        &addr,
-    ];
-    eprintln!("xtask: service-corpus leg without a store (the fleet solves)");
-    run_step_without(&service_example, &[], &["DISCHARGE_CACHE"]);
-    for leg in ["cold", "warm"] {
-        eprintln!("xtask: service-corpus {leg} leg");
-        run_step(&service_example, &[("DISCHARGE_CACHE", &cache)]);
-    }
-    // The trace-smoke job's metrics half: the daemon's `metrics`
-    // control frame must carry the served counter and the latency
-    // histogram after the client legs above.
-    let probed = (|| -> std::io::Result<String> {
-        use std::io::{BufRead, Write};
-        let mut stream = std::net::TcpStream::connect(&addr)?;
-        stream.write_all(b"{\"type\":\"metrics\"}\n")?;
-        let mut frame = String::new();
-        std::io::BufReader::new(stream).read_line(&mut frame)?;
-        Ok(frame.trim().to_string())
+    let control = |frame: &str| -> Result<String, String> {
+        let reply = (|| -> std::io::Result<String> {
+            use std::io::{BufRead, Write};
+            let mut stream = std::net::TcpStream::connect(&addr)?;
+            writeln!(stream, "{frame}")?;
+            let mut reply = String::new();
+            std::io::BufReader::new(stream).read_line(&mut reply)?;
+            Ok(reply.trim().to_string())
+        })();
+        reply.map_err(|e| format!("relaxed-serviced did not answer {frame}: {e}"))
+    };
+    // The first number after `key` in `text`.
+    let count = |text: &str, key: &str| -> Option<u64> {
+        let at = text.find(key)? + key.len();
+        text[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()?
+            .parse()
+            .ok()
+    };
+    let metrics = "{\"type\":\"metrics\"}";
+    let probed = (|| -> Result<(), String> {
+        // The daemon's counters exist from startup: a fresh daemon's
+        // metrics frame already carries the rejected counter and the
+        // latency histogram, at 0 (the text rides JSON-escaped, so its
+        // lines end in `\n`).
+        let fresh = control(metrics)?;
+        for series in [
+            "relaxed_requests_rejected_total 0\\n",
+            "relaxed_request_latency_ms_count 0\\n",
+        ] {
+            if !fresh.contains(series) {
+                return Err(format!(
+                    "a fresh daemon's metrics frame lacks {series}: {fresh}"
+                ));
+            }
+        }
+        let service_example = [
+            "cargo",
+            "run",
+            "--release",
+            "--example",
+            "verify_corpus",
+            "--",
+            "--service",
+            &addr,
+        ];
+        eprintln!("xtask: service-corpus leg without a store (the fleet solves)");
+        run_step_without(&service_example, &[], &["DISCHARGE_CACHE"]);
+        for leg in ["cold", "warm"] {
+            eprintln!("xtask: service-corpus {leg} leg");
+            run_step(&service_example, &[("DISCHARGE_CACHE", &cache)]);
+        }
+        // The trace-smoke job's metrics half: after the client legs the
+        // frame carries the served counter and the latency histogram,
+        // and its served count is the one the drain's `bye` reports.
+        let frame = control(metrics)?;
+        let served = count(&frame, "relaxed_requests_served_total ")
+            .filter(|_| frame.contains("relaxed_request_latency_ms_bucket"))
+            .ok_or(format!(
+                "incomplete metrics frame from relaxed-serviced: {frame}"
+            ))?;
+        eprintln!("xtask: service metrics frame carries the served counter and latency histogram");
+        let bye = control("{\"type\":\"shutdown\"}")?;
+        eprintln!("xtask: daemon drained: {bye}");
+        if count(&bye, "\"served\":") != Some(served) {
+            return Err(format!(
+                "the metrics frame counted {served} served jobs, the drain {bye}"
+            ));
+        }
+        Ok(())
     })();
-    match probed {
-        Ok(frame)
-            if frame.contains("relaxed_requests_served_total")
-                && frame.contains("relaxed_request_latency_ms_bucket") =>
-        {
-            eprintln!(
-                "xtask: service metrics frame carries the served counter and latency histogram"
-            );
-        }
-        Ok(frame) => {
-            let _ = daemon.kill();
-            let _ = daemon.wait();
-            panic!("incomplete metrics frame from relaxed-serviced: {frame}");
-        }
-        Err(e) => {
-            let _ = daemon.kill();
-            let _ = daemon.wait();
-            panic!("failed to probe relaxed-serviced metrics: {e}");
-        }
-    }
-    let drained = (|| -> std::io::Result<String> {
-        use std::io::{BufRead, Write};
-        let mut stream = std::net::TcpStream::connect(&addr)?;
-        stream.write_all(b"{\"type\":\"shutdown\"}\n")?;
-        let mut bye = String::new();
-        std::io::BufReader::new(stream).read_line(&mut bye)?;
-        Ok(bye.trim().to_string())
-    })();
-    match drained {
-        Ok(bye) => eprintln!("xtask: daemon drained: {bye}"),
-        Err(e) => {
-            let _ = daemon.kill();
-            let _ = daemon.wait();
-            panic!("failed to drain relaxed-serviced: {e}");
-        }
+    if let Err(e) = probed {
+        let _ = daemon.kill();
+        let _ = daemon.wait();
+        eprintln!("xtask: {e}");
+        exit(1);
     }
     let status = daemon.wait().expect("reap relaxed-serviced");
     if !status.success() {
