@@ -403,7 +403,7 @@ fn ci_service() {
         // frame carries the served counter and the latency histogram,
         // and its served count is the one the drain's `bye` reports.
         let frame = control(metrics)?;
-        let served = count(&frame, "relaxed_requests_served_total ")
+        let served = count(&frame, "\\nrelaxed_requests_served_total ")
             .filter(|_| frame.contains("relaxed_request_latency_ms_bucket"))
             .ok_or(format!(
                 "incomplete metrics frame from relaxed-serviced: {frame}"
