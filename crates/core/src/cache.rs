@@ -405,9 +405,9 @@ pub fn append<'a>(
     }
     create_parent_dirs(path)?;
     let mut file = fs::OpenOptions::new()
-        .read(true)
-        .append(true)
         .create(true)
+        .append(true)
+        .read(true)
         .open(path)?;
     // Released when `file` drops, after the write.
     file.lock()?;

@@ -323,8 +323,8 @@ fn case_study_corpus_end_to_end() {
 }
 
 /// The corpus JSON's phase clocks count microseconds: a cold run's vcgen
-/// and encode phases take well under a millisecond per program, and
-/// whole milliseconds printed them as 0.
+/// and encode phases take well under a millisecond per program, so only
+/// microsecond clocks show them.
 #[test]
 fn cold_corpus_phase_clocks_count_microseconds() {
     let report = Verifier::builder()
