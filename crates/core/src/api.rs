@@ -781,9 +781,10 @@ impl Verifier {
         Ok(written)
     }
 
-    /// Cumulative engine statistics over everything this session has
-    /// checked: the fold of its reports' `engine` stats, as
-    /// [`DischargeEngine::stats`] describes.
+    /// Cumulative engine statistics over everything this session's own
+    /// engine checked: the fold of those reports' `engine` stats, as
+    /// [`DischargeEngine::stats`] describes (a sharded or service run's
+    /// entries carry their workers' stats instead).
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }
