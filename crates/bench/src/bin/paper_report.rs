@@ -312,8 +312,8 @@ fn main() {
     let warm_corpus_disk = warm_session.check_corpus_named(&corpus);
     let warm_elapsed = t_warm.elapsed();
     // The `persisted` cells are `persist()`'s return values. The warm
-    // session flushes nothing (its drop-time flush is skipped for a
-    // clean cache), so its cell is 0, not the cold run's count.
+    // session solves nothing new, so its drop-time flush writes nothing
+    // and its cell is 0, not the cold run's count.
     println!(
         "| warm | {loaded} | {} | {} | 0 | {warm_elapsed:.1?} |",
         warm_corpus_disk.engine.cache_misses, warm_corpus_disk.engine.disk_hits,

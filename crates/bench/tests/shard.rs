@@ -11,8 +11,10 @@
 //! verdict-identical reports served from the shared store, a worker
 //! killed mid-request must lose no programs, neither a client vanishing
 //! mid-job nor a job frame without an id may wedge the fleet, and an
-//! over-long or deeply nested frame, or a `<==>` chain past the parser's
-//! budget, is refused while the daemon keeps serving.
+//! over-long or deeply nested frame, a `<==>` chain past the parser's
+//! budget, or a program whose obligation passes vcgen's node budget is
+//! refused while the daemon keeps serving. A `relaxed-serviced` started
+//! with a malformed `--fleet` exits without serving.
 //!
 //! Every test that spawns workers or enables tracing holds the
 //! `temp_env` lock, so the traced runs and the check that no worker
@@ -22,13 +24,14 @@ use relaxed_core::cache::{fingerprint, json_string, parse_json, Json};
 use relaxed_core::depmap::{depmap_path, goal_deps, load, program_hash, ProgramDeps};
 use relaxed_core::service::{service_status, shutdown_service};
 use relaxed_core::shard::PROTOCOL_VERSION;
+use relaxed_core::vcgen::MAX_WP_NODES;
 use relaxed_core::{
     Config, CorpusError, CorpusReport, Service, ServiceOptions, Spec, Verifier, VerifierBuilder,
 };
 use relaxed_lang::parser::MAX_IFF_GROWTH;
 use relaxed_lang::Program;
 use relaxed_programs::casestudies;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -213,6 +216,39 @@ fn workers_share_verdicts_through_the_cache_file() {
     assert_eq!(follow_up.engine.cache_misses, 0);
     drop(warm);
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn fleet_warms_a_store_headed_by_another_configuration() {
+    let path = temp_cache("foreign");
+    let corpus = casestudies::corpus();
+    // A store persisted under another conflict budget: no session of the
+    // default budget can use it.
+    let seeder = Verifier::builder()
+        .workers(1)
+        .max_conflicts(Config::default().max_conflicts + 1)
+        .cache_file(&path)
+        .build();
+    seeder.check_corpus_named(&corpus);
+    assert!(seeder.persist().expect("seed the store") > 0);
+    drop(seeder);
+
+    // The first fleet run solves cold and replaces the foreign store with
+    // its own; the second is answered from it.
+    let runs: Vec<CorpusReport> = (0..2)
+        .map(|_| {
+            let session = sharded(2).cache_file(&path).build();
+            temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+                session.check_corpus_named(&corpus)
+            })
+        })
+        .collect();
+    assert!(runs[0].engine.cache_misses > 0, "{:?}", runs[0].engine);
+    assert_eq!(runs[1].engine.cache_misses, 0, "{:?}", runs[1].engine);
+    assert!(runs[1].engine.disk_hits > 0, "{:?}", runs[1].engine);
+    assert_verdicts_match(&runs[1], &runs[0]);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(depmap_path(&path));
 }
 
 /// Checks what a persistent corpus run left in the sidecar at `path`:
@@ -551,23 +587,25 @@ fn endless_line_is_refused_and_the_daemon_keeps_serving() {
     });
 }
 
-#[test]
-fn deeply_nested_program_fails_its_job_and_the_fleet_keeps_serving() {
+/// Sends a daemon one job frame whose program, under `rel_spec` as both
+/// relational pre- and postcondition, the worker must refuse; checks that
+/// the result frame's error satisfies `refused` and that no worker was
+/// lost.
+fn assert_job_refused_and_fleet_intact(
+    program: &str,
+    rel_spec: &str,
+    refused: impl Fn(&str) -> bool,
+) {
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
         let (addr, daemon) = start_service(sharded(1), 1);
-
-        // 200 KB of parentheses in one program: a parser recursing once
-        // per level, or a vcgen walking the tree it built, would overflow
-        // the worker's stack on every retry and empty the fleet.
         {
             let (mut reader, stream) = raw_session(&addr);
-            let depth = 100_000;
-            let program = format!("x = {}1{};", "(".repeat(depth), ")".repeat(depth));
             writeln!(
                 &stream,
-                "{{\"type\":\"job\",\"id\":3,\"name\":\"deep\",\"program\":{},\
-                 \"pre\":\"true\",\"post\":\"true\",\"rel_pre\":\"true\",\"rel_post\":\"true\"}}",
-                json_string(&program)
+                "{{\"type\":\"job\",\"id\":3,\"name\":\"refused\",\"program\":{},\
+                 \"pre\":\"true\",\"post\":\"true\",\"rel_pre\":{rel},\"rel_post\":{rel}}}",
+                json_string(program),
+                rel = json_string(rel_spec)
             )
             .expect("send job");
             let mut reply = String::new();
@@ -578,12 +616,7 @@ fn deeply_nested_program_fails_its_job_and_the_fleet_keeps_serving() {
                 .iter()
                 .find(|(key, _)| key == "error")
                 .map(|(_, value)| value);
-            assert!(
-                matches!(error, Some(Json::Str(e))
-                    if e.starts_with("program: parse error")
-                        && e.contains("nesting deeper than 256 levels")),
-                "{reply}"
-            );
+            assert!(matches!(error, Some(Json::Str(e)) if refused(e)), "{reply}");
         }
         let status = service_status(&addr, Duration::from_secs(10)).expect("status");
         assert_eq!(status.alive, status.fleet, "{status:?}");
@@ -593,42 +626,80 @@ fn deeply_nested_program_fails_its_job_and_the_fleet_keeps_serving() {
 }
 
 #[test]
-fn iff_chain_past_the_budget_fails_its_job_and_the_fleet_keeps_serving() {
-    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(1), 1);
+fn deeply_nested_program_fails_its_job_and_the_fleet_keeps_serving() {
+    // 200 KB of parentheses in one program: a parser recursing once per
+    // level, or a vcgen walking the tree it built, would overflow the
+    // worker's stack on every retry and empty the fleet.
+    let depth = 100_000;
+    let program = format!("x = {}1{};", "(".repeat(depth), ")".repeat(depth));
+    assert_job_refused_and_fleet_intact(&program, "true", |e| {
+        e.starts_with("program: parse error") && e.contains("nesting deeper than 256 levels")
+    });
+}
 
-        // A 13-link `<==>` chain in 170 bytes: one link past the parser's
-        // growth budget, where every further link doubles the desugared
-        // obligation until a worker runs out of memory.
-        {
-            let (mut reader, stream) = raw_session(&addr);
-            let program = format!("assert {};", vec!["x >= 0"; 14].join(" <==> "));
-            writeln!(
-                &stream,
-                "{{\"type\":\"job\",\"id\":4,\"name\":\"iff\",\"program\":{},\
-                 \"pre\":\"true\",\"post\":\"true\",\"rel_pre\":\"true\",\"rel_post\":\"true\"}}",
-                json_string(&program)
-            )
-            .expect("send job");
-            let mut reply = String::new();
-            reader.read_line(&mut reply).expect("read the result");
-            let record = parse_json(&reply).expect("a result frame");
-            let fields = record.as_object().expect("an object");
-            let error = fields
-                .iter()
-                .find(|(key, _)| key == "error")
-                .map(|(_, value)| value);
-            let limit = format!("more than {MAX_IFF_GROWTH} nodes once desugared");
-            assert!(
-                matches!(error, Some(Json::Str(e))
-                    if e.starts_with("program: parse error") && e.contains(&limit)),
-                "{reply}"
-            );
-        }
-        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
-        assert_eq!(status.alive, status.fleet, "{status:?}");
-        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
-        daemon.join().expect("daemon thread");
+#[test]
+fn iff_chain_past_the_budget_fails_its_job_and_the_fleet_keeps_serving() {
+    // A 13-link `<==>` chain in 170 bytes: one link past the parser's
+    // growth budget, where every further link doubles the desugared
+    // obligation until a worker runs out of memory.
+    let program = format!("assert {};", vec!["x >= 0"; 14].join(" <==> "));
+    let limit = format!("more than {MAX_IFF_GROWTH} nodes once desugared");
+    assert_job_refused_and_fleet_intact(&program, "true", |e| {
+        e.starts_with("program: parse error") && e.contains(&limit)
+    });
+}
+
+#[test]
+fn sequential_ifs_past_the_wp_budget_fail_their_job_and_the_fleet_keeps_serving() {
+    // Eight sequential ifs in 368 bytes: the relational product rule
+    // copies the postcondition four times per if, so the obligation grows
+    // past vcgen's node budget (it used to reach 5.5 M nodes, and each
+    // further if multiplies it by about 4.5).
+    let program: String = (0..8)
+        .map(|i| format!("if (x > {i}) {{ x = x + 1; }} else {{ x = x - 1; }}\n"))
+        .collect();
+    let limit = format!("obligation grows past {MAX_WP_NODES} nodes");
+    assert_job_refused_and_fleet_intact(&program, "x<o> == x<r>", |e| e.contains(&limit));
+}
+
+#[test]
+fn malformed_fleet_flag_exits_without_starting_a_daemon() {
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_relaxed-serviced"))
+            .args(["--fleet", "x", "--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn relaxed-serviced");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = daemon.try_wait().expect("poll the daemon") {
+                break Some(status);
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = daemon.kill();
+                let _ = daemon.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let (mut stdout, mut stderr) = (String::new(), String::new());
+        let out = daemon.stdout.take().expect("piped stdout");
+        BufReader::new(out)
+            .read_to_string(&mut stdout)
+            .expect("read stdout");
+        let err = daemon.stderr.take().expect("piped stderr");
+        BufReader::new(err)
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert!(!stdout.contains("listening"), "{stdout}");
+        let status = status.expect("the daemon must exit on its own");
+        assert!(!status.success(), "{status:?}");
+        assert_eq!(stderr.lines().count(), 1, "one usage line: {stderr}");
+        assert!(
+            stderr.contains("--fleet needs an unsigned integer"),
+            "{stderr}"
+        );
     });
 }
 

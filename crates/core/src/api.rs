@@ -765,12 +765,15 @@ impl Verifier {
         self.engine.cache_warnings()
     }
 
-    /// Writes the session's verdict cache back to its on-disk store,
-    /// along with the goal→fragment dependency map sidecar when the
-    /// resident map has new revisions (a no-op returning `Ok(0)` unless
-    /// the session uses [`CachePolicy::Persistent`]). Dropping the
-    /// session also persists, best-effort; call this to observe I/O
-    /// errors and the entry count.
+    /// Flushes the verdicts the session solved since its last flush to
+    /// its on-disk store ([`DischargeEngine::persist`]: appended under the
+    /// store's own header, or written whole over a store headed by
+    /// anything else), along with the goal→fragment dependency map
+    /// sidecar when the resident map has new revisions. Returns the
+    /// number of verdict records written: `Ok(0)`, with no store I/O,
+    /// when nothing is new or the session is not
+    /// [`CachePolicy::Persistent`]. Dropping the session also flushes,
+    /// best-effort; call this to observe I/O errors and the record count.
     ///
     /// # Errors
     ///

@@ -57,9 +57,18 @@
 //! Model values are JSON strings so `i128` counterexample witnesses
 //! survive exactly. Loading is corruption-tolerant: a line that fails to
 //! parse is skipped and reported as a [`CacheWarning`] instead of
-//! poisoning the run. [`persist`] compacts by atomically rewriting the
-//! whole file (unique temp file + rename), so concurrent sessions on the
-//! same path may race but can never corrupt it.
+//! poisoning the run.
+//!
+//! # One writer, one reader
+//!
+//! [`flush`] is the store's only writer. Under an exclusive lock on the
+//! file it appends the verdicts solved since the last flush when the file
+//! starts with the session's header, and otherwise (a new, empty,
+//! foreign or garbage file) writes the header and the whole cache. A
+//! store that holds a configuration's verdicts is therefore only ever
+//! appended to under that configuration, so sessions and fleet workers
+//! sharing one path never drop each other's verdicts. [`load`], the only
+//! reader, takes a shared lock, so it never sees half a flush.
 
 use crate::encode::ENCODER_VERSION;
 use crate::engine::DischargeConfig;
@@ -67,7 +76,7 @@ use relaxed_smt::{Model, Validity};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Read, Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -166,16 +175,11 @@ pub struct LoadedCache {
     pub entries: HashMap<GoalKey, Validity>,
     /// Skipped lines and whole-file conditions, in file order.
     pub warnings: Vec<CacheWarning>,
-    /// Whether a well-formed header matching the requested fingerprint
-    /// was read (`false` for missing/empty files, bad headers, and
-    /// mismatches). Only a compatible store may later be caught up
-    /// incrementally with [`load_tail`]; anything else must re-run the
-    /// full fingerprint-checked [`load`].
-    pub compatible: bool,
 }
 
 /// Loads the verdict cache at `path`, keeping only entries recorded under
-/// exactly `fingerprint`.
+/// exactly `fingerprint`. The file is read under a shared lock, so a
+/// concurrent [`flush`] is seen whole or not at all.
 ///
 /// A missing file is a clean cold start (no warnings). An unreadable
 /// file, a bad header, or a format/fingerprint mismatch yields an empty
@@ -184,7 +188,14 @@ pub struct LoadedCache {
 /// still used.
 pub fn load(path: &Path, fingerprint: &str) -> LoadedCache {
     let mut out = LoadedCache::default();
-    let text = match fs::read_to_string(path) {
+    let read = || -> io::Result<String> {
+        let mut file = fs::File::open(path)?;
+        file.lock_shared()?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        Ok(text)
+    };
+    let text = match read() {
         Ok(text) => text,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return out,
         Err(e) => {
@@ -232,7 +243,6 @@ pub fn load(path: &Path, fingerprint: &str) -> LoadedCache {
             }
         }
     }
-    out.compatible = true;
     for (i, line) in lines {
         match parse_entry(line) {
             Ok((key, verdict)) => {
@@ -247,37 +257,75 @@ pub fn load(path: &Path, fingerprint: &str) -> LoadedCache {
     out
 }
 
-/// Atomically rewrites the cache file at `path` with a header for
-/// `fingerprint` followed by `entries`, one record per line.
+/// Writes verdicts to the store at `path`: the store's one writer. It
+/// takes an exclusive lock on the file, then
 ///
-/// The write goes to a process-unique temp file in the same directory,
-/// then renames over `path` — concurrent sessions persisting to the same
-/// path can interleave (last writer wins) but can never leave a torn
-/// file. Parent directories are created as needed. Returns the number of
-/// entries written.
-pub fn persist<'a>(
+/// * when the file starts with the header of `fingerprint`, appends
+///   `fresh`, starting on a new line if a crashed writer left a torn last
+///   record;
+/// * otherwise (a new, empty, foreign or garbage file) replaces the file
+///   with that header and the entries `all` returns, in key order.
+///
+/// A store that holds this configuration's verdicts is never rewritten,
+/// and a whole write replaces only a file no session of this
+/// configuration can use. Parent directories are created as needed.
+/// Returns the number of records written.
+///
+/// # Errors
+///
+/// Propagates the underlying filesystem error.
+pub fn flush(
     path: &Path,
     fingerprint: &str,
-    entries: impl IntoIterator<Item = (&'a GoalKey, &'a Validity)>,
+    fresh: &[(GoalKey, Validity)],
+    all: impl FnOnce() -> Vec<(GoalKey, Validity)>,
 ) -> io::Result<u64> {
+    create_parent_dirs(path)?;
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .read(true)
+        .open(path)?;
+    // Released when `file` drops, after the write.
+    file.lock()?;
+    let header = render_header(fingerprint);
+    let mut first = Vec::new();
+    io::BufReader::new((&file).take(header.len() as u64 + 2)).read_until(b'\n', &mut first)?;
     let mut body = String::new();
-    body.push_str(&render_header(fingerprint));
-    body.push('\n');
-    let mut count = 0u64;
-    for (key, verdict) in entries {
+    let whole: Vec<(GoalKey, Validity)>;
+    let records = if first.trim_ascii_end() == header.as_bytes() {
+        let mut last = [0u8];
+        (&file).seek(io::SeekFrom::End(-1))?;
+        (&file).read_exact(&mut last)?;
+        if last[0] != b'\n' {
+            body.push('\n');
+        }
+        fresh
+    } else {
+        let mut all = all();
+        all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        whole = all;
+        file.set_len(0)?;
+        body.push_str(&header);
+        body.push('\n');
+        &whole
+    };
+    for (key, verdict) in records {
         render_entry(&mut body, key, verdict);
         body.push('\n');
-        count += 1;
     }
-    write_atomically(path, &body)?;
-    Ok(count)
+    // One write call for the whole batch: a torn tail after a crash is
+    // exactly what the corruption-tolerant loader skips.
+    file.write_all(body.as_bytes())?;
+    file.sync_all()?;
+    Ok(records.len() as u64)
 }
 
 /// Replaces the file at `path` with `body`: the parent directories are
 /// created as needed, the bytes go to a process-unique temp file in the
 /// same directory, are fsynced, and the temp file is renamed over
-/// `path`. The one rewrite path behind [`persist`] and the depmap
-/// sidecar's [`crate::depmap::persist`].
+/// `path`: the depmap sidecar's rewrite ([`crate::depmap::persist`]).
+/// The verdict store is written by [`flush`] instead.
 ///
 /// # Errors
 ///
@@ -312,121 +360,6 @@ fn create_parent_dirs(path: &Path) -> io::Result<()> {
         Some(parent) if !parent.as_os_str().is_empty() => fs::create_dir_all(parent),
         _ => Ok(()),
     }
-}
-
-/// Loads only the records starting at byte offset `from` of the cache
-/// file at `path` — the incremental companion of [`load`] for
-/// append-only growth: a reader that already merged the first `from`
-/// bytes (of the **same file generation** — rewrites swap the inode, so
-/// callers must detect them and fall back to a full [`load`]) parses
-/// just the appended tail instead of the whole store.
-///
-/// No header or fingerprint check happens here (the header lives at byte
-/// 0 and was validated by the full load that produced `from`). The first
-/// tail line may be torn — `from` can have been recorded while a
-/// concurrent append was mid-write — and is then skipped with a warning,
-/// like any corrupt line. A missing or shrunken file yields an empty
-/// result; the caller's generation check handles it.
-pub fn load_tail(path: &Path, from: u64) -> LoadedCache {
-    use std::io::{Read, Seek};
-    let mut out = LoadedCache::default();
-    let mut file = match fs::File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return out,
-        Err(e) => {
-            out.warnings.push(CacheWarning {
-                line: 0,
-                message: format!("unreadable ({e}); tail skipped"),
-            });
-            return out;
-        }
-    };
-    let mut bytes = Vec::new();
-    let read = file
-        .seek(io::SeekFrom::Start(from))
-        .and_then(|_| file.read_to_end(&mut bytes));
-    if let Err(e) = read {
-        out.warnings.push(CacheWarning {
-            line: 0,
-            message: format!("unreadable tail at byte {from} ({e}); skipped"),
-        });
-        return out;
-    }
-    // Lossy decode: `from` may split a multi-byte character of a torn
-    // record; the mangled line fails to parse and is skipped like any
-    // other corruption.
-    let text = String::from_utf8_lossy(&bytes);
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match parse_entry(line) {
-            Ok((key, verdict)) => {
-                out.entries.insert(key, verdict);
-            }
-            Err(reason) => out.warnings.push(CacheWarning {
-                line: 0,
-                message: format!("skipped tail record after byte {from} ({reason})"),
-            }),
-        }
-    }
-    out
-}
-
-/// Appends `entries` to the cache file at `path`, writing the header for
-/// `fingerprint` first when the file is new or empty. A file headed by
-/// anything else — another configuration's or build's header, or none —
-/// is left untouched, since its sessions would replay the entries as
-/// their own. Returns the number of entries appended.
-///
-/// Appending is the **lost-update-free** flush: unlike [`persist`], which
-/// rewrites the whole file from one process's snapshot (concurrent
-/// rewriters race, last writer wins), an append can never drop another
-/// process's entries — later duplicates of a key win on [`load`], which
-/// is exactly the appender's merge semantics. This is how shard workers
-/// publish verdicts incrementally (see [`crate::shard`]). The header
-/// check and the write happen under an exclusive lock on the file, so
-/// two processes appending to a new store write one header between them.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem error.
-pub fn append<'a>(
-    path: &Path,
-    fingerprint: &str,
-    entries: impl IntoIterator<Item = (&'a GoalKey, &'a Validity)>,
-) -> io::Result<u64> {
-    let mut body = String::new();
-    let mut count = 0u64;
-    for (key, verdict) in entries {
-        render_entry(&mut body, key, verdict);
-        body.push('\n');
-        count += 1;
-    }
-    if count == 0 {
-        return Ok(0);
-    }
-    create_parent_dirs(path)?;
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .read(true)
-        .open(path)?;
-    // Released when `file` drops, after the write.
-    file.lock()?;
-    let header = render_header(fingerprint);
-    if file.metadata()?.len() == 0 {
-        body.insert(0, '\n');
-        body.insert_str(0, &header);
-    } else {
-        let mut first = String::new();
-        io::BufReader::new((&file).take(header.len() as u64 + 2)).read_line(&mut first)?;
-        if first.trim_end() != header {
-            return Ok(0);
-        }
-    }
-    // One write call for the whole batch: a torn tail after a crash is
-    // exactly what the corruption-tolerant loader skips.
-    file.write_all(body.as_bytes())?;
-    file.sync_all()?;
-    Ok(count)
 }
 
 /// Renders a JSON string literal with the escapes RFC 8259 requires —
@@ -796,6 +729,11 @@ mod tests {
         ))
     }
 
+    /// Writes `entries` whole into a new store at `path`.
+    fn create(path: &Path, fingerprint: &str, entries: &[(GoalKey, Validity)]) -> u64 {
+        flush(path, fingerprint, &[], || entries.to_vec()).unwrap()
+    }
+
     fn sample_entries() -> Vec<(GoalKey, Validity)> {
         let valid = GoalKey::of(&ITerm::var("x").le(ITerm::var("x")));
         let invalid = GoalKey::of(&ITerm::var("x").ge(ITerm::Const(5)));
@@ -818,8 +756,7 @@ mod tests {
     fn round_trips_all_verdict_kinds_exactly() {
         let path = temp_file("roundtrip");
         let entries = sample_entries();
-        let written = persist(&path, "fp", entries.iter().map(|(k, v)| (k, v))).unwrap();
-        assert_eq!(written, 3);
+        assert_eq!(create(&path, "fp", &entries), 3);
         let loaded = load(&path, "fp");
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
         assert_eq!(loaded.entries.len(), 3);
@@ -840,7 +777,7 @@ mod tests {
     fn fingerprint_mismatch_yields_empty_cache_with_warning() {
         let path = temp_file("fingerprint");
         let entries = sample_entries();
-        persist(&path, "fp-old", entries.iter().map(|(k, v)| (k, v))).unwrap();
+        create(&path, "fp-old", &entries);
         let loaded = load(&path, "fp-new");
         assert!(loaded.entries.is_empty());
         assert_eq!(loaded.warnings.len(), 1);
@@ -870,7 +807,7 @@ mod tests {
     fn corrupt_lines_are_skipped_and_reported() {
         let path = temp_file("corrupt");
         let entries = sample_entries();
-        persist(&path, "fp", entries.iter().map(|(k, v)| (k, v))).unwrap();
+        create(&path, "fp", &entries);
         // Simulate a torn append and stray garbage.
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.insert_str(text.find('\n').unwrap() + 1, "not json at all\n");
@@ -898,8 +835,12 @@ mod tests {
     fn appended_duplicate_keys_later_wins() {
         let path = temp_file("append");
         let key = GoalKey::of(&ITerm::var("x").le(ITerm::var("x")));
-        persist(&path, "fp", [(&key, &Validity::Unknown("old".to_string()))]).unwrap();
-        // Plain append, as a crash-interrupted compaction would leave it.
+        create(
+            &path,
+            "fp",
+            &[(key.clone(), Validity::Unknown("old".to_string()))],
+        );
+        // A plain append, written by hand.
         let mut text = std::fs::read_to_string(&path).unwrap();
         let mut extra = String::new();
         render_entry(&mut extra, &key, &Validity::Valid);
@@ -976,18 +917,15 @@ mod tests {
     }
 
     #[test]
-    fn append_creates_with_header_then_extends_without() {
-        let path = temp_file("append-grow");
+    fn flush_creates_with_header_then_appends_without() {
+        let path = temp_file("flush-grow");
         let entries = sample_entries();
         let (first, rest) = entries.split_at(1);
-        assert_eq!(
-            append(&path, "fp", first.iter().map(|(k, v)| (k, v))).unwrap(),
-            1
-        );
-        assert_eq!(
-            append(&path, "fp", rest.iter().map(|(k, v)| (k, v))).unwrap(),
-            2
-        );
+        assert_eq!(flush(&path, "fp", first, || first.to_vec()).unwrap(), 1);
+        let whole = || -> Vec<(GoalKey, Validity)> {
+            panic!("a store under its own header is never rewritten")
+        };
+        assert_eq!(flush(&path, "fp", rest, whole).unwrap(), 2);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             text.matches("\"format\"").count(),
@@ -997,24 +935,58 @@ mod tests {
         let loaded = load(&path, "fp");
         assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
         assert_eq!(loaded.entries.len(), 3);
-        assert_eq!(
-            append(&path, "fp", []).unwrap(),
-            0,
-            "empty batch is a no-op"
-        );
+        assert_eq!(flush(&path, "fp", &[], whole).unwrap(), 0);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn append_leaves_a_foreign_store_untouched() {
-        let path = temp_file("append-foreign");
-        let (key, verdict) = &sample_entries()[0];
-        // Another configuration's store, then one with no header at all.
-        for store in [render_header("fp-a") + "\n", "x\n".to_string()] {
-            std::fs::write(&path, &store).unwrap();
-            assert_eq!(append(&path, "fp-b", [(key, verdict)]).unwrap(), 0);
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), store);
+    fn flush_replaces_a_foreign_or_headerless_store_whole_in_key_order() {
+        let path = temp_file("flush-foreign");
+        let entries = sample_entries();
+        let mut sorted = entries.clone();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut expected = render_header("fp-b") + "\n";
+        for (key, verdict) in &sorted {
+            render_entry(&mut expected, key, verdict);
+            expected.push('\n');
         }
+        // Another configuration's store, one with no header at all, and
+        // one that is not even text.
+        let foreign = render_header("fp-a") + "\n";
+        let stores: [&[u8]; 3] = [foreign.as_bytes(), b"x\n", b"\xff\xfe\x00garbage"];
+        for store in stores {
+            std::fs::write(&path, store).unwrap();
+            let written = flush(&path, "fp-b", &entries[..1], || entries.clone()).unwrap();
+            assert_eq!(written, 3);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+            let loaded = load(&path, "fp-b");
+            assert!(loaded.warnings.is_empty(), "{:?}", loaded.warnings);
+            assert_eq!(loaded.entries.len(), 3);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn flush_after_a_torn_tail_starts_on_a_new_line() {
+        let path = temp_file("flush-torn");
+        let entries = sample_entries();
+        create(&path, "fp", &entries[..1]);
+        // A writer crashed mid-record: the file ends without a newline.
+        let mut torn = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        torn.write_all(b"{\"goal\":\"torn-off mid-wr").unwrap();
+        drop(torn);
+        let whole = || -> Vec<(GoalKey, Validity)> {
+            panic!("a store under its own header is never rewritten")
+        };
+        assert_eq!(flush(&path, "fp", &entries[1..], whole).unwrap(), 2);
+        let loaded = load(&path, "fp");
+        assert_eq!(loaded.entries.len(), 3, "both appended records load");
+        assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
+        assert!(loaded.warnings[0].to_string().contains("line 3"));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1032,7 +1004,8 @@ mod tests {
                     let (path, barrier) = (&path, &barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        append(path, "fp", [(key, &Validity::Valid)]).unwrap();
+                        let entry = [(key.clone(), Validity::Valid)];
+                        flush(path, "fp", &entry, || entry.to_vec()).unwrap();
                     });
                 }
             });
@@ -1044,28 +1017,6 @@ mod tests {
             );
             assert_eq!(loaded.entries.len(), keys.len(), "round {round}");
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn appends_from_two_writers_never_drop_each_other() {
-        // The lost-update property persist() cannot give: writer B never
-        // saw writer A's entry, yet A's entry survives B's flush.
-        let path = temp_file("append-union");
-        let a = (
-            GoalKey::of(&ITerm::var("a").le(ITerm::Const(1))),
-            Validity::Valid,
-        );
-        let b = (
-            GoalKey::of(&ITerm::var("b").le(ITerm::Const(2))),
-            Validity::Valid,
-        );
-        append(&path, "fp", [(&a.0, &a.1)]).unwrap();
-        append(&path, "fp", [(&b.0, &b.1)]).unwrap();
-        let loaded = load(&path, "fp");
-        assert_eq!(loaded.entries.len(), 2);
-        assert!(loaded.entries.contains_key(&a.0));
-        assert!(loaded.entries.contains_key(&b.0));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -40,9 +40,11 @@
 //! line carrying the session [`fingerprint`](crate::cache::fingerprint)
 //! (a mismatch — different solver budgets, encoder, or format — fails
 //! closed into a cold, empty map: a stale map must never drive a
-//! replay), then one line per program, later-wins on duplicates,
-//! corruption-tolerant line-by-line loading, and atomic
-//! temp-file + rename persists.
+//! replay), then one line per program, later-wins on duplicates, and
+//! corruption-tolerant line-by-line loading. Unlike the verdict store,
+//! which is appended to, the sidecar is rewritten whole through a temp
+//! file and a rename, so of two sessions persisting to one path the last
+//! writer's map wins.
 
 use crate::api::Stage;
 use crate::cache::{field_str, field_u64, get, json_string, parse_json, GoalKey, Json};
@@ -377,10 +379,9 @@ fn check_header(header: &str, fingerprint: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Atomically rewrites the depmap at `path` through the verdict store's
-/// own temp-file + rename writer ([`crate::cache`]): concurrent sessions
-/// may race but can never corrupt the file, and a missing parent
-/// directory is created.
+/// Atomically rewrites the depmap at `path` through a temp file and a
+/// rename: concurrent sessions may race (the last writer wins) but can
+/// never corrupt the file, and a missing parent directory is created.
 ///
 /// # Errors
 ///

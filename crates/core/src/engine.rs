@@ -253,14 +253,10 @@ pub struct DischargeEngine {
     /// [`stats`](DischargeEngine::stats) reads. `tally` is the only way
     /// in.
     totals: Mutex<EngineStats>,
-    /// Whether the cache holds verdicts not yet written to the on-disk
-    /// store (drop-time persistence skips clean caches; explicit
-    /// [`persist`](DischargeEngine::persist) always writes).
-    dirty: std::sync::atomic::AtomicBool,
-    /// Keys of verdicts solved since the last flush, in insertion order —
-    /// the batch [`append_pending`](DischargeEngine::append_pending)
-    /// appends to the store. Only populated for persistent engines.
-    pending: Mutex<Vec<GoalKey>>,
+    /// Verdicts solved since the last flush, in insertion order: the
+    /// batch [`persist`](DischargeEngine::persist) writes. Only populated
+    /// for persistent engines.
+    pending: Mutex<Vec<(GoalKey, Validity)>>,
     store: Option<DiskStore>,
 }
 
@@ -271,51 +267,28 @@ struct DiskStore {
     path: PathBuf,
     fingerprint: String,
     warnings: Vec<CacheWarning>,
-    /// The file state this engine has fully merged, recorded from a
-    /// `stat` taken **before** the corresponding read — so records a
-    /// sibling appends while we read land beyond the recorded length and
-    /// are picked up by the next refresh, never silently skipped.
-    /// [`DischargeEngine::refresh_from_disk`] uses it to skip unchanged
-    /// files (one `stat`) and to parse only the appended tail of grown
-    /// ones.
+    /// The stamp of the file as this engine last loaded it, taken
+    /// **before** the read, so a flush that lands during the read changes
+    /// the stamp and is loaded by the next refresh.
     last_seen: Mutex<Option<FileStamp>>,
-    /// Whether the last full load of the current file generation found a
-    /// header matching this session's fingerprint — the precondition for
-    /// trusting an appended tail without re-checking the header.
-    tail_ok: std::sync::atomic::AtomicBool,
 }
 
-/// One generation-and-length observation of the store file: `id` is the
-/// inode on Unix (`None` where unavailable), so an atomic-rename rewrite
-/// — which swaps the inode — is distinguished from append-only growth.
+/// The length and modification time of the store file:
+/// [`DischargeEngine::refresh_from_disk`] loads the file again only when
+/// they changed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct FileStamp {
-    id: Option<u64>,
     len: u64,
+    modified: Option<std::time::SystemTime>,
 }
 
 impl FileStamp {
     fn of(path: &std::path::Path) -> Option<FileStamp> {
         let meta = std::fs::metadata(path).ok()?;
-        #[cfg(unix)]
-        let id = {
-            use std::os::unix::fs::MetadataExt;
-            Some(meta.ino())
-        };
-        #[cfg(not(unix))]
-        let id = None;
         Some(FileStamp {
-            id,
             len: meta.len(),
+            modified: meta.modified().ok(),
         })
-    }
-
-    /// Whether a store observed at `now` can be caught up from `self` by
-    /// parsing only the bytes past `self.len`: same (known) file
-    /// generation, strictly grown. Anything else — rewrite, shrink,
-    /// unknown identity — requires a full fingerprint-checked reload.
-    fn tail_of(self, now: FileStamp) -> bool {
-        self.id.is_some() && self.id == now.id && now.len > self.len && self.len > 0
     }
 }
 
@@ -352,7 +325,6 @@ impl DischargeEngine {
             config,
             cache: Mutex::default(),
             totals: Mutex::default(),
-            dirty: std::sync::atomic::AtomicBool::new(false),
             pending: Mutex::default(),
             store: None,
         }
@@ -374,8 +346,8 @@ impl DischargeEngine {
         let mut load_span = crate::telemetry::span("cache", "cache_load");
         let path = path.into();
         let fingerprint = cache::fingerprint(&config);
-        // Stat before reading: records appended concurrently with the
-        // load land past this stamp and are merged by the next refresh.
+        // Stat before reading: a flush that lands during the load
+        // changes the stamp, so the next refresh loads it.
         let stamp = FileStamp::of(&path);
         let loaded = cache::load(&path, &fingerprint);
         let entries: HashMap<GoalKey, CachedVerdict> = loaded
@@ -402,7 +374,6 @@ impl DischargeEngine {
             fingerprint,
             warnings: loaded.warnings,
             last_seen: Mutex::new(stamp),
-            tail_ok: std::sync::atomic::AtomicBool::new(loaded.compatible),
         });
         let count = entries.len() as u64;
         load_span.arg("loaded", count);
@@ -420,17 +391,12 @@ impl DischargeEngine {
     /// This is the read half of the sharded corpus driver's
     /// cross-process transport ([`crate::shard`]): workers refresh before
     /// each job, picking up their siblings' verdicts as
-    /// [`EngineStats::disk_hits`] (the write half is the append-only
-    /// [`append_pending`](DischargeEngine::append_pending)). Refreshes
-    /// are incremental: the file is `stat`ed first; an unchanged file
-    /// costs nothing more, a grown file of the same generation (same
-    /// inode, header already validated) has only its appended tail
-    /// parsed, and anything else — a compacting rewrite swaps the inode —
-    /// triggers a full fingerprint-checked reload. Stamps are taken
-    /// *before* reading, so records appended concurrently with a reload
-    /// are merged by the next refresh, never silently skipped. File
-    /// warnings are ignored here — a torn concurrent append simply
-    /// yields fewer mergeable entries; the next refresh catches up.
+    /// [`EngineStats::disk_hits`] (the write half is
+    /// [`persist`](DischargeEngine::persist) after each job). The file is
+    /// `stat`ed first: when its length and modification time are the ones
+    /// this engine last loaded, the refresh costs nothing more; otherwise
+    /// the whole file is loaded again through [`cache::load`] and merged.
+    /// File warnings are ignored here.
     pub fn refresh_from_disk(&self) -> u64 {
         let Some(store) = &self.store else {
             return 0;
@@ -438,24 +404,10 @@ impl DischargeEngine {
         let started = std::time::Instant::now();
         let _span = crate::telemetry::span("cache", "cache_refresh");
         let now = FileStamp::of(&store.path);
-        let seen = *store.last_seen.lock().expect("store stamp lock");
-        let loaded = match (now, seen) {
-            (None, None) => return self.tally_store_io(started, 0), // still no file
-            (Some(now), Some(seen)) if now == seen => return self.tally_store_io(started, 0),
-            (Some(now), Some(seen))
-                if seen.tail_of(now)
-                    && store.tail_ok.load(std::sync::atomic::Ordering::Relaxed) =>
-            {
-                cache::load_tail(&store.path, seen.len)
-            }
-            _ => {
-                let loaded = cache::load(&store.path, &store.fingerprint);
-                store
-                    .tail_ok
-                    .store(loaded.compatible, std::sync::atomic::Ordering::Relaxed);
-                loaded
-            }
-        };
+        if *store.last_seen.lock().expect("store stamp lock") == now {
+            return self.tally_store_io(started, 0);
+        }
+        let loaded = cache::load(&store.path, &store.fingerprint);
         *store.last_seen.lock().expect("store stamp lock") = now;
         let mut merged = 0u64;
         let mut cache = self.cache.lock().expect("cache lock");
@@ -489,131 +441,51 @@ impl DischargeEngine {
         self.store.as_ref().map_or(&[], |s| &s.warnings)
     }
 
-    /// Writes the current verdict cache back to the on-disk store:
-    /// header plus one record per key, in key order, via an atomic
-    /// temp-file rename. Returns the number of entries written — `Ok(0)`
-    /// for engines without a store.
+    /// Flushes the verdicts solved since the last flush to the on-disk
+    /// store through [`cache::flush`]: they are appended when the store
+    /// starts with this engine's header, and otherwise the store is
+    /// written whole from the cache. Returns the number of records
+    /// written; `Ok(0)`, with no I/O at all, when nothing is new or the
+    /// engine has no store.
     ///
-    /// Dropping a persistent engine also persists, best-effort, but only
-    /// when the cache gained verdicts since the last load/persist (a
-    /// fully warm session costs no drop-time I/O; an I/O failure there
-    /// is reported to stderr unless `DISCHARGE_QUIET=1`). An explicit
-    /// call always writes.
+    /// This is the engine's one flush: a fleet worker calls it after
+    /// every job, and dropping a persistent engine calls it best-effort
+    /// (a failure is reported to stderr unless `DISCHARGE_QUIET=1`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying filesystem error; the batch is kept for
+    /// the next flush.
     pub fn persist(&self) -> std::io::Result<u64> {
         let Some(store) = &self.store else {
             return Ok(0);
         };
+        let batch = std::mem::take(&mut *self.pending.lock().expect("pending lock"));
+        if batch.is_empty() {
+            return Ok(0);
+        }
         let started = std::time::Instant::now();
         let _span = crate::telemetry::span("cache", "cache_persist");
-        // Snapshot under the lock, write without it: the rendering, the
-        // file write, and the fsync must not stall concurrent discharge
-        // threads waiting on cache lookups. The dirty flag is cleared
-        // *inside* the lock, before the snapshot — a verdict inserted
-        // concurrently with the file I/O re-dirties the cache and is
-        // picked up by the next (or drop-time) persist instead of being
-        // silently marked clean.
-        let mut snapshot: Vec<(GoalKey, Validity)> = {
+        // A whole write copies the cache under its lock and writes without
+        // it: rendering, the write and the fsync must not stall discharge
+        // threads.
+        let all = || {
             let cache = self.cache.lock().expect("cache lock");
-            self.dirty
-                .store(false, std::sync::atomic::Ordering::Relaxed);
             cache
                 .iter()
                 .map(|(key, slot)| (key.clone(), slot.verdict.clone()))
                 .collect()
         };
-        // Key order keeps the file deterministic for a given cache.
-        snapshot.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        // The rewrite covers every pending verdict, so the append batch
-        // is settled too (cleared before the write under the same
-        // reasoning as the dirty flag: a failure re-instates retry via
-        // `dirty`, and duplicated appends are harmless later-wins
-        // records).
-        self.pending.lock().expect("pending lock").clear();
-        let written = cache::persist(
-            &store.path,
-            &store.fingerprint,
-            snapshot.iter().map(|(key, verdict)| (key, verdict)),
-        )
-        .inspect_err(|_| {
-            // The snapshot never reached disk; leave the cache dirty so
-            // a later persist retries.
-            self.dirty.store(true, std::sync::atomic::Ordering::Relaxed);
-        });
-        self.tally_store_io(started, 0);
-        let written = written?;
-        // The rewrite replaced the file generation; a sibling may already
-        // have appended to either generation. Clearing the stamp makes
-        // the next refresh a full (cheap-to-reason-about) reload.
-        *store.last_seen.lock().expect("store stamp lock") = None;
-        Ok(written)
-    }
-
-    /// Appends the verdicts solved since the last flush to the on-disk
-    /// store, without rewriting it — the write half of the sharded corpus
-    /// driver's cross-process transport. Unlike
-    /// [`persist`](DischargeEngine::persist) (a whole-file rewrite whose
-    /// concurrent last-writer-wins race can drop entries a sibling
-    /// process just published), an append can never lose another
-    /// writer's records: duplicate keys are resolved later-wins at load
-    /// time. Returns the number of entries appended — `Ok(0)` for
-    /// engines without a store or with nothing new.
-    ///
-    /// Appenders only grow the file; a later
-    /// [`persist`](DischargeEngine::persist) rewrites it with one record
-    /// per key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error; the batch is retained
-    /// for the next flush attempt.
-    pub fn append_pending(&self) -> std::io::Result<u64> {
-        let Some(store) = &self.store else {
-            return Ok(0);
-        };
-        let batch: Vec<GoalKey> = std::mem::take(&mut *self.pending.lock().expect("pending lock"));
-        if batch.is_empty() {
-            return Ok(0);
+        let written = cache::flush(&store.path, &store.fingerprint, &batch, all);
+        if written.is_err() {
+            // Put the batch back, ahead of anything solved since.
+            self.pending
+                .lock()
+                .expect("pending lock")
+                .splice(0..0, batch);
         }
-        let started = std::time::Instant::now();
-        let _span = crate::telemetry::span("cache", "cache_append");
-        let entries: Vec<(GoalKey, Validity)> = {
-            let cache = self.cache.lock().expect("cache lock");
-            batch
-                .iter()
-                .filter_map(|key| {
-                    cache
-                        .get(key)
-                        .map(|slot| (key.clone(), slot.verdict.clone()))
-                })
-                .collect()
-        };
-        let appended = cache::append(
-            &store.path,
-            &store.fingerprint,
-            entries.iter().map(|(key, verdict)| (key, verdict)),
-        )
-        .inspect_err(|_| {
-            // Nothing reached disk; put the batch back for a retry (the
-            // dirty flag already guarantees a drop-time rewrite as the
-            // last resort).
-            let mut pending = self.pending.lock().expect("pending lock");
-            let mut retained = batch.clone();
-            retained.extend(pending.drain(..));
-            *pending = retained;
-        });
         self.tally_store_io(started, 0);
-        let appended = appended?;
-        // Deliberately no stamp update: the next refresh tail-parses from
-        // the last *read* position — re-scanning our own appended records
-        // is cheap (merge no-ops), whereas stamping here could mask a
-        // sibling's append that landed between our write and the stat.
-        // Everything the cache gained since the last flush is now on
-        // disk; a clean engine skips the drop-time rewrite.
-        if self.pending.lock().expect("pending lock").is_empty() {
-            self.dirty
-                .store(false, std::sync::atomic::Ordering::Relaxed);
-        }
-        Ok(appended)
+        written
     }
 
     /// Cumulative statistics: the fold of every per-call [`EngineStats`]
@@ -835,17 +707,12 @@ impl DischargeEngine {
                     },
                 );
             }
-            if !solved.is_empty() {
-                // Pending before dirty: a concurrent `append_pending`
-                // clears `dirty` only when it observes an empty batch,
-                // so the batch must be visible first.
-                if self.store.is_some() {
-                    self.pending
-                        .lock()
-                        .expect("pending lock")
-                        .extend(solved.iter().map(|(gi, _, _)| keys[*gi].clone()));
-                }
-                self.dirty.store(true, std::sync::atomic::Ordering::Relaxed);
+            if self.store.is_some() {
+                self.pending.lock().expect("pending lock").extend(
+                    solved
+                        .iter()
+                        .map(|(gi, verdict, _)| (keys[*gi].clone(), verdict.clone())),
+                );
             }
         }
         call_cache_us += elapsed_us(publish_started);
@@ -915,20 +782,14 @@ impl DischargeEngine {
 }
 
 impl Drop for DischargeEngine {
+    /// Flushes what is new since the last flush: a warm or already
+    /// flushed engine does no I/O here.
     fn drop(&mut self) {
-        // Skip the rewrite when nothing changed since the last
-        // load/persist: a fully warm session (or one already flushed
-        // explicitly) costs no drop-time I/O.
-        if !self.dirty.load(std::sync::atomic::Ordering::Relaxed) {
-            return;
-        }
-        if let Some(path) = self.cache_path().map(std::path::Path::to_path_buf) {
-            if let Err(e) = self.persist() {
-                crate::diag::warn(format_args!(
-                    "failed to persist verdict cache {}: {e}",
-                    path.display()
-                ));
-            }
+        if let (Err(e), Some(path)) = (self.persist(), self.cache_path()) {
+            crate::diag::warn(format_args!(
+                "failed to persist verdict cache {}: {e}",
+                path.display()
+            ));
         }
     }
 }
@@ -1158,22 +1019,23 @@ mod tests {
     }
 
     #[test]
-    fn append_pending_publishes_increments_without_rewrites() {
+    fn persist_publishes_increments_without_rewrites() {
         let path = std::env::temp_dir().join(format!(
             "relaxed-engine-append-{}.jsonl",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        // Two engines on one store, as two shard workers would be. Each
-        // appends only its own fresh verdicts; neither flush can drop the
-        // other's, even though neither ever reloaded the file.
+        // Two engines on one store, as two shard workers would be. The
+        // first flush creates the store; after that each appends only its
+        // own fresh verdicts, so neither flush can drop the other's, even
+        // though neither ever reloaded the file.
         let a = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
         let b = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
         a.discharge(vec![unary_vc("a", "x <= x")]);
-        assert_eq!(a.append_pending().unwrap(), 1);
-        assert_eq!(a.append_pending().unwrap(), 0, "batch drains");
+        assert_eq!(a.persist().unwrap(), 1);
+        assert_eq!(a.persist().unwrap(), 0, "batch drains");
         b.discharge(vec![unary_vc("b", "y <= y + 1")]);
-        assert_eq!(b.append_pending().unwrap(), 1);
+        assert_eq!(b.persist().unwrap(), 1);
         drop(a);
         drop(b);
         let merged = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
@@ -1182,16 +1044,16 @@ mod tests {
         assert_eq!(report.engine.cache_misses, 0);
         assert_eq!(report.engine.disk_hits, 2);
         assert_eq!(
-            DischargeEngine::new().append_pending().unwrap(),
+            DischargeEngine::new().persist().unwrap(),
             0,
-            "in-memory engines have nothing to append"
+            "in-memory engines have nothing to flush"
         );
         drop(merged);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn clean_appended_engine_skips_drop_rewrite() {
+    fn flushed_engine_skips_drop_write() {
         let path = std::env::temp_dir().join(format!(
             "relaxed-engine-append-clean-{}.jsonl",
             std::process::id()
@@ -1199,10 +1061,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let engine = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
         engine.discharge(vec![unary_vc("a", "x <= x")]);
-        engine.append_pending().unwrap();
+        engine.persist().unwrap();
         let flushed_at = std::fs::metadata(&path).unwrap().modified().unwrap();
         let flushed_len = std::fs::metadata(&path).unwrap().len();
-        drop(engine); // everything already on disk: no drop-time rewrite
+        assert_eq!(engine.persist().unwrap(), 0, "nothing new: no I/O");
+        drop(engine); // everything already on disk: no drop-time write
         let meta = std::fs::metadata(&path).unwrap();
         assert_eq!(meta.len(), flushed_len);
         assert_eq!(meta.modified().unwrap(), flushed_at);
@@ -1221,7 +1084,7 @@ mod tests {
         assert_eq!(a.refresh_from_disk(), 0);
         let b = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
         b.discharge(vec![unary_vc("g", "z >= z")]);
-        b.append_pending().unwrap();
+        b.persist().unwrap();
         assert_eq!(a.refresh_from_disk(), 1, "file changed: reload and merge");
         assert_eq!(a.refresh_from_disk(), 0, "file unchanged: stat-only skip");
         drop(a);

@@ -797,31 +797,26 @@ pub fn service_main() -> std::process::ExitCode {
     options.config = config;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut flag = |name: &str| -> Option<String> {
-            if arg == name {
-                let value = args.next();
-                if value.is_none() {
-                    eprintln!("{SERVICE_BINARY}: {name} needs a value");
+        let value = args.next();
+        let problem = match (arg.as_str(), value) {
+            ("--addr", Some(addr)) => {
+                options.addr = addr;
+                continue;
+            }
+            ("--fleet", Some(fleet)) => match fleet.parse() {
+                Ok(fleet) => {
+                    options.fleet = fleet;
+                    continue;
                 }
-                value
-            } else {
-                None
-            }
+                Err(_) => format!("--fleet needs an unsigned integer, not {fleet:?}"),
+            },
+            ("--addr" | "--fleet", None) => format!("{arg} needs a value"),
+            _ => format!("unknown argument {arg:?}"),
         };
-        if let Some(addr) = flag("--addr") {
-            options.addr = addr;
-        } else if let Some(fleet) = flag("--fleet") {
-            match fleet.parse() {
-                Ok(fleet) => options.fleet = fleet,
-                Err(_) => eprintln!("{SERVICE_BINARY}: --fleet needs an unsigned integer"),
-            }
-        } else {
-            eprintln!(
-                "{SERVICE_BINARY}: unknown argument {arg:?} \
-                 (usage: {SERVICE_BINARY} [--addr host:port] [--fleet n])"
-            );
-            return std::process::ExitCode::FAILURE;
-        }
+        eprintln!(
+            "{SERVICE_BINARY}: {problem} (usage: {SERVICE_BINARY} [--addr host:port] [--fleet n])"
+        );
+        return std::process::ExitCode::FAILURE;
     }
     let service = match Service::bind(options) {
         Ok(service) => service,

@@ -32,7 +32,7 @@
 //! {"type":"config",...}       {"type":"ready","proto":2}
 //! {"type":"job","id":0,...}   {"type":"result","id":0,...}
 //! {"type":"job","id":3,...}   {"type":"result","id":3,...}
-//! <EOF>                       (final incremental persist, exit 0)
+//! <EOF>                       (the session's drop flushes, exit 0)
 //! ```
 //!
 //! The `config` frame carries the session's typed configuration (solver
@@ -76,16 +76,17 @@
 //! Under [`CachePolicy::Persistent`]
 //! every worker opens the same fingerprint-gated verdict store: it
 //! refreshes from disk before each job (picking up verdicts sibling
-//! workers published, counted as [`EngineStats::disk_hits`]; a cheap
-//! `stat` guard skips unchanged files) and **appends** its fresh verdicts
-//! after each job
-//! ([`DischargeEngine::append_pending`](crate::engine::DischargeEngine::append_pending))
-//! — appends never rewrite the file, so one worker's flush can never drop
-//! a sibling's concurrently published entries. The coordinator refreshes
-//! its own session cache after the run, so subsequent in-process checks
-//! start warm. A worker replays from the depmap sidecar but never writes
-//! it: it sees only the programs it ran, so the coordinator or a
-//! persistent client records.
+//! workers published, counted as [`EngineStats::disk_hits`]; a `stat`
+//! of length and modification time skips unchanged files) and flushes
+//! its fresh verdicts after each job
+//! ([`DischargeEngine::persist`](crate::engine::DischargeEngine::persist)).
+//! A flush appends under the store's own header, so one worker's flush
+//! never drops a sibling's entries; a store under another
+//! configuration's header is written whole once, and appended to after
+//! that. The coordinator refreshes its own session cache after the run,
+//! so subsequent in-process checks start warm. A worker replays from the
+//! depmap sidecar but never writes it: it sees only the programs it ran,
+//! so the coordinator or a persistent client records.
 //!
 //! [`Verifier::check_corpus`]: crate::api::Verifier::check_corpus
 //! [`CorpusReport`]: crate::api::CorpusReport
@@ -540,8 +541,9 @@ pub fn worker_main() -> std::process::ExitCode {
 
 /// The worker side of the shard protocol: reads a `config` frame, then
 /// `job` frames, verifying each program through one [`Verifier`] session
-/// and writing a `result` frame per job; EOF is the shutdown signal (a
-/// final incremental persist runs, then the loop returns). See the
+/// and writing a `result` frame per job; EOF is the shutdown signal (the
+/// loop returns, and dropping the session flushes whatever a failed
+/// per-job flush left). See the
 /// [module docs](self) for the frame shapes.
 ///
 /// # Errors
@@ -618,12 +620,6 @@ pub fn worker_loop(
             other => return Err(violation(format!("unknown frame type {other:?}"))),
         }
     }
-    // EOF: flush anything a failed per-job append left behind. This is an
-    // append, never a rewrite — a worker's shutdown can never clobber
-    // verdicts a still-running sibling just published.
-    if let Some(session) = &verifier {
-        let _ = session.engine().append_pending();
-    }
     Ok(())
 }
 
@@ -653,9 +649,9 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
     Ok(config)
 }
 
-/// Parses and verifies one job through the worker's session, persisting
-/// incrementally around the check so sibling workers can reuse the
-/// verdicts.
+/// Parses and verifies one job through the worker's session, refreshing
+/// from the store before the check and flushing to it after, so sibling
+/// workers can reuse the verdicts.
 fn run_job(
     session: &Verifier,
     fields: &[(String, Json)],
@@ -684,12 +680,11 @@ fn run_job(
     session.forget_depmap_changes();
     let outcome = report.outcome.map_err(|e| e.to_string())?;
     let elapsed_ms = elapsed_ms_since(started);
-    // Publish this job's fresh verdicts incrementally, by *appending* to
-    // the shared store: an append can never drop entries a sibling worker
-    // persisted concurrently (duplicate keys resolve later-wins at load).
-    if let Err(e) = session.engine().append_pending() {
+    // Publish this job's fresh verdicts: appended under the store's own
+    // header, so a sibling's verdicts are never dropped.
+    if let Err(e) = session.engine().persist() {
         crate::diag::warn(format_args!(
-            "{WORKER_BINARY}: failed to append to the verdict cache: {e}"
+            "{WORKER_BINARY}: failed to persist the verdict cache: {e}"
         ));
     }
     Ok((outcome, elapsed_ms))
@@ -776,7 +771,7 @@ pub(crate) trait Transport: Send {
     fn abort(&mut self);
 
     /// Graceful stop: signal end-of-jobs (stdin EOF / TCP write-half
-    /// shutdown, the peer's cue to run its final persist) and wait for
+    /// shutdown, the peer's cue to run its final flush) and wait for
     /// the peer to wind down.
     fn finish(&mut self);
 }
@@ -844,7 +839,7 @@ impl Transport for PipeTransport {
 
     fn finish(&mut self) {
         // Dropping stdin is the worker's EOF signal (its cue for the
-        // final incremental persist); then reap the process.
+        // final flush); then reap the process.
         self.stdin.take();
         let _ = self.child.wait();
     }
@@ -1198,7 +1193,7 @@ impl Fleet {
     }
 
     /// Returns a worker to the fleet — or, once the fleet is retiring and
-    /// no job waits, shuts it down (its EOF triggers the final persist).
+    /// no job waits, shuts it down (its EOF triggers the final flush).
     fn checkin(&self, worker: WorkerHandle) {
         let mut state = self.state.lock().expect("fleet state");
         if state.retiring && state.waiting == 0 {

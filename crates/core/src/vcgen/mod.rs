@@ -15,4 +15,4 @@ mod vc;
 
 pub use relational::{sync_array, sync_vars, vcs_relaxed, RelVcgen};
 pub use unary::{vcs_unary, UnaryLogic, UnaryVcgen};
-pub use vc::{formula_conjuncts, Vc, VcBody, VcgenError};
+pub use vc::{formula_conjuncts, Vc, VcBody, VcgenError, MAX_WP_NODES};

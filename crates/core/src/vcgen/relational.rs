@@ -22,7 +22,7 @@
 
 use super::arrays::abstract_rel_selects;
 use super::unary::{vcs_unary, UnaryLogic};
-use super::vc::{Vc, VcBody, VcgenError};
+use super::vc::{within_budget, Vc, VcBody, VcgenError};
 use crate::depmap::fragment_id;
 use relaxed_lang::subst::{FreshVars, RelSubst};
 use relaxed_lang::{
@@ -103,8 +103,21 @@ impl RelVcgen {
     /// # Errors
     ///
     /// See [`VcgenError`]. Convergent loops need `rinvariant`; diverging
-    /// statements need a `diverge` contract and must satisfy `no_rel`.
+    /// statements need a `diverge` contract and must satisfy `no_rel`; a
+    /// result past [`MAX_WP_NODES`](super::MAX_WP_NODES) nodes is refused.
     pub fn wp(&mut self, s: &Stmt, q: RelFormula, context: &str) -> Result<RelFormula, VcgenError> {
+        let wp = self.wp_rule(s, q, context)?;
+        within_budget(s, || wp.node_count(), context)?;
+        Ok(wp)
+    }
+
+    /// One rule of [`wp`](RelVcgen::wp), before the size check.
+    fn wp_rule(
+        &mut self,
+        s: &Stmt,
+        q: RelFormula,
+        context: &str,
+    ) -> Result<RelFormula, VcgenError> {
         // Every leaf statement's text enters the relational trail whole:
         // relax targets are havocked on the relaxed side and relate is an
         // obligation here, so — unlike `⊢o` — editing any part of these
@@ -302,8 +315,23 @@ impl RelVcgen {
     ///
     /// `assert`/`assume` on the original side are assumptions (their
     /// obligations belong to `⊢o`); on the relaxed side they are proof
-    /// obligations, exactly as in the intermediate semantics `⊢i`.
+    /// obligations, exactly as in the intermediate semantics `⊢i`. Like
+    /// [`wp`](RelVcgen::wp), it refuses a result past the node budget.
     fn wp_one_side(
+        &mut self,
+        s: &Stmt,
+        side: Side,
+        q: RelFormula,
+        context: &str,
+    ) -> Result<RelFormula, VcgenError> {
+        let wp = self.wp_one_side_rule(s, side, q, context)?;
+        within_budget(s, || wp.node_count(), context)?;
+        Ok(wp)
+    }
+
+    /// One rule of [`wp_one_side`](RelVcgen::wp_one_side), before the
+    /// size check.
+    fn wp_one_side_rule(
         &mut self,
         s: &Stmt,
         side: Side,
@@ -631,6 +659,7 @@ mod tests {
     use super::*;
     use crate::analysis::array_vars;
     use crate::encode::{encode_rel_formula, EncodeCtx};
+    use crate::vcgen::MAX_WP_NODES;
     use relaxed_lang::{parse_rel_formula, parse_stmt};
     use relaxed_smt::Solver;
 
@@ -666,6 +695,44 @@ mod tests {
         arrays.extend(crate::analysis::rel_formula_array_vars(&post));
         let vcs = vcs_relaxed(&s, &pre, &post, &arrays).unwrap();
         prove(&vcs)
+    }
+
+    #[test]
+    fn exponentially_growing_obligations_are_refused() {
+        // Each sequential `if` copies the postcondition four times under
+        // the product rule, and each `x = x + x;` doubles every `x`: eight
+        // ifs made a 5.5 M-node obligation, twenty doublings a 4.2 M-node
+        // one.
+        let ifs = |n: usize| -> String {
+            (0..n)
+                .map(|i| format!("if (x > {i}) {{ x = x + 1; }} else {{ x = x - 1; }}\n"))
+                .collect()
+        };
+        let doublings = |n: usize| "x = x + x;\n".repeat(n);
+        let sync = parse_rel_formula("x<o> == x<r>").unwrap();
+        let vcgen = |src: &str| {
+            let s = parse_stmt(src).unwrap();
+            vcs_relaxed(&s, &sync, &sync, &BTreeSet::new())
+        };
+        // Refused as soon as a result passes the budget: at the sixth if
+        // from the end, or at the seventeenth doubling.
+        for (src, context) in [(ifs(8), "body/2"), (doublings(20), "body/3")] {
+            let err = vcgen(&src).unwrap_err();
+            assert_eq!(
+                err,
+                VcgenError::TooLarge {
+                    limit: MAX_WP_NODES,
+                    context: context.to_string()
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("{context}: obligation grows past 262144 nodes")
+            );
+        }
+        // The largest of each shape that fits.
+        assert!(vcgen(&ifs(5)).is_ok());
+        assert!(vcgen(&doublings(16)).is_ok());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! `wr` dynamically.
 
 use super::arrays::abstract_selects;
-use super::vc::{Vc, VcBody, VcgenError};
+use super::vc::{within_budget, Vc, VcBody, VcgenError};
 use crate::depmap::fragment_id;
 use relaxed_lang::free::bool_expr_vars;
 use relaxed_lang::subst::{FreshVars, Subst};
@@ -105,8 +105,16 @@ impl UnaryVcgen {
     /// # Errors
     ///
     /// See [`VcgenError`]; notably loops must carry `invariant`
-    /// annotations and `relate` is rejected in the intermediate logic.
+    /// annotations, `relate` is rejected in the intermediate logic, and a
+    /// result past [`MAX_WP_NODES`](super::MAX_WP_NODES) nodes is refused.
     pub fn wp(&mut self, s: &Stmt, q: Formula, context: &str) -> Result<Formula, VcgenError> {
+        let wp = self.wp_rule(s, q, context)?;
+        within_budget(s, || wp.node_count(), context)?;
+        Ok(wp)
+    }
+
+    /// One rule of [`wp`](UnaryVcgen::wp), before the size check.
+    fn wp_rule(&mut self, s: &Stmt, q: Formula, context: &str) -> Result<Formula, VcgenError> {
         match s {
             Stmt::Skip => Ok(q),
             Stmt::Assign(..) | Stmt::Store(..) | Stmt::Havoc(..) | Stmt::Assert(_) => {
@@ -391,6 +399,27 @@ mod tests {
         arrays.extend(crate::analysis::formula_array_vars(&post));
         let vcs = vcs_unary(logic, &s, &pre, &post, &arrays).unwrap();
         prove(&vcs)
+    }
+
+    #[test]
+    fn doubling_obligations_are_refused() {
+        // Each `x = x + x;` doubles every `x` of the formula after it.
+        let vcgen = |n: usize| {
+            let s = parse_stmt(&"x = x + x;\n".repeat(n)).unwrap();
+            let post = relaxed_lang::parse_formula("x >= 0").unwrap();
+            vcs_unary(
+                UnaryLogic::Original,
+                &s,
+                &Formula::True,
+                &post,
+                &BTreeSet::new(),
+            )
+        };
+        assert!(vcgen(16).is_ok());
+        assert_eq!(
+            vcgen(20).unwrap_err().to_string(),
+            "body/3: obligation grows past 262144 nodes"
+        );
     }
 
     #[test]

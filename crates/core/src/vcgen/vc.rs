@@ -1,6 +1,6 @@
 //! Verification conditions and generator errors.
 
-use relaxed_lang::{Formula, RelFormula};
+use relaxed_lang::{Formula, RelFormula, Stmt};
 use std::fmt;
 
 /// The logical content of a verification condition.
@@ -60,6 +60,39 @@ impl fmt::Display for Vc {
     }
 }
 
+/// How many nodes one weakest precondition may have before vcgen refuses
+/// the program. Each sequential `if` copies the formula after it into both
+/// branches (four times under the relational product rule), and each
+/// `x = x + x;` doubles every occurrence of `x`, so a few hundred bytes of
+/// program can make one obligation of many megabytes. The corpus's
+/// largest result has 345 nodes.
+pub const MAX_WP_NODES: usize = 1 << 18;
+
+/// Refuses the weakest precondition that the rule of `s` built at
+/// `context` when its `nodes` pass [`MAX_WP_NODES`]. Only rules that
+/// rebuild or copy the formula after them are counted: they alone can grow
+/// it by more than their own text, and their cost is already linear in
+/// it, so counting adds a constant factor. Counting after `skip`,
+/// `assert`, `assume`, `relate` or a sequence would make vcgen quadratic
+/// on a long run of `assert`s.
+pub(crate) fn within_budget(
+    s: &Stmt,
+    nodes: impl FnOnce() -> usize,
+    context: &str,
+) -> Result<(), VcgenError> {
+    let rebuilds = !matches!(
+        s,
+        Stmt::Skip | Stmt::Assert(_) | Stmt::Assume(_) | Stmt::Relate(..) | Stmt::Seq(_)
+    );
+    if rebuilds && nodes() > MAX_WP_NODES {
+        return Err(VcgenError::TooLarge {
+            limit: MAX_WP_NODES,
+            context: context.to_string(),
+        });
+    }
+    Ok(())
+}
+
 /// Why VC generation failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum VcgenError {
@@ -99,6 +132,14 @@ pub enum VcgenError {
         /// Where it was found.
         context: String,
     },
+    /// A weakest precondition grew past the node budget
+    /// ([`MAX_WP_NODES`]).
+    TooLarge {
+        /// The node budget.
+        limit: usize,
+        /// Where the formula passed it.
+        context: String,
+    },
 }
 
 impl fmt::Display for VcgenError {
@@ -122,6 +163,9 @@ impl fmt::Display for VcgenError {
                 f,
                 "{context}: index of a read of {array} mentions a bound variable"
             ),
+            VcgenError::TooLarge { limit, context } => {
+                write!(f, "{context}: obligation grows past {limit} nodes")
+            }
         }
     }
 }

@@ -252,6 +252,15 @@ impl IntExpr {
             IntExpr::Select(_, _) | IntExpr::Len(_) => true,
         }
     }
+
+    /// The number of nodes in the expression's tree.
+    pub fn node_count(&self) -> usize {
+        match self {
+            IntExpr::Bin(_, lhs, rhs) => 1 + lhs.node_count() + rhs.node_count(),
+            IntExpr::Select(_, index) => 1 + index.node_count(),
+            IntExpr::Const(_) | IntExpr::Var(_) | IntExpr::Len(_) => 1,
+        }
+    }
 }
 
 impl From<i64> for IntExpr {

@@ -143,6 +143,20 @@ impl Formula {
             Formula::Exists(_, _) | Formula::Forall(_, _) => false,
         }
     }
+
+    /// The number of nodes in the formula's tree, its terms included.
+    pub fn node_count(&self) -> usize {
+        match self {
+            Formula::And(lhs, rhs) | Formula::Or(lhs, rhs) | Formula::Implies(lhs, rhs) => {
+                1 + lhs.node_count() + rhs.node_count()
+            }
+            Formula::Not(inner) | Formula::Exists(_, inner) | Formula::Forall(_, inner) => {
+                1 + inner.node_count()
+            }
+            Formula::Cmp(_, lhs, rhs) => 1 + lhs.node_count() + rhs.node_count(),
+            Formula::True | Formula::False => 1,
+        }
+    }
 }
 
 impl From<BoolExpr> for Formula {
@@ -373,6 +387,20 @@ impl RelFormula {
             | RelFormula::Implies(lhs, rhs) => lhs.is_quantifier_free() && rhs.is_quantifier_free(),
             RelFormula::Not(inner) => inner.is_quantifier_free(),
             RelFormula::Exists(_, _, _) | RelFormula::Forall(_, _, _) => false,
+        }
+    }
+
+    /// The number of nodes in the formula's tree, its terms included.
+    pub fn node_count(&self) -> usize {
+        match self {
+            RelFormula::And(lhs, rhs)
+            | RelFormula::Or(lhs, rhs)
+            | RelFormula::Implies(lhs, rhs) => 1 + lhs.node_count() + rhs.node_count(),
+            RelFormula::Not(inner)
+            | RelFormula::Exists(_, _, inner)
+            | RelFormula::Forall(_, _, inner) => 1 + inner.node_count(),
+            RelFormula::Cmp(_, lhs, rhs) => 1 + lhs.node_count() + rhs.node_count(),
+            RelFormula::True | RelFormula::False => 1,
         }
     }
 }

@@ -642,7 +642,7 @@ impl Parser {
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
             let rhs = self.nested(Self::formula)?;
-            self.grow_iff(formula_size(&lhs), formula_size(&rhs))?;
+            self.grow_iff(lhs.node_count(), rhs.node_count())?;
             // The Formula type has no Iff constructor; desugar.
             return Ok(lhs.clone().implies(rhs.clone()).and(rhs.implies(lhs)));
         }
@@ -759,7 +759,7 @@ impl Parser {
         if self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
             let rhs = self.nested(Self::rel_formula)?;
-            self.grow_iff(rel_formula_size(&lhs), rel_formula_size(&rhs))?;
+            self.grow_iff(lhs.node_count(), rhs.node_count())?;
             return Ok(lhs.clone().implies(rhs.clone()).and(rhs.implies(lhs)));
         }
         Ok(lhs)
@@ -1063,28 +1063,12 @@ fn iff_size(lhs: usize, rhs: usize) -> usize {
     lhs.saturating_add(rhs).saturating_mul(2).saturating_add(3)
 }
 
-fn int_size(e: &IntExpr) -> usize {
-    match e {
-        IntExpr::Bin(_, a, b) => 1 + int_size(a) + int_size(b),
-        IntExpr::Select(_, index) => 1 + int_size(index),
-        IntExpr::Const(_) | IntExpr::Var(_) | IntExpr::Len(_) => 1,
-    }
-}
-
-fn rel_int_size(e: &RelIntExpr) -> usize {
-    match e {
-        RelIntExpr::Bin(_, a, b) => 1 + rel_int_size(a) + rel_int_size(b),
-        RelIntExpr::Select(_, _, index) => 1 + rel_int_size(index),
-        RelIntExpr::Const(_) | RelIntExpr::Var(..) | RelIntExpr::Len(..) => 1,
-    }
-}
-
 fn bool_size(e: &BoolExpr) -> usize {
     match e {
         BoolExpr::Bin(BoolBinOp::Iff, a, b) => iff_size(bool_size(a), bool_size(b)),
         BoolExpr::Bin(_, a, b) => 1 + bool_size(a) + bool_size(b),
         BoolExpr::Not(a) => 1 + bool_size(a),
-        BoolExpr::Cmp(_, a, b) => 1 + int_size(a) + int_size(b),
+        BoolExpr::Cmp(_, a, b) => 1 + a.node_count() + b.node_count(),
         BoolExpr::Const(_) => 1,
     }
 }
@@ -1094,33 +1078,8 @@ fn rel_bool_size(e: &RelBoolExpr) -> usize {
         RelBoolExpr::Bin(BoolBinOp::Iff, a, b) => iff_size(rel_bool_size(a), rel_bool_size(b)),
         RelBoolExpr::Bin(_, a, b) => 1 + rel_bool_size(a) + rel_bool_size(b),
         RelBoolExpr::Not(a) => 1 + rel_bool_size(a),
-        RelBoolExpr::Cmp(_, a, b) => 1 + rel_int_size(a) + rel_int_size(b),
+        RelBoolExpr::Cmp(_, a, b) => 1 + a.node_count() + b.node_count(),
         RelBoolExpr::Const(_) => 1,
-    }
-}
-
-/// Formulas arrive desugared, so their size is their node count.
-fn formula_size(f: &Formula) -> usize {
-    match f {
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => {
-            1 + formula_size(a) + formula_size(b)
-        }
-        Formula::Not(a) | Formula::Exists(_, a) | Formula::Forall(_, a) => 1 + formula_size(a),
-        Formula::Cmp(_, a, b) => 1 + int_size(a) + int_size(b),
-        Formula::True | Formula::False => 1,
-    }
-}
-
-fn rel_formula_size(f: &RelFormula) -> usize {
-    match f {
-        RelFormula::And(a, b) | RelFormula::Or(a, b) | RelFormula::Implies(a, b) => {
-            1 + rel_formula_size(a) + rel_formula_size(b)
-        }
-        RelFormula::Not(a) | RelFormula::Exists(_, _, a) | RelFormula::Forall(_, _, a) => {
-            1 + rel_formula_size(a)
-        }
-        RelFormula::Cmp(_, a, b) => 1 + rel_int_size(a) + rel_int_size(b),
-        RelFormula::True | RelFormula::False => 1,
     }
 }
 

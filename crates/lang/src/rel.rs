@@ -118,6 +118,15 @@ impl RelIntExpr {
             RelIntExpr::Select(_, _, _) | RelIntExpr::Len(_, _) => true,
         }
     }
+
+    /// The number of nodes in the expression's tree.
+    pub fn node_count(&self) -> usize {
+        match self {
+            RelIntExpr::Bin(_, lhs, rhs) => 1 + lhs.node_count() + rhs.node_count(),
+            RelIntExpr::Select(_, _, index) => 1 + index.node_count(),
+            RelIntExpr::Const(_) | RelIntExpr::Var(..) | RelIntExpr::Len(..) => 1,
+        }
+    }
 }
 
 impl From<i64> for RelIntExpr {

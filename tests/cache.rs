@@ -182,8 +182,8 @@ fn garbage_header_starts_cold_and_persist_repairs() {
 }
 
 /// Concurrent sessions persisting to the same path interleave without
-/// corrupting the file: the atomic temp-file rename guarantees the final
-/// file is always one writer's complete snapshot.
+/// corrupting the file: every flush runs under an exclusive lock on the
+/// file, and every load under a shared one.
 #[test]
 fn concurrent_sessions_on_one_path_never_corrupt_it() {
     let path = temp_cache("concurrent");
@@ -211,6 +211,38 @@ fn concurrent_sessions_on_one_path_never_corrupt_it() {
     assert!(survivor.stats().loaded > 0);
     drop(survivor);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Two sessions on one path that each check half the corpus and persist
+/// keep each other's verdicts: the first flush creates the store, the
+/// second appends under its header, and a third session loads the union
+/// and re-solves nothing. A whole-file rewrite from each session's own
+/// snapshot used to keep only the last writer's verdicts.
+#[test]
+fn two_persisting_sessions_keep_each_others_verdicts() {
+    let path = temp_cache("two-sessions");
+    let corpus = casestudies::corpus();
+    let (first, second) = corpus.split_at(corpus.len() / 2);
+    let a = persistent(&path);
+    let b = persistent(&path);
+    a.check_corpus_named(first);
+    b.check_corpus_named(second);
+    assert!(a.persist().unwrap() > 0);
+    assert!(b.persist().unwrap() > 0);
+    drop(a);
+    drop(b);
+
+    let union = persistent(&path);
+    assert!(
+        union.cache_warnings().is_empty(),
+        "{:?}",
+        union.cache_warnings()
+    );
+    let report = union.check_corpus_named(&corpus);
+    assert_eq!(report.engine.cache_misses, 0, "{:?}", report.engine);
+    drop(union);
+    std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_file(relaxed_programs::core::depmap::depmap_path(&path));
 }
 
 /// Non-`Valid` verdicts round-trip exactly through the store: a broken
