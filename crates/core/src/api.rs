@@ -55,15 +55,17 @@
 //! ```
 
 use crate::cache::{json_string, CacheWarning};
+use crate::depmap::ProgramDeps;
 use crate::engine::{DischargeConfig, DischargeEngine, DischargeOptions, EngineStats};
 use crate::vcgen::{Vc, VcgenError};
 use crate::verify::{stage_vcs, staged_check, AcceptabilityReport, Report, Spec};
 use relaxed_lang::Program;
 use relaxed_smt::SolverStats;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// One judgment of the paper's staged methodology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -630,44 +632,83 @@ impl VerifierBuilder {
         if let Some(path) = &config.trace {
             crate::telemetry::acquire_file(path);
         }
-        let engine = match &config.cache {
-            CachePolicy::Persistent { path } => {
-                DischargeEngine::with_cache_file(config.discharge_config(), path.clone())
-            }
-            CachePolicy::Shared => DischargeEngine::with_config(config.discharge_config()),
+        // A persistent session loads the dependency-map sidecar alongside
+        // the verdict store: session build is where it pays its disk
+        // reads, keeping the first corpus check as fast as later ones.
+        let discharge = config.discharge_config();
+        let (engine, depmap) = match &config.cache {
+            CachePolicy::Persistent { path } => (
+                DischargeEngine::with_cache_file(discharge.clone(), path.clone()),
+                Some(Mutex::new(ResidentDepmap::load(path, &discharge))),
+            ),
+            CachePolicy::Shared => (DischargeEngine::with_config(discharge), None),
         };
-        let verifier = Verifier {
+        Verifier {
             engine,
             config,
             env_warnings,
             next_owner: AtomicU64::new(1),
-            depmap: OnceLock::new(),
-            lint_memo: Mutex::new(std::collections::HashMap::new()),
+            depmap,
             owns_trace,
-        };
-        // Load the dependency-map sidecar alongside the verdict store:
-        // session build is where a persistent session pays its disk
-        // reads, keeping the first corpus check as fast as later ones.
-        let _ = verifier.depmap_resident();
-        verifier
+        }
     }
 }
 
 /// The session-resident goal→fragment dependency map: loaded from the
-/// sidecar once (first corpus run), mutated in memory after every live
-/// run, written back on [`Verifier::persist`] or drop — the same
-/// lifecycle as the verdict store it rides along with, so an
-/// incremental re-verification pays no sidecar I/O per call.
+/// sidecar at build, mutated in memory after every live run, and
+/// flushed on [`Verifier::persist`] or drop — the same lifecycle as the
+/// verdict store it rides along with, so an incremental re-verification
+/// pays no sidecar I/O per call.
 #[derive(Debug)]
 struct ResidentDepmap {
     /// The sidecar path (`<cache path>.depmap`).
     path: PathBuf,
     /// The engine-configuration fingerprint gating loads and stamping
-    /// persists (see [`crate::depmap`]).
+    /// flushes (see [`crate::depmap`]).
     fingerprint: String,
     map: crate::depmap::DepMap,
-    /// Whether the in-memory map has diverged from the sidecar on disk.
-    dirty: bool,
+    /// The programs recorded since the last flush: the records the next
+    /// flush appends.
+    unflushed: BTreeSet<String>,
+    /// Per program, the revision hash of its last replay and that
+    /// revision's rendered lint (see [`ResidentDepmap::lint`]).
+    lints: HashMap<String, (String, Vec<String>)>,
+}
+
+impl ResidentDepmap {
+    /// Loads the sidecar of the store at `cache_path`, warning about
+    /// whatever it skipped.
+    fn load(cache_path: &Path, config: &DischargeConfig) -> ResidentDepmap {
+        let path = crate::depmap::depmap_path(cache_path);
+        let fingerprint = crate::cache::fingerprint(config);
+        let (map, warnings) = crate::depmap::load(&path, &fingerprint);
+        for warning in &warnings {
+            crate::diag::warn(format_args!("{warning}"));
+        }
+        ResidentDepmap {
+            path,
+            fingerprint,
+            map,
+            unflushed: BTreeSet::new(),
+            lints: HashMap::new(),
+        }
+    }
+
+    /// The rendered lint of program `name` at revision `hash`, memoized
+    /// per program: replay is only reached when the revision is
+    /// unchanged, so its lint — a whole-program static analysis — is
+    /// too. A new revision replaces its program's entry.
+    fn lint(&mut self, name: &str, hash: &str, program: &Program, spec: &Spec) -> Vec<String> {
+        match self.lints.get(name) {
+            Some((memo_hash, lint)) if memo_hash == hash => lint.clone(),
+            _ => {
+                let lint = rendered_lint(program, spec);
+                let memo = (hash.to_string(), lint.clone());
+                self.lints.insert(name.to_string(), memo);
+                lint
+            }
+        }
+    }
 }
 
 /// A verification session: typed configuration plus an owned
@@ -685,13 +726,9 @@ pub struct Verifier {
     /// session-unique so cross-program accounting survives repeated
     /// `check_corpus` calls.
     next_owner: AtomicU64,
-    /// Lazily-loaded resident dependency map (`None` once initialized
-    /// means the session is not persistent).
-    depmap: OnceLock<Option<Mutex<ResidentDepmap>>>,
-    /// Rendered lint memoized by revision hash: a replayed corpus entry
-    /// reuses the lint of its (unchanged) revision instead of re-running
-    /// the static analysis on every incremental re-verification.
-    lint_memo: Mutex<std::collections::HashMap<String, Vec<String>>>,
+    /// The resident dependency map of a persistent session (`None`
+    /// otherwise).
+    depmap: Option<Mutex<ResidentDepmap>>,
     /// Whether this session holds a telemetry trace-file ownership
     /// (released on drop; the last release writes the trace).
     owns_trace: bool,
@@ -704,11 +741,12 @@ impl Default for Verifier {
 }
 
 impl Drop for Verifier {
-    /// Best-effort write-back of the dependency-map sidecar (the engine
-    /// persists the verdict store in its own drop) and release of the
-    /// session's telemetry trace ownership (the last tracing session's
-    /// release writes the trace file).
+    /// Best-effort flush of the verdict store and the dependency-map
+    /// sidecar, each warning on failure, then release of the session's
+    /// telemetry trace ownership (the last tracing session's release
+    /// writes the trace file), so the flushes land in the trace.
     fn drop(&mut self) {
+        self.engine.persist_or_warn();
         if let Err(e) = self.persist_depmap() {
             crate::diag::warn(format_args!("could not persist depmap: {e}"));
         }
@@ -768,9 +806,9 @@ impl Verifier {
     /// Flushes the verdicts the session solved since its last flush to
     /// its on-disk store ([`DischargeEngine::persist`]: appended under the
     /// store's own header, or written whole over a store headed by
-    /// anything else), along with the goal→fragment dependency map
-    /// sidecar when the resident map has new revisions. Returns the
-    /// number of verdict records written: `Ok(0)`, with no store I/O,
+    /// anything else), and the revisions recorded since then to the
+    /// goal→fragment dependency map sidecar, under the same rule. Returns
+    /// the number of verdict records written: `Ok(0)`, with no store I/O,
     /// when nothing is new or the session is not
     /// [`CachePolicy::Persistent`]. Dropping the session also flushes,
     /// best-effort; call this to observe I/O errors and the record count.
@@ -892,7 +930,7 @@ impl Verifier {
         // the whole program replays from the verdict cache without vcgen,
         // encoding, or solver work. One hash per program serves both this
         // decision and the record of a live run.
-        let depmap = self.depmap_resident();
+        let depmap = self.depmap.as_ref();
         let hashes: Vec<String> = match depmap {
             Some(_) => programs
                 .iter()
@@ -903,9 +941,9 @@ impl Verifier {
         let mut slots: Vec<Option<CorpusEntry>> = Vec::with_capacity(programs.len());
         let mut live: Vec<usize> = Vec::new();
         {
-            let resident = depmap.map(|resident| resident.lock().expect("depmap lock"));
+            let mut resident = depmap.map(|resident| resident.lock().expect("depmap lock"));
             for (i, (name, program, spec)) in programs.iter().enumerate() {
-                let replayed = resident.as_ref().and_then(|resident| {
+                let replayed = resident.as_mut().and_then(|resident| {
                     let mut span = crate::telemetry::span("depmap", "replay_decision");
                     if span.is_active() {
                         span.arg("program", name.as_str());
@@ -914,7 +952,11 @@ impl Verifier {
                         .map
                         .program(name)
                         .filter(|stored| stored.hash == hashes[i])
-                        .and_then(|stored| self.replay_entry(name, program, spec, stored));
+                        .and_then(|stored| self.replay_entry(name, stored))
+                        .map(|mut entry| {
+                            entry.lint = resident.lint(name, &hashes[i], program, spec);
+                            entry
+                        });
                     span.arg("replayed", u64::from(entry.is_some()));
                     entry
                 });
@@ -958,26 +1000,28 @@ impl Verifier {
         };
 
         // Record the fresh revision of everything that ran live, from the
-        // obligations its report carries (a failed program drops its
-        // record: a stale map must never replay a now-broken program).
-        // The sidecar itself is written back on [`Verifier::persist`] or
-        // drop — per-call fsyncs here would dominate an incremental
+        // obligations its report carries. A failed program leaves the
+        // resident map, so this session never replays it; its older
+        // record on disk only matches the revision it was recorded for.
+        // The sidecar itself is flushed on [`Verifier::persist`] or drop
+        // — per-call fsyncs here would dominate an incremental
         // re-verification.
         if let Some(resident) = depmap.filter(|_| !live.is_empty()) {
             let mut resident = resident.lock().expect("depmap lock");
             for &i in &live {
                 let name = programs[i].0.as_str();
                 match &report.entries[i].outcome {
-                    Ok(program_report) => resident.map.record(
-                        name,
-                        crate::depmap::ProgramDeps::of_report(hashes[i].clone(), program_report),
-                    ),
+                    Ok(program_report) => {
+                        let deps = ProgramDeps::of_report(hashes[i].clone(), program_report);
+                        resident.map.record(name, deps);
+                        resident.unflushed.insert(name.to_string());
+                    }
                     Err(_) => {
                         resident.map.programs.remove(name);
+                        resident.unflushed.remove(name);
                     }
                 }
             }
-            resident.dirty = true;
         }
 
         for entry in &report.entries {
@@ -1000,14 +1044,8 @@ impl Verifier {
     /// does not match the session's selection or any goal key is not
     /// resident. The rebuilt entry carries placeholder formula bodies
     /// (the stored provenance — stage, name, context, deps — is real;
-    /// the formulas were never rebuilt, which is the point).
-    fn replay_entry(
-        &self,
-        name: &str,
-        program: &Program,
-        spec: &Spec,
-        stored: &crate::depmap::ProgramDeps,
-    ) -> Option<CorpusEntry> {
+    /// the formulas were never rebuilt, which is the point) and no lint.
+    fn replay_entry(&self, name: &str, stored: &ProgramDeps) -> Option<CorpusEntry> {
         let stages = self.config.stages;
         // Every selected stage generates at least an entry obligation, so
         // a stage-spectrum mismatch means the record predates a stage
@@ -1045,69 +1083,38 @@ impl Verifier {
         Some(CorpusEntry {
             name: name.to_string(),
             elapsed_ms: elapsed_ms_since(program_started),
-            lint: self.memoized_lint(&stored.hash, program, spec),
+            lint: Vec::new(),
             outcome: Ok(report),
         })
     }
 
-    /// The rendered lint of a revision, memoized by its hash: replay is
-    /// only reached when the revision is unchanged, so its lint — a
-    /// whole-program static analysis — is too.
-    fn memoized_lint(&self, hash: &str, program: &Program, spec: &Spec) -> Vec<String> {
-        let mut memo = self.lint_memo.lock().expect("lint-memo lock");
-        if let Some(lint) = memo.get(hash) {
-            return lint.clone();
-        }
-        let lint = rendered_lint(program, spec);
-        memo.insert(hash.to_string(), lint.clone());
-        lint
-    }
-
-    /// The session-resident dependency map, loading the sidecar on
-    /// first use. `None` unless the session is persistent.
-    fn depmap_resident(&self) -> Option<&Mutex<ResidentDepmap>> {
-        self.depmap
-            .get_or_init(|| {
-                let CachePolicy::Persistent { path } = &self.config.cache else {
-                    return None;
-                };
-                let sidecar = crate::depmap::depmap_path(path);
-                let fingerprint = crate::cache::fingerprint(&self.config.discharge_config());
-                let (map, warnings) = crate::depmap::load(&sidecar, &fingerprint);
-                for warning in &warnings {
-                    crate::diag::warn(format_args!("{warning}"));
-                }
-                Some(Mutex::new(ResidentDepmap {
-                    path: sidecar,
-                    fingerprint,
-                    map,
-                    dirty: false,
-                }))
-            })
-            .as_ref()
-    }
-
-    /// Writes the resident dependency map back to its sidecar if it has
-    /// diverged from disk (a no-op otherwise).
+    /// Flushes the programs the resident dependency map recorded since
+    /// the last flush to its sidecar ([`crate::depmap::persist`]); a
+    /// no-op, with no I/O, when there are none.
     fn persist_depmap(&self) -> std::io::Result<()> {
-        let Some(Some(resident)) = self.depmap.get() else {
+        let Some(resident) = &self.depmap else {
             return Ok(());
         };
         let mut resident = resident.lock().expect("depmap lock");
-        if !resident.dirty {
+        if resident.unflushed.is_empty() {
             return Ok(());
         }
-        crate::depmap::persist(&resident.path, &resident.fingerprint, &resident.map)?;
-        resident.dirty = false;
+        crate::depmap::persist(
+            &resident.path,
+            &resident.fingerprint,
+            &resident.map,
+            resident.unflushed.iter().map(String::as_str),
+        )?;
+        resident.unflushed.clear();
         Ok(())
     }
 
-    /// Marks the resident dependency map clean without writing it: a
-    /// fleet worker's map holds only the programs it ran, so it must
-    /// never replace the sidecar. Its records stay resident for replay.
+    /// Forgets what the resident dependency map recorded since the last
+    /// flush, without writing it: a fleet worker's records are its
+    /// coordinator's to write. They stay resident for replay.
     pub(crate) fn forget_depmap_changes(&self) {
-        if let Some(Some(resident)) = self.depmap.get() {
-            resident.lock().expect("depmap lock").dirty = false;
+        if let Some(resident) = &self.depmap {
+            resident.lock().expect("depmap lock").unflushed.clear();
         }
     }
 
@@ -1676,6 +1683,49 @@ mod tests {
             .check_corpus(&[(program, spec)]);
         let err = a.verdicts_match(&original_only).unwrap_err();
         assert!(err.contains("⊢r ran in only one report"), "{err}");
+    }
+
+    #[test]
+    fn lint_memo_keeps_one_revision_per_program() {
+        let path = std::env::temp_dir().join(format!(
+            "relaxed-api-lint-memo-{}.jsonl",
+            std::process::id()
+        ));
+        let sidecar = crate::depmap::depmap_path(&path);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&sidecar);
+        let session = Verifier::builder().workers(1).cache_file(&path).build();
+        let (program, spec) = toy();
+        let mut revisions = Vec::new();
+        for bound in 0..3 {
+            // A one-conjunct edit: each spec is a new revision.
+            let spec = Spec {
+                pre: relaxed_lang::parse_formula(&format!("n >= {bound}")).unwrap(),
+                ..spec.clone()
+            };
+            let corpus = [("toy", program.clone(), spec)];
+            // The first check runs live; the second replays.
+            session.check_corpus_named(&corpus);
+            let replayed = session.check_corpus_named(&corpus).engine;
+            assert_eq!((replayed.cache_misses, replayed.cross_hits), (0, 0));
+            revisions.push(corpus);
+        }
+        let last = &revisions[2][0];
+        {
+            let mut resident = session.depmap.as_ref().unwrap().lock().unwrap();
+            let lints = &mut resident.lints;
+            assert_eq!(lints.len(), 1, "one entry per program: {lints:?}");
+            let memo = lints.get_mut("toy").unwrap();
+            assert_eq!(memo.0, crate::depmap::program_hash(&last.1, &last.2));
+            // A replay of the unchanged revision must read the memo
+            // instead of running the analysis again.
+            memo.1 = vec!["memoized".to_string()];
+        }
+        let replayed = session.check_corpus_named(&revisions[2]);
+        assert_eq!(replayed.entries[0].lint, ["memoized"]);
+        drop(session);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&sidecar);
     }
 
     #[test]

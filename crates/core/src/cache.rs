@@ -61,14 +61,19 @@
 //!
 //! # One writer, one reader
 //!
-//! [`flush`] is the store's only writer. Under an exclusive lock on the
-//! file it appends the verdicts solved since the last flush when the file
-//! starts with the session's header, and otherwise (a new, empty,
-//! foreign or garbage file) writes the header and the whole cache. A
-//! store that holds a configuration's verdicts is therefore only ever
-//! appended to under that configuration, so sessions and fleet workers
-//! sharing one path never drop each other's verdicts. [`load`], the only
-//! reader, takes a shared lock, so it never sees half a flush.
+//! The store and its depmap sidecar ([`crate::depmap`]) are logs of the
+//! same shape: a header naming the configuration, then one record a
+//! line, later records winning. `write_log` is the only writer of both.
+//! Under an exclusive lock on the file it appends the records new since
+//! the last flush when the file starts with the caller's header, and
+//! otherwise (a new, empty, foreign or garbage file) writes the header
+//! and every record. A log that holds a configuration's records is
+//! therefore only ever appended to under that configuration, so sessions
+//! and fleet workers sharing one path never drop each other's records.
+//! `read_log`, the only reader, takes a shared lock, so it never sees
+//! half a flush. [`flush`] and [`load`] render and parse the store's
+//! lines through them; [`crate::depmap::persist`] and
+//! [`crate::depmap::load`] the sidecar's.
 
 use crate::encode::ENCODER_VERSION;
 use crate::engine::DischargeConfig;
@@ -78,7 +83,6 @@ use std::fmt;
 use std::fs;
 use std::io::{self, BufRead, Read, Seek, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version of the on-disk file layout. Bumping it invalidates every
 /// existing cache file (the header check fails closed into a cold start).
@@ -187,89 +191,24 @@ pub struct LoadedCache {
 /// skipped with one warning each; every well-formed line around them is
 /// still used.
 pub fn load(path: &Path, fingerprint: &str) -> LoadedCache {
-    let mut out = LoadedCache::default();
-    let read = || -> io::Result<String> {
-        let mut file = fs::File::open(path)?;
-        file.lock_shared()?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        Ok(text)
-    };
-    let text = match read() {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return out,
-        Err(e) => {
-            out.warnings.push(CacheWarning {
-                line: 0,
-                message: format!("unreadable ({e}); starting cold"),
-            });
-            return out;
-        }
-    };
-
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((header_at, header_line)) = lines.next() else {
-        return out; // empty file: clean cold start
-    };
-    match parse_header(header_line) {
-        Err(reason) => {
-            out.warnings.push(CacheWarning {
-                line: header_at + 1,
-                message: format!("bad header ({reason}); starting cold"),
-            });
-            return out;
-        }
-        Ok((format, file_fingerprint)) => {
-            if format != FORMAT_VERSION {
-                out.warnings.push(CacheWarning {
-                    line: header_at + 1,
-                    message: format!(
-                        "format version {format} (this build writes {FORMAT_VERSION}); starting cold"
-                    ),
-                });
-                return out;
-            }
-            if file_fingerprint != fingerprint {
-                out.warnings.push(CacheWarning {
-                    line: header_at + 1,
-                    message: format!(
-                        "fingerprint mismatch (file {file_fingerprint:?}, session {fingerprint:?}); starting cold"
-                    ),
-                });
-                return out;
-            }
-        }
-    }
-    for (i, line) in lines {
-        match parse_entry(line) {
-            Ok((key, verdict)) => {
-                out.entries.insert(key, verdict);
-            }
-            Err(reason) => out.warnings.push(CacheWarning {
-                line: i + 1,
-                message: format!("skipped ({reason})"),
-            }),
-        }
-    }
-    out
+    let mut entries = HashMap::new();
+    let warnings = read_log(
+        path,
+        |header| check_header(header, fingerprint),
+        |line| {
+            let (key, verdict) = parse_entry(line)?;
+            entries.insert(key, verdict);
+            Ok(())
+        },
+    );
+    LoadedCache { entries, warnings }
 }
 
-/// Writes verdicts to the store at `path`: the store's one writer. It
-/// takes an exclusive lock on the file, then
-///
-/// * when the file starts with the header of `fingerprint`, appends
-///   `fresh`, starting on a new line if a crashed writer left a torn last
-///   record;
-/// * otherwise (a new, empty, foreign or garbage file) replaces the file
-///   with that header and the entries `all` returns, in key order.
-///
-/// A store that holds this configuration's verdicts is never rewritten,
-/// and a whole write replaces only a file no session of this
-/// configuration can use. Parent directories are created as needed.
-/// Returns the number of records written.
+/// Writes verdicts to the store at `path` under the header of
+/// `fingerprint`: `fresh` is appended when the file starts with that
+/// header, and otherwise the file is replaced by it and the entries
+/// `all` returns, in key order (see the [module docs](self)). Returns
+/// the number of records written.
 ///
 /// # Errors
 ///
@@ -280,7 +219,100 @@ pub fn flush(
     fresh: &[(GoalKey, Validity)],
     all: impl FnOnce() -> Vec<(GoalKey, Validity)>,
 ) -> io::Result<u64> {
-    create_parent_dirs(path)?;
+    let sorted = || {
+        let mut all = all();
+        all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        all
+    };
+    write_log(
+        path,
+        &render_header(fingerprint),
+        fresh,
+        sorted,
+        |out, (key, verdict)| render_entry(out, key, verdict),
+    )
+}
+
+/// Reads the log at `path` under a shared lock, so a concurrent
+/// [`write_log`] is seen whole or not at all: the one reader of the
+/// store and of the depmap sidecar. `header` checks the first non-blank
+/// line, and `record` takes every later one in file order.
+///
+/// A missing or empty file reads as no records and no warning. An
+/// unreadable file, or a header `header` rejects, yields one warning
+/// and no records. Each line `record` rejects is skipped with one
+/// warning.
+pub(crate) fn read_log(
+    path: &Path,
+    header: impl FnOnce(&str) -> Result<(), String>,
+    mut record: impl FnMut(&str) -> Result<(), String>,
+) -> Vec<CacheWarning> {
+    let read = || -> io::Result<String> {
+        let mut file = fs::File::open(path)?;
+        file.lock_shared()?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        Ok(text)
+    };
+    let text = match read() {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Vec::new(),
+        Err(e) => {
+            return vec![CacheWarning {
+                line: 0,
+                message: format!("unreadable ({e}); starting cold"),
+            }]
+        }
+    };
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty());
+    let Some((header_at, header_line)) = lines.next() else {
+        return Vec::new(); // empty file: clean cold start
+    };
+    if let Err(reason) = header(header_line) {
+        return vec![CacheWarning {
+            line: header_at + 1,
+            message: format!("{reason}; starting cold"),
+        }];
+    }
+    lines
+        .filter_map(|(i, line)| {
+            record(line).err().map(|reason| CacheWarning {
+                line: i + 1,
+                message: format!("skipped ({reason})"),
+            })
+        })
+        .collect()
+}
+
+/// Writes records to the log at `path`: the one writer of the store and
+/// of the depmap sidecar. It takes an exclusive lock on the file, then
+///
+/// * when the first line is `header`, appends `fresh`, starting on a new
+///   line if a crashed writer left a torn last record;
+/// * otherwise (a new, empty, foreign or garbage file) replaces the file
+///   with `header` and the records `all` returns, which the caller gives
+///   in key order.
+///
+/// `render` writes one record without its newline. Parent directories
+/// are created as needed, and the file is fsynced. Returns the number of
+/// records written.
+///
+/// # Errors
+///
+/// Propagates the underlying filesystem error.
+pub(crate) fn write_log<R>(
+    path: &Path,
+    header: &str,
+    fresh: &[R],
+    all: impl FnOnce() -> Vec<R>,
+    render: impl Fn(&mut String, &R),
+) -> io::Result<u64> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        fs::create_dir_all(parent)?;
+    }
     let mut file = fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -288,11 +320,10 @@ pub fn flush(
         .open(path)?;
     // Released when `file` drops, after the write.
     file.lock()?;
-    let header = render_header(fingerprint);
     let mut first = Vec::new();
     io::BufReader::new((&file).take(header.len() as u64 + 2)).read_until(b'\n', &mut first)?;
     let mut body = String::new();
-    let whole: Vec<(GoalKey, Validity)>;
+    let whole: Vec<R>;
     let records = if first.trim_ascii_end() == header.as_bytes() {
         let mut last = [0u8];
         (&file).seek(io::SeekFrom::End(-1))?;
@@ -302,64 +333,21 @@ pub fn flush(
         }
         fresh
     } else {
-        let mut all = all();
-        all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        whole = all;
+        whole = all();
         file.set_len(0)?;
-        body.push_str(&header);
+        body.push_str(header);
         body.push('\n');
         &whole
     };
-    for (key, verdict) in records {
-        render_entry(&mut body, key, verdict);
+    for record in records {
+        render(&mut body, record);
         body.push('\n');
     }
     // One write call for the whole batch: a torn tail after a crash is
-    // exactly what the corruption-tolerant loader skips.
+    // exactly what the corruption-tolerant reader skips.
     file.write_all(body.as_bytes())?;
     file.sync_all()?;
     Ok(records.len() as u64)
-}
-
-/// Replaces the file at `path` with `body`: the parent directories are
-/// created as needed, the bytes go to a process-unique temp file in the
-/// same directory, are fsynced, and the temp file is renamed over
-/// `path`: the depmap sidecar's rewrite ([`crate::depmap::persist`]).
-/// The verdict store is written by [`flush`] instead.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem error; the temp file is removed.
-pub(crate) fn write_atomically(path: &Path, body: &str) -> io::Result<()> {
-    create_parent_dirs(path)?;
-    // A unique temp name per (process, write): concurrent writers never
-    // collide on the staging file, and `rename` is atomic within a
-    // filesystem.
-    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut staged_name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_else(|| "verdicts.jsonl".into());
-    staged_name.push(format!(".{}.{seq}.tmp", std::process::id()));
-    let staged = path.with_file_name(staged_name);
-    let result = (|| {
-        let mut file = fs::File::create(&staged)?;
-        file.write_all(body.as_bytes())?;
-        file.sync_all()?;
-        fs::rename(&staged, path)
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&staged);
-    }
-    result
-}
-
-fn create_parent_dirs(path: &Path) -> io::Result<()> {
-    match path.parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => fs::create_dir_all(parent),
-        _ => Ok(()),
-    }
 }
 
 /// Renders a JSON string literal with the escapes RFC 8259 requires —
@@ -428,12 +416,24 @@ pub(crate) fn render_verdict(out: &mut String, verdict: &Validity) {
     }
 }
 
-fn parse_header(line: &str) -> Result<(u32, String), String> {
-    let record = parse_json(line)?;
-    let fields = record.as_object()?;
-    let format = field_u64(fields, "format")?;
-    let format = u32::try_from(format).map_err(|_| format!("format {format} out of range"))?;
-    Ok((format, field_str(fields, "fingerprint")?.to_string()))
+/// Accepts the store header of exactly `fingerprint`.
+fn check_header(line: &str, fingerprint: &str) -> Result<(), String> {
+    let bad = |reason: String| format!("bad header ({reason})");
+    let record = parse_json(line).map_err(bad)?;
+    let fields = record.as_object().map_err(bad)?;
+    let format = field_u64(fields, "format").map_err(bad)?;
+    let file_fingerprint = field_str(fields, "fingerprint").map_err(bad)?;
+    if format != u64::from(FORMAT_VERSION) {
+        return Err(format!(
+            "format version {format} (this build writes {FORMAT_VERSION})"
+        ));
+    }
+    if file_fingerprint != fingerprint {
+        return Err(format!(
+            "fingerprint mismatch (file {file_fingerprint:?}, session {fingerprint:?})"
+        ));
+    }
+    Ok(())
 }
 
 fn parse_entry(line: &str) -> Result<(GoalKey, Validity), String> {
@@ -719,6 +719,7 @@ mod tests {
     use super::*;
     use relaxed_smt::ast::ITerm;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_file(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);

@@ -41,16 +41,18 @@
 //! (a mismatch — different solver budgets, encoder, or format — fails
 //! closed into a cold, empty map: a stale map must never drive a
 //! replay), then one line per program, later-wins on duplicates, and
-//! corruption-tolerant line-by-line loading. Unlike the verdict store,
-//! which is appended to, the sidecar is rewritten whole through a temp
-//! file and a rename, so of two sessions persisting to one path the last
-//! writer's map wins.
+//! corruption-tolerant line-by-line loading. It is written and read by
+//! the verdict store's own writer and reader ([`crate::cache`]): a
+//! session's flush appends the records of the programs it recorded since
+//! its last flush under the sidecar's own header, and writes the whole
+//! map only over a new, empty, foreign or garbage file, so sessions
+//! sharing one path keep each other's programs.
 
 use crate::api::Stage;
 use crate::cache::{field_str, field_u64, get, json_string, parse_json, GoalKey, Json};
 use crate::vcgen::Vc;
 use crate::verify::AcceptabilityReport;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// Version of the depmap file layout; bumping it invalidates every
@@ -192,26 +194,6 @@ impl DepMap {
     }
 }
 
-/// The fragments whose membership differs between a stored revision and
-/// a fresh goal set — the symmetric difference of the two dep unions.
-/// Empty exactly when the edit touched no fragment either revision's
-/// goals depend on (e.g. a pure statement reorder).
-pub fn changed_fragments(old: &ProgramDeps, fresh: &[GoalDep]) -> BTreeSet<String> {
-    let old_frags: BTreeSet<&str> = old
-        .goals
-        .iter()
-        .flat_map(|g| g.deps.iter().map(String::as_str))
-        .collect();
-    let new_frags: BTreeSet<&str> = fresh
-        .iter()
-        .flat_map(|g| g.deps.iter().map(String::as_str))
-        .collect();
-    old_frags
-        .symmetric_difference(&new_frags)
-        .map(|s| (*s).to_string())
-        .collect()
-}
-
 /// Indices (into `fresh`) of the goals an edit can force back to the
 /// solver: goals whose key the stored revision does not already hold.
 /// Every other goal's formula is unchanged and replays from the verdict
@@ -255,17 +237,17 @@ fn goal_dep(stage: Stage, vc: &Vc) -> GoalDep {
 
 fn render_header(fingerprint: &str) -> String {
     format!(
-        "{{\"format\":{DEPMAP_FORMAT},\"kind\":\"depmap\",\"fingerprint\":{}}}\n",
+        "{{\"format\":{DEPMAP_FORMAT},\"kind\":\"depmap\",\"fingerprint\":{}}}",
         json_string(fingerprint)
     )
 }
 
-fn render_program_line(name: &str, deps: &ProgramDeps) -> String {
-    let mut out = format!(
+fn render_program_line(out: &mut String, name: &str, deps: &ProgramDeps) {
+    out.push_str(&format!(
         "{{\"program\":{},\"hash\":{},\"goals\":[",
         json_string(name),
         json_string(&deps.hash)
-    );
+    ));
     for (i, goal) in deps.goals.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -283,8 +265,7 @@ fn render_program_line(name: &str, deps: &ProgramDeps) -> String {
                 .join(",")
         ));
     }
-    out.push_str("]}\n");
-    out
+    out.push_str("]}");
 }
 
 fn parse_program_line(line: &str) -> Result<(String, ProgramDeps), String> {
@@ -316,47 +297,32 @@ fn parse_program_line(line: &str) -> Result<(String, ProgramDeps), String> {
     Ok((name, ProgramDeps { hash, goals }))
 }
 
-/// Loads the depmap at `path`, keeping it only when the header carries
-/// exactly this session's `fingerprint`. A missing file, a bad or
-/// mismatched header (including a verdict-cache fingerprint change — new
-/// budgets, encoder, or solver), or a wrong `kind` all fail closed into
-/// an empty map: **a stale map must never drive a replay**. Individually
-/// corrupt program lines are skipped (later lines win on duplicate
-/// names); every warning is returned for diagnostics.
+/// Loads the depmap at `path` through the verdict store's reader
+/// ([`crate::cache`]), keeping it only when the header carries exactly
+/// this session's `fingerprint`. A missing file is a clean cold start; a
+/// bad or mismatched header (including a verdict-cache fingerprint
+/// change — new budgets, encoder, or solver) or a wrong `kind` fails
+/// closed into an empty map: **a stale map must never drive a replay**.
+/// Individually corrupt program lines are skipped (later lines win on
+/// duplicate names); every warning is returned for diagnostics.
 pub fn load(path: &Path, fingerprint: &str) -> (DepMap, Vec<String>) {
     let mut map = DepMap::default();
-    let mut warnings = Vec::new();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (map, warnings),
-        Err(e) => {
-            warnings.push(format!("depmap unreadable ({e}); starting cold"));
-            return (map, warnings);
-        }
-    };
-    let mut lines = text.lines().enumerate();
-    let header_ok = match lines.next() {
-        Some((_, header)) => check_header(header, fingerprint),
-        None => Err("empty file".to_string()),
-    };
-    if let Err(reason) = header_ok {
-        warnings.push(format!(
-            "depmap {}: {reason}; starting cold",
-            path.display()
-        ));
-        return (map, warnings);
-    }
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_program_line(line) {
-            Ok((name, deps)) => {
-                map.programs.insert(name, deps);
-            }
-            Err(reason) => warnings.push(format!("depmap line {}: {reason}; skipped", i + 1)),
-        }
-    }
+    let warnings = crate::cache::read_log(
+        path,
+        |header| check_header(header, fingerprint),
+        |line| {
+            let (name, deps) = parse_program_line(line)?;
+            map.programs.insert(name, deps);
+            Ok(())
+        },
+    );
+    let warnings = warnings
+        .into_iter()
+        .map(|w| match w.line {
+            0 => format!("depmap {}: {}", path.display(), w.message),
+            line => format!("depmap {} line {line}: {}", path.display(), w.message),
+        })
+        .collect();
     (map, warnings)
 }
 
@@ -379,29 +345,51 @@ fn check_header(header: &str, fingerprint: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Atomically rewrites the depmap at `path` through a temp file and a
-/// rename: concurrent sessions may race (the last writer wins) but can
-/// never corrupt the file, and a missing parent directory is created.
+/// Flushes the records of `names` to the depmap at `path` through the
+/// verdict store's writer ([`crate::cache`]): they are appended when the
+/// file starts with this `fingerprint`'s header, and otherwise the whole
+/// `map` is written in name order. A name `map` does not hold writes
+/// nothing. Returns the number of records written.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors; callers degrade to a warning (a session
 /// that cannot persist its map simply starts cold next time).
-pub fn persist(path: &Path, fingerprint: &str, map: &DepMap) -> std::io::Result<()> {
-    let mut body = render_header(fingerprint);
-    for (name, deps) in &map.programs {
-        body.push_str(&render_program_line(name, deps));
-    }
-    crate::cache::write_atomically(path, &body)
+pub fn persist<'a>(
+    path: &Path,
+    fingerprint: &str,
+    map: &DepMap,
+    names: impl IntoIterator<Item = &'a str>,
+) -> std::io::Result<u64> {
+    let fresh: Vec<(&str, &ProgramDeps)> = names
+        .into_iter()
+        .filter_map(|name| map.programs.get_key_value(name))
+        .map(|(name, deps)| (name.as_str(), deps))
+        .collect();
+    let all = || {
+        map.programs
+            .iter()
+            .map(|(name, deps)| (name.as_str(), deps))
+            .collect()
+    };
+    crate::cache::write_log(
+        path,
+        &render_header(fingerprint),
+        &fresh,
+        all,
+        |out, (name, deps)| render_program_line(out, name, deps),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A per-test, per-process path, with no file at it yet.
     fn temp_path(tag: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
         path.push(format!("relaxed-depmap-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
         path
     }
 
@@ -437,7 +425,7 @@ mod tests {
     fn round_trips_through_disk() {
         let path = temp_path("roundtrip");
         let map = sample_map();
-        persist(&path, "fp-1", &map).unwrap();
+        assert_eq!(persist(&path, "fp-1", &map, []).unwrap(), 1);
         let (loaded, warnings) = load(&path, "fp-1");
         assert_eq!(loaded, map);
         assert!(warnings.is_empty(), "{warnings:?}");
@@ -447,7 +435,7 @@ mod tests {
     #[test]
     fn fingerprint_mismatch_fails_closed_into_a_cold_map() {
         let path = temp_path("mismatch");
-        persist(&path, "fp-old", &sample_map()).unwrap();
+        persist(&path, "fp-old", &sample_map(), []).unwrap();
         let (loaded, warnings) = load(&path, "fp-new");
         assert!(loaded.programs.is_empty(), "stale map must not load");
         assert!(
@@ -467,7 +455,7 @@ mod tests {
     #[test]
     fn corrupt_lines_are_skipped_not_fatal() {
         let path = temp_path("corrupt");
-        persist(&path, "fp", &sample_map()).unwrap();
+        persist(&path, "fp", &sample_map(), []).unwrap();
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("@@ not json @@\n");
         std::fs::write(&path, text).unwrap();
@@ -513,9 +501,49 @@ mod tests {
             },
         ];
         assert_eq!(dirty_goals(&old, &fresh), vec![1]);
-        let changed = changed_fragments(&old, &fresh);
-        assert!(changed.contains("stmt:2"), "{changed:?}");
-        assert!(!changed.contains("pre:1"), "{changed:?}");
+    }
+
+    /// A flush into a sidecar under its own header appends, even after a
+    /// record a crashed writer tore mid-line: the older bytes stay as
+    /// they are, and the new record starts on a line of its own.
+    #[test]
+    fn flush_appends_one_line_after_a_torn_record() {
+        let path = temp_path("torn");
+        // The bytes a whole write of `sample_map` under "fp" leaves, then
+        // the first half of another record.
+        let old = concat!(
+            "{\"format\":1,\"kind\":\"depmap\",\"fingerprint\":\"fp\"}\n",
+            "{\"program\":\"swish\",\"hash\":\"rev:00112233\",\"goals\":[{\"stage\":\"original\",",
+            "\"name\":\"precondition-establishes-wp\",\"context\":\"entry\",\"key\":\"(valid true)\",",
+            "\"deps\":[\"pre:6c2a003130dedb64\",\"stmt:db0aa7b9c2cbe2d7\"]}]}\n",
+            "{\"program\":\"water\",\"hash\":\"rev:44556677\",\"goals\":[{\"stage\":\"rel",
+        );
+        std::fs::write(&path, old).unwrap();
+        let (mut map, warnings) = load(&path, "fp");
+        assert_eq!(map, sample_map());
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("line 3"), "{warnings:?}");
+
+        // A program whose name sorts before every stored one.
+        let lu = ProgramDeps {
+            hash: "rev:8899aabb".to_string(),
+            goals: Vec::new(),
+        };
+        map.record("lu", lu);
+        assert_eq!(persist(&path, "fp", &map, ["lu"]).unwrap(), 1);
+        let appended = "{\"program\":\"lu\",\"hash\":\"rev:8899aabb\",\"goals\":[]}\n";
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{old}\n{appended}")
+        );
+        let (loaded, warnings) = load(&path, "fp");
+        assert_eq!(loaded, map, "both whole records load");
+        assert_eq!(
+            warnings.len(),
+            1,
+            "only the torn line is skipped: {warnings:?}"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -449,8 +449,8 @@ impl DischargeEngine {
     /// engine has no store.
     ///
     /// This is the engine's one flush: a fleet worker calls it after
-    /// every job, and dropping a persistent engine calls it best-effort
-    /// (a failure is reported to stderr unless `DISCHARGE_QUIET=1`).
+    /// every job, and dropping a persistent engine or its session calls
+    /// it best-effort (`persist_or_warn`).
     ///
     /// # Errors
     ///
@@ -486,6 +486,20 @@ impl DischargeEngine {
         }
         self.tally_store_io(started, 0);
         written
+    }
+
+    /// The drop-time flush: [`persist`](DischargeEngine::persist), with
+    /// a failure reported to stderr (unless `DISCHARGE_QUIET=1`) instead
+    /// of returned. The failed batch is dropped, so a later drop-time
+    /// flush does not retry and warn again.
+    pub(crate) fn persist_or_warn(&self) {
+        if let (Err(e), Some(path)) = (self.persist(), self.cache_path()) {
+            self.pending.lock().expect("pending lock").clear();
+            crate::diag::warn(format_args!(
+                "failed to persist verdict cache {}: {e}",
+                path.display()
+            ));
+        }
     }
 
     /// Cumulative statistics: the fold of every per-call [`EngineStats`]
@@ -785,12 +799,7 @@ impl Drop for DischargeEngine {
     /// Flushes what is new since the last flush: a warm or already
     /// flushed engine does no I/O here.
     fn drop(&mut self) {
-        if let (Err(e), Some(path)) = (self.persist(), self.cache_path()) {
-            crate::diag::warn(format_args!(
-                "failed to persist verdict cache {}: {e}",
-                path.display()
-            ));
-        }
+        self.persist_or_warn();
     }
 }
 

@@ -85,8 +85,9 @@
 //! configuration's header is written whole once, and appended to after
 //! that. The coordinator refreshes its own session cache after the run,
 //! so subsequent in-process checks start warm. A worker replays from the
-//! depmap sidecar but never writes it: it sees only the programs it ran,
-//! so the coordinator or a persistent client records.
+//! depmap sidecar but never writes it: the coordinator or a persistent
+//! client records the same revisions, so a worker's flush would only
+//! add an fsync per job.
 //!
 //! [`Verifier::check_corpus`]: crate::api::Verifier::check_corpus
 //! [`CorpusReport`]: crate::api::CorpusReport
@@ -675,8 +676,8 @@ fn run_job(
         .check_corpus_named(&[(name, program, spec)])
         .entries
         .remove(0);
-    // The worker's depmap only sees the programs it ran: it replays from
-    // it, but never writes it over the sidecar.
+    // The worker replays from its depmap but leaves the sidecar to the
+    // coordinator or client, which records the same revision.
     session.forget_depmap_changes();
     let outcome = report.outcome.map_err(|e| e.to_string())?;
     let elapsed_ms = elapsed_ms_since(started);

@@ -99,6 +99,27 @@ fn cold_run_records_every_revision_from_its_live_report() {
     cleanup(&path);
 }
 
+/// Two persistent sessions on one store each flush the programs they
+/// recorded: the second flush appends under the first one's header, so
+/// the sidecar keeps both halves of the corpus and a third session
+/// replays all of it.
+#[test]
+fn two_persisting_sessions_keep_each_others_revisions() {
+    let path = temp_cache("two-sessions");
+    let corpus = casestudies::corpus();
+    let (first, second) = corpus.split_at(3);
+    let a = persistent(&path);
+    let b = persistent(&path);
+    a.check_corpus_named(first);
+    b.check_corpus_named(second);
+    a.persist().unwrap();
+    b.persist().unwrap();
+    drop(a);
+    drop(b);
+    assert_records_replay(&path, &corpus);
+    cleanup(&path);
+}
+
 /// Reordering the corpus is not an edit: every program's hash still
 /// matches its stored revision, so the whole re-verification replays
 /// from the store with zero solver runs.
@@ -283,8 +304,8 @@ fn corrupt_depmap_lines_degrade_to_goal_level_hits() {
 }
 
 /// A session dropped without `persist()` writes its sidecar even when
-/// the store's directory does not exist yet: the sidecar is written
-/// before the store, so its writer must create the directory too.
+/// the store's directory does not exist yet: the one writer of both
+/// files creates the directory.
 #[test]
 fn dropped_session_writes_its_sidecar_into_a_new_directory() {
     let dir = temp_cache("new-dir").with_extension("");

@@ -1,8 +1,9 @@
 //! Telemetry integration tests: the Chrome trace file a session writes
 //! is schema-valid and deterministically shaped under one worker, spans
-//! nest properly, the service `metrics` control frame round-trips over
-//! a real socket, and the disabled path records nothing while leaving
-//! every verdict unchanged.
+//! nest properly, a persistent session's drop-time flush lands in its
+//! trace, the service `metrics` control frame round-trips over a real
+//! socket, and the disabled path records nothing while leaving every
+//! verdict unchanged.
 //!
 //! Tracing toggles a process-global flag, so every test that enables it
 //! serializes on [`TRACE_LOCK`] — the suite still runs under the default
@@ -16,6 +17,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use relaxed_programs::core::cache::{json_string, parse_json, Json};
+use relaxed_programs::core::depmap::depmap_path;
 use relaxed_programs::core::service::service_metrics;
 use relaxed_programs::core::shard::PROTOCOL_VERSION;
 use relaxed_programs::core::telemetry;
@@ -277,6 +279,29 @@ relaxed_request_latency_ms_count 2
     assert!(fetched.contains("relaxed_request_latency_ms_bucket{le=\"5\"} 1"));
     assert!(fetched.contains("relaxed_request_latency_ms_bucket{le=\"+Inf\"} 2"));
     assert!(fetched.contains("relaxed_request_latency_ms_count 2"));
+}
+
+/// A traced persistent session dropped without `persist()` flushes its
+/// store before it releases the trace, so the trace holds that flush.
+#[test]
+fn dropped_persistent_session_traces_its_flush() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let trace = temp_trace_path("drop-flush");
+    let store = trace.with_extension("verdicts.jsonl");
+    let verifier = Verifier::builder()
+        .workers(1)
+        .cache_file(&store)
+        .trace_file(&trace)
+        .build();
+    assert!(verifier.check_corpus(&corpus()).verified());
+    drop(verifier);
+    let (spans, _) = load_trace(&trace);
+    let flushes = spans.iter().filter(|s| s.name == "cache_persist").count();
+    assert_eq!(flushes, 1, "the drop-time flush is traced");
+    assert!(store.exists() && depmap_path(&store).exists());
+    for path in [&trace, &store, &depmap_path(&store)] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// With no trace file configured, the telemetry layer stays disabled,
