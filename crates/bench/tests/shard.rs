@@ -8,9 +8,12 @@
 //! The service tests at the bottom run the same fleet behind an
 //! in-process `relaxed-serviced` daemon (`Service::bind` on an ephemeral
 //! port) and drive it with real TCP clients: concurrent clients must get
-//! verdict-identical reports served from the shared store, a worker
-//! killed mid-request must lose no programs, neither a client vanishing
-//! mid-job nor a job frame without an id may wedge the fleet, and an
+//! verdict-identical reports served from the shared store, a worker must
+//! replay programs from a sidecar written after it spawned, a saturated
+//! daemon must answer `busy` and the client retry until every job is
+//! served, a worker killed mid-request must lose no programs, neither a
+//! client vanishing mid-job nor a job frame without an id may wedge the
+//! fleet, and an
 //! over-long or deeply nested frame, a `<==>` chain past the parser's
 //! budget, or a program whose obligation passes vcgen's node budget is
 //! refused while the daemon keeps serving. A `relaxed-serviced` started
@@ -401,6 +404,82 @@ fn persistent_service_client_records_every_revision() {
     assert_records_replay(&path, &corpus);
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(depmap_path(&path));
+}
+
+/// A fleet worker reads the store and its sidecar again before every
+/// job, so the records a session persisted after the worker spawned
+/// replay whole programs on it: no vcgen, no encoding and no solver run.
+#[test]
+fn fleet_rereads_a_sidecar_written_after_it_spawned() {
+    let path = temp_cache("fleet-reread");
+    let corpus = casestudies::corpus();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        // The worker spawns, and reads both files, before they exist.
+        let (addr, daemon) = start_service(sharded(1).cache_file(&path), 1);
+        let seeder = Verifier::builder().workers(2).cache_file(&path).build();
+        seeder.check_corpus_named(&corpus);
+        seeder.persist().expect("seed the store and its sidecar");
+        drop(seeder);
+        let report = Verifier::builder()
+            .workers(2)
+            .service(&addr)
+            .build()
+            .check_corpus_named(&corpus);
+        for entry in &report.entries {
+            let stats = entry.outcome.as_ref().expect("a staged report").engine;
+            assert_eq!(
+                (stats.cache_misses, stats.cross_hits, stats.elapsed_vcgen_us),
+                (0, 0, 0),
+                "{} must replay on the worker: {stats:?}",
+                entry.name
+            );
+        }
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(depmap_path(&path));
+}
+
+/// A fleet of one admits four jobs at a time: a client pipelining 18
+/// gets `busy` frames for the rest, retries them after the daemon's
+/// hint, and ends with every program served and verdict-identical.
+#[test]
+fn saturated_daemon_answers_busy_and_the_client_retries() {
+    let programs: Vec<(String, Program, Spec)> = (0..3)
+        .flat_map(|round| {
+            casestudies::corpus()
+                .into_iter()
+                .map(move |(name, program, spec)| (format!("{name}_{round}"), program, spec))
+        })
+        .collect();
+    let corpus: Vec<(&str, Program, Spec)> = programs
+        .iter()
+        .map(|(name, program, spec)| (name.as_str(), program.clone(), spec.clone()))
+        .collect();
+    assert_eq!(corpus.len(), 18);
+    let in_process = Verifier::builder()
+        .workers(2)
+        .build()
+        .check_corpus_named(&corpus);
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(sharded(1), 1);
+        let report = Verifier::builder()
+            .workers(2)
+            .service(&addr)
+            .build()
+            .check_corpus_named(&corpus);
+        assert_verdicts_match(&report, &in_process);
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert!(status.rejected >= 1, "no job was turned away: {status:?}");
+        assert_eq!(
+            (status.served, status.active, status.alive),
+            (18, 0, 1),
+            "{status:?}"
+        );
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
 }
 
 #[test]

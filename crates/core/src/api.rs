@@ -26,10 +26,15 @@
 //!
 //! The session's verdict cache can outlive the process: a
 //! [`CachePolicy::Persistent`] session ([`VerifierBuilder::cache_file`]
-//! or `DISCHARGE_CACHE=<path>`) loads previously persisted verdicts at
-//! build time and writes the cache back on [`Verifier::persist`] or
-//! drop, making re-verification across runs incremental (see
-//! [`crate::cache`]).
+//! or `DISCHARGE_CACHE=<path>`) owns two files, the verdict store
+//! ([`crate::cache`]) and its depmap sidecar ([`crate::depmap`]). It
+//! loads both at build time, and writes what is new in each on
+//! [`Verifier::persist`] or drop, making re-verification across runs
+//! incremental. The session is their only owner: the engine it wraps
+//! never touches a file. Fleet workers before every job, and sharded and
+//! service runs after their jobs, read both files again where they
+//! changed, so verdicts and program records other processes persisted
+//! reach the session.
 //!
 //! ```
 //! use relaxed_core::{Stage, Verifier};
@@ -54,9 +59,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::cache::{json_string, CacheWarning};
-use crate::depmap::ProgramDeps;
-use crate::engine::{DischargeConfig, DischargeEngine, DischargeOptions, EngineStats};
+use crate::cache::{json_string, CacheWarning, FileStamp};
+use crate::depmap::{DepMap, ProgramDeps};
+use crate::engine::{elapsed_us, DischargeConfig, DischargeEngine, DischargeOptions, EngineStats};
 use crate::vcgen::{Vc, VcgenError};
 use crate::verify::{stage_vcs, staged_check, AcceptabilityReport, Report, Spec};
 use relaxed_lang::Program;
@@ -423,60 +428,40 @@ impl Config {
                 n => CorpusPolicy::Sharded { shards: n as usize },
             };
         }
-        if let Some(raw) = lookup("DISCHARGE_CACHE") {
-            let path = raw.trim();
-            if path.is_empty() {
+        // A path or address: trimmed, and reported when nothing is left.
+        let mut non_empty = |var: &'static str, expected: &'static str| -> Option<String> {
+            let raw = lookup(var)?;
+            let value = raw.trim();
+            if value.is_empty() {
                 warnings.push(EnvWarning {
-                    var: "DISCHARGE_CACHE",
+                    var,
                     value: raw,
-                    expected: "a non-empty file path",
+                    expected,
                 });
-            } else {
-                config.cache = CachePolicy::Persistent {
-                    path: PathBuf::from(path),
-                };
+                return None;
             }
+            Some(value.to_string())
+        };
+        if let Some(path) = non_empty("DISCHARGE_CACHE", "a non-empty file path") {
+            config.cache = CachePolicy::Persistent { path: path.into() };
         }
-        if let Some(raw) = lookup("DISCHARGE_TRACE") {
-            let path = raw.trim();
-            if path.is_empty() {
-                warnings.push(EnvWarning {
-                    var: "DISCHARGE_TRACE",
-                    value: raw,
-                    expected: "a non-empty trace-output file path",
-                });
-            } else {
-                config.trace = Some(PathBuf::from(path));
-            }
+        if let Some(path) = non_empty("DISCHARGE_TRACE", "a non-empty trace-output file path") {
+            config.trace = Some(path.into());
         }
-        if let Some(raw) = lookup("RELAXED_SHARDD") {
-            let path = raw.trim();
-            if path.is_empty() {
-                warnings.push(EnvWarning {
-                    var: "RELAXED_SHARDD",
-                    value: raw,
-                    expected: "a non-empty path to the relaxed-shardd binary",
-                });
-            } else {
-                config.shard_worker = Some(PathBuf::from(path));
-            }
+        if let Some(path) = non_empty(
+            "RELAXED_SHARDD",
+            "a non-empty path to the relaxed-shardd binary",
+        ) {
+            config.shard_worker = Some(path.into());
         }
         // Processed after DISCHARGE_SHARDS on purpose: when both are set,
         // the service address wins (the daemon's fleet already *is* the
         // shard layer).
-        if let Some(raw) = lookup("RELAXED_SERVICE") {
-            let addr = raw.trim();
-            if addr.is_empty() {
-                warnings.push(EnvWarning {
-                    var: "RELAXED_SERVICE",
-                    value: raw,
-                    expected: "a non-empty host:port address of a relaxed-serviced daemon",
-                });
-            } else {
-                config.corpus = CorpusPolicy::Service {
-                    addr: addr.to_string(),
-                };
-            }
+        if let Some(addr) = non_empty(
+            "RELAXED_SERVICE",
+            "a non-empty host:port address of a relaxed-serviced daemon",
+        ) {
+            config.corpus = CorpusPolicy::Service { addr };
         }
         (config, warnings)
     }
@@ -626,21 +611,22 @@ impl VerifierBuilder {
             shard_worker: self.shard_worker.or(base.shard_worker),
             trace: self.trace.or(base.trace),
         };
-        // Acquire the trace before the engine exists so the cache-load
+        // Acquire the trace before the store is opened so the cache-load
         // span of a persistent session lands in the timeline.
         let owns_trace = config.trace.is_some();
         if let Some(path) = &config.trace {
             crate::telemetry::acquire_file(path);
         }
-        // A persistent session loads the dependency-map sidecar alongside
-        // the verdict store: session build is where it pays its disk
-        // reads, keeping the first corpus check as fast as later ones.
+        // A persistent session reads both of its files at build: that is
+        // where it pays its disk reads, keeping the first corpus check as
+        // fast as later ones.
         let discharge = config.discharge_config();
-        let (engine, depmap) = match &config.cache {
-            CachePolicy::Persistent { path } => (
-                DischargeEngine::with_cache_file(discharge.clone(), path.clone()),
-                Some(Mutex::new(ResidentDepmap::load(path, &discharge))),
-            ),
+        let (engine, store) = match &config.cache {
+            CachePolicy::Persistent { path } => {
+                let engine = DischargeEngine::keeping_batch(discharge);
+                let store = Store::open(path, &engine);
+                (engine, Some(store))
+            }
             CachePolicy::Shared => (DischargeEngine::with_config(discharge), None),
         };
         Verifier {
@@ -648,27 +634,153 @@ impl VerifierBuilder {
             config,
             env_warnings,
             next_owner: AtomicU64::new(1),
-            depmap,
+            store,
             owns_trace,
         }
     }
 }
 
-/// The session-resident goal→fragment dependency map: loaded from the
-/// sidecar at build, mutated in memory after every live run, and
-/// flushed on [`Verifier::persist`] or drop — the same lifecycle as the
-/// verdict store it rides along with, so an incremental re-verification
-/// pays no sidecar I/O per call.
+/// The two files a persistent session keeps, the verdict store and its
+/// depmap sidecar, with the sidecar's resident map: the session's only
+/// link to the disk. It is opened at build, read again by
+/// [`Verifier::refresh`], and flushed by [`Verifier::persist`] and drop.
 #[derive(Debug)]
-struct ResidentDepmap {
-    /// The sidecar path (`<cache path>.depmap`).
+struct Store {
+    /// The verdict store.
     path: PathBuf,
-    /// The engine-configuration fingerprint gating loads and stamping
-    /// flushes (see [`crate::depmap`]).
+    /// Its depmap sidecar (`<path>.depmap`).
+    sidecar: PathBuf,
+    /// The engine-configuration fingerprint that gates both files' loads
+    /// and heads their flushes (see [`crate::cache::fingerprint`]).
     fingerprint: String,
-    map: crate::depmap::DepMap,
+    /// What the store's load at build skipped.
+    warnings: Vec<CacheWarning>,
+    /// The stamps of the store and of the sidecar as last read, each
+    /// taken **before** its read, so a flush that lands during a read
+    /// changes the stamp and is read next time.
+    seen: Mutex<[Option<FileStamp>; 2]>,
+    depmap: Mutex<ResidentDepmap>,
+}
+
+impl Store {
+    /// Opens the files of the store at `path` under the fingerprint of
+    /// `engine`'s configuration, reading both into the session, and
+    /// warns about whatever the sidecar's load skipped.
+    fn open(path: &Path, engine: &DischargeEngine) -> Store {
+        let mut store = Store {
+            path: path.to_path_buf(),
+            sidecar: crate::depmap::depmap_path(path),
+            fingerprint: crate::cache::fingerprint(engine.config()),
+            warnings: Vec::new(),
+            seen: Mutex::default(),
+            depmap: Mutex::default(),
+        };
+        let (warnings, sidecar_warnings) = store.read(engine, "cache_load");
+        for warning in &sidecar_warnings {
+            crate::diag::warn(format_args!("{warning}"));
+        }
+        store.warnings = warnings;
+        store
+    }
+
+    /// Reads each file whose stamp changed since its last read (a missing
+    /// file is never read), under the span `name`. Verdicts the
+    /// engine's cache lacks merge in as disk-backed, tallied as
+    /// [`EngineStats::loaded`] with the store's I/O time; sidecar records
+    /// replace resident ones, except those of programs recorded since the
+    /// last flush. Returns what the store's and the sidecar's loads
+    /// skipped.
+    fn read(
+        &self,
+        engine: &DischargeEngine,
+        name: &'static str,
+    ) -> (Vec<CacheWarning>, Vec<String>) {
+        let started = std::time::Instant::now();
+        let mut span = crate::telemetry::span("cache", name);
+        let mut seen = self.seen.lock().expect("store stamps lock");
+        let mut skipped = (Vec::new(), Vec::new());
+        let mut merged = 0;
+        let stamp = FileStamp::of(&self.path);
+        if seen[0] != stamp {
+            seen[0] = stamp;
+            let loaded = crate::cache::load(&self.path, &self.fingerprint);
+            merged = engine.merge_from_disk(loaded.entries);
+            skipped.0 = loaded.warnings;
+        }
+        span.arg("loaded", merged);
+        engine.tally(&EngineStats {
+            loaded: merged,
+            elapsed_cache_us: elapsed_us(started),
+            ..EngineStats::default()
+        });
+        let stamp = FileStamp::of(&self.sidecar);
+        if seen[1] != stamp {
+            seen[1] = stamp;
+            let (map, warnings) = crate::depmap::load(&self.sidecar, &self.fingerprint);
+            let mut resident = self.depmap.lock().expect("depmap lock");
+            for (name, deps) in map.programs {
+                if !resident.unflushed.contains(&name) {
+                    resident.map.record(&name, deps);
+                }
+            }
+            skipped.1 = warnings;
+        }
+        skipped
+    }
+
+    /// Writes the verdicts `engine` solved since the last flush, then the
+    /// sidecar records of the programs recorded since then, each through
+    /// its file's writer ([`crate::cache::flush`],
+    /// [`crate::depmap::persist`]): appended under the file's own header,
+    /// or written whole over a file headed by anything else. Returns the
+    /// number of verdict records written: `Ok(0)`, with no I/O at all,
+    /// when nothing is new.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first filesystem error. A failed verdict batch goes
+    /// back to the engine, and unwritten records stay unflushed, for the
+    /// next flush.
+    fn flush(&self, engine: &DischargeEngine) -> std::io::Result<u64> {
+        let batch = engine.take_batch();
+        let mut resident = self.depmap.lock().expect("depmap lock");
+        if batch.is_empty() && resident.unflushed.is_empty() {
+            return Ok(0);
+        }
+        let _span = crate::telemetry::span("cache", "cache_persist");
+        let mut written = 0;
+        if !batch.is_empty() {
+            let started = std::time::Instant::now();
+            let all = || engine.snapshot();
+            let flushed = crate::cache::flush(&self.path, &self.fingerprint, &batch, all);
+            engine.tally(&EngineStats {
+                elapsed_cache_us: elapsed_us(started),
+                ..EngineStats::default()
+            });
+            written = flushed.inspect_err(|_| engine.restore_batch(batch))?;
+        }
+        if !resident.unflushed.is_empty() {
+            crate::depmap::persist(
+                &self.sidecar,
+                &self.fingerprint,
+                &resident.map,
+                resident.unflushed.iter().map(String::as_str),
+            )?;
+            resident.unflushed.clear();
+        }
+        Ok(written)
+    }
+}
+
+/// The resident goal→fragment dependency map of a persistent session:
+/// read from the sidecar at build and wherever it changed since, mutated
+/// in memory after every live run, and flushed with the verdict store, so
+/// an incremental re-verification pays no sidecar I/O per call.
+#[derive(Debug, Default)]
+struct ResidentDepmap {
+    map: DepMap,
     /// The programs recorded since the last flush: the records the next
-    /// flush appends.
+    /// flush appends, and the ones a read of the sidecar leaves alone.
     unflushed: BTreeSet<String>,
     /// Per program, the revision hash of its last replay and that
     /// revision's rendered lint (see [`ResidentDepmap::lint`]).
@@ -676,24 +788,6 @@ struct ResidentDepmap {
 }
 
 impl ResidentDepmap {
-    /// Loads the sidecar of the store at `cache_path`, warning about
-    /// whatever it skipped.
-    fn load(cache_path: &Path, config: &DischargeConfig) -> ResidentDepmap {
-        let path = crate::depmap::depmap_path(cache_path);
-        let fingerprint = crate::cache::fingerprint(config);
-        let (map, warnings) = crate::depmap::load(&path, &fingerprint);
-        for warning in &warnings {
-            crate::diag::warn(format_args!("{warning}"));
-        }
-        ResidentDepmap {
-            path,
-            fingerprint,
-            map,
-            unflushed: BTreeSet::new(),
-            lints: HashMap::new(),
-        }
-    }
-
     /// The rendered lint of program `name` at revision `hash`, memoized
     /// per program: replay is only reached when the revision is
     /// unchanged, so its lint — a whole-program static analysis — is
@@ -726,9 +820,8 @@ pub struct Verifier {
     /// session-unique so cross-program accounting survives repeated
     /// `check_corpus` calls.
     next_owner: AtomicU64,
-    /// The resident dependency map of a persistent session (`None`
-    /// otherwise).
-    depmap: Option<Mutex<ResidentDepmap>>,
+    /// The files of a persistent session (`None` otherwise).
+    store: Option<Store>,
     /// Whether this session holds a telemetry trace-file ownership
     /// (released on drop; the last release writes the trace).
     owns_trace: bool,
@@ -741,14 +834,20 @@ impl Default for Verifier {
 }
 
 impl Drop for Verifier {
-    /// Best-effort flush of the verdict store and the dependency-map
-    /// sidecar, each warning on failure, then release of the session's
-    /// telemetry trace ownership (the last tracing session's release
-    /// writes the trace file), so the flushes land in the trace.
+    /// The session's one drop-time flush: what is new in a persistent
+    /// session's files is written best-effort, warning on failure
+    /// (nothing is new after [`Verifier::persist`], so that costs no
+    /// I/O). Then the session's telemetry trace ownership is released
+    /// (the last tracing session's release writes the trace file), so the
+    /// flush lands in the trace.
     fn drop(&mut self) {
-        self.engine.persist_or_warn();
-        if let Err(e) = self.persist_depmap() {
-            crate::diag::warn(format_args!("could not persist depmap: {e}"));
+        if let Some(store) = &self.store {
+            if let Err(e) = store.flush(&self.engine) {
+                crate::diag::warn(format_args!(
+                    "failed to persist verdict cache {}: {e}",
+                    store.path.display()
+                ));
+            }
         }
         if self.owns_trace {
             crate::telemetry::release();
@@ -800,26 +899,37 @@ impl Verifier {
     /// on-disk verdict cache (empty for in-memory sessions and clean
     /// loads).
     pub fn cache_warnings(&self) -> &[CacheWarning] {
-        self.engine.cache_warnings()
+        self.store.as_ref().map_or(&[], |store| &store.warnings)
     }
 
     /// Flushes the verdicts the session solved since its last flush to
-    /// its on-disk store ([`DischargeEngine::persist`]: appended under the
-    /// store's own header, or written whole over a store headed by
-    /// anything else), and the revisions recorded since then to the
-    /// goal→fragment dependency map sidecar, under the same rule. Returns
-    /// the number of verdict records written: `Ok(0)`, with no store I/O,
-    /// when nothing is new or the session is not
-    /// [`CachePolicy::Persistent`]. Dropping the session also flushes,
-    /// best-effort; call this to observe I/O errors and the record count.
+    /// its on-disk store (appended under the store's own header, or
+    /// written whole over a store headed by anything else), then the
+    /// revisions recorded since then to the goal→fragment dependency map
+    /// sidecar, under the same rule. Returns the number of verdict records
+    /// written: `Ok(0)`, with no I/O, when nothing is new or the session
+    /// is not [`CachePolicy::Persistent`]. Dropping the session also
+    /// flushes, best-effort; call this to observe I/O errors and the
+    /// record count.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying filesystem error.
+    /// Propagates the underlying filesystem error; what was not written
+    /// is kept for the next flush.
     pub fn persist(&self) -> std::io::Result<u64> {
-        let written = self.engine.persist()?;
-        self.persist_depmap()?;
-        Ok(written)
+        self.store
+            .as_ref()
+            .map_or(Ok(0), |store| store.flush(&self.engine))
+    }
+
+    /// Reads a persistent session's files again where they changed since
+    /// the last read, ignoring file warnings (see [`Store::read`]). Fleet
+    /// workers call it before every job, sharded and service runs after
+    /// their jobs.
+    pub(crate) fn refresh(&self) {
+        if let Some(store) = &self.store {
+            store.read(&self.engine, "cache_refresh");
+        }
     }
 
     /// Cumulative engine statistics over everything this session's own
@@ -930,7 +1040,7 @@ impl Verifier {
         // the whole program replays from the verdict cache without vcgen,
         // encoding, or solver work. One hash per program serves both this
         // decision and the record of a live run.
-        let depmap = self.depmap.as_ref();
+        let depmap = self.store.as_ref().map(|store| &store.depmap);
         let hashes: Vec<String> = match depmap {
             Some(_) => programs
                 .iter()
@@ -1088,33 +1198,12 @@ impl Verifier {
         })
     }
 
-    /// Flushes the programs the resident dependency map recorded since
-    /// the last flush to its sidecar ([`crate::depmap::persist`]); a
-    /// no-op, with no I/O, when there are none.
-    fn persist_depmap(&self) -> std::io::Result<()> {
-        let Some(resident) = &self.depmap else {
-            return Ok(());
-        };
-        let mut resident = resident.lock().expect("depmap lock");
-        if resident.unflushed.is_empty() {
-            return Ok(());
-        }
-        crate::depmap::persist(
-            &resident.path,
-            &resident.fingerprint,
-            &resident.map,
-            resident.unflushed.iter().map(String::as_str),
-        )?;
-        resident.unflushed.clear();
-        Ok(())
-    }
-
     /// Forgets what the resident dependency map recorded since the last
     /// flush, without writing it: a fleet worker's records are its
     /// coordinator's to write. They stay resident for replay.
     pub(crate) fn forget_depmap_changes(&self) {
-        if let Some(resident) = &self.depmap {
-            resident.lock().expect("depmap lock").unflushed.clear();
+        if let Some(store) = &self.store {
+            store.depmap.lock().expect("depmap lock").unflushed.clear();
         }
     }
 
@@ -1712,7 +1801,7 @@ mod tests {
         }
         let last = &revisions[2][0];
         {
-            let mut resident = session.depmap.as_ref().unwrap().lock().unwrap();
+            let mut resident = session.store.as_ref().unwrap().depmap.lock().unwrap();
             let lints = &mut resident.lints;
             assert_eq!(lints.len(), 1, "one entry per program: {lints:?}");
             let memo = lints.get_mut("toy").unwrap();
@@ -1726,6 +1815,245 @@ mod tests {
         drop(session);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&sidecar);
+    }
+
+    /// A new store path for `tag`, with no store or sidecar at it.
+    fn temp_store(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "relaxed-api-store-{tag}-{}.jsonl",
+            std::process::id()
+        ));
+        remove_store(&path);
+        path
+    }
+
+    fn remove_store(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(crate::depmap::depmap_path(path));
+    }
+
+    fn persistent(path: &Path) -> Verifier {
+        Verifier::builder().workers(1).cache_file(path).build()
+    }
+
+    fn unary_vc(name: &str, source: &str) -> Vc {
+        Vc {
+            name: name.to_string(),
+            context: "test".to_string(),
+            body: crate::vcgen::VcBody::Unary(relaxed_lang::parse_formula(source).unwrap()),
+            deps: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn persist_writes_one_record_per_key() {
+        let path = temp_store("persist");
+        let session = persistent(&path);
+        let engine = session.engine();
+        engine.discharge(vec![unary_vc("a", "x <= x"), unary_vc("b", "x <= x + 1")]);
+        engine.discharge(vec![unary_vc("a", "x <= x")]);
+        assert_eq!(session.persist().unwrap(), 2);
+        drop(session);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<&str> = text.lines().skip(1).collect();
+        let mut sorted = records.clone();
+        sorted.sort_unstable();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records, sorted, "records are written in key order");
+        remove_store(&path);
+    }
+
+    #[test]
+    fn failed_flush_keeps_what_it_did_not_write() {
+        let path = temp_store("failed-flush");
+        let sidecar = crate::depmap::depmap_path(&path);
+        // A directory where a file should be fails that file's writes.
+        std::fs::create_dir(&path).unwrap();
+        std::fs::create_dir(&sidecar).unwrap();
+        let (program, spec) = toy();
+        let corpus = [("toy", program, spec)];
+        let session = persistent(&path);
+        let solved = session.check_corpus_named(&corpus).engine.cache_misses;
+        assert!(solved > 0);
+        assert!(session.persist().is_err(), "the store cannot be written");
+        std::fs::remove_dir(&path).unwrap();
+        assert!(session.persist().is_err(), "the sidecar cannot be written");
+        std::fs::remove_dir(&sidecar).unwrap();
+        assert_eq!(session.persist().unwrap(), 0, "only the sidecar was left");
+        drop(session);
+        let reread = persistent(&path);
+        assert_eq!(reread.stats().loaded, solved, "the kept batch was written");
+        let replayed = reread.check_corpus_named(&corpus).engine;
+        assert_eq!((replayed.cache_misses, replayed.cross_hits), (0, 0));
+        drop(reread);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn refresh_merges_concurrent_writers() {
+        let path = temp_store("refresh");
+        // Session A starts against an empty store.
+        let a = persistent(&path);
+        a.refresh();
+        assert_eq!(a.stats().loaded, 0, "nothing to merge yet");
+        // Session B (a sibling process in shard terms) persists a verdict.
+        let b = persistent(&path);
+        b.engine().discharge(vec![unary_vc("g", "y + 1 >= y")]);
+        b.persist().unwrap();
+        // A merges it and answers the goal with zero solver work, as a
+        // disk hit.
+        a.refresh();
+        assert_eq!(a.stats().loaded, 1);
+        a.refresh();
+        assert_eq!(a.stats().loaded, 1, "idempotent once merged");
+        let report = a.engine().discharge(vec![unary_vc("g", "y + 1 >= y")]);
+        assert_eq!(report.engine.cache_misses, 0);
+        assert_eq!(report.engine.disk_hits, 1);
+        let memory = Verifier::builder().workers(1).build();
+        memory.refresh();
+        assert_eq!(
+            memory.stats().loaded,
+            0,
+            "in-memory sessions have nothing to refresh"
+        );
+        drop(a);
+        drop(b);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn persist_publishes_increments_without_rewrites() {
+        let path = temp_store("append");
+        // Two sessions on one store, as two shard workers would be. The
+        // first flush creates the store; after that each appends only its
+        // own fresh verdicts, so neither flush can drop the other's, even
+        // though neither ever read the file again.
+        let a = persistent(&path);
+        let b = persistent(&path);
+        a.engine().discharge(vec![unary_vc("a", "x <= x")]);
+        assert_eq!(a.persist().unwrap(), 1);
+        assert_eq!(a.persist().unwrap(), 0, "batch drains");
+        b.engine().discharge(vec![unary_vc("b", "y <= y + 1")]);
+        assert_eq!(b.persist().unwrap(), 1);
+        drop(a);
+        drop(b);
+        let merged = persistent(&path);
+        assert_eq!(merged.stats().loaded, 2, "union of both writers");
+        let report = merged
+            .engine()
+            .discharge(vec![unary_vc("a", "x <= x"), unary_vc("b", "y <= y + 1")]);
+        assert_eq!(report.engine.cache_misses, 0);
+        assert_eq!(report.engine.disk_hits, 2);
+        let memory = Verifier::builder().workers(1).build();
+        memory.engine().discharge(vec![unary_vc("a", "x <= x")]);
+        assert_eq!(
+            memory.persist().unwrap(),
+            0,
+            "in-memory sessions have nothing to flush"
+        );
+        drop(merged);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn flushed_session_skips_drop_write() {
+        let path = temp_store("append-clean");
+        let session = persistent(&path);
+        session.engine().discharge(vec![unary_vc("a", "x <= x")]);
+        session.persist().unwrap();
+        let flushed_at = std::fs::metadata(&path).unwrap().modified().unwrap();
+        let flushed_len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(session.persist().unwrap(), 0, "nothing new: no I/O");
+        drop(session); // everything already on disk: no drop-time write
+        let meta = std::fs::metadata(&path).unwrap();
+        assert_eq!(meta.len(), flushed_len);
+        assert_eq!(meta.modified().unwrap(), flushed_at);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn refresh_skips_unchanged_files() {
+        let path = temp_store("refresh-guard");
+        let a = persistent(&path);
+        // Missing file: polling costs a stat, merges nothing.
+        a.refresh();
+        assert_eq!(a.stats().loaded, 0);
+        let b = persistent(&path);
+        b.engine().discharge(vec![unary_vc("g", "z >= z")]);
+        b.persist().unwrap();
+        a.refresh();
+        assert_eq!(a.stats().loaded, 1, "file changed: reload and merge");
+        // Another verdict under the same length and modification time:
+        // the stamp is unchanged, so the file is not read.
+        let stamp = std::fs::metadata(&path).unwrap().modified().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let other = text.replace("|z|", "|w|");
+        assert_eq!(other.len(), text.len());
+        std::fs::write(&path, other).unwrap();
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(stamp).unwrap();
+        drop(file);
+        a.refresh();
+        assert_eq!(a.stats().loaded, 1, "file unchanged: stat-only skip");
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(stamp + std::time::Duration::from_secs(1))
+            .unwrap();
+        drop(file);
+        a.refresh();
+        assert_eq!(a.stats().loaded, 2, "stamp changed: reload and merge");
+        drop(a);
+        drop(b);
+        remove_store(&path);
+    }
+
+    #[test]
+    fn refresh_reads_a_sidecar_written_after_build_but_keeps_unflushed_records() {
+        let path = temp_store("refresh-sidecar");
+        let (program, spec) = toy();
+        let revision = |bound: i64| {
+            let pre = relaxed_lang::parse_formula(&format!("n >= {bound}")).unwrap();
+            [(
+                "toy",
+                program.clone(),
+                Spec {
+                    pre,
+                    ..spec.clone()
+                },
+            )]
+        };
+        let a = persistent(&path);
+        let b = persistent(&path);
+        b.check_corpus_named(&revision(0));
+        b.persist().unwrap();
+        // Session A read the sidecar before B wrote it: the refresh
+        // brings B's record in, and the program replays.
+        a.refresh();
+        let replayed = a.check_corpus_named(&revision(0)).engine;
+        assert_eq!(
+            (
+                replayed.cache_misses,
+                replayed.cross_hits,
+                replayed.elapsed_vcgen_us
+            ),
+            (0, 0, 0),
+            "{replayed:?}"
+        );
+        // A records revision 1 and has not flushed it. B then persists
+        // revision 2 of the same program, which the refresh must not put
+        // in place of A's unflushed record.
+        a.check_corpus_named(&revision(1));
+        b.check_corpus_named(&revision(2));
+        b.persist().unwrap();
+        a.refresh();
+        let replayed = a.check_corpus_named(&revision(1)).engine;
+        assert_eq!(
+            (replayed.cache_misses, replayed.cross_hits),
+            (0, 0),
+            "{replayed:?}"
+        );
+        drop(a);
+        drop(b);
+        remove_store(&path);
     }
 
     #[test]

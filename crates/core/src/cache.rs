@@ -74,6 +74,18 @@
 //! half a flush. [`flush`] and [`load`] render and parse the store's
 //! lines through them; [`crate::depmap::persist`] and
 //! [`crate::depmap::load`] the sidecar's.
+//!
+//! # One owner
+//!
+//! A [`CachePolicy::Persistent`](crate::api::CachePolicy::Persistent)
+//! [`Verifier`](crate::api::Verifier) session is the only owner of both
+//! files; the discharge engine under it never touches the disk. The
+//! session loads both at build and flushes what is new in each on
+//! `persist()` or drop. Fleet workers before every job, and sharded and
+//! service runs after their jobs, read them again, but only a file whose
+//! length or modification time changed since its last read (a `FileStamp`,
+//! taken before the read, so a flush that lands during a read is read
+//! next time).
 
 use crate::encode::ENCODER_VERSION;
 use crate::engine::DischargeConfig;
@@ -285,6 +297,27 @@ pub(crate) fn read_log(
             })
         })
         .collect()
+}
+
+/// The length and modification time of a file: a session reads its
+/// store or sidecar again only when the file's stamp changed since the
+/// last read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FileStamp {
+    len: u64,
+    modified: Option<std::time::SystemTime>,
+}
+
+impl FileStamp {
+    /// The stamp of the file at `path`, or `None` when it cannot be
+    /// `stat`ed (a missing file).
+    pub(crate) fn of(path: &Path) -> Option<FileStamp> {
+        let meta = fs::metadata(path).ok()?;
+        Some(FileStamp {
+            len: meta.len(),
+            modified: meta.modified().ok(),
+        })
+    }
 }
 
 /// Writes records to the log at `path`: the one writer of the store and

@@ -4,7 +4,7 @@
 //! a library path emits goes through [`warn`], which prefixes the crate
 //! name and is silenced entirely when `DISCHARGE_QUIET=1`. Structured
 //! surfaces ([`Verifier::env_warnings`](crate::api::Verifier::env_warnings),
-//! [`DischargeEngine::cache_warnings`](crate::engine::DischargeEngine::cache_warnings))
+//! [`Verifier::cache_warnings`](crate::api::Verifier::cache_warnings))
 //! are unaffected by the quiet flag — only the stderr side channel is.
 
 use std::fmt;

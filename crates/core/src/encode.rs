@@ -7,9 +7,7 @@
 //! α-renamed to fresh solver names during encoding, so shadowing in the
 //! source logic cannot confuse the solver's name-based substitution.
 
-use relaxed_lang::{
-    CmpOp, Formula, IntBinOp, IntExpr, RelBoolExpr, RelFormula, RelIntExpr, Side, Var,
-};
+use relaxed_lang::{CmpOp, Formula, IntBinOp, IntExpr, RelFormula, RelIntExpr, Side, Var};
 use relaxed_smt::ast::{BTerm, ITerm, Rel};
 use std::collections::HashMap;
 
@@ -204,15 +202,11 @@ pub fn encode_rel_formula(p: &RelFormula, ctx: &mut EncodeCtx) -> BTerm {
     encode_rel_formula_env(p, &RelEnv::new(), ctx)
 }
 
-/// Encodes a relational boolean expression (as used in `relate`).
-pub fn encode_rel_bool(b: &RelBoolExpr, ctx: &mut EncodeCtx) -> BTerm {
-    encode_rel_formula(&RelFormula::from_rel_bool_expr(b), ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use relaxed_lang::builder::{c, v, vo, vr};
+    use relaxed_lang::RelBoolExpr;
     use relaxed_smt::{Solver, Validity};
 
     #[test]

@@ -35,8 +35,15 @@
 //! Every call reports its own [`EngineStats`] on its [`Report`], with
 //! phase clocks in microseconds. The engine keeps no second set of
 //! counters: its lifetime [`stats`](DischargeEngine::stats) are the fold
-//! of every per-call stat it produced, plus the store's load and flush
-//! work, so they equal the sum of the reports a session returned.
+//! of every per-call stat it produced, plus the store I/O its session
+//! tallied into it, so they equal the sum of the reports a session
+//! returned plus that I/O.
+//!
+//! The engine lives in memory only: it never opens, reads or writes a
+//! file. A [`CachePolicy::Persistent`](crate::api::CachePolicy::Persistent)
+//! session owns the verdict store and its depmap sidecar, merges the
+//! verdicts it reads into the engine's cache as disk-backed, and flushes
+//! the batch of verdicts the engine solved since the last flush.
 //!
 //! Worker count and solver budgets come from [`DischargeConfig`]. The
 //! engine itself never reads the process environment; the
@@ -45,7 +52,7 @@
 //! explicit opt-in layer
 //! [`Config::from_env`](crate::api::Config::from_env).
 
-use crate::cache::{self, CacheWarning, GoalKey};
+use crate::cache::GoalKey;
 use crate::encode::{encode_formula, encode_rel_formula, EncodeCtx};
 use crate::prefilter::Prefilter;
 use crate::vcgen::{Vc, VcBody};
@@ -53,7 +60,6 @@ use crate::verify::{Report, VcResult};
 use relaxed_smt::ast::BTerm;
 use relaxed_smt::{Solver, SolverStats, Validity};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -137,10 +143,10 @@ pub struct EngineStats {
     /// (a subset of `cache_hits`) — the across-run payoff of
     /// [`CachePolicy::Persistent`](crate::api::CachePolicy::Persistent).
     pub disk_hits: u64,
-    /// Verdicts merged from the on-disk store, at session start and by
-    /// every [`refresh_from_disk`](DischargeEngine::refresh_from_disk).
-    /// Always `0` on per-call (report-level) statistics; engine-level
-    /// only.
+    /// Verdicts merged from the on-disk store: by a persistent session's
+    /// build, and by every later read of a store that changed (fleet
+    /// workers read before each job). Always `0` on per-call
+    /// (report-level) statistics; engine-level only.
     pub loaded: u64,
     /// Goals proved by the static prefilter alone — no SAT or simplex
     /// work at all (a subset of `cache_misses`: a static hit still
@@ -249,52 +255,19 @@ pub struct DischargeEngine {
     config: DischargeConfig,
     cache: Mutex<HashMap<GoalKey, CachedVerdict>>,
     /// The fold of every per-call [`EngineStats`] this engine produced,
-    /// plus the store's load, refresh and flush work: what
+    /// plus the store I/O its session tallied: what
     /// [`stats`](DischargeEngine::stats) reads. `tally` is the only way
     /// in.
     totals: Mutex<EngineStats>,
     /// Verdicts solved since the last flush, in insertion order: the
-    /// batch [`persist`](DischargeEngine::persist) writes. Only populated
-    /// for persistent engines.
-    pending: Mutex<Vec<(GoalKey, Validity)>>,
-    store: Option<DiskStore>,
-}
-
-/// The on-disk backing of a persistent engine (see
-/// [`DischargeEngine::with_cache_file`]).
-#[derive(Debug)]
-struct DiskStore {
-    path: PathBuf,
-    fingerprint: String,
-    warnings: Vec<CacheWarning>,
-    /// The stamp of the file as this engine last loaded it, taken
-    /// **before** the read, so a flush that lands during the read changes
-    /// the stamp and is loaded by the next refresh.
-    last_seen: Mutex<Option<FileStamp>>,
-}
-
-/// The length and modification time of the store file:
-/// [`DischargeEngine::refresh_from_disk`] loads the file again only when
-/// they changed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct FileStamp {
-    len: u64,
-    modified: Option<std::time::SystemTime>,
-}
-
-impl FileStamp {
-    fn of(path: &std::path::Path) -> Option<FileStamp> {
-        let meta = std::fs::metadata(path).ok()?;
-        Some(FileStamp {
-            len: meta.len(),
-            modified: meta.modified().ok(),
-        })
-    }
+    /// batch a persistent session's flush writes. `None` unless the
+    /// session is persistent.
+    pending: Option<Mutex<Vec<(GoalKey, Validity)>>>,
 }
 
 /// A cached verdict plus the owner tag of the discharge call that first
-/// solved it (see [`DischargeOptions::owner`]) and whether it was loaded
-/// from the on-disk store.
+/// solved it (see [`DischargeOptions::owner`]) and whether its session
+/// read it from the on-disk store.
 #[derive(Clone, Debug)]
 struct CachedVerdict {
     verdict: Validity,
@@ -325,104 +298,68 @@ impl DischargeEngine {
             config,
             cache: Mutex::default(),
             totals: Mutex::default(),
-            pending: Mutex::default(),
-            store: None,
+            pending: None,
         }
     }
 
-    /// An engine whose verdict cache is backed by the on-disk store at
-    /// `path` (see [`crate::cache`] for the file format and invalidation
-    /// rules).
-    ///
-    /// Entries recorded under this configuration's
-    /// [fingerprint](crate::cache::fingerprint) are loaded immediately; a
-    /// missing file is a clean cold start, and a corrupt or mismatched
-    /// file degrades to a cold start with
-    /// [`cache_warnings`](DischargeEngine::cache_warnings). The cache is
-    /// written back by [`persist`](DischargeEngine::persist) and,
-    /// best-effort, when the engine is dropped.
-    pub fn with_cache_file(config: DischargeConfig, path: impl Into<PathBuf>) -> Self {
-        let started = std::time::Instant::now();
-        let mut load_span = crate::telemetry::span("cache", "cache_load");
-        let path = path.into();
-        let fingerprint = cache::fingerprint(&config);
-        // Stat before reading: a flush that lands during the load
-        // changes the stamp, so the next refresh loads it.
-        let stamp = FileStamp::of(&path);
-        let loaded = cache::load(&path, &fingerprint);
-        let entries: HashMap<GoalKey, CachedVerdict> = loaded
-            .entries
-            .into_iter()
-            .map(|(key, verdict)| {
-                (
-                    key,
-                    CachedVerdict {
-                        verdict,
-                        // Disk entries carry the shared untagged owner, so
-                        // an owner-tagged (corpus) hit on one counts as
-                        // cross-owner reuse — which it is: the verdict
-                        // came from an earlier session.
-                        owner: 0,
-                        from_disk: true,
-                    },
-                )
-            })
-            .collect();
-        let mut engine = DischargeEngine::with_config(config);
-        engine.store = Some(DiskStore {
-            path,
-            fingerprint,
-            warnings: loaded.warnings,
-            last_seen: Mutex::new(stamp),
-        });
-        let count = entries.len() as u64;
-        load_span.arg("loaded", count);
-        engine.cache = Mutex::new(entries);
-        engine.tally_store_io(started, count);
-        engine
+    /// An engine that also keeps the batch of verdicts it solved since
+    /// the last [`take_batch`](DischargeEngine::take_batch): the engine of
+    /// a persistent session, whose flush writes that batch.
+    pub(crate) fn keeping_batch(config: DischargeConfig) -> Self {
+        DischargeEngine {
+            pending: Some(Mutex::default()),
+            ..DischargeEngine::with_config(config)
+        }
     }
 
-    /// Merges verdicts other processes have persisted to this engine's
-    /// on-disk store since it was loaded: entries in the file (under the
-    /// session fingerprint) that the in-memory cache does not yet hold
-    /// are inserted as disk-backed verdicts. Returns the number of newly
-    /// merged entries; `0` for in-memory engines.
-    ///
-    /// This is the read half of the sharded corpus driver's
-    /// cross-process transport ([`crate::shard`]): workers refresh before
-    /// each job, picking up their siblings' verdicts as
-    /// [`EngineStats::disk_hits`] (the write half is
-    /// [`persist`](DischargeEngine::persist) after each job). The file is
-    /// `stat`ed first: when its length and modification time are the ones
-    /// this engine last loaded, the refresh costs nothing more; otherwise
-    /// the whole file is loaded again through [`cache::load`] and merged.
-    /// File warnings are ignored here.
-    pub fn refresh_from_disk(&self) -> u64 {
-        let Some(store) = &self.store else {
-            return 0;
-        };
-        let started = std::time::Instant::now();
-        let _span = crate::telemetry::span("cache", "cache_refresh");
-        let now = FileStamp::of(&store.path);
-        if *store.last_seen.lock().expect("store stamp lock") == now {
-            return self.tally_store_io(started, 0);
-        }
-        let loaded = cache::load(&store.path, &store.fingerprint);
-        *store.last_seen.lock().expect("store stamp lock") = now;
+    /// Merges verdicts read from the on-disk store: each key the cache
+    /// lacks is inserted as a disk-backed verdict. Returns the number
+    /// merged.
+    pub(crate) fn merge_from_disk(&self, entries: HashMap<GoalKey, Validity>) -> u64 {
         let mut merged = 0u64;
         let mut cache = self.cache.lock().expect("cache lock");
-        for (key, verdict) in loaded.entries {
+        for (key, verdict) in entries {
             cache.entry(key).or_insert_with(|| {
                 merged += 1;
                 CachedVerdict {
                     verdict,
+                    // Disk entries carry the shared untagged owner, so an
+                    // owner-tagged (corpus) hit on one counts as
+                    // cross-owner reuse — which it is: the verdict came
+                    // from another session.
                     owner: 0,
                     from_disk: true,
                 }
             });
         }
-        drop(cache);
-        self.tally_store_io(started, merged)
+        merged
+    }
+
+    /// Takes the batch of verdicts solved since the last take, in
+    /// insertion order (always empty for an engine that keeps none).
+    pub(crate) fn take_batch(&self) -> Vec<(GoalKey, Validity)> {
+        self.pending.as_ref().map_or_else(Vec::new, |pending| {
+            std::mem::take(&mut *pending.lock().expect("pending lock"))
+        })
+    }
+
+    /// Puts back a batch whose flush failed, ahead of anything solved
+    /// since, for the next flush.
+    pub(crate) fn restore_batch(&self, batch: Vec<(GoalKey, Validity)>) {
+        if let Some(pending) = &self.pending {
+            pending.lock().expect("pending lock").splice(0..0, batch);
+        }
+    }
+
+    /// Every cached verdict, for a whole write of the store. The copy is
+    /// taken under the cache lock and written without it, so rendering,
+    /// the write and the fsync never stall discharge threads.
+    pub(crate) fn snapshot(&self) -> Vec<(GoalKey, Validity)> {
+        let cache = self.cache.lock().expect("cache lock");
+        cache
+            .iter()
+            .map(|(key, slot)| (key.clone(), slot.verdict.clone()))
+            .collect()
     }
 
     /// The engine's configuration.
@@ -430,82 +367,11 @@ impl DischargeEngine {
         &self.config
     }
 
-    /// The on-disk cache path, when this engine is persistent.
-    pub fn cache_path(&self) -> Option<&std::path::Path> {
-        self.store.as_ref().map(|s| s.path.as_path())
-    }
-
-    /// Non-fatal problems encountered while loading the on-disk store
-    /// (empty for in-memory engines and clean loads).
-    pub fn cache_warnings(&self) -> &[CacheWarning] {
-        self.store.as_ref().map_or(&[], |s| &s.warnings)
-    }
-
-    /// Flushes the verdicts solved since the last flush to the on-disk
-    /// store through [`cache::flush`]: they are appended when the store
-    /// starts with this engine's header, and otherwise the store is
-    /// written whole from the cache. Returns the number of records
-    /// written; `Ok(0)`, with no I/O at all, when nothing is new or the
-    /// engine has no store.
-    ///
-    /// This is the engine's one flush: a fleet worker calls it after
-    /// every job, and dropping a persistent engine or its session calls
-    /// it best-effort (`persist_or_warn`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error; the batch is kept for
-    /// the next flush.
-    pub fn persist(&self) -> std::io::Result<u64> {
-        let Some(store) = &self.store else {
-            return Ok(0);
-        };
-        let batch = std::mem::take(&mut *self.pending.lock().expect("pending lock"));
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        let started = std::time::Instant::now();
-        let _span = crate::telemetry::span("cache", "cache_persist");
-        // A whole write copies the cache under its lock and writes without
-        // it: rendering, the write and the fsync must not stall discharge
-        // threads.
-        let all = || {
-            let cache = self.cache.lock().expect("cache lock");
-            cache
-                .iter()
-                .map(|(key, slot)| (key.clone(), slot.verdict.clone()))
-                .collect()
-        };
-        let written = cache::flush(&store.path, &store.fingerprint, &batch, all);
-        if written.is_err() {
-            // Put the batch back, ahead of anything solved since.
-            self.pending
-                .lock()
-                .expect("pending lock")
-                .splice(0..0, batch);
-        }
-        self.tally_store_io(started, 0);
-        written
-    }
-
-    /// The drop-time flush: [`persist`](DischargeEngine::persist), with
-    /// a failure reported to stderr (unless `DISCHARGE_QUIET=1`) instead
-    /// of returned. The failed batch is dropped, so a later drop-time
-    /// flush does not retry and warn again.
-    pub(crate) fn persist_or_warn(&self) {
-        if let (Err(e), Some(path)) = (self.persist(), self.cache_path()) {
-            self.pending.lock().expect("pending lock").clear();
-            crate::diag::warn(format_args!(
-                "failed to persist verdict cache {}: {e}",
-                path.display()
-            ));
-        }
-    }
-
     /// Cumulative statistics: the fold of every per-call [`EngineStats`]
     /// (a program that errors in a later stage adds its earlier stages
-    /// but returns no report) plus the store's own work, with two gauges:
-    /// `unique_goals`, the cache size, and `workers`, the parallelism.
+    /// but returns no report) plus the store I/O a persistent session
+    /// tallied, with two gauges: `unique_goals`, the cache size, and
+    /// `workers`, the parallelism.
     pub fn stats(&self) -> EngineStats {
         let unique_goals = self.cache.lock().expect("cache lock").len() as u64;
         EngineStats {
@@ -515,24 +381,14 @@ impl DischargeEngine {
         }
     }
 
-    /// Folds one call's statistics into the engine's lifetime totals: the
-    /// only way into them. Never called under the cache lock.
+    /// Folds one call's statistics, or one store read or flush, into the
+    /// engine's lifetime totals: the only way into them. Never called
+    /// under the cache lock.
     pub(crate) fn tally(&self, stats: &EngineStats) {
         self.totals
             .lock()
             .expect("engine totals lock")
             .absorb(stats);
-    }
-
-    /// Tallies one store operation begun at `started` that merged
-    /// `loaded` verdicts into the cache, and returns `loaded`.
-    fn tally_store_io(&self, started: std::time::Instant, loaded: u64) -> u64 {
-        self.tally(&EngineStats {
-            loaded,
-            elapsed_cache_us: elapsed_us(started),
-            ..EngineStats::default()
-        });
-        loaded
     }
 
     /// Replays a set of goals from the verdict cache without encoding or
@@ -721,8 +577,8 @@ impl DischargeEngine {
                     },
                 );
             }
-            if self.store.is_some() {
-                self.pending.lock().expect("pending lock").extend(
+            if let Some(pending) = &self.pending {
+                pending.lock().expect("pending lock").extend(
                     solved
                         .iter()
                         .map(|(gi, verdict, _)| (keys[*gi].clone(), verdict.clone())),
@@ -792,14 +648,6 @@ impl DischargeEngine {
             call_span.arg(name, value);
         }
         report
-    }
-}
-
-impl Drop for DischargeEngine {
-    /// Flushes what is new since the last flush: a warm or already
-    /// flushed engine does no I/O here.
-    fn drop(&mut self) {
-        self.persist_or_warn();
     }
 }
 
@@ -973,132 +821,6 @@ mod tests {
         assert!(report.is_empty());
         assert!(report.verified());
         assert_eq!(report.engine.unique_goals, 0);
-    }
-
-    #[test]
-    fn persist_writes_one_record_per_key() {
-        let path = std::env::temp_dir().join(format!(
-            "relaxed-engine-persist-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let engine = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        engine.discharge(vec![unary_vc("a", "x <= x"), unary_vc("b", "x <= x + 1")]);
-        engine.discharge(vec![unary_vc("a", "x <= x")]);
-        assert_eq!(engine.persist().unwrap(), 2);
-        drop(engine);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let records: Vec<&str> = text.lines().skip(1).collect();
-        let mut sorted = records.clone();
-        sorted.sort_unstable();
-        assert_eq!(records, sorted, "records are written in key order");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn refresh_from_disk_merges_concurrent_writers() {
-        let path = std::env::temp_dir().join(format!(
-            "relaxed-engine-refresh-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        // Session A starts against an empty store.
-        let a = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        assert_eq!(a.refresh_from_disk(), 0, "nothing to merge yet");
-        // Session B (a sibling process in shard terms) persists a verdict.
-        let b = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        b.discharge(vec![unary_vc("g", "y + 1 >= y")]);
-        b.persist().unwrap();
-        // A merges it and answers the goal with zero solver work, as a
-        // disk hit.
-        assert_eq!(a.refresh_from_disk(), 1);
-        assert_eq!(a.refresh_from_disk(), 0, "idempotent once merged");
-        let report = a.discharge(vec![unary_vc("g", "y + 1 >= y")]);
-        assert_eq!(report.engine.cache_misses, 0);
-        assert_eq!(report.engine.disk_hits, 1);
-        assert_eq!(a.stats().loaded, 1);
-        assert_eq!(
-            DischargeEngine::new().refresh_from_disk(),
-            0,
-            "in-memory engines have nothing to refresh"
-        );
-        drop(a);
-        drop(b);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn persist_publishes_increments_without_rewrites() {
-        let path = std::env::temp_dir().join(format!(
-            "relaxed-engine-append-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        // Two engines on one store, as two shard workers would be. The
-        // first flush creates the store; after that each appends only its
-        // own fresh verdicts, so neither flush can drop the other's, even
-        // though neither ever reloaded the file.
-        let a = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        let b = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        a.discharge(vec![unary_vc("a", "x <= x")]);
-        assert_eq!(a.persist().unwrap(), 1);
-        assert_eq!(a.persist().unwrap(), 0, "batch drains");
-        b.discharge(vec![unary_vc("b", "y <= y + 1")]);
-        assert_eq!(b.persist().unwrap(), 1);
-        drop(a);
-        drop(b);
-        let merged = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        assert_eq!(merged.stats().loaded, 2, "union of both writers");
-        let report = merged.discharge(vec![unary_vc("a", "x <= x"), unary_vc("b", "y <= y + 1")]);
-        assert_eq!(report.engine.cache_misses, 0);
-        assert_eq!(report.engine.disk_hits, 2);
-        assert_eq!(
-            DischargeEngine::new().persist().unwrap(),
-            0,
-            "in-memory engines have nothing to flush"
-        );
-        drop(merged);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn flushed_engine_skips_drop_write() {
-        let path = std::env::temp_dir().join(format!(
-            "relaxed-engine-append-clean-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let engine = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        engine.discharge(vec![unary_vc("a", "x <= x")]);
-        engine.persist().unwrap();
-        let flushed_at = std::fs::metadata(&path).unwrap().modified().unwrap();
-        let flushed_len = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(engine.persist().unwrap(), 0, "nothing new: no I/O");
-        drop(engine); // everything already on disk: no drop-time write
-        let meta = std::fs::metadata(&path).unwrap();
-        assert_eq!(meta.len(), flushed_len);
-        assert_eq!(meta.modified().unwrap(), flushed_at);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn refresh_skips_unchanged_files() {
-        let path = std::env::temp_dir().join(format!(
-            "relaxed-engine-refresh-guard-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let a = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        // Missing file: polling costs a stat, merges nothing.
-        assert_eq!(a.refresh_from_disk(), 0);
-        let b = DischargeEngine::with_cache_file(DischargeConfig::sequential(), path.clone());
-        b.discharge(vec![unary_vc("g", "z >= z")]);
-        b.persist().unwrap();
-        assert_eq!(a.refresh_from_disk(), 1, "file changed: reload and merge");
-        assert_eq!(a.refresh_from_disk(), 0, "file unchanged: stat-only skip");
-        drop(a);
-        drop(b);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -86,12 +86,6 @@ fn rewrite(s: &Stmt, sync: &RelFormula) -> Stmt {
     }
 }
 
-/// The set of variables the relaxation can influence (re-exported for
-/// reporting).
-pub fn tainted_vars(program: &Program) -> BTreeSet<Var> {
-    relaxation_tainted(program.body())
-}
-
 /// The variables some acceptability predicate constrains: free variables
 /// of the relational postcondition, of every `relate` assertion, and of
 /// every explicit `rinvariant` in the program.

@@ -13,8 +13,9 @@
 //!   TCP — thread-per-connection, with a bounded admission queue and
 //!   backpressure (`busy` reject-with-retry-after frames when saturated)
 //!   and a graceful drain on the `shutdown` control frame. Each worker
-//!   opens the fingerprint-gated persistent verdict store itself;
-//!   the daemon holds no verdicts;
+//!   opens the fingerprint-gated persistent verdict store and its depmap
+//!   sidecar itself, and reads both again before every job where they
+//!   changed; the daemon holds no verdicts;
 //! * a **client** ([`CorpusPolicy::Service`], selected by
 //!   `Verifier::builder().service(addr)` or `RELAXED_SERVICE=<host:port>`)
 //!   that submits a corpus over one connection, rides out `busy`
@@ -542,9 +543,9 @@ pub(crate) fn run_corpus_service(
     } else {
         run_jobs_over_service(config, addr, jobs, &mut slots)
     };
-    // Warm the client's own session cache from the store the fleet
-    // populated (a no-op unless both share a persistent path).
-    verifier.engine().refresh_from_disk();
+    // Warm the client's own session from the files the fleet populated
+    // (a no-op unless both share a persistent path).
+    verifier.refresh();
     (filled(slots), fleet)
 }
 
@@ -702,16 +703,31 @@ pub struct ServiceStatus {
     pub rejected: u64,
 }
 
-fn control_frame(addr: &str, frame: &str, timeout: Duration) -> Result<String, String> {
+/// Sends the control frame of type `request` to the daemon at `addr` and
+/// reads its reply's fields with `read`, once the reply parses as an
+/// object of type `reply`.
+fn control_request<T>(
+    addr: &str,
+    request: &str,
+    reply: &str,
+    timeout: Duration,
+    read: impl FnOnce(&[(String, Json)]) -> Result<T, String>,
+) -> Result<T, String> {
     let mut transport = TcpTransport::connect(addr, timeout)?;
-    transport.send(frame)?;
-    match transport.recv_opt(timeout)? {
-        Some(line) => Ok(line),
-        None => Err(format!(
+    transport.send(&format!("{{\"type\":\"{request}\"}}"))?;
+    let Some(line) = transport.recv_opt(timeout)? else {
+        return Err(format!(
             "no reply from {addr} within {}s",
             timeout.as_secs()
-        )),
+        ));
+    };
+    let bad = |e: String| format!("bad {reply} frame: {e}");
+    let record = parse_json(&line).map_err(bad)?;
+    let fields = record.as_object().map_err(bad)?;
+    if field_str(fields, "type") != Ok(reply) {
+        return Err(format!("expected a {reply} frame, got {line:?}"));
     }
+    read(fields)
 }
 
 /// Queries a running daemon's [`ServiceStatus`].
@@ -721,21 +737,15 @@ fn control_frame(addr: &str, frame: &str, timeout: Duration) -> Result<String, S
 /// Fails when the daemon is unreachable or replies with something other
 /// than a status frame.
 pub fn service_status(addr: &str, timeout: Duration) -> Result<ServiceStatus, String> {
-    let line = control_frame(addr, "{\"type\":\"status\"}", timeout)?;
-    let record = parse_json(&line).map_err(|e| format!("bad status frame: {e}"))?;
-    let fields = record
-        .as_object()
-        .map_err(|e| format!("bad status frame: {e}"))?;
-    if field_str(fields, "type") != Ok("status") {
-        return Err(format!("expected a status frame, got {line:?}"));
-    }
-    Ok(ServiceStatus {
-        fleet: field_u64(fields, "fleet")?,
-        alive: field_u64(fields, "alive")?,
-        active: field_u64(fields, "active")?,
-        peak_active: field_u64(fields, "peak_active")?,
-        served: field_u64(fields, "served")?,
-        rejected: field_u64(fields, "rejected")?,
+    control_request(addr, "status", "status", timeout, |fields| {
+        Ok(ServiceStatus {
+            fleet: field_u64(fields, "fleet")?,
+            alive: field_u64(fields, "alive")?,
+            active: field_u64(fields, "active")?,
+            peak_active: field_u64(fields, "peak_active")?,
+            served: field_u64(fields, "served")?,
+            rejected: field_u64(fields, "rejected")?,
+        })
     })
 }
 
@@ -749,15 +759,9 @@ pub fn service_status(addr: &str, timeout: Duration) -> Result<ServiceStatus, St
 /// Fails when the daemon is unreachable or replies with something other
 /// than a metrics frame.
 pub fn service_metrics(addr: &str, timeout: Duration) -> Result<String, String> {
-    let line = control_frame(addr, "{\"type\":\"metrics\"}", timeout)?;
-    let record = parse_json(&line).map_err(|e| format!("bad metrics frame: {e}"))?;
-    let fields = record
-        .as_object()
-        .map_err(|e| format!("bad metrics frame: {e}"))?;
-    if field_str(fields, "type") != Ok("metrics") {
-        return Err(format!("expected a metrics frame, got {line:?}"));
-    }
-    field_str(fields, "text").map(ToString::to_string)
+    control_request(addr, "metrics", "metrics", timeout, |fields| {
+        field_str(fields, "text").map(ToString::to_string)
+    })
 }
 
 /// Asks a running daemon to drain and exit gracefully (in-flight jobs
@@ -768,15 +772,9 @@ pub fn service_metrics(addr: &str, timeout: Duration) -> Result<String, String> 
 ///
 /// Fails when the daemon is unreachable or the drain outlasts `timeout`.
 pub fn shutdown_service(addr: &str, timeout: Duration) -> Result<u64, String> {
-    let line = control_frame(addr, "{\"type\":\"shutdown\"}", timeout)?;
-    let record = parse_json(&line).map_err(|e| format!("bad bye frame: {e}"))?;
-    let fields = record
-        .as_object()
-        .map_err(|e| format!("bad bye frame: {e}"))?;
-    if field_str(fields, "type") != Ok("bye") {
-        return Err(format!("expected a bye frame, got {line:?}"));
-    }
-    field_u64(fields, "served")
+    control_request(addr, "shutdown", "bye", timeout, |fields| {
+        field_u64(fields, "served")
+    })
 }
 
 // ---------------------------------------------------------------------

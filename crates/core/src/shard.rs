@@ -74,22 +74,24 @@
 //! # Cache-mediated verdict sharing
 //!
 //! Under [`CachePolicy::Persistent`]
-//! every worker opens the same fingerprint-gated verdict store: it
-//! refreshes from disk before each job (picking up verdicts sibling
-//! workers published, counted as [`EngineStats::disk_hits`]; a `stat`
-//! of length and modification time skips unchanged files) and flushes
-//! its fresh verdicts after each job
-//! ([`DischargeEngine::persist`](crate::engine::DischargeEngine::persist)).
-//! A flush appends under the store's own header, so one worker's flush
-//! never drops a sibling's entries; a store under another
-//! configuration's header is written whole once, and appended to after
-//! that. The coordinator refreshes its own session cache after the run,
-//! so subsequent in-process checks start warm. A worker replays from the
-//! depmap sidecar but never writes it: the coordinator or a persistent
-//! client records the same revisions, so a worker's flush would only
-//! add an fsync per job.
+//! every worker's session opens the same fingerprint-gated verdict store
+//! and its depmap sidecar. Before each job it reads both files again
+//! where they changed (a `stat` of length and modification time skips an
+//! unchanged file): verdicts sibling workers published answer shared
+//! goals, counted as [`EngineStats::disk_hits`], and the records a
+//! coordinator or client persisted replay whole programs, even ones this
+//! worker never ran. After each job it flushes its fresh verdicts
+//! ([`Verifier::persist`]). A flush appends under the store's own
+//! header, so one worker's flush never drops a sibling's entries; a
+//! store under another configuration's header is written whole once, and
+//! appended to after that. The coordinator reads the files again after
+//! the run, so subsequent in-process checks start warm. A worker replays
+//! from the depmap sidecar but never writes it: the coordinator or a
+//! persistent client records the same revisions, so a worker's flush
+//! would only add an fsync per job.
 //!
 //! [`Verifier::check_corpus`]: crate::api::Verifier::check_corpus
+//! [`Verifier::persist`]: crate::api::Verifier::persist
 //! [`CorpusReport`]: crate::api::CorpusReport
 //! [`CorpusError::Shard`]: crate::api::CorpusError::Shard
 //! [`EngineStats::disk_hits`]: crate::engine::EngineStats::disk_hits
@@ -650,9 +652,9 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
     Ok(config)
 }
 
-/// Parses and verifies one job through the worker's session, refreshing
-/// from the store before the check and flushing to it after, so sibling
-/// workers can reuse the verdicts.
+/// Parses and verifies one job through the worker's session, reading the
+/// session's files again before the check and flushing the store after,
+/// so sibling workers can reuse the verdicts.
 fn run_job(
     session: &Verifier,
     fields: &[(String, Json)],
@@ -668,9 +670,11 @@ fn run_job(
         rel_post: parse_rel_formula(field_str(fields, "rel_post")?)
             .map_err(|e| format!("rel_post: {e}"))?,
     };
-    // Pick up verdicts sibling workers persisted since the last job: they
-    // answer shared goals as disk hits, the cross-process payoff.
-    session.engine().refresh_from_disk();
+    // Pick up what was persisted since the last job: sibling workers'
+    // verdicts answer shared goals as disk hits, the cross-process
+    // payoff, and the records coordinators and clients wrote to the
+    // sidecar replay whole programs.
+    session.refresh();
     let started = Instant::now();
     let report = session
         .check_corpus_named(&[(name, program, spec)])
@@ -682,8 +686,9 @@ fn run_job(
     let outcome = report.outcome.map_err(|e| e.to_string())?;
     let elapsed_ms = elapsed_ms_since(started);
     // Publish this job's fresh verdicts: appended under the store's own
-    // header, so a sibling's verdicts are never dropped.
-    if let Err(e) = session.engine().persist() {
+    // header, so a sibling's verdicts are never dropped. The sidecar
+    // records were forgotten above, so only the store is written.
+    if let Err(e) = session.persist() {
         crate::diag::warn(format_args!(
             "{WORKER_BINARY}: failed to persist the verdict cache: {e}"
         ));
@@ -1473,7 +1478,7 @@ pub(crate) fn run_corpus_sharded(
     // Warm the coordinator's own session cache from the store the workers
     // populated, so later in-process checks (or the next wave) reuse the
     // corpus verdicts.
-    verifier.engine().refresh_from_disk();
+    verifier.refresh();
     (filled(slots), shards)
 }
 

@@ -9,7 +9,6 @@
 //! lifted out of their binder and are rejected.
 
 use super::vc::VcgenError;
-use crate::encode;
 use relaxed_lang::free::int_expr_vars;
 use relaxed_lang::subst::FreshVars;
 use relaxed_lang::{Formula, IntExpr, RelFormula, RelIntExpr, Side, Var};
@@ -363,22 +362,6 @@ pub fn abstract_rel_selects(
         pairs.push((index, v));
     }
     Ok((replace_rel_selects(q, target, side, &map), pairs))
-}
-
-/// Reserved-name helper: every name the encoder might produce for the
-/// formula, used to seed [`FreshVars`].
-pub fn reserve_from_formula(fresh: &mut FreshVars, p: &Formula) {
-    fresh.reserve(relaxed_lang::free::formula_vars(p));
-}
-
-/// Reserves the names of a relational formula (both sides).
-pub fn reserve_from_rel_formula(fresh: &mut FreshVars, p: &RelFormula) {
-    fresh.reserve(
-        relaxed_lang::free::rel_formula_vars(p)
-            .into_iter()
-            .map(|(v, _)| v),
-    );
-    let _ = encode::EncodeCtx::new();
 }
 
 #[cfg(test)]

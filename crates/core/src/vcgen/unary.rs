@@ -30,7 +30,6 @@
 use super::arrays::abstract_selects;
 use super::vc::{within_budget, Vc, VcBody, VcgenError};
 use crate::depmap::fragment_id;
-use relaxed_lang::free::bool_expr_vars;
 use relaxed_lang::subst::{FreshVars, Subst};
 use relaxed_lang::{BoolExpr, Formula, IntExpr, Stmt, Var};
 use std::collections::BTreeSet;
@@ -352,16 +351,6 @@ pub fn vcs_unary(
         },
     );
     Ok(vcs)
-}
-
-/// Convenience: the free+bound variable names a statement can touch,
-/// including predicate variables.
-pub fn stmt_vars(s: &Stmt) -> BTreeSet<Var> {
-    let mut vars = s.all_vars();
-    if let Stmt::Havoc(_, pred) | Stmt::Relax(_, pred) = s {
-        vars.extend(bool_expr_vars(pred));
-    }
-    vars
 }
 
 #[cfg(test)]

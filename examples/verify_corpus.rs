@@ -28,9 +28,12 @@
 //! submitted to a running `relaxed-serviced` daemon from **two
 //! concurrent client threads**, each asserted verdict-identical to the
 //! in-process baseline — the CI `service-corpus` job's equivalence gate.
-//! The final `service: clients=.. disk_hits=.. solver_runs=..` line is
-//! its machine-readable signal (warm store ⇒ `solver_runs=0` with
-//! cross-client disk hits).
+//! The final `service: clients=.. disk_hits=.. solver_runs=..
+//! cross_program_hits=..` line is its machine-readable signal. Under
+//! `DISCHARGE_CACHE` the baseline persists first, so the fleet must
+//! answer with `solver_runs=0` and cross-client disk hits, and replay
+//! every program from the sidecar the baseline wrote
+//! (`cross_program_hits=0`).
 //!
 //! With `--trace <out.json>` the in-process run records telemetry spans
 //! and writes a Chrome trace-event file (load it in Perfetto /
@@ -298,7 +301,10 @@ fn sharded_main() -> Result<(), Box<dyn std::error::Error>> {
         .corpus(CorpusPolicy::InProcess)
         .build();
     let baseline = baseline_session.check_corpus_named(&corpus);
-    let store = baseline_session.engine().cache_path();
+    let store = match &baseline_session.config().cache {
+        CachePolicy::Persistent { path } => Some(path.as_path()),
+        CachePolicy::Shared => None,
+    };
     if let Some(store) = store {
         // Flush before the workers start, so every sharded verdict can be
         // answered from the store — the deterministic cross-process
@@ -374,11 +380,15 @@ fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
         .corpus(CorpusPolicy::InProcess)
         .build();
     let baseline = baseline_session.check_corpus_named(&corpus);
-    let persistent = baseline_session.engine().cache_path().is_some();
+    let persistent = matches!(
+        baseline_session.config().cache,
+        CachePolicy::Persistent { .. }
+    );
     if persistent {
         // Flush before the clients submit, so the daemon's fleet can
-        // answer every verdict from the shared store — the deterministic
-        // cross-client disk-hit guarantee asserted below.
+        // answer every verdict from the shared store, and replay every
+        // program from its sidecar — the deterministic guarantees
+        // asserted below.
         baseline_session.persist()?;
     }
 
@@ -433,6 +443,7 @@ fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
 
     let disk_hits: u64 = reports.iter().map(|r| r.engine.disk_hits).sum();
     let solver_runs: u64 = reports.iter().map(|r| r.engine.cache_misses).sum();
+    let cross_program_hits: u64 = reports.iter().map(|r| r.cross_program_hits()).sum();
     if persistent {
         assert_eq!(
             solver_runs, 0,
@@ -443,9 +454,23 @@ fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
             "the fleet must serve the baseline's verdicts across clients: {:?}",
             report.engine
         );
+        // A program a worker runs live answers its goals from the store
+        // as cross-program hits; one it replays from the sidecar the
+        // baseline just wrote counts none.
+        for (client, report) in reports.iter().enumerate() {
+            assert_eq!(
+                report.cross_program_hits(),
+                0,
+                "client {client}: every program must replay on the fleet: {:?}",
+                report.engine
+            );
+        }
     }
     // The machine-readable line the CI service-corpus job gates on.
-    println!("service: clients={CLIENTS} disk_hits={disk_hits} solver_runs={solver_runs}");
+    println!(
+        "service: clients={CLIENTS} disk_hits={disk_hits} solver_runs={solver_runs} \
+         cross_program_hits={cross_program_hits}"
+    );
     Ok(())
 }
 

@@ -6,7 +6,6 @@
 //! The warm/cold test matrix these tests pin down is documented in
 //! `tests/README.md`.
 
-use relaxed_programs::core::engine::{DischargeConfig, DischargeEngine};
 use relaxed_programs::{casestudies, CachePolicy, Config, Verifier};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -270,8 +269,9 @@ fn failing_verdicts_round_trip_exactly() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The raw engine honors a disk-backed cache too (no session API in the
-/// way), and an engine without a store persists nothing.
+/// Goals discharged straight through a persistent session's engine (no
+/// corpus or staged pipeline in the way) are persisted by the session's
+/// drop, and a session without a store persists nothing.
 #[test]
 fn engine_level_persistence_and_no_store_noop() {
     let path = temp_cache("engine");
@@ -279,21 +279,22 @@ fn engine_level_persistence_and_no_store_noop() {
     let (program, spec) = casestudies::water();
     let vcs = verifier.vcs(&program, &spec).unwrap();
 
-    let cold = DischargeEngine::with_cache_file(DischargeConfig::sequential(), &path);
-    let report = cold.discharge(vcs.clone());
+    let cold = persistent(&path);
+    let report = cold.engine().discharge(vcs.clone());
     let solved = report.engine.cache_misses;
     assert!(solved > 0);
     drop(cold); // drop persists
 
-    let warm = DischargeEngine::with_cache_file(DischargeConfig::sequential(), &path);
+    let warm = persistent(&path);
     assert_eq!(warm.stats().loaded, solved);
-    let rerun = warm.discharge(vcs);
+    let rerun = warm.engine().discharge(vcs.clone());
     assert_eq!(rerun.engine.cache_misses, 0);
     assert_eq!(rerun.engine.disk_hits, rerun.engine.cache_hits);
 
-    let memory_only = DischargeEngine::with_config(DischargeConfig::sequential());
-    assert_eq!(memory_only.persist().unwrap(), 0);
-    assert!(memory_only.cache_path().is_none());
+    // `verifier` solved the same goals in memory.
+    assert!(verifier.engine().discharge(vcs).engine.cache_misses > 0);
+    assert_eq!(verifier.persist().unwrap(), 0);
+    assert!(verifier.cache_warnings().is_empty());
     drop(warm);
     std::fs::remove_file(&path).unwrap();
 }
