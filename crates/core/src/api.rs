@@ -1168,8 +1168,7 @@ impl Verifier {
             return None;
         }
         let program_started = std::time::Instant::now();
-        let keys: Vec<crate::cache::GoalKey> = stored.goals.iter().map(|g| g.key.clone()).collect();
-        let (verdicts, engine) = self.engine.replay(&keys)?;
+        let (verdicts, engine) = self.engine.replay(stored.goals.iter().map(|g| &g.key))?;
         let mut staged: Vec<(Stage, Report)> = stages
             .iter()
             .map(|stage| (stage, Report::default()))
@@ -1841,7 +1840,7 @@ mod tests {
             name: name.to_string(),
             context: "test".to_string(),
             body: crate::vcgen::VcBody::Unary(relaxed_lang::parse_formula(source).unwrap()),
-            deps: Vec::new(),
+            deps: Vec::new().into(),
         }
     }
 

@@ -93,8 +93,10 @@ use relaxed_smt::{Model, Validity};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::io::{self, BufRead, Read, Seek, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Version of the on-disk file layout. Bumping it invalidates every
 /// existing cache file (the header check fails closed into a cold start).
@@ -112,19 +114,35 @@ pub const FORMAT_VERSION: u32 = 1;
 /// inner string is private: the only way to observe a key is through
 /// [`GoalKey::as_str`]/[`GoalKey::render`], so every cache record and
 /// shard frame goes through the one canonical renderer.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GoalKey(String);
+///
+/// A key carries a digest of its text, computed once when the key is
+/// made under a process-wide random seed: [`Hash`] writes only the
+/// digest, so a map probe hashes 8 bytes instead of the whole rendering,
+/// and the seed keeps the maps' resistance to hash flooding. The digest
+/// is never persisted. Equality compares the digest, then the text;
+/// order and `Debug` use the text alone.
+#[derive(Clone)]
+pub struct GoalKey {
+    digest: u64,
+    text: String,
+}
 
 impl GoalKey {
     /// The key of an encoded goal.
     pub fn of(goal: &relaxed_smt::ast::BTerm) -> GoalKey {
-        GoalKey(relaxed_smt::intern::canonical_key(goal))
+        GoalKey::from_text(relaxed_smt::intern::canonical_key(goal))
+    }
+
+    fn from_text(text: String) -> GoalKey {
+        static SEED: OnceLock<RandomState> = OnceLock::new();
+        let digest = SEED.get_or_init(RandomState::new).hash_one(text.as_str());
+        GoalKey { digest, text }
     }
 
     /// The rendered key text (what the `goal` field of a cache record
     /// holds).
     pub fn as_str(&self) -> &str {
-        &self.0
+        &self.text
     }
 
     /// Rebuilds a key from its on-disk rendering ([`GoalKey::render`]) —
@@ -133,7 +151,7 @@ impl GoalKey {
     /// obtain a key is [`GoalKey::of`], so foreign text can never pose as
     /// a canonical key.
     pub(crate) fn parse(rendered: &str) -> GoalKey {
-        GoalKey(rendered.to_string())
+        GoalKey::from_text(rendered.to_string())
     }
 
     /// The explicit on-disk rendering of this key.
@@ -144,7 +162,39 @@ impl GoalKey {
     /// rendering must bump [`ENCODER_VERSION`] (or [`FORMAT_VERSION`]) so
     /// stale cached verdicts are never replayed.
     pub fn render(&self) -> String {
-        self.0.clone()
+        self.text.clone()
+    }
+}
+
+impl PartialEq for GoalKey {
+    fn eq(&self, other: &GoalKey) -> bool {
+        self.digest == other.digest && self.text == other.text
+    }
+}
+
+impl Eq for GoalKey {}
+
+impl Hash for GoalKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+impl PartialOrd for GoalKey {
+    fn partial_cmp(&self, other: &GoalKey) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for GoalKey {
+    fn cmp(&self, other: &GoalKey) -> std::cmp::Ordering {
+        self.text.cmp(&other.text)
+    }
+}
+
+impl fmt::Debug for GoalKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("GoalKey").field(&self.text).finish()
     }
 }
 
@@ -472,7 +522,7 @@ fn check_header(line: &str, fingerprint: &str) -> Result<(), String> {
 fn parse_entry(line: &str) -> Result<(GoalKey, Validity), String> {
     let record = parse_json(line)?;
     let fields = record.as_object()?;
-    let goal = GoalKey(field_str(fields, "goal")?.to_string());
+    let goal = GoalKey::parse(field_str(fields, "goal")?);
     Ok((goal, parse_verdict(fields)?))
 }
 
@@ -910,6 +960,34 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "(<= (v |x|) 1)");
         assert_eq!(a.render(), a.as_str());
+    }
+
+    /// A key read back from disk is the key its goal makes: equal, hashed
+    /// alike, found in a map of made keys, and printed alike, while keys
+    /// still sort by their text, so a whole write keeps its key order.
+    #[test]
+    fn parsed_keys_are_the_keys_their_goals_make() {
+        let made: Vec<GoalKey> = sample_entries().into_iter().map(|(key, _)| key).collect();
+        let state = RandomState::new();
+        let map: HashMap<GoalKey, usize> = made.iter().cloned().zip(0..).collect();
+        for (i, key) in made.iter().enumerate() {
+            let parsed = GoalKey::parse(key.as_str());
+            assert_eq!(parsed, *key);
+            assert_eq!(state.hash_one(&parsed), state.hash_one(key));
+            assert_eq!(map.get(&parsed), Some(&i));
+            assert_eq!(
+                format!("{parsed:?}"),
+                format!("GoalKey({:?})", key.as_str())
+            );
+        }
+        let mut sorted = made.clone();
+        sorted.sort();
+        let mut texts: Vec<&str> = made.iter().map(GoalKey::as_str).collect();
+        texts.sort_unstable();
+        assert_eq!(
+            sorted.iter().map(GoalKey::as_str).collect::<Vec<_>>(),
+            texts
+        );
     }
 
     #[test]

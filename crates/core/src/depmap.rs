@@ -9,7 +9,10 @@
 //! [`fragment_id`]s of the program statements and spec formulas its
 //! formula was built from (attached at vcgen time by
 //! [`crate::vcgen`]), and a [`DepMap`] persists, per program, the
-//! goal-key/fragment pairs of the last verified revision.
+//! goal-key/fragment pairs of the last verified revision. Both ids hash
+//! syntax trees, not their pretty-printed text: a revision costs one walk
+//! of its tree, and a fleet worker, which re-parses the printed program
+//! of a job frame, computes the same ids as its client.
 //!
 //! Two facts make the map useful:
 //!
@@ -19,7 +22,7 @@
 //!   without re-running vcgen or the solver
 //!   (`DischargeEngine::replay`).
 //! * **Blame**: when fragments did change, a goal whose `deps` are
-//!   disjoint from the changed set is textually unaffected — its formula
+//!   disjoint from the changed set is unaffected — its formula
 //!   (and therefore its α-invariant goal key) is unchanged, and the
 //!   verdict cache answers it without solver work. Only goals that
 //!   [`dirty_goals`] selects can require fresh proofs, and each of them
@@ -41,23 +44,28 @@
 //! (a mismatch — different solver budgets, encoder, or format — fails
 //! closed into a cold, empty map: a stale map must never drive a
 //! replay), then one line per program, later-wins on duplicates, and
-//! corruption-tolerant line-by-line loading. It is written and read by
-//! the verdict store's own writer and reader ([`crate::cache`]): a
-//! session's flush appends the records of the programs it recorded since
-//! its last flush under the sidecar's own header, and writes the whole
-//! map only over a new, empty, foreign or garbage file, so sessions
-//! sharing one path keep each other's programs.
+//! corruption-tolerant line-by-line loading. A sidecar of another
+//! [`DEPMAP_FORMAT`] loads as a cold map, and the session's first flush
+//! rewrites it whole; the verdict store beside it is unaffected. It is
+//! written and read by the verdict store's own writer and reader
+//! ([`crate::cache`]): a session's flush appends the records of the
+//! programs it recorded since its last flush under the sidecar's own
+//! header, and writes the whole map only over a new, empty, foreign or
+//! garbage file, so sessions sharing one path keep each other's
+//! programs.
 
 use crate::api::Stage;
 use crate::cache::{field_str, field_u64, get, json_string, parse_json, GoalKey, Json};
 use crate::vcgen::Vc;
 use crate::verify::AcceptabilityReport;
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Version of the depmap file layout; bumping it invalidates every
 /// existing map (the header check fails closed into a cold start).
-pub const DEPMAP_FORMAT: u32 = 1;
+pub const DEPMAP_FORMAT: u32 = 2;
 
 /// The sidecar path a session's depmap lives at: the verdict-cache path
 /// with `.depmap` appended.
@@ -71,56 +79,88 @@ pub fn depmap_path(cache_path: &Path) -> PathBuf {
 // Fragment identity
 // ---------------------------------------------------------------------
 
-/// FNV-1a over the bytes — a stable, dependency-free 64-bit content
-/// hash. Not `DefaultHasher`, whose output is explicitly unstable across
-/// releases and would silently invalidate every stored map.
-fn fnv64(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a-64 as a [`Hasher`]: the one hash behind [`fragment_id`] and
+/// [`program_hash`], fed the syntax tree through its derived [`Hash`]
+/// impls. Those are prefix-free (enum discriminants, length prefixes and
+/// a `0xff` after each string), so distinct trees give distinct byte
+/// streams. Every integer is widened to 8 little-endian bytes, so an id
+/// is the same on every platform. Not `DefaultHasher`, whose output may
+/// change between Rust releases and would silently invalidate every
+/// stored map.
+struct StableHasher(u64);
+
+impl StableHasher {
+    fn new() -> StableHasher {
+        StableHasher(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Hasher for StableHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.write_u64(i as i64 as u64);
+    }
 }
 
 /// The identity of one program fragment: `kind` names the syntactic role
 /// (`stmt`, `cond`, `inv`, `relax-pred`, `pre`, `post`, …) and the hash
-/// covers the fragment's pretty-printed text. Two fragments with the
-/// same text in different roles get distinct ids, so e.g. promoting a
-/// loop condition into an assert reads as a change.
-pub fn fragment_id(kind: &str, text: &str) -> String {
-    format!("{kind}:{:016x}", fnv64(text))
+/// covers the fragment's syntax tree. Two equal fragments in different
+/// roles get distinct ids, so e.g. promoting a loop condition into an
+/// assert reads as a change.
+pub fn fragment_id(kind: &str, fragment: &(impl Hash + ?Sized)) -> String {
+    let mut hasher = StableHasher::new();
+    fragment.hash(&mut hasher);
+    format!("{kind}:{:016x}", hasher.finish())
 }
 
-/// Streams [`fmt::Display`] output straight into an FNV-1a state — the
-/// whole-revision hash runs on every corpus entry of every incremental
-/// re-verification, so it must not allocate a pretty-printed copy of
-/// the program per call.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for byte in s.as_bytes() {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
-/// The whole-revision hash of one `(program, spec)` pair — matching
-/// hashes mean *no* fragment changed and the stored goal set replays
-/// verbatim.
+/// The whole-revision hash of one `(program, spec)` pair, over their
+/// syntax trees — matching hashes mean *no* fragment changed and the
+/// stored goal set replays verbatim.
 pub fn program_hash(program: &relaxed_lang::Program, spec: &crate::verify::Spec) -> String {
-    use std::fmt::Write;
-    let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
-    write!(
-        w,
-        "{}\u{0}{}\u{0}{}\u{0}{}\u{0}{}",
-        program, spec.pre, spec.post, spec.rel_pre, spec.rel_post
+    let mut hasher = StableHasher::new();
+    (
+        program,
+        &spec.pre,
+        &spec.post,
+        &spec.rel_pre,
+        &spec.rel_post,
     )
-    .expect("hash writer never fails");
-    format!("rev:{:016x}", w.0)
+        .hash(&mut hasher);
+    format!("rev:{:016x}", hasher.finish())
 }
 
 // ---------------------------------------------------------------------
@@ -143,8 +183,8 @@ pub struct GoalDep {
     /// The α-invariant verdict-cache key of the encoded goal.
     pub key: GoalKey,
     /// Sorted, deduplicated [`fragment_id`]s of every fragment the
-    /// goal's formula was built from.
-    pub deps: Vec<String>,
+    /// goal's formula was built from: the list its [`Vc::deps`] shares.
+    pub deps: Arc<[String]>,
 }
 
 /// The stored goal set of one program revision.
@@ -291,7 +331,7 @@ fn parse_program_line(line: &str) -> Result<(String, ProgramDeps), String> {
             name: field_str(goal_fields, "name")?.to_string(),
             context: field_str(goal_fields, "context")?.to_string(),
             key: GoalKey::parse(field_str(goal_fields, "key")?),
-            deps,
+            deps: deps.into(),
         });
     }
     Ok((name, ProgramDeps { hash, goals }))
@@ -407,7 +447,8 @@ mod tests {
                     deps: vec![
                         fragment_id("pre", "x >= 0"),
                         fragment_id("stmt", "x = x + 1;"),
-                    ],
+                    ]
+                    .into(),
                 }],
             },
         );
@@ -474,7 +515,7 @@ mod tests {
                 name: "g0".to_string(),
                 context: "entry".to_string(),
                 key: GoalKey::parse("(k0)"),
-                deps: vec!["pre:1".to_string()],
+                deps: vec!["pre:1".to_string()].into(),
             }],
         };
         let fresh = vec![
@@ -483,21 +524,21 @@ mod tests {
                 name: "g0".to_string(),
                 context: "entry".to_string(),
                 key: GoalKey::parse("(k0)"),
-                deps: vec!["pre:1".to_string()],
+                deps: vec!["pre:1".to_string()].into(),
             },
             GoalDep {
                 stage: Stage::Relaxed,
                 name: "g1".to_string(),
                 context: "body/1".to_string(),
                 key: GoalKey::parse("(k1)"),
-                deps: vec!["stmt:2".to_string()],
+                deps: vec!["stmt:2".to_string()].into(),
             },
             GoalDep {
                 stage: Stage::Relaxed,
                 name: "g1-dup".to_string(),
                 context: "body/2".to_string(),
                 key: GoalKey::parse("(k1)"),
-                deps: vec!["stmt:2".to_string()],
+                deps: vec!["stmt:2".to_string()].into(),
             },
         ];
         assert_eq!(dirty_goals(&old, &fresh), vec![1]);
@@ -512,10 +553,10 @@ mod tests {
         // The bytes a whole write of `sample_map` under "fp" leaves, then
         // the first half of another record.
         let old = concat!(
-            "{\"format\":1,\"kind\":\"depmap\",\"fingerprint\":\"fp\"}\n",
+            "{\"format\":2,\"kind\":\"depmap\",\"fingerprint\":\"fp\"}\n",
             "{\"program\":\"swish\",\"hash\":\"rev:00112233\",\"goals\":[{\"stage\":\"original\",",
             "\"name\":\"precondition-establishes-wp\",\"context\":\"entry\",\"key\":\"(valid true)\",",
-            "\"deps\":[\"pre:6c2a003130dedb64\",\"stmt:db0aa7b9c2cbe2d7\"]}]}\n",
+            "\"deps\":[\"pre:c336c88dcbea1cfb\",\"stmt:09ec2fd6beffb728\"]}]}\n",
             "{\"program\":\"water\",\"hash\":\"rev:44556677\",\"goals\":[{\"stage\":\"rel",
         );
         std::fs::write(&path, old).unwrap();

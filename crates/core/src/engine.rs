@@ -392,10 +392,11 @@ impl DischargeEngine {
     }
 
     /// Replays a set of goals from the verdict cache without encoding or
-    /// solving anything: all-or-none under one cache lock. Returns the
-    /// verdicts in `keys` order iff *every* key is resident; a single
-    /// miss returns `None` and tallies nothing, so callers
-    /// fall back to a full [`discharge`](DischargeEngine::discharge).
+    /// solving anything: all-or-none under one cache lock. The keys are
+    /// borrowed from the caller's stored record, so a replay copies none.
+    /// Returns the verdicts in `keys` order iff *every* key is resident; a
+    /// single miss returns `None` and tallies nothing, so callers fall back
+    /// to a full [`discharge`](DischargeEngine::discharge).
     ///
     /// This is the incremental re-verification fast path (see
     /// [`crate::depmap`]): a program none of whose goal keys changed is
@@ -404,7 +405,10 @@ impl DischargeEngine {
     /// was loaded from the store), keeping the stats truthful about
     /// where the verdicts came from; the call's statistics come back
     /// with the verdicts and are tallied like a discharge call's.
-    pub(crate) fn replay(&self, keys: &[GoalKey]) -> Option<(Vec<Validity>, EngineStats)> {
+    pub(crate) fn replay<'k, I: ExactSizeIterator<Item = &'k GoalKey>>(
+        &self,
+        keys: I,
+    ) -> Option<(Vec<Validity>, EngineStats)> {
         let started = std::time::Instant::now();
         let cache = self.cache.lock().expect("cache lock");
         let mut verdicts = Vec::with_capacity(keys.len());
@@ -419,7 +423,7 @@ impl DischargeEngine {
         }
         drop(cache);
         let stats = EngineStats {
-            cache_hits: keys.len() as u64,
+            cache_hits: verdicts.len() as u64,
             disk_hits: disk,
             elapsed_cache_us: elapsed_us(started),
             ..EngineStats::default()
@@ -718,7 +722,7 @@ mod tests {
             name: name.to_string(),
             context: "test".to_string(),
             body: VcBody::Unary(parse_formula(source).unwrap()),
-            deps: Vec::new(),
+            deps: Vec::new().into(),
         }
     }
 

@@ -94,7 +94,7 @@ impl RelVcgen {
             name: name.to_string(),
             context: context.to_string(),
             body: VcBody::Rel(body),
-            deps,
+            deps: deps.into(),
         });
     }
 
@@ -118,7 +118,7 @@ impl RelVcgen {
         q: RelFormula,
         context: &str,
     ) -> Result<RelFormula, VcgenError> {
-        // Every leaf statement's text enters the relational trail whole:
+        // Every leaf statement enters the relational trail whole:
         // relax targets are havocked on the relaxed side and relate is an
         // obligation here, so — unlike `⊢o` — editing any part of these
         // statements can change a `⊢r` goal.
@@ -130,7 +130,7 @@ impl RelVcgen {
             | Stmt::Assume(_)
             | Stmt::Assert(_)
             | Stmt::Relate(_, _) => {
-                self.trail.insert(fragment_id("stmt", &s.to_string()));
+                self.trail.insert(fragment_id("stmt", s));
             }
             Stmt::Skip | Stmt::If(_) | Stmt::While(_) | Stmt::Seq(_) => {}
         }
@@ -180,7 +180,7 @@ impl RelVcgen {
                 // combinations, as in Benton's RHL); it subsumes the
                 // convergent-if rule and needs no convergence premise.
                 None if straight_line(&i.then_branch) && straight_line(&i.else_branch) => {
-                    self.trail.insert(fragment_id("cond", &i.cond.to_string()));
+                    self.trail.insert(fragment_id("cond", &i.cond));
                     let bo = inj_bool(&i.cond, Side::Original);
                     let br = inj_bool(&i.cond, Side::Relaxed);
                     let mut out = RelFormula::True;
@@ -197,7 +197,7 @@ impl RelVcgen {
                     Ok(out)
                 }
                 None => {
-                    self.trail.insert(fragment_id("cond", &i.cond.to_string()));
+                    self.trail.insert(fragment_id("cond", &i.cond));
                     let then_ctx = format!("{context}/if-then");
                     let else_ctx = format!("{context}/if-else");
                     let wp_then = self.wp(&i.then_branch, q.clone(), &then_ctx)?;
@@ -232,8 +232,8 @@ impl RelVcgen {
                     // `rinvariant-preserved` never blame downstream
                     // fragments already in the outer trail.
                     let outer_trail = std::mem::take(&mut self.trail);
-                    self.trail.insert(fragment_id("cond", &w.cond.to_string()));
-                    self.trail.insert(fragment_id("rinv", &inv.to_string()));
+                    self.trail.insert(fragment_id("cond", &w.cond));
+                    self.trail.insert(fragment_id("rinv", &inv));
                     let conv_deps = self.deps();
                     let body_ctx = format!("{context}/while-body");
                     let body_wp = match self.wp(&w.body, inv.clone(), &body_ctx) {
@@ -339,7 +339,7 @@ impl RelVcgen {
         context: &str,
     ) -> Result<RelFormula, VcgenError> {
         // Same whole-statement granularity as `wp`: a product formula
-        // genuinely depends on the full leaf text via at least one of the
+        // genuinely depends on the full leaf statement via at least one of the
         // two sides, and the trail is per-VC, not per-side.
         match s {
             Stmt::Assign(_, _)
@@ -348,10 +348,10 @@ impl RelVcgen {
             | Stmt::Relax(_, _)
             | Stmt::Assume(_)
             | Stmt::Assert(_) => {
-                self.trail.insert(fragment_id("stmt", &s.to_string()));
+                self.trail.insert(fragment_id("stmt", s));
             }
             Stmt::If(i) => {
-                self.trail.insert(fragment_id("cond", &i.cond.to_string()));
+                self.trail.insert(fragment_id("cond", &i.cond));
             }
             Stmt::Skip | Stmt::Relate(_, _) | Stmt::While(_) | Stmt::Seq(_) => {}
         }
@@ -501,10 +501,10 @@ impl RelVcgen {
         }
         // The relational frame quantifies over whatever either side may
         // modify — a property of the whole diverged statement including
-        // its contract, so the entire text is one fragment. The unary
+        // its contract, so the entire statement is one fragment. The unary
         // sub-obligations pushed below carry their own finer-grained
         // trails from `vcs_unary`.
-        self.trail.insert(fragment_id("stmt", &s.to_string()));
+        self.trail.insert(fragment_id("stmt", s));
         let po = contract.pre_o.clone().unwrap_or(Formula::True);
         let pr = contract.pre_r.clone().unwrap_or(Formula::True);
         // ⊢o {Po} s {Qo} — the original side alone.
@@ -596,10 +596,10 @@ pub fn vcs_relaxed(
     reserved.extend(relaxed_lang::free::rel_formula_var_names(rel_pre));
     reserved.extend(relaxed_lang::free::rel_formula_var_names(rel_post));
     let mut generator = RelVcgen::new(array_vars.clone(), reserved);
-    generator.seed_dep(fragment_id("rel_post", &rel_post.to_string()));
+    generator.seed_dep(fragment_id("rel_post", rel_post));
     let wp = generator.wp(s, rel_post.clone(), "body")?;
     let mut entry_deps = generator.deps();
-    entry_deps.push(fragment_id("rel_pre", &rel_pre.to_string()));
+    entry_deps.push(fragment_id("rel_pre", rel_pre));
     entry_deps.sort();
     entry_deps.dedup();
     let mut vcs = generator.into_vcs();
@@ -609,7 +609,7 @@ pub fn vcs_relaxed(
             name: "precondition-establishes-wp".to_string(),
             context: "entry".to_string(),
             body: VcBody::Rel(rel_pre.clone().implies(wp)),
-            deps: entry_deps,
+            deps: entry_deps.into(),
         },
     );
     Ok(vcs)

@@ -95,7 +95,7 @@ impl UnaryVcgen {
             name: name.to_string(),
             context: context.to_string(),
             body: VcBody::Unary(body),
-            deps: self.deps(),
+            deps: self.deps().into(),
         });
     }
 
@@ -117,7 +117,7 @@ impl UnaryVcgen {
         match s {
             Stmt::Skip => Ok(q),
             Stmt::Assign(..) | Stmt::Store(..) | Stmt::Havoc(..) | Stmt::Assert(_) => {
-                self.trail.insert(fragment_id("stmt", &s.to_string()));
+                self.trail.insert(fragment_id("stmt", s));
                 match s {
                     Stmt::Assign(x, e) => Ok(Subst::single(x.clone(), e.clone()).apply(&q)),
                     Stmt::Store(x, index, value) => self.wp_store(x, index, value, q, context),
@@ -132,18 +132,17 @@ impl UnaryVcgen {
                 // is the predicate alone (editing the targets invalidates
                 // ⊢r goals but no ⊢o goal).
                 UnaryLogic::Original => {
-                    self.trail
-                        .insert(fragment_id("relax-pred", &pred.to_string()));
+                    self.trail.insert(fragment_id("relax-pred", pred));
                     Ok(Formula::from_bool_expr(pred).and(q))
                 }
                 // ⊢i: relax is havoc (targets and predicate both matter).
                 UnaryLogic::Intermediate => {
-                    self.trail.insert(fragment_id("stmt", &s.to_string()));
+                    self.trail.insert(fragment_id("stmt", s));
                     self.wp_choice(targets, pred, q, context)
                 }
             },
             Stmt::Assume(pred) => {
-                self.trail.insert(fragment_id("stmt", &s.to_string()));
+                self.trail.insert(fragment_id("stmt", s));
                 match self.logic {
                     UnaryLogic::Original => Ok(Formula::from_bool_expr(pred).implies(q)),
                     // ⊢i: assumptions must be proved, like assertions.
@@ -164,7 +163,7 @@ impl UnaryVcgen {
                 let else_ctx = format!("{context}/if-else");
                 let wp_then = self.wp(&i.then_branch, q.clone(), &then_ctx)?;
                 let wp_else = self.wp(&i.else_branch, q, &else_ctx)?;
-                self.trail.insert(fragment_id("cond", &i.cond.to_string()));
+                self.trail.insert(fragment_id("cond", &i.cond));
                 let b = Formula::from_bool_expr(&i.cond);
                 Ok(b.clone().implies(wp_then).and(b.not().implies(wp_else)))
             }
@@ -179,8 +178,8 @@ impl UnaryVcgen {
                 // backward). Run the body on an isolated trail, then fold
                 // it back for the exit formula, which does embed `q`.
                 let outer_trail = std::mem::take(&mut self.trail);
-                self.trail.insert(fragment_id("cond", &w.cond.to_string()));
-                self.trail.insert(fragment_id("inv", &inv.to_string()));
+                self.trail.insert(fragment_id("cond", &w.cond));
+                self.trail.insert(fragment_id("inv", &inv));
                 let body_ctx = format!("{context}/while-body");
                 let body_wp = match self.wp(&w.body, inv.clone(), &body_ctx) {
                     Ok(wp) => wp,
@@ -334,10 +333,10 @@ pub fn vcs_unary(
     reserved.extend(relaxed_lang::free::formula_vars(pre));
     reserved.extend(relaxed_lang::free::formula_vars(post));
     let mut generator = UnaryVcgen::new(logic, array_vars.clone(), reserved);
-    generator.seed_dep(fragment_id("post", &post.to_string()));
+    generator.seed_dep(fragment_id("post", post));
     let wp = generator.wp(s, post.clone(), "body")?;
     let mut entry_deps = generator.deps();
-    entry_deps.push(fragment_id("pre", &pre.to_string()));
+    entry_deps.push(fragment_id("pre", pre));
     entry_deps.sort();
     entry_deps.dedup();
     let mut vcs = generator.into_vcs();
@@ -347,7 +346,7 @@ pub fn vcs_unary(
             name: "precondition-establishes-wp".to_string(),
             context: "entry".to_string(),
             body: VcBody::Unary(pre.clone().implies(wp)),
-            deps: entry_deps,
+            deps: entry_deps.into(),
         },
     );
     Ok(vcs)

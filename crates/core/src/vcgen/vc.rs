@@ -2,6 +2,7 @@
 
 use relaxed_lang::{Formula, RelFormula, Stmt};
 use std::fmt;
+use std::sync::Arc;
 
 /// The logical content of a verification condition.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -22,11 +23,13 @@ pub struct Vc {
     /// The formula to prove valid.
     pub body: VcBody,
     /// Fragment ids (see [`crate::depmap::fragment_id`]) of every program
-    /// statement and spec formula whose text this obligation's formula was
-    /// built from — the goal→fragment dependency map recorded at vcgen
-    /// time. Sorted and deduplicated; an edit to any listed fragment may
-    /// change the obligation, an edit to none of them cannot.
-    pub deps: Vec<String>,
+    /// statement and spec formula this obligation's formula was built
+    /// from — the goal→fragment dependency map recorded at vcgen time.
+    /// Sorted and deduplicated; an edit to any listed fragment may change
+    /// the obligation, an edit to none of them cannot. The list is
+    /// shared: the depmap record of the obligation, and every result
+    /// replayed from that record, point at the same list.
+    pub deps: Arc<[String]>,
 }
 
 /// Splits a formula into its top-level conjuncts, flattening nested

@@ -25,7 +25,7 @@ use std::fmt;
 ///
 /// `pre_o`/`pre_r` default to the syntactic projection of the relational
 /// precondition when omitted.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DivergeContract {
     /// Unary precondition for the original side (`Po`); defaults to the
     /// projection of the relational precondition.
@@ -39,7 +39,7 @@ pub struct DivergeContract {
 }
 
 /// A `while` loop with its verification annotations.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct WhileStmt {
     /// The loop condition `b`.
     pub cond: BoolExpr,
@@ -55,7 +55,7 @@ pub struct WhileStmt {
 }
 
 /// An `if` statement with its verification annotations.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct IfStmt {
     /// The branch condition `b`.
     pub cond: BoolExpr,
@@ -69,7 +69,7 @@ pub struct IfStmt {
 }
 
 /// Statements (`S` in Fig. 1, plus array stores).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Stmt {
     /// `skip`
     Skip,
@@ -334,7 +334,7 @@ impl std::error::Error for WellFormedError {}
 /// ).unwrap();
 /// assert_eq!(program.gamma().len(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Program {
     body: Stmt,
 }

@@ -47,8 +47,10 @@
 //! gate: verify the corpus cold into a scratch persistent store, patch
 //! one case-study spec, re-verify, and assert the solver ran **exactly
 //! once per goal the edit dirtied** — with an untouched sibling program
-//! replayed from the store without any solver work — before checking
-//! the incremental report verdict-identical to a full in-process run.
+//! replayed from the store without any solver work, and every untouched
+//! program replayed from the dependency map without vcgen or encoding —
+//! before checking the incremental report verdict-identical to a full
+//! in-process run.
 //! The final `edit-reverify: ..` line is the CI `edit-reverify` job's
 //! machine-readable signal.
 
@@ -581,6 +583,22 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
         report.engine.cache_misses, dirty,
         "corpus-wide solver work must be exactly the dirtied goals"
     );
+    // No solver work alone would also hold if the untouched programs ran
+    // vcgen again and hit the store goal by goal: each must replay its
+    // stored goal set, with no vcgen and no encoding at all.
+    let replayed = edited
+        .iter()
+        .filter(|(name, _, _)| *name != EDITED)
+        .filter(|(name, _, _)| {
+            let stats = entry_stats(&report, name);
+            stats.elapsed_vcgen_us == 0 && stats.elapsed_encode_us == 0
+        })
+        .count();
+    assert_eq!(
+        replayed,
+        edited.len() - 1,
+        "every untouched program must replay from the dependency map"
+    );
 
     // The equivalence gate: the incremental report must agree verdict
     // for verdict with a full in-process run that regenerates and checks
@@ -599,8 +617,8 @@ fn edit_reverify_main() -> Result<(), Box<dyn std::error::Error>> {
     // The machine-readable line the CI edit-reverify job gates on.
     println!(
         "edit-reverify: edited={EDITED} dirty_goals={dirty} of {} solver_runs={} \
-         sibling={SIBLING} sibling_solver_runs={} reverify_ms={reverify_ms:.1} \
-         full_warm_ms={full_warm_ms:.1}",
+         sibling={SIBLING} sibling_solver_runs={} replayed={replayed} \
+         reverify_ms={reverify_ms:.1} full_warm_ms={full_warm_ms:.1}",
         fresh.len(),
         edited_stats.cache_misses,
         sibling_stats.cache_misses

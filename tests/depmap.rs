@@ -14,10 +14,12 @@ use relaxed_programs::core::depmap::{
     depmap_path, dirty_goals, goal_deps, load, program_hash, ProgramDeps,
 };
 use relaxed_programs::core::vcgen::Vc;
+use relaxed_programs::core::VcResult;
 use relaxed_programs::lang::{parse_formula, parse_program, parse_rel_formula, Program};
-use relaxed_programs::{casestudies, Config, CorpusPolicy, Spec, Stage, Verifier};
+use relaxed_programs::{casestudies, Config, CorpusPolicy, CorpusReport, Spec, Stage, Verifier};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A per-test, per-process cache path under the OS temp dir.
 fn temp_cache(tag: &str) -> PathBuf {
@@ -325,4 +327,216 @@ fn dropped_session_writes_its_sidecar_into_a_new_directory() {
     expected.sort_unstable();
     assert_eq!(stored, expected, "every program's record reached disk");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The printed form of `spec`, parsed back: what a fleet worker reads
+/// from a job frame.
+fn reparsed(spec: &Spec) -> Spec {
+    Spec {
+        pre: parse_formula(&spec.pre.to_string()).unwrap(),
+        post: parse_formula(&spec.post.to_string()).unwrap(),
+        rel_pre: parse_rel_formula(&spec.rel_pre.to_string()).unwrap(),
+        rel_post: parse_rel_formula(&spec.rel_post.to_string()).unwrap(),
+    }
+}
+
+/// A fleet worker hashes the parse of the printed program and spec its
+/// job frame carries, so it replays a client's record only if the
+/// revision hash survives printing and parsing: for each case study,
+/// under its own spec, its `Spec::synced` spec, and a one-conjunct edit
+/// of its precondition.
+#[test]
+fn revision_hash_survives_printing_and_parsing() {
+    for (name, program, spec) in casestudies::corpus() {
+        let synced = Spec::synced(&program);
+        let mut edited = spec.clone();
+        edited.pre = parse_formula(&format!("({}) && edit_1 >= 0", spec.pre)).unwrap();
+        let wire_program = parse_program(&program.to_string()).unwrap();
+        for spec in [spec, synced, edited] {
+            assert_eq!(
+                program_hash(&wire_program, &reparsed(&spec)),
+                program_hash(&program, &spec),
+                "{name} under {spec:?}"
+            );
+        }
+    }
+}
+
+/// The revision hash covers which formula a conjunct sits in, not only
+/// the conjuncts: each edit below changes it.
+#[test]
+fn revision_hash_separates_what_it_covers() {
+    let source = "x = n; relax (x) st (0 <= x && x <= 2); relate l1 : x<o> <= x<r> + 2;";
+    let spec = |pre: &str, post: &str, rel_pre: &str, rel_post: &str| Spec {
+        pre: parse_formula(pre).unwrap(),
+        post: parse_formula(post).unwrap(),
+        rel_pre: parse_rel_formula(rel_pre).unwrap(),
+        rel_post: parse_rel_formula(rel_post).unwrap(),
+    };
+    let program = parse_program(source).unwrap();
+    let base = spec(
+        "n >= 0 && m >= 0",
+        "x >= 0",
+        "n<o> == n<r> && m<o> == m<r>",
+        "x<o> <= x<r> + 2",
+    );
+    let renamed = parse_program(&source.replace('n', "k")).unwrap();
+    let edits = [
+        (
+            "a conjunct moved from pre to post",
+            program.clone(),
+            spec(
+                "n >= 0",
+                "m >= 0 && x >= 0",
+                "n<o> == n<r> && m<o> == m<r>",
+                "x<o> <= x<r> + 2",
+            ),
+        ),
+        (
+            "a conjunct moved from rel_pre to rel_post",
+            program.clone(),
+            spec(
+                "n >= 0 && m >= 0",
+                "x >= 0",
+                "n<o> == n<r>",
+                "m<o> == m<r> && x<o> <= x<r> + 2",
+            ),
+        ),
+        (
+            "pre and post swapped",
+            program.clone(),
+            spec(
+                "x >= 0",
+                "n >= 0 && m >= 0",
+                "n<o> == n<r> && m<o> == m<r>",
+                "x<o> <= x<r> + 2",
+            ),
+        ),
+        (
+            "a variable renamed",
+            renamed,
+            spec(
+                "k >= 0 && m >= 0",
+                "x >= 0",
+                "k<o> == k<r> && m<o> == m<r>",
+                "x<o> <= x<r> + 2",
+            ),
+        ),
+        (
+            "a constant changed",
+            parse_program(&source.replace("x <= 2", "x <= 3")).unwrap(),
+            base.clone(),
+        ),
+    ];
+    let hash = program_hash(&program, &base);
+    for (edit, program, spec) in edits {
+        assert_ne!(program_hash(&program, &spec), hash, "{edit}");
+    }
+}
+
+/// Each program's per-entry engine statistics, in corpus order.
+fn entry_engines(report: &CorpusReport) -> Vec<relaxed_programs::core::EngineStats> {
+    report
+        .entries
+        .iter()
+        .map(|entry| entry.outcome.as_ref().expect("a staged report").engine)
+        .collect()
+}
+
+/// Sidecar format 1 hashed pretty-printed text, so its ids mean nothing
+/// to this build: a session on a format-1 sidecar and a warm store starts
+/// the sidecar cold once, answers every goal from the store, and its
+/// flush rewrites the sidecar whole.
+#[test]
+fn a_format_1_sidecar_starts_cold_once_beside_a_warm_store() {
+    let path = temp_cache("format-1");
+    let corpus = casestudies::corpus();
+    let seeder = persistent(&path);
+    let fingerprint = fingerprint(&seeder.config().discharge_config());
+    seeder.check_corpus_named(&corpus);
+    seeder.persist().unwrap();
+    drop(seeder);
+
+    // The sidecar under the header a format-1 session writes. Its records
+    // keep this build's ids, so they would replay if the header passed.
+    let sidecar = depmap_path(&path);
+    let current = std::fs::read_to_string(&sidecar).unwrap();
+    let header =
+        format!("{{\"format\":2,\"kind\":\"depmap\",\"fingerprint\":\"{fingerprint}\"}}\n");
+    let records = current.strip_prefix(&header).expect("a format-2 header");
+    let old_header = header.replace("\"format\":2", "\"format\":1");
+    std::fs::write(&sidecar, format!("{old_header}{records}")).unwrap();
+
+    // The session prints exactly the warnings its sidecar load returns.
+    let (map, warnings) = load(&sidecar, &fingerprint);
+    assert!(map.programs.is_empty());
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(warnings[0].ends_with("starting cold"), "{warnings:?}");
+    let upgraded = persistent(&path);
+    assert!(
+        upgraded.cache_warnings().is_empty(),
+        "{:?}",
+        upgraded.cache_warnings()
+    );
+    let report = upgraded.check_corpus_named(&corpus);
+    assert_eq!(report.engine.cache_misses, 0, "{:?}", report.engine);
+    assert_eq!(report.engine.disk_hits, 38, "{:?}", report.engine);
+    for (engine, (name, _, _)) in entry_engines(&report).iter().zip(&corpus) {
+        assert!(engine.elapsed_vcgen_us > 0, "{name} runs live: {engine:?}");
+    }
+    upgraded.persist().unwrap();
+    drop(upgraded);
+    assert_eq!(
+        std::fs::read_to_string(&sidecar).unwrap(),
+        current,
+        "the flush rewrites the whole sidecar under format 2"
+    );
+
+    let next = persistent(&path);
+    let report = next.check_corpus_named(&corpus);
+    for (engine, (name, _, _)) in entry_engines(&report).iter().zip(&corpus) {
+        assert_eq!(engine.elapsed_vcgen_us, 0, "{name} replays: {engine:?}");
+    }
+    assert!(load(&sidecar, &fingerprint).1.is_empty());
+    drop(next);
+    cleanup(&path);
+}
+
+/// Every result of a one-program report, stage by stage.
+fn results(report: &CorpusReport) -> Vec<&VcResult> {
+    let entry = report.entries[0].outcome.as_ref().expect("a staged report");
+    entry
+        .stage_reports()
+        .flat_map(|(_, stage)| &stage.results)
+        .collect()
+}
+
+/// A replayed result shares its record's fragment list instead of
+/// copying it, so two replays of one unchanged program hand out the same
+/// lists, equal to the ones its live run recorded.
+#[test]
+fn replays_share_the_recorded_provenance() {
+    let path = temp_cache("shared-deps");
+    let (program, spec) = casestudies::swish();
+    let corpus = vec![("swish", program, spec)];
+    let session = persistent(&path);
+    let live = session.check_corpus_named(&corpus);
+    let first = session.check_corpus_named(&corpus);
+    let second = session.check_corpus_named(&corpus);
+    for replay in [&first, &second] {
+        assert_eq!(entry_engines(replay)[0].elapsed_vcgen_us, 0, "a replay");
+    }
+    let (live, first, second) = (results(&live), results(&first), results(&second));
+    assert_eq!(live.len(), first.len());
+    assert_eq!(first.len(), second.len());
+    for ((live, first), second) in live.iter().zip(&first).zip(&second) {
+        assert!(
+            Arc::ptr_eq(&first.vc.deps, &second.vc.deps),
+            "{}",
+            first.vc.name
+        );
+        assert_eq!(first.vc.deps, live.vc.deps, "{}", first.vc.name);
+    }
+    drop(session);
+    cleanup(&path);
 }
