@@ -19,9 +19,6 @@
 //! * `edit_reverify` — incremental re-verification after a one-spec
 //!   edit (goal-dependency-map replay of every untouched revision) vs a
 //!   full warm rerun that regenerates every obligation;
-//! * `shard_corpus` — sharded multi-process corpus verification
-//!   (`relaxed-shardd` workers, 1-vs-N processes, plus warm
-//!   cross-process disk-hit metrics);
 //! * `service_throughput` — the networked verification service
 //!   (`relaxed-serviced`): cold fleet spawn vs. warm pre-seeded-store
 //!   requests, sustained requests/sec under concurrent clients, and a
@@ -320,70 +317,6 @@ fn edit_reverify(c: &mut Criterion) {
     let _ = std::fs::remove_file(relaxed_core::depmap::depmap_path(&path));
 }
 
-fn shard_corpus(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shard_corpus");
-    group.sample_size(10);
-    // The same six-program corpus as `check_corpus`, but fanned across
-    // `relaxed-shardd` worker *processes* (cold session per iteration:
-    // spawn + handshake + distribute + solve + merge). Single-threaded
-    // workers isolate process-level scaling from thread-level scaling.
-    let corpus = casestudies::corpus();
-    let worker = relaxed_core::shard::locate_worker()
-        .expect("relaxed-shardd must be built (cargo bench builds the workspace bins)");
-    let auto = DischargeConfig::default()
-        .effective_parallelism()
-        .clamp(2, corpus.len());
-    for shards in [1usize, auto] {
-        group.bench_with_input(
-            BenchmarkId::new("six_programs", shards),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let verifier = Verifier::builder()
-                        .workers(1)
-                        .shards(shards)
-                        .shard_worker(&worker)
-                        .build();
-                    let report = verifier.check_corpus_named(&corpus);
-                    assert_eq!(report.len(), 6);
-                    assert_eq!(report.entries.iter().filter(|e| e.verified()).count(), 3);
-                    report
-                })
-            },
-        );
-    }
-    group.finish();
-    // Cross-process verdict sharing, reported as a tracked metric: a cold
-    // sharded run seeds the store, a warm sharded run answers everything
-    // from it across process boundaries.
-    let path = std::env::temp_dir().join(format!(
-        "relaxed-bench-shard-verdicts-{}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let sharded = |path: &std::path::Path| {
-        Verifier::builder()
-            .workers(1)
-            .shards(auto)
-            .shard_worker(&worker)
-            .cache_file(path)
-            .build()
-    };
-    sharded(&path).check_corpus_named(&corpus);
-    let warm = sharded(&path).check_corpus_named(&corpus);
-    assert_eq!(
-        warm.engine.cache_misses, 0,
-        "warm sharded run must not solve"
-    );
-    eprintln!(
-        "shard_corpus: warm sharded rerun served {} disk hits across {} worker processes",
-        warm.engine.disk_hits, auto
-    );
-    c.report_metric("shard_corpus/warm_disk_hits", warm.engine.disk_hits as f64);
-    c.report_metric("shard_corpus/workers", auto as f64);
-    let _ = std::fs::remove_file(&path);
-}
-
 fn service_throughput(c: &mut Criterion) {
     use relaxed_core::service::{service_status, shutdown_service};
     use relaxed_core::{Service, ServiceOptions};
@@ -615,7 +548,6 @@ criterion_group!(
     telemetry_overhead,
     persistent_cache,
     edit_reverify,
-    shard_corpus,
     service_throughput,
     execution,
     tradeoff,

@@ -3,9 +3,9 @@
 //! and checked dynamically, the perforation trade-off (E5), the
 //! implementation size (E4), and the verifier's own machinery: the
 //! discharge engine (E7), corpus checks (E8), the persistent verdict
-//! store (E9), sharding (E10), the prefilter (E12), the service daemon
-//! (E13) and incremental re-verification after a spec edit (E14). The
-//! README quotes these sections by number.
+//! store (E9), the prefilter (E12), the service daemon (E13) and
+//! incremental re-verification after a spec edit (E14). The README
+//! quotes these sections by number.
 //!
 //! Run with: `cargo run -p relaxed-bench --bin paper_report --release`
 
@@ -371,107 +371,6 @@ fn main() {
     drop(mismatch_session);
     let _ = std::fs::remove_file(&cache_path);
 
-    // ---- E10 sharded multi-process corpus verification ----
-    println!("\n## E10: sharded multi-process corpus verification (`CorpusPolicy::Sharded`)\n");
-    let worker = relaxed_core::shard::locate_worker()
-        .expect("relaxed-shardd must be built next to paper_report (cargo build -p relaxed-bench)");
-    let shards = DischargeConfig::default()
-        .effective_parallelism()
-        .clamp(2, corpus.len());
-    let shard_cache_single = std::env::temp_dir().join(format!(
-        "relaxed-paper-report-{}.shard1.jsonl",
-        std::process::id()
-    ));
-    let shard_cache_multi = std::env::temp_dir().join(format!(
-        "relaxed-paper-report-{}.shardN.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&shard_cache_single);
-    let _ = std::fs::remove_file(&shard_cache_multi);
-    // Single-threaded workers throughout: the columns then measure pure
-    // process-level scaling, not thread-level scaling inside one worker.
-    let shard_session = |shards: usize, cache: &std::path::Path| {
-        Verifier::builder()
-            .workers(1)
-            .shards(shards)
-            .shard_worker(&worker)
-            .cache_file(cache)
-            .build()
-    };
-    println!("| run | shards | solver runs | disk hits | time |");
-    println!("|---|---|---|---|---|");
-
-    // In-process cold baseline (sequential), for scale.
-    let baseline_session = Verifier::builder().workers(1).build();
-    let t_base = Instant::now();
-    let shard_baseline = baseline_session.check_corpus_named(&corpus);
-    let base_elapsed = t_base.elapsed();
-    println!(
-        "| in-process | — | {} | {} | {base_elapsed:.1?} |",
-        shard_baseline.engine.cache_misses, shard_baseline.engine.disk_hits
-    );
-
-    // Cold, one worker process: the sharding overhead floor.
-    let single = shard_session(1, &shard_cache_single);
-    let t_single = Instant::now();
-    let single_report = single.check_corpus_named(&corpus);
-    let single_elapsed = t_single.elapsed();
-    println!(
-        "| sharded cold | 1 | {} | {} | {single_elapsed:.1?} |",
-        single_report.engine.cache_misses, single_report.engine.disk_hits
-    );
-    drop(single);
-
-    // Cold, N worker processes: the multi-worker speedup on the cold
-    // corpus (wall-clock is reported, not asserted — CI hosts vary).
-    let multi = shard_session(shards, &shard_cache_multi);
-    let t_multi = Instant::now();
-    let multi_report = multi.check_corpus_named(&corpus);
-    let multi_elapsed = t_multi.elapsed();
-    println!(
-        "| sharded cold | {shards} | {} | {} | {multi_elapsed:.1?} |",
-        multi_report.engine.cache_misses, multi_report.engine.disk_hits
-    );
-    drop(multi);
-
-    // Warm, N workers, same store: fresh processes answer the whole
-    // corpus from the verdicts the cold run's workers persisted — every
-    // hit crosses a process boundary through the shared cache file.
-    let warm_shard = shard_session(shards, &shard_cache_multi);
-    let t_warm_shard = Instant::now();
-    let warm_shard_report = warm_shard.check_corpus_named(&corpus);
-    let warm_shard_elapsed = t_warm_shard.elapsed();
-    println!(
-        "| sharded warm | {shards} | {} | {} | {warm_shard_elapsed:.1?} |",
-        warm_shard_report.engine.cache_misses, warm_shard_report.engine.disk_hits
-    );
-    drop(warm_shard);
-
-    for report in [&single_report, &multi_report, &warm_shard_report] {
-        report
-            .verdicts_match(&shard_baseline)
-            .expect("sharded verdicts drifted from in-process");
-    }
-    assert!(
-        warm_shard_report.engine.disk_hits >= 1,
-        "warm sharded run must reuse verdicts across processes: {:?}",
-        warm_shard_report.engine
-    );
-    assert_eq!(
-        warm_shard_report.engine.cache_misses, 0,
-        "warm sharded run must not re-solve"
-    );
-    println!(
-        "\nmulti-worker speedup on the cold corpus: {:.2}x ({shards} workers vs 1; measured, not asserted)",
-        single_elapsed.as_secs_f64() / multi_elapsed.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "cross-process verdict reuse: warm sharded run answered {} goals as disk hits from the store the cold run's workers persisted",
-        warm_shard_report.engine.disk_hits
-    );
-    let _ = std::fs::remove_file(&shard_cache_single);
-    let _ = std::fs::remove_file(&shard_cache_multi);
-
     // ---- E12 goal-level static analysis layer ----
     println!("\n## E12: goal-level static analysis (prefilter)\n");
     let vc_session = Verifier::new();
@@ -506,7 +405,18 @@ fn main() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&service_cache);
-    let fleet = shards;
+    let worker = relaxed_core::shard::locate_worker()
+        .expect("relaxed-shardd must be built next to paper_report (cargo build -p relaxed-bench)");
+    let fleet = DischargeConfig::default()
+        .effective_parallelism()
+        .clamp(2, corpus.len());
+    // In-process cold baseline (sequential), for scale.
+    let t_base = Instant::now();
+    let baseline = Verifier::builder()
+        .workers(1)
+        .build()
+        .check_corpus_named(&corpus);
+    let base_elapsed = t_base.elapsed();
     let service = relaxed_core::Service::bind(relaxed_core::ServiceOptions {
         fleet,
         config: Verifier::builder()
@@ -530,8 +440,8 @@ fn main() {
     println!("|---|---|---|---|---|---|");
     println!(
         "| in-process | — | {} | {} | {base_elapsed:.1?} | {:.1} |",
-        shard_baseline.engine.cache_misses,
-        shard_baseline.engine.disk_hits,
+        baseline.engine.cache_misses,
+        baseline.engine.disk_hits,
         corpus.len() as f64 / base_elapsed.as_secs_f64()
     );
 
@@ -586,7 +496,7 @@ fn main() {
         .chain(&concurrent)
     {
         report
-            .verdicts_match(&shard_baseline)
+            .verdicts_match(&baseline)
             .expect("service verdicts drifted from in-process");
         assert_eq!(report.engine.workers, fleet, "fleet size rides the report");
     }

@@ -1,8 +1,7 @@
-//! `relaxed-shardd` — the shard worker of the sharded corpus verifier.
+//! `relaxed-shardd` — a fleet worker of the `relaxed-serviced` daemon.
 //!
-//! Spawned by the coordinator behind
-//! `Verifier::builder().shards(n)` / `CorpusPolicy::Sharded`
-//! (see `relaxed_core::shard`): reads framed JSON job requests on stdin,
+//! Spawned by the daemon's fleet (see `relaxed_core::shard` and
+//! `relaxed_core::service`): reads framed JSON job requests on stdin,
 //! verifies each program through a `Verifier` session, and writes framed
 //! JSON results on stdout. Under a persistent verdict cache it persists
 //! incrementally after each job, sharing verdicts with sibling workers

@@ -1,23 +1,24 @@
-//! Integration tests for the sharded multi-process corpus verifier:
+//! Integration tests for the `relaxed-serviced` daemon and its fleet of
 //! real worker processes (`relaxed-shardd`, resolved via Cargo's
-//! `CARGO_BIN_EXE` guarantee so the binary is always built first),
-//! exercising verdict equivalence against the in-process driver, the
-//! crash/corruption fault-tolerance path (via the `RELAXED_SHARDD_FAULT`
-//! hook), and cache-mediated verdict sharing between worker processes.
+//! `CARGO_BIN_EXE` guarantee so the binary is always built first). Each
+//! test binds its own in-process daemon (`Service::bind` on an ephemeral
+//! port) and drives it with real TCP clients.
 //!
-//! The service tests at the bottom run the same fleet behind an
-//! in-process `relaxed-serviced` daemon (`Service::bind` on an ephemeral
-//! port) and drive it with real TCP clients: concurrent clients must get
+//! The fleet's fault tolerance runs on real faults (the
+//! `RELAXED_SHARDD_FAULT` hook): a worker killed mid-request loses no
+//! program, and workers that corrupt every response make every program a
+//! recorded per-program error, never a hang. Workers share verdicts
+//! through the persistent store, across a drain and a fresh daemon, and
+//! warm a store another configuration left. Concurrent clients must get
 //! verdict-identical reports served from the shared store, a worker must
 //! replay programs from a sidecar written after it spawned, a saturated
 //! daemon must answer `busy` and the client retry until every job is
-//! served, a worker killed mid-request must lose no programs, neither a
-//! client vanishing mid-job nor a job frame without an id may wedge the
-//! fleet, and an
-//! over-long or deeply nested frame, a `<==>` chain past the parser's
-//! budget, or a program whose obligation passes vcgen's node budget is
-//! refused while the daemon keeps serving. A `relaxed-serviced` started
-//! with a malformed `--fleet` exits without serving.
+//! served, neither a client vanishing mid-job nor a job frame without an
+//! id may wedge the fleet, and an over-long or deeply nested frame, a
+//! `<==>` chain past the parser's budget, or a program whose obligation
+//! passes vcgen's node budget is refused while the daemon keeps serving.
+//! A `relaxed-serviced` started with a malformed `--fleet` exits without
+//! serving, and a daemon whose worker binary is missing refuses to bind.
 //!
 //! Every test that spawns workers or enables tracing holds the
 //! `temp_env` lock, so the traced runs and the check that no worker
@@ -26,7 +27,7 @@
 use relaxed_core::cache::{fingerprint, json_string, parse_json, Json};
 use relaxed_core::depmap::{depmap_path, goal_deps, load, program_hash, ProgramDeps};
 use relaxed_core::service::{service_status, shutdown_service};
-use relaxed_core::shard::PROTOCOL_VERSION;
+use relaxed_core::shard::{MAX_ATTEMPTS, PROTOCOL_VERSION};
 use relaxed_core::vcgen::MAX_WP_NODES;
 use relaxed_core::{
     Config, CorpusError, CorpusReport, Service, ServiceOptions, Spec, Verifier, VerifierBuilder,
@@ -55,82 +56,46 @@ fn temp_cache(tag: &str) -> PathBuf {
     temp_file(tag, "jsonl")
 }
 
-/// A sharded session against the freshly built worker binary. Budgets are
-/// builder-pinned, so suite-level `DISCHARGE_*` schedules cannot skew the
-/// worker/coordinator fingerprint agreement.
-fn sharded(shards: usize) -> VerifierBuilder {
-    Verifier::builder()
-        .workers(2)
-        .shards(shards)
-        .shard_worker(WORKER)
+/// The session a test daemon's fleet runs under, against the freshly
+/// built worker binary. Budgets are builder-pinned, so suite-level
+/// `DISCHARGE_*` schedules cannot skew the fleet/client fingerprint
+/// agreement.
+fn daemon_session() -> VerifierBuilder {
+    Verifier::builder().workers(2).shard_worker(WORKER)
+}
+
+/// An in-memory service client of the daemon at `addr`.
+fn client(addr: &str) -> Verifier {
+    Verifier::builder().workers(2).service(addr).build()
 }
 
 /// The shared verdict-for-verdict gate (`CorpusReport::verdicts_match`),
 /// as a panicking assertion for test ergonomics.
-fn assert_verdicts_match(sharded: &CorpusReport, in_process: &CorpusReport) {
-    sharded
-        .verdicts_match(in_process)
-        .expect("sharded report drifted from the in-process baseline");
-}
-
-#[test]
-fn sharded_corpus_matches_in_process_verdicts() {
-    let corpus = casestudies::corpus();
-    let in_process = Verifier::builder()
-        .workers(2)
-        .build()
-        .check_corpus_named(&corpus);
-    // Hold the fault var unset while workers spawn, so a concurrently
-    // running fault test cannot leak its hook into this run.
-    let report = temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        sharded(2).build().check_corpus_named(&corpus)
-    });
-    assert_verdicts_match(&report, &in_process);
-    assert_eq!(
-        report.engine.workers, 2,
-        "corpus parallelism is the shard count"
-    );
-    // Every program reports a measured wall time (entries that verified
-    // real obligations took nonzero solver work; `elapsed_ms` may round
-    // to 0 on a fast machine, so assert presence via the JSON instead).
-    let json = report.to_json();
-    assert_eq!(json.matches("\"elapsed_ms\"").count(), corpus.len() + 1);
-}
-
-#[test]
-fn killed_worker_loses_no_programs() {
-    // Every worker process crashes when its second job arrives (before
-    // responding): each crash requeues the job, the handler spawns a
-    // replacement, and the replacement completes it as its own first job.
-    // The merged report must still cover every program with verdicts
-    // identical to the in-process run.
-    let corpus = casestudies::corpus();
-    let in_process = Verifier::builder()
-        .workers(2)
-        .build()
-        .check_corpus_named(&corpus);
-    temp_env::with_var("RELAXED_SHARDD_FAULT", Some("crash:2"), || {
-        let report = sharded(2).build().check_corpus_named(&corpus);
-        assert_verdicts_match(&report, &in_process);
-    });
+fn assert_verdicts_match(report: &CorpusReport, baseline: &CorpusReport) {
+    report
+        .verdicts_match(baseline)
+        .expect("report drifted from its baseline");
 }
 
 #[test]
 fn malformed_frames_become_recorded_errors_not_hangs() {
-    // Every worker corrupts its first response, including the replacements
-    // spawned after each kill — so every job exhausts its retries and must
-    // surface as a per-program shard error (and the corpus still
-    // terminates promptly with full coverage).
+    // Every fleet worker corrupts its first response, including the
+    // replacements spawned after each kill — so every job exhausts its
+    // retries and must surface as a per-program service error (and the
+    // corpus still terminates promptly with full coverage).
     let corpus = casestudies::corpus();
+    let exhausted = format!("failed after {MAX_ATTEMPTS} attempts");
     temp_env::with_var("RELAXED_SHARDD_FAULT", Some("garbage:1"), || {
-        let report = sharded(2).build().check_corpus_named(&corpus);
+        let report = with_daemon(daemon_session(), 2, |addr| {
+            client(addr).check_corpus_named(&corpus)
+        });
         assert_eq!(report.len(), corpus.len(), "no program may be lost");
         for entry in &report.entries {
             match &entry.outcome {
-                Err(CorpusError::Shard(reason)) => {
-                    assert!(reason.contains("attempts"), "{reason}");
+                Err(CorpusError::Service(reason)) => {
+                    assert!(reason.contains(&exhausted), "{reason}");
                 }
-                other => panic!("{}: expected a shard error, got {other:?}", entry.name),
+                other => panic!("{}: expected a service error, got {other:?}", entry.name),
             }
         }
         let json = report.to_json();
@@ -165,60 +130,47 @@ fn worker_solve_spans(trace: &Path) -> usize {
 }
 
 #[test]
-fn traced_sharded_run_records_worker_spans() {
-    let trace = temp_file("sharded-trace", "json");
-    let corpus = casestudies::corpus();
-    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let verifier = sharded(2).trace_file(&trace).build();
-        let report = verifier.check_corpus_named(&corpus);
-        assert!(report.verified_count() >= 3);
-        // The last tracing session's drop writes the trace.
-        drop(verifier);
-    });
-    let spans = worker_solve_spans(&trace);
-    let _ = std::fs::remove_file(&trace);
-    assert!(spans >= 1, "no solve span landed on a shard-worker lane");
-}
-
-#[test]
 fn workers_share_verdicts_through_the_cache_file() {
     let path = temp_cache("sharing");
     let corpus = casestudies::corpus();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        // A cold daemon on a fresh store: its workers persist each job's
+        // verdicts.
+        let cold = with_daemon(daemon_session().cache_file(&path), 2, |addr| {
+            client(addr).check_corpus_named(&corpus)
+        });
+        assert!(cold.engine.cache_misses > 0, "{:?}", cold.engine);
+        assert!(path.is_file(), "the workers must have persisted the store");
 
-    // Cold sharded run: workers persist incrementally into one store.
-    let cold = sharded(2).cache_file(&path).build();
-    let cold_report = temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        cold.check_corpus_named(&corpus)
+        // A fresh daemon's workers load those verdicts, so an in-memory
+        // client's whole corpus discharges with zero solver work — every
+        // hit crossing a process boundary through the store.
+        with_daemon(daemon_session().cache_file(&path), 2, |addr| {
+            let warm = client(addr).check_corpus_named(&corpus);
+            assert_eq!(warm.engine.cache_misses, 0, "warm run must not re-solve");
+            assert!(
+                warm.engine.disk_hits > 0,
+                "cross-process reuse must be visible as disk hits: {:?}",
+                warm.engine
+            );
+            assert_verdicts_match(&warm, &cold);
+
+            // A persistent client on the same store is answered warm, and
+            // a follow-up in-process check needs no solver either.
+            let persistent = Verifier::builder()
+                .workers(2)
+                .service(addr)
+                .cache_file(&path)
+                .build();
+            let report = persistent.check_corpus_named(&corpus);
+            assert_eq!(report.engine.cache_misses, 0, "{:?}", report.engine);
+            let (program, spec) = casestudies::swish();
+            let follow_up = persistent.check(&program, &spec).unwrap();
+            assert_eq!(follow_up.engine.cache_misses, 0);
+        });
     });
-    assert!(cold_report.verified_count() >= 3);
-    drop(cold);
-    assert!(path.is_file(), "workers must have persisted the store");
-
-    // Warm sharded run: fresh worker processes load the previous run's
-    // verdicts, so the whole corpus discharges with zero solver work —
-    // every hit crossing a process boundary through the store.
-    let warm = sharded(2).cache_file(&path).build();
-    let warm_report = temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        warm.check_corpus_named(&corpus)
-    });
-    assert_eq!(
-        warm_report.engine.cache_misses, 0,
-        "warm run must not re-solve"
-    );
-    assert!(
-        warm_report.engine.disk_hits > 0,
-        "cross-process reuse must be visible as disk hits: {:?}",
-        warm_report.engine
-    );
-    assert_verdicts_match(&warm_report, &cold_report);
-
-    // The coordinator session itself warmed up from the store the workers
-    // wrote: a follow-up in-process check is answered without solving.
-    let (program, spec) = casestudies::swish();
-    let follow_up = warm.check(&program, &spec).unwrap();
-    assert_eq!(follow_up.engine.cache_misses, 0);
-    drop(warm);
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(depmap_path(&path));
 }
 
 #[test]
@@ -236,13 +188,14 @@ fn fleet_warms_a_store_headed_by_another_configuration() {
     assert!(seeder.persist().expect("seed the store") > 0);
     drop(seeder);
 
-    // The first fleet run solves cold and replaces the foreign store with
-    // its own; the second is answered from it.
+    // The first daemon's fleet solves cold and replaces the foreign store
+    // with its own; a fresh daemon's fleet is answered from it.
     let runs: Vec<CorpusReport> = (0..2)
         .map(|_| {
-            let session = sharded(2).cache_file(&path).build();
             temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-                session.check_corpus_named(&corpus)
+                with_daemon(daemon_session().cache_file(&path), 2, |addr| {
+                    client(addr).check_corpus_named(&corpus)
+                })
             })
         })
         .collect();
@@ -282,23 +235,6 @@ fn assert_records_replay(path: &Path, corpus: &[(&str, Program, Spec)]) {
     assert_eq!(replay.engine.cross_hits, 0, "{:?}", replay.engine);
 }
 
-#[test]
-fn sharded_persistent_run_records_every_revision() {
-    let path = temp_cache("record-sharded");
-    let corpus = casestudies::corpus();
-    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let coordinator = sharded(2).cache_file(&path).build();
-        let report = coordinator.check_corpus_named(&corpus);
-        assert!(report.engine.cache_misses > 0, "the run was live");
-        coordinator
-            .persist()
-            .expect("persist the coordinator session");
-    });
-    assert_records_replay(&path, &corpus);
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(depmap_path(&path));
-}
-
 /// Binds an in-process service daemon (ephemeral port, fleet of real
 /// `relaxed-shardd` workers) and serves it on a background thread.
 /// Returns the bound address and the serve thread (which yields the
@@ -315,6 +251,16 @@ fn start_service(builder: VerifierBuilder, fleet: usize) -> (String, std::thread
     (addr, std::thread::spawn(move || service.run()))
 }
 
+/// Runs `body` against a fresh daemon of `fleet` workers, then drains the
+/// daemon and joins its serve thread.
+fn with_daemon<R>(builder: VerifierBuilder, fleet: usize, body: impl FnOnce(&str) -> R) -> R {
+    let (addr, daemon) = start_service(builder, fleet);
+    let result = body(&addr);
+    shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+    daemon.join().expect("daemon thread");
+    result
+}
+
 #[test]
 fn concurrent_service_clients_get_identical_reports_from_the_shared_store() {
     let path = temp_cache("service");
@@ -329,7 +275,7 @@ fn concurrent_service_clients_get_identical_reports_from_the_shared_store() {
     drop(baseline_session);
 
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(2).cache_file(&path), 2);
+        let (addr, daemon) = start_service(daemon_session().cache_file(&path), 2);
 
         // Two concurrent clients over real TCP connections.
         let reports: Vec<CorpusReport> = std::thread::scope(|scope| {
@@ -353,6 +299,11 @@ fn concurrent_service_clients_get_identical_reports_from_the_shared_store() {
         });
         for report in &reports {
             assert_verdicts_match(report, &baseline);
+            // Every program reports a measured wall time, and so does the
+            // corpus (`elapsed_ms` may round to 0 on a fast machine, so
+            // presence is asserted via the JSON).
+            let json = report.to_json();
+            assert_eq!(json.matches("\"elapsed_ms\"").count(), corpus.len() + 1);
             assert_eq!(
                 report.engine.workers, 2,
                 "corpus parallelism is the daemon's fleet"
@@ -386,7 +337,7 @@ fn persistent_service_client_records_every_revision() {
     let path = temp_cache("record-service");
     let corpus = casestudies::corpus();
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(2).cache_file(&path), 2);
+        let (addr, daemon) = start_service(daemon_session().cache_file(&path), 2);
         let client = Verifier::builder()
             .workers(2)
             .service(&addr)
@@ -415,7 +366,7 @@ fn fleet_rereads_a_sidecar_written_after_it_spawned() {
     let corpus = casestudies::corpus();
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
         // The worker spawns, and reads both files, before they exist.
-        let (addr, daemon) = start_service(sharded(1).cache_file(&path), 1);
+        let (addr, daemon) = start_service(daemon_session().cache_file(&path), 1);
         let seeder = Verifier::builder().workers(2).cache_file(&path).build();
         seeder.check_corpus_named(&corpus);
         seeder.persist().expect("seed the store and its sidecar");
@@ -463,7 +414,7 @@ fn saturated_daemon_answers_busy_and_the_client_retries() {
         .build()
         .check_corpus_named(&corpus);
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(1), 1);
+        let (addr, daemon) = start_service(daemon_session(), 1);
         let report = Verifier::builder()
             .workers(2)
             .service(&addr)
@@ -494,7 +445,7 @@ fn killed_service_worker_loses_no_programs() {
         .build()
         .check_corpus_named(&corpus);
     temp_env::with_var("RELAXED_SHARDD_FAULT", Some("crash:2"), || {
-        let (addr, daemon) = start_service(sharded(2), 2);
+        let (addr, daemon) = start_service(daemon_session(), 2);
         let report = Verifier::builder()
             .workers(2)
             .service(&addr)
@@ -535,7 +486,7 @@ fn client_disconnect_mid_job_does_not_wedge_the_fleet() {
         .build()
         .check_corpus_named(&corpus);
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(2), 2);
+        let (addr, daemon) = start_service(daemon_session(), 2);
 
         // A rude client: handshake, submit a job, vanish without reading
         // the result. The daemon's write fails on the dead socket; the
@@ -571,7 +522,7 @@ fn job_frame_without_an_id_is_refused_before_any_worker() {
         .build()
         .check_corpus_named(&corpus);
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(2), 2);
+        let (addr, daemon) = start_service(daemon_session(), 2);
 
         // A job the client could never match a result to: a worker would
         // die on it, so the daemon must refuse it itself.
@@ -601,7 +552,7 @@ fn job_frame_without_an_id_is_refused_before_any_worker() {
 #[test]
 fn deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(1), 1);
+        let (addr, daemon) = start_service(daemon_session(), 1);
 
         // 40 KB of brackets: a parser recursing once per level would
         // overflow the connection thread's stack and abort the daemon.
@@ -627,7 +578,7 @@ fn deeply_nested_frame_is_refused_and_the_daemon_keeps_serving() {
 #[test]
 fn endless_line_is_refused_and_the_daemon_keeps_serving() {
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(1), 1);
+        let (addr, daemon) = start_service(daemon_session(), 1);
 
         // 64 MiB of brackets and no newline: a daemon that buffers the
         // whole line, rescanning it after every read, spends minutes of
@@ -676,7 +627,7 @@ fn assert_job_refused_and_fleet_intact(
     refused: impl Fn(&str) -> bool,
 ) {
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(1), 1);
+        let (addr, daemon) = start_service(daemon_session(), 1);
         {
             let (mut reader, stream) = raw_session(&addr);
             writeln!(
@@ -787,7 +738,7 @@ fn traced_service_records_worker_spans() {
     let trace = temp_file("service-trace", "json");
     let corpus = casestudies::corpus();
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(2).trace_file(&trace), 2);
+        let (addr, daemon) = start_service(daemon_session().trace_file(&trace), 2);
         let report = Verifier::builder()
             .workers(2)
             .service(&addr)
@@ -828,24 +779,18 @@ fn worker_children() -> Vec<String> {
 #[test]
 fn no_worker_outlives_its_run() {
     let corpus = casestudies::corpus();
-    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        sharded(2).build().check_corpus_named(&corpus);
-        assert_eq!(
-            worker_children(),
-            Vec::<String>::new(),
-            "after a sharded run"
-        );
-    });
     temp_env::with_var("RELAXED_SHARDD_FAULT", Some("crash:2"), || {
-        sharded(2).build().check_corpus_named(&corpus);
+        with_daemon(daemon_session(), 2, |addr| {
+            client(addr).check_corpus_named(&corpus)
+        });
         assert_eq!(
             worker_children(),
             Vec::<String>::new(),
-            "after a sharded run whose workers crash"
+            "after a daemon whose workers crash"
         );
     });
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(sharded(2), 2);
+        let (addr, daemon) = start_service(daemon_session(), 2);
         Verifier::builder()
             .workers(2)
             .service(&addr)
@@ -861,9 +806,27 @@ fn no_worker_outlives_its_run() {
     });
 }
 
+#[test]
+fn daemon_without_its_worker_binary_refuses_to_bind() {
+    let missing = "/nonexistent/relaxed-shardd";
+    let config = Verifier::builder()
+        .shard_worker(missing)
+        .build()
+        .config()
+        .clone();
+    let refused = Service::bind(ServiceOptions {
+        fleet: 2,
+        config,
+        ..ServiceOptions::default()
+    })
+    .err()
+    .expect("a daemon without its worker binary must not bind");
+    assert!(refused.contains(missing), "{refused}");
+}
+
 /// Minimal stand-in for the `temp-env` crate (offline build): sets a
 /// process environment variable for the duration of a closure, restoring
-/// the previous value after. Shard fault tests are the only env-mutating
+/// the previous value after. Fleet fault tests are the only env-mutating
 /// tests in this binary, and each runs the whole closure under the lock
 /// (`ENV_LOCK`), as does every test that spawns workers or traces.
 mod temp_env {

@@ -31,10 +31,10 @@
 //! loads both at build time, and writes what is new in each on
 //! [`Verifier::persist`] or drop, making re-verification across runs
 //! incremental. The session is their only owner: the engine it wraps
-//! never touches a file. Fleet workers before every job, and sharded and
-//! service runs after their jobs, read both files again where they
-//! changed, so verdicts and program records other processes persisted
-//! reach the session.
+//! never touches a file. Fleet workers before every job, and service
+//! clients after their jobs, read both files again where they changed,
+//! so verdicts and program records other processes persisted reach the
+//! session.
 //!
 //! ```
 //! use relaxed_core::{Stage, Verifier};
@@ -233,17 +233,6 @@ pub enum CorpusPolicy {
     /// Fan programs across scoped threads of this process — the default.
     #[default]
     InProcess,
-    /// Fan programs across `shards` worker **processes** (the
-    /// `relaxed-shardd` binary) coordinated by [`crate::shard`]:
-    /// longest-first distribution over a fleet spawned on demand,
-    /// crash/corruption tolerance with bounded retries, and — under
-    /// [`CachePolicy::Persistent`] — verdict sharing between workers
-    /// through the fingerprint-gated on-disk store. Selected by
-    /// [`VerifierBuilder::shards`] or `DISCHARGE_SHARDS=<n>`.
-    Sharded {
-        /// Worker processes to spawn (at least 1).
-        shards: usize,
-    },
     /// Submit the corpus to a running `relaxed-serviced` daemon over TCP
     /// (see [`crate::service`]): the daemon's warm worker fleet verifies
     /// the programs and the client receives a merged [`CorpusReport`]
@@ -261,15 +250,11 @@ pub enum CorpusError {
     /// VC generation failed (missing annotations, standalone-`⊢i`
     /// restrictions, …).
     Vcgen(VcgenError),
-    /// The sharded execution layer gave up on the program: its job
-    /// exhausted the bounded retries across worker crashes / malformed
-    /// response frames, or no worker binary could be found. Only
-    /// produced under [`CorpusPolicy::Sharded`].
-    Shard(String),
     /// The networked service layer gave up on the program: the daemon
     /// could not be reached, the connection died mid-corpus, or the
-    /// daemon reported a per-job failure. Only produced under
-    /// [`CorpusPolicy::Service`].
+    /// daemon reported a per-job failure (among them a job that exhausted
+    /// its bounded retries across worker crashes and malformed response
+    /// frames). Only produced under [`CorpusPolicy::Service`].
     Service(String),
 }
 
@@ -277,7 +262,6 @@ impl fmt::Display for CorpusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CorpusError::Vcgen(e) => e.fmt(f),
-            CorpusError::Shard(reason) => write!(f, "sharded verification failed: {reason}"),
             CorpusError::Service(reason) => write!(f, "service verification failed: {reason}"),
         }
     }
@@ -287,7 +271,7 @@ impl std::error::Error for CorpusError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CorpusError::Vcgen(e) => Some(e),
-            CorpusError::Shard(_) | CorpusError::Service(_) => None,
+            CorpusError::Service(_) => None,
         }
     }
 }
@@ -318,9 +302,11 @@ pub struct Config {
     pub stages: StageSet,
     /// Corpus execution policy for [`Verifier::check_corpus`].
     pub corpus: CorpusPolicy,
-    /// Explicit path to the `relaxed-shardd` worker binary for
-    /// [`CorpusPolicy::Sharded`]; `None` resolves it next to the current
-    /// executable (see [`crate::shard::locate_worker`]).
+    /// Explicit path to the `relaxed-shardd` worker binary a service
+    /// daemon's fleet runs (see [`crate::service`]); `None` resolves it
+    /// next to the current executable (see
+    /// [`crate::shard::locate_worker`]). A deployment setting: sessions
+    /// that are not a daemon's never read it.
     pub shard_worker: Option<PathBuf>,
     /// Chrome trace-event output path (see [`crate::telemetry`]):
     /// `Some(path)` enables span collection for the session's lifetime
@@ -373,12 +359,10 @@ impl Config {
     /// The default configuration with the environment opt-in layer
     /// applied: `DISCHARGE_WORKERS` (`0` = auto), `DISCHARGE_CONFLICTS`,
     /// `DISCHARGE_BRANCH_BUDGET`, `DISCHARGE_CACHE` (a file path
-    /// selecting [`CachePolicy::Persistent`]), `DISCHARGE_SHARDS`
-    /// (`0` = in-process, `n ≥ 1` = [`CorpusPolicy::Sharded`] across `n`
-    /// worker processes), `DISCHARGE_TRACE` (a file path enabling
-    /// telemetry and selecting the Chrome trace-event output, see
-    /// [`crate::telemetry`]), `RELAXED_SHARDD` (explicit worker-binary
-    /// path), and
+    /// selecting [`CachePolicy::Persistent`]), `DISCHARGE_TRACE` (a file
+    /// path enabling telemetry and selecting the Chrome trace-event
+    /// output, see [`crate::telemetry`]), `RELAXED_SHARDD` (the path of
+    /// the worker binary a service daemon's fleet runs), and
     /// `RELAXED_SERVICE` (a `host:port` address selecting
     /// [`CorpusPolicy::Service`]).
     ///
@@ -422,12 +406,6 @@ impl Config {
         if let Some(budget) = parse("DISCHARGE_BRANCH_BUDGET") {
             config.branch_budget = budget;
         }
-        if let Some(shards) = parse("DISCHARGE_SHARDS") {
-            config.corpus = match shards {
-                0 => CorpusPolicy::InProcess,
-                n => CorpusPolicy::Sharded { shards: n as usize },
-            };
-        }
         // A path or address: trimmed, and reported when nothing is left.
         let mut non_empty = |var: &'static str, expected: &'static str| -> Option<String> {
             let raw = lookup(var)?;
@@ -454,9 +432,6 @@ impl Config {
         ) {
             config.shard_worker = Some(path.into());
         }
-        // Processed after DISCHARGE_SHARDS on purpose: when both are set,
-        // the service address wins (the daemon's fleet already *is* the
-        // shard layer).
         if let Some(addr) = non_empty(
             "RELAXED_SERVICE",
             "a non-empty host:port address of a relaxed-serviced daemon",
@@ -547,13 +522,6 @@ impl VerifierBuilder {
         self
     }
 
-    /// Verifies corpora across `shards` worker processes — shorthand for
-    /// `.corpus(CorpusPolicy::Sharded { shards })`. See [`crate::shard`]
-    /// for the coordinator/worker architecture.
-    pub fn shards(self, shards: usize) -> Self {
-        self.corpus(CorpusPolicy::Sharded { shards })
-    }
-
     /// Submits corpora to the `relaxed-serviced` daemon at `addr` —
     /// shorthand for `.corpus(CorpusPolicy::Service { addr })`. See
     /// [`crate::service`] for the daemon architecture.
@@ -561,9 +529,9 @@ impl VerifierBuilder {
         self.corpus(CorpusPolicy::Service { addr: addr.into() })
     }
 
-    /// Explicit path to the `relaxed-shardd` worker binary (otherwise
-    /// resolved from `RELAXED_SHARDD` under the env layer, or located
-    /// next to the current executable).
+    /// Explicit path to the `relaxed-shardd` worker binary a service
+    /// daemon's fleet runs (otherwise resolved from `RELAXED_SHARDD`
+    /// under the env layer, or located next to the current executable).
     pub fn shard_worker(mut self, path: impl Into<PathBuf>) -> Self {
         self.shard_worker = Some(path.into());
         self
@@ -924,8 +892,8 @@ impl Verifier {
 
     /// Reads a persistent session's files again where they changed since
     /// the last read, ignoring file warnings (see [`Store::read`]). Fleet
-    /// workers call it before every job, sharded and service runs after
-    /// their jobs.
+    /// workers call it before every job, service clients after their
+    /// jobs.
     pub(crate) fn refresh(&self) {
         if let Some(store) = &self.store {
             store.read(&self.engine, "cache_refresh");
@@ -934,8 +902,8 @@ impl Verifier {
 
     /// Cumulative engine statistics over everything this session's own
     /// engine checked: the fold of those reports' `engine` stats, as
-    /// [`DischargeEngine::stats`] describes (a sharded or service run's
-    /// entries carry their workers' stats instead).
+    /// [`DischargeEngine::stats`] describes (a service run's entries
+    /// carry their workers' stats instead).
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }
@@ -1085,9 +1053,6 @@ impl Verifier {
                 live.iter().map(|&i| programs[i].clone()).collect();
             let (ran, fanout) = match &self.config.corpus {
                 CorpusPolicy::InProcess => self.run_in_process(&live_programs),
-                CorpusPolicy::Sharded { shards } => {
-                    crate::shard::run_corpus_sharded(self, &live_programs, *shards)
-                }
                 CorpusPolicy::Service { addr } => {
                     crate::service::run_corpus_service(self, &live_programs, addr)
                 }
@@ -1239,8 +1204,8 @@ impl Verifier {
 }
 
 /// Whole milliseconds since `started`, saturated into `u64` — the
-/// wall-time unit `CorpusReport` carries so sharded-vs-in-process
-/// speedups are measurable from the report JSON alone.
+/// wall-time unit `CorpusReport` carries, so service and in-process
+/// runs compare from the report JSON alone.
 pub(crate) fn elapsed_ms_since(started: std::time::Instant) -> u64 {
     u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
@@ -1342,9 +1307,8 @@ pub struct CorpusReport {
     /// Solver work folded over the whole corpus run.
     pub stats: SolverStats,
     /// Wall time of the whole corpus run, in milliseconds. Under
-    /// [`CorpusPolicy::Sharded`] this is coordinator wall time, so
-    /// comparing it against an in-process run's value measures the
-    /// multi-process speedup from the report alone.
+    /// [`CorpusPolicy::Service`] this is the client's wall time, round
+    /// trips included.
     pub elapsed_ms: u64,
 }
 
@@ -1415,12 +1379,12 @@ impl CorpusReport {
     /// for programs both reports checked — the same obligations with the
     /// same verdicts in every stage. Statistics, timings, and cache
     /// counters are deliberately **not** compared (they legitimately
-    /// differ between schedules and between in-process and sharded
+    /// differ between schedules and between in-process and service
     /// execution).
     ///
-    /// This is the one equivalence gate behind the sharded-vs-in-process
-    /// assertions in the `verify_corpus --sharded` example, the shard
-    /// integration tests, and `paper_report` §E10 — one implementation,
+    /// This is the one equivalence gate behind the service-vs-in-process
+    /// assertions in the `verify_corpus --service` example, the service
+    /// integration tests, and `paper_report` §E13 — one implementation,
     /// so the gates cannot drift apart.
     ///
     /// # Errors
@@ -1895,7 +1859,7 @@ mod tests {
         let a = persistent(&path);
         a.refresh();
         assert_eq!(a.stats().loaded, 0, "nothing to merge yet");
-        // Session B (a sibling process in shard terms) persists a verdict.
+        // Session B (a sibling fleet worker) persists a verdict.
         let b = persistent(&path);
         b.engine().discharge(vec![unary_vc("g", "y + 1 >= y")]);
         b.persist().unwrap();
@@ -1923,7 +1887,7 @@ mod tests {
     #[test]
     fn persist_publishes_increments_without_rewrites() {
         let path = temp_store("append");
-        // Two sessions on one store, as two shard workers would be. The
+        // Two sessions on one store, as two fleet workers would be. The
         // first flush creates the store; after that each appends only its
         // own fresh verdicts, so neither flush can drop the other's, even
         // though neither ever read the file again.

@@ -81,8 +81,8 @@
 //! [`Verifier`](crate::api::Verifier) session is the only owner of both
 //! files; the discharge engine under it never touches the disk. The
 //! session loads both at build and flushes what is new in each on
-//! `persist()` or drop. Fleet workers before every job, and sharded and
-//! service runs after their jobs, read them again, but only a file whose
+//! `persist()` or drop. Fleet workers before every job, and service
+//! clients after their jobs, read them again, but only a file whose
 //! length or modification time changed since its last read (a `FileStamp`,
 //! taken before the read, so a flush that lands during a read is read
 //! next time).

@@ -42,16 +42,16 @@
 //! * [`depmap`] — the goal→program-fragment dependency map recorded at
 //!   vcgen time, the basis of incremental re-verification: after an
 //!   edit, only goals whose supporting fragments changed are re-proved;
-//! * [`shard`] — sharded multi-process corpus verification: the
-//!   transport-agnostic coordinator/worker protocol and the one worker
+//! * [`shard`] — the transport-agnostic worker protocol and the worker
 //!   fleet (spawn, kill-and-retry, span re-anchoring, shutdown) behind
-//!   [`CorpusPolicy::Sharded`] and the service daemon, with verdict
-//!   sharing between worker processes through the on-disk store;
+//!   the service daemon, with verdict sharing between worker processes
+//!   through the on-disk store;
 //! * [`service`] — the networked verification service
 //!   (`relaxed-serviced`): a long-running daemon that keeps that fleet
 //!   warm, adds admission control, control frames and metrics, and
 //!   serves concurrent corpus requests over TCP behind
-//!   [`CorpusPolicy::Service`];
+//!   [`CorpusPolicy::Service`], the one way to verify a corpus beyond
+//!   this process;
 //! * [`telemetry`] — zero-dependency tracing: RAII spans drained to
 //!   Chrome trace-event JSON (`DISCHARGE_TRACE=path.json`), whose
 //!   counters are the per-call [`EngineStats`] and the per-goal

@@ -1,15 +1,14 @@
 //! The networked verification service: `relaxed-serviced`.
 //!
-//! The sharded corpus driver ([`crate::shard`]) spawns a fresh worker
-//! fleet per run — every corpus pays process startup and a cold verdict
-//! cache, and only one coordinator can use the fleet at a time. This
-//! module turns the same transport-agnostic framed-JSON protocol into a
-//! **long-running service**:
+//! The one way to verify a corpus beyond this process. This module puts
+//! the transport-agnostic framed-JSON protocol of [`crate::shard`] behind
+//! a **long-running service**, so no run pays process startup or a cold
+//! verdict cache, and any number of clients share one warm fleet:
 //!
 //! * a **daemon** ([`Service`] / [`service_main`], shipped as the
 //!   `relaxed-serviced` binary) that spawns a warm `relaxed-shardd`
-//!   worker fleet up front (concurrently, through the same `Fleet` a
-//!   sharded run uses) and serves **concurrent** verify requests over
+//!   worker fleet up front (concurrently, through the shard module's
+//!   `Fleet`) and serves **concurrent** verify requests over
 //!   TCP — thread-per-connection, with a bounded admission queue and
 //!   backpressure (`busy` reject-with-retry-after frames when saturated)
 //!   and a graceful drain on the `shutdown` control frame. Each worker
@@ -23,8 +22,7 @@
 //!   order, without lint, plus the daemon's fleet size as the fan-out —
 //!   for `check_corpus` to merge into a [`CorpusReport`]
 //!   **verdict-identical** to an in-process run (the client regenerates
-//!   VCs locally and zips them with the wire verdicts, through the same
-//!   result-to-entry code as a sharded run).
+//!   VCs locally and zips them with the wire verdicts).
 //!
 //! # Wire protocol
 //!
@@ -64,10 +62,12 @@
 //! freshly spawned replacement (bounded by [`MAX_ATTEMPTS`]), and worker
 //! spans are re-anchored into the daemon's own trace, so a traced daemon
 //! (`DISCHARGE_TRACE`) gets one `shard-worker-N` lane per worker,
-//! written at the drain, before the `bye` frame. A client disconnect
-//! mid-job merely discards that job's result write — the worker is
-//! returned to the fleet and the admission slot is released, so one
-//! flaky client can never wedge the fleet. A frame that fails to read —
+//! written at the drain, before the `bye` frame. Once the drain has
+//! begun every arriving job is refused with an error frame; the drain
+//! waits out the jobs admitted before it, then shuts the fleet down. A
+//! client disconnect mid-job merely discards that job's result write —
+//! the worker is returned to the fleet and the admission slot is
+//! released, so one flaky client can never wedge the fleet. A frame that fails to read —
 //! over-long or not UTF-8 — is answered with an `error` frame and
 //! closes its connection.
 //!
@@ -75,12 +75,12 @@
 //! [`CorpusReport`]: crate::api::CorpusReport
 //! [`MAX_ATTEMPTS`]: crate::shard::MAX_ATTEMPTS
 
-use crate::api::{elapsed_ms_since, Config, CorpusEntry, CorpusError, Verifier};
+use crate::api::{elapsed_ms_since, Config, CorpusEntry, Verifier};
 use crate::cache::{field_str, field_u64, parse_json, Json};
 use crate::shard::{
-    entry_from_result, filled, parse_config_frame, parse_result_frame, prepare_jobs,
-    render_config_frame, render_error_frame, resolve_worker, Fleet, ShardJob, TcpTransport,
-    Transport, WorkerHandle, JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
+    entry_from_result, parse_config_frame, parse_result_frame, prepare_jobs, render_config_frame,
+    render_error_frame, resolve_worker, Fleet, ShardJob, TcpTransport, Transport, WorkerHandle,
+    JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
 };
 use crate::verify::Spec;
 use relaxed_lang::Program;
@@ -130,8 +130,11 @@ const LATENCY_BUCKETS_MS: [u64; 10] = [1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000
 
 /// The daemon's one set of counters, condvar-signalled for the drain:
 /// the `status`, `metrics` and `bye` frames and [`Service::run`] read it.
+/// Admission reads the drain flag under the same lock.
 #[derive(Debug, Default)]
 struct Counters {
+    /// Set by the drain: from then on no job is admitted.
+    draining: bool,
     /// Jobs admitted and not yet finished, across all connections.
     active: usize,
     /// High-water mark of `active` — the queue-depth gauge.
@@ -146,17 +149,31 @@ struct Counters {
     latency_sum_ms: u64,
 }
 
+/// Why [`Counters::admit`] turned a job away.
+#[derive(Debug, PartialEq, Eq)]
+enum Refusal {
+    /// The drain has begun.
+    Draining,
+    /// The admission cap is reached: the client may retry.
+    Busy,
+}
+
 impl Counters {
-    /// Admits one job if fewer than `cap` are active, and counts a
-    /// rejection otherwise.
-    fn admit(&mut self, cap: usize) -> bool {
+    /// Admits one job unless the drain has begun or `cap` jobs are active
+    /// (counted as a rejection). The drain sets its flag under this lock
+    /// and waits under it for `active == 0`, so every job is either
+    /// refused or waited for.
+    fn admit(&mut self, cap: usize) -> Result<(), Refusal> {
+        if self.draining {
+            return Err(Refusal::Draining);
+        }
         if self.active >= cap {
             self.rejected += 1;
-            return false;
+            return Err(Refusal::Busy);
         }
         self.active += 1;
         self.peak_active = self.peak_active.max(self.active);
-        true
+        Ok(())
     }
 
     /// Counts one served job that took `latency_ms`.
@@ -211,7 +228,6 @@ struct Daemon {
     fleet: Fleet,
     counters: Mutex<Counters>,
     signal: Condvar,
-    draining: AtomicBool,
     /// Whether this daemon still holds its trace-file ownership: taken
     /// in [`Service::bind`], released once, at the drain or on drop.
     owns_trace: AtomicBool,
@@ -234,13 +250,17 @@ impl Daemon {
         self.counters.lock().expect("service counters")
     }
 
+    fn draining(&self) -> bool {
+        self.counters().draining
+    }
+
     /// Runs one raw job line on the fleet, returning the raw response
     /// line to forward (a result frame, or an error frame when the
     /// attempts are exhausted).
     fn run_job_line(&self, id: usize, name: &str, line: &str) -> String {
         let job_started = Instant::now();
         match self.fleet.run(id, name, line) {
-            Ok((response, _)) => {
+            Ok(response) => {
                 self.counters().serve(elapsed_ms_since(job_started));
                 response
             }
@@ -267,8 +287,8 @@ impl Daemon {
     /// shut the fleet down (each worker's EOF triggers its final
     /// persist), and write a traced daemon's trace.
     fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
         let mut counters = self.counters();
+        counters.draining = true;
         while counters.active > 0 {
             counters = self.signal.wait(counters).expect("service counters");
         }
@@ -322,7 +342,6 @@ impl Service {
             fleet: Fleet::new(&config, binary, fleet_size),
             counters: Mutex::default(),
             signal: Condvar::new(),
-            draining: AtomicBool::new(false),
             owns_trace: AtomicBool::new(config.trace.is_some()),
             config,
         });
@@ -351,7 +370,7 @@ impl Service {
     pub fn run(self) -> u64 {
         let local = self.local_addr();
         for stream in self.listener.incoming() {
-            if self.daemon.draining.load(Ordering::SeqCst) {
+            if self.daemon.draining() {
                 break;
             }
             let Ok(stream) = stream else { continue };
@@ -397,7 +416,7 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
         let line = match reader.recv_opt(READ_SLICE) {
             Ok(Some(line)) => line,
             Ok(None) => {
-                if daemon.draining.load(Ordering::SeqCst) {
+                if daemon.draining() {
                     return;
                 }
                 continue;
@@ -448,18 +467,17 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                     reply(&render_error_frame(id, "job before config"));
                     continue;
                 }
-                if daemon.draining.load(Ordering::SeqCst) {
-                    reply(&render_error_frame(id, "service is shutting down"));
-                    continue;
-                }
                 // An admitted job must later `release` its slot.
-                if !daemon
+                let admission = daemon
                     .counters()
-                    .admit(ADMITTED_PER_WORKER * daemon.fleet.size())
-                {
-                    reply(&format!(
-                        "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{RETRY_AFTER_MS}}}"
-                    ));
+                    .admit(ADMITTED_PER_WORKER * daemon.fleet.size());
+                if let Err(refusal) = admission {
+                    reply(&match refusal {
+                        Refusal::Draining => render_error_frame(id, "service is shutting down"),
+                        Refusal::Busy => format!(
+                            "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{RETRY_AFTER_MS}}}"
+                        ),
+                    });
                     continue;
                 }
                 let name = field_str(fields, "name").unwrap_or_default().to_string();
@@ -546,12 +564,17 @@ pub(crate) fn run_corpus_service(
     // Warm the client's own session from the files the fleet populated
     // (a no-op unless both share a persistent path).
     verifier.refresh();
-    (filled(slots), fleet)
+    let entries = slots
+        .into_iter()
+        .map(|slot| slot.expect("every program fills its slot"))
+        .collect();
+    (entries, fleet)
 }
 
 /// Submits the prepared jobs over one connection and fills `slots`;
 /// failures (unreachable daemon, dead connection, saturation past the
-/// patience window) become per-program [`CorpusError::Service`] entries.
+/// patience window) become per-program
+/// [`CorpusError::Service`](crate::api::CorpusError::Service) entries.
 /// Returns the daemon's advertised fleet size.
 fn run_jobs_over_service(
     config: &Config,
@@ -575,11 +598,7 @@ fn run_jobs_over_service(
     };
     if let Err(reason) = outcome {
         for job in pending.into_values() {
-            slots[job.id] = Some(entry_from_result(
-                &job,
-                Err(reason.clone()),
-                CorpusError::Service,
-            ));
+            slots[job.id] = Some(entry_from_result(&job, Err(reason.clone())));
         }
     }
     fleet
@@ -657,7 +676,7 @@ fn collect_results(
                 busy_since.remove(&id);
                 let wire =
                     parse_result_frame(&line).map_err(|e| format!("malformed result frame: {e}"));
-                slots[id] = Some(entry_from_result(&job, wire, CorpusError::Service));
+                slots[id] = Some(entry_from_result(&job, wire));
             }
             "busy" => {
                 // Give up on a job the daemon has refused for a whole
@@ -670,7 +689,7 @@ fn collect_results(
                         "service at {addr} stayed saturated for {}s",
                         JOB_TIMEOUT.as_secs()
                     );
-                    slots[id] = Some(entry_from_result(&job, Err(reason), CorpusError::Service));
+                    slots[id] = Some(entry_from_result(&job, Err(reason)));
                 }
             }
             other => return Err(format!("unexpected frame type {other:?} from {addr}")),
@@ -847,6 +866,7 @@ pub fn service_main() -> std::process::ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::CorpusError;
 
     #[test]
     fn default_options_bind_ephemeral_localhost() {
@@ -877,7 +897,8 @@ mod tests {
         assert_eq!(sample(&fresh, "relaxed_requests_rejected_total"), 0);
         assert_eq!(sample(&fresh, "relaxed_request_latency_ms_count"), 0);
 
-        assert!(counters.admit(2) && counters.admit(2) && !counters.admit(2));
+        let admitted = [counters.admit(2), counters.admit(2), counters.admit(2)];
+        assert_eq!(admitted, [Ok(()), Ok(()), Err(Refusal::Busy)]);
         counters.serve(3);
         counters.serve(7000);
         counters.active -= 1;
@@ -900,6 +921,51 @@ mod tests {
             assert_eq!(field_u64(status.as_object().unwrap(), field), Ok(value));
             assert_eq!(sample(&text, metric), value, "{metric}");
         }
+    }
+
+    /// A job that arrives once the drain has begun is refused with an
+    /// error frame and never admitted.
+    #[test]
+    fn a_job_arriving_after_the_drain_began_is_refused_and_never_admitted() {
+        let config = Config::default();
+        let daemon = Arc::new(Daemon {
+            fleet: Fleet::new(&config, "/nonexistent/relaxed-shardd".into(), 1),
+            counters: Mutex::default(),
+            signal: Condvar::new(),
+            owns_trace: AtomicBool::new(false),
+            config,
+        });
+        daemon.drain();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+        let addr = listener.local_addr().expect("bound address").to_string();
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let (stream, _) = listener.accept().expect("accept the client");
+                handle_connection(&daemon, stream, &addr);
+            })
+        };
+        let patience = Duration::from_secs(10);
+        let mut client = TcpTransport::connect(&addr, patience).expect("connect");
+        client
+            .send(&render_config_frame(&Config::default(), 1))
+            .expect("send config");
+        let ready = client.recv_opt(patience).expect("read").expect("ready");
+        assert!(ready.contains("\"type\":\"ready\""), "{ready}");
+        client
+            .send("{\"type\":\"job\",\"id\":5,\"name\":\"late\"}")
+            .expect("send job");
+        let reply = client.recv_opt(patience).expect("read").expect("reply");
+        assert_eq!(reply, render_error_frame(5, "service is shutting down"));
+        client.finish();
+        server.join().expect("connection thread");
+        let counters = daemon.counters();
+        assert_eq!(
+            (counters.active, counters.peak_active, counters.served),
+            (0, 0, 0),
+            "{counters:?}"
+        );
     }
 
     #[test]

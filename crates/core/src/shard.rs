@@ -1,16 +1,15 @@
-//! Sharded multi-process corpus verification.
+//! The worker fleet behind the networked verification service.
 //!
 //! The paper's acceptability proofs decompose into independent per-program
 //! obligations (one staged `⊢o`/`⊢i`/`⊢r` check each), so a corpus is
 //! embarrassingly parallel beyond one process. This module is the
-//! process-level execution layer behind
-//! [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded) and the
-//! [`crate::service`] daemon: one worker **fleet** (`Fleet`) of **worker
-//! processes** (the `relaxed-shardd` binary, whose entire logic is
-//! [`worker_main`] in this module), one job per program, and the
-//! result-to-entry code that turns the answers into the same corpus
+//! process-level execution layer behind the [`crate::service`] daemon:
+//! the worker **fleet** (`Fleet`) of **worker processes** (the
+//! `relaxed-shardd` binary, whose entire logic is [`worker_main`] in this
+//! module), the framed protocol both ends speak, one job per program, and
+//! the result-to-entry code that turns the answers into the same corpus
 //! entries an in-process run produces. Like every corpus driver, the
-//! sharded one returns only its programs' entries, in input order and
+//! service client returns only its programs' entries, in input order and
 //! without lint, plus its fan-out: [`Verifier::check_corpus`] alone
 //! replays unchanged programs, attaches lint, folds the statistics into
 //! the [`CorpusReport`] and records each program's depmap revision.
@@ -21,13 +20,13 @@
 //! dependency-free conventions as the [`crate::cache`] store (whose
 //! reader this module reuses). One frame per line; JSON string escaping
 //! guarantees a frame never spans lines. The framing is
-//! transport-agnostic: the coordinator speaks it over child-process
-//! stdio pipes here, and the networked service layer ([`crate::service`])
-//! speaks the identical frames over TCP, both behind this module's
-//! `Transport` trait.
+//! transport-agnostic: the fleet speaks it to its workers over
+//! child-process stdio pipes, and the service client speaks the identical
+//! frames to the daemon ([`crate::service`]) over TCP, both behind this
+//! module's `Transport` trait.
 //!
 //! ```text
-//! coordinator → worker        worker → coordinator
+//! fleet → worker              worker → fleet
 //! ---------------------       ---------------------
 //! {"type":"config",...}       {"type":"ready","proto":2}
 //! {"type":"job","id":0,...}   {"type":"result","id":0,...}
@@ -42,10 +41,11 @@
 //! `result` frame carries the per-stage verdict lists, the job's
 //! [`EngineStats::counters`], each stage's
 //! [`SolverStats::counters`](relaxed_smt::SolverStats::counters), and
-//! wall time. The coordinator re-generates the VCs locally (generation
-//! is deterministic and cheap — solving is the expensive part) and zips them with the returned verdicts, so each
-//! rebuilt report is structurally identical to an in-process run's, and
-//! its obligations serve the coordinator's depmap record as they are.
+//! wall time. The service client re-generates the VCs locally
+//! (generation is deterministic and cheap — solving is the expensive
+//! part) and zips them with the returned verdicts, so each rebuilt report
+//! is structurally identical to an in-process run's, and its obligations
+//! serve the client's depmap record as they are.
 //!
 //! # The fleet
 //!
@@ -56,20 +56,16 @@
 //! a response timeout kills that worker and retries the job on a
 //! replacement spawned into its slot (a new process, so accumulated
 //! worker state can never fail the same job twice); a failed spawn is a
-//! failed attempt too. After [`MAX_ATTEMPTS`] failed attempts the job is
-//! recorded as a per-program error ([`CorpusError::Shard`] here,
-//! `CorpusError::Service` behind the daemon) — never a lost program,
-//! never a hung coordinator. The relay is the one place where worker
-//! spans are re-anchored into this process's trace.
+//! failed attempt too. After [`MAX_ATTEMPTS`] failed attempts the job
+//! fails, and the client records it as a per-program
+//! [`CorpusError::Service`] — never a lost program, never a hung daemon.
+//! The relay is the one place where worker spans are re-anchored into
+//! this process's trace.
 //!
-//! A sharded run opens a private fleet of `shards` workers, spawned on
-//! demand, and `shards` lanes of the engine's one scoped pool claim a
-//! job list ordered longest-first by VC count, so one slow program
-//! cannot serialize the tail of the corpus. Once the last job is handed
-//! out the fleet retires: a worker checked in while no job waits is
-//! shut down at once, and the run ends by draining the rest. The
-//! service daemon instead spawns its whole fleet up front and drains it
-//! on `shutdown`.
+//! The daemon spawns its whole fleet up front and drains it on
+//! `shutdown`, after its last admitted job: no worker is checked in once
+//! the drain has begun. The client sends its jobs longest-first by VC
+//! count, so one slow program cannot serialize the tail of the corpus.
 //!
 //! # Cache-mediated verdict sharing
 //!
@@ -79,21 +75,21 @@
 //! where they changed (a `stat` of length and modification time skips an
 //! unchanged file): verdicts sibling workers published answer shared
 //! goals, counted as [`EngineStats::disk_hits`], and the records a
-//! coordinator or client persisted replay whole programs, even ones this
-//! worker never ran. After each job it flushes its fresh verdicts
+//! client persisted replay whole programs, even ones this worker never
+//! ran. After each job it flushes its fresh verdicts
 //! ([`Verifier::persist`]). A flush appends under the store's own
 //! header, so one worker's flush never drops a sibling's entries; a
 //! store under another configuration's header is written whole once, and
-//! appended to after that. The coordinator reads the files again after
-//! the run, so subsequent in-process checks start warm. A worker replays
-//! from the depmap sidecar but never writes it: the coordinator or a
-//! persistent client records the same revisions, so a worker's flush
+//! appended to after that. A persistent client on the same store reads
+//! the files again after its run, so its later in-process checks start
+//! warm. A worker replays from the depmap sidecar but never writes it:
+//! the persistent client records the same revisions, so a worker's flush
 //! would only add an fsync per job.
 //!
 //! [`Verifier::check_corpus`]: crate::api::Verifier::check_corpus
 //! [`Verifier::persist`]: crate::api::Verifier::persist
 //! [`CorpusReport`]: crate::api::CorpusReport
-//! [`CorpusError::Shard`]: crate::api::CorpusError::Shard
+//! [`CorpusError::Service`]: crate::api::CorpusError::Service
 //! [`EngineStats::disk_hits`]: crate::engine::EngineStats::disk_hits
 //! [`EngineStats::counters`]: crate::engine::EngineStats::counters
 
@@ -103,7 +99,7 @@ use crate::api::{
 use crate::cache::{
     field_str, field_u64, get, json_string, parse_json, parse_verdict, render_verdict, Json,
 };
-use crate::engine::{fan_out, EngineStats};
+use crate::engine::EngineStats;
 use crate::vcgen::{Vc, VcgenError};
 use crate::verify::{AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::{parse_formula, parse_program, parse_rel_formula, Program};
@@ -112,7 +108,6 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -487,7 +482,7 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
 ///   of a result.
 ///
 /// Unset or unparsable values inject nothing. Production corpora never
-/// set this; it exists so the coordinator's requeue/retry path is
+/// set this; it exists so the fleet's requeue/retry path is
 /// testable against real process crashes and real protocol corruption.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Fault {
@@ -552,7 +547,7 @@ pub fn worker_main() -> std::process::ExitCode {
 /// # Errors
 ///
 /// Returns an error on I/O failure or a malformed request frame — the
-/// coordinator treats a dead worker as a crash and requeues its job.
+/// fleet treats a dead worker as a crash and requeues its job.
 pub fn worker_loop(
     input: impl BufRead,
     mut output: impl Write,
@@ -672,8 +667,8 @@ fn run_job(
     };
     // Pick up what was persisted since the last job: sibling workers'
     // verdicts answer shared goals as disk hits, the cross-process
-    // payoff, and the records coordinators and clients wrote to the
-    // sidecar replay whole programs.
+    // payoff, and the records clients wrote to the sidecar replay whole
+    // programs.
     session.refresh();
     let started = Instant::now();
     let report = session
@@ -681,7 +676,7 @@ fn run_job(
         .entries
         .remove(0);
     // The worker replays from its depmap but leaves the sidecar to the
-    // coordinator or client, which records the same revision.
+    // client, which records the same revision.
     session.forget_depmap_changes();
     let outcome = report.outcome.map_err(|e| e.to_string())?;
     let elapsed_ms = elapsed_ms_since(started);
@@ -697,11 +692,10 @@ fn run_job(
 }
 
 // ---------------------------------------------------------------------
-// The coordinator
+// The fleet and the client's jobs
 // ---------------------------------------------------------------------
 
-/// One program prepared for distribution, to a sharded run's fleet or,
-/// via [`crate::service`], to a daemon's.
+/// One program prepared for a daemon's fleet (see [`crate::service`]).
 pub(crate) struct ShardJob {
     /// Index of the program in corpus input order: the result slot this
     /// job's entry fills, and its wire job id.
@@ -758,10 +752,10 @@ pub(crate) fn prepare_jobs(
 /// A framed newline-JSON channel to a protocol peer. One frame per
 /// [`send`](Transport::send); [`recv_opt`](Transport::recv_opt) waits at
 /// most a timeout for the next frame, distinguishing "still quiet"
-/// (`Ok(None)`) from a dead channel (`Err`). The shard coordinator speaks
-/// it over child-process pipes ([`PipeTransport`]); the networked service
-/// layer ([`crate::service`]) speaks the identical protocol over TCP
-/// ([`TcpTransport`]). `Send` so a handle can migrate across handler
+/// (`Ok(None)`) from a dead channel (`Err`). The fleet speaks it to its
+/// workers over child-process pipes ([`PipeTransport`]); the networked
+/// service layer ([`crate::service`]) speaks the identical protocol over
+/// TCP ([`TcpTransport`]). `Send` so a handle can migrate across handler
 /// threads.
 pub(crate) trait Transport: Send {
     /// Writes one frame (the newline is appended here) and flushes.
@@ -783,8 +777,8 @@ pub(crate) trait Transport: Send {
 }
 
 /// [`Transport`] over a spawned worker process's stdio. Stdout is drained
-/// by a detached reader thread into an mpsc channel so the coordinator
-/// can time out on a hung worker instead of blocking forever.
+/// by a detached reader thread into an mpsc channel so the fleet can
+/// time out on a hung worker instead of blocking forever.
 pub(crate) struct PipeTransport {
     child: Child,
     stdin: Option<ChildStdin>,
@@ -1081,16 +1075,11 @@ struct FleetState {
     /// Worker slots in use: idle, checked out, or being spawned. A slot
     /// frees when its worker is shut down or its spawn fails.
     alive: usize,
-    /// Checkouts waiting for a worker to come back.
-    waiting: usize,
-    /// Set once no further job will arrive: a worker checked in while no
-    /// job waits is shut down at once instead of idling.
-    retiring: bool,
 }
 
-/// A fleet of up to `size` `relaxed-shardd` worker processes — the one
-/// worker manager behind both the sharded corpus driver and the
-/// [`crate::service`] daemon. See the [module docs](self#the-fleet).
+/// A fleet of up to `size` `relaxed-shardd` worker processes — the
+/// worker manager behind the [`crate::service`] daemon. See the
+/// [module docs](self#the-fleet).
 pub(crate) struct Fleet {
     binary: PathBuf,
     config_frame: String,
@@ -1115,8 +1104,6 @@ impl Fleet {
             state: Mutex::new(FleetState {
                 idle: Vec::new(),
                 alive: 0,
-                waiting: 0,
-                retiring: false,
             }),
             signal: Condvar::new(),
         }
@@ -1172,8 +1159,8 @@ impl Fleet {
     /// than `size` workers exist, else the next one checked in. `Err` is
     /// a failed spawn.
     fn checkout(&self) -> Result<WorkerHandle, String> {
-        // How long the job waited for a worker (the service's
-        // admission-queue wait, a sharded run's spawn).
+        // How long the job waited for a worker: the admission-queue
+        // wait, or a replacement's spawn.
         let mut wait_span = crate::telemetry::span("fleet", "checkout");
         let mut state = self.state.lock().expect("fleet state");
         loop {
@@ -1192,24 +1179,13 @@ impl Fleet {
                 }
                 return spawned;
             }
-            state.waiting += 1;
             state = self.signal.wait(state).expect("fleet state");
-            state.waiting -= 1;
         }
     }
 
-    /// Returns a worker to the fleet — or, once the fleet is retiring and
-    /// no job waits, shuts it down (its EOF triggers the final flush).
+    /// Returns a worker to the fleet.
     fn checkin(&self, worker: WorkerHandle) {
-        let mut state = self.state.lock().expect("fleet state");
-        if state.retiring && state.waiting == 0 {
-            state.alive -= 1;
-            drop(state);
-            worker.shutdown();
-            return;
-        }
-        state.idle.push(worker);
-        drop(state);
+        self.state.lock().expect("fleet state").idle.push(worker);
         self.signal.notify_one();
     }
 
@@ -1230,17 +1206,12 @@ impl Fleet {
     }
 
     /// Runs one job frame on the fleet and returns the worker's raw
-    /// result line with its parsed form. A failed attempt — a failed
+    /// result line. A failed attempt — a failed
     /// spawn, a crash, a malformed or mismatched frame, a timeout — kills
     /// the worker and retries on its fresh replacement, never on an idle
     /// worker that may carry the same fault; after [`MAX_ATTEMPTS`]
     /// failed attempts the job fails.
-    pub(crate) fn run(
-        &self,
-        id: usize,
-        name: &str,
-        frame: &str,
-    ) -> Result<(String, WireResult), String> {
+    pub(crate) fn run(&self, id: usize, name: &str, frame: &str) -> Result<String, String> {
         let mut last_error = String::new();
         let mut replacement = None;
         for attempt in 1..=MAX_ATTEMPTS {
@@ -1277,16 +1248,16 @@ impl Fleet {
     }
 
     /// Sends one job frame to `worker` and reads back its id-validated
-    /// result, re-anchoring any worker spans into this process's trace:
-    /// one process lane per worker (pids ≥ 1000 stay clear of the local
-    /// pid), worker tids inside it.
+    /// result line, re-anchoring any worker spans into this process's
+    /// trace: one process lane per worker (pids ≥ 1000 stay clear of the
+    /// local pid), worker tids inside it.
     fn relay(
         &self,
         worker: &mut WorkerHandle,
         id: usize,
         name: &str,
         frame: &str,
-    ) -> Result<(String, WireResult), String> {
+    ) -> Result<String, String> {
         let mut job_span = crate::telemetry::span("shard", "job");
         if job_span.is_active() {
             job_span.arg("id", id as u64);
@@ -1319,21 +1290,15 @@ impl Fleet {
                 .collect();
             crate::telemetry::inject(&format!("shard-worker-{}", worker.lane), pid, events);
         }
-        Ok((line, wire))
+        Ok(line)
     }
 
-    /// Marks the fleet as retiring: from now on a worker checked in while
-    /// no job waits is shut down at once.
-    pub(crate) fn retire(&self) {
-        self.state.lock().expect("fleet state").retiring = true;
-    }
-
-    /// Retires the fleet and shuts its idle workers down concurrently.
-    /// Call once no job is in flight.
+    /// Shuts the idle workers down concurrently (each worker's EOF
+    /// triggers its final flush). Call once no job is in flight and none
+    /// will be run.
     pub(crate) fn drain(&self) {
         let idle = {
             let mut state = self.state.lock().expect("fleet state");
-            state.retiring = true;
             state.alive -= state.idle.len();
             std::mem::take(&mut state.idle)
         };
@@ -1401,17 +1366,12 @@ pub(crate) fn rebuild_report(
     Ok(report)
 }
 
-/// Turns one job's outcome into its [`CorpusEntry`] — the result-to-entry
-/// step shared by the sharded driver and the service client. `Err` is a
-/// job that produced no result frame; a worker-reported error (e.g. a
-/// program that did not re-parse) fails the program too. `error` picks
-/// the [`CorpusError`] variant. The entry carries no lint: the corpus
-/// pipeline attaches it (warnings never cross a wire).
-pub(crate) fn entry_from_result(
-    job: &ShardJob,
-    result: Result<WireResult, String>,
-    error: fn(String) -> CorpusError,
-) -> CorpusEntry {
+/// Turns one job's outcome into its [`CorpusEntry`], the service client's
+/// result-to-entry step. `Err` is a job that produced no result frame; a
+/// worker-reported error (e.g. a program that did not re-parse) fails the
+/// program too, as a [`CorpusError::Service`]. The entry carries no lint:
+/// the corpus pipeline attaches it (warnings never cross a wire).
+pub(crate) fn entry_from_result(job: &ShardJob, result: Result<WireResult, String>) -> CorpusEntry {
     let (elapsed_ms, outcome) = match result {
         Ok(wire) => (
             wire.elapsed_ms,
@@ -1426,69 +1386,8 @@ pub(crate) fn entry_from_result(
         name: job.name.clone(),
         elapsed_ms,
         lint: Vec::new(),
-        outcome: outcome.map_err(error),
+        outcome: outcome.map_err(CorpusError::Service),
     }
-}
-
-/// The driver behind
-/// [`CorpusPolicy::Sharded`](crate::api::CorpusPolicy::Sharded): a
-/// private [`Fleet`] of `shards` workers and `shards` lanes claiming the
-/// longest-first job list. Returns the programs' entries, without lint,
-/// in input order, plus the process fan-out. See the
-/// [module docs](self).
-pub(crate) fn run_corpus_sharded(
-    verifier: &Verifier,
-    programs: &[(String, &Program, &Spec)],
-    shards: usize,
-) -> (Vec<CorpusEntry>, usize) {
-    let config = verifier.config();
-    let mut slots: Vec<Option<CorpusEntry>> = (0..programs.len()).map(|_| None).collect();
-    let jobs = prepare_jobs(config.stages, programs, &mut slots);
-    let shards = shards.clamp(1, jobs.len().max(1));
-    let ran = match resolve_worker(config) {
-        Ok(binary) => {
-            let fleet = Fleet::new(config, binary, shards);
-            let handed_out = AtomicUsize::new(0);
-            let ran = fan_out(&jobs, shards, |job| {
-                // Once the last job is handed out, a worker checked in
-                // while no job waits retires at once.
-                if handed_out.fetch_add(1, Ordering::Relaxed) + 1 == jobs.len() {
-                    fleet.retire();
-                }
-                let result = fleet
-                    .run(job.id, &job.name, &job.frame)
-                    .map(|(_, wire)| wire);
-                entry_from_result(job, result, CorpusError::Shard)
-            });
-            fleet.drain();
-            ran
-        }
-        // No worker binary: every distributable program errs with the
-        // same actionable message (no silent in-process fallback — a
-        // sharded run that was not sharded would corrupt benchmark
-        // conclusions).
-        Err(reason) => jobs
-            .iter()
-            .map(|job| entry_from_result(job, Err(reason.clone()), CorpusError::Shard))
-            .collect(),
-    };
-    for (job, entry) in jobs.iter().zip(ran) {
-        slots[job.id] = Some(entry);
-    }
-    // Warm the coordinator's own session cache from the store the workers
-    // populated, so later in-process checks (or the next wave) reuse the
-    // corpus verdicts.
-    verifier.refresh();
-    (filled(slots), shards)
-}
-
-/// The entries of a driver's slots, every one of which a job or a
-/// vcgen error filled.
-pub(crate) fn filled(slots: Vec<Option<CorpusEntry>>) -> Vec<CorpusEntry> {
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every program fills its slot"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1742,28 +1641,5 @@ mod tests {
             ["large", "small", "small_again"],
             "longest first, ties in corpus order"
         );
-    }
-
-    #[test]
-    fn missing_worker_binary_yields_per_program_errors() {
-        let (program, spec) = toy();
-        let verifier = Verifier::builder()
-            .shards(2)
-            .shard_worker("/nonexistent/relaxed-shardd")
-            .workers(1)
-            .build();
-        let report = verifier.check_corpus(&[(program, spec)]);
-        assert_eq!(report.len(), 1);
-        let err = report.entries[0].outcome.as_ref().unwrap_err();
-        assert!(matches!(err, CorpusError::Shard(_)), "{err}");
-        assert!(err.to_string().contains("failed after"), "{err}");
-    }
-
-    #[test]
-    fn empty_sharded_corpus_is_a_clean_empty_report() {
-        let verifier = Verifier::builder().shards(2).build();
-        let report = verifier.check_corpus(&[]);
-        assert!(report.is_empty());
-        assert!(report.verified());
     }
 }

@@ -15,15 +15,6 @@
 //! machine-readable warm/cold signal the CI `cache-persistence` job
 //! gates on.
 //!
-//! With `--sharded` (or `DISCHARGE_SHARDS=<n>`) the corpus is *also*
-//! verified across `relaxed-shardd` worker processes (build them first:
-//! `cargo build --release -p relaxed-bench`) and the sharded report is
-//! asserted verdict-identical to the in-process baseline — the CI
-//! `sharded-corpus` job's equivalence gate, which also requires one
-//! worker per shard. Under `DISCHARGE_CACHE` the baseline persists its
-//! verdicts first, so the sharded run must answer entirely from the
-//! shared store (≥1 cross-process disk hit, zero solver runs).
-//!
 //! With `--service <addr>` (or `RELAXED_SERVICE=<addr>`) the corpus is
 //! submitted to a running `relaxed-serviced` daemon from **two
 //! concurrent client threads**, each asserted verdict-identical to the
@@ -62,7 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if args.iter().any(|arg| arg == "--edit-reverify") {
         return edit_reverify_main();
     }
-    let sharded_flag = args.iter().any(|arg| arg == "--sharded");
     let service_flag = args.iter().position(|arg| arg == "--service");
     let trace_path = args
         .iter()
@@ -109,10 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         drop(verifier);
         return service_main(addr);
-    }
-    if sharded_flag || matches!(verifier.config().corpus, CorpusPolicy::Sharded { .. }) {
-        drop(verifier);
-        return sharded_main();
     }
 
     let corpus = casestudies::corpus();
@@ -282,86 +268,6 @@ fn report_trace(expect_solves: bool, slow_n: usize) -> Result<(), Box<dyn std::e
                 event.tid
             );
         }
-    }
-    Ok(())
-}
-
-/// The sharded mode (`--sharded` / `DISCHARGE_SHARDS`): verify the corpus
-/// in-process first (the baseline, which also seeds the persistent store
-/// when `DISCHARGE_CACHE` is set), then across worker processes, and
-/// assert the two reports verdict-identical — the CI equivalence gate.
-fn sharded_main() -> Result<(), Box<dyn std::error::Error>> {
-    let corpus = casestudies::corpus();
-    let shards = match relaxed_programs::Config::from_env().0.corpus {
-        CorpusPolicy::Sharded { shards } => shards,
-        _ => 2,
-    };
-
-    // In-process baseline under the same budgets and cache policy.
-    let baseline_session = Verifier::builder()
-        .env()
-        .corpus(CorpusPolicy::InProcess)
-        .build();
-    let baseline = baseline_session.check_corpus_named(&corpus);
-    let store = match &baseline_session.config().cache {
-        CachePolicy::Persistent { path } => Some(path.as_path()),
-        CachePolicy::Shared => None,
-    };
-    if let Some(store) = store {
-        // Flush before the workers start, so every sharded verdict can be
-        // answered from the store — the deterministic cross-process
-        // disk-hit guarantee asserted below. Then delete the depmap
-        // sidecar: with it on disk the whole corpus would replay
-        // in-process before any job shipped, and this gate exists to
-        // exercise cross-process verification (`--edit-reverify` covers
-        // the replay path).
-        baseline_session.persist()?;
-        let _ = std::fs::remove_file(depmap_path(store));
-    }
-    let persistent = store.is_some();
-
-    let sharded_session = Verifier::builder().env().shards(shards).build();
-    let report = sharded_session.check_corpus_named(&corpus);
-    println!("{report}");
-    println!("{}", report.to_json());
-    println!(
-        "sharded: {} programs across {shards} worker processes in {}ms \
-         (in-process baseline {}ms); {} disk hits, {} solver runs",
-        report.len(),
-        report.elapsed_ms,
-        baseline.elapsed_ms,
-        report.engine.disk_hits,
-        report.engine.cache_misses
-    );
-
-    // The equivalence gate: one shared verdict-for-verdict comparison
-    // (CorpusReport::verdicts_match), also used by the shard tests and
-    // paper_report §E10.
-    report
-        .verdicts_match(&baseline)
-        .expect("sharded report must be verdict-identical to the in-process baseline");
-    println!("sharded report is verdict-identical to the in-process baseline");
-    // A run that replayed everything in-process reports 0 workers.
-    assert_eq!(
-        report.engine.workers,
-        shards.min(corpus.len()),
-        "every shard must have run on its own worker process"
-    );
-
-    if persistent {
-        assert_eq!(
-            report.engine.cache_misses, 0,
-            "with a pre-seeded store the sharded run must not re-solve"
-        );
-        assert!(
-            report.engine.disk_hits >= 1,
-            "workers must reuse the baseline's verdicts across processes: {:?}",
-            report.engine
-        );
-        println!(
-            "persistent cache: disk_hits={} (cross-process, via the shared store)",
-            report.engine.disk_hits
-        );
     }
     Ok(())
 }

@@ -72,20 +72,17 @@ fn from_env_warns_on_malformed_values() {
     assert!(warnings[0].to_string().contains("abc"));
 }
 
-/// The sharding and cache knobs ride the same env layer:
-/// `DISCHARGE_SHARDS` selects the corpus policy (0 = in-process),
+/// The worker-binary and cache knobs ride the same env layer:
 /// `DISCHARGE_CACHE` selects the persistent store, and `RELAXED_SHARDD`
-/// pins the worker binary.
+/// pins the worker binary a service daemon's fleet runs.
 #[test]
 fn shard_and_cache_knobs_parse_from_the_env() {
     let (config, warnings) = Config::from_lookup(|name| match name {
-        "DISCHARGE_SHARDS" => Some("3".to_string()),
         "DISCHARGE_CACHE" => Some(" corpus.verdicts.jsonl ".to_string()),
         "RELAXED_SHARDD" => Some("/opt/bin/relaxed-shardd".to_string()),
         _ => None,
     });
     assert!(warnings.is_empty(), "{warnings:?}");
-    assert_eq!(config.corpus, CorpusPolicy::Sharded { shards: 3 });
     assert_eq!(
         config.cache,
         CachePolicy::Persistent {
@@ -98,46 +95,18 @@ fn shard_and_cache_knobs_parse_from_the_env() {
     );
 
     let (config, warnings) =
-        Config::from_lookup(|name| (name == "DISCHARGE_SHARDS").then(|| "0".to_string()));
-    assert!(warnings.is_empty());
-    assert_eq!(config.corpus, CorpusPolicy::InProcess);
-
-    let (config, warnings) = Config::from_lookup(|name| match name {
-        "DISCHARGE_SHARDS" => Some("many".to_string()),
-        "RELAXED_SHARDD" => Some("  ".to_string()),
-        _ => None,
-    });
-    assert_eq!(
-        config.corpus,
-        CorpusPolicy::InProcess,
-        "malformed keeps default"
-    );
-    assert_eq!(config.shard_worker, None);
+        Config::from_lookup(|name| (name == "RELAXED_SHARDD").then(|| "  ".to_string()));
+    assert_eq!(config.shard_worker, None, "malformed keeps default");
     let vars: Vec<&str> = warnings.iter().map(|w| w.var).collect();
-    assert_eq!(vars, ["DISCHARGE_SHARDS", "RELAXED_SHARDD"]);
-
-    // Builder precedence holds for the new fields too.
-    let verifier = Verifier::builder()
-        .config(Config {
-            corpus: CorpusPolicy::Sharded { shards: 9 },
-            ..Config::default()
-        })
-        .shards(2)
-        .build();
-    assert_eq!(
-        verifier.config().corpus,
-        CorpusPolicy::Sharded { shards: 2 }
-    );
+    assert_eq!(vars, ["RELAXED_SHARDD"]);
 }
 
 /// The service knob rides the same env layer: `RELAXED_SERVICE` selects
-/// `CorpusPolicy::Service`, winning over `DISCHARGE_SHARDS` when both
-/// are set.
+/// `CorpusPolicy::Service`.
 #[test]
 fn service_and_timeout_knobs_parse_from_the_env() {
     let (config, warnings) = Config::from_lookup(|name| match name {
         "RELAXED_SERVICE" => Some(" 127.0.0.1:7459 ".to_string()),
-        "DISCHARGE_SHARDS" => Some("3".to_string()),
         _ => None,
     });
     assert!(warnings.is_empty(), "{warnings:?}");
@@ -146,7 +115,7 @@ fn service_and_timeout_knobs_parse_from_the_env() {
         CorpusPolicy::Service {
             addr: "127.0.0.1:7459".to_string()
         },
-        "the service address wins over the shard count and is trimmed"
+        "the service address is trimmed"
     );
 
     // A malformed value keeps its default and is reported.
@@ -158,7 +127,10 @@ fn service_and_timeout_knobs_parse_from_the_env() {
 
     // Builder precedence holds: `.service(addr)` overrides whatever the
     // config layer chose.
-    let verifier = Verifier::builder().shards(4).service("10.0.0.1:80").build();
+    let verifier = Verifier::builder()
+        .corpus(CorpusPolicy::InProcess)
+        .service("10.0.0.1:80")
+        .build();
     assert_eq!(
         verifier.config().corpus,
         CorpusPolicy::Service {
@@ -316,8 +288,8 @@ fn case_study_corpus_end_to_end() {
     assert!(json.contains("\"disk_hits\": 0"), "{json}");
     assert!(json.contains("\"aggregate\""), "{json}");
     assert_eq!(json.matches("\"status\"").count(), 6);
-    // Per-program and aggregate wall time ride the JSON, so sharded vs
-    // in-process speedups are measurable from reports alone.
+    // Per-program and aggregate wall time ride the JSON, so service and
+    // in-process runs compare from reports alone.
     assert_eq!(json.matches("\"elapsed_ms\"").count(), 7);
     assert!(json.ends_with("}\n"));
 }

@@ -41,8 +41,8 @@ const CI_LINT_BUILD_TEST: &[Step] = &[
         &[],
     ),
     // `--workspace`: a plain release build covers only the root package,
-    // and the sharded and service jobs below run the worker and daemon
-    // binaries it would not build.
+    // and the service job below runs the worker and daemon binaries it
+    // would not build.
     Step(&["cargo", "build", "--release", "--workspace"], &[]),
     // The public API documents itself: intra-doc links and examples must
     // stay valid.
@@ -124,20 +124,6 @@ const CI_EXAMPLES_BENCH: &[Step] = &[
         &[],
     ),
     Step(&["cargo", "bench", "--no-run", "--workspace"], &[]),
-];
-
-/// The sharded-corpus CI job's local mirror (the cache path is appended
-/// at runtime by `ci()`): in-process baseline, then ≥2 `relaxed-shardd`
-/// worker processes, asserting verdict equivalence and cross-process
-/// disk hits inside the example.
-const CI_SHARDED_EXAMPLE: &[&str] = &[
-    "cargo",
-    "run",
-    "--release",
-    "--example",
-    "verify_corpus",
-    "--",
-    "--sharded",
 ];
 
 fn run_step(argv: &[&str], envs: &[(&str, &str)]) {
@@ -256,28 +242,6 @@ fn ci() {
         &[],
     );
     let _ = std::fs::remove_file(&smoke_trace);
-    // The sharded-corpus job: equivalence gate across ≥2 worker
-    // processes, seeded through a fresh shared verdict store (the
-    // workspace release build above produced the relaxed-shardd
-    // binary), then the shard fault-tolerance suite.
-    let shard_cache = temp_path("sharded", "jsonl");
-    run_step(
-        CI_SHARDED_EXAMPLE,
-        &[("DISCHARGE_SHARDS", "2"), ("DISCHARGE_CACHE", &shard_cache)],
-    );
-    remove_store(&shard_cache);
-    run_step(
-        &[
-            "cargo",
-            "test",
-            "--release",
-            "-p",
-            "relaxed-bench",
-            "--test",
-            "shard",
-        ],
-        &[],
-    );
     ci_service();
 }
 
@@ -318,7 +282,9 @@ fn ci_cache_persistence() {
 /// in-process baseline and, on the shared store, zero solver runs and ≥1
 /// cross-client disk hit) — then drain the daemon gracefully with a raw
 /// `shutdown` frame and require a worker `solve` span in the trace the
-/// drain wrote (the trace-smoke job's daemon gate).
+/// drain wrote (the trace-smoke job's daemon gate); then run the fleet
+/// fault-tolerance suite in release mode (the workspace release build
+/// above produced the relaxed-shardd and relaxed-serviced binaries).
 fn ci_service() {
     let cache = temp_path("service", "jsonl");
     let trace = temp_path("service-trace", "json");
@@ -440,6 +406,18 @@ fn ci_service() {
     eprintln!("xtask: the daemon's trace holds {solves} worker solve spans");
     remove_store(&cache);
     let _ = std::fs::remove_file(&trace);
+    run_step(
+        &[
+            "cargo",
+            "test",
+            "--release",
+            "-p",
+            "relaxed-bench",
+            "--test",
+            "shard",
+        ],
+        &[],
+    );
 }
 
 /// Runs the bench harness with `BENCH_JSON=1`, collects the machine
@@ -614,7 +592,6 @@ fn utc_date() -> String {
 /// wall time is dominated by process spawns or the sampling floor).
 const BENCH_CHECK_GROUPS: &[&str] = &[
     "check_corpus",
-    "shard_corpus",
     "service_throughput",
     "persistent_cache",
     "telemetry_overhead",
@@ -777,7 +754,7 @@ fn main() {
         _ => {
             eprintln!("usage: cargo xtask <ci|verify|bench-json|bench-check>");
             eprintln!(
-                "  ci          fmt + clippy + build --release --workspace + doc + test (4 schedules) + examples + cache-persistence + sharded/service corpus + shard suite + edit-reverify + trace-smoke jobs + bench --no-run"
+                "  ci          fmt + clippy + build --release --workspace + doc + test (4 schedules) + examples + cache-persistence + edit-reverify + trace-smoke + service corpus (with the release fault-tolerance suite) jobs + bench --no-run"
             );
             eprintln!("  verify      the ROADMAP tier-1 gate: build --release && test -q");
             eprintln!(
