@@ -10,13 +10,17 @@
 //! recorded per-program error, never a hang. Workers share verdicts
 //! through the persistent store, across a drain and a fresh daemon, and
 //! warm a store another configuration left. Concurrent clients must get
-//! verdict-identical reports served from the shared store, a worker must
-//! replay programs from a sidecar written after it spawned, a saturated
-//! daemon must answer `busy` and the client retry until every job is
-//! served, neither a client vanishing mid-job nor a job frame without an
-//! id may wedge the fleet, and an over-long or deeply nested frame, a
-//! `<==>` chain past the parser's budget, or a program whose obligation
-//! passes vcgen's node budget is refused while the daemon keeps serving.
+//! verdict-identical reports served from the shared store, the workers
+//! that run programs live must record them in the sidecar (no client
+//! does), a vcgen failure on a worker must reach the client as the
+//! in-process error, the client must send its largest frames first, a
+//! worker must replay programs from a sidecar written after it spawned, a
+//! saturated daemon must answer `busy` and the client retry until every
+//! job is served, neither a client vanishing mid-job nor a job frame
+//! without an id may wedge the fleet, and an over-long or deeply nested
+//! frame, a `<==>` chain past the parser's budget, or a program whose
+//! obligation passes vcgen's node budget is refused while the daemon
+//! keeps serving.
 //! A `relaxed-serviced` started with a malformed `--fleet` exits without
 //! serving, and a daemon whose worker binary is missing refuses to bind.
 //!
@@ -28,15 +32,15 @@ use relaxed_core::cache::{fingerprint, json_string, parse_json, Json};
 use relaxed_core::depmap::{depmap_path, goal_deps, load, program_hash, ProgramDeps};
 use relaxed_core::service::{service_status, shutdown_service};
 use relaxed_core::shard::{MAX_ATTEMPTS, PROTOCOL_VERSION};
-use relaxed_core::vcgen::MAX_WP_NODES;
+use relaxed_core::vcgen::{VcgenError, MAX_WP_NODES};
 use relaxed_core::{
     Config, CorpusError, CorpusReport, Service, ServiceOptions, Spec, Verifier, VerifierBuilder,
 };
 use relaxed_lang::parser::MAX_IFF_GROWTH;
-use relaxed_lang::Program;
+use relaxed_lang::{parse_program, Program};
 use relaxed_programs::casestudies;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -332,29 +336,162 @@ fn concurrent_service_clients_get_identical_reports_from_the_shared_store() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The length and modification time of the file at `path`.
+fn stamp(path: &Path) -> (u64, std::time::SystemTime) {
+    let meta = std::fs::metadata(path).expect("the file exists");
+    (meta.len(), meta.modified().expect("a modification time"))
+}
+
+/// The worker that runs a program live records its revision; no client
+/// writes the sidecar. A fleet of two on a fresh store answers an
+/// in-memory client, and after the drain the sidecar replays the whole
+/// corpus in process. A second, warm run writes nothing to it, and a
+/// persistent client on another store records no remote program, whose
+/// verdicts that store never held.
 #[test]
 fn persistent_service_client_records_every_revision() {
     let path = temp_cache("record-service");
+    let elsewhere = temp_cache("record-elsewhere");
     let corpus = casestudies::corpus();
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(daemon_session().cache_file(&path), 2);
-        let client = Verifier::builder()
-            .workers(2)
-            .service(&addr)
-            .cache_file(&path)
-            .build();
-        let report = client.check_corpus_named(&corpus);
-        assert!(report.engine.cache_misses > 0, "the run was live");
-        client.persist().expect("persist the client session");
-        drop(client);
+        let cold = with_daemon(daemon_session().cache_file(&path), 2, |addr| {
+            client(addr).check_corpus_named(&corpus)
+        });
+        assert!(cold.engine.cache_misses > 0, "the run was live");
+    });
+    // Checked after the drain, which flushes nothing new: each worker
+    // flushed its record after the job.
+    assert_records_replay(&path, &corpus);
+    let sidecar = depmap_path(&path);
+    let before = stamp(&sidecar);
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        with_daemon(daemon_session().cache_file(&path), 2, |addr| {
+            let warm = client(addr).check_corpus_named(&corpus);
+            assert_eq!(warm.engine.cache_misses, 0, "{:?}", warm.engine);
+            let other = Verifier::builder()
+                .workers(2)
+                .service(addr)
+                .cache_file(&elsewhere)
+                .build();
+            assert_eq!(other.check_corpus_named(&corpus).len(), corpus.len());
+            other.persist().expect("persist the other client");
+        });
+    });
+    assert_eq!(stamp(&sidecar), before, "a warm run records nothing");
+    let fingerprint = fingerprint(&Verifier::new().config().discharge_config());
+    let (records, warnings) = load(&depmap_path(&elsewhere), &fingerprint);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert!(records.programs.is_empty(), "{:?}", records.programs.keys());
+    for file in [&path, &elsewhere] {
+        let _ = std::fs::remove_file(file);
+        let _ = std::fs::remove_file(depmap_path(file));
+    }
+}
+
+/// Vcgen runs only on the worker: through a daemon, a program whose loop
+/// lacks its `invariant` gets the `CorpusError::Vcgen` an in-process run
+/// records, and the other programs their in-process verdicts. The worker
+/// answers the failure once: no worker is replaced, and every program
+/// counts as served.
+#[test]
+fn a_vcgen_failure_on_the_worker_is_the_in_process_error() {
+    let mut corpus = casestudies::corpus();
+    let unannotated = parse_program(
+        "i = 0; while (i < n) rinvariant (i<o> == i<r> && n<o> == n<r>) { i = i + 1; }",
+    )
+    .expect("the program parses");
+    let spec = Spec::synced(&unannotated);
+    corpus.push(("unannotated", unannotated, spec));
+    let in_process = Verifier::builder()
+        .workers(2)
+        .build()
+        .check_corpus_named(&corpus);
+    let expected = in_process
+        .entries
+        .last()
+        .expect("an entry")
+        .outcome
+        .as_ref();
+    assert!(
+        matches!(
+            expected,
+            Err(CorpusError::Vcgen(VcgenError::MissingInvariant {
+                kind: "invariant",
+                ..
+            }))
+        ),
+        "{expected:?}"
+    );
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(daemon_session(), 2);
+        let report = client(&addr).check_corpus_named(&corpus);
+        assert_verdicts_match(&report, &in_process);
+        let remote = report.entries.last().expect("an entry").outcome.as_ref();
+        assert_eq!(remote.err(), expected.err());
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert_eq!(status.alive, status.fleet, "{status:?}");
+        assert_eq!(status.served, corpus.len() as u64, "{status:?}");
         shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
         daemon.join().expect("daemon thread");
     });
-    // Checked after the drain: a worker never writes the sidecar, so its
-    // exit cannot replace the client's record with its partial view.
-    assert_records_replay(&path, &corpus);
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(depmap_path(&path));
+}
+
+/// The client sends its jobs largest frame first, ties in corpus order:
+/// on the paper's corpus `lu_broken` and `lu` lead, the two slowest
+/// proofs, although they have the fewest obligations. A stand-in daemon
+/// records the frames as they arrive and fails every job.
+#[test]
+fn jobs_go_largest_frame_first() {
+    let corpus = casestudies::corpus();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let jobs = corpus.len();
+    let stand_in = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept the client");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut config = String::new();
+        reader
+            .read_line(&mut config)
+            .expect("read the config frame");
+        writeln!(
+            &stream,
+            "{{\"type\":\"ready\",\"proto\":{PROTOCOL_VERSION},\"fleet\":1}}"
+        )
+        .expect("send ready");
+        let mut sent = Vec::new();
+        for _ in 0..jobs {
+            let mut frame = String::new();
+            reader.read_line(&mut frame).expect("read a job frame");
+            let record = parse_json(frame.trim_end()).expect("a job frame");
+            let fields = record.as_object().expect("an object");
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let (Some(Json::Int(id)), Some(Json::Str(name))) = (field("id"), field("name")) else {
+                panic!("a job frame without an id or a name: {frame}");
+            };
+            writeln!(
+                &stream,
+                "{{\"type\":\"result\",\"id\":{id},\"error\":\"stand-in\"}}"
+            )
+            .expect("send a result");
+            sent.push((name.clone(), frame.trim_end().len(), *id));
+        }
+        sent
+    });
+    let report = client(&addr).check_corpus_named(&corpus);
+    let sent = stand_in.join().expect("stand-in daemon");
+    assert!(
+        report
+            .entries
+            .iter()
+            .all(|entry| matches!(&entry.outcome, Err(CorpusError::Service(r)) if r == "stand-in")),
+        "every job reached the stand-in"
+    );
+    let names: Vec<&str> = sent.iter().map(|(name, _, _)| name.as_str()).collect();
+    assert_eq!(names[..2], ["lu_broken", "lu"], "{sent:?}");
+    for pair in sent.windows(2) {
+        let ((_, len_a, id_a), (_, len_b, id_b)) = (&pair[0], &pair[1]);
+        assert!(len_a > len_b || (len_a == len_b && id_a < id_b), "{sent:?}");
+    }
 }
 
 /// A fleet worker reads the store and its sidecar again before every

@@ -63,7 +63,7 @@ use crate::cache::{json_string, CacheWarning, FileStamp};
 use crate::depmap::{DepMap, ProgramDeps};
 use crate::engine::{elapsed_us, DischargeConfig, DischargeEngine, DischargeOptions, EngineStats};
 use crate::vcgen::{Vc, VcgenError};
-use crate::verify::{stage_vcs, staged_check, AcceptabilityReport, Report, Spec};
+use crate::verify::{stage_vcs, staged_check, AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::Program;
 use relaxed_smt::SolverStats;
 use std::collections::{BTreeSet, HashMap};
@@ -892,8 +892,11 @@ impl Verifier {
 
     /// Reads a persistent session's files again where they changed since
     /// the last read, ignoring file warnings (see [`Store::read`]). Fleet
-    /// workers call it before every job, service clients after their
-    /// jobs.
+    /// workers call it before every job, to pick up what their siblings
+    /// and other sessions flushed. Service clients call it after their
+    /// jobs: a client on the daemon's store thus reads the verdicts and
+    /// the depmap records the workers flushed for its programs, and
+    /// replays those programs locally next time.
     pub(crate) fn refresh(&self) {
         if let Some(store) = &self.store {
             store.read(&self.engine, "cache_refresh");
@@ -1074,24 +1077,27 @@ impl Verifier {
             ..CorpusReport::default()
         };
 
-        // Record the fresh revision of everything that ran live, from the
-        // obligations its report carries. A failed program leaves the
-        // resident map, so this session never replays it; its older
-        // record on disk only matches the revision it was recorded for.
-        // The sidecar itself is flushed on [`Verifier::persist`] or drop
-        // — per-call fsyncs here would dominate an incremental
-        // re-verification.
-        if let Some(resident) = depmap.filter(|_| !live.is_empty()) {
+        // Record the fresh revision of everything that ran live in this
+        // process, from the obligations and goal keys its report carries.
+        // A failed program leaves the resident map, so this session never
+        // replays it; its older record on disk only matches the revision
+        // it was recorded for. A service run records nothing: the worker
+        // that ran each program flushed its record, which a client on
+        // the daemon's store has just read. The sidecar itself is flushed
+        // on [`Verifier::persist`] or drop — per-call fsyncs here would
+        // dominate an incremental re-verification.
+        let in_process = matches!(self.config.corpus, CorpusPolicy::InProcess);
+        if let Some(resident) = depmap.filter(|_| in_process && !live.is_empty()) {
             let mut resident = resident.lock().expect("depmap lock");
             for &i in &live {
                 let name = programs[i].0.as_str();
-                match &report.entries[i].outcome {
-                    Ok(program_report) => {
-                        let deps = ProgramDeps::of_report(hashes[i].clone(), program_report);
+                let outcome = report.entries[i].outcome.as_ref().ok();
+                match outcome.and_then(|r| ProgramDeps::of_report(hashes[i].clone(), r)) {
+                    Some(deps) => {
                         resident.map.record(name, deps);
                         resident.unflushed.insert(name.to_string());
                     }
-                    Err(_) => {
+                    None => {
                         resident.map.programs.remove(name);
                         resident.unflushed.remove(name);
                     }
@@ -1117,9 +1123,10 @@ impl Verifier {
     /// Replays one program's stored goal set from the verdict cache:
     /// `None` (fall back to a live run) when the stored stage spectrum
     /// does not match the session's selection or any goal key is not
-    /// resident. The rebuilt entry carries placeholder formula bodies
-    /// (the stored provenance — stage, name, context, deps — is real;
-    /// the formulas were never rebuilt, which is the point) and no lint.
+    /// resident. The rebuilt entry carries placeholder rows
+    /// ([`VcResult::placeholder`]: the stored provenance — stage, name,
+    /// context, deps — is real; the formulas were never rebuilt, which is
+    /// the point) and no lint.
     fn replay_entry(&self, name: &str, stored: &ProgramDeps) -> Option<CorpusEntry> {
         let stages = self.config.stages;
         // Every selected stage generates at least an entry obligation, so
@@ -1140,17 +1147,13 @@ impl Verifier {
             .collect();
         for (goal, verdict) in stored.goals.iter().zip(verdicts) {
             let (_, report) = staged.iter_mut().find(|(stage, _)| *stage == goal.stage)?;
-            report.results.push(crate::verify::VcResult {
-                vc: Vc {
-                    name: goal.name.clone(),
-                    context: goal.context.clone(),
-                    body: crate::vcgen::VcBody::Unary(relaxed_lang::Formula::True),
-                    deps: goal.deps.clone(),
-                },
+            report.results.push(VcResult::placeholder(
+                goal.name.clone(),
+                goal.context.clone(),
+                goal.deps.clone(),
                 verdict,
-                stats: SolverStats::default(),
-                cached: true,
-            });
+                true,
+            ));
         }
         let mut report = AcceptabilityReport::from_stages(staged);
         report.engine = engine;
@@ -1160,15 +1163,6 @@ impl Verifier {
             lint: Vec::new(),
             outcome: Ok(report),
         })
-    }
-
-    /// Forgets what the resident dependency map recorded since the last
-    /// flush, without writing it: a fleet worker's records are its
-    /// coordinator's to write. They stay resident for replay.
-    pub(crate) fn forget_depmap_changes(&self) {
-        if let Some(store) = &self.store {
-            store.depmap.lock().expect("depmap lock").unflushed.clear();
-        }
     }
 
     /// The in-process driver: fans programs (not goals) across the

@@ -198,19 +198,21 @@ pub struct ProgramDeps {
 
 impl ProgramDeps {
     /// The record of the revision hashed `hash`, built from the
-    /// obligations its freshly produced `report` carries — so recording a
-    /// live run costs no second vcgen pass.
-    pub fn of_report(hash: String, report: &AcceptabilityReport) -> ProgramDeps {
-        let goals = report
-            .stage_reports()
-            .flat_map(|(stage, stage_report)| {
-                stage_report
-                    .results
-                    .iter()
-                    .map(move |result| goal_dep(stage, &result.vc))
-            })
-            .collect();
-        ProgramDeps { hash, goals }
+    /// obligations its live `report` carries and the goal keys its
+    /// discharge made, so recording a live run costs neither a second
+    /// vcgen pass nor a second encoding. `None` when a stage's rows carry
+    /// no keys (rows replayed or read from a result frame), since such a
+    /// record would drop goals.
+    pub(crate) fn of_report(hash: String, report: &AcceptabilityReport) -> Option<ProgramDeps> {
+        let mut goals = Vec::with_capacity(report.total_vcs());
+        for (stage, stage_report) in report.stage_reports() {
+            if stage_report.keys.len() != stage_report.results.len() {
+                return None;
+            }
+            let rows = stage_report.results.iter().zip(&stage_report.keys);
+            goals.extend(rows.map(|(result, key)| goal_dep(stage, &result.vc, key.clone())));
+        }
+        Some(ProgramDeps { hash, goals })
     }
 }
 
@@ -250,23 +252,27 @@ pub fn dirty_goals(old: &ProgramDeps, fresh: &[GoalDep]) -> Vec<usize> {
         .collect()
 }
 
-/// Builds the [`GoalDep`] rows of one program's staged obligations.
+/// Builds the [`GoalDep`] rows of one program's staged obligations, each
+/// keyed by encoding its VC through the same
+/// [`encode_goal`](crate::engine::encode_goal) the discharge engine uses,
+/// so the keys are replay-exact.
 pub fn goal_deps(stage_vcs: &[(Stage, Vec<Vc>)]) -> Vec<GoalDep> {
     stage_vcs
         .iter()
-        .flat_map(|(stage, vcs)| vcs.iter().map(|vc| goal_dep(*stage, vc)))
+        .flat_map(|(stage, vcs)| {
+            vcs.iter()
+                .map(|vc| goal_dep(*stage, vc, GoalKey::of(&crate::engine::encode_goal(vc))))
+        })
         .collect()
 }
 
-/// The [`GoalDep`] row of one obligation, keyed by encoding the VC
-/// through the same [`encode_goal`](crate::engine::encode_goal) the
-/// discharge engine uses, so the key is replay-exact.
-fn goal_dep(stage: Stage, vc: &Vc) -> GoalDep {
+/// The [`GoalDep`] row of the obligation `vc` of `stage`, keyed `key`.
+fn goal_dep(stage: Stage, vc: &Vc, key: GoalKey) -> GoalDep {
     GoalDep {
         stage,
         name: vc.name.clone(),
         context: vc.context.clone(),
-        key: GoalKey::of(&crate::engine::encode_goal(vc)),
+        key,
         deps: vc.deps.clone(),
     }
 }

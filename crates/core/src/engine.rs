@@ -599,8 +599,13 @@ impl DischargeEngine {
         // Reassemble in generation order. The solver statistics of each
         // freshly solved goal are attached to its first occurrence; later
         // duplicates and cache hits carry zeroed stats and `cached: true`.
+        // Each row keeps its goal's key, so recording the program needs no
+        // second encoding.
         let total = vcs.len() as u64;
-        let mut report = Report::default();
+        let mut report = Report {
+            keys: group_of.iter().map(|gi| keys[*gi].clone()).collect(),
+            ..Report::default()
+        };
         let mut first_seen: Vec<bool> = vec![false; unique_goals.len()];
         let mut call_cross = 0u64;
         let mut call_disk = 0u64;

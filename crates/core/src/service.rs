@@ -21,8 +21,9 @@
 //!   backpressure, and hands back its programs' entries — in input
 //!   order, without lint, plus the daemon's fleet size as the fan-out —
 //!   for `check_corpus` to merge into a [`CorpusReport`]
-//!   **verdict-identical** to an in-process run (the client regenerates
-//!   VCs locally and zips them with the wire verdicts).
+//!   **verdict-identical** to an in-process run. The client runs no
+//!   vcgen: each result frame names every obligation it answers, and the
+//!   worker that ran a program live records its depmap revision.
 //!
 //! # Wire protocol
 //!
@@ -31,18 +32,22 @@
 //! ```text
 //! client → daemon               daemon → client
 //! ---------------------------   ---------------------------
-//! {"type":"config",...}         {"type":"ready","proto":2,"fleet":N}
+//! {"type":"config",...}         {"type":"ready","proto":3,"fleet":N}
 //!                               {"type":"error","reason":...}   (refused)
 //! {"type":"job","id":7,...}     {"type":"result","id":7,...}
-//!                               {"type":"busy","id":7,"retry_after_ms":25}
+//!                               {"type":"busy","id":7,"retry_after_ms":1}
 //! {"type":"status"}             {"type":"status","fleet":N,...}
 //! {"type":"metrics"}            {"type":"metrics","text":"…Prometheus…"}
 //! {"type":"shutdown"}           {"type":"bye","served":S}
 //! ```
 //!
 //! The `status`, `metrics` and `bye` frames read one set of counters
-//! (active and peak jobs, served, rejected, and the latency histogram),
-//! and the Prometheus text shows every series from startup, at 0.
+//! (active and peak jobs, served, rejected, and the latency histogram,
+//! which counts microseconds), and the Prometheus text shows every series
+//! from startup, at 0. A `busy` frame's `retry_after_ms` is the mean
+//! latency of the jobs served so far, rounded up to whole milliseconds
+//! (at least 1; 25 before the first job is served), so a client retries
+//! about when a slot frees.
 //!
 //! The daemon validates each session's `config` frame against its own
 //! fleet configuration: the verdict-relevant knobs (solver budgets and
@@ -75,8 +80,9 @@
 //! [`CorpusReport`]: crate::api::CorpusReport
 //! [`MAX_ATTEMPTS`]: crate::shard::MAX_ATTEMPTS
 
-use crate::api::{elapsed_ms_since, Config, CorpusEntry, Verifier};
+use crate::api::{Config, CorpusEntry, StageSet, Verifier};
 use crate::cache::{field_str, field_u64, parse_json, Json};
+use crate::engine::elapsed_us;
 use crate::shard::{
     entry_from_result, parse_config_frame, parse_result_frame, prepare_jobs, render_config_frame,
     render_error_frame, resolve_worker, Fleet, ShardJob, TcpTransport, Transport, WorkerHandle,
@@ -121,7 +127,9 @@ impl Default for ServiceOptions {
 /// across all connections, before the daemon answers `busy`.
 const ADMITTED_PER_WORKER: usize = 4;
 
-/// The `retry_after_ms` hint sent with `busy` rejections.
+/// The `retry_after_ms` hint of a `busy` frame until the daemon has
+/// served a job to measure, and the client's wait when a `busy` frame
+/// carries no hint.
 const RETRY_AFTER_MS: u64 = 25;
 
 /// Upper bounds of the request-latency histogram's buckets, in
@@ -145,8 +153,9 @@ struct Counters {
     rejected: u64,
     /// Served jobs at or under each [`LATENCY_BUCKETS_MS`] bound.
     latency_buckets: [u64; LATENCY_BUCKETS_MS.len()],
-    /// Summed latency of the served jobs, in milliseconds.
-    latency_sum_ms: u64,
+    /// Summed latency of the served jobs, in microseconds: a warm job
+    /// takes well under a millisecond.
+    latency_sum_us: u64,
 }
 
 /// Why [`Counters::admit`] turned a job away.
@@ -154,8 +163,11 @@ struct Counters {
 enum Refusal {
     /// The drain has begun.
     Draining,
-    /// The admission cap is reached: the client may retry.
-    Busy,
+    /// The admission cap is reached: the client may retry after the hint.
+    Busy {
+        /// [`Counters::retry_after_ms`] at the refusal.
+        retry_after_ms: u64,
+    },
 }
 
 impl Counters {
@@ -169,19 +181,32 @@ impl Counters {
         }
         if self.active >= cap {
             self.rejected += 1;
-            return Err(Refusal::Busy);
+            return Err(Refusal::Busy {
+                retry_after_ms: self.retry_after_ms(),
+            });
         }
         self.active += 1;
         self.peak_active = self.peak_active.max(self.active);
         Ok(())
     }
 
-    /// Counts one served job that took `latency_ms`.
-    fn serve(&mut self, latency_ms: u64) {
+    /// The `busy` hint: the mean latency of the jobs served so far,
+    /// rounded up to whole milliseconds and at least 1, or
+    /// [`RETRY_AFTER_MS`] before the first.
+    fn retry_after_ms(&self) -> u64 {
+        if self.served == 0 {
+            return RETRY_AFTER_MS;
+        }
+        let served_ms = self.served.saturating_mul(1000);
+        self.latency_sum_us.div_ceil(served_ms).max(1)
+    }
+
+    /// Counts one served job that took `latency_us`.
+    fn serve(&mut self, latency_us: u64) {
         self.served += 1;
-        self.latency_sum_ms += latency_ms;
+        self.latency_sum_us = self.latency_sum_us.saturating_add(latency_us);
         for (bound, count) in LATENCY_BUCKETS_MS.iter().zip(&mut self.latency_buckets) {
-            *count += u64::from(latency_ms <= *bound);
+            *count += u64::from(latency_us <= bound * 1000);
         }
     }
 
@@ -214,9 +239,10 @@ impl Counters {
         for (bound, count) in LATENCY_BUCKETS_MS.iter().zip(&self.latency_buckets) {
             let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {count}");
         }
-        let (sum, count) = (self.latency_sum_ms, self.served);
+        let (sum_us, count) = (self.latency_sum_us, self.served);
         let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-        let _ = writeln!(out, "{name}_sum {sum}\n{name}_count {count}");
+        let (ms, frac) = (sum_us / 1000, sum_us % 1000);
+        let _ = writeln!(out, "{name}_sum {ms}.{frac:03}\n{name}_count {count}");
         out
     }
 }
@@ -261,7 +287,7 @@ impl Daemon {
         let job_started = Instant::now();
         match self.fleet.run(id, name, line) {
             Ok(response) => {
-                self.counters().serve(elapsed_ms_since(job_started));
+                self.counters().serve(elapsed_us(job_started));
                 response
             }
             Err(e) => render_error_frame(id, &e),
@@ -474,8 +500,8 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                 if let Err(refusal) = admission {
                     reply(&match refusal {
                         Refusal::Draining => render_error_frame(id, "service is shutting down"),
-                        Refusal::Busy => format!(
-                            "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{RETRY_AFTER_MS}}}"
+                        Refusal::Busy { retry_after_ms } => format!(
+                            "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{retry_after_ms}}}"
                         ),
                     });
                     continue;
@@ -545,22 +571,41 @@ fn validate_session(fleet: &Config, fields: &[(String, Json)]) -> Result<(), Str
 
 /// The driver behind
 /// [`CorpusPolicy::Service`](crate::api::CorpusPolicy::Service): submits
-/// the programs to a `relaxed-serviced` daemon and returns their entries,
-/// without lint, in input order, plus the daemon's fleet size as the
-/// fan-out. See the [module docs](self) for the architecture.
+/// the programs (at least one) to a `relaxed-serviced` daemon over one
+/// connection and returns their entries, without lint, in input order,
+/// plus the daemon's fleet size as the fan-out. Failures (unreachable
+/// daemon, dead connection, saturation past the patience window) become
+/// per-program [`CorpusError::Service`](crate::api::CorpusError::Service)
+/// entries. See the [module docs](self) for the architecture.
 pub(crate) fn run_corpus_service(
     verifier: &Verifier,
     programs: &[(String, &Program, &Spec)],
     addr: &str,
 ) -> (Vec<CorpusEntry>, usize) {
     let config = verifier.config();
+    let jobs = prepare_jobs(programs);
+    let order: Vec<usize> = jobs.iter().map(|job| job.id).collect();
+    let mut pending: HashMap<usize, ShardJob> = jobs.into_iter().map(|job| (job.id, job)).collect();
     let mut slots: Vec<Option<CorpusEntry>> = (0..programs.len()).map(|_| None).collect();
-    let jobs = prepare_jobs(config.stages, programs, &mut slots);
-    let fleet = if jobs.is_empty() {
-        1
-    } else {
-        run_jobs_over_service(config, addr, jobs, &mut slots)
+    let config_frame = render_config_frame(config, config.workers);
+    let stages = config.stages;
+    let (fleet, outcome) = match WorkerHandle::connect(addr, &config_frame) {
+        Ok(mut handle) => {
+            let fleet = handle.fleet.unwrap_or(1);
+            let outcome =
+                collect_results(addr, stages, &mut handle, &order, &mut pending, &mut slots);
+            if outcome.is_ok() {
+                handle.shutdown();
+            }
+            (fleet, outcome)
+        }
+        Err(e) => (1, Err(format!("cannot reach the service at {addr}: {e}"))),
     };
+    if let Err(reason) = outcome {
+        for job in pending.into_values() {
+            slots[job.id] = Some(entry_from_result(job.name, stages, Err(reason.clone())));
+        }
+    }
     // Warm the client's own session from the files the fleet populated
     // (a no-op unless both share a persistent path).
     verifier.refresh();
@@ -571,47 +616,15 @@ pub(crate) fn run_corpus_service(
     (entries, fleet)
 }
 
-/// Submits the prepared jobs over one connection and fills `slots`;
-/// failures (unreachable daemon, dead connection, saturation past the
-/// patience window) become per-program
-/// [`CorpusError::Service`](crate::api::CorpusError::Service) entries.
-/// Returns the daemon's advertised fleet size.
-fn run_jobs_over_service(
-    config: &Config,
-    addr: &str,
-    jobs: Vec<ShardJob>,
-    slots: &mut [Option<CorpusEntry>],
-) -> usize {
-    let order: Vec<usize> = jobs.iter().map(|job| job.id).collect();
-    let mut pending: HashMap<usize, ShardJob> = jobs.into_iter().map(|job| (job.id, job)).collect();
-    let config_frame = render_config_frame(config, config.workers);
-    let (fleet, outcome) = match WorkerHandle::connect(addr, &config_frame) {
-        Ok(mut handle) => {
-            let fleet = handle.fleet.unwrap_or(1);
-            let outcome = collect_results(addr, &mut handle, &order, &mut pending, slots);
-            if outcome.is_ok() {
-                handle.shutdown();
-            }
-            (fleet, outcome)
-        }
-        Err(e) => (1, Err(format!("cannot reach the service at {addr}: {e}"))),
-    };
-    if let Err(reason) = outcome {
-        for job in pending.into_values() {
-            slots[job.id] = Some(entry_from_result(&job, Err(reason.clone())));
-        }
-    }
-    fleet
-}
-
-/// Pipelines the jobs (in `order`, already longest-first) and collects
-/// their out-of-order results into `slots`, riding out `busy`
-/// backpressure with the daemon's retry-after hint. A job the daemon
-/// refuses for a whole patience window fails alone; `Err` (a dead
-/// connection, a stalled daemon, an unexpected frame) leaves every job
-/// still in `pending` to fail.
+/// Pipelines the jobs (in `order`, already largest first) and collects
+/// their out-of-order results into `slots`, each checked against the
+/// session's `stages`, riding out `busy` backpressure with the daemon's
+/// retry-after hint. A job the daemon refuses for a whole patience window
+/// fails alone; `Err` (a dead connection, a stalled daemon, an unexpected
+/// frame) leaves every job still in `pending` to fail.
 fn collect_results(
     addr: &str,
+    stages: StageSet,
     handle: &mut WorkerHandle,
     order: &[usize],
     pending: &mut HashMap<usize, ShardJob>,
@@ -676,7 +689,7 @@ fn collect_results(
                 busy_since.remove(&id);
                 let wire =
                     parse_result_frame(&line).map_err(|e| format!("malformed result frame: {e}"));
-                slots[id] = Some(entry_from_result(&job, wire));
+                slots[id] = Some(entry_from_result(job.name, stages, wire));
             }
             "busy" => {
                 // Give up on a job the daemon has refused for a whole
@@ -689,7 +702,7 @@ fn collect_results(
                         "service at {addr} stayed saturated for {}s",
                         JOB_TIMEOUT.as_secs()
                     );
-                    slots[id] = Some(entry_from_result(&job, Err(reason)));
+                    slots[id] = Some(entry_from_result(job.name, stages, Err(reason)));
                 }
             }
             other => return Err(format!("unexpected frame type {other:?} from {addr}")),
@@ -875,14 +888,16 @@ mod tests {
         assert_eq!(options.fleet, 0);
     }
 
+    /// The value of the Prometheus series `name` in `text`.
+    fn sample(text: &str, name: &str) -> f64 {
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} ")));
+        line.and_then(|value| value.parse().ok()).expect(name)
+    }
+
     #[test]
     fn daemon_metrics_come_from_one_counter_set() {
-        let sample = |text: &str, name: &str| -> u64 {
-            let line = text
-                .lines()
-                .find_map(|l| l.strip_prefix(&format!("{name} ")));
-            line.and_then(|value| value.parse().ok()).expect(name)
-        };
         let mut counters = Counters::default();
         // A fresh daemon shows all seven families, in their fixed order, at 0.
         let fresh = counters.prometheus(2, 2);
@@ -894,22 +909,25 @@ mod tests {
                         relaxed_fleet_alive gauge,relaxed_fleet_busy gauge,relaxed_queue_depth gauge,\
                         relaxed_queue_depth_peak gauge,relaxed_request_latency_ms histogram";
         assert_eq!(families.join(","), expected);
-        assert_eq!(sample(&fresh, "relaxed_requests_rejected_total"), 0);
-        assert_eq!(sample(&fresh, "relaxed_request_latency_ms_count"), 0);
+        assert_eq!(sample(&fresh, "relaxed_requests_rejected_total"), 0.0);
+        assert_eq!(sample(&fresh, "relaxed_request_latency_ms_count"), 0.0);
 
         let admitted = [counters.admit(2), counters.admit(2), counters.admit(2)];
-        assert_eq!(admitted, [Ok(()), Ok(()), Err(Refusal::Busy)]);
-        counters.serve(3);
-        counters.serve(7000);
+        let busy = Refusal::Busy {
+            retry_after_ms: RETRY_AFTER_MS,
+        };
+        assert_eq!(admitted, [Ok(()), Ok(()), Err(busy)]);
+        counters.serve(3_000);
+        counters.serve(7_000_000);
         counters.active -= 1;
         let text = counters.prometheus(2, 1);
         // 3 ms lands in every bucket from le="5" up; 7000 ms only in +Inf.
-        for (le, count) in [("2", 0), ("5", 1), ("5000", 1), ("+Inf", 2)] {
+        for (le, count) in [("2", 0.0), ("5", 1.0), ("5000", 1.0), ("+Inf", 2.0)] {
             let bucket = format!("relaxed_request_latency_ms_bucket{{le=\"{le}\"}}");
             assert_eq!(sample(&text, &bucket), count, "{bucket}");
         }
-        assert_eq!(sample(&text, "relaxed_request_latency_ms_sum"), 7003);
-        assert_eq!(sample(&text, "relaxed_request_latency_ms_count"), 2);
+        assert_eq!(sample(&text, "relaxed_request_latency_ms_sum"), 7003.0);
+        assert_eq!(sample(&text, "relaxed_request_latency_ms_count"), 2.0);
         // `status` reads the same counters.
         let status = parse_json(&counters.status_frame(2, 2)).unwrap();
         for (field, metric, value) in [
@@ -919,8 +937,59 @@ mod tests {
             ("peak_active", "relaxed_queue_depth_peak", 2),
         ] {
             assert_eq!(field_u64(status.as_object().unwrap(), field), Ok(value));
-            assert_eq!(sample(&text, metric), value, "{metric}");
+            assert_eq!(sample(&text, metric), value as f64, "{metric}");
         }
+    }
+
+    /// Sub-millisecond jobs add what they took: two 500 µs jobs sum to
+    /// one millisecond, and both land in the first bucket.
+    #[test]
+    fn latency_histogram_counts_microseconds() {
+        let mut counters = Counters::default();
+        counters.serve(500);
+        counters.serve(500);
+        let text = counters.prometheus(1, 1);
+        assert!(
+            text.contains("\nrelaxed_request_latency_ms_sum 1.000\n"),
+            "{text}"
+        );
+        assert_eq!(
+            sample(&text, "relaxed_request_latency_ms_bucket{le=\"1\"}"),
+            2.0
+        );
+    }
+
+    /// The `busy` hint is the mean latency served so far, rounded up to
+    /// whole milliseconds and at least 1; before any job it is the fixed
+    /// default.
+    #[test]
+    fn busy_hint_is_the_mean_served_latency() {
+        let mut counters = Counters::default();
+        assert_eq!(counters.retry_after_ms(), RETRY_AFTER_MS);
+        counters.serve(300);
+        counters.serve(500);
+        assert_eq!(
+            counters.retry_after_ms(),
+            1,
+            "a 400 µs mean rounds up to 1 ms"
+        );
+        counters.serve(2_300);
+        assert_eq!(
+            counters.retry_after_ms(),
+            2,
+            "a 1,033 µs mean rounds up to 2 ms"
+        );
+        counters.serve(7_000_000);
+        assert_eq!(counters.retry_after_ms(), 1_751);
+        // The hint rides the refusal that `admit` returns.
+        assert_eq!(counters.admit(1), Ok(()));
+        assert_eq!(
+            counters.admit(1),
+            Err(Refusal::Busy {
+                retry_after_ms: 1_751
+            })
+        );
+        assert_eq!(counters.rejected, 1);
     }
 
     /// A job that arrives once the drain has begun is refused with an

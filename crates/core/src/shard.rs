@@ -11,8 +11,10 @@
 //! entries an in-process run produces. Like every corpus driver, the
 //! service client returns only its programs' entries, in input order and
 //! without lint, plus its fan-out: [`Verifier::check_corpus`] alone
-//! replays unchanged programs, attaches lint, folds the statistics into
-//! the [`CorpusReport`] and records each program's depmap revision.
+//! replays unchanged programs, attaches lint and folds the statistics
+//! into the [`CorpusReport`]. The worker that runs a program is the only
+//! process that generates its obligations, and the only one that records
+//! its depmap revision.
 //!
 //! # Protocol
 //!
@@ -28,7 +30,7 @@
 //! ```text
 //! fleet → worker              worker → fleet
 //! ---------------------       ---------------------
-//! {"type":"config",...}       {"type":"ready","proto":2}
+//! {"type":"config",...}       {"type":"ready","proto":3}
 //! {"type":"job","id":0,...}   {"type":"result","id":0,...}
 //! {"type":"job","id":3,...}   {"type":"result","id":3,...}
 //! <EOF>                       (the session's drop flushes, exit 0)
@@ -38,14 +40,16 @@
 //! budgets, stage selection, per-worker thread budget, cache path); each
 //! `job` frame carries one serialized program + spec (the pretty-printed
 //! source, which round-trips through the parser); each
-//! `result` frame carries the per-stage verdict lists, the job's
-//! [`EngineStats::counters`], each stage's
-//! [`SolverStats::counters`](relaxed_smt::SolverStats::counters), and
-//! wall time. The service client re-generates the VCs locally
-//! (generation is deterministic and cheap — solving is the expensive
-//! part) and zips them with the returned verdicts, so each rebuilt report
-//! is structurally identical to an in-process run's, and its obligations
-//! serve the client's depmap record as they are.
+//! `result` frame carries, stage by stage, every obligation's name,
+//! context and verdict, plus the job's [`EngineStats::counters`], each
+//! stage's [`SolverStats::counters`](relaxed_smt::SolverStats::counters),
+//! and wall time. A job that produced no report carries its `error`
+//! instead; a vcgen failure also rides typed (`vcgen`), so the client's
+//! entry is the [`CorpusError::Vcgen`] an in-process run records. The
+//! client runs no vcgen: it builds each row from the frame alone, through
+//! the placeholder-row builder replay uses (no formula body, no fragment
+//! deps; an `Invalid` verdict keeps its witness), and checks only that
+//! the frame's stage list is its session's selection.
 //!
 //! # The fleet
 //!
@@ -64,8 +68,10 @@
 //!
 //! The daemon spawns its whole fleet up front and drains it on
 //! `shutdown`, after its last admitted job: no worker is checked in once
-//! the drain has begun. The client sends its jobs longest-first by VC
-//! count, so one slow program cannot serialize the tail of the corpus.
+//! the drain has begun. The client sends its jobs largest frame first, so
+//! one slow program cannot serialize the tail of the corpus: frame size
+//! tracks proof cost better than obligation count does (see
+//! `prepare_jobs`).
 //!
 //! # Cache-mediated verdict sharing
 //!
@@ -74,17 +80,17 @@
 //! and its depmap sidecar. Before each job it reads both files again
 //! where they changed (a `stat` of length and modification time skips an
 //! unchanged file): verdicts sibling workers published answer shared
-//! goals, counted as [`EngineStats::disk_hits`], and the records a
-//! client persisted replay whole programs, even ones this worker never
-//! ran. After each job it flushes its fresh verdicts
-//! ([`Verifier::persist`]). A flush appends under the store's own
-//! header, so one worker's flush never drops a sibling's entries; a
-//! store under another configuration's header is written whole once, and
-//! appended to after that. A persistent client on the same store reads
-//! the files again after its run, so its later in-process checks start
-//! warm. A worker replays from the depmap sidecar but never writes it:
-//! the persistent client records the same revisions, so a worker's flush
-//! would only add an fsync per job.
+//! goals, counted as [`EngineStats::disk_hits`], and the sidecar's
+//! records replay whole programs, even ones this worker never ran. After
+//! each job it flushes its fresh verdicts and, when it ran the program
+//! live, the program's depmap record ([`Verifier::persist`]). A flush
+//! appends under the file's own header, so one worker's flush never drops
+//! a sibling's entries; a file under another configuration's header is
+//! written whole once, and appended to after that. A persistent client on
+//! the same store reads both files again after its run, so its later
+//! checks replay the programs the fleet ran. A client on another store
+//! records nothing for them: its store never held their verdicts, so such
+//! a record could not replay.
 //!
 //! [`Verifier::check_corpus`]: crate::api::Verifier::check_corpus
 //! [`Verifier::persist`]: crate::api::Verifier::persist
@@ -100,23 +106,23 @@ use crate::cache::{
     field_str, field_u64, get, json_string, parse_json, parse_verdict, render_verdict, Json,
 };
 use crate::engine::EngineStats;
-use crate::vcgen::{Vc, VcgenError};
+use crate::vcgen::VcgenError;
 use crate::verify::{AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::{parse_formula, parse_program, parse_rel_formula, Program};
-use relaxed_smt::{SolverStats, Validity};
+use relaxed_smt::SolverStats;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Version of the coordinator/worker wire protocol. The worker echoes it
 /// in its `ready` frame; a mismatch fails the handshake (and the job is
 /// retried elsewhere, ultimately surfacing as a per-program error rather
 /// than silently mixing protocol revisions).
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// File name of the worker binary (`relaxed-shardd`, plus the platform
 /// executable suffix), used by [`locate_worker`].
@@ -302,10 +308,14 @@ fn render_result_frame(
             if j > 0 {
                 out.push(',');
             }
-            out.push('{');
+            let _ = write!(
+                out,
+                "{{\"name\":{},\"context\":{},",
+                json_string(&result.vc.name),
+                json_string(&result.vc.context)
+            );
             render_verdict(&mut out, &result.verdict);
-            out.push_str(&format!(",\"cached\":{}", u8::from(result.cached)));
-            out.push('}');
+            let _ = write!(out, ",\"cached\":{}}}", u8::from(result.cached));
         }
         out.push_str("]}");
     }
@@ -353,28 +363,73 @@ pub(crate) fn render_error_frame(id: usize, error: &str) -> String {
     )
 }
 
+/// The result frame of a job that produced no report: its `error`, and a
+/// vcgen failure also typed in `vcgen`, so the client's entry keeps
+/// [`CorpusError::Vcgen`].
+fn render_failure_frame(id: usize, failure: &CorpusError) -> String {
+    let e = match failure {
+        CorpusError::Service(reason) => return render_error_frame(id, reason),
+        CorpusError::Vcgen(e) => e,
+    };
+    let (variant, context, detail) = e.to_parts();
+    let mut out = render_error_frame(id, &e.to_string());
+    out.pop();
+    let _ = write!(
+        out,
+        ",\"vcgen\":{{\"variant\":\"{variant}\",\"context\":{},\"detail\":{}}}}}",
+        json_string(context),
+        json_string(&detail)
+    );
+    out
+}
+
 // ---------------------------------------------------------------------
 // Frame parsing (coordinator side, plus the worker's request reader)
 // ---------------------------------------------------------------------
-
-/// One stage's slice of a result frame.
-pub(crate) struct WireStage {
-    stage: Stage,
-    stats: SolverStats,
-    verdicts: Vec<(Validity, bool)>,
-}
 
 /// A parsed result frame.
 pub(crate) struct WireResult {
     pub(crate) id: usize,
     pub(crate) elapsed_ms: u64,
-    pub(crate) engine: EngineStats,
-    pub(crate) stages: Vec<WireStage>,
     /// Worker-side telemetry spans, `ts_us` still *relative* to the job
     /// dispatch mark (`pid` is a placeholder until the coordinator
     /// re-anchors them into its timeline).
     pub(crate) spans: Vec<crate::telemetry::Event>,
-    pub(crate) error: Option<String>,
+    /// The worker's report, or why the job produced none: a vcgen failure
+    /// as [`CorpusError::Vcgen`], any other `error` as
+    /// [`CorpusError::Service`].
+    pub(crate) outcome: Result<WireReport, CorpusError>,
+}
+
+/// The report of a result frame: each stage's placeholder rows and
+/// solver counters, in frame order, and the job's engine counters.
+pub(crate) struct WireReport {
+    stages: Vec<(Stage, Report)>,
+    engine: EngineStats,
+}
+
+impl WireReport {
+    /// The program's report, once the frame's stage list is the session's
+    /// `selection`: the one check the client makes, since it has no
+    /// obligations of its own to compare with.
+    fn into_report(self, selection: StageSet) -> Result<AcceptabilityReport, CorpusError> {
+        if !self
+            .stages
+            .iter()
+            .map(|(stage, _)| *stage)
+            .eq(selection.iter())
+        {
+            let sent: Vec<&str> = self.stages.iter().map(|(stage, _)| stage.name()).collect();
+            return Err(CorpusError::Service(format!(
+                "result frame carries stages [{}], the session selected [{}]",
+                sent.join(","),
+                render_stages(selection)
+            )));
+        }
+        let mut report = AcceptabilityReport::from_stages(self.stages);
+        report.engine = self.engine;
+        Ok(report)
+    }
 }
 
 pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
@@ -385,16 +440,27 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
     }
     let id = field_u64(fields, "id")? as usize;
     if let Some(Json::Str(error)) = get(fields, "error") {
+        let failure = match get(fields, "vcgen") {
+            Some(vcgen) => {
+                let e = vcgen.as_object()?;
+                let part = |key| field_str(e, key);
+                let (variant, context, detail) =
+                    (part("variant")?, part("context")?, part("detail")?);
+                CorpusError::Vcgen(VcgenError::from_parts(variant, context, detail)?)
+            }
+            None => CorpusError::Service(error.clone()),
+        };
         return Ok(WireResult {
             id,
             elapsed_ms: 0,
-            engine: EngineStats::default(),
-            stages: Vec::new(),
             spans: Vec::new(),
-            error: Some(error.clone()),
+            outcome: Err(failure),
         });
     }
     let engine = EngineStats::from_counters(|name| field_u64(fields, name))?;
+    // Rows read off the wire carry no fragment deps: they are never
+    // recorded, so they all share one empty list.
+    let no_deps: Arc<[String]> = Vec::new().into();
     let mut stages = Vec::new();
     let stage_items = get(fields, "stages")
         .ok_or("missing `stages`")?
@@ -406,21 +472,26 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
             .ok_or("missing `stats`")?
             .as_object()?;
         let stats = SolverStats::from_counters(|name| field_u64(stats_fields, name))?;
-        let mut verdicts = Vec::new();
-        for verdict_item in get(stage_fields, "verdicts")
+        let mut results = Vec::new();
+        for row in get(stage_fields, "verdicts")
             .ok_or("missing `verdicts`")?
             .as_array()?
         {
-            let verdict_fields = verdict_item.as_object()?;
-            let verdict = parse_verdict(verdict_fields)?;
-            let cached = field_u64(verdict_fields, "cached")? != 0;
-            verdicts.push((verdict, cached));
+            let row = row.as_object()?;
+            results.push(VcResult::placeholder(
+                field_str(row, "name")?.to_string(),
+                field_str(row, "context")?.to_string(),
+                Arc::clone(&no_deps),
+                parse_verdict(row)?,
+                field_u64(row, "cached")? != 0,
+            ));
         }
-        stages.push(WireStage {
-            stage,
+        let report = Report {
+            results,
             stats,
-            verdicts,
-        });
+            ..Report::default()
+        };
+        stages.push((stage, report));
     }
     // Optional: only present when the coordinator asked for tracing. A
     // malformed span argument degrades to skipping that argument, never
@@ -462,10 +533,8 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
     Ok(WireResult {
         id,
         elapsed_ms: field_u64(fields, "elapsed_ms")?,
-        engine,
-        stages,
         spans,
-        error: None,
+        outcome: Ok(WireReport { stages, engine }),
     })
 }
 
@@ -605,11 +674,11 @@ pub fn worker_loop(
                         let spans = crate::telemetry::capture_take();
                         render_result_frame(id, &report, elapsed_ms, &spans, mark_us)
                     }
-                    Err(reason) => {
+                    Err(failure) => {
                         // Discard the failed job's partial capture so it
                         // cannot bleed into the next job's frame.
                         drop(crate::telemetry::capture_take());
-                        render_error_frame(id, &reason)
+                        render_failure_frame(id, &failure)
                     }
                 };
                 writeln!(output, "{frame}")?;
@@ -647,13 +716,9 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
     Ok(config)
 }
 
-/// Parses and verifies one job through the worker's session, reading the
-/// session's files again before the check and flushing the store after,
-/// so sibling workers can reuse the verdicts.
-fn run_job(
-    session: &Verifier,
-    fields: &[(String, Json)],
-) -> Result<(AcceptabilityReport, u64), String> {
+/// The program of a `job` frame: its name, and its program and spec
+/// parsed back from their printed source.
+fn parse_job_frame(fields: &[(String, Json)]) -> Result<(&str, Program, Spec), String> {
     let name = field_str(fields, "name")?;
     let program =
         parse_program(field_str(fields, "program")?).map_err(|e| format!("program: {e}"))?;
@@ -665,87 +730,71 @@ fn run_job(
         rel_post: parse_rel_formula(field_str(fields, "rel_post")?)
             .map_err(|e| format!("rel_post: {e}"))?,
     };
+    Ok((name, program, spec))
+}
+
+/// Verifies one job through the worker's session, reading the session's
+/// files again before the check and flushing both after, so sibling
+/// workers can reuse the verdicts and replay the program. `Err` is the
+/// program's [`CorpusError`]: a frame that did not parse is a
+/// [`CorpusError::Service`], a vcgen failure its own.
+fn run_job(
+    session: &Verifier,
+    fields: &[(String, Json)],
+) -> Result<(AcceptabilityReport, u64), CorpusError> {
+    let (name, program, spec) = parse_job_frame(fields).map_err(CorpusError::Service)?;
     // Pick up what was persisted since the last job: sibling workers'
     // verdicts answer shared goals as disk hits, the cross-process
-    // payoff, and the records clients wrote to the sidecar replay whole
-    // programs.
+    // payoff, and the sidecar's records replay whole programs.
     session.refresh();
     let started = Instant::now();
-    let report = session
+    let entry = session
         .check_corpus_named(&[(name, program, spec)])
         .entries
         .remove(0);
-    // The worker replays from its depmap but leaves the sidecar to the
-    // client, which records the same revision.
-    session.forget_depmap_changes();
-    let outcome = report.outcome.map_err(|e| e.to_string())?;
     let elapsed_ms = elapsed_ms_since(started);
-    // Publish this job's fresh verdicts: appended under the store's own
-    // header, so a sibling's verdicts are never dropped. The sidecar
-    // records were forgotten above, so only the store is written.
+    // Publish this job's fresh verdicts and, when the program ran live,
+    // its depmap record: each appended under its file's own header, so a
+    // sibling's records are never dropped.
     if let Err(e) = session.persist() {
         crate::diag::warn(format_args!(
             "{WORKER_BINARY}: failed to persist the verdict cache: {e}"
         ));
     }
-    Ok((outcome, elapsed_ms))
+    Ok((entry.outcome?, elapsed_ms))
 }
 
 // ---------------------------------------------------------------------
 // The fleet and the client's jobs
 // ---------------------------------------------------------------------
 
-/// One program prepared for a daemon's fleet (see [`crate::service`]).
+/// One program's job for a daemon's fleet (see [`crate::service`]): the
+/// client sends its frame and never generates its obligations.
 pub(crate) struct ShardJob {
     /// Index of the program in corpus input order: the result slot this
     /// job's entry fills, and its wire job id.
     pub(crate) id: usize,
     pub(crate) name: String,
     pub(crate) frame: String,
-    /// The locally generated obligations of every selected stage, in
-    /// pipeline order — zipped with the worker's verdicts to rebuild the
-    /// program's report.
-    pub(crate) stage_vcs: Vec<(Stage, Vec<Vc>)>,
-    pub(crate) vc_count: usize,
 }
 
-/// Generates every program's obligations locally, up front: `VcgenError`s
-/// are recorded into `slots` exactly as the in-process driver records
-/// them (never shipped over a wire), every other program becomes one
-/// job, and the returned job list is ordered longest-first by VC count
-/// (id-tie-broken for determinism).
-pub(crate) fn prepare_jobs(
-    stages: StageSet,
-    programs: &[(String, &Program, &Spec)],
-    slots: &mut [Option<CorpusEntry>],
-) -> Vec<ShardJob> {
-    let mut jobs: Vec<ShardJob> = Vec::new();
-    for (id, (name, program, spec)) in programs.iter().enumerate() {
-        let staged: Result<Vec<(Stage, Vec<Vc>)>, VcgenError> = stages
-            .iter()
-            .map(|stage| Ok((stage, crate::verify::stage_vcs(stage, program, spec)?)))
-            .collect();
-        match staged {
-            Ok(stage_vcs) => jobs.push(ShardJob {
-                id,
-                name: name.clone(),
-                frame: render_job_frame(id, name, program, spec),
-                vc_count: stage_vcs.iter().map(|(_, vcs)| vcs.len()).sum(),
-                stage_vcs,
-            }),
-            Err(e) => {
-                slots[id] = Some(CorpusEntry {
-                    name: name.clone(),
-                    elapsed_ms: 0,
-                    lint: Vec::new(),
-                    outcome: Err(CorpusError::Vcgen(e)),
-                });
-            }
-        }
-    }
-    // Longest first: the most expensive proofs start immediately, so the
-    // corpus tail is short jobs instead of one straggler.
-    jobs.sort_by_key(|job| (std::cmp::Reverse(job.vc_count), job.id));
+/// Renders every program's job, largest frame first (ties in corpus
+/// order), so the slowest proofs start at once and the corpus tail is
+/// short jobs. A frame's size tracks its proof's cost better than the
+/// program's obligation count: on the paper's corpus the two largest
+/// frames, `lu_broken`'s and `lu`'s, are its two slowest proofs, yet they
+/// have the fewest obligations.
+pub(crate) fn prepare_jobs(programs: &[(String, &Program, &Spec)]) -> Vec<ShardJob> {
+    let mut jobs: Vec<ShardJob> = programs
+        .iter()
+        .enumerate()
+        .map(|(id, (name, program, spec))| ShardJob {
+            id,
+            name: name.clone(),
+            frame: render_job_frame(id, name, program, spec),
+        })
+        .collect();
+    jobs.sort_by_key(|job| (std::cmp::Reverse(job.frame.len()), job.id));
     jobs
 }
 
@@ -1310,89 +1359,38 @@ impl Fleet {
     }
 }
 
-/// Zips the worker's per-stage verdicts with the locally generated
-/// obligations, reconstructing the [`AcceptabilityReport`] an in-process
-/// check would have produced (identical verdicts; per-VC solver timings
-/// stay with the process that measured them, so per-VC stats are zeroed
-/// and per-stage aggregates come off the wire).
-pub(crate) fn rebuild_report(
-    job: &ShardJob,
-    wire_stages: Vec<WireStage>,
-    engine: EngineStats,
-) -> Result<AcceptabilityReport, String> {
-    if wire_stages.len() != job.stage_vcs.len() {
-        return Err(format!(
-            "result frame carries {} stages, expected {}",
-            wire_stages.len(),
-            job.stage_vcs.len()
-        ));
-    }
-    let mut staged = Vec::with_capacity(wire_stages.len());
-    for (wire, (stage, vcs)) in wire_stages.into_iter().zip(&job.stage_vcs) {
-        if wire.stage != *stage {
-            return Err(format!(
-                "result frame stage {:?} does not match scheduled {:?}",
-                wire.stage.name(),
-                stage.name()
-            ));
-        }
-        if wire.verdicts.len() != vcs.len() {
-            return Err(format!(
-                "stage {} carries {} verdicts for {} obligations",
-                stage.name(),
-                wire.verdicts.len(),
-                vcs.len()
-            ));
-        }
-        let results = vcs
-            .iter()
-            .zip(wire.verdicts)
-            .map(|(vc, (verdict, cached))| VcResult {
-                vc: vc.clone(),
-                verdict,
-                stats: SolverStats::default(),
-                cached,
-            })
-            .collect();
-        let report = Report {
-            results,
-            stats: wire.stats,
-            ..Report::default()
-        };
-        staged.push((*stage, report));
-    }
-    let mut report = AcceptabilityReport::from_stages(staged);
-    report.engine = engine;
-    Ok(report)
-}
-
 /// Turns one job's outcome into its [`CorpusEntry`], the service client's
-/// result-to-entry step. `Err` is a job that produced no result frame; a
-/// worker-reported error (e.g. a program that did not re-parse) fails the
-/// program too, as a [`CorpusError::Service`]. The entry carries no lint:
-/// the corpus pipeline attaches it (warnings never cross a wire).
-pub(crate) fn entry_from_result(job: &ShardJob, result: Result<WireResult, String>) -> CorpusEntry {
+/// result-to-entry step. `Err` is a job that produced no result frame. A
+/// frame's failure is the entry's: a vcgen failure stays a
+/// [`CorpusError::Vcgen`], any other (e.g. a program that did not
+/// re-parse) is a [`CorpusError::Service`], as is a report whose stage
+/// list is not the session's `selection`. The entry carries no lint: the
+/// corpus pipeline attaches it (warnings never cross a wire).
+pub(crate) fn entry_from_result(
+    name: String,
+    selection: StageSet,
+    result: Result<WireResult, String>,
+) -> CorpusEntry {
     let (elapsed_ms, outcome) = match result {
         Ok(wire) => (
             wire.elapsed_ms,
-            match wire.error {
-                Some(reason) => Err(reason),
-                None => rebuild_report(job, wire.stages, wire.engine),
-            },
+            wire.outcome
+                .and_then(|report| report.into_report(selection)),
         ),
-        Err(reason) => (0, Err(reason)),
+        Err(reason) => (0, Err(CorpusError::Service(reason))),
     };
     CorpusEntry {
-        name: job.name.clone(),
+        name,
         elapsed_ms,
         lint: Vec::new(),
-        outcome: outcome.map_err(CorpusError::Service),
+        outcome,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vcgen::VcBody;
     use relaxed_lang::parse_program;
 
     fn toy() -> (Program, Spec) {
@@ -1407,18 +1405,23 @@ mod tests {
         (program, spec)
     }
 
-    /// A loop program: more obligations than [`toy`].
-    fn looping() -> (Program, Spec) {
-        let program = parse_program(
-            "i = 0;
-             while (i < n)
-               invariant (0 <= i)
-               rinvariant (i<o> == i<r> && n<o> == n<r>)
-             { i = i + 1; }",
-        )
-        .unwrap();
+    /// The vcgen failure of a loop program with only the annotations
+    /// `annotations`, under the default stages.
+    fn vcgen_failure(annotations: &str) -> VcgenError {
+        let source = format!("i = 0; while (i < n) {annotations} {{ i = i + 1; }}");
+        let program = parse_program(&source).unwrap();
         let spec = Spec::synced(&program);
-        (program, spec)
+        Verifier::builder()
+            .workers(1)
+            .build()
+            .check(&program, &spec)
+            .unwrap_err()
+    }
+
+    /// The report a result frame carries, checked against `selection`.
+    fn report_of(frame: &str, selection: StageSet) -> Result<AcceptabilityReport, CorpusError> {
+        let wire = parse_result_frame(frame).unwrap();
+        entry_from_result("toy".to_string(), selection, Ok(wire)).outcome
     }
 
     /// Drives the worker loop in-process over string pipes.
@@ -1486,22 +1489,23 @@ mod tests {
         let mut lines = output.lines();
         let ready = lines.next().unwrap();
         assert!(ready.contains("\"type\":\"ready\""), "{ready}");
-        let wire = parse_result_frame(lines.next().unwrap()).unwrap();
-        assert_eq!(wire.id, 0);
-        assert!(wire.error.is_none());
-        // The wire verdicts match a direct in-process check.
+        let line = lines.next().unwrap();
+        assert_eq!(parse_result_frame(line).unwrap().id, 0);
+        let wire = report_of(line, StageSet::default()).unwrap();
+        // The wire rows match a direct in-process check.
         let (program, spec) = toy();
         let direct = Verifier::builder()
             .workers(1)
             .build()
             .check(&program, &spec)
             .unwrap();
-        let direct_stages = [&direct.original, &direct.relaxed];
-        assert_eq!(wire.stages.len(), 2);
-        for (wire_stage, direct_report) in wire.stages.iter().zip(direct_stages) {
-            assert_eq!(wire_stage.verdicts.len(), direct_report.results.len());
-            for ((verdict, _), expected) in wire_stage.verdicts.iter().zip(&direct_report.results) {
-                assert_eq!(verdict, &expected.verdict);
+        assert_eq!(wire.stages, direct.stages);
+        for ((_, wire_stage), (_, direct_stage)) in wire.stage_reports().zip(direct.stage_reports())
+        {
+            assert_eq!(wire_stage.len(), direct_stage.len());
+            for (row, expected) in wire_stage.results.iter().zip(&direct_stage.results) {
+                assert_eq!(row.vc.name, expected.vc.name);
+                assert_eq!(row.verdict, expected.verdict);
             }
         }
     }
@@ -1518,7 +1522,10 @@ mod tests {
         result.unwrap();
         let wire = parse_result_frame(output.lines().nth(1).unwrap()).unwrap();
         assert_eq!(wire.id, 7);
-        assert!(wire.error.unwrap().contains("program:"));
+        match wire.outcome {
+            Err(CorpusError::Service(reason)) => assert!(reason.contains("program:"), "{reason}"),
+            _ => panic!("an unparsable program is a job error"),
+        }
     }
 
     #[test]
@@ -1528,7 +1535,8 @@ mod tests {
         let (result, output) = drive_worker(frames, Fault::None);
         result.unwrap();
         let wire = parse_result_frame(output.lines().next().unwrap()).unwrap();
-        assert!(wire.error.unwrap().contains("job before config"));
+        let failure = wire.outcome.err().map(|e| e.to_string());
+        assert!(failure.unwrap().contains("job before config"));
     }
 
     #[test]
@@ -1574,16 +1582,26 @@ mod tests {
         let wire = parse_result_frame(&frame).unwrap();
         assert_eq!(wire.id, 9);
         assert_eq!(wire.elapsed_ms, 123);
+        let wire = report_of(&frame, report.stages).unwrap();
         assert_eq!(wire.engine, report.engine);
-        assert_eq!(wire.stages[0].stats, report.original.stats);
-        assert_eq!(wire.stages[1].stats, report.relaxed.stats);
-        let cached_on_wire: usize = wire.stages[1]
-            .verdicts
-            .iter()
-            .filter(|(_, cached)| *cached)
-            .count();
-        let cached_direct = report.relaxed.results.iter().filter(|r| r.cached).count();
-        assert_eq!(cached_on_wire, cached_direct);
+        assert_eq!(wire.original.stats, report.original.stats);
+        assert_eq!(wire.relaxed.stats, report.relaxed.stats);
+        // Every row keeps its obligation's name and context, its verdict
+        // and whether it was cached; its body is the placeholder, and it
+        // carries no deps and no key.
+        assert_eq!(wire.total_vcs(), report.total_vcs());
+        for ((_, wire_stage), (_, direct_stage)) in wire.stage_reports().zip(report.stage_reports())
+        {
+            assert!(wire_stage.keys.is_empty());
+            for (row, expected) in wire_stage.results.iter().zip(&direct_stage.results) {
+                assert_eq!(row.vc.name, expected.vc.name);
+                assert_eq!(row.vc.context, expected.vc.context);
+                assert_eq!(row.verdict, expected.verdict);
+                assert_eq!(row.cached, expected.cached);
+                assert_eq!(row.vc.body, VcBody::Unary(relaxed_lang::Formula::True));
+                assert!(row.vc.deps.is_empty());
+            }
+        }
         // Both ends come from one build, so every counter is required:
         // renaming any one key (its first occurrence; solver counters
         // first occur in the first stage) refuses the frame.
@@ -1602,6 +1620,94 @@ mod tests {
         }
     }
 
+    /// A worker's vcgen failure crosses the wire as the same typed error,
+    /// whichever of the six it is.
+    #[test]
+    fn vcgen_errors_round_trip_through_a_result_frame() {
+        let context = || "body/2".to_string();
+        let array = || "a".to_string();
+        let errors = [
+            vcgen_failure("rinvariant (i<o> == i<r> && n<o> == n<r>)"),
+            vcgen_failure("invariant (0 <= i)"),
+            VcgenError::MissingInvariant {
+                kind: "diverge contract (loop inside a product branch)",
+                context: context(),
+            },
+            VcgenError::RelateNotAllowed { context: context() },
+            VcgenError::ArrayChoiceWithPredicate { context: context() },
+            VcgenError::NestedSelect {
+                array: array(),
+                context: context(),
+            },
+            VcgenError::BoundIndex {
+                array: array(),
+                context: context(),
+            },
+            VcgenError::TooLarge {
+                limit: crate::vcgen::MAX_WP_NODES,
+                context: context(),
+            },
+        ];
+        assert!(matches!(
+            errors[0],
+            VcgenError::MissingInvariant {
+                kind: "invariant",
+                ..
+            }
+        ));
+        assert!(matches!(
+            errors[1],
+            VcgenError::MissingInvariant {
+                kind: "rinvariant",
+                ..
+            }
+        ));
+        for error in errors {
+            let frame = render_failure_frame(4, &CorpusError::Vcgen(error.clone()));
+            // A reader that knows only `error` still sees the failure.
+            assert!(frame.contains(&json_string(&error.to_string())), "{frame}");
+            let wire = parse_result_frame(&frame).unwrap();
+            assert_eq!(wire.id, 4);
+            assert_eq!(wire.outcome.err(), Some(CorpusError::Vcgen(error)));
+        }
+        let unknown = render_failure_frame(
+            4,
+            &CorpusError::Vcgen(VcgenError::MissingInvariant {
+                kind: "invariant",
+                context: context(),
+            }),
+        )
+        .replace("\"detail\":\"invariant\"", "\"detail\":\"ghost\"");
+        let err = parse_result_frame(&unknown).err();
+        assert_eq!(err, Some("unknown annotation kind \"ghost\"".to_string()));
+    }
+
+    /// The client's one check on a report: its stage list is the
+    /// session's selection. A report of other stages is a service error
+    /// that names both lists.
+    #[test]
+    fn a_result_frame_of_other_stages_is_a_service_error() {
+        let (program, spec) = toy();
+        let report = Verifier::builder()
+            .workers(1)
+            .build()
+            .check(&program, &spec)
+            .unwrap();
+        let frame = render_result_frame(2, &report, 1, &[], 0);
+        assert!(report_of(&frame, StageSet::default()).is_ok());
+        for selection in [StageSet::only(Stage::Relaxed), StageSet::all()] {
+            let err = report_of(&frame, selection).unwrap_err();
+            let CorpusError::Service(reason) = &err else {
+                panic!("expected a service error, got {err:?}");
+            };
+            assert!(
+                reason.contains("[original,relaxed]")
+                    && reason.contains(&format!("[{}]", render_stages(selection))),
+                "{reason}"
+            );
+        }
+    }
+
     #[test]
     fn programs_and_specs_survive_the_wire_rendering() {
         // The job frame ships pretty-printed source; it must re-parse to
@@ -1613,33 +1719,6 @@ mod tests {
         assert_eq!(
             spec.rel_pre,
             parse_rel_formula(&spec.rel_pre.to_string()).unwrap()
-        );
-    }
-
-    #[test]
-    fn prepare_jobs_orders_longest_first_by_vc_count() {
-        let (small, small_spec) = toy();
-        let (large, large_spec) = looping();
-        let entries = vec![
-            ("small".to_string(), &small, &small_spec),
-            ("large".to_string(), &large, &large_spec),
-            ("small_again".to_string(), &small, &small_spec),
-        ];
-        let mut slots: Vec<Option<CorpusEntry>> = vec![None, None, None];
-        let jobs = prepare_jobs(StageSet::default(), &entries, &mut slots);
-        let order: Vec<(&str, usize)> = jobs
-            .iter()
-            .map(|job| (job.name.as_str(), job.vc_count))
-            .collect();
-        assert!(
-            jobs[0].vc_count > jobs[1].vc_count,
-            "the programs differ in VC count: {order:?}"
-        );
-        let names: Vec<&str> = order.iter().map(|(name, _)| *name).collect();
-        assert_eq!(
-            names,
-            ["large", "small", "small_again"],
-            "longest first, ties in corpus order"
         );
     }
 }

@@ -20,7 +20,10 @@ pub struct Vc {
     pub name: String,
     /// Where in the program the obligation arose.
     pub context: String,
-    /// The formula to prove valid.
+    /// The formula to prove valid. A result row that was replayed from
+    /// the depmap, or read from a service worker's result frame, carries
+    /// the placeholder `true` instead: its formula was never rebuilt, and
+    /// its verdict (an `Invalid` witness included) is the recorded one.
     pub body: VcBody,
     /// Fragment ids (see [`crate::depmap::fragment_id`]) of every program
     /// statement and spec formula this obligation's formula was built
@@ -28,7 +31,9 @@ pub struct Vc {
     /// Sorted and deduplicated; an edit to any listed fragment may change
     /// the obligation, an edit to none of them cannot. The list is
     /// shared: the depmap record of the obligation, and every result
-    /// replayed from that record, point at the same list.
+    /// replayed from that record, point at the same list. A row read from
+    /// a result frame carries none: the worker that generated the
+    /// obligation recorded its deps.
     pub deps: Arc<[String]>,
 }
 
@@ -96,12 +101,21 @@ pub(crate) fn within_budget(
     Ok(())
 }
 
+/// Every annotation a [`VcgenError::MissingInvariant`] names in its
+/// `kind`, so [`VcgenError::from_parts`] maps its text back to the same
+/// `&'static str`.
+const MISSING_INVARIANT_KINDS: [&str; 3] = [
+    "invariant",
+    "rinvariant",
+    "diverge contract (loop inside a product branch)",
+];
+
 /// Why VC generation failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum VcgenError {
     /// A `while` loop lacks the invariant annotation the calculus needs.
     MissingInvariant {
-        /// `invariant` or `rinvariant`.
+        /// `invariant`, `rinvariant`, or a diverge contract.
         kind: &'static str,
         /// Where the loop is.
         context: String,
@@ -174,3 +188,57 @@ impl fmt::Display for VcgenError {
 }
 
 impl std::error::Error for VcgenError {}
+
+impl VcgenError {
+    /// The error as its variant, its context and its one other field
+    /// (`""` when it has none): the form a service result frame carries.
+    pub(crate) fn to_parts(&self) -> (&'static str, &str, String) {
+        match self {
+            VcgenError::MissingInvariant { kind, context } => {
+                ("missing_invariant", context, kind.to_string())
+            }
+            VcgenError::RelateNotAllowed { context } => {
+                ("relate_not_allowed", context, String::new())
+            }
+            VcgenError::ArrayChoiceWithPredicate { context } => {
+                ("array_choice_with_predicate", context, String::new())
+            }
+            VcgenError::NestedSelect { array, context } => {
+                ("nested_select", context, array.clone())
+            }
+            VcgenError::BoundIndex { array, context } => ("bound_index", context, array.clone()),
+            VcgenError::TooLarge { limit, context } => ("too_large", context, limit.to_string()),
+        }
+    }
+
+    /// The inverse of [`VcgenError::to_parts`].
+    pub(crate) fn from_parts(variant: &str, context: &str, detail: &str) -> Result<Self, String> {
+        let context = context.to_string();
+        Ok(match variant {
+            "missing_invariant" => VcgenError::MissingInvariant {
+                kind: MISSING_INVARIANT_KINDS
+                    .into_iter()
+                    .find(|kind| *kind == detail)
+                    .ok_or_else(|| format!("unknown annotation kind {detail:?}"))?,
+                context,
+            },
+            "relate_not_allowed" => VcgenError::RelateNotAllowed { context },
+            "array_choice_with_predicate" => VcgenError::ArrayChoiceWithPredicate { context },
+            "nested_select" => VcgenError::NestedSelect {
+                array: detail.to_string(),
+                context,
+            },
+            "bound_index" => VcgenError::BoundIndex {
+                array: detail.to_string(),
+                context,
+            },
+            "too_large" => VcgenError::TooLarge {
+                limit: detail
+                    .parse()
+                    .map_err(|_| format!("bad limit {detail:?}"))?,
+                context,
+            },
+            other => return Err(format!("unknown vcgen error {other:?}")),
+        })
+    }
+}

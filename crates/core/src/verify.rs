@@ -11,17 +11,19 @@
 //!
 //! An [`AcceptabilityReport`] is assembled in one place,
 //! [`AcceptabilityReport::from_stages`], whether its stages were just
-//! discharged, replayed from the depmap, or rebuilt from a worker's
-//! result frame; [`AcceptabilityReport::stage_reports`] walks the stages
-//! that ran.
+//! discharged, replayed from the depmap, or read from a worker's result
+//! frame (the last two through one placeholder-row builder);
+//! [`AcceptabilityReport::stage_reports`] walks the stages that ran.
 
 use crate::analysis::{array_vars, formula_array_vars, rel_formula_array_vars};
 use crate::api::{Stage, StageSet};
+use crate::cache::GoalKey;
 use crate::engine::{DischargeEngine, DischargeOptions, EngineStats};
-use crate::vcgen::{vcs_relaxed, vcs_unary, UnaryLogic, Vc, VcgenError};
+use crate::vcgen::{vcs_relaxed, vcs_unary, UnaryLogic, Vc, VcBody, VcgenError};
 use relaxed_lang::{Formula, Program, RelFormula};
 use relaxed_smt::{SolverStats, Validity};
 use std::fmt;
+use std::sync::Arc;
 
 /// The verdict for one VC.
 #[derive(Clone, Debug)]
@@ -43,6 +45,30 @@ impl VcResult {
     pub fn proved(&self) -> bool {
         self.verdict.is_valid()
     }
+
+    /// The row of an obligation known by its provenance alone: a replayed
+    /// program's, or one read from a worker's result frame. Its body is a
+    /// placeholder (`true`) that nothing solves, and its verdict is the
+    /// one recorded.
+    pub(crate) fn placeholder(
+        name: String,
+        context: String,
+        deps: Arc<[String]>,
+        verdict: Validity,
+        cached: bool,
+    ) -> VcResult {
+        VcResult {
+            vc: Vc {
+                name,
+                context,
+                body: VcBody::Unary(Formula::True),
+                deps,
+            },
+            verdict,
+            stats: SolverStats::default(),
+            cached,
+        }
+    }
 }
 
 /// The outcome of one verification run.
@@ -55,6 +81,12 @@ pub struct Report {
     pub stats: SolverStats,
     /// Cache and worker statistics for this discharge call.
     pub engine: EngineStats,
+    /// The verdict-cache key of each result, in result order, as the
+    /// discharge that produced them made it: what a live program's depmap
+    /// record copies instead of encoding its goals again. Empty on rows
+    /// that were replayed or read from a result frame, which are never
+    /// recorded.
+    pub(crate) keys: Vec<GoalKey>,
 }
 
 impl Report {
@@ -85,6 +117,7 @@ impl Report {
     /// hand-sum stat fields (and silently drop one).
     pub fn merge(&mut self, other: Report) {
         self.results.extend(other.results);
+        self.keys.extend(other.keys);
         self.stats.absorb(&other.stats);
         self.engine.absorb(&other.engine);
     }

@@ -193,6 +193,16 @@ fn temp_path(name: &str, extension: &str) -> String {
     path.to_str().expect("temp path is unicode").to_string()
 }
 
+/// The programs of the paper's corpus, as `verify_corpus` names them.
+const CORPUS_PROGRAMS: [&str; 6] = [
+    "swish",
+    "water",
+    "lu",
+    "swish_broken",
+    "water_broken",
+    "lu_broken",
+];
+
 /// Deletes a verdict store and its depmap sidecar.
 fn remove_store(path: &str) {
     let _ = std::fs::remove_file(path);
@@ -277,8 +287,10 @@ fn ci_cache_persistence() {
 /// `relaxed-serviced` daemon (warm two-worker fleet, fresh shared verdict
 /// store, ephemeral port parsed from its startup line), run the
 /// two-concurrent-client `verify_corpus --service` example against it —
-/// once without a store, so the fleet solves cold, then cold and warm on
-/// the shared store (the example asserts verdict equivalence against its
+/// once without a store, so the fleet solves cold and its workers record
+/// every program in the store's depmap sidecar (checked right after),
+/// then cold and warm on the shared store (the example asserts verdict
+/// equivalence against its
 /// in-process baseline and, on the shared store, zero solver runs and ≥1
 /// cross-client disk hit) — then drain the daemon gracefully with a raw
 /// `shutdown` frame and require a worker `solve` span in the trace the
@@ -361,6 +373,18 @@ fn ci_service() {
         ];
         eprintln!("xtask: service-corpus leg without a store (the fleet solves)");
         run_step_without(&service_example, &[], &["DISCHARGE_CACHE"]);
+        // No client had a store, so only the fleet's workers can have
+        // written the sidecar: one record per program they ran live.
+        let sidecar = format!("{cache}.depmap");
+        let records = std::fs::read_to_string(&sidecar).unwrap_or_default();
+        for program in CORPUS_PROGRAMS {
+            if !records.contains(&format!("{{\"program\":\"{program}\",")) {
+                return Err(format!(
+                    "the fleet recorded no depmap revision of {program} in {sidecar}"
+                ));
+            }
+        }
+        eprintln!("xtask: the fleet's workers recorded every program in {sidecar}");
         for leg in ["cold", "warm"] {
             eprintln!("xtask: service-corpus {leg} leg");
             run_step(&service_example, &[("DISCHARGE_CACHE", &cache)]);
