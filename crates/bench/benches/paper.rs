@@ -417,6 +417,7 @@ fn service_throughput(c: &mut Criterion) {
     );
     c.report_metric("service_throughput/fleet", fleet as f64);
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(relaxed_core::depmap::depmap_path(&path));
 }
 
 fn execution(c: &mut Criterion) {

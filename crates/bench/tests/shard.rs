@@ -16,7 +16,8 @@
 //! in-process error, the client must send its largest frames first, a
 //! worker must replay programs from a sidecar written after it spawned, a
 //! saturated daemon must answer `busy` and the client retry until every
-//! job is served, neither a client vanishing mid-job nor a job frame
+//! job is served, a fleet of one must answer a connection's pipelined
+//! jobs in the order it sent them, neither a client vanishing mid-job nor a job frame
 //! without an id may wedge the fleet, and an over-long or deeply nested
 //! frame, a `<==>` chain past the parser's budget, or a program whose
 //! obligation passes vcgen's node budget is refused while the daemon
@@ -334,6 +335,7 @@ fn concurrent_service_clients_get_identical_reports_from_the_shared_store() {
         assert_eq!(daemon.join().expect("daemon thread"), served);
     });
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(depmap_path(&path));
 }
 
 /// The length and modification time of the file at `path`.
@@ -646,6 +648,64 @@ fn client_disconnect_mid_job_does_not_wedge_the_fleet() {
         assert_eq!(status.alive, 2, "the fleet must survive the rude client");
         // The graceful drain would hang forever on a wedged admission
         // slot; completing is the real assertion here.
+        shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
+        daemon.join().expect("daemon thread");
+    });
+}
+
+/// A fleet of one relays a connection's pipelined jobs in the order they
+/// were admitted: four jobs sent in one write come back in send order,
+/// all four admitted at once and none refused.
+#[test]
+fn a_fleet_of_one_answers_pipelined_jobs_in_send_order() {
+    let corpus = casestudies::corpus();
+    let frames: String = corpus[..4]
+        .iter()
+        .enumerate()
+        .map(|(id, (name, program, spec))| {
+            format!(
+                "{{\"type\":\"job\",\"id\":{id},\"name\":{},\"program\":{},\"pre\":{},\
+                 \"post\":{},\"rel_pre\":{},\"rel_post\":{}}}\n",
+                json_string(name),
+                json_string(&program.to_string()),
+                json_string(&spec.pre.to_string()),
+                json_string(&spec.post.to_string()),
+                json_string(&spec.rel_pre.to_string()),
+                json_string(&spec.rel_post.to_string()),
+            )
+        })
+        .collect();
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        let (addr, daemon) = start_service(daemon_session(), 1);
+        {
+            let (mut reader, mut stream) = raw_session(&addr);
+            stream.write_all(frames.as_bytes()).expect("send four jobs");
+            let ids: Vec<i128> = (0..4)
+                .map(|_| {
+                    let mut reply = String::new();
+                    reader.read_line(&mut reply).expect("read a result");
+                    let record = parse_json(reply.trim_end()).expect("a result frame");
+                    let fields = record.as_object().expect("an object");
+                    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                    assert!(
+                        matches!(field("type"), Some(Json::Str(t)) if t == "result"),
+                        "{reply}"
+                    );
+                    assert!(field("error").is_none(), "{reply}");
+                    match field("id") {
+                        Some(Json::Int(id)) => *id,
+                        _ => panic!("a result frame without an id: {reply}"),
+                    }
+                })
+                .collect();
+            assert_eq!(ids, [0, 1, 2, 3]);
+        }
+        let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+        assert_eq!(
+            (status.served, status.peak_active, status.rejected),
+            (4, 4, 0),
+            "{status:?}"
+        );
         shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
         daemon.join().expect("daemon thread");
     });

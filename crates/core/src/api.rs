@@ -1001,8 +1001,10 @@ impl Verifier {
     /// The one corpus pipeline: replays unchanged programs from the
     /// depmap, hands the rest — the *live* programs — to the session's
     /// [`CorpusPolicy`] driver, then attaches lint, folds every entry's
-    /// statistics once, and records each live program's revision.
-    fn run_corpus(&self, programs: Vec<(String, &Program, &Spec)>) -> CorpusReport {
+    /// statistics once, and records each live program's revision. A fleet
+    /// worker enters here directly, with the program and spec it kept
+    /// from the job's last parse.
+    pub(crate) fn run_corpus(&self, programs: Vec<(String, &Program, &Spec)>) -> CorpusReport {
         let started = std::time::Instant::now();
 
         // Incremental fast path (see `crate::depmap`): under a persistent

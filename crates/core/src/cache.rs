@@ -594,7 +594,7 @@ pub(crate) fn field_u64(fields: &[(String, Json)], key: &str) -> Result<u64, Str
 
 /// A parsed value of the crate's minimal JSON dialect (see
 /// [`parse_json`]).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum Json {
     /// A string literal.
     Str(String),
@@ -649,152 +649,179 @@ const MAX_JSON_DEPTH: usize = 64;
 /// Returns a position-annotated description of the first syntax error,
 /// or of the first array or object nested deeper than 64 levels.
 pub fn parse_json(line: &str) -> Result<Json, String> {
-    let chars: Vec<char> = line.chars().collect();
-    let mut at = 0usize;
-    let value = parse_value(&chars, &mut at, 0)?;
-    skip_ws(&chars, &mut at);
-    if at != chars.len() {
-        return Err(format!("trailing content at column {}", at + 1));
+    let mut reader = Reader { text: line, at: 0 };
+    let value = reader.value(0)?;
+    reader.skip_ws();
+    if reader.at != line.len() {
+        return Err(format!("trailing content at column {}", reader.column()));
     }
     Ok(value)
 }
 
-fn skip_ws(chars: &[char], at: &mut usize) {
-    while chars.get(*at).is_some_and(|c| c.is_ascii_whitespace()) {
-        *at += 1;
-    }
+/// A byte cursor over one line of JSON. Every byte the dialect gives a
+/// meaning is ASCII, and no such byte occurs inside a UTF-8 sequence, so
+/// the cursor only ever rests on char boundaries. Error columns count
+/// chars; they are counted only when an error names one.
+struct Reader<'a> {
+    text: &'a str,
+    at: usize,
 }
 
-/// Parses the value at `at`, which sits inside `depth` arrays and
-/// objects.
-fn parse_value(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(chars, at);
-    match chars.get(*at) {
-        Some('{' | '[') if depth == MAX_JSON_DEPTH => Err(format!(
-            "nesting deeper than {MAX_JSON_DEPTH} levels at column {}",
-            *at + 1
-        )),
-        Some('{') => parse_object(chars, at, depth + 1),
-        Some('[') => parse_array(chars, at, depth + 1),
-        Some('"') => Ok(Json::Str(parse_string(chars, at)?)),
-        Some(c) if *c == '-' || c.is_ascii_digit() => parse_int(chars, at),
-        Some(c) => Err(format!("unexpected {c:?} at column {}", *at + 1)),
-        None => Err("unexpected end of line".to_string()),
+impl Reader<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
     }
-}
 
-fn parse_array(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
-    *at += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(chars, at);
-    if chars.get(*at) == Some(&']') {
-        *at += 1;
-        return Ok(Json::Arr(items));
+    /// The 1-based char column of the cursor.
+    fn column(&self) -> usize {
+        self.text[..self.at].chars().count() + 1
     }
-    loop {
-        items.push(parse_value(chars, at, depth)?);
-        skip_ws(chars, at);
-        match chars.get(*at) {
-            Some(',') => *at += 1,
-            Some(']') => {
-                *at += 1;
-                return Ok(Json::Arr(items));
+
+    /// The char at the cursor, for an error that quotes it.
+    fn current(&self) -> char {
+        self.text[self.at..].chars().next().unwrap_or_default()
+    }
+
+    fn skip_ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.at += 1;
+        }
+    }
+
+    /// Parses the value at the cursor, which sits inside `depth` arrays
+    /// and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at column {}",
+                self.column()
+            )),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'-' | b'0'..=b'9') => self.int(),
+            Some(_) => Err(format!(
+                "unexpected {:?} at column {}",
+                self.current(),
+                self.column()
+            )),
+            None => Err("unexpected end of line".to_string()),
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
+        self.at += 1; // consume '['
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.at += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b']') => {
+                    self.at += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at column {}", self.column())),
             }
-            _ => return Err(format!("expected ',' or ']' at column {}", *at + 1)),
         }
     }
-}
 
-fn parse_object(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
-    *at += 1; // consume '{'
-    let mut fields = Vec::new();
-    skip_ws(chars, at);
-    if chars.get(*at) == Some(&'}') {
-        *at += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(chars, at);
-        let key = parse_string(chars, at)?;
-        skip_ws(chars, at);
-        if chars.get(*at) != Some(&':') {
-            return Err(format!("expected ':' at column {}", *at + 1));
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
+        self.at += 1; // consume '{'
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.at += 1;
+            return Ok(Json::Obj(fields));
         }
-        *at += 1;
-        let value = parse_value(chars, at, depth)?;
-        fields.push((key, value));
-        skip_ws(chars, at);
-        match chars.get(*at) {
-            Some(',') => *at += 1,
-            Some('}') => {
-                *at += 1;
-                return Ok(Json::Obj(fields));
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(format!("expected ':' at column {}", self.column()));
             }
-            _ => return Err(format!("expected ',' or '}}' at column {}", *at + 1)),
+            self.at += 1;
+            let value = self.value(depth)?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b'}') => {
+                    self.at += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(format!("expected ',' or '}}' at column {}", self.column())),
+            }
         }
     }
-}
 
-fn parse_string(chars: &[char], at: &mut usize) -> Result<String, String> {
-    if chars.get(*at) != Some(&'"') {
-        return Err(format!("expected string at column {}", *at + 1));
-    }
-    *at += 1;
-    let mut out = String::new();
-    loop {
-        match chars.get(*at) {
-            None => return Err("unterminated string".to_string()),
-            Some('"') => {
-                *at += 1;
+    /// Parses a string literal, copying each run between escapes whole.
+    fn string(&mut self) -> Result<String, String> {
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected string at column {}", self.column()));
+        }
+        self.at += 1;
+        let bytes = self.text.as_bytes();
+        let mut out = String::new();
+        loop {
+            let Some(run) = bytes[self.at..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err("unterminated string".to_string());
+            };
+            let end = self.at + run;
+            out.push_str(&self.text[self.at..end]);
+            self.at = end + 1;
+            if bytes[end] == b'"' {
                 return Ok(out);
             }
-            Some('\\') => {
-                *at += 1;
-                match chars.get(*at) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let hex: String = chars
-                            .get(*at + 1..*at + 5)
-                            .ok_or("truncated \\u escape")?
-                            .iter()
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(
-                            char::from_u32(code).ok_or(format!("bad \\u code point {code:#x}"))?,
-                        );
-                        *at += 4;
-                    }
-                    Some(c) => return Err(format!("bad escape \\{c}")),
-                    None => return Err("unterminated escape".to_string()),
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    // The four chars after the `u`, hex digits or not.
+                    let start = self.at + 1;
+                    let hex = match self.text[start..].char_indices().nth(3) {
+                        Some((last, c)) => &self.text[start..start + last + c.len_utf8()],
+                        None => return Err("truncated \\u escape".to_string()),
+                    };
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                    out.push(char::from_u32(code).ok_or(format!("bad \\u code point {code:#x}"))?);
+                    self.at += hex.len();
                 }
-                *at += 1;
+                Some(_) => return Err(format!("bad escape \\{}", self.current())),
+                None => return Err("unterminated escape".to_string()),
             }
-            Some(c) => {
-                out.push(*c);
-                *at += 1;
-            }
+            self.at += 1;
         }
     }
-}
 
-fn parse_int(chars: &[char], at: &mut usize) -> Result<Json, String> {
-    let start = *at;
-    if chars.get(*at) == Some(&'-') {
-        *at += 1;
+    fn int(&mut self) -> Result<Json, String> {
+        let start = self.at;
+        if self.peek() == Some(b'-') {
+            self.at += 1;
+        }
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.at += 1;
+        }
+        let text = &self.text[start..self.at];
+        text.parse::<i128>()
+            .map(Json::Int)
+            .map_err(|_| format!("bad integer {text:?}"))
     }
-    while chars.get(*at).is_some_and(char::is_ascii_digit) {
-        *at += 1;
-    }
-    let text: String = chars[start..*at].iter().collect();
-    text.parse::<i128>()
-        .map(Json::Int)
-        .map_err(|_| format!("bad integer {text:?}"))
 }
 
 #[cfg(test)]
@@ -1144,5 +1171,368 @@ mod tests {
         assert!(items[1].as_object().is_ok());
         assert!(items[2].as_array().unwrap().is_empty());
         assert!(parse_json("{\"a\":1}").unwrap().as_array().is_err());
+    }
+
+    /// A splitmix64 stream: the differential test's only source of
+    /// variation, so a failure reproduces from the seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// One of each record the crate writes, over the paper's corpus: the
+    /// verdict store and its depmap sidecar as a persistent session
+    /// leaves them; the config and job frames a worker reads and the
+    /// `ready`, result (the broken programs' with `Invalid` witnesses),
+    /// vcgen-failure and error frames it writes; a traced result frame
+    /// whose spans carry every kind of argument; and the daemon's own
+    /// frames.
+    fn corpus_records() -> Vec<String> {
+        use crate::shard::{prepare_jobs, render_config_frame, render_result_frame, worker_loop};
+        use crate::telemetry::{ArgValue, Event};
+        use crate::{Spec, Verifier};
+        let corpus = crate::test_corpus();
+        let mut records = Vec::new();
+
+        let path = temp_file("differential");
+        let session = Verifier::builder().workers(1).cache_file(&path).build();
+        session.check_corpus_named(&corpus);
+        session.persist().unwrap();
+        drop(session);
+        for file in [path.clone(), crate::depmap::depmap_path(&path)] {
+            let text = std::fs::read_to_string(&file).unwrap();
+            records.extend(text.lines().map(str::to_string));
+            std::fs::remove_file(&file).unwrap();
+        }
+
+        let unannotated = relaxed_lang::parse_program(
+            "i = 0; while (i < n) rinvariant (i<o> == i<r> && n<o> == n<r>) { i = i + 1; }",
+        )
+        .unwrap();
+        let unannotated_spec = Spec::synced(&unannotated);
+        let mut programs: Vec<(String, &relaxed_lang::Program, &Spec)> = corpus
+            .iter()
+            .map(|(name, program, spec)| (name.to_string(), program, spec))
+            .collect();
+        programs.push(("unannotated".to_string(), &unannotated, &unannotated_spec));
+        let mut input = vec![render_config_frame(&crate::Config::default(), 1)];
+        input.extend(prepare_jobs(&programs).into_iter().map(|job| job.frame));
+        input.push(
+            "{\"type\":\"job\",\"id\":9,\"name\":\"bad\",\"program\":\"while (\",\
+             \"pre\":\"true\",\"post\":\"true\",\"rel_pre\":\"true\",\"rel_post\":\"true\"}"
+                .to_string(),
+        );
+        let mut output = Vec::new();
+        worker_loop(
+            (input.join("\n") + "\n").as_bytes(),
+            &mut output,
+            crate::shard::Fault::None,
+        )
+        .unwrap();
+        let output = String::from_utf8(output).unwrap();
+        assert_eq!(output.lines().count(), programs.len() + 2, "{output}");
+        records.extend(output.lines().map(str::to_string));
+        records.extend(input);
+        let persistent = crate::Config {
+            cache: crate::CachePolicy::Persistent {
+                path: "/var/cache/relaxed \"store\".jsonl".into(),
+            },
+            ..crate::Config::default()
+        };
+        records.push(render_config_frame(&persistent, 4));
+
+        let (_, program, spec) = &corpus[3];
+        let report = Verifier::builder()
+            .workers(1)
+            .build()
+            .check(program, spec)
+            .unwrap();
+        let args = vec![
+            (
+                "goal".into(),
+                ArgValue::Str("(<= (v |x|) 1)\n\u{1}".to_string()),
+            ),
+            ("decisions".into(), ArgValue::U64(u64::MAX)),
+            ("delta".into(), ArgValue::I64(i64::MIN)),
+        ];
+        let spans: Vec<Event> = (0..3)
+            .map(|i| Event {
+                name: "solve".into(),
+                cat: "engine".into(),
+                ts_us: 100 + i,
+                dur_us: 7,
+                pid: 0,
+                tid: i,
+                args: if i == 1 { Vec::new() } else { args.clone() },
+            })
+            .collect();
+        records.push(render_result_frame(3, &report, 12, &spans, 50));
+
+        records.extend(crate::service::sample_frames());
+        records
+    }
+
+    /// Both readers on `text`: equal values, or equal error texts.
+    fn assert_readers_agree(text: &str) {
+        assert_eq!(parse_json(text), oracle::parse_json(text), "on {text:?}");
+    }
+
+    /// The byte reader returns what the char reader it replaced returns,
+    /// value or error text, on every record the crate writes for the
+    /// corpus and on seeded mutations of them: every truncation, single
+    /// ASCII byte flips, inserted escapes (`\\u` ones with surrogates
+    /// among them), non-ASCII text, and nesting at 63, 64 and 65 levels.
+    #[test]
+    fn the_byte_reader_agrees_with_the_char_reader() {
+        let records = corpus_records();
+        assert!(
+            records
+                .iter()
+                .any(|r| r.contains("\"verdict\":\"invalid\"")),
+            "a result frame carries a witness"
+        );
+        let mut rng = Rng(0x5eed_0007);
+        let flips = [
+            "\"", "\\", "{", "}", "[", "]", ":", ",", "-", "0", "9", " ", "\t", "u", "x",
+        ];
+        let escapes = [
+            "\\n",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\t",
+            "\\r",
+            "\\q",
+            "\\",
+            "\\u0041",
+            "\\u00e9",
+            "\\uD800",
+            "\\uDBFF\\uDC00",
+            "\\udfff",
+            "\\u12",
+            "\\u+041",
+            "\\u00é1",
+            "\\u",
+            "\\U0041",
+            "\\u0000",
+        ];
+        let foreign = ["é", "漢字", "😀", "\u{7f}", "\u{0}", "\"é\"", "\"😀\":"];
+        let mut checked = 0usize;
+        for record in &records {
+            assert_readers_agree(record);
+            let boundaries: Vec<usize> = record
+                .char_indices()
+                .map(|(at, _)| at)
+                .chain([record.len()])
+                .collect();
+            for &end in &boundaries {
+                assert_readers_agree(&record[..end]);
+            }
+            let ascii: Vec<usize> = record
+                .bytes()
+                .enumerate()
+                .filter(|(_, b)| b.is_ascii())
+                .map(|(at, _)| at)
+                .collect();
+            for _ in 0..64 {
+                let at = ascii[rng.below(ascii.len())];
+                let mut flipped = record.clone();
+                flipped.replace_range(at..=at, rng.pick(&flips));
+                assert_readers_agree(&flipped);
+                for insert in [rng.pick(&escapes), rng.pick(&foreign)] {
+                    let at = boundaries[rng.below(boundaries.len())];
+                    let mut grown = record.clone();
+                    grown.insert_str(at, insert);
+                    assert_readers_agree(&grown);
+                }
+            }
+            checked += boundaries.len() + 3 * 64;
+        }
+        for depth in [63, 64, 65] {
+            let arrays = "[".repeat(depth) + &"]".repeat(depth);
+            let objects = "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+            let mixed = "[{\"é\":".repeat(depth / 2) + "[]" + &"}]".repeat(depth / 2);
+            let around = format!(
+                "{{\"x\":{}}}",
+                "[".repeat(depth - 1) + &records[0] + &"]".repeat(depth - 1)
+            );
+            for text in [arrays, objects, mixed, around] {
+                assert_readers_agree(&text);
+                assert_readers_agree(&text[..text.len() - 1]);
+            }
+        }
+        assert!(checked > 10_000, "{checked}");
+    }
+
+    /// The reader `parse_json` replaced, kept verbatim as the oracle of
+    /// `the_byte_reader_agrees_with_the_char_reader`: it walks a
+    /// `Vec<char>` copy of the line.
+    mod oracle {
+        use super::super::{Json, MAX_JSON_DEPTH};
+
+        pub(super) fn parse_json(line: &str) -> Result<Json, String> {
+            let chars: Vec<char> = line.chars().collect();
+            let mut at = 0usize;
+            let value = parse_value(&chars, &mut at, 0)?;
+            skip_ws(&chars, &mut at);
+            if at != chars.len() {
+                return Err(format!("trailing content at column {}", at + 1));
+            }
+            Ok(value)
+        }
+
+        fn skip_ws(chars: &[char], at: &mut usize) {
+            while chars.get(*at).is_some_and(|c| c.is_ascii_whitespace()) {
+                *at += 1;
+            }
+        }
+
+        /// Parses the value at `at`, which sits inside `depth` arrays and
+        /// objects.
+        fn parse_value(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
+            skip_ws(chars, at);
+            match chars.get(*at) {
+                Some('{' | '[') if depth == MAX_JSON_DEPTH => Err(format!(
+                    "nesting deeper than {MAX_JSON_DEPTH} levels at column {}",
+                    *at + 1
+                )),
+                Some('{') => parse_object(chars, at, depth + 1),
+                Some('[') => parse_array(chars, at, depth + 1),
+                Some('"') => Ok(Json::Str(parse_string(chars, at)?)),
+                Some(c) if *c == '-' || c.is_ascii_digit() => parse_int(chars, at),
+                Some(c) => Err(format!("unexpected {c:?} at column {}", *at + 1)),
+                None => Err("unexpected end of line".to_string()),
+            }
+        }
+
+        fn parse_array(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
+            *at += 1; // consume '['
+            let mut items = Vec::new();
+            skip_ws(chars, at);
+            if chars.get(*at) == Some(&']') {
+                *at += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                items.push(parse_value(chars, at, depth)?);
+                skip_ws(chars, at);
+                match chars.get(*at) {
+                    Some(',') => *at += 1,
+                    Some(']') => {
+                        *at += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return Err(format!("expected ',' or ']' at column {}", *at + 1)),
+                }
+            }
+        }
+
+        fn parse_object(chars: &[char], at: &mut usize, depth: usize) -> Result<Json, String> {
+            *at += 1; // consume '{'
+            let mut fields = Vec::new();
+            skip_ws(chars, at);
+            if chars.get(*at) == Some(&'}') {
+                *at += 1;
+                return Ok(Json::Obj(fields));
+            }
+            loop {
+                skip_ws(chars, at);
+                let key = parse_string(chars, at)?;
+                skip_ws(chars, at);
+                if chars.get(*at) != Some(&':') {
+                    return Err(format!("expected ':' at column {}", *at + 1));
+                }
+                *at += 1;
+                let value = parse_value(chars, at, depth)?;
+                fields.push((key, value));
+                skip_ws(chars, at);
+                match chars.get(*at) {
+                    Some(',') => *at += 1,
+                    Some('}') => {
+                        *at += 1;
+                        return Ok(Json::Obj(fields));
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at column {}", *at + 1)),
+                }
+            }
+        }
+
+        fn parse_string(chars: &[char], at: &mut usize) -> Result<String, String> {
+            if chars.get(*at) != Some(&'"') {
+                return Err(format!("expected string at column {}", *at + 1));
+            }
+            *at += 1;
+            let mut out = String::new();
+            loop {
+                match chars.get(*at) {
+                    None => return Err("unterminated string".to_string()),
+                    Some('"') => {
+                        *at += 1;
+                        return Ok(out);
+                    }
+                    Some('\\') => {
+                        *at += 1;
+                        match chars.get(*at) {
+                            Some('"') => out.push('"'),
+                            Some('\\') => out.push('\\'),
+                            Some('/') => out.push('/'),
+                            Some('n') => out.push('\n'),
+                            Some('r') => out.push('\r'),
+                            Some('t') => out.push('\t'),
+                            Some('u') => {
+                                let hex: String = chars
+                                    .get(*at + 1..*at + 5)
+                                    .ok_or("truncated \\u escape")?
+                                    .iter()
+                                    .collect();
+                                let code = u32::from_str_radix(&hex, 16)
+                                    .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                                out.push(
+                                    char::from_u32(code)
+                                        .ok_or(format!("bad \\u code point {code:#x}"))?,
+                                );
+                                *at += 4;
+                            }
+                            Some(c) => return Err(format!("bad escape \\{c}")),
+                            None => return Err("unterminated escape".to_string()),
+                        }
+                        *at += 1;
+                    }
+                    Some(c) => {
+                        out.push(*c);
+                        *at += 1;
+                    }
+                }
+            }
+        }
+
+        fn parse_int(chars: &[char], at: &mut usize) -> Result<Json, String> {
+            let start = *at;
+            if chars.get(*at) == Some(&'-') {
+                *at += 1;
+            }
+            while chars.get(*at).is_some_and(char::is_ascii_digit) {
+                *at += 1;
+            }
+            let text: String = chars[start..*at].iter().collect();
+            text.parse::<i128>()
+                .map(Json::Int)
+                .map_err(|_| format!("bad integer {text:?}"))
+        }
     }
 }

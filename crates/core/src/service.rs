@@ -9,9 +9,10 @@
 //!   `relaxed-serviced` binary) that spawns a warm `relaxed-shardd`
 //!   worker fleet up front (concurrently, through the shard module's
 //!   `Fleet`) and serves **concurrent** verify requests over
-//!   TCP — thread-per-connection, with a bounded admission queue and
-//!   backpressure (`busy` reject-with-retry-after frames when saturated)
-//!   and a graceful drain on the `shutdown` control frame. Each worker
+//!   TCP — thread-per-connection, with a bounded admission queue drained
+//!   by one relay thread per fleet slot, backpressure (`busy`
+//!   reject-with-retry-after frames when saturated) and a graceful drain
+//!   on the `shutdown` control frame. Each worker
 //!   opens the fingerprint-gated persistent verdict store and its depmap
 //!   sidecar itself, and reads both again before every job where they
 //!   changed; the daemon holds no verdicts;
@@ -62,19 +63,26 @@
 //! `error` frame and never reaches a worker.
 //!
 //! The daemon is the TCP-facing half — admission cap, `busy` frames,
-//! control frames and metrics — on top of the shard module's `Fleet`,
-//! which owns the workers: a worker crash mid-job is retried on a
-//! freshly spawned replacement (bounded by [`MAX_ATTEMPTS`]), and worker
-//! spans are re-anchored into the daemon's own trace, so a traced daemon
-//! (`DISCHARGE_TRACE`) gets one `shard-worker-N` lane per worker,
-//! written at the drain, before the `bye` frame. Once the drain has
-//! begun every arriving job is refused with an error frame; the drain
-//! waits out the jobs admitted before it, then shuts the fleet down. A
+//! control frames and metrics — on top of the shard module's `Fleet`.
+//! An admitted job waits in one FIFO queue, under the lock admission
+//! takes, until one of the relay threads takes it; there is one relay
+//! thread per fleet slot, and it owns the slot's worker for the daemon's
+//! lifetime. No thread is spawned per job. A job's served latency counts
+//! from its admission to its worker's result line, so it includes the
+//! wait in the queue. The relay parses each result frame whole before it
+//! forwards it: a worker crash or a malformed frame mid-job is retried on
+//! a freshly spawned replacement in the same slot (bounded by
+//! [`MAX_ATTEMPTS`]), and worker spans are re-anchored into the daemon's
+//! own trace, so a traced daemon (`DISCHARGE_TRACE`) gets one
+//! `shard-worker-N` lane per worker, written at the drain, before the
+//! `bye` frame. Once the drain has begun every arriving job is refused
+//! with an error frame; the drain waits out the jobs admitted before it,
+//! then closes the queue, and each relay thread shuts its worker down. A
 //! client disconnect mid-job merely discards that job's result write —
-//! the worker is returned to the fleet and the admission slot is
-//! released, so one flaky client can never wedge the fleet. A frame that fails to read —
-//! over-long or not UTF-8 — is answered with an `error` frame and
-//! closes its connection.
+//! the job still finishes and releases its admission slot, so one flaky
+//! client can never wedge the fleet. A frame that fails to read —
+//! over-long or not UTF-8 — is answered with an `error` frame and closes
+//! its connection.
 //!
 //! [`CorpusPolicy::Service`]: crate::api::CorpusPolicy::Service
 //! [`CorpusReport`]: crate::api::CorpusReport
@@ -85,16 +93,17 @@ use crate::cache::{field_str, field_u64, parse_json, Json};
 use crate::engine::elapsed_us;
 use crate::shard::{
     entry_from_result, parse_config_frame, parse_result_frame, prepare_jobs, render_config_frame,
-    render_error_frame, resolve_worker, Fleet, ShardJob, TcpTransport, Transport, WorkerHandle,
-    JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
+    render_error_frame, resolve_worker, write_frame, Fleet, ShardJob, TcpTransport, Transport,
+    WorkerHandle, JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
 };
 use crate::verify::Spec;
 use relaxed_lang::Program;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Startup options for a [`Service`] daemon.
@@ -136,13 +145,18 @@ const RETRY_AFTER_MS: u64 = 25;
 /// milliseconds. Fixed, so scrapes from different daemons line up.
 const LATENCY_BUCKETS_MS: [u64; 10] = [1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000];
 
-/// The daemon's one set of counters, condvar-signalled for the drain:
-/// the `status`, `metrics` and `bye` frames and [`Service::run`] read it.
-/// Admission reads the drain flag under the same lock.
+/// The daemon's one set of counters and its job queue, behind one lock:
+/// the `status`, `metrics` and `bye` frames and [`Service::run`] read
+/// it, admission reads the drain flag and queues the job under it, and
+/// the relay slots take jobs from it.
 #[derive(Debug, Default)]
 struct Counters {
     /// Set by the drain: from then on no job is admitted.
     draining: bool,
+    /// Admitted jobs no relay slot has taken yet, oldest first.
+    queue: VecDeque<QueuedJob>,
+    /// Relay slots waiting for a job.
+    idle: usize,
     /// Jobs admitted and not yet finished, across all connections.
     active: usize,
     /// High-water mark of `active` — the queue-depth gauge.
@@ -158,6 +172,22 @@ struct Counters {
     latency_sum_us: u64,
 }
 
+/// An admitted job, waiting in the queue for a relay slot.
+#[derive(Debug)]
+struct QueuedJob {
+    id: usize,
+    name: String,
+    /// The job frame as the client sent it, relayed to a worker verbatim.
+    line: String,
+    /// The connection its response goes back on.
+    writer: Arc<Mutex<TcpStream>>,
+    /// Its served latency counts from here, so it includes the wait for a
+    /// slot.
+    admitted: Instant,
+    /// The `fleet/checkout` span of that wait.
+    wait: crate::telemetry::SpanGuard,
+}
+
 /// Why [`Counters::admit`] turned a job away.
 #[derive(Debug, PartialEq, Eq)]
 enum Refusal {
@@ -168,6 +198,18 @@ enum Refusal {
         /// [`Counters::retry_after_ms`] at the refusal.
         retry_after_ms: u64,
     },
+}
+
+impl Refusal {
+    /// The frame that answers the refused job `id`.
+    fn frame(&self, id: usize) -> String {
+        match self {
+            Refusal::Draining => render_error_frame(id, "service is shutting down"),
+            Refusal::Busy { retry_after_ms } => {
+                format!("{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{retry_after_ms}}}")
+            }
+        }
+    }
 }
 
 impl Counters {
@@ -248,12 +290,19 @@ impl Counters {
 }
 
 /// The TCP-facing half of the daemon on top of its [`Fleet`]: admission,
-/// control frames, and metrics.
+/// the job queue, one relay thread per fleet slot, control frames, and
+/// metrics.
 struct Daemon {
     config: Config,
     fleet: Fleet,
     counters: Mutex<Counters>,
+    /// Wakes the drain when the last admitted job has finished.
     signal: Condvar,
+    /// Wakes an idle relay slot when a job is queued, and every slot at
+    /// the drain.
+    queued: Condvar,
+    /// The relay threads, one per fleet slot, joined at the drain.
+    relays: Mutex<Vec<JoinHandle<()>>>,
     /// Whether this daemon still holds its trace-file ownership: taken
     /// in [`Service::bind`], released once, at the drain or on drop.
     owns_trace: AtomicBool,
@@ -267,12 +316,20 @@ impl Drop for Daemon {
 }
 
 impl Daemon {
-    fn release(&self) {
-        self.counters().active -= 1;
-        self.signal.notify_all();
+    /// A daemon over `fleet` with no relay slot started yet.
+    fn new(config: Config, fleet: Fleet) -> Daemon {
+        Daemon {
+            owns_trace: AtomicBool::new(config.trace.is_some()),
+            config,
+            fleet,
+            counters: Mutex::default(),
+            signal: Condvar::new(),
+            queued: Condvar::new(),
+            relays: Mutex::default(),
+        }
     }
 
-    fn counters(&self) -> std::sync::MutexGuard<'_, Counters> {
+    fn counters(&self) -> MutexGuard<'_, Counters> {
         self.counters.lock().expect("service counters")
     }
 
@@ -280,38 +337,116 @@ impl Daemon {
         self.counters().draining
     }
 
-    /// Runs one raw job line on the fleet, returning the raw response
-    /// line to forward (a result frame, or an error frame when the
-    /// attempts are exhausted).
-    fn run_job_line(&self, id: usize, name: &str, line: &str) -> String {
-        let job_started = Instant::now();
-        match self.fleet.run(id, name, line) {
+    /// Admits one job frame and queues it for the next free relay slot,
+    /// unless the drain has begun or the admission cap is reached.
+    fn submit(
+        &self,
+        id: usize,
+        name: String,
+        line: String,
+        writer: &Arc<Mutex<TcpStream>>,
+    ) -> Result<(), Refusal> {
+        let admitted = Instant::now();
+        let mut counters = self.counters();
+        counters.admit(ADMITTED_PER_WORKER * self.fleet.size())?;
+        counters.queue.push_back(QueuedJob {
+            id,
+            name,
+            line,
+            writer: Arc::clone(writer),
+            admitted,
+            wait: crate::telemetry::span("fleet", "checkout"),
+        });
+        let wake = counters.idle > 0;
+        drop(counters);
+        if wake {
+            self.queued.notify_one();
+        }
+        Ok(())
+    }
+
+    /// One fleet slot's relay thread, the only owner of the slot's
+    /// worker: it takes queued jobs in order, runs each on the worker and
+    /// writes the response back to the job's connection, until the drain
+    /// leaves the queue empty; then it shuts the worker down.
+    fn relay(&self, mut worker: Option<WorkerHandle>) {
+        let mut counters = self.counters();
+        loop {
+            let Some(job) = counters.queue.pop_front() else {
+                if counters.draining {
+                    break;
+                }
+                counters.idle += 1;
+                counters = self.queued.wait(counters).expect("service counters");
+                counters.idle -= 1;
+                continue;
+            };
+            drop(counters);
+            self.run_job(&mut worker, job);
+            // The job is finished only after its response was written (or
+            // its client found gone), so the drain never cuts a response.
+            counters = self.counters();
+            counters.active -= 1;
+            if counters.draining && counters.active == 0 {
+                self.signal.notify_all();
+            }
+        }
+        drop(counters);
+        if let Some(worker) = worker {
+            self.fleet.shutdown(worker);
+        }
+        // The trace is written once every relay thread has ended: flush
+        // this one's spans first.
+        crate::telemetry::drain_thread();
+    }
+
+    /// Runs one queued job on the slot's worker and writes the response
+    /// (a result frame, or an error frame when the attempts are
+    /// exhausted) back to its connection.
+    fn run_job(&self, worker: &mut Option<WorkerHandle>, job: QueuedJob) {
+        let QueuedJob {
+            id,
+            name,
+            line,
+            writer,
+            admitted,
+            mut wait,
+        } = job;
+        if let Some(worker) = worker.as_ref() {
+            wait.arg("worker", worker.lane);
+        }
+        drop(wait);
+        let response = match self.fleet.run(worker, id, &name, &line) {
             Ok(response) => {
-                self.counters().serve(elapsed_us(job_started));
+                self.counters().serve(elapsed_us(admitted));
                 response
             }
             Err(e) => render_error_frame(id, &e),
-        }
+        };
+        // A vanished client makes this write fail; the job finishes
+        // either way, so the fleet never wedges on a dropped connection.
+        let _ = write_frame(&mut *writer.lock().expect("connection writer"), &response);
     }
 
     fn status_frame(&self) -> String {
-        let (alive, _) = self.fleet.counts();
+        let alive = self.fleet.alive();
         self.counters().status_frame(self.fleet.size(), alive)
     }
 
-    /// The `metrics` control frame: the counters and the fleet's worker
-    /// counts as Prometheus text inside one JSON frame.
+    /// The `metrics` control frame: the counters, the fleet's live
+    /// workers and its idle slots as Prometheus text inside one JSON
+    /// frame.
     fn metrics_frame(&self) -> String {
-        let (alive, idle) = self.fleet.counts();
-        format!(
-            "{{\"type\":\"metrics\",\"proto\":{PROTOCOL_VERSION},\"text\":{}}}",
-            crate::cache::json_string(&self.counters().prometheus(alive, idle))
-        )
+        let alive = self.fleet.alive();
+        let counters = self.counters();
+        render_metrics_frame(&counters.prometheus(alive, counters.idle))
     }
 
-    /// The graceful drain: stop admitting, wait out the in-flight jobs,
-    /// shut the fleet down (each worker's EOF triggers its final
-    /// persist), and write a traced daemon's trace.
+    /// The graceful drain: stop admitting, wait out the admitted jobs,
+    /// then close the queue: each relay thread shuts its worker down
+    /// (the worker's EOF triggers its final persist) and ends. Once all
+    /// have ended, a traced daemon writes its trace. A second drain
+    /// returns once the first has.
     fn drain(&self) {
         let mut counters = self.counters();
         counters.draining = true;
@@ -319,7 +454,12 @@ impl Daemon {
             counters = self.signal.wait(counters).expect("service counters");
         }
         drop(counters);
-        self.fleet.drain();
+        self.queued.notify_all();
+        let mut relays = self.relays.lock().expect("relay threads");
+        for relay in relays.drain(..) {
+            let _ = relay.join();
+        }
+        drop(relays);
         self.release_trace();
     }
 
@@ -341,7 +481,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Binds the listen socket and pre-spawns the warm worker fleet.
+    /// Binds the listen socket, pre-spawns the warm worker fleet and
+    /// starts one relay thread per fleet slot.
     ///
     /// # Errors
     ///
@@ -364,17 +505,21 @@ impl Service {
         if let Some(path) = &config.trace {
             crate::telemetry::acquire_file(path);
         }
-        let daemon = Arc::new(Daemon {
-            fleet: Fleet::new(&config, binary, fleet_size),
-            counters: Mutex::default(),
-            signal: Condvar::new(),
-            owns_trace: AtomicBool::new(config.trace.is_some()),
-            config,
-        });
-        daemon
+        let fleet = Fleet::new(&config, binary, fleet_size);
+        let daemon = Arc::new(Daemon::new(config, fleet));
+        let workers = daemon
             .fleet
             .spawn_all()
             .map_err(|e| format!("failed to pre-spawn the worker fleet: {e}"))?;
+        // One relay thread per slot, the owner of its worker.
+        let relays = workers
+            .into_iter()
+            .map(|worker| {
+                let daemon = Arc::clone(&daemon);
+                std::thread::spawn(move || daemon.relay(Some(worker)))
+            })
+            .collect();
+        *daemon.relays.lock().expect("relay threads") = relays;
         Ok(Service { daemon, listener })
     }
 
@@ -408,9 +553,19 @@ impl Service {
     }
 }
 
+impl Drop for Service {
+    /// A service that was never drained stops its relay threads and
+    /// shuts its workers down; after a drain this does nothing.
+    fn drop(&mut self) {
+        self.daemon.drain();
+    }
+}
+
 /// One client connection: reads frames until EOF (a vanished client) or
-/// the daemon-wide shutdown. Jobs fan out onto detached threads so one
-/// connection's pipelined corpus saturates the whole fleet.
+/// the daemon-wide shutdown. Each job is admitted into the daemon's
+/// queue, so one connection's pipelined corpus keeps every relay slot,
+/// and so the whole fleet, busy; its response is written back by the slot
+/// that ran it.
 fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) {
     let peer = stream
         .peer_addr()
@@ -422,18 +577,9 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
     let writer = Arc::new(Mutex::new(write_half));
     let mut reader = TcpTransport::from_stream(stream, peer);
     let reply = |frame: &str| {
-        let mut w = writer.lock().expect("connection writer");
-        use std::io::Write;
-        let _ = w
-            .write_all(frame.as_bytes())
-            .and_then(|()| w.write_all(b"\n"));
+        let _ = write_frame(&mut *writer.lock().expect("connection writer"), frame);
     };
-    let refuse = |reason: &str| {
-        reply(&format!(
-            "{{\"type\":\"error\",\"reason\":{}}}",
-            crate::cache::json_string(reason)
-        ));
-    };
+    let refuse = |reason: &str| reply(&render_refusal(reason));
     // The server side has no frame deadline of its own: an idle client
     // costs one parked thread, and EOF/shutdown are the exits.
     const READ_SLICE: Duration = Duration::from_millis(500);
@@ -493,40 +639,10 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
                     reply(&render_error_frame(id, "job before config"));
                     continue;
                 }
-                // An admitted job must later `release` its slot.
-                let admission = daemon
-                    .counters()
-                    .admit(ADMITTED_PER_WORKER * daemon.fleet.size());
-                if let Err(refusal) = admission {
-                    reply(&match refusal {
-                        Refusal::Draining => render_error_frame(id, "service is shutting down"),
-                        Refusal::Busy { retry_after_ms } => format!(
-                            "{{\"type\":\"busy\",\"id\":{id},\"retry_after_ms\":{retry_after_ms}}}"
-                        ),
-                    });
-                    continue;
-                }
                 let name = field_str(fields, "name").unwrap_or_default().to_string();
-                let daemon = Arc::clone(daemon);
-                let writer = Arc::clone(&writer);
-                std::thread::spawn(move || {
-                    let response = daemon.run_job_line(id, &name, &line);
-                    // A vanished client makes this write fail; the job
-                    // slot and the worker are released either way, so the
-                    // fleet never wedges on a dropped connection.
-                    {
-                        let mut w = writer.lock().expect("connection writer");
-                        use std::io::Write;
-                        let _ = w
-                            .write_all(response.as_bytes())
-                            .and_then(|()| w.write_all(b"\n"));
-                    }
-                    // Detached job threads may outlive a trace write: flush
-                    // this thread's spans before the drain can see the job
-                    // finished.
-                    crate::telemetry::drain_thread();
-                    daemon.release();
-                });
+                if let Err(refusal) = daemon.submit(id, name, line, &writer) {
+                    reply(&refusal.frame(id));
+                }
             }
             Ok("status") => reply(&daemon.status_frame()),
             Ok("metrics") => reply(&daemon.metrics_frame()),
@@ -544,6 +660,40 @@ fn handle_connection(daemon: &Arc<Daemon>, stream: TcpStream, local_addr: &str) 
             }
         }
     }
+}
+
+/// The `error` frame that refuses a session or a frame.
+fn render_refusal(reason: &str) -> String {
+    format!(
+        "{{\"type\":\"error\",\"reason\":{}}}",
+        crate::cache::json_string(reason)
+    )
+}
+
+/// The `metrics` frame: the Prometheus `text` inside one JSON frame.
+fn render_metrics_frame(text: &str) -> String {
+    format!(
+        "{{\"type\":\"metrics\",\"proto\":{PROTOCOL_VERSION},\"text\":{}}}",
+        crate::cache::json_string(text)
+    )
+}
+
+/// The daemon's own `error`, `busy`, `status` and `metrics` frames, from
+/// sample counters: inputs of the JSON reader's differential test.
+#[cfg(test)]
+pub(crate) fn sample_frames() -> Vec<String> {
+    let mut counters = Counters::default();
+    let _ = counters.admit(1);
+    counters.serve(1_234);
+    let busy = counters.admit(1).unwrap_err();
+    vec![
+        render_refusal("solver budget mismatch: client max_conflicts=1/branch_budget=2"),
+        render_refusal("frame from 127.0.0.1:5 exceeds 16777216 bytes"),
+        Refusal::Draining.frame(3),
+        busy.frame(7),
+        counters.status_frame(2, 1),
+        render_metrics_frame(&counters.prometheus(2, 1)),
+    ]
 }
 
 /// Validates a client session's `config` frame against the fleet's
@@ -720,10 +870,10 @@ fn collect_results(
 pub struct ServiceStatus {
     /// Configured warm fleet size.
     pub fleet: u64,
-    /// Workers currently alive. It shrinks when a replacement spawn
-    /// fails, and when a job exhausts its attempts: the last failed
-    /// worker's slot is freed without a respawn. A later job spawns on
-    /// demand again. It drops to 0 at the drain.
+    /// Fleet slots with a live worker. A slot is empty between a failed
+    /// attempt's kill and its replacement's spawn, after a failed spawn,
+    /// and after a job exhausts its attempts, until the slot's next job
+    /// spawns a worker. It drops to 0 at the drain.
     pub alive: u64,
     /// Jobs admitted and in flight right now.
     pub active: u64,
@@ -997,13 +1147,8 @@ mod tests {
     #[test]
     fn a_job_arriving_after_the_drain_began_is_refused_and_never_admitted() {
         let config = Config::default();
-        let daemon = Arc::new(Daemon {
-            fleet: Fleet::new(&config, "/nonexistent/relaxed-shardd".into(), 1),
-            counters: Mutex::default(),
-            signal: Condvar::new(),
-            owns_trace: AtomicBool::new(false),
-            config,
-        });
+        let fleet = Fleet::new(&config, "/nonexistent/relaxed-shardd".into(), 1);
+        let daemon = Arc::new(Daemon::new(config, fleet));
         daemon.drain();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
         let addr = listener.local_addr().expect("bound address").to_string();

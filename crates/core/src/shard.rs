@@ -53,22 +53,25 @@
 //!
 //! # The fleet
 //!
-//! A `Fleet` owns up to `size` worker processes. A job checks a worker
-//! out — an idle one, else a fresh spawn while fewer than `size` exist,
-//! else the next one checked in — relays its frame, and checks the worker
-//! back in. A worker crash, a malformed or mismatched response frame, or
-//! a response timeout kills that worker and retries the job on a
-//! replacement spawned into its slot (a new process, so accumulated
-//! worker state can never fail the same job twice); a failed spawn is a
-//! failed attempt too. After [`MAX_ATTEMPTS`] failed attempts the job
-//! fails, and the client records it as a per-program
+//! A `Fleet` has `size` worker slots. The daemon starts one relay thread
+//! per slot, and that thread is the only owner of the slot's worker: it
+//! relays each job it takes from the daemon's queue to the worker and
+//! reads the result back. A worker crash, a malformed or mismatched
+//! response frame, or a response timeout kills that worker and retries
+//! the job on a replacement spawned into the same slot (a new process, so
+//! accumulated worker state can never fail the same job twice); a failed
+//! spawn is a failed attempt too. After [`MAX_ATTEMPTS`] failed attempts
+//! the job fails, the slot stays empty until its next job spawns a
+//! worker, and the client records the job as a per-program
 //! [`CorpusError::Service`] — never a lost program, never a hung daemon.
 //! The relay is the one place where worker spans are re-anchored into
 //! this process's trace.
 //!
-//! The daemon spawns its whole fleet up front and drains it on
-//! `shutdown`, after its last admitted job: no worker is checked in once
-//! the drain has begun. The client sends its jobs largest frame first, so
+//! A worker keeps the parse of each program name's last job: a job whose
+//! five source strings are byte-equal to it replays without parsing
+//! again. The daemon spawns its whole fleet up front and drains it on
+//! `shutdown`, after its last admitted job: each relay thread then shuts
+//! its own worker down. The client sends its jobs largest frame first, so
 //! one slow program cannot serialize the tail of the corpus: frame size
 //! tracks proof cost better than obligation count does (see
 //! `prepare_jobs`).
@@ -110,12 +113,14 @@ use crate::vcgen::VcgenError;
 use crate::verify::{AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::{parse_formula, parse_program, parse_rel_formula, Program};
 use relaxed_smt::SolverStats;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Version of the coordinator/worker wire protocol. The worker echoes it
@@ -287,7 +292,7 @@ const MAX_FRAME_SPANS: usize = 4096;
 /// characters, a few MiB at worst.
 const MAX_FRAME_BYTES: usize = 16 << 20;
 
-fn render_result_frame(
+pub(crate) fn render_result_frame(
     id: usize,
     report: &AcceptabilityReport,
     elapsed_ms: u64,
@@ -624,7 +629,9 @@ pub fn worker_loop(
 ) -> std::io::Result<()> {
     let violation = |reason: String| std::io::Error::new(std::io::ErrorKind::InvalidData, reason);
     let mut verifier: Option<Verifier> = None;
+    let mut parsed = ParsedJobs::default();
     let mut handled = 0u64;
+    let mut send = |frame: &str| write_frame(&mut output, frame).and_then(|()| output.flush());
     for line in input.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -643,11 +650,9 @@ pub fn worker_loop(
                 if field_u64(fields, "trace").unwrap_or(0) != 0 {
                     crate::telemetry::capture_start();
                 }
-                writeln!(
-                    output,
+                send(&format!(
                     "{{\"type\":\"ready\",\"proto\":{PROTOCOL_VERSION}}}"
-                )?;
-                output.flush()?;
+                ))?;
             }
             "job" => {
                 let id = field_u64(fields, "id").map_err(&violation)? as usize;
@@ -655,21 +660,21 @@ pub fn worker_loop(
                 match fault {
                     Fault::Crash(n) if handled == n => std::process::exit(101),
                     Fault::Garbage(n) if handled == n => {
-                        writeln!(output, "@@ corrupt frame (injected by {WORKER_BINARY}) @@")?;
-                        output.flush()?;
+                        send(&format!(
+                            "@@ corrupt frame (injected by {WORKER_BINARY}) @@"
+                        ))?;
                         continue;
                     }
                     _ => {}
                 }
                 let Some(session) = &verifier else {
-                    writeln!(output, "{}", render_error_frame(id, "job before config"))?;
-                    output.flush()?;
+                    send(&render_error_frame(id, "job before config"))?;
                     continue;
                 };
                 // Everything captured after this mark belongs to this
                 // job: span timestamps ship relative to it.
                 let mark_us = crate::telemetry::now_us();
-                let frame = match run_job(session, fields) {
+                let frame = match run_job(session, &mut parsed, fields) {
                     Ok((report, elapsed_ms)) => {
                         let spans = crate::telemetry::capture_take();
                         render_result_frame(id, &report, elapsed_ms, &spans, mark_us)
@@ -681,13 +686,23 @@ pub fn worker_loop(
                         render_failure_frame(id, &failure)
                     }
                 };
-                writeln!(output, "{frame}")?;
-                output.flush()?;
+                send(&frame)?;
             }
             other => return Err(violation(format!("unknown frame type {other:?}"))),
         }
     }
     Ok(())
+}
+
+/// Writes `frame` and its newline with one `write_all`, so a frame never
+/// leaves as two writes: a second write is one more pipe wake-up or
+/// 1-byte TCP segment, and a line-buffered stdout splits any frame longer
+/// than its buffer that way.
+pub(crate) fn write_frame(out: &mut impl Write, frame: &str) -> std::io::Result<()> {
+    let mut line = Vec::with_capacity(frame.len() + 1);
+    line.extend_from_slice(frame.as_bytes());
+    line.push(b'\n');
+    out.write_all(&line)
 }
 
 /// Parses the session [`Config`] out of a `config` frame's fields — the
@@ -716,40 +731,96 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
     Ok(config)
 }
 
-/// The program of a `job` frame: its name, and its program and spec
-/// parsed back from their printed source.
-fn parse_job_frame(fields: &[(String, Json)]) -> Result<(&str, Program, Spec), String> {
-    let name = field_str(fields, "name")?;
-    let program =
-        parse_program(field_str(fields, "program")?).map_err(|e| format!("program: {e}"))?;
-    let spec = Spec {
-        pre: parse_formula(field_str(fields, "pre")?).map_err(|e| format!("pre: {e}"))?,
-        post: parse_formula(field_str(fields, "post")?).map_err(|e| format!("post: {e}"))?,
-        rel_pre: parse_rel_formula(field_str(fields, "rel_pre")?)
-            .map_err(|e| format!("rel_pre: {e}"))?,
-        rel_post: parse_rel_formula(field_str(fields, "rel_post")?)
-            .map_err(|e| format!("rel_post: {e}"))?,
-    };
-    Ok((name, program, spec))
+/// The job-frame fields a program and its spec parse from, in the order
+/// [`ParsedJob::sources`] keeps them.
+const SOURCE_FIELDS: [&str; 5] = ["program", "pre", "post", "rel_pre", "rel_post"];
+
+/// How many program names a worker keeps the parse of. A job under a new
+/// name past this many forgets them all, so a long-lived worker's memory
+/// stays bounded whatever names its clients send.
+const MAX_PARSED_NAMES: usize = 1024;
+
+/// A worker's parse of each program name's last job, so an unchanged job
+/// costs only its replay: one entry per name, reused only when all five
+/// source strings are byte-equal to the job's. The text itself is
+/// compared, never a hash of it.
+#[derive(Default)]
+struct ParsedJobs {
+    by_name: HashMap<String, ParsedJob>,
+    /// How many jobs were parsed rather than reused.
+    parses: u64,
+}
+
+/// The five source strings of one job and what they parsed to.
+struct ParsedJob {
+    /// The job's [`SOURCE_FIELDS`], as sent.
+    sources: [String; 5],
+    program: Program,
+    spec: Spec,
+}
+
+impl ParsedJobs {
+    /// The name, program and spec of a `job` frame: the name's entry when
+    /// its five sources are unchanged, else a fresh parse, which replaces
+    /// the entry. A text that fails to parse is never stored.
+    fn parse<'a>(
+        &'a mut self,
+        fields: &'a [(String, Json)],
+    ) -> Result<(&'a str, &'a Program, &'a Spec), String> {
+        let name = field_str(fields, "name")?;
+        let source = |key| field_str(fields, key);
+        let unchanged = self.by_name.get(name).is_some_and(|job| {
+            job.sources
+                .iter()
+                .zip(SOURCE_FIELDS)
+                .all(|(text, key)| source(key) == Ok(text.as_str()))
+        });
+        if !unchanged {
+            let program = parse_program(source("program")?).map_err(|e| format!("program: {e}"))?;
+            let spec = Spec {
+                pre: parse_formula(source("pre")?).map_err(|e| format!("pre: {e}"))?,
+                post: parse_formula(source("post")?).map_err(|e| format!("post: {e}"))?,
+                rel_pre: parse_rel_formula(source("rel_pre")?)
+                    .map_err(|e| format!("rel_pre: {e}"))?,
+                rel_post: parse_rel_formula(source("rel_post")?)
+                    .map_err(|e| format!("rel_post: {e}"))?,
+            };
+            self.parses += 1;
+            if self.by_name.len() >= MAX_PARSED_NAMES && !self.by_name.contains_key(name) {
+                self.by_name.clear();
+            }
+            let sources = SOURCE_FIELDS.map(|key| source(key).unwrap_or_default().to_string());
+            let job = ParsedJob {
+                sources,
+                program,
+                spec,
+            };
+            self.by_name.insert(name.to_string(), job);
+        }
+        let job = &self.by_name[name];
+        Ok((name, &job.program, &job.spec))
+    }
 }
 
 /// Verifies one job through the worker's session, reading the session's
 /// files again before the check and flushing both after, so sibling
-/// workers can reuse the verdicts and replay the program. `Err` is the
-/// program's [`CorpusError`]: a frame that did not parse is a
-/// [`CorpusError::Service`], a vcgen failure its own.
+/// workers can reuse the verdicts and replay the program. The program and
+/// spec come from `parsed`, which parses only a job whose source changed.
+/// `Err` is the program's [`CorpusError`]: a frame that did not parse is
+/// a [`CorpusError::Service`], a vcgen failure its own.
 fn run_job(
     session: &Verifier,
+    parsed: &mut ParsedJobs,
     fields: &[(String, Json)],
 ) -> Result<(AcceptabilityReport, u64), CorpusError> {
-    let (name, program, spec) = parse_job_frame(fields).map_err(CorpusError::Service)?;
+    let (name, program, spec) = parsed.parse(fields).map_err(CorpusError::Service)?;
     // Pick up what was persisted since the last job: sibling workers'
     // verdicts answer shared goals as disk hits, the cross-process
     // payoff, and the sidecar's records replay whole programs.
     session.refresh();
     let started = Instant::now();
     let entry = session
-        .check_corpus_named(&[(name, program, spec)])
+        .run_corpus(vec![(name.to_string(), program, spec)])
         .entries
         .remove(0);
     let elapsed_ms = elapsed_ms_since(started);
@@ -862,9 +933,7 @@ impl PipeTransport {
 impl Transport for PipeTransport {
     fn send(&mut self, frame: &str) -> Result<(), String> {
         let stdin = self.stdin.as_mut().expect("worker stdin open");
-        stdin
-            .write_all(frame.as_bytes())
-            .and_then(|()| stdin.write_all(b"\n"))
+        write_frame(stdin, frame)
             .and_then(|()| stdin.flush())
             .map_err(|e| format!("worker stdin closed: {e}"))
     }
@@ -964,9 +1033,7 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &str) -> Result<(), String> {
-        self.stream
-            .write_all(frame.as_bytes())
-            .and_then(|()| self.stream.write_all(b"\n"))
+        write_frame(&mut self.stream, frame)
             .map_err(|e| format!("connection to {} lost: {e}", self.peer))
     }
 
@@ -1118,29 +1185,21 @@ impl WorkerHandle {
     }
 }
 
-/// Fleet state behind one lock, condvar-signalled.
-struct FleetState {
-    idle: Vec<WorkerHandle>,
-    /// Worker slots in use: idle, checked out, or being spawned. A slot
-    /// frees when its worker is shut down or its spawn fails.
-    alive: usize,
-}
-
-/// A fleet of up to `size` `relaxed-shardd` worker processes — the
-/// worker manager behind the [`crate::service`] daemon. See the
+/// A fleet of `size` worker slots, each holding at most one
+/// `relaxed-shardd` process — the worker manager behind the
+/// [`crate::service`] daemon, whose relay threads own the slots. See the
 /// [module docs](self#the-fleet).
 pub(crate) struct Fleet {
     binary: PathBuf,
     config_frame: String,
     size: usize,
-    state: Mutex<FleetState>,
-    signal: Condvar,
+    /// Slots whose worker is alive.
+    alive: AtomicUsize,
 }
 
 impl Fleet {
-    /// An empty fleet of up to `size` workers running under `config`;
-    /// workers spawn on demand (or all at once via
-    /// [`spawn_all`](Fleet::spawn_all)).
+    /// A fleet of `size` empty slots whose workers run under `config`;
+    /// [`spawn_all`](Fleet::spawn_all) fills them.
     pub(crate) fn new(config: &Config, binary: PathBuf, size: usize) -> Fleet {
         // Per-worker thread budget: the leftover parallelism once jobs
         // fan out across processes (mirrors the in-process corpus driver).
@@ -1150,11 +1209,7 @@ impl Fleet {
             // Rendered now, so a traced session's workers capture spans.
             config_frame: render_config_frame(config, per_worker),
             size,
-            state: Mutex::new(FleetState {
-                idle: Vec::new(),
-                alive: 0,
-            }),
-            signal: Condvar::new(),
+            alive: AtomicUsize::new(0),
         }
     }
 
@@ -1162,19 +1217,32 @@ impl Fleet {
         self.size
     }
 
-    /// `(alive, idle)` worker counts, for status and metrics frames.
-    pub(crate) fn counts(&self) -> (usize, usize) {
-        let state = self.state.lock().expect("fleet state");
-        (state.alive, state.idle.len())
+    /// How many slots hold a live worker, for status and metrics frames.
+    pub(crate) fn alive(&self) -> usize {
+        self.alive.load(Ordering::Relaxed)
     }
 
     fn spawn(&self) -> Result<WorkerHandle, String> {
-        WorkerHandle::spawn(&self.binary, &self.config_frame)
+        let worker = WorkerHandle::spawn(&self.binary, &self.config_frame)?;
+        self.alive.fetch_add(1, Ordering::Relaxed);
+        Ok(worker)
     }
 
-    /// Spawns all `size` workers up front, concurrently. When any spawn
+    fn kill(&self, worker: WorkerHandle) {
+        worker.kill();
+        self.alive.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Shuts a slot's worker down at the drain: its EOF triggers its
+    /// final flush.
+    pub(crate) fn shutdown(&self, worker: WorkerHandle) {
+        worker.shutdown();
+        self.alive.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Spawns one worker per slot up front, concurrently. When any spawn
     /// fails, the others are killed and its error returned.
-    pub(crate) fn spawn_all(&self) -> Result<(), String> {
+    pub(crate) fn spawn_all(&self) -> Result<Vec<WorkerHandle>, String> {
         let spawned: Vec<Result<WorkerHandle, String>> = std::thread::scope(|scope| {
             let spawns: Vec<_> = (0..self.size)
                 .map(|_| scope.spawn(|| self.spawn()))
@@ -1194,81 +1262,30 @@ impl Fleet {
         }
         if let Some(e) = failure {
             for worker in workers {
-                worker.kill();
+                self.kill(worker);
             }
             return Err(e);
         }
-        let mut state = self.state.lock().expect("fleet state");
-        state.alive += workers.len();
-        state.idle.extend(workers);
-        Ok(())
+        Ok(workers)
     }
 
-    /// Checks a worker out: an idle one, else a fresh spawn while fewer
-    /// than `size` workers exist, else the next one checked in. `Err` is
-    /// a failed spawn.
-    fn checkout(&self) -> Result<WorkerHandle, String> {
-        // How long the job waited for a worker: the admission-queue
-        // wait, or a replacement's spawn.
-        let mut wait_span = crate::telemetry::span("fleet", "checkout");
-        let mut state = self.state.lock().expect("fleet state");
-        loop {
-            if let Some(worker) = state.idle.pop() {
-                if wait_span.is_active() {
-                    wait_span.arg("worker", worker.lane);
-                }
-                return Ok(worker);
-            }
-            if state.alive < self.size {
-                state.alive += 1;
-                drop(state);
-                let spawned = self.spawn();
-                if spawned.is_err() {
-                    self.release_slot();
-                }
-                return spawned;
-            }
-            state = self.signal.wait(state).expect("fleet state");
-        }
-    }
-
-    /// Returns a worker to the fleet.
-    fn checkin(&self, worker: WorkerHandle) {
-        self.state.lock().expect("fleet state").idle.push(worker);
-        self.signal.notify_one();
-    }
-
-    fn release_slot(&self) {
-        self.state.lock().expect("fleet state").alive -= 1;
-        self.signal.notify_one();
-    }
-
-    /// Kills a worker whose channel is desynchronized and spawns its
-    /// replacement into the same slot, freeing the slot if that fails.
-    fn respawn(&self, worker: WorkerHandle) -> Result<WorkerHandle, String> {
-        worker.kill();
-        let spawned = self.spawn();
-        if spawned.is_err() {
-            self.release_slot();
-        }
-        spawned
-    }
-
-    /// Runs one job frame on the fleet and returns the worker's raw
-    /// result line. A failed attempt — a failed
-    /// spawn, a crash, a malformed or mismatched frame, a timeout — kills
-    /// the worker and retries on its fresh replacement, never on an idle
-    /// worker that may carry the same fault; after [`MAX_ATTEMPTS`]
-    /// failed attempts the job fails.
-    pub(crate) fn run(&self, id: usize, name: &str, frame: &str) -> Result<String, String> {
+    /// Runs one job frame on a slot's worker and returns the worker's raw
+    /// result line. An empty slot spawns its worker first. A failed
+    /// attempt — a failed spawn, a crash, a malformed or mismatched frame,
+    /// a timeout — kills the worker, and the next attempt runs on a
+    /// replacement spawned into the slot, never on a worker that may carry
+    /// the same fault; after [`MAX_ATTEMPTS`] failed attempts the job
+    /// fails and the slot stays empty until its next job.
+    pub(crate) fn run(
+        &self,
+        slot: &mut Option<WorkerHandle>,
+        id: usize,
+        name: &str,
+        frame: &str,
+    ) -> Result<String, String> {
         let mut last_error = String::new();
-        let mut replacement = None;
-        for attempt in 1..=MAX_ATTEMPTS {
-            let worker = match replacement.take() {
-                Some(spawned) => spawned,
-                None => self.checkout(),
-            };
-            let mut worker = match worker {
+        for _ in 0..MAX_ATTEMPTS {
+            let mut worker = match slot.take().map_or_else(|| self.spawn(), Ok) {
                 Ok(worker) => worker,
                 Err(e) => {
                     last_error = e;
@@ -1277,17 +1294,12 @@ impl Fleet {
             };
             match self.relay(&mut worker, id, name, frame) {
                 Ok(result) => {
-                    self.checkin(worker);
+                    *slot = Some(worker);
                     return Ok(result);
                 }
                 Err(e) => {
                     last_error = e;
-                    if attempt < MAX_ATTEMPTS {
-                        replacement = Some(self.respawn(worker));
-                    } else {
-                        worker.kill();
-                        self.release_slot();
-                    }
+                    self.kill(worker);
                 }
             }
         }
@@ -1340,22 +1352,6 @@ impl Fleet {
             crate::telemetry::inject(&format!("shard-worker-{}", worker.lane), pid, events);
         }
         Ok(line)
-    }
-
-    /// Shuts the idle workers down concurrently (each worker's EOF
-    /// triggers its final flush). Call once no job is in flight and none
-    /// will be run.
-    pub(crate) fn drain(&self) {
-        let idle = {
-            let mut state = self.state.lock().expect("fleet state");
-            state.alive -= state.idle.len();
-            std::mem::take(&mut state.idle)
-        };
-        std::thread::scope(|scope| {
-            for worker in idle {
-                scope.spawn(move || worker.shutdown());
-            }
-        });
     }
 }
 
@@ -1442,6 +1438,195 @@ mod tests {
             render_config_frame(&config, 1),
             render_job_frame(0, "toy", &program, &spec)
         )
+    }
+
+    /// A job frame of `sources` (program, pre, post, rel_pre, rel_post)
+    /// under `name`.
+    fn job_frame(id: usize, name: &str, sources: [&str; 5]) -> String {
+        let mut frame = format!(
+            "{{\"type\":\"job\",\"id\":{id},\"name\":{}",
+            json_string(name)
+        );
+        for (key, text) in SOURCE_FIELDS.iter().zip(sources) {
+            let _ = write!(frame, ",\"{key}\":{}", json_string(text));
+        }
+        frame.push('}');
+        frame
+    }
+
+    /// `y = x;` proves `y > 0` from `x > 0`; the relational stage has
+    /// nothing to prove.
+    const COPY: [&str; 5] = ["y = x;", "x > 0", "y > 0", "x<o> == x<r>", "true"];
+
+    /// Parses `frame` through `memo`, returning the parsed program.
+    fn parse_through(memo: &mut ParsedJobs, frame: &str) -> Result<Program, String> {
+        let record = parse_json(frame).unwrap();
+        let fields = record.as_object().unwrap();
+        memo.parse(fields).map(|(_, program, _)| program.clone())
+    }
+
+    #[test]
+    fn an_unchanged_job_is_parsed_once() {
+        let mut memo = ParsedJobs::default();
+        let first = parse_through(&mut memo, &job_frame(0, "copy", COPY)).unwrap();
+        let again = parse_through(&mut memo, &job_frame(1, "copy", COPY)).unwrap();
+        assert_eq!(memo.parses, 1);
+        assert_eq!(first, again);
+    }
+
+    /// Each of the five sources is compared: a change to any one parses
+    /// the job again and replaces the name's entry.
+    #[test]
+    fn a_change_to_any_source_parses_again() {
+        let changed = ["y = x + 0;", "x > 1", "y > -1", "true", "y<o> == y<r>"];
+        for (i, text) in changed.into_iter().enumerate() {
+            let mut sources = COPY;
+            sources[i] = text;
+            let mut memo = ParsedJobs::default();
+            parse_through(&mut memo, &job_frame(0, "copy", COPY)).unwrap();
+            parse_through(&mut memo, &job_frame(1, "copy", sources)).unwrap();
+            assert_eq!(memo.parses, 2, "{}", SOURCE_FIELDS[i]);
+            parse_through(&mut memo, &job_frame(2, "copy", sources)).unwrap();
+            assert_eq!(memo.parses, 2, "{}", SOURCE_FIELDS[i]);
+            assert_eq!(memo.by_name["copy"].sources[i], text);
+        }
+    }
+
+    #[test]
+    fn one_text_under_two_names_is_two_entries() {
+        let mut memo = ParsedJobs::default();
+        for name in ["a", "b", "a", "b"] {
+            parse_through(&mut memo, &job_frame(0, name, COPY)).unwrap();
+        }
+        assert_eq!(memo.parses, 2);
+        assert_eq!(memo.by_name.len(), 2);
+    }
+
+    /// A new name past the memo's bound forgets every kept parse first.
+    #[test]
+    fn the_memo_keeps_a_bounded_number_of_names() {
+        let mut memo = ParsedJobs::default();
+        for i in 0..=MAX_PARSED_NAMES {
+            parse_through(&mut memo, &job_frame(i, &format!("p{i}"), COPY)).unwrap();
+        }
+        assert_eq!(memo.by_name.len(), 1);
+        assert!(memo.by_name.contains_key(&format!("p{MAX_PARSED_NAMES}")));
+    }
+
+    /// The memo is keyed by the text, not by the name: the same name with
+    /// a weaker `pre` is parsed again and gets its own, failing, verdict.
+    #[test]
+    fn a_changed_pre_under_the_same_name_gets_its_new_verdict() {
+        let mut weaker = COPY;
+        weaker[1] = "x >= 0";
+        let frames = format!(
+            "{}\n{}\n{}\n",
+            render_config_frame(&Config::default(), 1),
+            job_frame(0, "copy", COPY),
+            job_frame(1, "copy", weaker)
+        );
+        let (result, output) = drive_worker(&frames, Fault::None);
+        result.unwrap();
+        let verdicts: Vec<bool> = output
+            .lines()
+            .skip(1)
+            .map(|line| report_of(line, StageSet::default()).unwrap().verified())
+            .collect();
+        assert_eq!(verdicts, [true, false]);
+        let weak = report_of(output.lines().nth(2).unwrap(), StageSet::default()).unwrap();
+        assert!(
+            weak.original
+                .results
+                .iter()
+                .any(|row| matches!(row.verdict, relaxed_smt::Validity::Invalid(_))),
+            "{output}"
+        );
+    }
+
+    /// A program that fails to parse is never kept: sent twice, it is
+    /// parsed twice and answered with two error frames.
+    #[test]
+    fn a_bad_program_sent_twice_gets_two_error_frames() {
+        let mut bad = COPY;
+        bad[0] = "while (";
+        let frames = format!(
+            "{}\n{}\n{}\n",
+            render_config_frame(&Config::default(), 1),
+            job_frame(4, "bad", bad),
+            job_frame(5, "bad", bad)
+        );
+        let (result, output) = drive_worker(&frames, Fault::None);
+        result.unwrap();
+        let ids: Vec<usize> = output
+            .lines()
+            .skip(1)
+            .map(|line| {
+                let wire = parse_result_frame(line).unwrap();
+                assert!(
+                    matches!(&wire.outcome, Err(CorpusError::Service(e)) if e.contains("program:")),
+                    "{line}"
+                );
+                wire.id
+            })
+            .collect();
+        assert_eq!(ids, [4, 5]);
+        let mut memo = ParsedJobs::default();
+        for _ in 0..2 {
+            assert!(parse_through(&mut memo, &job_frame(4, "bad", bad)).is_err());
+        }
+        assert!(memo.by_name.is_empty());
+    }
+
+    /// A `Write` that keeps every write call it receives.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every frame the worker writes, a result frame longer than stdout's
+    /// 1 KiB line buffer among them, reaches the output as exactly one
+    /// write that ends in its newline, through a line-buffered writer as
+    /// through a plain one.
+    #[test]
+    fn the_worker_writes_each_frame_with_one_write() {
+        let corpus = crate::test_corpus();
+        let (_, program, spec) = corpus.iter().find(|(name, ..)| *name == "swish").unwrap();
+        let frames = format!(
+            "{}\n{}\n{}\n{}\n",
+            job_frame(0, "early", COPY),
+            render_config_frame(&Config::default(), 1),
+            render_job_frame(1, "swish", program, spec),
+            render_job_frame(2, "swish", program, spec),
+        );
+        for line_buffered in [false, true] {
+            let mut writes = Writes::default();
+            let result = if line_buffered {
+                let output = std::io::LineWriter::new(&mut writes);
+                worker_loop(frames.as_bytes(), output, Fault::Garbage(2))
+            } else {
+                worker_loop(frames.as_bytes(), &mut writes, Fault::Garbage(2))
+            };
+            result.unwrap();
+            // The early job's error, `ready`, the injected garbage and
+            // the last job's result.
+            assert_eq!(writes.0.len(), 4, "line buffered: {line_buffered}");
+            for write in &writes.0 {
+                assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
+                assert_eq!(write.last(), Some(&b'\n'));
+            }
+            let result = std::str::from_utf8(&writes.0[3]).unwrap();
+            assert!(result.len() > 1024, "{} bytes", result.len());
+            assert_eq!(parse_result_frame(result.trim_end()).unwrap().id, 2);
+        }
     }
 
     #[test]

@@ -262,10 +262,12 @@ pub fn drain_thread() {
 /// An in-flight span, recorded when the guard drops. Inert (and free)
 /// when tracing is disabled.
 #[must_use = "a span measures the scope of its guard"]
+#[derive(Debug)]
 pub struct SpanGuard {
     active: Option<ActiveSpan>,
 }
 
+#[derive(Debug)]
 struct ActiveSpan {
     name: Cow<'static, str>,
     cat: Cow<'static, str>,

@@ -79,6 +79,7 @@ fn warm_corpus_rerun_is_verdict_identical_with_zero_solver_runs() {
     // below).
     drop(warm_session);
     std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(relaxed_programs::core::depmap::depmap_path(&path)).unwrap();
 }
 
 /// A changed solver budget changes the fingerprint: the persisted file

@@ -41,6 +41,8 @@ fn persistent(path: &PathBuf) -> Verifier {
         .build()
 }
 
+/// Removes a store and its sidecar. Drop the sessions on `path` first:
+/// a live session's drop flush would write both files again.
 fn cleanup(path: &PathBuf) {
     let _ = std::fs::remove_file(path);
     let _ = std::fs::remove_file(depmap_path(path));
@@ -226,6 +228,7 @@ fn relax_target_edit_dirties_relaxed_goals_but_no_original_goal() {
         report.relaxed.results.iter().any(|r| !r.cached),
         "the `⊢r` stage must re-prove the havoc-set change"
     );
+    drop(warm_session);
     cleanup(&path);
 }
 
@@ -264,6 +267,7 @@ fn fingerprint_mismatch_discards_the_depmap_and_starts_cold() {
     for (a, b) in warm.entries.iter().zip(&cold.entries) {
         assert_eq!(a.verified(), b.verified(), "{}", a.name);
     }
+    drop(other_budget);
     cleanup(&path);
 }
 
@@ -302,6 +306,7 @@ fn corrupt_depmap_lines_degrade_to_goal_level_hits() {
     for (a, b) in warm.entries.iter().zip(&cold.entries) {
         assert_eq!(a.verified(), b.verified(), "{}", a.name);
     }
+    drop(warm_session);
     cleanup(&path);
 }
 

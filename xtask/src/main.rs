@@ -50,11 +50,11 @@ const CI_LINT_BUILD_TEST: &[Step] = &[
         &["cargo", "doc", "--workspace", "--no-deps"],
         &[("RUSTDOCFLAGS", "-D warnings")],
     ),
-    // Two of the four verification schedules (the remaining two —
-    // persistent on-disk verdict cache and the traced engine suite —
-    // need runtime temp paths and are appended by `ci()`): default
-    // engine parallelism and the fully sequential discharge path.
-    Step(&["cargo", "test", "-q", "--workspace"], &[]),
+    // One of the four verification schedules: the fully sequential
+    // discharge path. The other three need runtime temp paths and are
+    // run by `ci()`: default engine parallelism (under a fresh TMPDIR, the
+    // temp-dir gate), the persistent on-disk verdict cache, and the
+    // traced engine suite.
     Step(
         &["cargo", "test", "-q", "--workspace"],
         &[("DISCHARGE_WORKERS", "1")],
@@ -214,6 +214,7 @@ fn remove_store(path: &str) {
 /// static step tables).
 fn ci() {
     run(CI_LINT_BUILD_TEST);
+    ci_test_leaves_no_temp_files();
     let cache = temp_path("verdicts", "jsonl");
     run_step(
         &["cargo", "test", "-q", "--workspace"],
@@ -253,6 +254,27 @@ fn ci() {
     );
     let _ = std::fs::remove_file(&smoke_trace);
     ci_service();
+}
+
+/// The default test schedule, run with `TMPDIR` set to a fresh directory:
+/// it fails if the suites leave any `relaxed-*` file there (a store, a
+/// depmap sidecar or a trace a test forgot to remove).
+fn ci_test_leaves_no_temp_files() {
+    let dir = temp_path("tmpdir", "d");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the suite's temp dir");
+    run_step(&["cargo", "test", "-q", "--workspace"], &[("TMPDIR", &dir)]);
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list the suite's temp dir")
+        .filter_map(|entry| entry.ok())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("relaxed-"))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    if !left.is_empty() {
+        eprintln!("xtask: the test suites left files in the temp dir: {left:?}");
+        exit(1);
+    }
 }
 
 /// The cache-persistence job's local mirror: a cold corpus run persists a
@@ -778,7 +800,7 @@ fn main() {
         _ => {
             eprintln!("usage: cargo xtask <ci|verify|bench-json|bench-check>");
             eprintln!(
-                "  ci          fmt + clippy + build --release --workspace + doc + test (4 schedules) + examples + cache-persistence + edit-reverify + trace-smoke + service corpus (with the release fault-tolerance suite) jobs + bench --no-run"
+                "  ci          fmt + clippy + build --release --workspace + doc + test (4 schedules, the default one under a fresh TMPDIR that must stay free of relaxed-* files) + examples + cache-persistence + edit-reverify + trace-smoke + service corpus (with the release fault-tolerance suite) jobs + bench --no-run"
             );
             eprintln!("  verify      the ROADMAP tier-1 gate: build --release && test -q");
             eprintln!(
