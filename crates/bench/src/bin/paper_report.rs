@@ -1,11 +1,10 @@
 //! Measures this reproduction against the paper and prints the results
 //! as markdown tables on stdout: the §5 case studies verified (E1–E3)
-//! and checked dynamically, the perforation trade-off (E5), the
-//! implementation size (E4), and the verifier's own machinery: the
-//! discharge engine (E7), corpus checks (E8), the persistent verdict
-//! store (E9), the prefilter (E12), the service daemon (E13) and
-//! incremental re-verification after a spec edit (E14). The README
-//! quotes these sections by number.
+//! and checked dynamically, the perforation trade-off (E5), and the
+//! verifier's own machinery: the discharge engine (E7), corpus checks
+//! (E8), the persistent verdict store (E9), the prefilter (E12), the
+//! service daemon (E13) and incremental re-verification after a spec
+//! edit (E14). The README quotes these sections by number.
 //!
 //! Run with: `cargo run -p relaxed-bench --bin paper_report --release`
 
@@ -523,7 +522,7 @@ fn main() {
     println!(
         "A {}-revision corpus (24 spec variants of the three verified case \
          studies plus one small knob program) seeded into a persistent \
-         verdict store with its goal→fragment dependency map, then \
+         verdict store with its per-program revision records, then \
          re-verified after editing only the knob program's precondition. \
          The incremental session replays every untouched revision from the \
          store and re-proves only the goals the edit dirtied; the full warm \
@@ -660,8 +659,4 @@ fn main() {
     );
     let _ = std::fs::remove_file(&edit_cache);
     let _ = std::fs::remove_file(relaxed_core::depmap::depmap_path(&edit_cache));
-
-    // ---- E4 LoC inventory ----
-    println!("\n## E4: implementation size (paper §1.6 vs this reproduction)\n");
-    println!("run `paper_report --loc` from the repo root, or `tokei`; see EXPERIMENTS.md");
 }

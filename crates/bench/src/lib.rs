@@ -3,8 +3,8 @@
 //! Benchmarks and report generation reproducing the evaluation artifacts
 //! of Carbin et al. (PLDI 2012). See `benches/paper.rs` for the Criterion
 //! benchmarks (E1, E2, E3, E5, E6 plus solver microbenchmarks) and
-//! `src/bin/paper_report.rs` for the paper-vs-measured tables recorded in
-//! `EXPERIMENTS.md`.
+//! `src/bin/paper_report.rs`, which prints the paper-vs-measured tables
+//! to stdout.
 
 #![warn(missing_docs)]
 
@@ -18,7 +18,7 @@ use relaxed_lang::{parse_formula, Program, State, Var};
 /// Builds a `variants`-revision spec corpus from the verified §5 case
 /// studies: variant `k` of each program strengthens its precondition
 /// with a distinct tautological conjunct, making it a distinct revision
-/// (distinct `pre` fragment, distinct program hash) with identical
+/// (distinct precondition, distinct program hash) with identical
 /// verdicts. This is the edit→re-verify workload shape (`edit_reverify`
 /// bench group, `paper_report` §E14): one spec edit in a corpus this
 /// size leaves every other revision textually untouched, so an

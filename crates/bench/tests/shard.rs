@@ -13,7 +13,8 @@
 //! verdict-identical reports served from the shared store, the workers
 //! that run programs live must record them in the sidecar (no client
 //! does), a vcgen failure on a worker must reach the client as the
-//! in-process error, the client must send its largest frames first, a
+//! in-process error, the client must send its largest frames first and
+//! fail every program with the reason of an `error` frame, a
 //! worker must replay programs from a sidecar written after it spawned, a
 //! saturated daemon must answer `busy` and the client retry until every
 //! job is served, a fleet of one must answer a connection's pipelined
@@ -493,6 +494,54 @@ fn jobs_go_largest_frame_first() {
     for pair in sent.windows(2) {
         let ((_, len_a, id_a), (_, len_b, id_b)) = (&pair[0], &pair[1]);
         assert!(len_a > len_b || (len_a == len_b && id_a < id_b), "{sent:?}");
+    }
+}
+
+/// An `error` frame carries no `id`: the daemon sends one when it
+/// refuses a frame it cannot take (a job frame past its size cap, say)
+/// and closes the connection. A stand-in daemon answers the first job
+/// with such a frame; every program must then fail with its reason.
+#[test]
+fn an_error_frame_fails_every_job_with_its_reason() {
+    let corpus = casestudies::corpus();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let reason = "frame from 127.0.0.1:5 exceeds 16777216 bytes";
+    let stand_in = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept the client");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut frame = String::new();
+        reader.read_line(&mut frame).expect("read the config frame");
+        writeln!(
+            &stream,
+            "{{\"type\":\"ready\",\"proto\":{PROTOCOL_VERSION},\"fleet\":1}}"
+        )
+        .expect("send ready");
+        frame.clear();
+        reader.read_line(&mut frame).expect("read a job frame");
+        writeln!(
+            &stream,
+            "{{\"type\":\"error\",\"reason\":{}}}",
+            json_string(reason)
+        )
+        .expect("send the refusal");
+        // Close the write half, then read what the client still sends
+        // until it hangs up, so no unread byte resets the connection.
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close the write half");
+        let _ = reader.read_to_end(&mut Vec::new());
+    });
+    let report = client(&addr).check_corpus_named(&corpus);
+    stand_in.join().expect("stand-in daemon");
+    assert_eq!(report.entries.len(), corpus.len());
+    for entry in &report.entries {
+        assert!(
+            matches!(&entry.outcome, Err(CorpusError::Service(r)) if r.contains(reason)),
+            "{}: {:?}",
+            entry.name,
+            entry.outcome.as_ref().err()
+        );
     }
 }
 

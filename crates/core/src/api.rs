@@ -216,8 +216,9 @@ pub enum CachePolicy {
     /// under the session's configuration fingerprint are loaded at build
     /// time and written back on [`Verifier::persist`] / session drop, so
     /// the cache survives *across processes*. The session also records
-    /// the goal→fragment dependency map in a sidecar beside the store
-    /// and replays unchanged programs from it (see [`crate::depmap`]).
+    /// each program's revision hash and goal keys in a sidecar beside the
+    /// store and replays unchanged programs from it (see
+    /// [`crate::depmap`]).
     /// Selected by [`VerifierBuilder::cache_file`] or the
     /// `DISCHARGE_CACHE` environment knob.
     Persistent {
@@ -740,7 +741,7 @@ impl Store {
     }
 }
 
-/// The resident goal→fragment dependency map of a persistent session:
+/// The resident revision records of a persistent session:
 /// read from the sidecar at build and wherever it changed since, mutated
 /// in memory after every live run, and flushed with the verdict store, so
 /// an incremental re-verification pays no sidecar I/O per call.
@@ -873,8 +874,8 @@ impl Verifier {
     /// Flushes the verdicts the session solved since its last flush to
     /// its on-disk store (appended under the store's own header, or
     /// written whole over a store headed by anything else), then the
-    /// revisions recorded since then to the goal→fragment dependency map
-    /// sidecar, under the same rule. Returns the number of verdict records
+    /// revisions recorded since then to the depmap sidecar, under the
+    /// same rule. Returns the number of verdict records
     /// written: `Ok(0)`, with no I/O, when nothing is new or the session
     /// is not [`CachePolicy::Persistent`]. Dropping the session also
     /// flushes, best-effort; call this to observe I/O errors and the
@@ -1009,10 +1010,10 @@ impl Verifier {
 
         // Incremental fast path (see `crate::depmap`): under a persistent
         // cache, a program whose revision hash matches its stored record
-        // has no changed fragment — every stored goal key is current, and
-        // the whole program replays from the verdict cache without vcgen,
-        // encoding, or solver work. One hash per program serves both this
-        // decision and the record of a live run.
+        // is unchanged — every stored goal key is current, and the whole
+        // program replays from the verdict cache without vcgen, encoding,
+        // or solver work. One hash per program serves both this decision
+        // and the record of a live run.
         let depmap = self.store.as_ref().map(|store| &store.depmap);
         let hashes: Vec<String> = match depmap {
             Some(_) => programs
@@ -1127,8 +1128,8 @@ impl Verifier {
     /// does not match the session's selection or any goal key is not
     /// resident. The rebuilt entry carries placeholder rows
     /// ([`VcResult::placeholder`]: the stored provenance — stage, name,
-    /// context, deps — is real; the formulas were never rebuilt, which is
-    /// the point) and no lint.
+    /// context — is real; the formulas were never rebuilt, which is the
+    /// point) and no lint.
     fn replay_entry(&self, name: &str, stored: &ProgramDeps) -> Option<CorpusEntry> {
         let stages = self.config.stages;
         // Every selected stage generates at least an entry obligation, so
@@ -1152,7 +1153,6 @@ impl Verifier {
             report.results.push(VcResult::placeholder(
                 goal.name.clone(),
                 goal.context.clone(),
-                goal.deps.clone(),
                 verdict,
                 true,
             ));
@@ -1800,7 +1800,6 @@ mod tests {
             name: name.to_string(),
             context: "test".to_string(),
             body: crate::vcgen::VcBody::Unary(relaxed_lang::parse_formula(source).unwrap()),
-            deps: Vec::new().into(),
         }
     }
 

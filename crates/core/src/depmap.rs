@@ -1,40 +1,38 @@
-//! Goal→program-fragment dependency tracking for incremental
-//! re-verification.
+//! Per-program revision records for incremental re-verification.
 //!
 //! At production scale a corpus is *edited*, not re-created: the paper's
 //! §5 workflow is a developer iterating on `relax`/`assume` specs and
 //! re-running acceptability verification. The persistent verdict cache
 //! ([`crate::cache`]) already gives goal *identity* across processes;
-//! this module adds *invalidation precision*: every [`Vc`] records the
-//! [`fragment_id`]s of the program statements and spec formulas its
-//! formula was built from (attached at vcgen time by
-//! [`crate::vcgen`]), and a [`DepMap`] persists, per program, the
-//! goal-key/fragment pairs of the last verified revision. Both ids hash
-//! syntax trees, not their pretty-printed text: a revision costs one walk
-//! of its tree, and a fleet worker, which re-parses the printed program
-//! of a job frame, computes the same ids as its client.
+//! this module adds the per-program record that lets an unchanged
+//! program skip vcgen altogether: a [`DepMap`] persists, per program,
+//! the [`program_hash`] of the last verified revision and its goal set,
+//! each goal as its stage, name, context and α-invariant goal key. The
+//! hash covers the syntax tree, not its pretty-printed text: a revision
+//! costs one walk of its tree, and a fleet worker, which re-parses the
+//! printed program of a job frame, computes the same hash as its client.
 //!
 //! Two facts make the map useful:
 //!
 //! * **Replay**: if an incoming program's [`program_hash`] matches its
-//!   stored [`ProgramDeps`], *no* fragment changed, so every stored goal
-//!   key is current and the whole program replays from the verdict cache
-//!   without re-running vcgen or the solver
+//!   stored [`ProgramDeps`], nothing the goals were built from changed,
+//!   so every stored goal key is current and the whole program replays
+//!   from the verdict cache without re-running vcgen or the solver
 //!   (`DischargeEngine::replay`).
-//! * **Blame**: when fragments did change, a goal whose `deps` are
-//!   disjoint from the changed set is unaffected — its formula
-//!   (and therefore its α-invariant goal key) is unchanged, and the
-//!   verdict cache answers it without solver work. Only goals that
-//!   [`dirty_goals`] selects can require fresh proofs, and each of them
-//!   names the edited fragment in its `deps` (the provenance the
-//!   `edit-reverify` CI job asserts).
+//! * **Blame**: when the hash differs, the program runs vcgen again and
+//!   each fresh goal's key is compared with the stored ones. A goal
+//!   whose formula the edit left alone keeps its key, and the verdict
+//!   cache answers it without solver work. Only goals that
+//!   [`dirty_goals`] selects, those with a key the stored revision does
+//!   not hold, can require fresh proofs (the count the `edit-reverify`
+//!   CI job asserts).
 //!
-//! The map is **stage-sensitive** exactly where the paper's logics are:
+//! Blame is **stage-sensitive** exactly where the paper's logics are:
 //! in `⊢o` a `relax (X) st e` is `assert e` over an unchanged state
-//! (Fig. 7), so its fragment covers only the predicate — editing the
-//! target list `X` invalidates `⊢r` goals (where the relaxed side havocs
-//! `X`) but no `⊢o` goal. `relate` is a skip in `⊢o` and contributes no
-//! fragment there at all.
+//! (Fig. 7), so no `⊢o` formula mentions the target list `X`. Editing
+//! the list changes the keys of `⊢r` goals (where the relaxed side
+//! havocs `X`) but no `⊢o` key. `relate` is a skip in `⊢o`, so editing
+//! one changes no `⊢o` key either.
 //!
 //! # On-disk format
 //!
@@ -43,10 +41,12 @@
 //! line carrying the session [`fingerprint`](crate::cache::fingerprint)
 //! (a mismatch — different solver budgets, encoder, or format — fails
 //! closed into a cold, empty map: a stale map must never drive a
-//! replay), then one line per program, later-wins on duplicates, and
-//! corruption-tolerant line-by-line loading. A sidecar of another
-//! [`DEPMAP_FORMAT`] loads as a cold map, and the session's first flush
-//! rewrites it whole; the verdict store beside it is unaffected. It is
+//! replay), then one line per program — its name, revision hash and
+//! goals, each goal as its stage, name, context and key — later-wins on
+//! duplicates, and corruption-tolerant line-by-line loading. A sidecar
+//! of another [`DEPMAP_FORMAT`] loads as a cold map, and the session's
+//! first flush rewrites it whole; the verdict store beside it is
+//! unaffected. It is
 //! written and read by the verdict store's own writer and reader
 //! ([`crate::cache`]): a session's flush appends the records of the
 //! programs it recorded since its last flush under the sidecar's own
@@ -55,17 +55,16 @@
 //! programs.
 
 use crate::api::Stage;
-use crate::cache::{field_str, field_u64, get, json_string, parse_json, GoalKey, Json};
+use crate::cache::{field_str, field_u64, get, json_string, parse_json, GoalKey};
 use crate::vcgen::Vc;
 use crate::verify::AcceptabilityReport;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Version of the depmap file layout; bumping it invalidates every
 /// existing map (the header check fails closed into a cold start).
-pub const DEPMAP_FORMAT: u32 = 2;
+pub const DEPMAP_FORMAT: u32 = 3;
 
 /// The sidecar path a session's depmap lives at: the verdict-cache path
 /// with `.depmap` appended.
@@ -76,17 +75,16 @@ pub fn depmap_path(cache_path: &Path) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// Fragment identity
+// Revision identity
 // ---------------------------------------------------------------------
 
-/// FNV-1a-64 as a [`Hasher`]: the one hash behind [`fragment_id`] and
-/// [`program_hash`], fed the syntax tree through its derived [`Hash`]
-/// impls. Those are prefix-free (enum discriminants, length prefixes and
-/// a `0xff` after each string), so distinct trees give distinct byte
-/// streams. Every integer is widened to 8 little-endian bytes, so an id
-/// is the same on every platform. Not `DefaultHasher`, whose output may
-/// change between Rust releases and would silently invalidate every
-/// stored map.
+/// FNV-1a-64 as a [`Hasher`]: the hash behind [`program_hash`], fed the
+/// syntax tree through its derived [`Hash`] impls. Those are prefix-free
+/// (enum discriminants, length prefixes and a `0xff` after each string),
+/// so distinct trees give distinct byte streams. Every integer is widened
+/// to 8 little-endian bytes, so a hash is the same on every platform.
+/// Not `DefaultHasher`, whose output may change between Rust releases and
+/// would silently invalidate every stored map.
 struct StableHasher(u64);
 
 impl StableHasher {
@@ -136,20 +134,9 @@ impl Hasher for StableHasher {
     }
 }
 
-/// The identity of one program fragment: `kind` names the syntactic role
-/// (`stmt`, `cond`, `inv`, `relax-pred`, `pre`, `post`, …) and the hash
-/// covers the fragment's syntax tree. Two equal fragments in different
-/// roles get distinct ids, so e.g. promoting a loop condition into an
-/// assert reads as a change.
-pub fn fragment_id(kind: &str, fragment: &(impl Hash + ?Sized)) -> String {
-    let mut hasher = StableHasher::new();
-    fragment.hash(&mut hasher);
-    format!("{kind}:{:016x}", hasher.finish())
-}
-
 /// The whole-revision hash of one `(program, spec)` pair, over their
-/// syntax trees — matching hashes mean *no* fragment changed and the
-/// stored goal set replays verbatim.
+/// syntax trees — matching hashes mean nothing a goal is built from
+/// changed, and the stored goal set replays verbatim.
 pub fn program_hash(program: &relaxed_lang::Program, spec: &crate::verify::Spec) -> String {
     let mut hasher = StableHasher::new();
     (
@@ -169,9 +156,10 @@ pub fn program_hash(program: &relaxed_lang::Program, spec: &crate::verify::Spec)
 
 /// One goal of a stored program revision: enough provenance to rebuild
 /// its report row ([`stage`](GoalDep::stage), [`name`](GoalDep::name),
-/// [`context`](GoalDep::context)), the verdict-cache
-/// [`key`](GoalDep::key) to replay it from, and the fragment
-/// [`deps`](GoalDep::deps) that blame edits to it.
+/// [`context`](GoalDep::context)) and the verdict-cache
+/// [`key`](GoalDep::key) to replay it from, which [`dirty_goals`] also
+/// compares to blame an edit. A goal's revision is the
+/// [`program_hash`] of the [`ProgramDeps`] that holds it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GoalDep {
     /// The pipeline stage the goal belongs to.
@@ -182,9 +170,6 @@ pub struct GoalDep {
     pub context: String,
     /// The α-invariant verdict-cache key of the encoded goal.
     pub key: GoalKey,
-    /// Sorted, deduplicated [`fragment_id`]s of every fragment the
-    /// goal's formula was built from: the list its [`Vc::deps`] shares.
-    pub deps: Arc<[String]>,
 }
 
 /// The stored goal set of one program revision.
@@ -216,8 +201,8 @@ impl ProgramDeps {
     }
 }
 
-/// The goal→fragment dependency map of a corpus: per program name, the
-/// last verified revision's [`ProgramDeps`].
+/// The revision records of a corpus: per program name, the last verified
+/// revision's [`ProgramDeps`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DepMap {
     /// Stored revisions, keyed by corpus program name.
@@ -273,7 +258,6 @@ fn goal_dep(stage: Stage, vc: &Vc, key: GoalKey) -> GoalDep {
         name: vc.name.clone(),
         context: vc.context.clone(),
         key,
-        deps: vc.deps.clone(),
     }
 }
 
@@ -299,16 +283,11 @@ fn render_program_line(out: &mut String, name: &str, deps: &ProgramDeps) {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"stage\":\"{}\",\"name\":{},\"context\":{},\"key\":{},\"deps\":[{}]}}",
+            "{{\"stage\":\"{}\",\"name\":{},\"context\":{},\"key\":{}}}",
             goal.stage.name(),
             json_string(&goal.name),
             json_string(&goal.context),
             json_string(goal.key.as_str()),
-            goal.deps
-                .iter()
-                .map(|d| json_string(d))
-                .collect::<Vec<_>>()
-                .join(",")
         ));
     }
     out.push_str("]}");
@@ -322,22 +301,11 @@ fn parse_program_line(line: &str) -> Result<(String, ProgramDeps), String> {
     let mut goals = Vec::new();
     for item in get(fields, "goals").ok_or("missing `goals`")?.as_array()? {
         let goal_fields = item.as_object()?;
-        let mut deps = Vec::new();
-        for dep in get(goal_fields, "deps")
-            .ok_or("missing `deps`")?
-            .as_array()?
-        {
-            match dep {
-                Json::Str(s) => deps.push(s.clone()),
-                _ => return Err("non-string dep".to_string()),
-            }
-        }
         goals.push(GoalDep {
             stage: Stage::from_name(field_str(goal_fields, "stage")?)?,
             name: field_str(goal_fields, "name")?.to_string(),
             context: field_str(goal_fields, "context")?.to_string(),
             key: GoalKey::parse(field_str(goal_fields, "key")?),
-            deps: deps.into(),
         });
     }
     Ok((name, ProgramDeps { hash, goals }))
@@ -450,22 +418,10 @@ mod tests {
                     name: "precondition-establishes-wp".to_string(),
                     context: "entry".to_string(),
                     key: GoalKey::parse("(valid true)"),
-                    deps: vec![
-                        fragment_id("pre", "x >= 0"),
-                        fragment_id("stmt", "x = x + 1;"),
-                    ]
-                    .into(),
                 }],
             },
         );
         map
-    }
-
-    #[test]
-    fn fragment_ids_are_stable_and_role_sensitive() {
-        assert_eq!(fragment_id("stmt", "x = 1;"), fragment_id("stmt", "x = 1;"));
-        assert_ne!(fragment_id("stmt", "x = 1;"), fragment_id("stmt", "x = 2;"));
-        assert_ne!(fragment_id("cond", "x < n"), fragment_id("inv", "x < n"));
     }
 
     #[test]
@@ -521,7 +477,6 @@ mod tests {
                 name: "g0".to_string(),
                 context: "entry".to_string(),
                 key: GoalKey::parse("(k0)"),
-                deps: vec!["pre:1".to_string()].into(),
             }],
         };
         let fresh = vec![
@@ -530,21 +485,18 @@ mod tests {
                 name: "g0".to_string(),
                 context: "entry".to_string(),
                 key: GoalKey::parse("(k0)"),
-                deps: vec!["pre:1".to_string()].into(),
             },
             GoalDep {
                 stage: Stage::Relaxed,
                 name: "g1".to_string(),
                 context: "body/1".to_string(),
                 key: GoalKey::parse("(k1)"),
-                deps: vec!["stmt:2".to_string()].into(),
             },
             GoalDep {
                 stage: Stage::Relaxed,
                 name: "g1-dup".to_string(),
                 context: "body/2".to_string(),
                 key: GoalKey::parse("(k1)"),
-                deps: vec!["stmt:2".to_string()].into(),
             },
         ];
         assert_eq!(dirty_goals(&old, &fresh), vec![1]);
@@ -559,10 +511,9 @@ mod tests {
         // The bytes a whole write of `sample_map` under "fp" leaves, then
         // the first half of another record.
         let old = concat!(
-            "{\"format\":2,\"kind\":\"depmap\",\"fingerprint\":\"fp\"}\n",
+            "{\"format\":3,\"kind\":\"depmap\",\"fingerprint\":\"fp\"}\n",
             "{\"program\":\"swish\",\"hash\":\"rev:00112233\",\"goals\":[{\"stage\":\"original\",",
-            "\"name\":\"precondition-establishes-wp\",\"context\":\"entry\",\"key\":\"(valid true)\",",
-            "\"deps\":[\"pre:c336c88dcbea1cfb\",\"stmt:09ec2fd6beffb728\"]}]}\n",
+            "\"name\":\"precondition-establishes-wp\",\"context\":\"entry\",\"key\":\"(valid true)\"}]}\n",
             "{\"program\":\"water\",\"hash\":\"rev:44556677\",\"goals\":[{\"stage\":\"rel",
         );
         std::fs::write(&path, old).unwrap();

@@ -727,7 +727,6 @@ mod tests {
             name: name.to_string(),
             context: "test".to_string(),
             body: VcBody::Unary(parse_formula(source).unwrap()),
-            deps: Vec::new().into(),
         }
     }
 

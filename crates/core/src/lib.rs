@@ -35,13 +35,12 @@
 //! * [`vcgen`] — weakest-precondition VC generation for all three logics,
 //!   driven by in-program annotations (`invariant`, `rinvariant`,
 //!   `diverge` contracts);
-//! * [`rules`] — the paper's proof rules as explicit derivation trees with
-//!   a rule-by-rule checker (the analogue of the paper's Coq artifact);
 //! * [`cache`] — the persistent on-disk verdict store (structural goal
 //!   keys, config fingerprinting, corruption-tolerant JSON-lines log);
-//! * [`depmap`] — the goal→program-fragment dependency map recorded at
-//!   vcgen time, the basis of incremental re-verification: after an
-//!   edit, only goals whose supporting fragments changed are re-proved;
+//! * [`depmap`] — per-program revision records, the basis of incremental
+//!   re-verification: an unchanged program replays its recorded goals
+//!   without vcgen, and after an edit only goals whose keys changed are
+//!   re-proved;
 //! * [`shard`] — the transport-agnostic worker protocol and the worker
 //!   fleet (spawn, kill-and-retry, span re-anchoring, shutdown) behind
 //!   the service daemon, with verdict sharing between worker processes
@@ -105,7 +104,6 @@ pub mod encode;
 pub mod engine;
 pub mod noninterference;
 pub mod prefilter;
-pub mod rules;
 pub mod service;
 pub mod shard;
 pub mod telemetry;

@@ -92,7 +92,7 @@ use crate::api::{Config, CorpusEntry, StageSet, Verifier};
 use crate::cache::{field_str, field_u64, parse_json, Json};
 use crate::engine::elapsed_us;
 use crate::shard::{
-    entry_from_result, parse_config_frame, parse_result_frame, prepare_jobs, render_config_frame,
+    entry_from_result, parse_config_frame, parse_result_fields, prepare_jobs, render_config_frame,
     render_error_frame, resolve_worker, write_frame, Fleet, ShardJob, TcpTransport, Transport,
     WorkerHandle, JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
 };
@@ -771,7 +771,8 @@ pub(crate) fn run_corpus_service(
 /// session's `stages`, riding out `busy` backpressure with the daemon's
 /// retry-after hint. A job the daemon refuses for a whole patience window
 /// fails alone; `Err` (a dead connection, a stalled daemon, an unexpected
-/// frame) leaves every job still in `pending` to fail.
+/// frame, or an `error` frame refusing the connection, whose reason it
+/// carries) leaves every job still in `pending` to fail.
 fn collect_results(
     addr: &str,
     stages: StageSet,
@@ -821,27 +822,30 @@ fn collect_results(
             continue; // a retry came due or the window shrank
         };
         last_progress = Instant::now();
-        let (kind, id, retry_after_ms) = parse_json(&line)
-            .and_then(|record| {
-                let fields = record.as_object()?;
-                Ok((
-                    field_str(fields, "type")?.to_string(),
-                    field_u64(fields, "id")? as usize,
-                    field_u64(fields, "retry_after_ms").unwrap_or(RETRY_AFTER_MS),
-                ))
-            })
-            .map_err(|e| format!("malformed frame from {addr}: {e}"))?;
-        match kind.as_str() {
+        let malformed = |e: String| format!("malformed frame from {addr}: {e}");
+        let record = parse_json(&line).map_err(malformed)?;
+        let fields = record.as_object().map_err(malformed)?;
+        let kind = field_str(fields, "type").map_err(malformed)?;
+        if kind == "error" {
+            // The daemon refused a frame it could not take (one past its
+            // size cap, say) and closes the connection: no pending job
+            // will be answered, so each fails with the daemon's reason.
+            let reason = field_str(fields, "reason").unwrap_or("unspecified");
+            return Err(format!("service at {addr} refused a frame: {reason}"));
+        }
+        let id = field_u64(fields, "id").map_err(malformed)? as usize;
+        match kind {
             "result" => {
                 let Some(job) = pending.remove(&id) else {
                     continue; // duplicate/stale result; ignore
                 };
                 busy_since.remove(&id);
                 let wire =
-                    parse_result_frame(&line).map_err(|e| format!("malformed result frame: {e}"));
+                    parse_result_fields(fields).map_err(|e| format!("malformed result frame: {e}"));
                 slots[id] = Some(entry_from_result(job.name, stages, wire));
             }
             "busy" => {
+                let retry_after_ms = field_u64(fields, "retry_after_ms").unwrap_or(RETRY_AFTER_MS);
                 // Give up on a job the daemon has refused for a whole
                 // patience window.
                 let first = *busy_since.entry(id).or_insert_with(Instant::now);

@@ -47,9 +47,9 @@
 //! instead; a vcgen failure also rides typed (`vcgen`), so the client's
 //! entry is the [`CorpusError::Vcgen`] an in-process run records. The
 //! client runs no vcgen: it builds each row from the frame alone, through
-//! the placeholder-row builder replay uses (no formula body, no fragment
-//! deps; an `Invalid` verdict keeps its witness), and checks only that
-//! the frame's stage list is its session's selection.
+//! the placeholder-row builder replay uses (no formula body; an
+//! `Invalid` verdict keeps its witness), and checks only that the
+//! frame's stage list is its session's selection.
 //!
 //! # The fleet
 //!
@@ -120,7 +120,6 @@ use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Version of the coordinator/worker wire protocol. The worker echoes it
@@ -134,8 +133,8 @@ pub const PROTOCOL_VERSION: u32 = 3;
 pub const WORKER_BINARY: &str = "relaxed-shardd";
 
 /// File name of the service daemon binary (`relaxed-serviced`, plus the
-/// platform executable suffix), used by [`locate_service`]. See
-/// [`crate::service`].
+/// platform executable suffix), which names the daemon in its own
+/// messages. See [`crate::service`].
 pub const SERVICE_BINARY: &str = "relaxed-serviced";
 
 /// Attempts a job may consume before it is recorded as a per-program
@@ -185,14 +184,6 @@ pub(crate) fn locate_binary(name: &str) -> Result<PathBuf, Vec<PathBuf>> {
 /// and is handled by the caller.
 pub fn locate_worker() -> Option<PathBuf> {
     locate_binary(WORKER_BINARY).ok()
-}
-
-/// Locates the `relaxed-serviced` daemon binary next to the current
-/// executable — the service-side analogue of
-/// [`locate_worker`], used by benches and `paper_report` to start a
-/// daemon without a hardcoded path.
-pub fn locate_service() -> Option<PathBuf> {
-    locate_binary(SERVICE_BINARY).ok()
 }
 
 fn render_searched(searched: &[PathBuf]) -> String {
@@ -443,6 +434,12 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
     if field_str(fields, "type")? != "result" {
         return Err("expected a result frame".to_string());
     }
+    parse_result_fields(fields)
+}
+
+/// The [`WireResult`] of a frame already parsed and read as a `result`:
+/// the service client reads each frame's type from its one parse.
+pub(crate) fn parse_result_fields(fields: &[(String, Json)]) -> Result<WireResult, String> {
     let id = field_u64(fields, "id")? as usize;
     if let Some(Json::Str(error)) = get(fields, "error") {
         let failure = match get(fields, "vcgen") {
@@ -463,9 +460,6 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
         });
     }
     let engine = EngineStats::from_counters(|name| field_u64(fields, name))?;
-    // Rows read off the wire carry no fragment deps: they are never
-    // recorded, so they all share one empty list.
-    let no_deps: Arc<[String]> = Vec::new().into();
     let mut stages = Vec::new();
     let stage_items = get(fields, "stages")
         .ok_or("missing `stages`")?
@@ -486,7 +480,6 @@ pub(crate) fn parse_result_frame(line: &str) -> Result<WireResult, String> {
             results.push(VcResult::placeholder(
                 field_str(row, "name")?.to_string(),
                 field_str(row, "context")?.to_string(),
-                Arc::clone(&no_deps),
                 parse_verdict(row)?,
                 field_u64(row, "cached")? != 0,
             ));
@@ -1773,7 +1766,7 @@ mod tests {
         assert_eq!(wire.relaxed.stats, report.relaxed.stats);
         // Every row keeps its obligation's name and context, its verdict
         // and whether it was cached; its body is the placeholder, and it
-        // carries no deps and no key.
+        // carries no key.
         assert_eq!(wire.total_vcs(), report.total_vcs());
         for ((_, wire_stage), (_, direct_stage)) in wire.stage_reports().zip(report.stage_reports())
         {
@@ -1784,7 +1777,6 @@ mod tests {
                 assert_eq!(row.verdict, expected.verdict);
                 assert_eq!(row.cached, expected.cached);
                 assert_eq!(row.vc.body, VcBody::Unary(relaxed_lang::Formula::True));
-                assert!(row.vc.deps.is_empty());
             }
         }
         // Both ends come from one build, so every counter is required:

@@ -23,7 +23,6 @@
 use super::arrays::abstract_rel_selects;
 use super::unary::{vcs_unary, UnaryLogic};
 use super::vc::{within_budget, Vc, VcBody, VcgenError};
-use crate::depmap::fragment_id;
 use relaxed_lang::subst::{FreshVars, RelSubst};
 use relaxed_lang::{
     BoolExpr, DivergeContract, Formula, IntExpr, RelFormula, RelIntExpr, Side, Stmt, Var,
@@ -36,13 +35,6 @@ pub struct RelVcgen {
     fresh: FreshVars,
     array_vars: BTreeSet<Var>,
     vcs: Vec<Vc>,
-    /// Fragment ids the formula under construction was built from — the
-    /// relational twin of the unary generator's trail (see
-    /// [`crate::depmap`]). Unlike `⊢o`, a `relax` here contributes its
-    /// *whole* statement (the relaxed side havocs the target list, so
-    /// editing the targets changes `⊢r` goals), and `relate` contributes
-    /// too (it is an obligation, not a skip).
-    trail: BTreeSet<String>,
 }
 
 fn inj(p: &Formula, side: Side) -> RelFormula {
@@ -63,7 +55,6 @@ impl RelVcgen {
             fresh,
             array_vars,
             vcs: Vec::new(),
-            trail: BTreeSet::new(),
         }
     }
 
@@ -72,29 +63,11 @@ impl RelVcgen {
         self.vcs
     }
 
-    /// Seeds the trail with a fragment the surrounding context
-    /// contributes before traversal starts (the relational
-    /// postcondition).
-    pub fn seed_dep(&mut self, fragment: String) {
-        self.trail.insert(fragment);
-    }
-
-    /// The current trail, sorted (BTreeSet iteration order).
-    fn deps(&self) -> Vec<String> {
-        self.trail.iter().cloned().collect()
-    }
-
     fn push_vc(&mut self, name: &str, context: &str, body: RelFormula) {
-        let deps = self.deps();
-        self.push_vc_with(name, context, body, deps);
-    }
-
-    fn push_vc_with(&mut self, name: &str, context: &str, body: RelFormula, deps: Vec<String>) {
         self.vcs.push(Vc {
             name: name.to_string(),
             context: context.to_string(),
             body: VcBody::Rel(body),
-            deps: deps.into(),
         });
     }
 
@@ -118,22 +91,6 @@ impl RelVcgen {
         q: RelFormula,
         context: &str,
     ) -> Result<RelFormula, VcgenError> {
-        // Every leaf statement enters the relational trail whole:
-        // relax targets are havocked on the relaxed side and relate is an
-        // obligation here, so — unlike `⊢o` — editing any part of these
-        // statements can change a `⊢r` goal.
-        match s {
-            Stmt::Assign(_, _)
-            | Stmt::Store(_, _, _)
-            | Stmt::Havoc(_, _)
-            | Stmt::Relax(_, _)
-            | Stmt::Assume(_)
-            | Stmt::Assert(_)
-            | Stmt::Relate(_, _) => {
-                self.trail.insert(fragment_id("stmt", s));
-            }
-            Stmt::Skip | Stmt::If(_) | Stmt::While(_) | Stmt::Seq(_) => {}
-        }
         match s {
             Stmt::Skip => Ok(q),
             Stmt::Assign(x, e) => {
@@ -180,7 +137,6 @@ impl RelVcgen {
                 // combinations, as in Benton's RHL); it subsumes the
                 // convergent-if rule and needs no convergence premise.
                 None if straight_line(&i.then_branch) && straight_line(&i.else_branch) => {
-                    self.trail.insert(fragment_id("cond", &i.cond));
                     let bo = inj_bool(&i.cond, Side::Original);
                     let br = inj_bool(&i.cond, Side::Relaxed);
                     let mut out = RelFormula::True;
@@ -197,7 +153,6 @@ impl RelVcgen {
                     Ok(out)
                 }
                 None => {
-                    self.trail.insert(fragment_id("cond", &i.cond));
                     let then_ctx = format!("{context}/if-then");
                     let else_ctx = format!("{context}/if-else");
                     let wp_then = self.wp(&i.then_branch, q.clone(), &then_ctx)?;
@@ -226,23 +181,8 @@ impl RelVcgen {
                             kind: "rinvariant",
                             context: context.to_string(),
                         })?;
-                    // The loop's own obligations depend only on the loop:
-                    // run the body on an isolated trail seeded with the
-                    // condition and rinvariant, so `loop-convergence` and
-                    // `rinvariant-preserved` never blame downstream
-                    // fragments already in the outer trail.
-                    let outer_trail = std::mem::take(&mut self.trail);
-                    self.trail.insert(fragment_id("cond", &w.cond));
-                    self.trail.insert(fragment_id("rinv", &inv));
-                    let conv_deps = self.deps();
                     let body_ctx = format!("{context}/while-body");
-                    let body_wp = match self.wp(&w.body, inv.clone(), &body_ctx) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            self.trail.extend(outer_trail);
-                            return Err(e);
-                        }
-                    };
+                    let body_wp = self.wp(&w.body, inv.clone(), &body_ctx)?;
                     let bo = inj_bool(&w.cond, Side::Original);
                     let br = inj_bool(&w.cond, Side::Relaxed);
                     let conv = bo
@@ -251,20 +191,12 @@ impl RelVcgen {
                         .and(br.clone().implies(bo.clone()));
                     let both_true = bo.clone().and(br.clone());
                     let both_false = bo.not().and(br.not());
-                    self.push_vc_with(
-                        "loop-convergence",
-                        context,
-                        inv.clone().implies(conv),
-                        conv_deps,
-                    );
+                    self.push_vc("loop-convergence", context, inv.clone().implies(conv));
                     self.push_vc(
                         "rinvariant-preserved",
                         context,
                         inv.clone().and(both_true).implies(body_wp),
                     );
-                    // The exit formula embeds q, so the outer fragments
-                    // return to the trail the enclosing obligations snapshot.
-                    self.trail.extend(outer_trail);
                     // Exit, framed over the modified variables of each side.
                     let mut exit = inv.clone().and(both_false).implies(q);
                     let modified_o = w.body.modified_vars_original();
@@ -338,23 +270,6 @@ impl RelVcgen {
         q: RelFormula,
         context: &str,
     ) -> Result<RelFormula, VcgenError> {
-        // Same whole-statement granularity as `wp`: a product formula
-        // genuinely depends on the full leaf statement via at least one of the
-        // two sides, and the trail is per-VC, not per-side.
-        match s {
-            Stmt::Assign(_, _)
-            | Stmt::Store(_, _, _)
-            | Stmt::Havoc(_, _)
-            | Stmt::Relax(_, _)
-            | Stmt::Assume(_)
-            | Stmt::Assert(_) => {
-                self.trail.insert(fragment_id("stmt", s));
-            }
-            Stmt::If(i) => {
-                self.trail.insert(fragment_id("cond", &i.cond));
-            }
-            Stmt::Skip | Stmt::Relate(_, _) | Stmt::While(_) | Stmt::Seq(_) => {}
-        }
         match s {
             Stmt::Skip => Ok(q),
             Stmt::Assign(x, e) => {
@@ -499,12 +414,6 @@ impl RelVcgen {
                 context: format!("{context} (inside a diverge statement)"),
             });
         }
-        // The relational frame quantifies over whatever either side may
-        // modify — a property of the whole diverged statement including
-        // its contract, so the entire statement is one fragment. The unary
-        // sub-obligations pushed below carry their own finer-grained
-        // trails from `vcs_unary`.
-        self.trail.insert(fragment_id("stmt", s));
         let po = contract.pre_o.clone().unwrap_or(Formula::True);
         let pr = contract.pre_r.clone().unwrap_or(Formula::True);
         // ⊢o {Po} s {Qo} — the original side alone.
@@ -596,12 +505,7 @@ pub fn vcs_relaxed(
     reserved.extend(relaxed_lang::free::rel_formula_var_names(rel_pre));
     reserved.extend(relaxed_lang::free::rel_formula_var_names(rel_post));
     let mut generator = RelVcgen::new(array_vars.clone(), reserved);
-    generator.seed_dep(fragment_id("rel_post", rel_post));
     let wp = generator.wp(s, rel_post.clone(), "body")?;
-    let mut entry_deps = generator.deps();
-    entry_deps.push(fragment_id("rel_pre", rel_pre));
-    entry_deps.sort();
-    entry_deps.dedup();
     let mut vcs = generator.into_vcs();
     vcs.insert(
         0,
@@ -609,7 +513,6 @@ pub fn vcs_relaxed(
             name: "precondition-establishes-wp".to_string(),
             context: "entry".to_string(),
             body: VcBody::Rel(rel_pre.clone().implies(wp)),
-            deps: entry_deps.into(),
         },
     );
     Ok(vcs)

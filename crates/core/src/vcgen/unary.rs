@@ -29,7 +29,6 @@
 
 use super::arrays::abstract_selects;
 use super::vc::{within_budget, Vc, VcBody, VcgenError};
-use crate::depmap::fragment_id;
 use relaxed_lang::subst::{FreshVars, Subst};
 use relaxed_lang::{BoolExpr, Formula, IntExpr, Stmt, Var};
 use std::collections::BTreeSet;
@@ -50,13 +49,6 @@ pub struct UnaryVcgen {
     fresh: FreshVars,
     array_vars: BTreeSet<Var>,
     vcs: Vec<Vc>,
-    /// Fragment ids of everything the formula under construction was
-    /// built from: the postcondition it started at plus every statement
-    /// the backward traversal has absorbed. Snapshotted into each pushed
-    /// VC's `deps` (see [`crate::depmap`]); loop bodies run on an
-    /// isolated trail so an `invariant-preserved` obligation never blames
-    /// fragments downstream of its loop.
-    trail: BTreeSet<String>,
 }
 
 impl UnaryVcgen {
@@ -70,7 +62,6 @@ impl UnaryVcgen {
             fresh,
             array_vars,
             vcs: Vec::new(),
-            trail: BTreeSet::new(),
         }
     }
 
@@ -79,23 +70,11 @@ impl UnaryVcgen {
         self.vcs
     }
 
-    /// Seeds the dependency trail (normally with the postcondition's
-    /// fragment) before [`wp`](UnaryVcgen::wp) starts walking.
-    pub fn seed_dep(&mut self, fragment: String) {
-        self.trail.insert(fragment);
-    }
-
-    /// The current trail as sorted, deduplicated `deps` for a VC.
-    fn deps(&self) -> Vec<String> {
-        self.trail.iter().cloned().collect()
-    }
-
     fn push_vc(&mut self, name: &str, context: &str, body: Formula) {
         self.vcs.push(Vc {
             name: name.to_string(),
             context: context.to_string(),
             body: VcBody::Unary(body),
-            deps: self.deps().into(),
         });
     }
 
@@ -116,42 +95,25 @@ impl UnaryVcgen {
     fn wp_rule(&mut self, s: &Stmt, q: Formula, context: &str) -> Result<Formula, VcgenError> {
         match s {
             Stmt::Skip => Ok(q),
-            Stmt::Assign(..) | Stmt::Store(..) | Stmt::Havoc(..) | Stmt::Assert(_) => {
-                self.trail.insert(fragment_id("stmt", s));
-                match s {
-                    Stmt::Assign(x, e) => Ok(Subst::single(x.clone(), e.clone()).apply(&q)),
-                    Stmt::Store(x, index, value) => self.wp_store(x, index, value, q, context),
-                    Stmt::Havoc(targets, pred) => self.wp_choice(targets, pred, q, context),
-                    Stmt::Assert(pred) => Ok(Formula::from_bool_expr(pred).and(q)),
-                    _ => unreachable!("outer match narrowed the variants"),
-                }
-            }
+            Stmt::Assign(x, e) => Ok(Subst::single(x.clone(), e.clone()).apply(&q)),
+            Stmt::Store(x, index, value) => self.wp_store(x, index, value, q, context),
+            Stmt::Havoc(targets, pred) => self.wp_choice(targets, pred, q, context),
+            Stmt::Assert(pred) => Ok(Formula::from_bool_expr(pred).and(q)),
             Stmt::Relax(targets, pred) => match self.logic {
                 // ⊢o: relax is `assert e` over an unchanged state — the
-                // target list never enters the formula, so the dependency
-                // is the predicate alone (editing the targets invalidates
-                // ⊢r goals but no ⊢o goal).
-                UnaryLogic::Original => {
-                    self.trail.insert(fragment_id("relax-pred", pred));
-                    Ok(Formula::from_bool_expr(pred).and(q))
-                }
-                // ⊢i: relax is havoc (targets and predicate both matter).
-                UnaryLogic::Intermediate => {
-                    self.trail.insert(fragment_id("stmt", s));
-                    self.wp_choice(targets, pred, q, context)
-                }
+                // target list never enters the formula, so editing it
+                // changes ⊢r goals but no ⊢o goal.
+                UnaryLogic::Original => Ok(Formula::from_bool_expr(pred).and(q)),
+                // ⊢i: relax is havoc.
+                UnaryLogic::Intermediate => self.wp_choice(targets, pred, q, context),
             },
-            Stmt::Assume(pred) => {
-                self.trail.insert(fragment_id("stmt", s));
-                match self.logic {
-                    UnaryLogic::Original => Ok(Formula::from_bool_expr(pred).implies(q)),
-                    // ⊢i: assumptions must be proved, like assertions.
-                    UnaryLogic::Intermediate => Ok(Formula::from_bool_expr(pred).and(q)),
-                }
-            }
+            Stmt::Assume(pred) => match self.logic {
+                UnaryLogic::Original => Ok(Formula::from_bool_expr(pred).implies(q)),
+                // ⊢i: assumptions must be proved, like assertions.
+                UnaryLogic::Intermediate => Ok(Formula::from_bool_expr(pred).and(q)),
+            },
             Stmt::Relate(_, _) => match self.logic {
-                // ⊢o: relate behaves as skip (Fig. 7) — and contributes no
-                // dependency: editing a relate cannot change a ⊢o goal.
+                // ⊢o: relate behaves as skip (Fig. 7).
                 UnaryLogic::Original => Ok(q),
                 // ⊢i: no_rel(s) must hold wherever ⊢i applies.
                 UnaryLogic::Intermediate => Err(VcgenError::RelateNotAllowed {
@@ -163,7 +125,6 @@ impl UnaryVcgen {
                 let else_ctx = format!("{context}/if-else");
                 let wp_then = self.wp(&i.then_branch, q.clone(), &then_ctx)?;
                 let wp_else = self.wp(&i.else_branch, q, &else_ctx)?;
-                self.trail.insert(fragment_id("cond", &i.cond));
                 let b = Formula::from_bool_expr(&i.cond);
                 Ok(b.clone().implies(wp_then).and(b.not().implies(wp_else)))
             }
@@ -172,29 +133,14 @@ impl UnaryVcgen {
                     kind: "invariant",
                     context: context.to_string(),
                 })?;
-                // The loop's obligations depend on its own pieces — body,
-                // condition, invariant — but never on fragments downstream
-                // of the loop (already in the trail, since the traversal is
-                // backward). Run the body on an isolated trail, then fold
-                // it back for the exit formula, which does embed `q`.
-                let outer_trail = std::mem::take(&mut self.trail);
-                self.trail.insert(fragment_id("cond", &w.cond));
-                self.trail.insert(fragment_id("inv", &inv));
                 let body_ctx = format!("{context}/while-body");
-                let body_wp = match self.wp(&w.body, inv.clone(), &body_ctx) {
-                    Ok(wp) => wp,
-                    Err(e) => {
-                        self.trail.extend(outer_trail);
-                        return Err(e);
-                    }
-                };
+                let body_wp = self.wp(&w.body, inv.clone(), &body_ctx)?;
                 let b = Formula::from_bool_expr(&w.cond);
                 self.push_vc(
                     "invariant-preserved",
                     context,
                     inv.clone().and(b.clone()).implies(body_wp),
                 );
-                self.trail.extend(outer_trail);
                 // Exit, with framing: only the variables the body modifies
                 // are quantified, so facts about everything else flow
                 // through the loop untouched.
@@ -333,12 +279,7 @@ pub fn vcs_unary(
     reserved.extend(relaxed_lang::free::formula_vars(pre));
     reserved.extend(relaxed_lang::free::formula_vars(post));
     let mut generator = UnaryVcgen::new(logic, array_vars.clone(), reserved);
-    generator.seed_dep(fragment_id("post", post));
     let wp = generator.wp(s, post.clone(), "body")?;
-    let mut entry_deps = generator.deps();
-    entry_deps.push(fragment_id("pre", pre));
-    entry_deps.sort();
-    entry_deps.dedup();
     let mut vcs = generator.into_vcs();
     vcs.insert(
         0,
@@ -346,7 +287,6 @@ pub fn vcs_unary(
             name: "precondition-establishes-wp".to_string(),
             context: "entry".to_string(),
             body: VcBody::Unary(pre.clone().implies(wp)),
-            deps: entry_deps.into(),
         },
     );
     Ok(vcs)

@@ -2,7 +2,6 @@
 
 use relaxed_lang::{Formula, RelFormula, Stmt};
 use std::fmt;
-use std::sync::Arc;
 
 /// The logical content of a verification condition.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -21,20 +20,11 @@ pub struct Vc {
     /// Where in the program the obligation arose.
     pub context: String,
     /// The formula to prove valid. A result row that was replayed from
-    /// the depmap, or read from a service worker's result frame, carries
-    /// the placeholder `true` instead: its formula was never rebuilt, and
-    /// its verdict (an `Invalid` witness included) is the recorded one.
+    /// its program's revision record (see [`crate::depmap`]), or read
+    /// from a service worker's result frame, carries the placeholder
+    /// `true` instead: its formula was never rebuilt, and its verdict (an
+    /// `Invalid` witness included) is the recorded one.
     pub body: VcBody,
-    /// Fragment ids (see [`crate::depmap::fragment_id`]) of every program
-    /// statement and spec formula this obligation's formula was built
-    /// from — the goal→fragment dependency map recorded at vcgen time.
-    /// Sorted and deduplicated; an edit to any listed fragment may change
-    /// the obligation, an edit to none of them cannot. The list is
-    /// shared: the depmap record of the obligation, and every result
-    /// replayed from that record, point at the same list. A row read from
-    /// a result frame carries none: the worker that generated the
-    /// obligation recorded its deps.
-    pub deps: Arc<[String]>,
 }
 
 /// Splits a formula into its top-level conjuncts, flattening nested

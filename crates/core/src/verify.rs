@@ -23,7 +23,6 @@ use crate::vcgen::{vcs_relaxed, vcs_unary, UnaryLogic, Vc, VcBody, VcgenError};
 use relaxed_lang::{Formula, Program, RelFormula};
 use relaxed_smt::{SolverStats, Validity};
 use std::fmt;
-use std::sync::Arc;
 
 /// The verdict for one VC.
 #[derive(Clone, Debug)]
@@ -46,14 +45,13 @@ impl VcResult {
         self.verdict.is_valid()
     }
 
-    /// The row of an obligation known by its provenance alone: a replayed
-    /// program's, or one read from a worker's result frame. Its body is a
-    /// placeholder (`true`) that nothing solves, and its verdict is the
-    /// one recorded.
+    /// The row of an obligation known by its name and context alone: a
+    /// replayed program's, or one read from a worker's result frame. Its
+    /// body is a placeholder (`true`) that nothing solves, and its
+    /// verdict is the one recorded.
     pub(crate) fn placeholder(
         name: String,
         context: String,
-        deps: Arc<[String]>,
         verdict: Validity,
         cached: bool,
     ) -> VcResult {
@@ -62,7 +60,6 @@ impl VcResult {
                 name,
                 context,
                 body: VcBody::Unary(Formula::True),
-                deps,
             },
             verdict,
             stats: SolverStats::default(),

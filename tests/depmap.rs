@@ -1,4 +1,4 @@
-//! Edge-case tests for the goal→fragment dependency map
+//! Edge-case tests for the per-program revision records
 //! (`relaxed_core::depmap`) driving incremental re-verification: edits
 //! that must *not* force re-proofs (corpus reorders), edits whose blast
 //! radius is stage-bounded (a `relax` target-list edit invalidates `⊢r`
@@ -9,17 +9,15 @@
 //! `edit-reverify` job (`verify_corpus --edit-reverify`); the rows are
 //! documented in `tests/README.md`.
 
-use relaxed_programs::core::cache::fingerprint;
+use relaxed_programs::core::cache::{fingerprint, json_string};
 use relaxed_programs::core::depmap::{
-    depmap_path, dirty_goals, goal_deps, load, program_hash, ProgramDeps,
+    depmap_path, dirty_goals, goal_deps, load, program_hash, ProgramDeps, DEPMAP_FORMAT,
 };
 use relaxed_programs::core::vcgen::Vc;
-use relaxed_programs::core::VcResult;
 use relaxed_programs::lang::{parse_formula, parse_program, parse_rel_formula, Program};
 use relaxed_programs::{casestudies, Config, CorpusPolicy, CorpusReport, Spec, Stage, Verifier};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A per-test, per-process cache path under the OS temp dir.
 fn temp_cache(tag: &str) -> PathBuf {
@@ -448,13 +446,37 @@ fn entry_engines(report: &CorpusReport) -> Vec<relaxed_programs::core::EngineSta
         .collect()
 }
 
-/// Sidecar format 1 hashed pretty-printed text, so its ids mean nothing
-/// to this build: a session on a format-1 sidecar and a warm store starts
-/// the sidecar cold once, answers every goal from the store, and its
-/// flush rewrites the sidecar whole.
+/// One sidecar record in the shape the previous format wrote: each goal
+/// also carries a `deps` array of fragment ids.
+fn previous_format_record(name: &str, record: &ProgramDeps) -> String {
+    let goals: Vec<String> = record
+        .goals
+        .iter()
+        .map(|goal| {
+            format!(
+                "{{\"stage\":\"{}\",\"name\":{},\"context\":{},\"key\":{},\"deps\":[\"stmt:09ec2fd6beffb728\"]}}",
+                goal.stage.name(),
+                json_string(&goal.name),
+                json_string(&goal.context),
+                json_string(goal.key.as_str())
+            )
+        })
+        .collect();
+    format!(
+        "{{\"program\":{},\"hash\":{},\"goals\":[{}]}}\n",
+        json_string(name),
+        json_string(&record.hash),
+        goals.join(",")
+    )
+}
+
+/// A sidecar of the previous format, whose records also carry fragment
+/// ids, means nothing to this build: a session on it and a warm store
+/// starts the sidecar cold once, answers every goal from the store, and
+/// its flush rewrites the sidecar whole.
 #[test]
-fn a_format_1_sidecar_starts_cold_once_beside_a_warm_store() {
-    let path = temp_cache("format-1");
+fn a_previous_format_sidecar_starts_cold_once_beside_a_warm_store() {
+    let path = temp_cache("previous-format");
     let corpus = casestudies::corpus();
     let seeder = persistent(&path);
     let fingerprint = fingerprint(&seeder.config().discharge_config());
@@ -462,15 +484,23 @@ fn a_format_1_sidecar_starts_cold_once_beside_a_warm_store() {
     seeder.persist().unwrap();
     drop(seeder);
 
-    // The sidecar under the header a format-1 session writes. Its records
-    // keep this build's ids, so they would replay if the header passed.
+    // The sidecar a previous-format session writes. Its records keep this
+    // build's revision hashes and goal keys, so they would replay if the
+    // header passed.
     let sidecar = depmap_path(&path);
     let current = std::fs::read_to_string(&sidecar).unwrap();
-    let header =
-        format!("{{\"format\":2,\"kind\":\"depmap\",\"fingerprint\":\"{fingerprint}\"}}\n");
-    let records = current.strip_prefix(&header).expect("a format-2 header");
-    let old_header = header.replace("\"format\":2", "\"format\":1");
-    std::fs::write(&sidecar, format!("{old_header}{records}")).unwrap();
+    let (stored, warnings) = load(&sidecar, &fingerprint);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(stored.programs.len(), corpus.len());
+    let mut previous = format!(
+        "{{\"format\":{},\"kind\":\"depmap\",\"fingerprint\":{}}}\n",
+        DEPMAP_FORMAT - 1,
+        json_string(&fingerprint)
+    );
+    for (name, record) in &stored.programs {
+        previous.push_str(&previous_format_record(name, record));
+    }
+    std::fs::write(&sidecar, &previous).unwrap();
 
     // The session prints exactly the warnings its sidecar load returns.
     let (map, warnings) = load(&sidecar, &fingerprint);
@@ -494,7 +524,7 @@ fn a_format_1_sidecar_starts_cold_once_beside_a_warm_store() {
     assert_eq!(
         std::fs::read_to_string(&sidecar).unwrap(),
         current,
-        "the flush rewrites the whole sidecar under format 2"
+        "the flush rewrites the whole sidecar under format {DEPMAP_FORMAT}"
     );
 
     let next = persistent(&path);
@@ -504,44 +534,5 @@ fn a_format_1_sidecar_starts_cold_once_beside_a_warm_store() {
     }
     assert!(load(&sidecar, &fingerprint).1.is_empty());
     drop(next);
-    cleanup(&path);
-}
-
-/// Every result of a one-program report, stage by stage.
-fn results(report: &CorpusReport) -> Vec<&VcResult> {
-    let entry = report.entries[0].outcome.as_ref().expect("a staged report");
-    entry
-        .stage_reports()
-        .flat_map(|(_, stage)| &stage.results)
-        .collect()
-}
-
-/// A replayed result shares its record's fragment list instead of
-/// copying it, so two replays of one unchanged program hand out the same
-/// lists, equal to the ones its live run recorded.
-#[test]
-fn replays_share_the_recorded_provenance() {
-    let path = temp_cache("shared-deps");
-    let (program, spec) = casestudies::swish();
-    let corpus = vec![("swish", program, spec)];
-    let session = persistent(&path);
-    let live = session.check_corpus_named(&corpus);
-    let first = session.check_corpus_named(&corpus);
-    let second = session.check_corpus_named(&corpus);
-    for replay in [&first, &second] {
-        assert_eq!(entry_engines(replay)[0].elapsed_vcgen_us, 0, "a replay");
-    }
-    let (live, first, second) = (results(&live), results(&first), results(&second));
-    assert_eq!(live.len(), first.len());
-    assert_eq!(first.len(), second.len());
-    for ((live, first), second) in live.iter().zip(&first).zip(&second) {
-        assert!(
-            Arc::ptr_eq(&first.vc.deps, &second.vc.deps),
-            "{}",
-            first.vc.name
-        );
-        assert_eq!(first.vc.deps, live.vc.deps, "{}", first.vc.name);
-    }
-    drop(session);
     cleanup(&path);
 }
