@@ -243,9 +243,10 @@ fn assert_records_replay(path: &Path, corpus: &[(&str, Program, Spec)]) {
 
 /// Binds an in-process service daemon (ephemeral port, fleet of real
 /// `relaxed-shardd` workers) and serves it on a background thread.
-/// Returns the bound address and the serve thread (which yields the
-/// lifetime served-count once a `shutdown` frame drains the daemon).
-fn start_service(builder: VerifierBuilder, fleet: usize) -> (String, std::thread::JoinHandle<u64>) {
+/// Returns the bound address and the guard of the serve thread (whose
+/// `join` yields the lifetime served-count once a `shutdown` frame drains
+/// the daemon).
+fn start_service(builder: VerifierBuilder, fleet: usize) -> (String, Serving) {
     let config = builder.build().config().clone();
     let service = Service::bind(ServiceOptions {
         fleet,
@@ -254,7 +255,33 @@ fn start_service(builder: VerifierBuilder, fleet: usize) -> (String, std::thread
     })
     .expect("failed to bind the in-process service daemon");
     let addr = service.local_addr();
-    (addr, std::thread::spawn(move || service.run()))
+    let thread = Some(std::thread::spawn(move || service.run()));
+    (addr.clone(), Serving { addr, thread })
+}
+
+/// The serve thread of a test daemon. A test joins it after its own
+/// `shutdown`; one that panics first drops it unjoined, and the drop
+/// drains the daemon and joins the thread, so no fleet worker outlives
+/// the failed test (and fails `no_worker_outlives_its_run` too).
+struct Serving {
+    addr: String,
+    thread: Option<std::thread::JoinHandle<u64>>,
+}
+
+impl Serving {
+    /// Joins the serve thread of a drained daemon.
+    fn join(mut self) -> std::thread::Result<u64> {
+        self.thread.take().expect("the serve thread").join()
+    }
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            let _ = shutdown_service(&self.addr, Duration::from_secs(60));
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Runs `body` against a fresh daemon of `fleet` workers, then drains the
@@ -545,6 +572,289 @@ fn an_error_frame_fails_every_job_with_its_reason() {
     }
 }
 
+/// The `type` and, for a job, the `id` and `name` of the frame `line`.
+fn frame_kind(line: &str) -> (String, Option<i128>, Option<String>) {
+    let record = parse_json(line).expect("a JSON frame");
+    let fields = record.as_object().expect("an object");
+    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let text = |key| match field(key) {
+        Some(Json::Str(text)) => Some(text.clone()),
+        _ => None,
+    };
+    let id = match field("id") {
+        Some(Json::Int(id)) => Some(*id),
+        _ => None,
+    };
+    (text("type").expect("a frame type"), id, text("name"))
+}
+
+/// Serves `listener` as a stand-in daemon, one connection at a time: it
+/// answers `config` with `ready` and each job with an error result that
+/// reads `stand-in`, and ends at a connection whose first frame is
+/// `shutdown` (answered with `bye`). Returns the frames each client
+/// connection sent. On the first connection it hangs up after
+/// `hang_up_after` results: it closes its write half and reads what the
+/// client still sends until the client hangs up too, so no unread byte
+/// resets the connection.
+fn stand_in(
+    listener: TcpListener,
+    hang_up_after: Option<usize>,
+) -> std::thread::JoinHandle<Vec<Vec<String>>> {
+    std::thread::spawn(move || {
+        let mut connections = Vec::new();
+        for stream in listener.incoming() {
+            let stream = stream.expect("accept a client");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let limit = hang_up_after.filter(|_| connections.is_empty());
+            let (mut frames, mut answered) = (Vec::new(), 0);
+            loop {
+                let mut line = String::new();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                    break; // the client hung up
+                }
+                let line = line.trim_end().to_string();
+                let reply = match frame_kind(&line) {
+                    (kind, ..) if kind == "shutdown" && frames.is_empty() => {
+                        writeln!(&stream, "{{\"type\":\"bye\",\"served\":0}}").expect("bye");
+                        return connections;
+                    }
+                    (kind, ..) if kind == "config" => {
+                        format!("{{\"type\":\"ready\",\"proto\":{PROTOCOL_VERSION},\"fleet\":1}}")
+                    }
+                    (kind, Some(id), _) if kind == "job" => {
+                        answered += 1;
+                        format!("{{\"type\":\"result\",\"id\":{id},\"error\":\"stand-in\"}}")
+                    }
+                    _ => panic!("unexpected frame {line}"),
+                };
+                frames.push(line);
+                writeln!(&stream, "{reply}").expect("answer the client");
+                if limit == Some(answered) {
+                    stream
+                        .shutdown(std::net::Shutdown::Write)
+                        .expect("close the write half");
+                    let _ = reader.read_to_end(&mut Vec::new());
+                    break;
+                }
+            }
+            connections.push(frames);
+        }
+        connections
+    })
+}
+
+/// Binds a stand-in daemon (see [`stand_in`]): its address and thread.
+fn start_stand_in(
+    hang_up_after: Option<usize>,
+) -> (String, std::thread::JoinHandle<Vec<Vec<String>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    (addr, stand_in(listener, hang_up_after))
+}
+
+/// Ends a stand-in daemon with a `shutdown` frame: the frames of each
+/// client connection it accepted.
+fn stop_stand_in(
+    addr: &str,
+    stand_in: std::thread::JoinHandle<Vec<Vec<String>>>,
+) -> Vec<Vec<String>> {
+    shutdown_service(addr, Duration::from_secs(60)).expect("stop the stand-in");
+    stand_in.join().expect("stand-in daemon")
+}
+
+/// The type of each frame of each connection a stand-in daemon saw.
+fn frame_kinds(connections: &[Vec<String>]) -> Vec<Vec<String>> {
+    connections
+        .iter()
+        .map(|frames| frames.iter().map(|line| frame_kind(line).0).collect())
+        .collect()
+}
+
+/// Whether every entry of `report` carries the stand-in's answer.
+fn stand_in_answered_all(report: &CorpusReport) -> bool {
+    report
+        .entries
+        .iter()
+        .all(|entry| matches!(&entry.outcome, Err(CorpusError::Service(r)) if r == "stand-in"))
+}
+
+/// A service session keeps its connection: two runs of the corpus reach
+/// the stand-in over one connection with one config frame, and 12 job
+/// frames. Dropping the session hangs the connection up.
+#[test]
+fn one_session_runs_twice_over_one_connection() {
+    let corpus = casestudies::corpus();
+    let (addr, stand_in) = start_stand_in(None);
+    let session = client(&addr);
+    for _ in 0..2 {
+        assert!(stand_in_answered_all(&session.check_corpus_named(&corpus)));
+    }
+    drop(session);
+    let kinds = frame_kinds(&stop_stand_in(&addr, stand_in));
+    assert_eq!(kinds.len(), 1, "one connection: {kinds:?}");
+    let count = |kind: &str| kinds[0].iter().filter(|k| *k == kind).count();
+    assert_eq!((count("config"), count("job")), (1, 12), "{kinds:?}");
+}
+
+/// A kept connection the daemon closed between runs (it drained or
+/// restarted) fails before the daemon's first frame of the next run: that
+/// run connects again once and sends every job there.
+#[test]
+fn a_kept_connection_closed_between_runs_is_replaced_once() {
+    let corpus = casestudies::corpus();
+    let (addr, stand_in) = start_stand_in(Some(corpus.len()));
+    let session = client(&addr);
+    assert!(stand_in_answered_all(&session.check_corpus_named(&corpus)));
+    let again = session.check_corpus_named(&corpus);
+    assert!(
+        stand_in_answered_all(&again),
+        "{:?}",
+        again.entries[0].outcome.as_ref().err()
+    );
+    drop(session);
+    let kinds = frame_kinds(&stop_stand_in(&addr, stand_in));
+    let jobs: Vec<usize> = kinds
+        .iter()
+        .map(|kinds| kinds.iter().filter(|k| *k == "job").count())
+        .collect();
+    assert_eq!(jobs, [corpus.len(), corpus.len()], "{kinds:?}");
+}
+
+/// A kept connection that fails after the daemon's first frame of a run
+/// fails the run's other programs, as a fresh one does: the client does
+/// not connect again.
+#[test]
+fn a_kept_connection_lost_mid_run_fails_the_rest() {
+    let corpus = casestudies::corpus();
+    let (addr, stand_in) = start_stand_in(Some(corpus.len() + 1));
+    let session = client(&addr);
+    assert!(stand_in_answered_all(&session.check_corpus_named(&corpus)));
+    let cut = session.check_corpus_named(&corpus);
+    let answered = cut
+        .entries
+        .iter()
+        .filter(|entry| matches!(&entry.outcome, Err(CorpusError::Service(r)) if r == "stand-in"))
+        .count();
+    assert_eq!(answered, 1);
+    for entry in &cut.entries {
+        assert!(
+            matches!(&entry.outcome, Err(CorpusError::Service(r)) if r == "stand-in" || r.contains("failed")),
+            "{}: {:?}",
+            entry.name,
+            entry.outcome.as_ref().err()
+        );
+    }
+    drop(session);
+    assert_eq!(
+        stop_stand_in(&addr, stand_in).len(),
+        1,
+        "no second connection"
+    );
+}
+
+/// The render memo holds for one revision: a program edited under the
+/// same name goes out with its new text and gets the new revision's lint,
+/// and an unchanged program's job frame is the previous run's, byte for
+/// byte, apart from its id.
+#[test]
+fn an_edited_program_goes_out_anew_and_an_unchanged_one_as_before() {
+    let mut corpus = casestudies::corpus();
+    let tainted = parse_program("y = 1; relax (y) st (y >= 0);").expect("the program parses");
+    let spec = Spec::synced(&tainted);
+    corpus.push(("tainted", tainted, spec));
+    // Run 2 reverses the corpus, so every id moves, and edits two
+    // programs: one `pre` conjunct of swish, and a `post` conjunct of
+    // `tainted` that reads its relaxed `y`, which adds a lint warning.
+    let mut edited: Vec<(&str, Program, Spec)> = corpus.iter().rev().cloned().collect();
+    for (name, _, spec) in &mut edited {
+        let conjunct = match *name {
+            "swish" => &mut spec.pre,
+            "tainted" => &mut spec.post,
+            _ => continue,
+        };
+        let text = format!("({conjunct}) && y >= 0");
+        *conjunct = relaxed_lang::parse_formula(&text).expect("the conjunct parses");
+    }
+    let lint = |corpus: &[(&str, Program, Spec)], name: &str| -> Vec<String> {
+        let (_, program, spec) = corpus.iter().find(|(n, ..)| *n == name).expect(name);
+        let warnings = Verifier::new().lint(program, spec);
+        warnings.iter().map(ToString::to_string).collect()
+    };
+    assert_ne!(lint(&corpus, "tainted"), lint(&edited, "tainted"));
+
+    let (addr, stand_in) = start_stand_in(None);
+    let session = client(&addr);
+    let runs = [
+        session.check_corpus_named(&corpus),
+        session.check_corpus_named(&edited),
+    ];
+    drop(session);
+    let connections = stop_stand_in(&addr, stand_in);
+    for (report, run) in runs.iter().zip([&corpus, &edited]) {
+        assert!(stand_in_answered_all(report));
+        for entry in &report.entries {
+            assert_eq!(entry.lint, lint(run, &entry.name), "{}", entry.name);
+        }
+    }
+    // Each run's job frames by name, their ids cut out.
+    let jobs: Vec<(String, String)> = connections
+        .concat()
+        .iter()
+        .filter_map(|line| match frame_kind(line) {
+            (kind, Some(id), Some(name)) if kind == "job" => {
+                Some((name, line.replacen(&format!("\"id\":{id},"), "", 1)))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        jobs.len(),
+        2 * corpus.len(),
+        "{:?}",
+        frame_kinds(&connections)
+    );
+    let (first, second) = jobs.split_at(corpus.len());
+    let frames: [std::collections::HashMap<String, String>; 2] = [
+        first.iter().cloned().collect(),
+        second.iter().cloned().collect(),
+    ];
+    for (name, before) in &frames[0] {
+        let after = &frames[1][name];
+        if name == "swish" || name == "tainted" {
+            assert_ne!(after, before, "{name} went out with its old text");
+        } else {
+            assert_eq!(after, before, "{name}");
+        }
+    }
+    assert!(
+        frames[1]["swish"].contains("y >= 0"),
+        "{}",
+        frames[1]["swish"]
+    );
+}
+
+/// Against a real daemon, one session runs the corpus twice: both reports
+/// are verdict-identical to an in-process run, and the daemon served 12
+/// jobs.
+#[test]
+fn a_session_runs_the_corpus_twice_on_a_real_daemon() {
+    let corpus = casestudies::corpus();
+    let in_process = Verifier::builder()
+        .workers(2)
+        .build()
+        .check_corpus_named(&corpus);
+    temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
+        with_daemon(daemon_session(), 2, |addr| {
+            let session = client(addr);
+            for _ in 0..2 {
+                assert_verdicts_match(&session.check_corpus_named(&corpus), &in_process);
+            }
+            let status = service_status(addr, Duration::from_secs(10)).expect("status");
+            assert_eq!((status.served, status.active), (12, 0), "{status:?}");
+        });
+    });
+}
+
 /// A fleet worker reads the store and its sidecar again before every
 /// job, so the records a session persisted after the worker spawned
 /// replay whole programs on it: no vcgen, no encoding and no solver run.
@@ -704,9 +1014,12 @@ fn client_disconnect_mid_job_does_not_wedge_the_fleet() {
 
 /// A fleet of one relays a connection's pipelined jobs in the order they
 /// were admitted: four jobs sent in one write come back in send order,
-/// all four admitted at once and none refused.
+/// all four admitted at once and none refused. The worker's read of its
+/// store before job 0 waits on a lock the test holds until the daemon
+/// has admitted all four, so no job can finish first.
 #[test]
 fn a_fleet_of_one_answers_pipelined_jobs_in_send_order() {
+    let path = temp_cache("pipelined");
     let corpus = casestudies::corpus();
     let frames: String = corpus[..4]
         .iter()
@@ -725,10 +1038,29 @@ fn a_fleet_of_one_answers_pipelined_jobs_in_send_order() {
         })
         .collect();
     temp_env::with_var("RELAXED_SHARDD_FAULT", None, || {
-        let (addr, daemon) = start_service(daemon_session(), 1);
+        let (addr, daemon) = start_service(daemon_session().cache_file(&path), 1);
+        // The worker has spawned, and found no store to read. Write one
+        // and lock it: the worker reads it again before job 0, under a
+        // shared lock.
+        let seeder = Verifier::builder().workers(2).cache_file(&path).build();
+        seeder.check_corpus_named(&corpus[..4]);
+        seeder.persist().expect("write the store");
+        drop(seeder);
+        let store = std::fs::File::open(&path).expect("open the store");
+        store.lock().expect("lock the store");
         {
             let (mut reader, mut stream) = raw_session(&addr);
             stream.write_all(frames.as_bytes()).expect("send four jobs");
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            loop {
+                let status = service_status(&addr, Duration::from_secs(10)).expect("status");
+                if status.active == 4 {
+                    break;
+                }
+                assert!(std::time::Instant::now() < deadline, "{status:?}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            store.unlock().expect("unlock the store");
             let ids: Vec<i128> = (0..4)
                 .map(|_| {
                     let mut reply = String::new();
@@ -758,6 +1090,8 @@ fn a_fleet_of_one_answers_pipelined_jobs_in_send_order() {
         shutdown_service(&addr, Duration::from_secs(60)).expect("graceful drain");
         daemon.join().expect("daemon thread");
     });
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(depmap_path(&path));
 }
 
 #[test]

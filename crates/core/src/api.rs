@@ -62,6 +62,7 @@
 use crate::cache::{json_string, CacheWarning, FileStamp};
 use crate::depmap::{DepMap, ProgramDeps};
 use crate::engine::{elapsed_us, DischargeConfig, DischargeEngine, DischargeOptions, EngineStats};
+use crate::shard::{WorkerHandle, MAX_PARSED_NAMES};
 use crate::vcgen::{Vc, VcgenError};
 use crate::verify::{stage_vcs, staged_check, AcceptabilityReport, Report, Spec, VcResult};
 use relaxed_lang::Program;
@@ -70,7 +71,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One judgment of the paper's staged methodology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -604,6 +605,8 @@ impl VerifierBuilder {
             env_warnings,
             next_owner: AtomicU64::new(1),
             store,
+            renders: Mutex::default(),
+            connection: Mutex::default(),
             owns_trace,
         }
     }
@@ -751,32 +754,73 @@ struct ResidentDepmap {
     /// The programs recorded since the last flush: the records the next
     /// flush appends, and the ones a read of the sidecar leaves alone.
     unflushed: BTreeSet<String>,
-    /// Per program, the revision hash of its last replay and that
-    /// revision's rendered lint (see [`ResidentDepmap::lint`]).
-    lints: HashMap<String, (String, Vec<String>)>,
 }
 
-impl ResidentDepmap {
-    /// The rendered lint of program `name` at revision `hash`, memoized
-    /// per program: replay is only reached when the revision is
-    /// unchanged, so its lint — a whole-program static analysis — is
-    /// too. A new revision replaces its program's entry.
-    fn lint(&mut self, name: &str, hash: &str, program: &Program, spec: &Spec) -> Vec<String> {
-        match self.lints.get(name) {
-            Some((memo_hash, lint)) if memo_hash == hash => lint.clone(),
-            _ => {
-                let lint = rendered_lint(program, spec);
-                let memo = (hash.to_string(), lint.clone());
-                self.lints.insert(name.to_string(), memo);
-                lint
+/// A session's render memo: per program name, what the session rendered
+/// of that name's last revision, so a program checked again unchanged is
+/// linted and printed once. An entry holds for one revision hash
+/// ([`crate::depmap::program_hash`], the hash replay already trusts; every
+/// program hashed here comes from the session's own caller), and a new
+/// revision replaces it. Replayed, live and remote programs share it.
+#[derive(Debug, Default)]
+struct Renders {
+    by_name: HashMap<String, Rendered>,
+}
+
+/// What a session rendered of one program revision.
+#[derive(Debug)]
+struct Rendered {
+    /// The revision's hash.
+    hash: String,
+    /// Its rendered lint.
+    lint: Vec<String>,
+    /// Its job frame without the `id` ([`crate::shard::render_job_tail`]),
+    /// once a service run needed it.
+    job: Option<Arc<str>>,
+}
+
+impl Renders {
+    /// The entry of program `name` at revision `hash`, made afresh (its
+    /// lint run) when the name's entry holds another revision. A new name
+    /// past [`MAX_PARSED_NAMES`] clears the memo first, so it stays
+    /// bounded.
+    fn of(&mut self, name: &str, hash: &str, program: &Program, spec: &Spec) -> &mut Rendered {
+        let current = self.by_name.get(name).is_some_and(|r| r.hash == hash);
+        if !current {
+            if self.by_name.len() >= MAX_PARSED_NAMES && !self.by_name.contains_key(name) {
+                self.by_name.clear();
             }
+            let rendered = Rendered {
+                hash: hash.to_string(),
+                lint: rendered_lint(program, spec),
+                job: None,
+            };
+            self.by_name.insert(name.to_string(), rendered);
         }
+        self.by_name.get_mut(name).expect("the entry was just made")
+    }
+
+    /// The job frame tail of program `name` at revision `hash`, printed
+    /// once per revision.
+    fn job(&mut self, name: &str, hash: &str, program: &Program, spec: &Spec) -> Arc<str> {
+        let rendered = self.of(name, hash, program, spec);
+        let tail = rendered
+            .job
+            .get_or_insert_with(|| crate::shard::render_job_tail(name, program, spec).into());
+        Arc::clone(tail)
     }
 }
 
 /// A verification session: typed configuration plus an owned
 /// [`DischargeEngine`] whose verdict cache persists across everything
 /// the session checks.
+///
+/// The session also keeps what it needs to check a program again: a
+/// render memo with each program's lint and, under
+/// [`CorpusPolicy::Service`], its job frame, valid for one revision; and a
+/// service session's daemon connection, which each run takes and puts
+/// back when it ends with no job outstanding, and which dropping the
+/// session shuts down.
 ///
 /// The session is [`Sync`]; `&Verifier` can be shared across threads
 /// (that is how [`check_corpus`](Verifier::check_corpus) fans out).
@@ -791,6 +835,11 @@ pub struct Verifier {
     next_owner: AtomicU64,
     /// The files of a persistent session (`None` otherwise).
     store: Option<Store>,
+    /// The session's render memo (see [`Renders`]).
+    renders: Mutex<Renders>,
+    /// The daemon connection a [`CorpusPolicy::Service`] session keeps
+    /// between runs, while no run holds it.
+    connection: Mutex<Option<WorkerHandle>>,
     /// Whether this session holds a telemetry trace-file ownership
     /// (released on drop; the last release writes the trace).
     owns_trace: bool,
@@ -806,9 +855,9 @@ impl Drop for Verifier {
     /// The session's one drop-time flush: what is new in a persistent
     /// session's files is written best-effort, warning on failure
     /// (nothing is new after [`Verifier::persist`], so that costs no
-    /// I/O). Then the session's telemetry trace ownership is released
-    /// (the last tracing session's release writes the trace file), so the
-    /// flush lands in the trace.
+    /// I/O). A kept daemon connection is shut down. Then the session's
+    /// telemetry trace ownership is released (the last tracing session's
+    /// release writes the trace file), so the flush lands in the trace.
     fn drop(&mut self) {
         if let Some(store) = &self.store {
             if let Err(e) = store.flush(&self.engine) {
@@ -817,6 +866,10 @@ impl Drop for Verifier {
                     store.path.display()
                 ));
             }
+        }
+        let connection = self.connection.get_mut();
+        if let Some(connection) = connection.unwrap_or_else(|e| e.into_inner()).take() {
+            connection.shutdown();
         }
         if self.owns_trace {
             crate::telemetry::release();
@@ -902,6 +955,30 @@ impl Verifier {
         if let Some(store) = &self.store {
             store.read(&self.engine, "cache_refresh");
         }
+    }
+
+    /// The daemon connection this service session kept from an earlier
+    /// run, if any. The caller owns it until it hands it back to
+    /// [`keep_connection`](Verifier::keep_connection), so a concurrent run
+    /// finds none and opens its own.
+    pub(crate) fn take_connection(&self) -> Option<WorkerHandle> {
+        self.connection.lock().expect("kept connection lock").take()
+    }
+
+    /// Keeps `connection` for the session's next run, or shuts it down
+    /// when the session already keeps another (a concurrent run's).
+    pub(crate) fn keep_connection(&self, connection: WorkerHandle) {
+        let mut kept = self.connection.lock().expect("kept connection lock");
+        if kept.is_none() {
+            *kept = Some(connection);
+        } else {
+            drop(kept);
+            connection.shutdown();
+        }
+    }
+
+    fn renders(&self) -> MutexGuard<'_, Renders> {
+        self.renders.lock().expect("render memo lock")
     }
 
     /// Cumulative engine statistics over everything this session's own
@@ -1008,26 +1085,25 @@ impl Verifier {
     pub(crate) fn run_corpus(&self, programs: Vec<(String, &Program, &Spec)>) -> CorpusReport {
         let started = std::time::Instant::now();
 
+        // One hash per program serves the replay decision, the render
+        // memo and the record of a live run.
+        let hashes: Vec<String> = programs
+            .iter()
+            .map(|(_, program, spec)| crate::depmap::program_hash(program, spec))
+            .collect();
+
         // Incremental fast path (see `crate::depmap`): under a persistent
         // cache, a program whose revision hash matches its stored record
         // is unchanged — every stored goal key is current, and the whole
         // program replays from the verdict cache without vcgen, encoding,
-        // or solver work. One hash per program serves both this decision
-        // and the record of a live run.
+        // or solver work.
         let depmap = self.store.as_ref().map(|store| &store.depmap);
-        let hashes: Vec<String> = match depmap {
-            Some(_) => programs
-                .iter()
-                .map(|(_, program, spec)| crate::depmap::program_hash(program, spec))
-                .collect(),
-            None => Vec::new(),
-        };
         let mut slots: Vec<Option<CorpusEntry>> = Vec::with_capacity(programs.len());
         let mut live: Vec<usize> = Vec::new();
         {
-            let mut resident = depmap.map(|resident| resident.lock().expect("depmap lock"));
-            for (i, (name, program, spec)) in programs.iter().enumerate() {
-                let replayed = resident.as_mut().and_then(|resident| {
+            let resident = depmap.map(|resident| resident.lock().expect("depmap lock"));
+            for (i, (name, ..)) in programs.iter().enumerate() {
+                let replayed = resident.as_ref().and_then(|resident| {
                     let mut span = crate::telemetry::span("depmap", "replay_decision");
                     if span.is_active() {
                         span.arg("program", name.as_str());
@@ -1036,11 +1112,7 @@ impl Verifier {
                         .map
                         .program(name)
                         .filter(|stored| stored.hash == hashes[i])
-                        .and_then(|stored| self.replay_entry(name, stored))
-                        .map(|mut entry| {
-                            entry.lint = resident.lint(name, &hashes[i], program, spec);
-                            entry
-                        });
+                        .and_then(|stored| self.replay_entry(name, stored));
                     span.arg("replayed", u64::from(entry.is_some()));
                     entry
                 });
@@ -1055,27 +1127,47 @@ impl Verifier {
         // the live entries in input order, without lint, and its fan-out.
         let mut workers = 0;
         if !live.is_empty() {
-            let live_programs: Vec<(String, &Program, &Spec)> =
-                live.iter().map(|&i| programs[i].clone()).collect();
             let (ran, fanout) = match &self.config.corpus {
-                CorpusPolicy::InProcess => self.run_in_process(&live_programs),
+                CorpusPolicy::InProcess => {
+                    let live_programs: Vec<(String, &Program, &Spec)> =
+                        live.iter().map(|&i| programs[i].clone()).collect();
+                    self.run_in_process(&live_programs)
+                }
                 CorpusPolicy::Service { addr } => {
-                    crate::service::run_corpus_service(self, &live_programs, addr)
+                    let mut renders = self.renders();
+                    let jobs: Vec<(String, Arc<str>)> = live
+                        .iter()
+                        .map(|&i| {
+                            let (name, program, spec) = &programs[i];
+                            (name.clone(), renders.job(name, &hashes[i], program, spec))
+                        })
+                        .collect();
+                    drop(renders);
+                    crate::service::run_corpus_service(self, &jobs, addr)
                 }
             };
             workers = fanout;
-            for ((&i, (_, program, spec)), mut entry) in live.iter().zip(&live_programs).zip(ran) {
-                // Lint is static and never crosses a wire: every driver's
-                // entries get it here, errored programs included.
-                entry.lint = rendered_lint(program, spec);
+            for (&i, entry) in live.iter().zip(ran) {
                 slots[i] = Some(entry);
             }
         }
+
+        // Lint is static and never crosses a wire: every entry gets it
+        // here, from the render memo, errored programs included.
+        let mut renders = self.renders();
+        let entries = slots
+            .into_iter()
+            .zip(&programs)
+            .zip(&hashes)
+            .map(|((slot, (name, program, spec)), hash)| {
+                let mut entry = slot.expect("every program either replays or runs live");
+                entry.lint = renders.of(name, hash, program, spec).lint.clone();
+                entry
+            })
+            .collect();
+        drop(renders);
         let mut report = CorpusReport {
-            entries: slots
-                .into_iter()
-                .map(|slot| slot.expect("every program either replays or runs live"))
-                .collect(),
+            entries,
             stages: self.config.stages,
             ..CorpusReport::default()
         };
@@ -1760,20 +1852,56 @@ mod tests {
         }
         let last = &revisions[2][0];
         {
-            let mut resident = session.store.as_ref().unwrap().depmap.lock().unwrap();
-            let lints = &mut resident.lints;
+            let mut renders = session.renders();
+            let lints = &mut renders.by_name;
             assert_eq!(lints.len(), 1, "one entry per program: {lints:?}");
             let memo = lints.get_mut("toy").unwrap();
-            assert_eq!(memo.0, crate::depmap::program_hash(&last.1, &last.2));
+            assert_eq!(memo.hash, crate::depmap::program_hash(&last.1, &last.2));
             // A replay of the unchanged revision must read the memo
             // instead of running the analysis again.
-            memo.1 = vec!["memoized".to_string()];
+            memo.lint = vec!["memoized".to_string()];
         }
         let replayed = session.check_corpus_named(&revisions[2]);
         assert_eq!(replayed.entries[0].lint, ["memoized"]);
         drop(session);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&sidecar);
+    }
+
+    /// An in-memory session has no depmap to replay from: it checks an
+    /// unchanged program live again, but reads its lint from the memo.
+    #[test]
+    fn an_in_memory_session_reads_the_lint_of_an_unchanged_program_from_the_memo() {
+        let session = Verifier::builder().workers(1).build();
+        let (program, spec) = toy();
+        let corpus = [("toy", program, spec)];
+        let first = session.check_corpus_named(&corpus);
+        let hash = crate::depmap::program_hash(&corpus[0].1, &corpus[0].2);
+        {
+            let mut renders = session.renders();
+            let memo = renders.by_name.get_mut("toy").unwrap();
+            assert_eq!(memo.hash, hash);
+            assert_eq!(memo.lint, first.entries[0].lint);
+            memo.lint = vec!["memoized".to_string()];
+        }
+        let again = session.check_corpus_named(&corpus);
+        assert!(again.verified(), "{again}");
+        assert_eq!(again.entries[0].lint, ["memoized"]);
+    }
+
+    /// The memo is bounded like a worker's parse memo: a new name past
+    /// `MAX_PARSED_NAMES` clears it.
+    #[test]
+    fn the_render_memo_keeps_a_bounded_number_of_names() {
+        let session = Verifier::builder().workers(1).build();
+        let corpus = vec![toy(); MAX_PARSED_NAMES + 1];
+        let report = session.check_corpus(&corpus);
+        assert!(report.verified(), "{report}");
+        let renders = session.renders();
+        assert!(renders.by_name.len() <= MAX_PARSED_NAMES);
+        assert!(renders
+            .by_name
+            .contains_key(&format!("program_{MAX_PARSED_NAMES}")));
     }
 
     /// A new store path for `tag`, with no store or sidecar at it.

@@ -1203,7 +1203,9 @@ mod tests {
     /// whose spans carry every kind of argument; and the daemon's own
     /// frames.
     fn corpus_records() -> Vec<String> {
-        use crate::shard::{prepare_jobs, render_config_frame, render_result_frame, worker_loop};
+        use crate::shard::{
+            prepare_jobs, render_config_frame, render_job_tail, render_result_frame, worker_loop,
+        };
         use crate::telemetry::{ArgValue, Event};
         use crate::{Spec, Verifier};
         let corpus = crate::test_corpus();
@@ -1231,7 +1233,13 @@ mod tests {
             .collect();
         programs.push(("unannotated".to_string(), &unannotated, &unannotated_spec));
         let mut input = vec![render_config_frame(&crate::Config::default(), 1)];
-        input.extend(prepare_jobs(&programs).into_iter().map(|job| job.frame));
+        let jobs: Vec<(String, std::sync::Arc<str>)> = programs
+            .iter()
+            .map(|(name, program, spec)| {
+                (name.clone(), render_job_tail(name, program, spec).into())
+            })
+            .collect();
+        input.extend(prepare_jobs(&jobs).into_iter().map(|job| job.frame));
         input.push(
             "{\"type\":\"job\",\"id\":9,\"name\":\"bad\",\"program\":\"while (\",\
              \"pre\":\"true\",\"post\":\"true\",\"rel_pre\":\"true\",\"rel_post\":\"true\"}"

@@ -18,13 +18,22 @@
 //!   changed; the daemon holds no verdicts;
 //! * a **client** ([`CorpusPolicy::Service`], selected by
 //!   `Verifier::builder().service(addr)` or `RELAXED_SERVICE=<host:port>`)
-//!   that submits a corpus over one connection, rides out `busy`
-//!   backpressure, and hands back its programs' entries — in input
-//!   order, without lint, plus the daemon's fleet size as the fan-out —
-//!   for `check_corpus` to merge into a [`CorpusReport`]
-//!   **verdict-identical** to an in-process run. The client runs no
-//!   vcgen: each result frame names every obligation it answers, and the
-//!   worker that ran a program live records its depmap revision.
+//!   that submits a corpus, its job frames pipelined in one write, rides
+//!   out `busy` backpressure (a job sent again goes alone), and hands back
+//!   its programs' entries — in input order, without lint, plus the
+//!   daemon's fleet size as the fan-out — for `check_corpus` to merge
+//!   into a [`CorpusReport`] **verdict-identical** to an in-process run.
+//!   A session keeps one connection for its lifetime: a run takes it (or
+//!   opens one, config handshake included), puts it back when it ends
+//!   with no job outstanding, and a dropped session shuts it down. A kept
+//!   connection that fails before the daemon's first frame of a run (the
+//!   daemon drained or restarted since) is replaced once, and every job
+//!   sent again; any later failure, or one on a fresh connection, fails
+//!   the programs still pending. A concurrent run of the same session
+//!   opens its own connection. The session's render memo prints each
+//!   program revision's job frame once. The client runs no vcgen: each
+//!   result frame names every obligation it answers, and the worker that
+//!   ran a program live records its depmap revision.
 //!
 //! # Wire protocol
 //!
@@ -96,8 +105,6 @@ use crate::shard::{
     render_error_frame, resolve_worker, write_frame, Fleet, ShardJob, TcpTransport, Transport,
     WorkerHandle, JOB_TIMEOUT, PROTOCOL_VERSION, SERVICE_BINARY,
 };
-use crate::verify::Spec;
-use relaxed_lang::Program;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -721,35 +728,62 @@ fn validate_session(fleet: &Config, fields: &[(String, Json)]) -> Result<(), Str
 
 /// The driver behind
 /// [`CorpusPolicy::Service`](crate::api::CorpusPolicy::Service): submits
-/// the programs (at least one) to a `relaxed-serviced` daemon over one
-/// connection and returns their entries, without lint, in input order,
-/// plus the daemon's fleet size as the fan-out. Failures (unreachable
-/// daemon, dead connection, saturation past the patience window) become
-/// per-program [`CorpusError::Service`](crate::api::CorpusError::Service)
-/// entries. See the [module docs](self) for the architecture.
+/// the programs (at least one), each given by its name and its job frame
+/// without the id, to a `relaxed-serviced` daemon over the session's one
+/// connection, and returns their entries, without lint, in input order,
+/// plus the daemon's fleet size as the fan-out.
+///
+/// The run takes the connection the session kept from its last run, or
+/// opens one, and puts it back when it ends with no job outstanding. A
+/// kept connection that fails before the daemon's first frame of the run
+/// (the daemon drained or restarted since) is replaced once, and every
+/// job is sent again. Any other failure (unreachable daemon, dead
+/// connection, saturation past the patience window) becomes per-program
+/// [`CorpusError::Service`](crate::api::CorpusError::Service) entries. See
+/// the [module docs](self) for the architecture.
 pub(crate) fn run_corpus_service(
     verifier: &Verifier,
-    programs: &[(String, &Program, &Spec)],
+    programs: &[(String, Arc<str>)],
     addr: &str,
 ) -> (Vec<CorpusEntry>, usize) {
     let config = verifier.config();
+    let stages = config.stages;
     let jobs = prepare_jobs(programs);
     let order: Vec<usize> = jobs.iter().map(|job| job.id).collect();
     let mut pending: HashMap<usize, ShardJob> = jobs.into_iter().map(|job| (job.id, job)).collect();
     let mut slots: Vec<Option<CorpusEntry>> = (0..programs.len()).map(|_| None).collect();
-    let config_frame = render_config_frame(config, config.workers);
-    let stages = config.stages;
-    let (fleet, outcome) = match WorkerHandle::connect(addr, &config_frame) {
-        Ok(mut handle) => {
-            let fleet = handle.fleet.unwrap_or(1);
-            let outcome =
-                collect_results(addr, stages, &mut handle, &order, &mut pending, &mut slots);
-            if outcome.is_ok() {
-                handle.shutdown();
+    let mut kept = verifier.take_connection();
+    let (fleet, outcome) = loop {
+        let fresh = kept.is_none();
+        let connected = kept.take().map_or_else(
+            || WorkerHandle::connect(addr, &render_config_frame(config, config.workers)),
+            Ok,
+        );
+        let mut handle = match connected {
+            Ok(handle) => handle,
+            Err(e) => break (1, Err(format!("cannot reach the service at {addr}: {e}"))),
+        };
+        let fleet = handle.fleet.unwrap_or(1);
+        let mut heard = false;
+        let outcome = collect_results(
+            addr,
+            stages,
+            &mut handle,
+            &order,
+            &mut pending,
+            &mut slots,
+            &mut heard,
+        );
+        match outcome {
+            Ok(()) => {
+                verifier.keep_connection(handle);
+                break (fleet, Ok(()));
             }
-            (fleet, outcome)
+            // A kept connection that went stale between runs: the next
+            // pass opens a fresh one and sends every job there.
+            Err(_) if !fresh && !heard => handle.kill(),
+            Err(reason) => break (fleet, Err(reason)),
         }
-        Err(e) => (1, Err(format!("cannot reach the service at {addr}: {e}"))),
     };
     if let Err(reason) = outcome {
         for job in pending.into_values() {
@@ -766,13 +800,16 @@ pub(crate) fn run_corpus_service(
     (entries, fleet)
 }
 
-/// Pipelines the jobs (in `order`, already largest first) and collects
-/// their out-of-order results into `slots`, each checked against the
-/// session's `stages`, riding out `busy` backpressure with the daemon's
-/// retry-after hint. A job the daemon refuses for a whole patience window
-/// fails alone; `Err` (a dead connection, a stalled daemon, an unexpected
-/// frame, or an `error` frame refusing the connection, whose reason it
-/// carries) leaves every job still in `pending` to fail.
+/// Pipelines the jobs (in `order`, already largest first) in one write
+/// and collects their out-of-order results into `slots`, each checked
+/// against the session's `stages`, riding out `busy` backpressure with
+/// the daemon's retry-after hint (a job sent again goes alone). `heard`
+/// is set once the daemon sends any frame. A job the daemon refuses for a
+/// whole patience window fails alone; `Err` (a dead connection, a stalled
+/// daemon, an unexpected frame, or an `error` frame refusing the
+/// connection, whose reason it carries) leaves every job still in
+/// `pending` to fail. On `Ok` no job is outstanding, so the connection
+/// can serve the session's next run.
 fn collect_results(
     addr: &str,
     stages: StageSet,
@@ -780,11 +817,11 @@ fn collect_results(
     order: &[usize],
     pending: &mut HashMap<usize, ShardJob>,
     slots: &mut [Option<CorpusEntry>],
+    heard: &mut bool,
 ) -> Result<(), String> {
     let lost = |e: String| format!("connection to {addr} failed: {e}");
-    for id in order {
-        handle.send(&pending[id].frame).map_err(lost)?;
-    }
+    let frames: Vec<&str> = order.iter().map(|id| pending[id].frame.as_str()).collect();
+    handle.send(&frames.join("\n")).map_err(lost)?;
     // The patience window is *progress-based*: any frame from the daemon
     // (result or busy) resets it, so a large pipelined corpus is never
     // timed out merely for being longer than one job's budget.
@@ -821,6 +858,7 @@ fn collect_results(
         let Some(line) = handle.recv_opt(wait).map_err(lost)? else {
             continue; // a retry came due or the window shrank
         };
+        *heard = true;
         last_progress = Instant::now();
         let malformed = |e: String| format!("malformed frame from {addr}: {e}");
         let record = parse_json(&line).map_err(malformed)?;
@@ -1034,6 +1072,7 @@ pub fn service_main() -> std::process::ExitCode {
 mod tests {
     use super::*;
     use crate::api::CorpusError;
+    use crate::verify::Spec;
 
     #[test]
     fn default_options_bind_ephemeral_localhost() {

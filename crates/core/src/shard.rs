@@ -120,6 +120,7 @@ use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Version of the coordinator/worker wire protocol. The worker echoes it
@@ -247,10 +248,13 @@ pub(crate) fn render_config_frame(config: &Config, per_worker: usize) -> String 
     )
 }
 
-fn render_job_frame(id: usize, name: &str, program: &Program, spec: &Spec) -> String {
+/// A job frame's text after its `id`: the program's name and the
+/// pretty-printed source of the program and its spec. A session's render
+/// memo keeps it per program revision, so an unchanged program is printed
+/// once.
+pub(crate) fn render_job_tail(name: &str, program: &Program, spec: &Spec) -> String {
     format!(
-        "{{\"type\":\"job\",\"id\":{id},\"name\":{},\
-         \"program\":{},\"pre\":{},\
+        ",\"name\":{},\"program\":{},\"pre\":{},\
          \"post\":{},\"rel_pre\":{},\"rel_post\":{}}}",
         json_string(name),
         json_string(&program.to_string()),
@@ -259,6 +263,16 @@ fn render_job_frame(id: usize, name: &str, program: &Program, spec: &Spec) -> St
         json_string(&spec.rel_pre.to_string()),
         json_string(&spec.rel_post.to_string()),
     )
+}
+
+/// The job frame `id` of the program whose [`render_job_tail`] is `tail`.
+fn job_frame(id: usize, tail: &str) -> String {
+    format!("{{\"type\":\"job\",\"id\":{id}{tail}")
+}
+
+#[cfg(test)]
+fn render_job_frame(id: usize, name: &str, program: &Program, spec: &Spec) -> String {
+    job_frame(id, &render_job_tail(name, program, spec))
 }
 
 /// Writes `counters` as comma-separated `"name":value` pairs: the wire
@@ -728,10 +742,11 @@ pub(crate) fn parse_config_frame(fields: &[(String, Json)]) -> Result<Config, St
 /// [`ParsedJob::sources`] keeps them.
 const SOURCE_FIELDS: [&str; 5] = ["program", "pre", "post", "rel_pre", "rel_post"];
 
-/// How many program names a worker keeps the parse of. A job under a new
-/// name past this many forgets them all, so a long-lived worker's memory
-/// stays bounded whatever names its clients send.
-const MAX_PARSED_NAMES: usize = 1024;
+/// How many program names a worker keeps the parse of, and a session its
+/// renders of. A job (or program) under a new name past this many forgets
+/// them all, so a long-lived worker's or session's memory stays bounded
+/// whatever names it is sent.
+pub(crate) const MAX_PARSED_NAMES: usize = 1024;
 
 /// A worker's parse of each program name's last job, so an unchanged job
 /// costs only its replay: one entry per name, reused only when all five
@@ -842,27 +857,27 @@ pub(crate) struct ShardJob {
     pub(crate) frame: String,
 }
 
-/// Renders every program's job, largest frame first (ties in corpus
-/// order), so the slowest proofs start at once and the corpus tail is
-/// short jobs. A frame's size tracks its proof's cost better than the
-/// program's obligation count: on the paper's corpus the two largest
-/// frames, `lu_broken`'s and `lu`'s, are its two slowest proofs, yet they
-/// have the fewest obligations.
-pub(crate) fn prepare_jobs(programs: &[(String, &Program, &Spec)]) -> Vec<ShardJob> {
+/// The job of every program, given by its name and [`render_job_tail`],
+/// largest frame first (ties in corpus order), so the slowest proofs start
+/// at once and the corpus tail is short jobs. A frame's size tracks its
+/// proof's cost better than the program's obligation count: on the paper's
+/// corpus the two largest frames, `lu_broken`'s and `lu`'s, are its two
+/// slowest proofs, yet they have the fewest obligations.
+pub(crate) fn prepare_jobs(programs: &[(String, Arc<str>)]) -> Vec<ShardJob> {
     let mut jobs: Vec<ShardJob> = programs
         .iter()
         .enumerate()
-        .map(|(id, (name, program, spec))| ShardJob {
+        .map(|(id, (name, tail))| ShardJob {
             id,
             name: name.clone(),
-            frame: render_job_frame(id, name, program, spec),
+            frame: job_frame(id, tail),
         })
         .collect();
     jobs.sort_by_key(|job| (std::cmp::Reverse(job.frame.len()), job.id));
     jobs
 }
 
-/// A framed newline-JSON channel to a protocol peer. One frame per
+/// A framed newline-JSON channel to a protocol peer. One write per
 /// [`send`](Transport::send); [`recv_opt`](Transport::recv_opt) waits at
 /// most a timeout for the next frame, distinguishing "still quiet"
 /// (`Ok(None)`) from a dead channel (`Err`). The fleet speaks it to its
@@ -871,7 +886,9 @@ pub(crate) fn prepare_jobs(programs: &[(String, &Program, &Spec)]) -> Vec<ShardJ
 /// TCP ([`TcpTransport`]). `Send` so a handle can migrate across handler
 /// threads.
 pub(crate) trait Transport: Send {
-    /// Writes one frame (the newline is appended here) and flushes.
+    /// Writes one frame (the newline is appended here) and flushes, in
+    /// one write. Several frames joined by newlines go out in one write
+    /// the same way: that is how a client pipelines a run's jobs.
     fn send(&mut self, frame: &str) -> Result<(), String>;
 
     /// Reads the next frame, waiting at most `timeout`. `Ok(None)` means
@@ -1082,6 +1099,15 @@ pub(crate) struct WorkerHandle {
     /// the peer is a `relaxed-serviced` daemon fronting a worker fleet,
     /// absent for a plain `relaxed-shardd` worker.
     pub(crate) fleet: Option<usize>,
+}
+
+impl std::fmt::Debug for WorkerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerHandle")
+            .field("lane", &self.lane)
+            .field("fleet", &self.fleet)
+            .finish_non_exhaustive()
+    }
 }
 
 impl WorkerHandle {

@@ -17,10 +17,12 @@
 //!
 //! With `--service <addr>` (or `RELAXED_SERVICE=<addr>`) the corpus is
 //! submitted to a running `relaxed-serviced` daemon from **two
-//! concurrent client threads**, each asserted verdict-identical to the
-//! in-process baseline — the CI `service-corpus` job's equivalence gate.
-//! The final `service: clients=.. disk_hits=.. solver_runs=..
-//! cross_program_hits=..` line is its machine-readable signal. Under
+//! concurrent client sessions**, each checking it twice over the
+//! connection it keeps, and every report is asserted verdict-identical
+//! to the in-process baseline — the CI `service-corpus` job's
+//! equivalence gate. The final `service: clients=.. runs=.. disk_hits=..
+//! solver_runs=.. cross_program_hits=..` line is its machine-readable
+//! signal. Under
 //! `DISCHARGE_CACHE` the baseline persists first, so the fleet must
 //! answer with `solver_runs=0` and cross-client disk hits, and replay
 //! every program from the sidecar the baseline wrote
@@ -275,11 +277,13 @@ fn report_trace(expect_solves: bool, slow_n: usize) -> Result<(), Box<dyn std::e
 /// The service mode (`--service <addr>` / `RELAXED_SERVICE`): verify the
 /// corpus in-process first (the baseline, which also seeds the persistent
 /// store when `DISCHARGE_CACHE` is set), then submit it to the running
-/// `relaxed-serviced` daemon from two concurrent client threads, and
-/// assert every client report verdict-identical to the baseline — the CI
-/// `service-corpus` equivalence gate.
+/// `relaxed-serviced` daemon from two concurrent client sessions, each
+/// checking it twice over the one connection it keeps, and assert every
+/// report verdict-identical to the baseline — the CI `service-corpus`
+/// equivalence gate.
 fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
     const CLIENTS: usize = 2;
+    const RUNS: usize = 2;
     let corpus = casestudies::corpus();
 
     // In-process baseline under the same budgets and cache policy.
@@ -316,13 +320,15 @@ fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
                         .service(addr)
                         .cache(CachePolicy::Shared)
                         .build();
-                    session.check_corpus_named(corpus)
+                    (0..RUNS)
+                        .map(|_| session.check_corpus_named(corpus))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("service client thread"))
+            .flat_map(|handle| handle.join().expect("service client thread"))
             .collect()
     });
     let elapsed = started.elapsed();
@@ -330,9 +336,9 @@ fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
     let report = &reports[0];
     println!("{report}");
     println!("{}", report.to_json());
-    let requests = (CLIENTS * corpus.len()) as f64;
+    let requests = (CLIENTS * RUNS * corpus.len()) as f64;
     println!(
-        "service: {} programs x {CLIENTS} concurrent clients against {addr} \
+        "service: {} programs x {CLIENTS} concurrent clients x {RUNS} runs against {addr} \
          (fleet={}) in {elapsed:.1?} ({:.1} requests/sec; in-process baseline {}ms)",
         corpus.len(),
         report.engine.workers,
@@ -340,44 +346,52 @@ fn service_main(addr: String) -> Result<(), Box<dyn std::error::Error>> {
         baseline.elapsed_ms,
     );
 
-    // The equivalence gate: every concurrent client must agree with the
-    // in-process baseline, verdict for verdict.
-    for (client, report) in reports.iter().enumerate() {
+    // The equivalence gate: every run of every concurrent client must
+    // agree with the in-process baseline, verdict for verdict.
+    for (run, report) in reports.iter().enumerate() {
+        let (client, run) = (run / RUNS, run % RUNS);
         report.verdicts_match(&baseline).unwrap_or_else(|e| {
-            panic!("client {client} must be verdict-identical to the in-process baseline: {e}")
+            panic!(
+                "client {client}, run {run} must be verdict-identical to the in-process \
+                 baseline: {e}"
+            )
         });
     }
-    println!("all {CLIENTS} client reports are verdict-identical to the in-process baseline");
+    println!(
+        "all {} client reports ({CLIENTS} clients x {RUNS} runs) are verdict-identical \
+         to the in-process baseline",
+        reports.len()
+    );
 
     let disk_hits: u64 = reports.iter().map(|r| r.engine.disk_hits).sum();
     let solver_runs: u64 = reports.iter().map(|r| r.engine.cache_misses).sum();
     let cross_program_hits: u64 = reports.iter().map(|r| r.cross_program_hits()).sum();
     if persistent {
-        assert_eq!(
-            solver_runs, 0,
-            "with a pre-seeded store the service fleet must not re-solve"
-        );
-        assert!(
-            disk_hits >= 1,
-            "the fleet must serve the baseline's verdicts across clients: {:?}",
-            report.engine
-        );
-        // A program a worker runs live answers its goals from the store
-        // as cross-program hits; one it replays from the sidecar the
+        // Each run of each client is checked: a second run reuses the
+        // first one's connection. With a pre-seeded store the fleet
+        // re-solves nothing and serves the baseline's verdicts from it. A
+        // program a worker runs live answers its goals from the store as
+        // cross-program hits; one it replays from the sidecar the
         // baseline just wrote counts none.
-        for (client, report) in reports.iter().enumerate() {
+        for (run, report) in reports.iter().enumerate() {
+            let (client, run) = (run / RUNS, run % RUNS);
+            let engine = &report.engine;
             assert_eq!(
-                report.cross_program_hits(),
-                0,
-                "client {client}: every program must replay on the fleet: {:?}",
-                report.engine
+                (engine.cache_misses, engine.cross_hits),
+                (0, 0),
+                "client {client}, run {run}: every program must replay on the fleet: {engine:?}"
+            );
+            assert!(
+                engine.disk_hits >= 1,
+                "client {client}, run {run}: the fleet must serve the baseline's verdicts: \
+                 {engine:?}"
             );
         }
     }
     // The machine-readable line the CI service-corpus job gates on.
     println!(
-        "service: clients={CLIENTS} disk_hits={disk_hits} solver_runs={solver_runs} \
-         cross_program_hits={cross_program_hits}"
+        "service: clients={CLIENTS} runs={RUNS} disk_hits={disk_hits} \
+         solver_runs={solver_runs} cross_program_hits={cross_program_hits}"
     );
     Ok(())
 }
